@@ -16,6 +16,7 @@ at hand (the partial isometry vanishing on the null space), and every
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, takewhile
 
 import numpy as np
 
@@ -23,12 +24,11 @@ from .core import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
     as_operator,
-    commutator,
     commutator_norm,
+    commutator_threshold,
     commutes,
     equality_residual,
     fractional_power_psd,
-    fro_norm,
     is_hermitian_psd,
     numerical_rank,
     range_projection,
@@ -81,9 +81,9 @@ class CenteredReport:
     k = 1..max_order_checked-1. ``verified_order`` is 1 plus the length of
     the initial run of vanishing commutators, capped at ``max_order_checked``;
     a later vanishing commutator after a non-vanishing one cannot raise the
-    order. ``oracle_agrees`` records agreement with the definitional check at
-    ``verified_order`` and, when there is room, disagreement at
-    ``verified_order + 1``.
+    order. ``oracle_agrees`` records, from one pass over the powers, that the
+    definitional check holds at ``verified_order`` and, when there is room,
+    fails at ``verified_order + 1``.
     """
 
     dimension: int
@@ -261,6 +261,30 @@ def is_binormal(
     return commutes(left, right, cfg), commutator_norm(left, right)
 
 
+def _definitional_residuals(t: np.ndarray, u: np.ndarray, cfg: ToleranceConfig):
+    """Yield the ``(equation, range)`` residuals of ``T^k = U^k |T^k|`` for
+    k = 1, 2, ..., with ``u`` the polar factor of ``t``. One SVD of each
+    power, its own polar decomposition ``U_k |T^k|``, gives ``|T^k|`` and,
+    as ``U_k* U_k``, the range projection of ``(T^k)*``."""
+    t_pow, u_pow = t, u
+    while True:
+        parts = polar_decompose(t_pow, cfg)
+        yield (
+            equality_residual(t_pow, u_pow @ parts.modulus),
+            equality_residual(
+                u_pow.conj().T @ u_pow, parts.isometry.conj().T @ parts.isometry
+            ),
+        )
+        t_pow, u_pow = t_pow @ t, u_pow @ u
+
+
+def _definitional_prefix(residuals, cfg: ToleranceConfig) -> int:
+    """Number of leading ``(equation, range)`` residual pairs that both
+    vanish; consumes ``residuals`` only up to the first failing power."""
+    tol = cfg.equality_rel_tol
+    return len(list(takewhile(lambda r: r[0] <= tol and r[1] <= tol, residuals)))
+
+
 def centered_order(
     t, max_n: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> CenteredReport:
@@ -269,8 +293,9 @@ def centered_order(
     The operator is (k+1)-centered exactly when ``[U^j |T| (U^j)*, |T|]``
     vanishes for j = 1..k, so the verified order is one plus the initial run
     of vanishing commutators. Norms keep being reported past the first
-    failure for diagnostics. The definitional route is run at the boundary to
-    set ``oracle_agrees``.
+    failure for diagnostics. ``oracle_agrees`` comes from one pass of the
+    definitional route with the same ``U``, which factors ``T^k`` for
+    k = 1..min(verified + 1, max_n) and stops at the first failing power.
     """
     t = _require_square(as_operator(t))
     if max_n < 1:
@@ -285,18 +310,14 @@ def centered_order(
     for _ in range(1, max_n):
         conjugated = u_pow @ p @ u_pow.conj().T
         norms.append(commutator_norm(conjugated, p))
-        if run_intact and commutes(conjugated, p, cfg):
+        if run_intact and norms[-1] <= commutator_threshold(conjugated, p, cfg):
             verified += 1
         else:
             run_intact = False
         u_pow = u_pow @ u
 
-    at_order = is_n_centered_definitional(t, verified, cfg).ok
-    if verified < max_n:
-        beyond = is_n_centered_definitional(t, verified + 1, cfg).ok
-        agrees = at_order and not beyond
-    else:
-        agrees = at_order
+    powers = islice(_definitional_residuals(t, u, cfg), min(verified + 1, max_n))
+    agrees = _definitional_prefix(powers, cfg) == verified
     return CenteredReport(
         dimension=t.shape[0],
         max_order_checked=max_n,
@@ -311,32 +332,16 @@ def is_n_centered_definitional(
     t, n: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> DefinitionalCheck:
     """Brute-force check that ``T^k = U^k |T^k|`` is the polar decomposition
-    for every k = 1..n, with ``U`` the polar factor of ``T`` itself."""
+    for every k = 1..n, with ``U`` the polar factor of ``T`` itself. Takes
+    n + 1 SVDs: one for ``U`` and one for each power ``T^k``."""
     t = _require_square(as_operator(t))
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     u = polar_decompose(t, cfg).isometry
-
-    equation: list[float] = []
-    ranges: list[float] = []
-    t_pow = t
-    u_pow = u
-    for _ in range(n):
-        equation.append(equality_residual(t_pow, u_pow @ abs_value(t_pow, cfg)))
-        ranges.append(
-            equality_residual(
-                u_pow.conj().T @ u_pow, range_projection(t_pow.conj().T, cfg)
-            )
-        )
-        t_pow = t_pow @ t
-        u_pow = u_pow @ u
-
-    ok = all(r <= cfg.equality_rel_tol for r in equation) and all(
-        r <= cfg.equality_rel_tol for r in ranges
-    )
-    return DefinitionalCheck(
-        ok=ok, equation_residuals=tuple(equation), range_residuals=tuple(ranges)
-    )
+    residuals = list(islice(_definitional_residuals(t, u, cfg), n))
+    equation, ranges = zip(*residuals)
+    ok = _definitional_prefix(residuals, cfg) == n
+    return DefinitionalCheck(ok=ok, equation_residuals=equation, range_residuals=ranges)
 
 
 def product_polar(
@@ -629,11 +634,10 @@ def mp_centered_check(
     t = _require_square(as_operator(t))
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    base = centered_order(t, n, cfg)
-    if base.verified_order < n:
+    verified = centered_order(t, n + 1, cfg).verified_order
+    if verified < n:
         raise ValueError(
-            f"operator is only {base.verified_order}-centered at tolerance, "
-            f"need {n}"
+            f"operator is only {verified}-centered at tolerance, need {n}"
         )
 
     pinv = moore_penrose(t, cfg)
@@ -647,7 +651,7 @@ def mp_centered_check(
 
     inverse_order = centered_order(pinv, n, cfg).verified_order
 
-    plus_one = centered_order(t, n + 1, cfg).verified_order >= n + 1
+    plus_one = verified >= n + 1
     mod_norms: list[float] = []
     adj_norms: list[float] = []
     mod_ok = True

@@ -27,13 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .classify import centered_order, is_binormal
-from .core import (
-    DEFAULT_TOLERANCES,
-    ToleranceConfig,
-    commutes,
-    rank_margin,
-    svd,
-)
+from .core import DEFAULT_TOLERANCES, ToleranceConfig, rank_margin, svd
 from .decomp import (
     mp_polar_parts,
     moore_penrose,
@@ -45,7 +39,7 @@ from .matrixio import read_matrix, write_matrix
 from .shifts import (
     ShiftSpec,
     build_truncated,
-    expected_commutator_pattern,
+    pattern_mismatches,
     predicted_polar_parts,
 )
 from .suites import SUITES, CheckRecord, run_suite
@@ -103,10 +97,6 @@ def _tolerances(args: argparse.Namespace) -> ToleranceConfig:
     )
 
 
-def _echo(args: argparse.Namespace) -> str:
-    return args.echo
-
-
 def cmd_polar(args: argparse.Namespace) -> RunReport:
     cfg = _tolerances(args)
     t = read_matrix(args.input)
@@ -117,7 +107,7 @@ def cmd_polar(args: argparse.Namespace) -> RunReport:
     write_matrix(f"{prefix}.u.json", parts.isometry)
     write_matrix(f"{prefix}.p.json", parts.modulus)
 
-    report = RunReport(command=_echo(args), tolerances=cfg)
+    report = RunReport(command=args.echo, tolerances=cfg)
     report.margin = rank_margin(svd(t).singular_values, cfg)
     report.add_value("shape", "x".join(str(n) for n in t.shape))
     report.add_value("rank", parts.rank)
@@ -136,7 +126,7 @@ def cmd_mp(args: argparse.Namespace) -> RunReport:
     out = args.out if args.out else str(Path(args.input).with_suffix("")) + ".pinv.json"
     write_matrix(out, pinv)
 
-    report = RunReport(command=_echo(args), tolerances=cfg)
+    report = RunReport(command=args.echo, tolerances=cfg)
     report.margin = rank_margin(svd(t).singular_values, cfg)
     report.add_value("shape", "x".join(str(n) for n in t.shape))
     report.add_value("inverse_file", out)
@@ -160,7 +150,7 @@ def cmd_classify(args: argparse.Namespace) -> RunReport:
     result = centered_order(t, args.max_n, cfg)
     binormal_flag, binormal_norm = is_binormal(t, cfg)
 
-    report = RunReport(command=_echo(args), tolerances=cfg)
+    report = RunReport(command=args.echo, tolerances=cfg)
     report.margin = rank_margin(svd(t).singular_values, cfg)
     report.add_value("dimension", result.dimension)
     report.add_value("max_order_checked", result.max_order_checked)
@@ -189,17 +179,9 @@ def cmd_counterexample(args: argparse.Namespace) -> RunReport:
 
     result = centered_order(t, spec.n + 1, cfg)
     structure = verify_polar(t, predicted_polar_parts(spec, cfg), cfg)
-    parts = polar_decompose(t, cfg)
-    mismatches = 0
-    u_pow = parts.isometry
-    for k in range(1, spec.blocks - 1):
-        conjugated = u_pow @ parts.modulus @ u_pow.conj().T
-        predicted = True if k == 1 else expected_commutator_pattern(spec, k)
-        if commutes(conjugated, parts.modulus, cfg) != predicted:
-            mismatches += 1
-        u_pow = u_pow @ parts.isometry
+    mismatches = pattern_mismatches(spec, polar_decompose(t, cfg), cfg)
 
-    report = RunReport(command=_echo(args), tolerances=cfg)
+    report = RunReport(command=args.echo, tolerances=cfg)
     report.margin = rank_margin(svd(t).singular_values, cfg)
     report.add_value("target_order", spec.n)
     report.add_value("blocks", spec.blocks)
@@ -230,7 +212,7 @@ def cmd_verify_theorems(args: argparse.Namespace) -> RunReport:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     results = run_suite(args.suite, args.seed, args.dim, args.trials, cfg)
 
-    report = RunReport(command=_echo(args), tolerances=cfg)
+    report = RunReport(command=args.echo, tolerances=cfg)
     report.add_value("seed", args.seed)
     report.add_value("dim", args.dim)
     report.add_value("trials", args.trials)

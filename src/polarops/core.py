@@ -21,6 +21,7 @@ __all__ = [
     "fro_norm",
     "commutator",
     "commutator_norm",
+    "commutator_threshold",
     "commutes",
     "SvdResult",
     "svd",
@@ -102,17 +103,18 @@ def commutator_norm(a, b) -> float:
     return fro_norm(commutator(a, b))
 
 
-def commutes(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """Toleranced commutator-vanishing test.
+def commutator_threshold(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+    """Largest commutator norm that counts as vanishing. It scales with both
+    operand norms and is floored at ``COMMUTATOR_FLOOR`` so that operators
+    of tiny norm still count as commuting."""
+    return max(cfg.zero_rel_tol * fro_norm(a) * fro_norm(b), COMMUTATOR_FLOOR)
 
-    The threshold scales with both operand norms and is floored at
-    ``COMMUTATOR_FLOOR`` so that operators of tiny norm still count as
-    commuting.
-    """
+
+def commutes(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
+    """Toleranced commutator-vanishing test against :func:`commutator_threshold`."""
     a = as_operator(a)
     b = as_operator(b)
-    threshold = max(cfg.zero_rel_tol * fro_norm(a) * fro_norm(b), COMMUTATOR_FLOOR)
-    return commutator_norm(a, b) <= threshold
+    return commutator_norm(a, b) <= commutator_threshold(a, b, cfg)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, ToleranceConfig
+from .core import DEFAULT_TOLERANCES, ToleranceConfig, commutes
 from .decomp import PolarParts
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "build_truncated",
     "predicted_polar_parts",
     "expected_commutator_pattern",
+    "pattern_mismatches",
 ]
 
 BLOCK = 3
@@ -263,3 +264,19 @@ def expected_commutator_pattern(spec: ShiftSpec, k: int) -> bool:
         if (g[m] - g[m - 1]) * (g[m + k] - g[m + k - 1]) != 0.0:
             return False
     return True
+
+
+def pattern_mismatches(
+    spec: ShiftSpec, parts: PolarParts, cfg: ToleranceConfig = DEFAULT_TOLERANCES
+) -> int:
+    """Count the powers k = 1..blocks-2 at which the commutator criterion on
+    the polar ``parts`` of the shift disagrees with the weight pattern."""
+    mismatches = 0
+    u_pow = parts.isometry
+    for k in range(1, spec.blocks - 1):
+        conjugated = u_pow @ parts.modulus @ u_pow.conj().T
+        predicted = True if k == 1 else expected_commutator_pattern(spec, k)
+        if commutes(conjugated, parts.modulus, cfg) != predicted:
+            mismatches += 1
+        u_pow = u_pow @ parts.isometry
+    return mismatches

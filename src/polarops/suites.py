@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import (
+    _definitional_prefix,
     binormal_equivalents,
     centered_order,
     is_binormal,
@@ -53,7 +54,7 @@ from .sampling import (
 from .shifts import (
     ShiftSpec,
     build_truncated,
-    expected_commutator_pattern,
+    pattern_mismatches,
     v_matrix,
     v_power_entries,
 )
@@ -147,9 +148,13 @@ def suite_centered_oracle(
         report = centered_order(t, max_n, cfg)
         if not report.oracle_agrees:
             report_flags += 1
+        # The check at max_n holds at order n exactly when its first n
+        # powers pass, so one call gives the verdict for every n.
+        check = is_n_centered_definitional(t, max_n, cfg)
+        pairs = zip(check.equation_residuals, check.range_residuals)
+        passing = _definitional_prefix(pairs, cfg)
         for n in range(1, max_n + 1):
-            definitional = is_n_centered_definitional(t, n, cfg).ok
-            if definitional != (report.verified_order >= n):
+            if (passing >= n) != (report.verified_order >= n):
                 disagreements += 1
     records = (
         CheckRecord("order_disagreements", float(disagreements), disagreements == 0),
@@ -346,34 +351,22 @@ def suite_shift_family(
     del rng, dim, trials
     wrong_orders = 0
     oracle_failures = 0
-    pattern_mismatches = 0
+    mismatches = 0
     for n in orders:
         spec = ShiftSpec.from_recipe(n)
         t = build_truncated(spec)
         report = centered_order(t, n + 1, cfg)
         if report.verified_order != n:
             wrong_orders += 1
-        if not (
-            report.oracle_agrees
-            and is_n_centered_definitional(t, n, cfg).ok
-            and not is_n_centered_definitional(t, n + 1, cfg).ok
-        ):
+        check = is_n_centered_definitional(t, n + 1, cfg)
+        pairs = zip(check.equation_residuals, check.range_residuals)
+        if not (report.oracle_agrees and _definitional_prefix(pairs, cfg) == n):
             oracle_failures += 1
-        parts = polar_decompose(t, cfg)
-        u_pow = parts.isometry
-        for k in range(1, spec.blocks - 1):
-            conjugated = u_pow @ parts.modulus @ u_pow.conj().T
-            vanishes = commutes(conjugated, parts.modulus, cfg)
-            predicted = True if k == 1 else expected_commutator_pattern(spec, k)
-            if vanishes != predicted:
-                pattern_mismatches += 1
-            u_pow = u_pow @ parts.isometry
+        mismatches += pattern_mismatches(spec, polar_decompose(t, cfg), cfg)
     records = (
         CheckRecord("wrong_orders", float(wrong_orders), wrong_orders == 0),
         CheckRecord("oracle_failures", float(oracle_failures), oracle_failures == 0),
-        CheckRecord(
-            "pattern_mismatches", float(pattern_mismatches), pattern_mismatches == 0
-        ),
+        CheckRecord("pattern_mismatches", float(mismatches), mismatches == 0),
     )
     return SuiteResult("shift-family", len(orders), records)
 
