@@ -35,6 +35,7 @@ __all__ = [
     "PenroseCheck",
     "abs_value",
     "polar_decompose",
+    "polar_tolerance",
     "verify_polar",
     "moore_penrose",
     "penrose_check",
@@ -107,6 +108,12 @@ def polar_decompose(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PolarParts:
     return PolarParts(isometry=isometry, modulus=modulus, rank=r)
 
 
+def polar_tolerance(name: str, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+    """Tolerance for the ``verify_polar`` residual called ``name``:
+    ``zero_rel_tol`` for ``modulus_psd``, ``equality_rel_tol`` otherwise."""
+    return cfg.zero_rel_tol if name == "modulus_psd" else cfg.equality_rel_tol
+
+
 def verify_polar(
     t, parts: PolarParts, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> PolarCheck:
@@ -120,9 +127,8 @@ def verify_polar(
     * ``U* U`` equals the range projection of ``P``,
     * ``|t*| = U P U*`` and ``U P = |t*| U``.
 
-    Returns a PolarCheck carrying one scaled residual per identity. The PSD
-    residual is compared against ``zero_rel_tol``; everything else against
-    ``equality_rel_tol``.
+    Returns a PolarCheck carrying one scaled residual per identity, each
+    compared against its ``polar_tolerance``.
     """
     t = as_operator(t)
     u = as_operator(parts.isometry)
@@ -148,10 +154,7 @@ def verify_polar(
         "adjoint_modulus": equality_residual(u @ p @ u.conj().T, adjoint_modulus),
         "intertwine": equality_residual(u @ p, adjoint_modulus @ u),
     }
-    ok = all(
-        value <= (cfg.zero_rel_tol if name == "modulus_psd" else cfg.equality_rel_tol)
-        for name, value in residuals.items()
-    )
+    ok = all(value <= polar_tolerance(name, cfg) for name, value in residuals.items())
     return PolarCheck(ok=ok, residuals=residuals)
 
 

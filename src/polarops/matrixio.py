@@ -24,11 +24,10 @@ __all__ = ["matrix_to_doc", "doc_to_matrix", "write_matrix", "read_matrix"]
 def matrix_to_doc(a) -> dict:
     a = as_operator(a)
     rows, cols = a.shape
-    flat = a.reshape(-1)
     return {
         "rows": rows,
         "cols": cols,
-        "data": [[float(z.real), float(z.imag)] for z in flat],
+        "data": np.stack([a.real, a.imag], -1).reshape(-1, 2).tolist(),
     }
 
 

@@ -16,12 +16,23 @@ must vanish, even in floating point.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice, takewhile
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, ToleranceConfig, commutes
+from .classify import CenteredReport, _definitional_prefix
+from .core import (
+    DEFAULT_TOLERANCES,
+    ToleranceConfig,
+    as_operator,
+    commutator_threshold,
+    equality_residual,
+    fro_norm,
+    rank_margin,
+)
 from .decomp import PolarParts
 
 __all__ = [
@@ -36,6 +47,7 @@ __all__ = [
     "predicted_polar_parts",
     "expected_commutator_pattern",
     "pattern_mismatches",
+    "certify_blockwise",
 ]
 
 BLOCK = 3
@@ -201,6 +213,15 @@ def block_t(m: int, g: tuple[float, ...] | list[float]) -> np.ndarray:
     )
 
 
+def _dense(stack) -> np.ndarray:
+    """The operator with the 3x3 blocks of ``stack`` on its first block
+    subdiagonal, ``stack[m-1]`` at block position (m, m-1)."""
+    blocks = len(stack) + 1
+    grid = np.zeros((blocks, blocks, BLOCK, BLOCK), dtype=np.complex128)
+    grid[np.arange(1, blocks), np.arange(blocks - 1)] = stack
+    return grid.swapaxes(1, 2).reshape(BLOCK * blocks, BLOCK * blocks)
+
+
 def build_truncated(spec: ShiftSpec) -> np.ndarray:
     """Assemble the truncated block shift: blocks T_1..T_{blocks-1} sit on
     the first block subdiagonal of a (3*blocks) x (3*blocks) matrix.
@@ -210,13 +231,7 @@ def build_truncated(spec: ShiftSpec) -> np.ndarray:
     commutators against that zero block vanish identically and the centered
     order is unaffected.
     """
-    dim = spec.dimension
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for m in range(1, spec.blocks):
-        row = BLOCK * m
-        col = BLOCK * (m - 1)
-        out[row : row + BLOCK, col : col + BLOCK] = block_t(m, spec.g)
-    return out
+    return _dense([block_t(m, spec.g) for m in range(1, spec.blocks)])
 
 
 def predicted_polar_parts(
@@ -226,22 +241,12 @@ def predicted_polar_parts(
     isometry is the same shift with every block replaced by ``V``, and the
     modulus is block diagonal with diag(sec(alpha)*g(m), sec(alpha)*g(m),
     sec(alpha)*g(m+1)) at position m and a zero block at the end."""
-    c = angle_constants()
-    v = v_matrix()
-    dim = spec.dimension
-    isometry = np.zeros((dim, dim), dtype=np.complex128)
-    modulus = np.zeros((dim, dim), dtype=np.complex128)
-    for m in range(1, spec.blocks):
-        row = BLOCK * m
-        col = BLOCK * (m - 1)
-        isometry[row : row + BLOCK, col : col + BLOCK] = v
-        gm = float(spec.g[m - 1])
-        gm1 = float(spec.g[m])
-        modulus[col : col + BLOCK, col : col + BLOCK] = np.diag(
-            [c.sec_alpha * gm, c.sec_alpha * gm, c.sec_alpha * gm1]
-        )
+    g = np.asarray(spec.g)
+    moduli = angle_constants().sec_alpha * np.stack([g[:-1], g[:-1], g[1:]], -1)
     return PolarParts(
-        isometry=isometry, modulus=modulus, rank=BLOCK * (spec.blocks - 1)
+        isometry=_dense([v_matrix()] * (spec.blocks - 1)),
+        modulus=np.diag(np.append(moduli, np.zeros(BLOCK))).astype(np.complex128),
+        rank=BLOCK * (spec.blocks - 1),
     )
 
 
@@ -266,17 +271,90 @@ def expected_commutator_pattern(spec: ShiftSpec, k: int) -> bool:
     return True
 
 
-def pattern_mismatches(
-    spec: ShiftSpec, parts: PolarParts, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> int:
-    """Count the powers k = 1..blocks-2 at which the commutator criterion on
-    the polar ``parts`` of the shift disagrees with the weight pattern."""
-    mismatches = 0
-    u_pow = parts.isometry
-    for k in range(1, spec.blocks - 1):
-        conjugated = u_pow @ parts.modulus @ u_pow.conj().T
-        predicted = True if k == 1 else expected_commutator_pattern(spec, k)
-        if commutes(conjugated, parts.modulus, cfg) != predicted:
-            mismatches += 1
-        u_pow = u_pow @ parts.isometry
-    return mismatches
+def pattern_mismatches(spec: ShiftSpec, decisions: Sequence[bool]) -> int:
+    """Count the powers k = 1..blocks-2 at which ``decisions[k-1]``, whether
+    ``[U^k |T| (U^k)*, |T|]`` vanishes, disagrees with the weight pattern."""
+    predicted = [True] + [
+        expected_commutator_pattern(spec, k) for k in range(2, spec.blocks - 1)
+    ]
+    return sum(d != p for d, p in zip(decisions, predicted, strict=True))
+
+
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
+
+
+def _flat(stack: np.ndarray) -> np.ndarray:
+    """A block stack as one matrix with the Frobenius norm of the dense one."""
+    return stack.reshape(-1, BLOCK)
+
+
+def _block_polar(stack: np.ndarray, cfg: ToleranceConfig):
+    """Polar factors and singular values of every block from one batched SVD;
+    the rank cutoff is relative to all blocks, as for the dense operator."""
+    w, s, xh = np.linalg.svd(stack)
+    modulus = (_adjoint(xh) * s[:, None, :]) @ xh
+    keep = s > cfg.rank_rel_tol * s.max()
+    return (w * keep[:, None, :]) @ xh, 0.5 * (modulus + _adjoint(modulus)), s
+
+
+def _block_oracle(stack: np.ndarray, u: np.ndarray, cfg: ToleranceConfig):
+    """``classify._definitional_residuals`` with one batched SVD per power.
+    The k-th power of a subdiagonal stack maps block position j to j+k
+    through ``stack[j+k-1] @ ... @ stack[j]``."""
+    t_pow, u_pow = stack, u
+    for k in range(1, len(stack) + 1):
+        isometry, modulus, _ = _block_polar(t_pow, cfg)
+        yield (
+            equality_residual(_flat(t_pow), _flat(u_pow @ modulus)),
+            equality_residual(
+                _flat(_adjoint(u_pow) @ u_pow), _flat(_adjoint(isometry) @ isometry)
+            ),
+        )
+        t_pow, u_pow = stack[k:] @ t_pow[:-1], u[k:] @ u_pow[:-1]
+
+
+def certify_blockwise(t, max_n: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
+    """``classify.centered_order(t, max_n)`` in 3x3 block arithmetic, for
+    ``t`` on its first block subdiagonal and 1 <= max_n < blocks.
+
+    ``T^k`` and ``U^k`` sit on the k-th block subdiagonal; ``|T|``,
+    ``U^k |T| (U^k)*`` and the commutators are block diagonal. So the dense
+    quantities are exactly their blocks and the dense thresholds apply
+    unchanged. Returns the report, the commute decisions for
+    k = 1..blocks-2 and the rank margin of ``t``. Raises ValueError if ``t``
+    has a nonzero entry off its first block subdiagonal.
+    """
+    t = as_operator(t)
+    blocks = t.shape[0] // BLOCK
+    if t.shape != (BLOCK * blocks,) * 2 or not 1 <= max_n < blocks:
+        raise ValueError(f"need 3x3 blocks and max_n < blocks: {t.shape}, {max_n}")
+    grid = t.reshape(blocks, BLOCK, blocks, BLOCK).swapaxes(1, 2)
+    stack = grid[np.arange(1, blocks), np.arange(blocks - 1)]  # inverse of _dense
+    if np.count_nonzero(stack) != np.count_nonzero(t):
+        raise ValueError("operator has entries off its first block subdiagonal")
+    u, p, s = _block_polar(stack, cfg)
+    p = np.concatenate([p, np.zeros_like(p[:1])])  # |T| is zero at the last position
+
+    # One pass gives the order, the norms and the pattern decisions.
+    norms, decisions, u_pow = [], [], u
+    for k in range(1, blocks - 1):
+        conjugated = u_pow @ p[:-k] @ _adjoint(u_pow)
+        norms.append(fro_norm(_flat(conjugated @ p[k:] - p[k:] @ conjugated)))
+        threshold = commutator_threshold(_flat(conjugated), _flat(p), cfg)
+        decisions.append(norms[-1] <= threshold)
+        u_pow = u[k:] @ u_pow[:-1]
+    verified = 1 + len(list(takewhile(bool, decisions[: max_n - 1])))
+    # The definitional check stays independent and shares only U.
+    oracle = _block_oracle(stack, u, cfg)
+    passing = _definitional_prefix(islice(oracle, min(verified + 1, max_n)), cfg)
+    report = CenteredReport(
+        dimension=t.shape[0],
+        max_order_checked=max_n,
+        verified_order=verified,
+        commutator_norms=tuple(norms[: max_n - 1]),
+        binormal=verified >= 2,
+        oracle_agrees=passing == verified,
+    )
+    spectrum = np.sort(np.append(s, np.zeros(BLOCK)))[::-1]
+    return report, tuple(decisions), rank_margin(spectrum, cfg)

@@ -362,7 +362,13 @@ def suite_shift_family(
         pairs = zip(check.equation_residuals, check.range_residuals)
         if not (report.oracle_agrees and _definitional_prefix(pairs, cfg) == n):
             oracle_failures += 1
-        mismatches += pattern_mismatches(spec, polar_decompose(t, cfg), cfg)
+        parts = polar_decompose(t, cfg)
+        u_pow, decisions = parts.isometry, []
+        for _ in range(1, spec.blocks - 1):
+            conjugated = u_pow @ parts.modulus @ u_pow.conj().T
+            decisions.append(commutes(conjugated, parts.modulus, cfg))
+            u_pow = u_pow @ parts.isometry
+        mismatches += pattern_mismatches(spec, decisions)
     records = (
         CheckRecord("wrong_orders", float(wrong_orders), wrong_orders == 0),
         CheckRecord("oracle_failures", float(oracle_failures), oracle_failures == 0),

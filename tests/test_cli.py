@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from polarops import cli
 from polarops.cli import main
 from polarops.matrixio import read_matrix, write_matrix
 from polarops.sampling import random_operator
@@ -197,6 +198,22 @@ class TestCounterexampleCommand:
         code, _, err = run_cli(capsys, ["counterexample", "--n", "4", "--blocks", "5"])
         assert code == 2
         assert "error:" in err
+
+    def test_never_certifies_entries_off_the_subdiagonal(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def perturbed(spec):
+            t = build_truncated(spec)
+            t[0, 0] = 1e-3
+            return t
+
+        monkeypatch.setattr(cli, "build_truncated", perturbed)
+        code, out, err = run_cli(
+            capsys, ["counterexample", "--n", "3", "--out", str(tmp_path / "s.json")]
+        )
+        assert code == 2
+        assert "verdict" not in out
+        assert "off its first block subdiagonal" in err
 
     def test_output_file_deterministic(self, capsys, tmp_path):
         first = tmp_path / "a.json"

@@ -1,10 +1,11 @@
 """Factorization-count gates and the single-pass definitional oracle.
 
-LAPACK call counts are deterministic. The whole-suite count is pinned
-exactly; single calls are pinned to one SVD per operator power, or capped
-where a later change may lower them further. The equivalence tests keep the
-two-call definition of ``oracle_agrees`` and the two-SVD definitional loop
-as references for the single pass.
+LAPACK call counts are deterministic. The whole-suite count and the
+blockwise ``counterexample`` count are pinned exactly; single calls are
+pinned to one SVD per operator power, or capped where a later change may
+lower them further. The equivalence tests keep the two-call definition of
+``oracle_agrees`` and the two-SVD definitional loop as references for the
+single pass.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from polarops.classify import centered_order, is_n_centered_definitional
+from polarops.cli import main
 from polarops.core import DEFAULT_TOLERANCES, equality_residual, range_projection
 from polarops.decomp import abs_value, polar_decompose
 from polarops.sampling import random_mixed_rank, structured_fixtures
@@ -24,17 +26,27 @@ from polarops.suites import run_suite
 
 @pytest.fixture
 def lapack_calls(monkeypatch) -> Counter:
-    """Count calls of numpy's svd/eigh/eigvalsh for the rest of the test."""
+    """Count calls of numpy's svd/eigh/eigvalsh for the rest of the test,
+    keyed by ``(name, ndim of the input)``: 2 for a dense operator, 3 for a
+    stack of blocks."""
     calls: Counter = Counter()
     for name in ("svd", "eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
-        def counted(*args, _original=original, _name=name, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+        def counted(a, *args, _original=original, _name=name, **kwargs):
+            calls[_name, np.ndim(a)] += 1
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+def _totals(calls: Counter) -> Counter:
+    """Calls per name, whatever the input's ndim."""
+    totals: Counter = Counter()
+    for (name, _), count in calls.items():
+        totals[name] += count
+    return totals
 
 
 def _shift(n: int) -> np.ndarray:
@@ -80,7 +92,7 @@ def _two_svd_residuals(t: np.ndarray, n: int) -> tuple[list[float], list[float]]
 def test_centered_order_on_order6_shift_makes_at_most_8_svds(lapack_calls):
     report = centered_order(_shift(6), 7)
     assert report.verified_order == 6 and report.oracle_agrees
-    assert lapack_calls["svd"] <= 8
+    assert _totals(lapack_calls)["svd"] <= 8
 
 
 def test_oracle_factors_every_power_it_checks(monkeypatch):
@@ -104,7 +116,7 @@ def test_oracle_factors_every_power_it_checks(monkeypatch):
 def test_definitional_check_takes_one_svd_per_power(lapack_calls, n):
     t = random_mixed_rank(np.random.default_rng(n), 5)
     is_n_centered_definitional(t, n)
-    assert lapack_calls["svd"] == n + 1
+    assert _totals(lapack_calls)["svd"] == n + 1
 
 
 def test_definitional_pass_in_centered_order_stops_at_first_failure(lapack_calls):
@@ -113,12 +125,25 @@ def test_definitional_pass_in_centered_order_stops_at_first_failure(lapack_calls
     t = random_mixed_rank(np.random.default_rng(5), 5)
     report = centered_order(t, 6)
     assert report.verified_order == 1 and report.oracle_agrees
-    assert lapack_calls["svd"] == 3
+    assert _totals(lapack_calls)["svd"] == 3
 
 
 def test_run_suite_all_factorization_counts(lapack_calls):
     run_suite("all", 0, 6, 100)
-    assert lapack_calls == Counter(svd=9225, eigh=1600, eigvalsh=887)
+    assert _totals(lapack_calls) == Counter(svd=9225, eigh=1600, eigvalsh=887)
+
+
+def test_counterexample_n60_factors_blocks_not_the_dense_operator(
+    lapack_calls, tmp_path, capsys
+):
+    # One batched SVD of the block stack for U and |T|, one per power T^k
+    # for k = 1..61 in the definitional check; the dense work left is the
+    # predicted-structure check (two SVDs and one eigvalsh in verify_polar).
+    code = main(["counterexample", "--n", "60", "--out", str(tmp_path / "s.json")])
+    assert code == 0 and "verdict: pass" in capsys.readouterr().out
+    assert lapack_calls == Counter(
+        {("svd", 2): 2, ("svd", 3): 62, ("eigvalsh", 2): 1}
+    )
 
 
 @pytest.mark.parametrize("max_n", [1, 2, 3, 6, 9])

@@ -23,6 +23,29 @@ def test_doc_shape_and_order():
     assert doc["data"] == [[1.0, 0.0], [0.0, 2.0], [-3.0, 0.0], [0.5, -0.5]]
 
 
+def test_written_text_is_pinned_for_special_values(tmp_path):
+    a = np.array(
+        [
+            [complex(-0.0, 5e-324), complex(1e308, -1e-308)],
+            [complex(0.1, -0.0), complex(-2.5, 1.0 / 3.0)],
+        ]
+    )
+    path = tmp_path / "m.json"
+    write_matrix(path, a)
+    assert path.read_text(encoding="utf-8") == (
+        '{"rows": 2, "cols": 2, "data": [[-0.0, 5e-324], [1e+308, -1e-308], '
+        '[0.1, -0.0], [-2.5, 0.3333333333333333]]}\n'
+    )
+
+
+def test_doc_data_matches_the_per_entry_loop():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+    a[0, 0], a[1, 2], a[6, 4] = complex(-0.0, 5e-324), -1e308j, complex(-0.0, -0.0)
+    loop = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
+    assert json.dumps(matrix_to_doc(a)["data"]) == json.dumps(loop)
+
+
 def test_doc_round_trip_preserves_entries():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))

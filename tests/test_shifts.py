@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polarops.classify import centered_order, is_n_centered_definitional
-from polarops.core import commutes
+from polarops.core import commutes, rank_margin, svd
 from polarops.decomp import polar_decompose, verify_polar
 from polarops.shifts import (
     BLOCK,
@@ -14,8 +14,10 @@ from polarops.shifts import (
     angle_constants,
     block_t,
     build_truncated,
+    certify_blockwise,
     expected_commutator_pattern,
     g_sequence,
+    pattern_mismatches,
     predicted_polar_parts,
     v_matrix,
     v_power_entries,
@@ -242,3 +244,79 @@ class TestExpectedCommutatorPattern:
     def test_rejects_k_below_two(self):
         with pytest.raises(ValueError):
             expected_commutator_pattern(ShiftSpec.from_recipe(2), 1)
+
+
+def _dense_decisions(t: np.ndarray, count: int) -> list[bool]:
+    """Dense commute decisions of ``[U^k |T| (U^k)*, |T|]`` for k = 1..count."""
+    parts = polar_decompose(t)
+    u_pow, decisions = parts.isometry, []
+    for _ in range(count):
+        conjugated = u_pow @ parts.modulus @ u_pow.conj().T
+        decisions.append(commutes(conjugated, parts.modulus))
+        u_pow = u_pow @ parts.isometry
+    return decisions
+
+
+class TestCertifyBlockwise:
+    @pytest.mark.parametrize(
+        "n, blocks", [(n, n + extra) for n in range(2, 13) for extra in (2, 3, 7)]
+    )
+    def test_matches_the_dense_route(self, n, blocks):
+        spec = ShiftSpec.from_recipe(n, blocks)
+        t = build_truncated(spec)
+        block, commute_decisions, margin = certify_blockwise(t, n + 1)
+        dense = centered_order(t, n + 1)
+        assert block.verified_order == dense.verified_order == n
+        assert block.oracle_agrees == dense.oracle_agrees
+        assert (block.dimension, block.max_order_checked, block.binormal) == (
+            dense.dimension,
+            dense.max_order_checked,
+            dense.binormal,
+        )
+        assert len(block.commutator_norms) == len(dense.commutator_norms) == n
+        assert block.commutator_norms[n - 1] == pytest.approx(
+            dense.commutator_norms[n - 1], rel=1e-12, abs=0.0
+        )
+        # The decisions are the threshold comparisons, so k < n passing on
+        # both routes means the vanishing norms lie below their thresholds.
+        decisions = _dense_decisions(t, blocks - 2)
+        assert list(commute_decisions) == decisions
+        assert all(decisions[: n - 1]) and not decisions[n - 1]
+        assert max(block.commutator_norms[: n - 1]) < 1e-12
+        assert pattern_mismatches(spec, commute_decisions) == 0
+        # The block spectra are the dense one up to roundoff.
+        assert margin == pytest.approx(
+            rank_margin(svd(t).singular_values), rel=1e-12, abs=0.0
+        )
+
+    def test_constant_weights_center_at_every_checked_order(self):
+        t = build_truncated(ShiftSpec(n=2, blocks=9, g=(1.0,) * 9))
+        report, decisions, _ = certify_blockwise(t, 8)
+        assert report.verified_order == 8
+        assert report.oracle_agrees == centered_order(t, 8).oracle_agrees
+        assert all(decisions)
+
+    @pytest.mark.parametrize("row, col", [(0, 0), (0, 3), (7, 1), (14, 5), (20, 20)])
+    def test_rejects_entries_off_the_subdiagonal(self, row, col):
+        t = build_truncated(ShiftSpec.from_recipe(4))
+        t[row, col] = 1e-3
+        with pytest.raises(ValueError, match="off its first block subdiagonal"):
+            certify_blockwise(t, 5)
+
+    def test_rejects_bad_shapes_and_orders(self):
+        t = build_truncated(ShiftSpec.from_recipe(4))
+        for shape_or_order in ((t[:-1, :-1], 5), (t[:-3], 5), (t, 0), (t, 7)):
+            with pytest.raises(ValueError, match="3x3 blocks"):
+                certify_blockwise(*shape_or_order)
+
+
+class TestPatternMismatches:
+    def test_counts_disagreements_with_the_weights(self):
+        spec = ShiftSpec.from_recipe(3, blocks=6)
+        decisions = [True, True, False, True]
+        assert pattern_mismatches(spec, decisions) == 0
+        assert pattern_mismatches(spec, [True, False, True, True]) == 2
+
+    def test_needs_one_decision_per_power(self):
+        with pytest.raises(ValueError):
+            pattern_mismatches(ShiftSpec.from_recipe(3, blocks=6), [True, True])
