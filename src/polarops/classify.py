@@ -297,6 +297,13 @@ def centered_order(
     definitional route with the same ``U``, which factors ``T^k`` for
     k = 1..min(verified + 1, max_n) and stops at the first failing power.
     """
+    return _centered_order(t, max_n, cfg)[0]
+
+
+def _centered_order(
+    t, max_n: int, cfg: ToleranceConfig
+) -> tuple[CenteredReport, PolarParts]:
+    """``centered_order`` and the polar decomposition of ``t`` it used."""
     t = _require_square(as_operator(t))
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
@@ -318,7 +325,7 @@ def centered_order(
 
     powers = islice(_definitional_residuals(t, u, cfg), min(verified + 1, max_n))
     agrees = _definitional_prefix(powers, cfg) == verified
-    return CenteredReport(
+    report = CenteredReport(
         dimension=t.shape[0],
         max_order_checked=max_n,
         verified_order=verified,
@@ -326,6 +333,7 @@ def centered_order(
         binormal=verified >= 2,
         oracle_agrees=agrees,
     )
+    return report, parts
 
 
 def is_n_centered_definitional(

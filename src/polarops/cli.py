@@ -26,11 +26,11 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .classify import centered_order, is_binormal
+from .classify import _centered_order, is_binormal
 from .core import DEFAULT_TOLERANCES, ToleranceConfig, rank_margin, svd
 from .decomp import (
-    mp_polar_parts,
-    moore_penrose,
+    _mp_polar_parts,
+    _pinv,
     penrose_check,
     polar_decompose,
     polar_tolerance,
@@ -110,7 +110,7 @@ def cmd_polar(args: argparse.Namespace) -> RunReport:
     write_matrix(f"{prefix}.p.json", parts.modulus)
 
     report = RunReport(command=args.echo, tolerances=cfg)
-    report.margin = rank_margin(svd(t).singular_values, cfg)
+    report.margin = rank_margin(parts.singular_values, cfg)
     report.add_value("shape", "x".join(str(n) for n in t.shape))
     report.add_value("rank", parts.rank)
     report.add_value("factor_file", f"{prefix}.u.json")
@@ -123,12 +123,13 @@ def cmd_polar(args: argparse.Namespace) -> RunReport:
 def cmd_mp(args: argparse.Namespace) -> RunReport:
     cfg = _tolerances(args)
     t = read_matrix(args.input)
-    pinv = moore_penrose(t, cfg)
+    decomp = svd(t)  # the one factorization of T: pinv, margin, inverse polar
+    pinv = _pinv(decomp, cfg)
     out = args.out if args.out else str(Path(args.input).with_suffix("")) + ".pinv.json"
     write_matrix(out, pinv)
 
     report = RunReport(command=args.echo, tolerances=cfg)
-    report.margin = rank_margin(svd(t).singular_values, cfg)
+    report.margin = rank_margin(decomp.singular_values, cfg)
     report.add_value("shape", "x".join(str(n) for n in t.shape))
     report.add_value("inverse_file", out)
     penrose = penrose_check(t, pinv, cfg)
@@ -138,7 +139,7 @@ def cmd_mp(args: argparse.Namespace) -> RunReport:
     ):
         report.add_check(name, residual, residual <= cfg.equality_rel_tol)
     if t.shape[0] == t.shape[1]:
-        inverse_check = verify_polar(pinv, mp_polar_parts(t, cfg), cfg)
+        inverse_check = verify_polar(pinv, _mp_polar_parts(decomp, pinv, cfg), cfg)
         for name, residual in inverse_check.residuals.items():
             passed = residual <= polar_tolerance(name, cfg)
             report.add_check(f"inverse_polar_{name}", residual, passed)
@@ -148,11 +149,11 @@ def cmd_mp(args: argparse.Namespace) -> RunReport:
 def cmd_classify(args: argparse.Namespace) -> RunReport:
     cfg = _tolerances(args)
     t = read_matrix(args.input)
-    result = centered_order(t, args.max_n, cfg)
+    result, parts = _centered_order(t, args.max_n, cfg)
     binormal_flag, binormal_norm = is_binormal(t, cfg)
 
     report = RunReport(command=args.echo, tolerances=cfg)
-    report.margin = rank_margin(svd(t).singular_values, cfg)
+    report.margin = rank_margin(parts.singular_values, cfg)
     report.add_value("dimension", result.dimension)
     report.add_value("max_order_checked", result.max_order_checked)
     report.add_value("verified_order", result.verified_order)

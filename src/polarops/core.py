@@ -27,6 +27,7 @@ __all__ = [
     "svd",
     "HermEigResult",
     "herm_eig",
+    "herm_eigvals",
     "numerical_rank",
     "rank_margin",
     "is_hermitian",
@@ -140,12 +141,21 @@ class HermEigResult:
     eigenvectors: np.ndarray
 
 
-def herm_eig(a) -> HermEigResult:
+def _square_operator(a) -> np.ndarray:
     a = as_operator(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square operator, got {a.shape}")
-    values, vectors = np.linalg.eigh(a)
+    return a
+
+
+def herm_eig(a) -> HermEigResult:
+    values, vectors = np.linalg.eigh(_square_operator(a))
     return HermEigResult(values, vectors)
+
+
+def herm_eigvals(a) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, ascending."""
+    return np.linalg.eigvalsh(_square_operator(a))
 
 
 def numerical_rank(s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
@@ -186,7 +196,7 @@ def is_hermitian_psd(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     a = as_operator(a)
     if not is_hermitian(a, cfg):
         return False
-    values = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
+    values = herm_eigvals(0.5 * (a + a.conj().T))
     scale = max(1.0, float(values[-1]) if values.size else 0.0)
     return bool(values[0] >= -cfg.zero_rel_tol * scale)
 

@@ -20,10 +20,12 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOLERANCES,
+    SvdResult,
     ToleranceConfig,
     as_operator,
     equality_residual,
     fro_norm,
+    herm_eigvals,
     numerical_rank,
     range_projection,
     svd,
@@ -49,11 +51,14 @@ class PolarParts:
 
     ``rank`` is the numerical rank used to build the isometry; the same rank
     backs every range projection taken within one decomposition.
+    ``singular_values`` are those of the SVD the parts were built from
+    (nonincreasing), or None for parts assembled some other way.
     """
 
     isometry: np.ndarray
     modulus: np.ndarray
     rank: int
+    singular_values: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -78,13 +83,25 @@ class PenroseCheck:
     ok: bool
 
 
-def abs_value(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Hermitian PSD square root of ``t* t``, computed from the SVD of ``t``."""
-    t = as_operator(t)
-    decomp = svd(t)
+def _modulus(decomp: SvdResult) -> np.ndarray:
+    """``X diag(s) X*`` from the SVD ``t = W diag(s) X*``: the modulus ``|t|``."""
     x = decomp.right_vectors
     result = (x * decomp.singular_values) @ x.conj().T
     return 0.5 * (result + result.conj().T)
+
+
+def abs_value(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Hermitian PSD square root of ``t* t``, computed from the SVD of ``t``."""
+    return _modulus(svd(t))
+
+
+def _isometry(decomp: SvdResult, r: int) -> np.ndarray:
+    """``W_r X_r*`` from the SVD ``t = W diag(s) X*`` of rank ``r``: the
+    canonical polar factor of ``t``."""
+    if r == 0:
+        shape = (len(decomp.left_vectors), len(decomp.right_vectors))
+        return np.zeros(shape, dtype=np.complex128)
+    return decomp.left_vectors[:, :r] @ decomp.right_vectors[:, :r].conj().T
 
 
 def polar_decompose(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PolarParts:
@@ -93,19 +110,12 @@ def polar_decompose(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PolarParts:
     From the SVD ``t = W diag(s) X*`` with numerical rank ``r``, the factors
     are ``U = W_r X_r*`` and ``P = X diag(s) X*``. Sign and phase ambiguity of
     degenerate singular vectors cancels in both products, so the output is
-    deterministic given the factorization.
+    deterministic given the factorization. The parts carry ``s``.
     """
-    t = as_operator(t)
     decomp = svd(t)
-    r = numerical_rank(decomp.singular_values, cfg)
-    if r == 0:
-        isometry = np.zeros_like(t)
-    else:
-        isometry = decomp.left_vectors[:, :r] @ decomp.right_vectors[:, :r].conj().T
-    x = decomp.right_vectors
-    modulus = (x * decomp.singular_values) @ x.conj().T
-    modulus = 0.5 * (modulus + modulus.conj().T)
-    return PolarParts(isometry=isometry, modulus=modulus, rank=r)
+    s = decomp.singular_values
+    r = numerical_rank(s, cfg)
+    return PolarParts(_isometry(decomp, r), _modulus(decomp), r, s)
 
 
 def polar_tolerance(name: str, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
@@ -139,7 +149,7 @@ def verify_polar(
         raise ValueError(f"modulus shape {p.shape} does not match operator {t.shape}")
 
     herm = 0.5 * (p + p.conj().T)
-    eigenvalues = np.linalg.eigvalsh(herm)
+    eigenvalues = herm_eigvals(herm)
     psd_scale = max(1.0, float(eigenvalues[-1]) if eigenvalues.size else 0.0)
     adjoint_modulus = abs_value(t.conj().T, cfg)
 
@@ -158,16 +168,20 @@ def verify_polar(
     return PolarCheck(ok=ok, residuals=residuals)
 
 
-def moore_penrose(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Moore-Penrose inverse via SVD inversion above the rank cutoff."""
-    t = as_operator(t)
-    decomp = svd(t)
+def _pinv(decomp: SvdResult, cfg: ToleranceConfig) -> np.ndarray:
+    """``moore_penrose`` of the operator whose SVD is ``decomp``."""
     r = numerical_rank(decomp.singular_values, cfg)
     if r == 0:
-        return np.zeros((t.shape[1], t.shape[0]), dtype=np.complex128)
+        shape = (len(decomp.right_vectors), len(decomp.left_vectors))
+        return np.zeros(shape, dtype=np.complex128)
     x = decomp.right_vectors[:, :r]
     w = decomp.left_vectors[:, :r]
     return (x / decomp.singular_values[:r]) @ w.conj().T
+
+
+def moore_penrose(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Moore-Penrose inverse via SVD inversion above the rank cutoff."""
+    return _pinv(svd(t), cfg)
 
 
 def penrose_check(
@@ -199,10 +213,21 @@ def mp_polar_parts(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PolarParts:
     t = as_operator(t)
     if t.shape[0] != t.shape[1]:
         raise ValueError(f"expected a square operator, got {t.shape}")
-    parts = polar_decompose(t, cfg)
-    pinv = moore_penrose(t, cfg)
+    decomp = svd(t)
+    return _mp_polar_parts(decomp, _pinv(decomp, cfg), cfg)
+
+
+def _mp_polar_parts(
+    decomp: SvdResult, pinv: np.ndarray, cfg: ToleranceConfig
+) -> PolarParts:
+    """``mp_polar_parts`` from the SVD ``decomp`` of a square operator and
+    its inverse ``pinv = _pinv(decomp)``; only ``pinv`` is factored, for its
+    modulus."""
+    r = numerical_rank(decomp.singular_values, cfg)
+    inverse = svd(pinv)
     return PolarParts(
-        isometry=parts.isometry.conj().T,
-        modulus=abs_value(pinv, cfg),
-        rank=parts.rank,
+        isometry=_isometry(decomp, r).conj().T,
+        modulus=_modulus(inverse),
+        rank=r,
+        singular_values=inverse.singular_values,
     )

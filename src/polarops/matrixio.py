@@ -6,12 +6,14 @@ One matrix per file:
      "data": [[1.0, 0.0], [0.0, 0.0], [0.0, -1.0], [2.5, 0.0]]}
 
 ``data`` is row-major, one [real, imaginary] pair per entry. Writing floats
-through ``repr`` round-trips exactly, so write-then-read is bit-identical.
+through ``repr`` round-trips exactly, so write-then-read is bit-identical,
+signed zeros included.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +22,11 @@ from .core import as_operator
 
 __all__ = ["matrix_to_doc", "doc_to_matrix", "write_matrix", "read_matrix"]
 
+_PLAIN_NUMBERS = frozenset({float, int, bool})
+
 
 def matrix_to_doc(a) -> dict:
+    """The document of ``a``; ``write_matrix`` writes exactly its JSON text."""
     a = as_operator(a)
     rows, cols = a.shape
     return {
@@ -29,6 +34,22 @@ def matrix_to_doc(a) -> dict:
         "cols": cols,
         "data": np.stack([a.real, a.imag], -1).reshape(-1, 2).tolist(),
     }
+
+
+def _pairs_as_floats(data: list) -> np.ndarray | None:
+    """The entries of ``data`` as a flat float64 array (re, im, re, im, ...)
+    when ``data`` is a list of two-element lists of plain floats, ints and
+    bools that fit a float; None for any other ``data``, which the per-entry
+    loop then checks."""
+    if set(map(type, data)) != {list} or set(map(len, data)) != {2}:
+        return None
+    flat = list(chain.from_iterable(data))
+    if not set(map(type, flat)) <= _PLAIN_NUMBERS:
+        return None
+    try:
+        return np.array(flat, dtype=np.float64)
+    except OverflowError:  # an int beyond the float range
+        return None
 
 
 def doc_to_matrix(doc: dict) -> np.ndarray:
@@ -47,6 +68,10 @@ def doc_to_matrix(doc: dict) -> np.ndarray:
             f"data length {len(data) if isinstance(data, list) else 'n/a'} "
             f"does not match rows*cols = {rows * cols}"
         )
+    flat = _pairs_as_floats(data)
+    if flat is not None:
+        # A view of the float pairs keeps every bit, the sign of -0.0 included.
+        return as_operator(flat.view(np.complex128).reshape(rows, cols))
     out = np.empty(rows * cols, dtype=np.complex128)
     for i, pair in enumerate(data):
         if (
@@ -55,14 +80,22 @@ def doc_to_matrix(doc: dict) -> np.ndarray:
             or not all(isinstance(x, (int, float)) for x in pair)
         ):
             raise ValueError(f"entry {i} is not a [re, im] pair: {pair!r}")
-        out[i] = complex(pair[0], pair[1])
-    matrix = out.reshape(rows, cols)
-    return as_operator(matrix)
+        try:
+            out[i] = complex(pair[0], pair[1])
+        except OverflowError:
+            raise ValueError(f"entry {i} is too large for a float") from None
+    return as_operator(out.reshape(rows, cols))
 
 
 def write_matrix(path: str | Path, a) -> None:
-    doc = matrix_to_doc(a)
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    """Write ``a`` as the text ``json.dumps(matrix_to_doc(a)) + "\\n"``,
+    formatted directly: ``json.dumps`` writes finite floats by ``repr``."""
+    a = as_operator(a)
+    rows, cols = a.shape
+    flat = np.stack([a.real, a.imag], -1).reshape(-1).tolist()
+    data = ", ".join(["[%r, %r]"] * (rows * cols)) % tuple(flat)
+    text = f'{{"rows": {rows}, "cols": {cols}, "data": [{data}]}}\n'
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def read_matrix(path: str | Path) -> np.ndarray:

@@ -275,6 +275,16 @@ class TestErrorPaths:
         assert code == 2
         assert "error:" in err
 
+    def test_integer_entry_beyond_the_float_range(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ", 0]]}",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, ["classify", str(path)])
+        assert code == 2 and out == ""
+        assert err == "error: entry 0 is too large for a float\n"
+
 
 def test_module_entry_point_runs():
     proc = subprocess.run(

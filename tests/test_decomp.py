@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarops.core import equality_residual, fractional_power_psd, range_projection
+from polarops.core import (
+    equality_residual,
+    fractional_power_psd,
+    range_projection,
+    svd,
+)
 from polarops.decomp import (
     PolarParts,
     abs_value,
@@ -50,6 +55,12 @@ class TestAbsValue:
 
 
 class TestPolarDecompose:
+    @pytest.mark.parametrize("shape", [(5, 5), (6, 3), (3, 6)])
+    def test_carries_the_singular_values_it_was_built_from(self, shape):
+        t = random_operator(rng_for(sum(shape)), *shape)
+        parts = polar_decompose(t)
+        assert np.array_equal(parts.singular_values, svd(t).singular_values)
+
     def test_zero_matrix(self):
         parts = polar_decompose(np.zeros((3, 3)))
         assert parts.rank == 0
@@ -225,6 +236,17 @@ class TestMpPolarParts:
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError):
             mp_polar_parts(np.zeros((2, 3)))
+
+    def test_bitwise_equal_to_the_three_svd_construction(self):
+        rng = rng_for(9)
+        for t in [random_mixed_rank(rng, 5) for _ in range(5)] + [np.zeros((3, 3))]:
+            parts = mp_polar_parts(t)
+            direct = polar_decompose(t)
+            pinv = moore_penrose(t)
+            assert np.array_equal(parts.isometry, direct.isometry.conj().T)
+            assert np.array_equal(parts.modulus, abs_value(pinv))
+            assert parts.rank == direct.rank
+            assert np.array_equal(parts.singular_values, svd(pinv).singular_values)
 
 
 class TestMpModulusIdentities:

@@ -1,11 +1,11 @@
 """Factorization-count gates and the single-pass definitional oracle.
 
-LAPACK call counts are deterministic. The whole-suite count and the
-blockwise ``counterexample`` count are pinned exactly; single calls are
-pinned to one SVD per operator power, or capped where a later change may
-lower them further. The equivalence tests keep the two-call definition of
-``oracle_agrees`` and the two-SVD definitional loop as references for the
-single pass.
+LAPACK call counts are deterministic. The whole-suite count, the blockwise
+``counterexample`` count and the dense-file commands (one SVD of ``T`` per
+command) are pinned exactly; single calls are pinned to one SVD per
+operator power, or capped where a later change may lower them further.
+The equivalence tests keep the two-call definition of ``oracle_agrees``
+and the two-SVD definitional loop as references for the single pass.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from polarops.classify import centered_order, is_n_centered_definitional
 from polarops.cli import main
 from polarops.core import DEFAULT_TOLERANCES, equality_residual, range_projection
 from polarops.decomp import abs_value, polar_decompose
-from polarops.sampling import random_mixed_rank, structured_fixtures
+from polarops.matrixio import write_matrix
+from polarops.sampling import random_mixed_rank, random_operator, structured_fixtures
 from polarops.shifts import ShiftSpec, build_truncated
 from polarops.suites import run_suite
 
@@ -130,7 +131,7 @@ def test_definitional_pass_in_centered_order_stops_at_first_failure(lapack_calls
 
 def test_run_suite_all_factorization_counts(lapack_calls):
     run_suite("all", 0, 6, 100)
-    assert _totals(lapack_calls) == Counter(svd=9225, eigh=1600, eigvalsh=887)
+    assert _totals(lapack_calls) == Counter(svd=9113, eigh=1600, eigvalsh=887)
 
 
 def test_counterexample_n60_factors_blocks_not_the_dense_operator(
@@ -144,6 +145,36 @@ def test_counterexample_n60_factors_blocks_not_the_dense_operator(
     assert lapack_calls == Counter(
         {("svd", 2): 2, ("svd", 3): 62, ("eigvalsh", 2): 1}
     )
+
+
+@pytest.mark.parametrize(
+    "command, shape, svds",
+    [
+        # T once for U, |T| and the margin; verify_polar factors |T*| and
+        # the range projection of P on its own.
+        ("polar", (6, 6), 3),
+        ("polar", (7, 4), 3),
+        # T once for the inverse, the margin and U*; pinv once for its
+        # modulus; verify_polar twice on the inverse.
+        ("mp", (6, 6), 4),
+        # T once; the inverse polar checks need a square T.
+        ("mp", (7, 4), 1),
+        # A generic draw is 1-centered: T once for U and the margin, then
+        # the oracle factors T and T^2 on its own.
+        ("classify", (6, 6), 3),
+    ],
+)
+def test_dense_file_commands_factor_t_once(
+    lapack_calls, tmp_path, capsys, command, shape, svds
+):
+    path = tmp_path / "t.json"
+    write_matrix(path, random_operator(np.random.default_rng(4), *shape))
+    lapack_calls.clear()
+    argv = [command, str(path)]
+    if command != "classify":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 0, capsys.readouterr().out
+    assert _totals(lapack_calls)["svd"] == svds
 
 
 @pytest.mark.parametrize("max_n", [1, 2, 3, 6, 9])

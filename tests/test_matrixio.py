@@ -9,11 +9,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarops.matrixio import doc_to_matrix, matrix_to_doc, read_matrix, write_matrix
+from polarops.matrixio import (
+    _pairs_as_floats,
+    doc_to_matrix,
+    matrix_to_doc,
+    read_matrix,
+    write_matrix,
+)
 
 FINITE = st.floats(
     min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
 )
+ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def loop_reader(data: list) -> np.ndarray:
+    """The reference reader: one ``complex(re, im)`` per entry."""
+    out = np.empty(len(data), dtype=np.complex128)
+    for i, (re, im) in enumerate(data):
+        out[i] = complex(re, im)
+    return out
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The raw bits of the real and imaginary parts, so that -0.0 != 0.0."""
+    return np.ascontiguousarray(a).reshape(-1).view(np.uint64)
 
 
 def test_doc_shape_and_order():
@@ -84,22 +104,154 @@ def test_round_trip_property(rows, cols, entries):
     assert np.array_equal(doc_to_matrix(json.loads(serialized)), a)
 
 
+SPECIAL_PAIRS = [
+    [-0.0, -0.0],
+    [0.0, -0.0],
+    [-0.0, 5e-324],
+    [-5e-324, 1e308],
+    [-1e308, 2.2250738585072014e-308],
+    [0.1, 1.0 / 3.0],
+]
+INTEGER_PAIRS = [
+    [0, -0],
+    [1, -7],
+    [2**53 + 1, -(2**53) - 1],
+    [2**63 - 1, -(2**63)],
+    [2**63, 2**64 - 1],
+    [2**64 + 1, -(2**63) - 1],
+    [10**308, -(10**300)],
+]
+BOOLEAN_PAIRS = [[True, False], [False, True], [True, 0.5], [-0.0, True]]
+
+
 @pytest.mark.parametrize(
-    "doc",
+    "data",
     [
-        "not a dict",
-        {"rows": 2, "cols": 2},
+        SPECIAL_PAIRS,
+        INTEGER_PAIRS,
+        BOOLEAN_PAIRS,
+        SPECIAL_PAIRS + INTEGER_PAIRS + BOOLEAN_PAIRS,
+    ],
+    ids=["special-floats", "ints", "bools", "mixed"],
+)
+def test_array_reader_matches_the_loop_bit_for_bit(data):
+    assert _pairs_as_floats(data) is not None  # the vectorised path reads it
+    a = doc_to_matrix({"rows": 1, "cols": len(data), "data": data})
+    assert np.array_equal(bits(a), bits(loop_reader(data)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(ANY_FINITE, ANY_FINITE), min_size=1, max_size=12))
+def test_array_reader_matches_the_loop_on_any_finite_floats(entries):
+    data = [list(pair) for pair in entries]
+    doc = json.loads(json.dumps({"rows": len(data), "cols": 1, "data": data}))
+    a = doc_to_matrix(doc)
+    assert np.array_equal(bits(a), bits(loop_reader(data)))
+
+
+def test_float_subclass_entries_are_read_by_the_loop():
+    data = [[np.float64(-0.0), 1.5], [2, np.float64(5e-324)]]
+    assert _pairs_as_floats(data) is None
+    a = doc_to_matrix({"rows": 2, "cols": 1, "data": data})
+    assert np.array_equal(bits(a), bits(loop_reader(data)))
+
+
+# Each malformed document with the exact message it is rejected with.
+MALFORMED = [
+    ("not a dict", "matrix document must be a JSON object"),
+    ({"rows": 2, "cols": 2}, "matrix document missing field 'data'"),
+    (
         {"rows": 2.0, "cols": 2, "data": [[0.0, 0.0]] * 4},
-        {"rows": 0, "cols": 2, "data": []},
+        "rows and cols must be integers",
+    ),
+    ({"rows": 0, "cols": 2, "data": []}, "invalid shape (0, 2)"),
+    (
         {"rows": 2, "cols": 2, "data": [[0.0, 0.0]] * 3},
-        {"rows": 1, "cols": 1, "data": [[0.0]]},
+        "data length 3 does not match rows*cols = 4",
+    ),
+    ({"rows": 1, "cols": 1, "data": [[0.0]]}, "entry 0 is not a [re, im] pair: [0.0]"),
+    (
         {"rows": 1, "cols": 1, "data": [["x", 0.0]]},
-        {"rows": 1, "cols": 1, "data": [0.0]},
+        "entry 0 is not a [re, im] pair: ['x', 0.0]",
+    ),
+    ({"rows": 1, "cols": 1, "data": [0.0]}, "entry 0 is not a [re, im] pair: 0.0"),
+    (
+        {"rows": 1, "cols": 3, "data": [[0.0, 0.0], [1.0], [2.0, 0.0]]},
+        "entry 1 is not a [re, im] pair: [1.0]",
+    ),
+    (
+        {"rows": 1, "cols": 2, "data": [[0.0, 0.0], [[1.0, 0.0], 0.0]]},
+        "entry 1 is not a [re, im] pair: [[1.0, 0.0], 0.0]",
+    ),
+    (
+        {"rows": 1, "cols": 2, "data": [[0.0, 0.0], [[1.0], [0.0]]]},
+        "entry 1 is not a [re, im] pair: [[1.0], [0.0]]",
+    ),
+    (
+        {"rows": 1, "cols": 2, "data": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]},
+        "entry 0 is not a [re, im] pair: [0.0, 0.0, 0.0]",
+    ),
+    (
+        {"rows": 1, "cols": 2, "data": [[0.0, 0.0], [None, 0.0]]},
+        "entry 1 is not a [re, im] pair: [None, 0.0]",
+    ),
+    (
+        {"rows": 1, "cols": 2, "data": [[0.0, 0.0], {"re": 1.0}]},
+        "entry 1 is not a [re, im] pair: {'re': 1.0}",
+    ),
+    (
+        {"rows": 1, "cols": 2, "data": [[0.0, 0.0], (1.0, 0.0)]},
+        "entry 1 is not a [re, im] pair: (1.0, 0.0)",
+    ),
+    (
+        {"rows": 1, "cols": 2, "data": [[0.0, 0.0], [np.int64(1), 0.0]]},
+        "entry 1 is not a [re, im] pair: [np.int64(1), 0.0]",
+    ),
+    (
+        {"rows": 1, "cols": 1, "data": [[float("nan"), 0.0]]},
+        "operator entries must be finite",
+    ),
+    (
+        {"rows": 1, "cols": 2, "data": [[0.0, 0.0], [1.0, 10**400]]},
+        "entry 1 is too large for a float",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        pytest.param(doc, message, id=doc if isinstance(doc, str) else f"doc{i}")
+        for i, (doc, message) in enumerate(MALFORMED)
     ],
 )
-def test_rejects_malformed_documents(doc):
-    with pytest.raises(ValueError):
+def test_rejects_malformed_documents(doc, message):
+    with pytest.raises(ValueError) as excinfo:
         doc_to_matrix(doc)
+    assert str(excinfo.value) == message
+
+
+def _writer_cases() -> list[np.ndarray]:
+    rng = np.random.default_rng(11)
+    square = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    wide = rng.standard_normal((3, 8)) * 10.0 ** rng.integers(-300, 300, (3, 8))
+    special = np.array(
+        [
+            [complex(-0.0, 5e-324), complex(1e308, -1e-308)],
+            [complex(0.1, -0.0), complex(-0.0, -0.0)],
+            [complex(2.2250738585072014e-308, -5e-324), complex(1e16, 123456789.0)],
+        ]
+    )
+    return [square, square.T, wide, wide.T.conj(), special, np.eye(4), [[1, -2]]]
+
+
+@pytest.mark.parametrize(
+    "a", _writer_cases(), ids=lambda a: "x".join(map(str, np.shape(a)))
+)
+def test_written_text_is_the_json_of_the_document(tmp_path, a):
+    path = tmp_path / "m.json"
+    write_matrix(path, a)
+    assert path.read_text(encoding="utf-8") == json.dumps(matrix_to_doc(a)) + "\n"
 
 
 def test_rejects_non_finite_payload():
