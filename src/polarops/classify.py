@@ -32,6 +32,7 @@ from .core import (
     is_hermitian_psd,
     numerical_rank,
     range_projection,
+    rank_margin,
     svd,
 )
 from .decomp import (
@@ -78,10 +79,13 @@ class CenteredReport:
     """Result of the commutator-criterion route for the centered order.
 
     ``commutator_norms[k-1]`` holds ``fro([U^k |T| (U^k)*, |T|])`` for
-    k = 1..max_order_checked-1. ``verified_order`` is 1 plus the length of
-    the initial run of vanishing commutators, capped at ``max_order_checked``;
-    a later vanishing commutator after a non-vanishing one cannot raise the
-    order. ``oracle_agrees`` records, from one pass over the powers, that the
+    k = 1..max_order_checked-1 and ``commutator_thresholds[k-1]`` the
+    :func:`polarops.core.commutator_threshold` it is compared with.
+    ``verified_order`` is 1 plus the length of the initial run of
+    :meth:`commute_decisions` that hold, capped at ``max_order_checked``; a
+    later vanishing commutator after a non-vanishing one cannot raise the
+    order. ``rank_margin`` is the margin of the rank decision behind ``U``.
+    ``oracle_agrees`` records, from one pass over the powers, that the
     definitional check holds at ``verified_order`` and, when there is room,
     fails at ``verified_order + 1``.
     """
@@ -90,8 +94,15 @@ class CenteredReport:
     max_order_checked: int
     verified_order: int
     commutator_norms: tuple[float, ...]
+    commutator_thresholds: tuple[float, ...]
+    rank_margin: float
     binormal: bool
     oracle_agrees: bool
+
+    def commute_decisions(self) -> tuple[bool, ...]:
+        """Whether ``[U^k |T| (U^k)*, |T|]`` vanishes, for each checked k."""
+        pairs = zip(self.commutator_norms, self.commutator_thresholds, strict=True)
+        return tuple(norm <= threshold for norm, threshold in pairs)
 
     def centered_flag(self) -> bool:
         """Proxy for "centered at every order": the run never broke and the
@@ -285,6 +296,33 @@ def _definitional_prefix(residuals, cfg: ToleranceConfig) -> int:
     return len(list(takewhile(lambda r: r[0] <= tol and r[1] <= tol, residuals)))
 
 
+def _centered_report(
+    dimension: int,
+    norms: list[float],
+    thresholds: list[float],
+    margin: float,
+    oracle,
+    cfg: ToleranceConfig,
+) -> CenteredReport:
+    """The report for the commutator norms and thresholds of k = 1..max_n-1.
+    ``oracle`` yields the definitional residuals of the powers with the same
+    ``U``; it is consumed up to power min(verified + 1, max_n) at most."""
+    max_n = len(norms) + 1
+    decisions = (norm <= threshold for norm, threshold in zip(norms, thresholds))
+    verified = 1 + len(list(takewhile(bool, decisions)))
+    passing = _definitional_prefix(islice(oracle, min(verified + 1, max_n)), cfg)
+    return CenteredReport(
+        dimension=dimension,
+        max_order_checked=max_n,
+        verified_order=verified,
+        commutator_norms=tuple(norms),
+        commutator_thresholds=tuple(thresholds),
+        rank_margin=margin,
+        binormal=verified >= 2,
+        oracle_agrees=passing == verified,
+    )
+
+
 def centered_order(
     t, max_n: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> CenteredReport:
@@ -292,48 +330,26 @@ def centered_order(
 
     The operator is (k+1)-centered exactly when ``[U^j |T| (U^j)*, |T|]``
     vanishes for j = 1..k, so the verified order is one plus the initial run
-    of vanishing commutators. Norms keep being reported past the first
-    failure for diagnostics. ``oracle_agrees`` comes from one pass of the
-    definitional route with the same ``U``, which factors ``T^k`` for
+    of vanishing commutators. Norms and thresholds keep being reported past
+    the first failure for diagnostics. ``oracle_agrees`` comes from one pass
+    of the definitional route with the same ``U``, which factors ``T^k`` for
     k = 1..min(verified + 1, max_n) and stops at the first failing power.
     """
-    return _centered_order(t, max_n, cfg)[0]
-
-
-def _centered_order(
-    t, max_n: int, cfg: ToleranceConfig
-) -> tuple[CenteredReport, PolarParts]:
-    """``centered_order`` and the polar decomposition of ``t`` it used."""
     t = _require_square(as_operator(t))
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
     parts = polar_decompose(t, cfg)
     u, p = parts.isometry, parts.modulus
 
-    norms: list[float] = []
-    run_intact = True
-    verified = 1
-    u_pow = u
+    norms, thresholds, u_pow = [], [], u
     for _ in range(1, max_n):
         conjugated = u_pow @ p @ u_pow.conj().T
         norms.append(commutator_norm(conjugated, p))
-        if run_intact and norms[-1] <= commutator_threshold(conjugated, p, cfg):
-            verified += 1
-        else:
-            run_intact = False
+        thresholds.append(commutator_threshold(conjugated, p, cfg))
         u_pow = u_pow @ u
-
-    powers = islice(_definitional_residuals(t, u, cfg), min(verified + 1, max_n))
-    agrees = _definitional_prefix(powers, cfg) == verified
-    report = CenteredReport(
-        dimension=t.shape[0],
-        max_order_checked=max_n,
-        verified_order=verified,
-        commutator_norms=tuple(norms),
-        binormal=verified >= 2,
-        oracle_agrees=agrees,
-    )
-    return report, parts
+    margin = rank_margin(parts.singular_values, cfg)
+    oracle = _definitional_residuals(t, u, cfg)
+    return _centered_report(t.shape[0], norms, thresholds, margin, oracle, cfg)
 
 
 def is_n_centered_definitional(
@@ -417,10 +433,11 @@ def polar_transfer(
     if t.shape != s.shape:
         raise ValueError(f"dimension mismatch: {t.shape} vs {s.shape}")
 
-    u = polar_decompose(t, cfg).isometry
+    t_parts = polar_decompose(t, cfg)
+    u = t_parts.isometry
     v = polar_decompose(s, cfg).isometry
     product = t @ s
-    moduli = abs_value(t, cfg) @ abs_value(s.conj().T, cfg)
+    moduli = t_parts.modulus @ abs_value(s.conj().T, cfg)
 
     product_parts = polar_decompose(product, cfg)
     moduli_parts = polar_decompose(moduli, cfg)
@@ -533,14 +550,13 @@ def binormal_equivalents(
     checks: list[AluthgePairCheck] = []
     for alpha, beta in alphas_betas:
         al = aluthge(t, alpha, beta, cfg)
-        transform_mod = abs_value(al.transform, cfg)
+        transform_parts = polar_decompose(al.transform, cfg)
+        transform_mod = transform_parts.modulus
         eq_res = equality_residual(al.transform, al.tilde_u @ transform_mod)
         polar_check = verify_polar(
             al.transform,
             PolarParts(
-                isometry=al.tilde_u,
-                modulus=transform_mod,
-                rank=numerical_rank(svd(al.transform).singular_values, cfg),
+                isometry=al.tilde_u, modulus=transform_mod, rank=transform_parts.rank
             ),
             cfg,
         )

@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .classify import _centered_order, is_binormal
+from .classify import centered_order, is_binormal
 from .core import DEFAULT_TOLERANCES, ToleranceConfig, rank_margin, svd
 from .decomp import (
     _mp_polar_parts,
@@ -149,11 +149,11 @@ def cmd_mp(args: argparse.Namespace) -> RunReport:
 def cmd_classify(args: argparse.Namespace) -> RunReport:
     cfg = _tolerances(args)
     t = read_matrix(args.input)
-    result, parts = _centered_order(t, args.max_n, cfg)
+    result = centered_order(t, args.max_n, cfg)
     binormal_flag, binormal_norm = is_binormal(t, cfg)
 
     report = RunReport(command=args.echo, tolerances=cfg)
-    report.margin = rank_margin(parts.singular_values, cfg)
+    report.margin = result.rank_margin
     report.add_value("dimension", result.dimension)
     report.add_value("max_order_checked", result.max_order_checked)
     report.add_value("verified_order", result.verified_order)
@@ -179,19 +179,19 @@ def cmd_counterexample(args: argparse.Namespace) -> RunReport:
     out = args.out if args.out else f"shift-n{spec.n}.json"
     write_matrix(out, t)
 
-    result, decisions, margin = certify_blockwise(t, spec.n + 1, cfg)
+    result = certify_blockwise(t, spec.blocks - 1, cfg)
     structure = verify_polar(t, predicted_polar_parts(spec, cfg), cfg)
-    mismatches = pattern_mismatches(spec, decisions)
+    mismatches = pattern_mismatches(spec, result.commute_decisions())
 
     report = RunReport(command=args.echo, tolerances=cfg)
-    report.margin = margin
+    report.margin = result.rank_margin
     report.add_value("target_order", spec.n)
     report.add_value("blocks", spec.blocks)
     report.add_value("dimension", spec.dimension)
     report.add_value("weights", ",".join(f"{w:g}" for w in spec.g))
     report.add_value("matrix_file", out)
     report.add_value("verified_order", result.verified_order)
-    for k, norm in enumerate(result.commutator_norms, start=1):
+    for k, norm in enumerate(result.commutator_norms[: spec.n], start=1):
         report.add_value(f"commutator_norm_k{k}", f"{norm:.6e}")
     report.add_check(
         "order_exact",

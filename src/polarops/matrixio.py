@@ -59,7 +59,7 @@ def doc_to_matrix(doc: dict) -> np.ndarray:
         if key not in doc:
             raise ValueError(f"matrix document missing field {key!r}")
     rows, cols, data = doc["rows"], doc["cols"], doc["data"]
-    if not isinstance(rows, int) or not isinstance(cols, int):
+    if type(rows) is not int or type(cols) is not int:  # bool is an int too
         raise ValueError("rows and cols must be integers")
     if rows < 1 or cols < 1:
         raise ValueError(f"invalid shape ({rows}, {cols})")

@@ -19,11 +19,10 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, takewhile
 
 import numpy as np
 
-from .classify import CenteredReport, _definitional_prefix
+from .classify import CenteredReport, _centered_report
 from .core import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
@@ -314,16 +313,17 @@ def _block_oracle(stack: np.ndarray, u: np.ndarray, cfg: ToleranceConfig):
         t_pow, u_pow = stack[k:] @ t_pow[:-1], u[k:] @ u_pow[:-1]
 
 
-def certify_blockwise(t, max_n: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
+def certify_blockwise(
+    t, max_n: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES
+) -> CenteredReport:
     """``classify.centered_order(t, max_n)`` in 3x3 block arithmetic, for
     ``t`` on its first block subdiagonal and 1 <= max_n < blocks.
 
     ``T^k`` and ``U^k`` sit on the k-th block subdiagonal; ``|T|``,
     ``U^k |T| (U^k)*`` and the commutators are block diagonal. So the dense
     quantities are exactly their blocks and the dense thresholds apply
-    unchanged. Returns the report, the commute decisions for
-    k = 1..blocks-2 and the rank margin of ``t``. Raises ValueError if ``t``
-    has a nonzero entry off its first block subdiagonal.
+    unchanged. Raises ValueError if ``t`` has a nonzero entry off its first
+    block subdiagonal.
     """
     t = as_operator(t)
     blocks = t.shape[0] // BLOCK
@@ -336,25 +336,13 @@ def certify_blockwise(t, max_n: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     u, p, s = _block_polar(stack, cfg)
     p = np.concatenate([p, np.zeros_like(p[:1])])  # |T| is zero at the last position
 
-    # One pass gives the order, the norms and the pattern decisions.
-    norms, decisions, u_pow = [], [], u
-    for k in range(1, blocks - 1):
+    norms, thresholds, u_pow = [], [], u
+    for k in range(1, max_n):
         conjugated = u_pow @ p[:-k] @ _adjoint(u_pow)
         norms.append(fro_norm(_flat(conjugated @ p[k:] - p[k:] @ conjugated)))
-        threshold = commutator_threshold(_flat(conjugated), _flat(p), cfg)
-        decisions.append(norms[-1] <= threshold)
+        thresholds.append(commutator_threshold(_flat(conjugated), _flat(p), cfg))
         u_pow = u[k:] @ u_pow[:-1]
-    verified = 1 + len(list(takewhile(bool, decisions[: max_n - 1])))
+    margin = rank_margin(np.sort(np.append(s, np.zeros(BLOCK)))[::-1], cfg)
     # The definitional check stays independent and shares only U.
     oracle = _block_oracle(stack, u, cfg)
-    passing = _definitional_prefix(islice(oracle, min(verified + 1, max_n)), cfg)
-    report = CenteredReport(
-        dimension=t.shape[0],
-        max_order_checked=max_n,
-        verified_order=verified,
-        commutator_norms=tuple(norms[: max_n - 1]),
-        binormal=verified >= 2,
-        oracle_agrees=passing == verified,
-    )
-    spectrum = np.sort(np.append(s, np.zeros(BLOCK)))[::-1]
-    return report, tuple(decisions), rank_margin(spectrum, cfg)
+    return _centered_report(t.shape[0], norms, thresholds, margin, oracle, cfg)

@@ -17,7 +17,14 @@ from polarops.classify import (
     powers_report,
     product_polar,
 )
-from polarops.core import commutator_norm, equality_residual, fractional_power_psd
+from polarops.core import (
+    commutator_norm,
+    commutes,
+    equality_residual,
+    fractional_power_psd,
+    rank_margin,
+    svd,
+)
 from polarops.decomp import abs_value, moore_penrose, polar_decompose, verify_polar
 from polarops.sampling import (
     random_binormal,
@@ -101,6 +108,34 @@ class TestCenteredOrder:
     def test_rejects_bad_max_n(self):
         with pytest.raises(ValueError):
             centered_order(np.eye(2), 0)
+
+    def test_rank_margin_is_that_of_the_singular_values(self):
+        for t in _centered_cases():
+            expected = rank_margin(svd(t).singular_values)
+            assert centered_order(t, 3).rank_margin == expected
+
+    @pytest.mark.parametrize("max_n", [1, 2, 6, 11])
+    def test_commute_decisions_are_the_commutes_loop(self, max_n):
+        for t in _centered_cases():
+            report = centered_order(t, max_n)
+            parts = polar_decompose(t)
+            u_pow, decisions = parts.isometry, []
+            for _ in range(1, max_n):
+                conjugated = u_pow @ parts.modulus @ u_pow.conj().T
+                decisions.append(commutes(conjugated, parts.modulus))
+                u_pow = u_pow @ parts.isometry
+            assert report.commute_decisions() == tuple(decisions)
+            leading = (list(decisions) + [False]).index(False)
+            assert report.verified_order == 1 + leading
+
+
+def _centered_cases() -> list[np.ndarray]:
+    """Random draws, their tiny-norm copies (where the commutator floor
+    decides) and the shifts of orders 2-8."""
+    rng = rng_for(20261018)
+    draws = [random_mixed_rank(rng, int(d)) for d in rng.integers(2, 7, size=20)]
+    shifts = [build_truncated(ShiftSpec.from_recipe(n)) for n in range(2, 9)]
+    return draws + [1e-6 * t for t in draws] + shifts
 
 
 class TestDefinitionalCheck:

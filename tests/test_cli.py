@@ -285,6 +285,15 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert err == "error: entry 0 is too large for a float\n"
 
+    def test_boolean_shape_fields(self, capsys, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text(
+            '{"rows": true, "cols": true, "data": [[2.0, 0.0]]}', encoding="utf-8"
+        )
+        code, out, err = run_cli(capsys, ["classify", str(path)])
+        assert code == 2 and out == ""
+        assert err == "error: rows and cols must be integers\n"
+
 
 def test_module_entry_point_runs():
     proc = subprocess.run(

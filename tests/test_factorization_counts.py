@@ -131,7 +131,7 @@ def test_definitional_pass_in_centered_order_stops_at_first_failure(lapack_calls
 
 def test_run_suite_all_factorization_counts(lapack_calls):
     run_suite("all", 0, 6, 100)
-    assert _totals(lapack_calls) == Counter(svd=9113, eigh=1600, eigvalsh=887)
+    assert _totals(lapack_calls) == Counter(svd=8657, eigh=1600, eigvalsh=887)
 
 
 def test_counterexample_n60_factors_blocks_not_the_dense_operator(

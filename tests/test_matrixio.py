@@ -215,6 +215,10 @@ MALFORMED = [
         {"rows": 1, "cols": 2, "data": [[0.0, 0.0], [1.0, 10**400]]},
         "entry 1 is too large for a float",
     ),
+    (
+        {"rows": True, "cols": True, "data": [[2.0, 0.0]]},
+        "rows and cols must be integers",
+    ),
 ]
 
 

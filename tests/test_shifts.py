@@ -264,8 +264,8 @@ class TestCertifyBlockwise:
     def test_matches_the_dense_route(self, n, blocks):
         spec = ShiftSpec.from_recipe(n, blocks)
         t = build_truncated(spec)
-        block, commute_decisions, margin = certify_blockwise(t, n + 1)
-        dense = centered_order(t, n + 1)
+        block = certify_blockwise(t, blocks - 1)
+        dense = centered_order(t, blocks - 1)
         assert block.verified_order == dense.verified_order == n
         assert block.oracle_agrees == dense.oracle_agrees
         assert (block.dimension, block.max_order_checked, block.binormal) == (
@@ -273,28 +273,32 @@ class TestCertifyBlockwise:
             dense.max_order_checked,
             dense.binormal,
         )
-        assert len(block.commutator_norms) == len(dense.commutator_norms) == n
+        assert len(block.commutator_norms) == len(dense.commutator_norms) == blocks - 2
         assert block.commutator_norms[n - 1] == pytest.approx(
             dense.commutator_norms[n - 1], rel=1e-12, abs=0.0
         )
-        # The decisions are the threshold comparisons, so k < n passing on
-        # both routes means the vanishing norms lie below their thresholds.
+        assert block.commutator_thresholds == pytest.approx(
+            dense.commutator_thresholds, rel=1e-12, abs=0.0
+        )
+        # k < n passing on both routes means the vanishing norms lie below
+        # their thresholds.
         decisions = _dense_decisions(t, blocks - 2)
-        assert list(commute_decisions) == decisions
+        assert list(block.commute_decisions()) == decisions
+        assert list(dense.commute_decisions()) == decisions
         assert all(decisions[: n - 1]) and not decisions[n - 1]
         assert max(block.commutator_norms[: n - 1]) < 1e-12
-        assert pattern_mismatches(spec, commute_decisions) == 0
+        assert pattern_mismatches(spec, block.commute_decisions()) == 0
         # The block spectra are the dense one up to roundoff.
-        assert margin == pytest.approx(
+        assert block.rank_margin == pytest.approx(
             rank_margin(svd(t).singular_values), rel=1e-12, abs=0.0
         )
 
     def test_constant_weights_center_at_every_checked_order(self):
         t = build_truncated(ShiftSpec(n=2, blocks=9, g=(1.0,) * 9))
-        report, decisions, _ = certify_blockwise(t, 8)
+        report = certify_blockwise(t, 8)
         assert report.verified_order == 8
         assert report.oracle_agrees == centered_order(t, 8).oracle_agrees
-        assert all(decisions)
+        assert all(report.commute_decisions())
 
     @pytest.mark.parametrize("row, col", [(0, 0), (0, 3), (7, 1), (14, 5), (20, 20)])
     def test_rejects_entries_off_the_subdiagonal(self, row, col):
