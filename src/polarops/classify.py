@@ -104,14 +104,6 @@ class CenteredReport:
         pairs = zip(self.commutator_norms, self.commutator_thresholds, strict=True)
         return tuple(norm <= threshold for norm, threshold in pairs)
 
-    def centered_flag(self) -> bool:
-        """Proxy for "centered at every order": the run never broke and the
-        bound checked is at least dimension squared."""
-        return (
-            self.verified_order == self.max_order_checked
-            and self.max_order_checked >= self.dimension**2
-        )
-
 
 @dataclass(frozen=True)
 class DefinitionalCheck:

@@ -42,7 +42,7 @@ from .shifts import (
     build_truncated,
     certify_blockwise,
     pattern_mismatches,
-    predicted_polar_parts,
+    verify_predicted_structure,
 )
 from .suites import SUITES, CheckRecord, run_suite
 
@@ -148,6 +148,9 @@ def cmd_mp(args: argparse.Namespace) -> RunReport:
 
 def cmd_classify(args: argparse.Namespace) -> RunReport:
     cfg = _tolerances(args)
+    if args.max_n < 2:
+        # Binormality is centered order 2; a lower bound cannot decide it.
+        raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
     t = read_matrix(args.input)
     result = centered_order(t, args.max_n, cfg)
     binormal_flag, binormal_norm = is_binormal(t, cfg)
@@ -180,7 +183,7 @@ def cmd_counterexample(args: argparse.Namespace) -> RunReport:
     write_matrix(out, t)
 
     result = certify_blockwise(t, spec.blocks - 1, cfg)
-    structure = verify_polar(t, predicted_polar_parts(spec, cfg), cfg)
+    structure = verify_predicted_structure(t, spec, cfg)
     mismatches = pattern_mismatches(spec, result.commute_decisions())
 
     report = RunReport(command=args.echo, tolerances=cfg)

@@ -82,7 +82,15 @@ def as_operator(a) -> np.ndarray:
 
 
 def fro_norm(a) -> float:
-    return float(np.linalg.norm(a, "fro"))
+    """Frobenius norm; for an ``(..., m, n)`` stack, that of its direct sum.
+    Nothing is reshaped, so a matrix is summed in the order of
+    ``norm(a, "fro")``; a reshaped transposed view would be copied first."""
+    return float(np.linalg.norm(a))
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def _require_same_square(a: np.ndarray, b: np.ndarray) -> None:
@@ -107,7 +115,7 @@ def commutator_norm(a, b) -> float:
 def commutator_threshold(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
     """Largest commutator norm that counts as vanishing. It scales with both
     operand norms and is floored at ``COMMUTATOR_FLOOR`` so that operators
-    of tiny norm still count as commuting."""
+    of tiny norm still count as commuting. Stacks count as direct sums."""
     return max(cfg.zero_rel_tol * fro_norm(a) * fro_norm(b), COMMUTATOR_FLOOR)
 
 
@@ -127,10 +135,15 @@ class SvdResult:
     right_vectors: np.ndarray
 
 
-def svd(a) -> SvdResult:
-    a = as_operator(a)
+def _svd(a: np.ndarray) -> SvdResult:
+    """``svd`` of a checked array, or of each matrix of an ``(..., m, n)``
+    stack, without validation."""
     left, s, right_h = np.linalg.svd(a, full_matrices=False)
-    return SvdResult(left, s, right_h.conj().T)
+    return SvdResult(left, s, _adjoint(right_h))
+
+
+def svd(a) -> SvdResult:
+    return _svd(as_operator(a))
 
 
 @dataclass(frozen=True)
@@ -168,6 +181,29 @@ def numerical_rank(s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
     if s.size == 0 or s[0] <= 0.0:
         return 0
     return int(np.count_nonzero(s > cfg.rank_rel_tol * s[0]))
+
+
+def _rank(s: np.ndarray, cfg: ToleranceConfig):
+    """``numerical_rank`` of one spectrum. For a stack of spectra, one rank
+    per matrix, all with the cutoff of their direct sum: ``rank_rel_tol``
+    times the largest singular value in the whole stack."""
+    if s.ndim == 1:
+        return numerical_rank(s, cfg)
+    return np.count_nonzero(s > cfg.rank_rel_tol * s.max(), axis=-1)
+
+
+def _leading(vectors: np.ndarray, r) -> np.ndarray:
+    """The first ``r`` columns of ``vectors``. For a stack, ``r`` holds one
+    rank per matrix: the columns are sliced to the largest rank and zeroed
+    past each matrix's own rank inside that slice. Slicing first keeps a
+    product over matrices of one shared rank bitwise equal to the
+    per-matrix slices; a mask over all columns would change the inner
+    dimension of the product, and with it the last bits."""
+    if vectors.ndim == 2:
+        return vectors[:, :r]
+    top = int(r.max())
+    keep = np.arange(top) < r[..., None]
+    return vectors[..., :top] * keep[..., None, :]
 
 
 def rank_margin(s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
@@ -232,16 +268,18 @@ def fractional_power_psd(
     return 0.5 * (result + result.conj().T)
 
 
+def _range_projection(t: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """``range_projection`` of a checked array, or of the direct sum of an
+    ``(..., m, n)`` stack, one projection per matrix (see ``_rank``)."""
+    decomp = _svd(t)
+    w = _leading(decomp.left_vectors, _rank(decomp.singular_values, cfg))
+    p = w @ _adjoint(w)
+    return 0.5 * (p + _adjoint(p))
+
+
 def range_projection(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """Orthogonal projection onto the numerical range (column space) of ``t``."""
-    t = as_operator(t)
-    decomp = svd(t)
-    r = numerical_rank(decomp.singular_values, cfg)
-    if r == 0:
-        return np.zeros((t.shape[0], t.shape[0]), dtype=np.complex128)
-    w = decomp.left_vectors[:, :r]
-    p = w @ w.conj().T
-    return 0.5 * (p + p.conj().T)
+    return _range_projection(as_operator(t), cfg)
 
 
 def equality_residual(a, b) -> float:
@@ -250,6 +288,12 @@ def equality_residual(a, b) -> float:
     b = as_operator(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return _residual(a, b)
+
+
+def _residual(a: np.ndarray, b: np.ndarray) -> float:
+    """``equality_residual`` of checked arrays, or of the direct sums of two
+    stacks of the same shape."""
     return fro_norm(a - b) / max(1.0, fro_norm(a), fro_norm(b))
 
 

@@ -10,6 +10,9 @@ identities ``|T*| = U |T| U*`` and ``U |T| = |T*| U``, and reports per-identity
 residuals.
 
 All operations accept rectangular input except where noted; all are pure.
+The private kernels also take ``(..., m, n)`` stacks, which stand for the
+direct sums of their matrices; the public functions validate their 2-D
+input and call them.
 """
 
 from __future__ import annotations
@@ -22,12 +25,15 @@ from .core import (
     DEFAULT_TOLERANCES,
     SvdResult,
     ToleranceConfig,
+    _adjoint,
+    _leading,
+    _range_projection,
+    _rank,
+    _residual,
+    _svd,
     as_operator,
-    equality_residual,
     fro_norm,
-    herm_eigvals,
     numerical_rank,
-    range_projection,
     svd,
 )
 
@@ -86,8 +92,8 @@ class PenroseCheck:
 def _modulus(decomp: SvdResult) -> np.ndarray:
     """``X diag(s) X*`` from the SVD ``t = W diag(s) X*``: the modulus ``|t|``."""
     x = decomp.right_vectors
-    result = (x * decomp.singular_values) @ x.conj().T
-    return 0.5 * (result + result.conj().T)
+    result = (x * decomp.singular_values[..., None, :]) @ _adjoint(x)
+    return 0.5 * (result + _adjoint(result))
 
 
 def abs_value(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -95,13 +101,21 @@ def abs_value(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     return _modulus(svd(t))
 
 
-def _isometry(decomp: SvdResult, r: int) -> np.ndarray:
-    """``W_r X_r*`` from the SVD ``t = W diag(s) X*`` of rank ``r``: the
-    canonical polar factor of ``t``."""
-    if r == 0:
-        shape = (len(decomp.left_vectors), len(decomp.right_vectors))
-        return np.zeros(shape, dtype=np.complex128)
-    return decomp.left_vectors[:, :r] @ decomp.right_vectors[:, :r].conj().T
+def _isometry(decomp: SvdResult, r) -> np.ndarray:
+    """``W_r X_r*`` from the SVD ``t = W diag(s) X*`` of rank ``r`` (one
+    rank per matrix of a stack, from ``core._rank``): the canonical polar
+    factor of ``t``."""
+    w = _leading(decomp.left_vectors, r)
+    return w @ _adjoint(decomp.right_vectors[..., : w.shape[-1]])
+
+
+def _polar_parts(decomp: SvdResult, cfg: ToleranceConfig) -> PolarParts:
+    """``polar_decompose`` of the operator whose SVD is ``decomp``. For a
+    stack, ``rank`` holds one rank per matrix, all with the cutoff of the
+    direct sum."""
+    s = decomp.singular_values
+    r = _rank(s, cfg)
+    return PolarParts(_isometry(decomp, r), _modulus(decomp), r, s)
 
 
 def polar_decompose(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PolarParts:
@@ -112,10 +126,7 @@ def polar_decompose(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PolarParts:
     degenerate singular vectors cancels in both products, so the output is
     deterministic given the factorization. The parts carry ``s``.
     """
-    decomp = svd(t)
-    s = decomp.singular_values
-    r = numerical_rank(s, cfg)
-    return PolarParts(_isometry(decomp, r), _modulus(decomp), r, s)
+    return _polar_parts(svd(t), cfg)
 
 
 def polar_tolerance(name: str, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
@@ -147,22 +158,30 @@ def verify_polar(
         raise ValueError(f"isometry shape {u.shape} does not match operator {t.shape}")
     if p.shape != (t.shape[1], t.shape[1]):
         raise ValueError(f"modulus shape {p.shape} does not match operator {t.shape}")
+    return _polar_check(t, u, p, cfg)
 
-    herm = 0.5 * (p + p.conj().T)
-    eigenvalues = herm_eigvals(herm)
-    psd_scale = max(1.0, float(eigenvalues[-1]) if eigenvalues.size else 0.0)
-    adjoint_modulus = abs_value(t.conj().T, cfg)
+
+def _polar_check(
+    t: np.ndarray, u: np.ndarray, p: np.ndarray, cfg: ToleranceConfig
+) -> PolarCheck:
+    """``verify_polar`` of checked arrays, or of stacks ``t``, ``u``, ``p``
+    of matching shapes standing for their direct sums: the norms, the
+    extreme eigenvalues of the Hermitian part of ``p`` and the rank cutoff
+    of its range projection are taken over the whole stack."""
+    herm = 0.5 * (p + _adjoint(p))
+    eigenvalues = np.linalg.eigvalsh(herm)
+    psd_scale = max(1.0, float(eigenvalues[..., -1].max()))
+    adjoint_modulus = _modulus(_svd(_adjoint(t)))
+    up = u @ p
 
     residuals = {
-        "reconstruction": equality_residual(t, u @ p),
-        "modulus_hermitian": fro_norm(p - p.conj().T) / max(1.0, fro_norm(p)),
-        "modulus_psd": max(0.0, -float(eigenvalues[0])) / psd_scale,
-        "partial_isometry": equality_residual(u @ u.conj().T @ u, u),
-        "range_condition": equality_residual(
-            u.conj().T @ u, range_projection(p, cfg)
-        ),
-        "adjoint_modulus": equality_residual(u @ p @ u.conj().T, adjoint_modulus),
-        "intertwine": equality_residual(u @ p, adjoint_modulus @ u),
+        "reconstruction": _residual(t, up),
+        "modulus_hermitian": fro_norm(p - _adjoint(p)) / max(1.0, fro_norm(p)),
+        "modulus_psd": max(0.0, -float(eigenvalues[..., 0].min())) / psd_scale,
+        "partial_isometry": _residual(u @ _adjoint(u) @ u, u),
+        "range_condition": _residual(_adjoint(u) @ u, _range_projection(p, cfg)),
+        "adjoint_modulus": _residual(up @ _adjoint(u), adjoint_modulus),
+        "intertwine": _residual(up, adjoint_modulus @ u),
     }
     ok = all(value <= polar_tolerance(name, cfg) for name, value in residuals.items())
     return PolarCheck(ok=ok, residuals=residuals)

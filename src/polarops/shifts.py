@@ -26,13 +26,15 @@ from .classify import CenteredReport, _centered_report
 from .core import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
+    _adjoint,
+    _residual,
+    _svd,
     as_operator,
     commutator_threshold,
-    equality_residual,
     fro_norm,
     rank_margin,
 )
-from .decomp import PolarParts
+from .decomp import PolarCheck, PolarParts, _polar_check, _polar_parts
 
 __all__ = [
     "AngleConstants",
@@ -47,6 +49,7 @@ __all__ = [
     "expected_commutator_pattern",
     "pattern_mismatches",
     "certify_blockwise",
+    "verify_predicted_structure",
 ]
 
 BLOCK = 3
@@ -212,13 +215,27 @@ def block_t(m: int, g: tuple[float, ...] | list[float]) -> np.ndarray:
     )
 
 
-def _dense(stack) -> np.ndarray:
-    """The operator with the 3x3 blocks of ``stack`` on its first block
-    subdiagonal, ``stack[m-1]`` at block position (m, m-1)."""
+def _dense(stack, offset: int = 1) -> np.ndarray:
+    """The operator on ``len(stack) + 1`` block positions with the 3x3 blocks
+    of ``stack`` on its first block subdiagonal, ``stack[m-1]`` at block
+    position (m, m-1); with ``offset`` 0, on its diagonal up to a trailing
+    zero block instead."""
     blocks = len(stack) + 1
     grid = np.zeros((blocks, blocks, BLOCK, BLOCK), dtype=np.complex128)
-    grid[np.arange(1, blocks), np.arange(blocks - 1)] = stack
+    grid[np.arange(offset, blocks - 1 + offset), np.arange(blocks - 1)] = stack
     return grid.swapaxes(1, 2).reshape(BLOCK * blocks, BLOCK * blocks)
+
+
+def _subdiagonal_blocks(t: np.ndarray) -> np.ndarray:
+    """The blocks of a matrix of 3x3 blocks on its first block subdiagonal,
+    the inverse of ``_dense``. Raises ValueError if ``t`` has a nonzero entry
+    anywhere else, so that a caller certifies what ``t`` holds."""
+    blocks = t.shape[0] // BLOCK
+    grid = t.reshape(blocks, BLOCK, blocks, BLOCK).swapaxes(1, 2)
+    stack = grid[np.arange(1, blocks), np.arange(blocks - 1)]
+    if np.count_nonzero(stack) != np.count_nonzero(t):
+        raise ValueError("operator has entries off its first block subdiagonal")
+    return stack
 
 
 def build_truncated(spec: ShiftSpec) -> np.ndarray:
@@ -233,6 +250,16 @@ def build_truncated(spec: ShiftSpec) -> np.ndarray:
     return _dense([block_t(m, spec.g) for m in range(1, spec.blocks)])
 
 
+def _predicted_blocks(spec: ShiftSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The predicted polar factors of the blocks T_1..T_{blocks-1}: ``V``
+    for each, and the moduli diag(sec(alpha)*g(m), sec(alpha)*g(m),
+    sec(alpha)*g(m+1)), m = 1..blocks-1."""
+    g = np.asarray(spec.g)
+    moduli = angle_constants().sec_alpha * np.stack([g[:-1], g[:-1], g[1:]], -1)
+    isometries = np.broadcast_to(v_matrix(), (spec.blocks - 1, BLOCK, BLOCK))
+    return isometries, moduli[..., None] * np.eye(BLOCK, dtype=np.complex128)
+
+
 def predicted_polar_parts(
     spec: ShiftSpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> PolarParts:
@@ -240,13 +267,37 @@ def predicted_polar_parts(
     isometry is the same shift with every block replaced by ``V``, and the
     modulus is block diagonal with diag(sec(alpha)*g(m), sec(alpha)*g(m),
     sec(alpha)*g(m+1)) at position m and a zero block at the end."""
-    g = np.asarray(spec.g)
-    moduli = angle_constants().sec_alpha * np.stack([g[:-1], g[:-1], g[1:]], -1)
+    isometries, moduli = _predicted_blocks(spec)
     return PolarParts(
-        isometry=_dense([v_matrix()] * (spec.blocks - 1)),
-        modulus=np.diag(np.append(moduli, np.zeros(BLOCK))).astype(np.complex128),
+        isometry=_dense(isometries),
+        modulus=_dense(moduli, offset=0),
         rank=BLOCK * (spec.blocks - 1),
     )
+
+
+def verify_predicted_structure(
+    t, spec: ShiftSpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES
+) -> PolarCheck:
+    """``verify_polar(t, predicted_polar_parts(spec), cfg)`` in 3x3 block
+    arithmetic: the triples ``(T_m, V, P_{m-1})``, m = 1..blocks-1, are
+    checked as one direct sum, with the dense tolerances.
+
+    In exact arithmetic this is the dense check. Once the guard has passed,
+    ``t`` is the direct sum of its block maps T_m (position m-1 to m) up to
+    a reordering of positions, which no norm, spectrum or range sees, and
+    the predicted factors and every product in the check share that
+    structure. The trailing zero block of the predicted modulus adds
+    nothing to any residual: it leaves every norm and range projection as
+    it is, and its zero eigenvalues change neither ``max(0, -min)`` nor
+    ``max(1, max)`` of the spectrum. Raises ValueError if ``t`` is not of
+    the spec's dimension or has a nonzero entry off its first block
+    subdiagonal.
+    """
+    t = as_operator(t)
+    if t.shape != (spec.dimension,) * 2:
+        raise ValueError(f"shape {t.shape} does not match dimension {spec.dimension}")
+    isometries, moduli = _predicted_blocks(spec)
+    return _polar_check(_subdiagonal_blocks(t), isometries, moduli, cfg)
 
 
 def expected_commutator_pattern(spec: ShiftSpec, k: int) -> bool:
@@ -279,35 +330,17 @@ def pattern_mismatches(spec: ShiftSpec, decisions: Sequence[bool]) -> int:
     return sum(d != p for d, p in zip(decisions, predicted, strict=True))
 
 
-def _adjoint(stack: np.ndarray) -> np.ndarray:
-    return stack.conj().swapaxes(-1, -2)
-
-
-def _flat(stack: np.ndarray) -> np.ndarray:
-    """A block stack as one matrix with the Frobenius norm of the dense one."""
-    return stack.reshape(-1, BLOCK)
-
-
-def _block_polar(stack: np.ndarray, cfg: ToleranceConfig):
-    """Polar factors and singular values of every block from one batched SVD;
-    the rank cutoff is relative to all blocks, as for the dense operator."""
-    w, s, xh = np.linalg.svd(stack)
-    modulus = (_adjoint(xh) * s[:, None, :]) @ xh
-    keep = s > cfg.rank_rel_tol * s.max()
-    return (w * keep[:, None, :]) @ xh, 0.5 * (modulus + _adjoint(modulus)), s
-
-
 def _block_oracle(stack: np.ndarray, u: np.ndarray, cfg: ToleranceConfig):
     """``classify._definitional_residuals`` with one batched SVD per power.
     The k-th power of a subdiagonal stack maps block position j to j+k
     through ``stack[j+k-1] @ ... @ stack[j]``."""
     t_pow, u_pow = stack, u
     for k in range(1, len(stack) + 1):
-        isometry, modulus, _ = _block_polar(t_pow, cfg)
+        parts = _polar_parts(_svd(t_pow), cfg)
         yield (
-            equality_residual(_flat(t_pow), _flat(u_pow @ modulus)),
-            equality_residual(
-                _flat(_adjoint(u_pow) @ u_pow), _flat(_adjoint(isometry) @ isometry)
+            _residual(t_pow, u_pow @ parts.modulus),
+            _residual(
+                _adjoint(u_pow) @ u_pow, _adjoint(parts.isometry) @ parts.isometry
             ),
         )
         t_pow, u_pow = stack[k:] @ t_pow[:-1], u[k:] @ u_pow[:-1]
@@ -329,20 +362,19 @@ def certify_blockwise(
     blocks = t.shape[0] // BLOCK
     if t.shape != (BLOCK * blocks,) * 2 or not 1 <= max_n < blocks:
         raise ValueError(f"need 3x3 blocks and max_n < blocks: {t.shape}, {max_n}")
-    grid = t.reshape(blocks, BLOCK, blocks, BLOCK).swapaxes(1, 2)
-    stack = grid[np.arange(1, blocks), np.arange(blocks - 1)]  # inverse of _dense
-    if np.count_nonzero(stack) != np.count_nonzero(t):
-        raise ValueError("operator has entries off its first block subdiagonal")
-    u, p, s = _block_polar(stack, cfg)
+    stack = _subdiagonal_blocks(t)
+    parts = _polar_parts(_svd(stack), cfg)
+    u, p = parts.isometry, parts.modulus
     p = np.concatenate([p, np.zeros_like(p[:1])])  # |T| is zero at the last position
 
     norms, thresholds, u_pow = [], [], u
     for k in range(1, max_n):
         conjugated = u_pow @ p[:-k] @ _adjoint(u_pow)
-        norms.append(fro_norm(_flat(conjugated @ p[k:] - p[k:] @ conjugated)))
-        thresholds.append(commutator_threshold(_flat(conjugated), _flat(p), cfg))
+        norms.append(fro_norm(conjugated @ p[k:] - p[k:] @ conjugated))
+        thresholds.append(commutator_threshold(conjugated, p, cfg))
         u_pow = u[k:] @ u_pow[:-1]
-    margin = rank_margin(np.sort(np.append(s, np.zeros(BLOCK)))[::-1], cfg)
+    s = np.append(parts.singular_values, np.zeros(BLOCK))
+    margin = rank_margin(np.sort(s)[::-1], cfg)
     # The definitional check stays independent and shares only U.
     oracle = _block_oracle(stack, u, cfg)
     return _centered_report(t.shape[0], norms, thresholds, margin, oracle, cfg)

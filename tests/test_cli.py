@@ -152,6 +152,17 @@ class TestClassifyCommand:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("max_n", ["1", "0"])
+    def test_rejects_max_n_below_two(self, capsys, tmp_path, max_n):
+        # Order 1 cannot decide binormality (order 2), so the identity would
+        # fail its binormal consistency check.
+        path = tmp_path / "i.json"
+        write_matrix(path, np.eye(2))
+        code, out, err = run_cli(capsys, ["classify", str(path), "--max-n", max_n])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --max-n must be at least 2, got {max_n}\n"
+
 
 class TestCounterexampleCommand:
     def test_default_blocks_for_order_two(self, capsys, tmp_path):

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarops.core import (
+    DEFAULT_TOLERANCES,
+    _svd,
     equality_residual,
     fractional_power_psd,
     range_projection,
@@ -15,6 +17,8 @@ from polarops.core import (
 )
 from polarops.decomp import (
     PolarParts,
+    _polar_check,
+    _polar_parts,
     abs_value,
     moore_penrose,
     mp_polar_parts,
@@ -167,6 +171,106 @@ class TestVerifyPolar:
             verify_polar(t, PolarParts(np.zeros((2, 2)), np.zeros((3, 3)), 0))
         with pytest.raises(ValueError):
             verify_polar(t, PolarParts(np.zeros((2, 3)), np.zeros((2, 2)), 0))
+
+
+def _reference_polar_residuals(t, parts) -> dict[str, float]:
+    """The ``verify_polar`` residuals as the check computed them before its
+    kernels took stacks, written with numpy alone."""
+    t, u, p = (np.asarray(a, dtype=complex) for a in (t, parts.isometry, parts.modulus))
+
+    def fro(a):
+        return float(np.linalg.norm(a, "fro"))
+
+    def residual(a, b):
+        return fro(a - b) / max(1.0, fro(a), fro(b))
+
+    _, s, right_h = np.linalg.svd(t.conj().T, full_matrices=False)
+    x = right_h.conj().T
+    adjoint_modulus = (x * s) @ x.conj().T
+    adjoint_modulus = 0.5 * (adjoint_modulus + adjoint_modulus.conj().T)
+    left, s, _ = np.linalg.svd(p, full_matrices=False)
+    cutoff = DEFAULT_TOLERANCES.rank_rel_tol * s[0]
+    r = int(np.count_nonzero(s > cutoff)) if s[0] > 0 else 0
+    projection = left[:, :r] @ left[:, :r].conj().T
+    projection = 0.5 * (projection + projection.conj().T)
+    eigenvalues = np.linalg.eigvalsh(0.5 * (p + p.conj().T))
+    return {
+        "reconstruction": residual(t, u @ p),
+        "modulus_hermitian": fro(p - p.conj().T) / max(1.0, fro(p)),
+        "modulus_psd": max(0.0, -float(eigenvalues[0]))
+        / max(1.0, float(eigenvalues[-1])),
+        "partial_isometry": residual(u @ u.conj().T @ u, u),
+        "range_condition": residual(u.conj().T @ u, projection),
+        "adjoint_modulus": residual(u @ p @ u.conj().T, adjoint_modulus),
+        "intertwine": residual(u @ p, adjoint_modulus @ u),
+    }
+
+
+def _direct_sum(stack: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix with the matrices of ``stack`` on its
+    diagonal."""
+    count, rows, cols = stack.shape
+    out = np.zeros((count * rows, count * cols), dtype=np.complex128)
+    for i, block in enumerate(stack):
+        out[i * rows : (i + 1) * rows, i * cols : (i + 1) * cols] = block
+    return out
+
+
+def _mixed_rank_stack(rng, count: int, dim: int) -> np.ndarray:
+    """Blocks of mixed rank; the first is scaled below the rank cutoff of
+    the whole stack, though not below that of its own singular values."""
+    stack = np.stack([random_mixed_rank(rng, dim) for _ in range(count)])
+    stack[0] *= 1e-14
+    return stack
+
+
+class TestPolarCheck:
+    def test_two_dimensional_check_is_the_reference_bitwise(self):
+        rng = rng_for(21)
+        operators = [random_mixed_rank(rng, 5) for _ in range(20)]
+        operators += [random_operator(rng, 6, 3), random_operator(rng, 3, 6)]
+        operators.append(np.zeros((3, 3), dtype=complex))
+        cases = [(t, polar_decompose(t)) for t in operators]
+        wrong = PolarParts(-np.eye(2, dtype=complex), random_operator(rng, 2), 2)
+        cases.append((np.eye(2, dtype=complex), wrong))
+        for t, parts in cases:
+            expected = _reference_polar_residuals(t, parts)
+            assert verify_polar(t, parts).residuals == expected
+
+    def test_stack_parts_are_those_of_the_direct_sum(self):
+        rng = rng_for(22)
+        for dim in (2, 3, 5):
+            stack = _mixed_rank_stack(rng, 6, dim)
+            parts = _polar_parts(_svd(stack), DEFAULT_TOLERANCES)
+            dense = polar_decompose(_direct_sum(stack))
+            assert parts.rank[0] == 0
+            assert int(parts.rank.sum()) == dense.rank
+            assert np.allclose(_direct_sum(parts.isometry), dense.isometry, atol=1e-10)
+            assert np.allclose(_direct_sum(parts.modulus), dense.modulus, atol=1e-10)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 6])
+    def test_matches_verify_polar_on_the_direct_sum(self, dim):
+        rng = rng_for(30 + dim)
+        stack = _mixed_rank_stack(rng, 5, dim)
+        parts = _polar_parts(_svd(stack), DEFAULT_TOLERANCES)
+        scaled = parts.isometry.copy()
+        scaled[2] *= 1 + 1e-6
+        other = _mixed_rank_stack(rng, 5, dim)
+        triples = [
+            (stack, parts.isometry, parts.modulus, True),
+            (stack, scaled, parts.modulus, False),
+            (stack, other, other, False),
+        ]
+        for t, u, p, expected in triples:
+            block = _polar_check(t, u, p, DEFAULT_TOLERANCES)
+            dense = verify_polar(
+                _direct_sum(t), PolarParts(_direct_sum(u), _direct_sum(p), 0)
+            )
+            assert block.ok == dense.ok == expected
+            assert block.residuals.keys() == dense.residuals.keys()
+            for name, value in block.residuals.items():
+                close = pytest.approx(dense.residuals[name], rel=1e-12, abs=1e-15)
+                assert value == close
 
 
 class TestMoorePenrose:

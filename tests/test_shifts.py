@@ -21,6 +21,7 @@ from polarops.shifts import (
     predicted_polar_parts,
     v_matrix,
     v_power_entries,
+    verify_predicted_structure,
 )
 
 TIGHT = 1e-12
@@ -312,6 +313,50 @@ class TestCertifyBlockwise:
         for shape_or_order in ((t[:-1, :-1], 5), (t[:-3], 5), (t, 0), (t, 7)):
             with pytest.raises(ValueError, match="3x3 blocks"):
                 certify_blockwise(*shape_or_order)
+
+
+class TestVerifyPredictedStructure:
+    @pytest.mark.parametrize(
+        "n, blocks", [(n, n + extra) for n in range(2, 13) for extra in (2, 3, 7)]
+    )
+    def test_matches_the_dense_check(self, n, blocks):
+        spec = ShiftSpec.from_recipe(n, blocks)
+        t = build_truncated(spec)
+        block = verify_predicted_structure(t, spec)
+        dense = verify_polar(t, predicted_polar_parts(spec))
+        assert block.ok and dense.ok
+        assert block.residuals.keys() == dense.residuals.keys()
+        for name, value in block.residuals.items():
+            assert value == pytest.approx(dense.residuals[name], rel=0.0, abs=1e-15)
+
+    def test_fails_with_the_dense_check_on_other_weights(self):
+        spec = ShiftSpec.from_recipe(4)
+        other = ShiftSpec(n=4, blocks=spec.blocks, g=(1.0,) * spec.blocks)
+        t = build_truncated(other)
+        block = verify_predicted_structure(t, spec)
+        dense = verify_polar(t, predicted_polar_parts(spec))
+        assert not block.ok and not dense.ok
+        for name, value in block.residuals.items():
+            close = pytest.approx(dense.residuals[name], rel=1e-12, abs=1e-15)
+            assert value == close
+
+    def test_predicted_parts_assemble_as_the_diagonal_of_moduli(self):
+        spec = ShiftSpec(n=3, blocks=7, g=(1.0, 2.0, 2.0, 0.5, 2.0, 3.0, 1.0))
+        g = np.asarray(spec.g)
+        moduli = angle_constants().sec_alpha * np.stack([g[:-1], g[:-1], g[1:]], -1)
+        diagonal = np.append(moduli, np.zeros(BLOCK))
+        parts = predicted_polar_parts(spec)
+        assert np.array_equal(parts.modulus, np.diag(diagonal).astype(np.complex128))
+        assert parts.rank == BLOCK * (spec.blocks - 1)
+
+    def test_rejects_entries_off_the_subdiagonal_and_other_dimensions(self):
+        spec = ShiftSpec.from_recipe(4)
+        t = build_truncated(spec)
+        t[0, 0] = 1e-3
+        with pytest.raises(ValueError, match="off its first block subdiagonal"):
+            verify_predicted_structure(t, spec)
+        with pytest.raises(ValueError, match="does not match"):
+            verify_predicted_structure(build_truncated(ShiftSpec.from_recipe(3)), spec)
 
 
 class TestPatternMismatches:
