@@ -11,6 +11,13 @@ Conventions: ``U`` always denotes the canonical polar factor of the operator
 at hand (the partial isometry vanishing on the null space), and every
 "commutes" decision uses the scaled threshold from
 :class:`polarops.core.ToleranceConfig`.
+
+Sharing rule: the definitional oracle shares only ``U`` with the commutator
+criterion; it factors every power ``T^k`` it checks, ``k = 1`` included.
+Everything else in one evaluation is factored once: the private helpers
+(``_centered_order``, ``_aluthge``, ``_mp_centered_check``) take the polar
+parts, reports and PSD eigendecompositions a caller has already computed,
+and the public functions validate their input and call them.
 """
 
 from __future__ import annotations
@@ -23,12 +30,15 @@ import numpy as np
 from .core import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
+    _psd_powers,
+    _residual,
+    _svd,
     as_operator,
     commutator_norm,
     commutator_threshold,
     commutes,
     equality_residual,
-    fractional_power_psd,
+    fro_norm,
     is_hermitian_psd,
     numerical_rank,
     range_projection,
@@ -38,8 +48,10 @@ from .core import (
 from .decomp import (
     PolarCheck,
     PolarParts,
+    _pinv,
+    _polar_check,
+    _polar_parts,
     abs_value,
-    moore_penrose,
     polar_decompose,
     verify_polar,
 )
@@ -85,9 +97,11 @@ class CenteredReport:
     :meth:`commute_decisions` that hold, capped at ``max_order_checked``; a
     later vanishing commutator after a non-vanishing one cannot raise the
     order. ``rank_margin`` is the margin of the rank decision behind ``U``.
-    ``oracle_agrees`` records, from one pass over the powers, that the
-    definitional check holds at ``verified_order`` and, when there is room,
-    fails at ``verified_order + 1``.
+    ``binormal`` is the k = 1 decision, made even when ``max_order_checked``
+    is 1 and no commutator is listed. ``oracle_agrees`` records, from one
+    pass over the powers, that the definitional check holds at
+    ``verified_order`` and, when there is room, fails at
+    ``verified_order + 1``.
     """
 
     dimension: int
@@ -271,12 +285,10 @@ def _definitional_residuals(t: np.ndarray, u: np.ndarray, cfg: ToleranceConfig):
     as ``U_k* U_k``, the range projection of ``(T^k)*``."""
     t_pow, u_pow = t, u
     while True:
-        parts = polar_decompose(t_pow, cfg)
+        parts = _polar_parts(_svd(t_pow), cfg)
         yield (
-            equality_residual(t_pow, u_pow @ parts.modulus),
-            equality_residual(
-                u_pow.conj().T @ u_pow, parts.isometry.conj().T @ parts.isometry
-            ),
+            _residual(t_pow, u_pow @ parts.modulus),
+            _residual(u_pow.conj().T @ u_pow, parts.isometry.conj().T @ parts.isometry),
         )
         t_pow, u_pow = t_pow @ t, u_pow @ u
 
@@ -290,29 +302,65 @@ def _definitional_prefix(residuals, cfg: ToleranceConfig) -> int:
 
 def _centered_report(
     dimension: int,
+    max_n: int,
     norms: list[float],
     thresholds: list[float],
     margin: float,
     oracle,
     cfg: ToleranceConfig,
 ) -> CenteredReport:
-    """The report for the commutator norms and thresholds of k = 1..max_n-1.
-    ``oracle`` yields the definitional residuals of the powers with the same
-    ``U``; it is consumed up to power min(verified + 1, max_n) at most."""
-    max_n = len(norms) + 1
-    decisions = (norm <= threshold for norm, threshold in zip(norms, thresholds))
-    verified = 1 + len(list(takewhile(bool, decisions)))
+    """The report for the commutator norms and thresholds of
+    k = 1..max(max_n - 1, 1). ``binormal`` is the k = 1 decision
+    (``[U |T| U*, |T|] = 0`` exactly when ``[T* T, T T*] = 0``), so it is
+    decided for max_n = 1 too, whose report lists no commutator. ``oracle``
+    yields the definitional residuals of the powers with the same ``U``; it
+    is consumed up to power min(verified + 1, max_n) at most."""
+    decisions = [norm <= threshold for norm, threshold in zip(norms, thresholds)]
+    verified = 1 + len(list(takewhile(bool, decisions[: max_n - 1])))
     passing = _definitional_prefix(islice(oracle, min(verified + 1, max_n)), cfg)
     return CenteredReport(
         dimension=dimension,
         max_order_checked=max_n,
         verified_order=verified,
-        commutator_norms=tuple(norms),
-        commutator_thresholds=tuple(thresholds),
+        commutator_norms=tuple(norms[: max_n - 1]),
+        commutator_thresholds=tuple(thresholds[: max_n - 1]),
         rank_margin=margin,
-        binormal=verified >= 2,
+        binormal=decisions[0],
         oracle_agrees=passing == verified,
     )
+
+
+def _commutators(
+    parts: PolarParts, count: int, cfg: ToleranceConfig
+) -> tuple[list[float], list[float]]:
+    """Norms of ``[U^k |T| (U^k)*, |T|]`` and their thresholds for
+    k = 1..count, from the polar parts of ``T``."""
+    u, p = parts.isometry, parts.modulus
+    norms, thresholds, u_pow = [], [], u
+    for _ in range(count):
+        conjugated = u_pow @ p @ u_pow.conj().T
+        norms.append(fro_norm(conjugated @ p - p @ conjugated))
+        thresholds.append(commutator_threshold(conjugated, p, cfg))
+        u_pow = u_pow @ u
+    return norms, thresholds
+
+
+def _centered_order(
+    t: np.ndarray,
+    parts: PolarParts,
+    max_n: int,
+    cfg: ToleranceConfig,
+    oracle=None,
+) -> CenteredReport:
+    """``centered_order`` of a checked square ``t`` with polar parts
+    ``parts``. ``oracle``, when given, yields what
+    ``_definitional_residuals(t, parts.isometry, cfg)`` would, for a caller
+    that walks the powers itself; by default that walk runs here."""
+    norms, thresholds = _commutators(parts, max(max_n - 1, 1), cfg)
+    margin = rank_margin(parts.singular_values, cfg)
+    if oracle is None:
+        oracle = _definitional_residuals(t, parts.isometry, cfg)
+    return _centered_report(t.shape[0], max_n, norms, thresholds, margin, oracle, cfg)
 
 
 def centered_order(
@@ -330,18 +378,7 @@ def centered_order(
     t = _require_square(as_operator(t))
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
-    parts = polar_decompose(t, cfg)
-    u, p = parts.isometry, parts.modulus
-
-    norms, thresholds, u_pow = [], [], u
-    for _ in range(1, max_n):
-        conjugated = u_pow @ p @ u_pow.conj().T
-        norms.append(commutator_norm(conjugated, p))
-        thresholds.append(commutator_threshold(conjugated, p, cfg))
-        u_pow = u_pow @ u
-    margin = rank_margin(parts.singular_values, cfg)
-    oracle = _definitional_residuals(t, u, cfg)
-    return _centered_report(t.shape[0], norms, thresholds, margin, oracle, cfg)
+    return _centered_order(t, polar_decompose(t, cfg), max_n, cfg)
 
 
 def is_n_centered_definitional(
@@ -498,12 +535,18 @@ def aluthge(
     """Aluthge-type transform ``|T|^alpha U |T|^beta`` with its candidate
     polar factor ``U* U U``."""
     t = _require_square(as_operator(t))
+    parts = polar_decompose(t, cfg)
+    return _aluthge(parts, _psd_powers(parts.modulus, cfg), alpha, beta)
+
+
+def _aluthge(parts: PolarParts, power, alpha: float, beta: float) -> AluthgeParts:
+    """``aluthge`` from the polar parts of ``T`` and ``power``, the map
+    ``alpha -> |T|**alpha`` that ``core._psd_powers`` returns."""
     if alpha <= 0 or beta <= 0:
         raise ValueError(f"exponents must be positive, got ({alpha}, {beta})")
-    parts = polar_decompose(t, cfg)
-    u, p = parts.isometry, parts.modulus
-    p_alpha = fractional_power_psd(p, alpha, cfg)
-    p_beta = p_alpha if beta == alpha else fractional_power_psd(p, beta, cfg)
+    u = parts.isometry
+    p_alpha = power(alpha)
+    p_beta = p_alpha if beta == alpha else power(beta)
     return AluthgeParts(
         alpha=float(alpha),
         beta=float(beta),
@@ -533,33 +576,27 @@ def binormal_equivalents(
     if not alphas_betas:
         raise ValueError("alphas_betas must contain at least one pair")
     binormal, _ = is_binormal(t, cfg)
-    two_centered = is_n_centered_definitional(t, 2, cfg).ok
-
     parts = polar_decompose(t, cfg)
-    u, p = parts.isometry, parts.modulus
-    mod_adj = abs_value(t.conj().T, cfg)
+    u = parts.isometry
+    oracle = _definitional_residuals(t, u, cfg)
+    two_centered = _definitional_prefix(islice(oracle, 2), cfg) == 2
+    power = _psd_powers(parts.modulus, cfg)
+    adjoint_power = _psd_powers(abs_value(t.conj().T, cfg), cfg)
 
     checks: list[AluthgePairCheck] = []
     for alpha, beta in alphas_betas:
-        al = aluthge(t, alpha, beta, cfg)
-        transform_parts = polar_decompose(al.transform, cfg)
-        transform_mod = transform_parts.modulus
-        eq_res = equality_residual(al.transform, al.tilde_u @ transform_mod)
-        polar_check = verify_polar(
-            al.transform,
-            PolarParts(
-                isometry=al.tilde_u, modulus=transform_mod, rank=transform_parts.rank
-            ),
-            cfg,
+        al = _aluthge(parts, power, alpha, beta)
+        transform_mod = polar_decompose(al.transform, cfg).modulus
+        transform_adj_mod = abs_value(al.transform.conj().T, cfg)
+        eq_res = _residual(al.transform, al.tilde_u @ transform_mod)
+        polar_check = _polar_check(
+            al.transform, al.tilde_u, transform_mod, cfg, transform_adj_mod
         )
-        p_alpha = fractional_power_psd(p, alpha, cfg)
-        p_beta = fractional_power_psd(p, beta, cfg)
-        modulus_form = u.conj().T @ p_alpha @ u @ p_beta
-        adjoint_form = p_alpha @ fractional_power_psd(mod_adj, beta, cfg)
-        mod_res = equality_residual(transform_mod, modulus_form)
-        adj_res = equality_residual(
-            abs_value(al.transform.conj().T, cfg), adjoint_form
-        )
+        p_alpha = power(alpha)
+        modulus_form = u.conj().T @ p_alpha @ u @ power(beta)
+        adjoint_form = p_alpha @ adjoint_power(beta)
+        mod_res = _residual(transform_mod, modulus_form)
+        adj_res = _residual(transform_adj_mod, adjoint_form)
         checks.append(
             AluthgePairCheck(
                 alpha=float(alpha),
@@ -650,39 +687,69 @@ def mp_centered_check(
     t = _require_square(as_operator(t))
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    verified = centered_order(t, n + 1, cfg).verified_order
+    decomp = _svd(t)
+    parts = _polar_parts(decomp, cfg)
+    pinv = _pinv(decomp, cfg)
+    report = _centered_order(t, parts, n + 1, cfg)
+    inverse_report = centered_order(pinv, n, cfg)
+    adjoint_modulus = abs_value(t.conj().T, cfg)
+    return _mp_centered_check(
+        t, parts, pinv, adjoint_modulus, report, inverse_report, n, cfg
+    )
+
+
+def _mp_centered_check(
+    t: np.ndarray,
+    parts: PolarParts,
+    pinv: np.ndarray,
+    adjoint_modulus: np.ndarray,
+    report: CenteredReport,
+    inverse_report: CenteredReport,
+    n: int,
+    cfg: ToleranceConfig,
+) -> MpCenteredReport:
+    """``mp_centered_check(t, n)`` from what the caller has computed: the
+    polar parts of ``t``, ``pinv = moore_penrose(t)``, ``adjoint_modulus =
+    abs_value(t*)`` and the reports of ``t`` and ``pinv`` from
+    ``centered_order`` at one ``max_n >= n``. The order at n + 1 needs the
+    commutator at k = n, which a report of ``max_n == n`` lacks; only then
+    are the commutators formed again."""
+    decisions = report.commute_decisions()
+    if len(decisions) < n:
+        pairs = zip(*_commutators(parts, n, cfg))
+        decisions = tuple(norm <= threshold for norm, threshold in pairs)
+    verified = 1 + len(list(takewhile(bool, decisions[:n])))
     if verified < n:
         raise ValueError(
             f"operator is only {verified}-centered at tolerance, need {n}"
         )
 
-    pinv = moore_penrose(t, cfg)
     residuals: list[float] = []
     t_pow = t
     pinv_pow = pinv
-    for _ in range(n):
-        residuals.append(equality_residual(moore_penrose(t_pow, cfg), pinv_pow))
+    for k in range(1, n + 1):
+        # pinv is the inverse of T itself; each higher power is inverted anew.
+        inverse = pinv if k == 1 else _pinv(_svd(t_pow), cfg)
+        residuals.append(_residual(inverse, pinv_pow))
         t_pow = t_pow @ t
         pinv_pow = pinv_pow @ pinv
 
-    inverse_order = centered_order(pinv, n, cfg).verified_order
+    inverse_order = min(inverse_report.verified_order, n)
 
     plus_one = verified >= n + 1
     mod_norms: list[float] = []
     adj_norms: list[float] = []
     mod_ok = True
     if plus_one:
-        parts = polar_decompose(t, cfg)
         u, p = parts.isometry, parts.modulus
-        p_adj = abs_value(t.conj().T, cfg)
         u_pow = u
         for _ in range(n):
             p_final = u_pow @ u_pow.conj().T
             p_initial = u_pow.conj().T @ u_pow
             mod_norms.append(commutator_norm(p_final, p))
-            adj_norms.append(commutator_norm(p_initial, p_adj))
+            adj_norms.append(commutator_norm(p_initial, adjoint_modulus))
             mod_ok = mod_ok and commutes(p_final, p, cfg)
-            mod_ok = mod_ok and commutes(p_initial, p_adj, cfg)
+            mod_ok = mod_ok and commutes(p_initial, adjoint_modulus, cfg)
             u_pow = u_pow @ u
 
     ok = (

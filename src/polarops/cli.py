@@ -139,7 +139,8 @@ def cmd_mp(args: argparse.Namespace) -> RunReport:
     ):
         report.add_check(name, residual, residual <= cfg.equality_rel_tol)
     if t.shape[0] == t.shape[1]:
-        inverse_check = verify_polar(pinv, _mp_polar_parts(decomp, pinv, cfg), cfg)
+        inverse_parts = _mp_polar_parts(decomp, svd(pinv), cfg)
+        inverse_check = verify_polar(pinv, inverse_parts, cfg)
         for name, residual in inverse_check.residuals.items():
             passed = residual <= polar_tolerance(name, cfg)
             report.add_check(f"inverse_polar_{name}", residual, passed)

@@ -76,7 +76,7 @@ def as_operator(a) -> np.ndarray:
         raise ValueError(f"operator must be 2-D, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"operator axes must be nonempty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("operator entries must be finite")
     return arr
 
@@ -250,8 +250,20 @@ def fractional_power_psd(
     eigenvalue below the negativity tolerance.
     """
     a = as_operator(a)
+    _require_positive(alpha)
+    return _psd_powers(a, cfg)(alpha)
+
+
+def _require_positive(alpha: float) -> None:
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
+
+
+def _psd_powers(a, cfg: ToleranceConfig):
+    """``alpha -> fractional_power_psd(a, alpha)`` from one validation, one
+    ``eigh`` and one rank clamp of ``a``; each power is bitwise equal to
+    that of ``fractional_power_psd``, which wraps this."""
+    a = as_operator(a)
     if not is_hermitian(a, cfg):
         raise ValueError("fractional powers require a Hermitian input")
     eig = herm_eig(0.5 * (a + a.conj().T))
@@ -262,10 +274,16 @@ def fractional_power_psd(
         raise ValueError(f"input is not PSD: smallest eigenvalue {values[0]:.3e}")
     cutoff = cfg.rank_rel_tol * max(lam_max, 0.0)
     values[values <= cutoff] = 0.0
-    powered = np.where(values > 0.0, values**alpha, 0.0)
-    result = (eig.eigenvectors * powered) @ eig.eigenvectors.conj().T
-    # The exact result is Hermitian; re-symmetrize to kill round-off drift.
-    return 0.5 * (result + result.conj().T)
+    vectors = eig.eigenvectors
+
+    def power(alpha: float) -> np.ndarray:
+        _require_positive(alpha)
+        powered = np.where(values > 0.0, values**alpha, 0.0)
+        result = (vectors * powered) @ vectors.conj().T
+        # The exact result is Hermitian; re-symmetrize to kill round-off drift.
+        return 0.5 * (result + result.conj().T)
+
+    return power
 
 
 def _range_projection(t: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:

@@ -162,16 +162,23 @@ def verify_polar(
 
 
 def _polar_check(
-    t: np.ndarray, u: np.ndarray, p: np.ndarray, cfg: ToleranceConfig
+    t: np.ndarray,
+    u: np.ndarray,
+    p: np.ndarray,
+    cfg: ToleranceConfig,
+    adjoint_modulus: np.ndarray | None = None,
 ) -> PolarCheck:
     """``verify_polar`` of checked arrays, or of stacks ``t``, ``u``, ``p``
     of matching shapes standing for their direct sums: the norms, the
     extreme eigenvalues of the Hermitian part of ``p`` and the rank cutoff
-    of its range projection are taken over the whole stack."""
+    of its range projection are taken over the whole stack.
+    ``adjoint_modulus``, when given, is ``abs_value(t*)``, already formed
+    by the caller; otherwise it is factored here."""
     herm = 0.5 * (p + _adjoint(p))
     eigenvalues = np.linalg.eigvalsh(herm)
     psd_scale = max(1.0, float(eigenvalues[..., -1].max()))
-    adjoint_modulus = _modulus(_svd(_adjoint(t)))
+    if adjoint_modulus is None:
+        adjoint_modulus = _modulus(_svd(_adjoint(t)))
     up = u @ p
 
     residuals = {
@@ -233,17 +240,16 @@ def mp_polar_parts(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PolarParts:
     if t.shape[0] != t.shape[1]:
         raise ValueError(f"expected a square operator, got {t.shape}")
     decomp = svd(t)
-    return _mp_polar_parts(decomp, _pinv(decomp, cfg), cfg)
+    return _mp_polar_parts(decomp, _svd(_pinv(decomp, cfg)), cfg)
 
 
 def _mp_polar_parts(
-    decomp: SvdResult, pinv: np.ndarray, cfg: ToleranceConfig
+    decomp: SvdResult, inverse: SvdResult, cfg: ToleranceConfig
 ) -> PolarParts:
     """``mp_polar_parts`` from the SVD ``decomp`` of a square operator and
-    its inverse ``pinv = _pinv(decomp)``; only ``pinv`` is factored, for its
+    the SVD ``inverse`` of its inverse ``_pinv(decomp)``, which gives the
     modulus."""
     r = numerical_rank(decomp.singular_values, cfg)
-    inverse = svd(pinv)
     return PolarParts(
         isometry=_isometry(decomp, r).conj().T,
         modulus=_modulus(inverse),

@@ -368,7 +368,7 @@ def certify_blockwise(
     p = np.concatenate([p, np.zeros_like(p[:1])])  # |T| is zero at the last position
 
     norms, thresholds, u_pow = [], [], u
-    for k in range(1, max_n):
+    for k in range(1, max(max_n, 2)):  # k = 1 decides binormality
         conjugated = u_pow @ p[:-k] @ _adjoint(u_pow)
         norms.append(fro_norm(conjugated @ p[k:] - p[k:] @ conjugated))
         thresholds.append(commutator_threshold(conjugated, p, cfg))
@@ -377,4 +377,4 @@ def certify_blockwise(
     margin = rank_margin(np.sort(s)[::-1], cfg)
     # The definitional check stays independent and shares only U.
     oracle = _block_oracle(stack, u, cfg)
-    return _centered_report(t.shape[0], norms, thresholds, margin, oracle, cfg)
+    return _centered_report(t.shape[0], max_n, norms, thresholds, margin, oracle, cfg)

@@ -11,25 +11,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .classify import (
+    _centered_order,
     _definitional_prefix,
+    _definitional_residuals,
+    _mp_centered_check,
     binormal_equivalents,
     centered_order,
     is_binormal,
-    is_n_centered_definitional,
-    mp_centered_check,
     polar_transfer,
     product_polar,
 )
 from .core import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
+    _psd_powers,
+    _svd,
     commutes,
     equality_residual,
-    fractional_power_psd,
     is_hermitian_psd,
     range_projection,
     svd,
@@ -37,6 +40,8 @@ from .core import (
 from .decomp import (
     _mp_polar_parts,
     _pinv,
+    _polar_check,
+    _polar_parts,
     abs_value,
     moore_penrose,
     polar_decompose,
@@ -147,14 +152,17 @@ def suite_centered_oracle(
     disagreements = 0
     report_flags = 0
     for t in operators:
-        report = centered_order(t, max_n, cfg)
+        parts = polar_decompose(t, cfg)
+        # One walk of the definitional check over max_n powers, with the
+        # criterion's U, feeds the report's oracle and the order-by-order
+        # comparison: the check holds at order n exactly when its first n
+        # powers pass.
+        oracle = _definitional_residuals(t, parts.isometry, cfg)
+        residuals = list(islice(oracle, max_n))
+        report = _centered_order(t, parts, max_n, cfg, oracle=iter(residuals))
         if not report.oracle_agrees:
             report_flags += 1
-        # The check at max_n holds at order n exactly when its first n
-        # powers pass, so one call gives the verdict for every n.
-        check = is_n_centered_definitional(t, max_n, cfg)
-        pairs = zip(check.equation_residuals, check.range_residuals)
-        passing = _definitional_prefix(pairs, cfg)
+        passing = _definitional_prefix(residuals, cfg)
         for n in range(1, max_n + 1):
             if (passing >= n) != (report.verified_order >= n):
                 disagreements += 1
@@ -303,25 +311,44 @@ def suite_mp_inverse(
     failures = 0
     worst = 0.0
     for t in operators:
-        decomp = svd(t)  # the one factorization of T: pinv and its polar parts
+        # One factorization each of T (pinv, |T|, U) and of pinv (its polar
+        # parts both through U* and on its own); |T*| and |pinv*| once each.
+        decomp = svd(t)
+        parts = _polar_parts(decomp, cfg)
         pinv = _pinv(decomp, cfg)
-        inverse_parts = _mp_polar_parts(decomp, pinv, cfg)
+        inverse = _svd(pinv)
+        inverse_parts = _mp_polar_parts(decomp, inverse, cfg)
+        adjoint_modulus = abs_value(t.conj().T, cfg)
+        inverse_adjoint_modulus = abs_value(pinv.conj().T, cfg)
         residuals = [
             equality_residual(
-                moore_penrose(abs_value(t, cfg), cfg),
-                abs_value(pinv.conj().T, cfg),
+                moore_penrose(parts.modulus, cfg), inverse_adjoint_modulus
             ),
             equality_residual(
-                moore_penrose(abs_value(t.conj().T, cfg), cfg),
-                inverse_parts.modulus,
+                moore_penrose(adjoint_modulus, cfg), inverse_parts.modulus
             ),
         ]
-        inverse_polar = verify_polar(pinv, inverse_parts, cfg)
+        inverse_polar = _polar_check(
+            pinv,
+            inverse_parts.isometry,
+            inverse_parts.modulus,
+            cfg,
+            inverse_adjoint_modulus,
+        )
         residuals.append(inverse_polar.worst())
 
-        report = centered_order(t, max_n, cfg)
-        inverse_report = centered_order(pinv, max_n, cfg)
-        mp_report = mp_centered_check(t, report.verified_order, cfg)
+        report = _centered_order(t, parts, max_n, cfg)
+        inverse_report = _centered_order(pinv, _polar_parts(inverse, cfg), max_n, cfg)
+        mp_report = _mp_centered_check(
+            t,
+            parts,
+            pinv,
+            adjoint_modulus,
+            report,
+            inverse_report,
+            report.verified_order,
+            cfg,
+        )
         residuals.extend(mp_report.power_inverse_residuals)
 
         ok = (
@@ -427,16 +454,15 @@ def suite_psd_pairs(
     for index, d in enumerate(_dims_cycle(rng, 2, dim, half)):
         a, b = random_commuting_psd_pair(rng, d, deficient=index % 3 == 0)
         checks = [is_hermitian_psd(a @ b, cfg)]
+        power = _psd_powers(a, cfg)
         for exponent in exponents:
-            checks.append(commutes(fractional_power_psd(a, exponent, cfg), b, cfg))
+            checks.append(commutes(power(exponent), b, cfg))
         proj_a = range_projection(a, cfg)
         proj_b = range_projection(b, cfg)
         checks.append(commutes(a, proj_b, cfg))
         checks.append(commutes(proj_a, proj_b, cfg))
         checks.append(
-            equality_residual(
-                range_projection(fractional_power_psd(a, 0.5, cfg), cfg), proj_a
-            )
+            equality_residual(range_projection(power(0.5), cfg), proj_a)
             <= cfg.equality_rel_tol
         )
         product = a @ b

@@ -97,6 +97,21 @@ class TestCenteredOrder:
             report = centered_order(t, 3)
             assert report.binormal == is_binormal(t)[0]
 
+    def test_max_n_one_still_decides_binormality(self):
+        # Binormality is the k = 1 commutator decision; max_n = 1 reports no
+        # commutator but still makes that decision.
+        cases = [
+            (np.eye(2), True),
+            (random_binormal(rng_for(3), 4), True),
+            (UPPER, False),
+        ]
+        for t, binormal in cases:
+            report = centered_order(t, 1)
+            assert report.binormal == binormal == is_binormal(t)[0]
+            assert report.verified_order == 1 and report.max_order_checked == 1
+            assert report.commutator_norms == report.commutator_thresholds == ()
+            assert report.binormal == centered_order(t, 2).binormal
+
     def test_run_break_is_permanent(self):
         # Once a commutator fails, later vanishing ones cannot raise the order.
         spec = ShiftSpec.from_recipe(2)

@@ -11,6 +11,7 @@ from polarops.core import (
     COMMUTATOR_FLOOR,
     DEFAULT_TOLERANCES,
     ToleranceConfig,
+    _psd_powers,
     approx_equal,
     as_operator,
     commutator,
@@ -196,6 +197,61 @@ class TestFractionalPower:
             fractional_power_psd(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5)
         with pytest.raises(ValueError):
             fractional_power_psd(np.diag([1.0, -1.0]), 0.5)
+
+
+def _reference_fractional_power(a, alpha):
+    """``fractional_power_psd`` as first written, one eigh per power, for
+    valid input."""
+    a = as_operator(a)
+    eig = herm_eig(0.5 * (a + a.conj().T))
+    values = eig.eigenvalues.copy()
+    lam_max = float(values[-1]) if values.size else 0.0
+    values[values <= DEFAULT_TOLERANCES.rank_rel_tol * max(lam_max, 0.0)] = 0.0
+    powered = np.where(values > 0.0, values**alpha, 0.0)
+    result = (eig.eigenvectors * powered) @ eig.eigenvectors.conj().T
+    return 0.5 * (result + result.conj().T)
+
+
+class TestPsdPowers:
+    """``_psd_powers`` factors once for many exponents and must give
+    ``fractional_power_psd`` bit for bit, errors included."""
+
+    EXPONENTS = (0.5, 1.0 / 3.0, 1.0, 2.0, 3.0, np.sqrt(2.0) / 2.0)
+
+    def inputs(self):
+        rng = rng_for(7)
+        out = [np.diag([0.0, 2.0]), np.zeros((3, 3)), np.eye(4)]
+        for d in range(2, 9):
+            for rank in (d, max(1, d - 2), 1):
+                x = random_complex(rng, d, rank)
+                out.append(x @ x.conj().T)
+        return out
+
+    def test_bitwise_equal_to_fractional_power_psd(self):
+        for a in self.inputs():
+            power = _psd_powers(a, DEFAULT_TOLERANCES)
+            for alpha in self.EXPONENTS:
+                expected = _reference_fractional_power(a, alpha)
+                assert np.array_equal(power(alpha), expected)
+                assert np.array_equal(fractional_power_psd(a, alpha), expected)
+
+    @pytest.mark.parametrize(
+        "a, alpha, match",
+        [
+            (np.diag([1.0, 2.0]), 0.0, "alpha must be positive"),
+            (np.diag([1.0, 2.0]), -0.5, "alpha must be positive"),
+            (np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5, "Hermitian"),
+            (np.zeros((2, 3)), 0.5, "Hermitian"),
+            (np.diag([1.0, -1.0]), 0.5, "not PSD"),
+            (np.diag([1.0, np.inf]), 0.5, "finite"),
+        ],
+    )
+    def test_raises_the_same_errors(self, a, alpha, match):
+        with pytest.raises(ValueError, match=match) as public:
+            fractional_power_psd(a, alpha)
+        with pytest.raises(ValueError, match=match) as private:
+            _psd_powers(a, DEFAULT_TOLERANCES)(alpha)
+        assert str(private.value) == str(public.value)
 
 
 class TestRangeProjection:

@@ -1,6 +1,7 @@
 """Factorization-count gates and the single-pass definitional oracle.
 
-LAPACK call counts are deterministic. The whole-suite count, the blockwise
+LAPACK call counts are deterministic. The whole-suite count, the counts of
+the suites that share factorizations within a trial, the blockwise
 ``counterexample`` count and the dense-file commands (one SVD of ``T`` per
 command) are pinned exactly; single calls are pinned to one SVD per
 operator power, or capped where a later change may lower them further.
@@ -131,7 +132,30 @@ def test_definitional_pass_in_centered_order_stops_at_first_failure(lapack_calls
 
 def test_run_suite_all_factorization_counts(lapack_calls):
     run_suite("all", 0, 6, 100)
-    assert _totals(lapack_calls) == Counter(svd=8433, eigh=1600, eigvalsh=887)
+    assert _totals(lapack_calls) == Counter(svd=6028, eigh=250, eigvalsh=887)
+
+
+@pytest.mark.parametrize(
+    "suite, counts",
+    [
+        # 112 operators: one SVD for U, then six powers walked once for both
+        # the report's oracle and the order-by-order comparison.
+        ("centered-oracle", Counter(svd=784)),
+        # 100 operators: T, its two-power oracle walk and T*, then three per
+        # exponent pair (T_ab, T_ab* and the polar check's range
+        # projection); one eigh each of |T| and |T*|.
+        ("aluthge-binormal", Counter(svd=1300, eigh=200, eigvalsh=300)),
+        # 112 operators: T, pinv, T*, pinv*, |T| and |T*| (for their
+        # inverses) and the range projection in pinv's polar check once
+        # each, plus both oracle walks and the inverses of T^k, k >= 2.
+        ("mp-inverse", Counter(svd=1345, eigvalsh=112)),
+        # 50 commuting pairs take one eigh each for all four powers.
+        ("psd-pairs", Counter(svd=450, eigh=50, eigvalsh=50)),
+    ],
+)
+def test_suite_factorization_counts(lapack_calls, suite, counts):
+    run_suite(suite, 0, 6, 100)
+    assert _totals(lapack_calls) == counts
 
 
 def test_counterexample_n60_factors_blocks_not_the_dense_operator(

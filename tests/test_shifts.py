@@ -301,6 +301,15 @@ class TestCertifyBlockwise:
         assert report.oracle_agrees == centered_order(t, 8).oracle_agrees
         assert all(report.commute_decisions())
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_max_n_one_matches_the_dense_route(self, n):
+        t = build_truncated(ShiftSpec.from_recipe(n))
+        block, dense = certify_blockwise(t, 1), centered_order(t, 1)
+        assert block.binormal and dense.binormal
+        assert block.verified_order == dense.verified_order == 1
+        assert block.commutator_norms == dense.commutator_norms == ()
+        assert block.oracle_agrees == dense.oracle_agrees
+
     @pytest.mark.parametrize("row, col", [(0, 0), (0, 3), (7, 1), (14, 5), (20, 20)])
     def test_rejects_entries_off_the_subdiagonal(self, row, col):
         t = build_truncated(ShiftSpec.from_recipe(4))

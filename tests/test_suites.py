@@ -5,7 +5,56 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from polarops.suites import SUITES, run_suite, suite_shift_family, suite_v_entries
+from polarops.classify import (
+    AluthgePairCheck,
+    BinormalEquivalents,
+    MpCenteredReport,
+    _definitional_prefix,
+    _mp_centered_check,
+    aluthge,
+    binormal_equivalents,
+    centered_order,
+    is_binormal,
+    is_n_centered_definitional,
+    mp_centered_check,
+)
+from polarops.core import (
+    DEFAULT_TOLERANCES,
+    commutator_norm,
+    commutes,
+    equality_residual,
+    fractional_power_psd,
+    is_hermitian_psd,
+    range_projection,
+)
+from polarops.decomp import (
+    PolarParts,
+    abs_value,
+    moore_penrose,
+    mp_polar_parts,
+    polar_decompose,
+    verify_polar,
+)
+from polarops.sampling import (
+    random_binormal,
+    random_commuting_psd_pair,
+    random_mixed_rank,
+    random_nonbinormal,
+    random_operator,
+    random_psd_pair,
+    random_spectrum_operator,
+    structured_fixtures,
+)
+from polarops.suites import (
+    ALUTHGE_EXPONENTS,
+    SUITES,
+    CheckRecord,
+    SuiteResult,
+    _dims_cycle,
+    run_suite,
+    suite_shift_family,
+    suite_v_entries,
+)
 
 
 def test_known_suite_names():
@@ -62,3 +111,289 @@ def test_fixed_family_suites_ignore_runner_knobs():
     entries = suite_v_entries(max_k=10)
     assert entries.trials == 10
     assert entries.ok
+
+
+# The four suites that share factorizations within a trial, as they were
+# written before they did: every value comes from public calls, each of
+# which factors its input itself. The suites must reproduce every record of
+# these references exactly, not just within roundoff.
+
+
+def _reference_binormal_equivalents(t, pairs, cfg=DEFAULT_TOLERANCES):
+    binormal, _ = is_binormal(t, cfg)
+    two_centered = is_n_centered_definitional(t, 2, cfg).ok
+    parts = polar_decompose(t, cfg)
+    u, p = parts.isometry, parts.modulus
+    mod_adj = abs_value(t.conj().T, cfg)
+    checks = []
+    for alpha, beta in pairs:
+        al = aluthge(t, alpha, beta, cfg)
+        transform_parts = polar_decompose(al.transform, cfg)
+        transform_mod = transform_parts.modulus
+        eq_res = equality_residual(al.transform, al.tilde_u @ transform_mod)
+        polar_check = verify_polar(
+            al.transform,
+            PolarParts(al.tilde_u, transform_mod, transform_parts.rank),
+            cfg,
+        )
+        p_alpha = fractional_power_psd(p, alpha, cfg)
+        p_beta = fractional_power_psd(p, beta, cfg)
+        modulus_form = u.conj().T @ p_alpha @ u @ p_beta
+        adjoint_form = p_alpha @ fractional_power_psd(mod_adj, beta, cfg)
+        mod_res = equality_residual(transform_mod, modulus_form)
+        adj_res = equality_residual(abs_value(al.transform.conj().T, cfg), adjoint_form)
+        tol = cfg.equality_rel_tol
+        checks.append(
+            AluthgePairCheck(
+                alpha=float(alpha),
+                beta=float(beta),
+                equality_residual=eq_res,
+                equality_holds=eq_res <= tol,
+                polar_check=polar_check,
+                modulus_form_residual=mod_res,
+                modulus_form_holds=mod_res <= tol,
+                adjoint_form_residual=adj_res,
+                adjoint_form_holds=adj_res <= tol,
+            )
+        )
+    statements = (
+        binormal,
+        two_centered,
+        all(c.equality_holds for c in checks),
+        all(c.polar_check.ok for c in checks),
+        all(c.modulus_form_holds and c.adjoint_form_holds for c in checks),
+    )
+    return BinormalEquivalents(binormal, two_centered, tuple(checks), statements)
+
+
+def _reference_mp_centered_check(t, n, cfg=DEFAULT_TOLERANCES):
+    verified = centered_order(t, n + 1, cfg).verified_order
+    if verified < n:
+        raise ValueError(f"operator is only {verified}-centered at tolerance, need {n}")
+    pinv = moore_penrose(t, cfg)
+    residuals, t_pow, pinv_pow = [], t, pinv
+    for _ in range(n):
+        residuals.append(equality_residual(moore_penrose(t_pow, cfg), pinv_pow))
+        t_pow, pinv_pow = t_pow @ t, pinv_pow @ pinv
+    inverse_order = centered_order(pinv, n, cfg).verified_order
+    plus_one = verified >= n + 1
+    mod_norms, adj_norms, mod_ok = [], [], True
+    if plus_one:
+        parts = polar_decompose(t, cfg)
+        u, p = parts.isometry, parts.modulus
+        p_adj = abs_value(t.conj().T, cfg)
+        u_pow = u
+        for _ in range(n):
+            p_final = u_pow @ u_pow.conj().T
+            p_initial = u_pow.conj().T @ u_pow
+            mod_norms.append(commutator_norm(p_final, p))
+            adj_norms.append(commutator_norm(p_initial, p_adj))
+            mod_ok = mod_ok and commutes(p_final, p, cfg)
+            mod_ok = mod_ok and commutes(p_initial, p_adj, cfg)
+            u_pow = u_pow @ u
+    ok = (
+        all(r <= cfg.equality_rel_tol for r in residuals)
+        and inverse_order >= n
+        and mod_ok
+    )
+    return MpCenteredReport(
+        order=n,
+        power_inverse_residuals=tuple(residuals),
+        inverse_verified_order=inverse_order,
+        checked_modulus_commutators=plus_one,
+        modulus_commutator_norms=tuple(mod_norms),
+        adjoint_modulus_commutator_norms=tuple(adj_norms),
+        ok=ok,
+    )
+
+
+def _reference_centered_oracle(rng, dim, trials, cfg=DEFAULT_TOLERANCES, max_n=6):
+    operators = [random_mixed_rank(rng, d) for d in _dims_cycle(rng, 2, dim, trials)]
+    operators.extend(matrix for _, matrix in structured_fixtures(rng))
+    disagreements = report_flags = 0
+    for t in operators:
+        report = centered_order(t, max_n, cfg)
+        report_flags += not report.oracle_agrees
+        check = is_n_centered_definitional(t, max_n, cfg)
+        pairs = zip(check.equation_residuals, check.range_residuals)
+        passing = _definitional_prefix(pairs, cfg)
+        for n in range(1, max_n + 1):
+            disagreements += (passing >= n) != (report.verified_order >= n)
+    records = (
+        CheckRecord("order_disagreements", float(disagreements), disagreements == 0),
+        CheckRecord("oracle_flag_failures", float(report_flags), report_flags == 0),
+    )
+    return SuiteResult("centered-oracle", len(operators), records)
+
+
+def _reference_aluthge_binormal(rng, dim, trials, cfg=DEFAULT_TOLERANCES):
+    half = trials // 2
+    binormal_failures = nonbinormal_failures = 0
+    worst = 0.0
+    pairs = list(ALUTHGE_EXPONENTS)
+    for d in _dims_cycle(rng, 2, dim, half):
+        report = _reference_binormal_equivalents(random_binormal(rng, d), pairs, cfg)
+        binormal_failures += not (all(report.statements) and report.agree())
+        for check in report.pair_checks:
+            worst = max(worst, check.modulus_form_residual, check.adjoint_form_residual)
+    for d in _dims_cycle(rng, 2, dim, half):
+        report = _reference_binormal_equivalents(random_nonbinormal(rng, d), pairs, cfg)
+        nonbinormal_failures += any(report.statements) or not report.agree()
+    records = (
+        CheckRecord(
+            "binormal_violations", float(binormal_failures), binormal_failures == 0
+        ),
+        CheckRecord(
+            "nonbinormal_violations",
+            float(nonbinormal_failures),
+            nonbinormal_failures == 0,
+        ),
+        CheckRecord(
+            "worst_closed_form_residual", worst, worst <= cfg.equality_rel_tol
+        ),
+    )
+    return SuiteResult("aluthge-binormal", 2 * half, records)
+
+
+def _reference_mp_inverse(rng, dim, trials, cfg=DEFAULT_TOLERANCES, max_n=6):
+    operators = [
+        random_spectrum_operator(rng, d, rank=(d if i % 3 else max(1, d - 1)))
+        for i, d in enumerate(_dims_cycle(rng, 2, dim, trials))
+    ]
+    operators.extend(matrix for _, matrix in structured_fixtures(rng))
+    failures = 0
+    worst = 0.0
+    for t in operators:
+        pinv = moore_penrose(t, cfg)
+        inverse_parts = mp_polar_parts(t, cfg)
+        residuals = [
+            equality_residual(
+                moore_penrose(abs_value(t, cfg), cfg), abs_value(pinv.conj().T, cfg)
+            ),
+            equality_residual(
+                moore_penrose(abs_value(t.conj().T, cfg), cfg), inverse_parts.modulus
+            ),
+        ]
+        inverse_polar = verify_polar(pinv, inverse_parts, cfg)
+        residuals.append(inverse_polar.worst())
+        report = centered_order(t, max_n, cfg)
+        inverse_report = centered_order(pinv, max_n, cfg)
+        mp_report = _reference_mp_centered_check(t, report.verified_order, cfg)
+        residuals.extend(mp_report.power_inverse_residuals)
+        ok = (
+            all(r <= cfg.equality_rel_tol for r in residuals)
+            and inverse_polar.ok
+            and mp_report.ok
+            and inverse_report.verified_order == report.verified_order
+            and is_binormal(t, cfg)[0] == is_binormal(pinv, cfg)[0]
+        )
+        worst = max(worst, max(residuals))
+        failures += not ok
+    records = (
+        CheckRecord("mp_failures", float(failures), failures == 0),
+        CheckRecord("worst_residual", worst, worst <= cfg.equality_rel_tol),
+    )
+    return SuiteResult("mp-inverse", len(operators), records)
+
+
+def _reference_psd_pairs(rng, dim, trials, cfg=DEFAULT_TOLERANCES):
+    half = trials // 2
+    failures = 0
+    tol = cfg.equality_rel_tol
+    for index, d in enumerate(_dims_cycle(rng, 2, dim, half)):
+        a, b = random_commuting_psd_pair(rng, d, deficient=index % 3 == 0)
+        checks = [is_hermitian_psd(a @ b, cfg)]
+        for exponent in (0.5, 1.0 / 3.0, 2.0):
+            checks.append(commutes(fractional_power_psd(a, exponent, cfg), b, cfg))
+        proj_a, proj_b = range_projection(a, cfg), range_projection(b, cfg)
+        checks.append(commutes(a, proj_b, cfg))
+        checks.append(commutes(proj_a, proj_b, cfg))
+        root = fractional_power_psd(a, 0.5, cfg)
+        checks.append(equality_residual(range_projection(root, cfg), proj_a) <= tol)
+        product = a @ b
+        checks.append(
+            equality_residual(proj_a @ proj_b @ abs_value(product, cfg), product) <= tol
+        )
+        failures += not all(checks)
+    for d in _dims_cycle(rng, 2, dim, half):
+        a, b = random_psd_pair(rng, d)
+        product = a @ b
+        checks = [not is_hermitian_psd(product, cfg)]
+        projections = range_projection(a, cfg) @ range_projection(b, cfg)
+        reconstruction = equality_residual(
+            projections @ abs_value(product, cfg), product
+        )
+        checks.append(reconstruction > tol)
+        t = random_operator(rng, d)
+        checks.append(
+            equality_residual(
+                range_projection(t, cfg), range_projection(t @ t.conj().T, cfg)
+            )
+            <= tol
+        )
+        failures += not all(checks)
+    records = (CheckRecord("psd_pair_failures", float(failures), failures == 0),)
+    return SuiteResult("psd-pairs", 2 * half, records)
+
+
+REFERENCES = {
+    "centered-oracle": _reference_centered_oracle,
+    "aluthge-binormal": _reference_aluthge_binormal,
+    "mp-inverse": _reference_mp_inverse,
+    "psd-pairs": _reference_psd_pairs,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+@pytest.mark.parametrize("dim", [2, 4, 6, 8])
+def test_suite_matches_its_public_call_reference(name, dim):
+    for seed in (dim, 100 + dim):
+        expected = REFERENCES[name](np.random.default_rng(seed), dim, 12)
+        assert SUITES[name](np.random.default_rng(seed), dim, 12) == expected
+
+
+def _equivalence_operators() -> list[np.ndarray]:
+    rng = np.random.default_rng(31)
+    operators = [matrix for _, matrix in structured_fixtures(rng)]
+    for d in range(2, 9):
+        operators += [
+            random_binormal(rng, d),
+            random_nonbinormal(rng, d),
+            random_mixed_rank(rng, d),
+            random_spectrum_operator(rng, d, rank=max(1, d - 1)),
+        ]
+    return operators
+
+
+def test_binormal_equivalents_matches_its_reference():
+    pairs = [*ALUTHGE_EXPONENTS, (2.0, 0.25)]
+    for t in _equivalence_operators():
+        expected = _reference_binormal_equivalents(t, pairs)
+        assert binormal_equivalents(t, pairs) == expected
+
+
+def test_mp_centered_check_matches_its_reference_at_every_order():
+    cfg = DEFAULT_TOLERANCES
+    checked_at_max_n = 0
+    for t in _equivalence_operators():
+        parts = polar_decompose(t)
+        pinv = moore_penrose(t)
+        adjoint_modulus = abs_value(t.conj().T)
+        verified = centered_order(t, 6).verified_order
+        for n in range(1, verified + 1):
+            expected = _reference_mp_centered_check(t, n)
+            assert mp_centered_check(t, n) == expected
+            # Reports at max_n = 6, as the suite passes them, and at
+            # max_n = n, which lacks the commutator at k = n.
+            for max_n in {6, n}:
+                report = centered_order(t, max_n)
+                inverse_report = centered_order(pinv, max_n)
+                private = _mp_centered_check(
+                    t, parts, pinv, adjoint_modulus, report, inverse_report, n, cfg
+                )
+                assert private == expected
+                checked_at_max_n += n == max_n
+        if verified < 6:
+            with pytest.raises(ValueError, match=f"only {verified}-centered"):
+                mp_centered_check(t, verified + 1)
+    assert checked_at_max_n > 0
