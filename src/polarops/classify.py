@@ -17,23 +17,28 @@ criterion; it factors every power ``T^k`` it checks, ``k = 1`` included.
 Everything else in one evaluation is factored once: the private helpers
 (``_centered_order``, ``_aluthge``, ``_mp_centered_check``) take the polar
 parts, reports and PSD eigendecompositions a caller has already computed,
-and the public functions validate their input and call them.
+and the public functions validate their input and call them. The rule holds
+on both centered-order routes: ``_centered_order`` takes a dense matrix, or
+the stack of 3x3 blocks of an operator on its first block subdiagonal (for
+:func:`polarops.shifts.certify_blockwise`), and walks the powers of either
+with one generator, ``_powers``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, takewhile
+from itertools import islice, pairwise, takewhile
 
 import numpy as np
 
 from .core import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
+    _adjoint,
     _psd_powers,
     _residual,
+    _square_operator,
     _svd,
-    as_operator,
     commutator_norm,
     commutator_threshold,
     commutes,
@@ -78,12 +83,6 @@ __all__ = [
     "powers_report",
     "mp_centered_check",
 ]
-
-
-def _require_square(t: np.ndarray) -> np.ndarray:
-    if t.shape[0] != t.shape[1]:
-        raise ValueError(f"expected a square operator, got {t.shape}")
-    return t
 
 
 @dataclass(frozen=True)
@@ -272,25 +271,41 @@ def is_binormal(
     t, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> tuple[bool, float]:
     """Whether ``[T* T, T T*]`` vanishes, plus the raw commutator norm."""
-    t = _require_square(as_operator(t))
+    t = _square_operator(t)
     left = t.conj().T @ t
     right = t @ t.conj().T
     return commutes(left, right, cfg), commutator_norm(left, right)
 
 
-def _definitional_residuals(t: np.ndarray, u: np.ndarray, cfg: ToleranceConfig):
+def _powers(a: np.ndarray, offset: int):
+    """Yield ``a, a^2, ...``, each power the previous one times ``a``. With
+    ``offset`` 0, ``a`` is a matrix and each step is ``power @ a``. With
+    ``offset`` 1, ``a`` is the stack of the blocks of an operator on its
+    first block subdiagonal, ``a[j]`` mapping block position j to j + 1; the
+    k-th power is the stack of the blocks of ``T^k`` on its k-th block
+    subdiagonal, ``power[j] = a[j+k-1] @ ... @ a[j]``, one block shorter
+    each time, and the walk ends when no block is left."""
+    power = a
+    while len(power):
+        yield power
+        power = power[offset:] @ a[: len(power) - offset]
+
+
+def _definitional_residuals(
+    t: np.ndarray, u: np.ndarray, cfg: ToleranceConfig, offset: int = 0
+):
     """Yield the ``(equation, range)`` residuals of ``T^k = U^k |T^k|`` for
-    k = 1, 2, ..., with ``u`` the polar factor of ``t``. One SVD of each
+    k = 1, 2, ..., with ``u`` the polar factor of ``t``; for ``offset`` 1,
+    of the block stacks ``t`` and ``u`` of ``_powers``. One SVD of each
     power, its own polar decomposition ``U_k |T^k|``, gives ``|T^k|`` and,
     as ``U_k* U_k``, the range projection of ``(T^k)*``."""
-    t_pow, u_pow = t, u
-    while True:
+    for t_pow, u_pow in zip(_powers(t, offset), _powers(u, offset)):
         parts = _polar_parts(_svd(t_pow), cfg)
+        u_k = parts.isometry
         yield (
             _residual(t_pow, u_pow @ parts.modulus),
-            _residual(u_pow.conj().T @ u_pow, parts.isometry.conj().T @ parts.isometry),
+            _residual(_adjoint(u_pow) @ u_pow, _adjoint(u_k) @ u_k),
         )
-        t_pow, u_pow = t_pow @ t, u_pow @ u
 
 
 def _definitional_prefix(residuals, cfg: ToleranceConfig) -> int:
@@ -300,48 +315,22 @@ def _definitional_prefix(residuals, cfg: ToleranceConfig) -> int:
     return len(list(takewhile(lambda r: r[0] <= tol and r[1] <= tol, residuals)))
 
 
-def _centered_report(
-    dimension: int,
-    max_n: int,
-    norms: list[float],
-    thresholds: list[float],
-    margin: float,
-    oracle,
-    cfg: ToleranceConfig,
-) -> CenteredReport:
-    """The report for the commutator norms and thresholds of
-    k = 1..max(max_n - 1, 1). ``binormal`` is the k = 1 decision
-    (``[U |T| U*, |T|] = 0`` exactly when ``[T* T, T T*] = 0``), so it is
-    decided for max_n = 1 too, whose report lists no commutator. ``oracle``
-    yields the definitional residuals of the powers with the same ``U``; it
-    is consumed up to power min(verified + 1, max_n) at most."""
-    decisions = [norm <= threshold for norm, threshold in zip(norms, thresholds)]
-    verified = 1 + len(list(takewhile(bool, decisions[: max_n - 1])))
-    passing = _definitional_prefix(islice(oracle, min(verified + 1, max_n)), cfg)
-    return CenteredReport(
-        dimension=dimension,
-        max_order_checked=max_n,
-        verified_order=verified,
-        commutator_norms=tuple(norms[: max_n - 1]),
-        commutator_thresholds=tuple(thresholds[: max_n - 1]),
-        rank_margin=margin,
-        binormal=decisions[0],
-        oracle_agrees=passing == verified,
-    )
-
-
 def _commutators(
-    parts: PolarParts, count: int, cfg: ToleranceConfig
+    u: np.ndarray, p: np.ndarray, count: int, cfg: ToleranceConfig
 ) -> tuple[list[float], list[float]]:
     """Norms of ``[U^k |T| (U^k)*, |T|]`` and their thresholds for
-    k = 1..count, from the polar parts of ``T``."""
-    u, p = parts.isometry, parts.modulus
-    norms, thresholds, u_pow = [], [], u
-    for _ in range(count):
-        conjugated = u_pow @ p @ u_pow.conj().T
-        norms.append(fro_norm(conjugated @ p - p @ conjugated))
+    k = 1..count, from the polar parts ``u`` and ``p`` of ``T``. For a block
+    stack (see ``_powers``), ``p`` holds ``|T|`` on every block position,
+    the trailing zero block included, so that ``p[:len(u_pow)]`` holds the
+    moduli at the sources of the blocks of ``U^k`` and
+    ``p[len(p) - len(u_pow):]`` those at their images; the commutator is
+    then block diagonal. For a matrix both are ``p``."""
+    norms, thresholds = [], []
+    for u_pow in islice(_powers(u, len(p) - len(u)), count):
+        conjugated = u_pow @ p[: len(u_pow)] @ _adjoint(u_pow)
+        image = p[len(p) - len(u_pow) :]
+        norms.append(fro_norm(conjugated @ image - image @ conjugated))
         thresholds.append(commutator_threshold(conjugated, p, cfg))
-        u_pow = u_pow @ u
     return norms, thresholds
 
 
@@ -353,14 +342,32 @@ def _centered_order(
     oracle=None,
 ) -> CenteredReport:
     """``centered_order`` of a checked square ``t`` with polar parts
-    ``parts``. ``oracle``, when given, yields what
-    ``_definitional_residuals(t, parts.isometry, cfg)`` would, for a caller
-    that walks the powers itself; by default that walk runs here."""
-    norms, thresholds = _commutators(parts, max(max_n - 1, 1), cfg)
-    margin = rank_margin(parts.singular_values, cfg)
+    ``parts``, or of the operator whose block stack (see ``_powers``) is
+    ``t``, with ``parts`` those of the stack and the modulus padded as
+    ``_commutators`` takes it. ``binormal`` is the k = 1 decision
+    (``[U |T| U*, |T|] = 0`` exactly when ``[T* T, T T*] = 0``), so it is
+    decided for max_n = 1 too, whose report lists no commutator. ``oracle``,
+    when given, yields what ``_definitional_residuals`` would, for a caller
+    that walks the powers itself; it is consumed up to power
+    min(verified + 1, max_n) at most."""
+    u, p = parts.isometry, parts.modulus
+    norms, thresholds = _commutators(u, p, max(max_n - 1, 1), cfg)
+    decisions = [norm <= threshold for norm, threshold in zip(norms, thresholds)]
+    verified = 1 + len(list(takewhile(bool, decisions[: max_n - 1])))
     if oracle is None:
-        oracle = _definitional_residuals(t, parts.isometry, cfg)
-    return _centered_report(t.shape[0], max_n, norms, thresholds, margin, oracle, cfg)
+        oracle = _definitional_residuals(t, u, cfg, len(p) - len(u))
+    passing = _definitional_prefix(islice(oracle, min(verified + 1, max_n)), cfg)
+    return CenteredReport(
+        # The rows of |T|, of a stack as one direct sum.
+        dimension=p.size // p.shape[-1],
+        max_order_checked=max_n,
+        verified_order=verified,
+        commutator_norms=tuple(norms[: max_n - 1]),
+        commutator_thresholds=tuple(thresholds[: max_n - 1]),
+        rank_margin=rank_margin(np.sort(parts.singular_values, axis=None)[::-1], cfg),
+        binormal=decisions[0],
+        oracle_agrees=passing == verified,
+    )
 
 
 def centered_order(
@@ -375,7 +382,7 @@ def centered_order(
     of the definitional route with the same ``U``, which factors ``T^k`` for
     k = 1..min(verified + 1, max_n) and stops at the first failing power.
     """
-    t = _require_square(as_operator(t))
+    t = _square_operator(t)
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
     return _centered_order(t, polar_decompose(t, cfg), max_n, cfg)
@@ -387,7 +394,7 @@ def is_n_centered_definitional(
     """Brute-force check that ``T^k = U^k |T^k|`` is the polar decomposition
     for every k = 1..n, with ``U`` the polar factor of ``T`` itself. Takes
     n + 1 SVDs: one for ``U`` and one for each power ``T^k``."""
-    t = _require_square(as_operator(t))
+    t = _square_operator(t)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     u = polar_decompose(t, cfg).isometry
@@ -407,8 +414,8 @@ def product_polar(
     and the unconditional transfer factor ``U W V`` built from the polar
     decomposition of ``|T| |S*|``.
     """
-    t = _require_square(as_operator(t))
-    s = _require_square(as_operator(s))
+    t = _square_operator(t)
+    s = _square_operator(s)
     if t.shape != s.shape:
         raise ValueError(f"dimension mismatch: {t.shape} vs {s.shape}")
 
@@ -457,8 +464,8 @@ def polar_transfer(
     the polar factor of ``T S`` then ``U* W2 V*`` is the polar factor of
     ``|T| |S*|``. Both candidates are pushed through ``verify_polar``.
     """
-    t = _require_square(as_operator(t))
-    s = _require_square(as_operator(s))
+    t = _square_operator(t)
+    s = _square_operator(s)
     if t.shape != s.shape:
         raise ValueError(f"dimension mismatch: {t.shape} vs {s.shape}")
 
@@ -505,8 +512,8 @@ def positive_product_polar(
     factor is the product of the two range projections. Raises if the inputs
     are not PSD or do not commute at tolerance.
     """
-    a = _require_square(as_operator(a))
-    b = _require_square(as_operator(b))
+    a = _square_operator(a)
+    b = _square_operator(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     if not is_hermitian_psd(a, cfg) or not is_hermitian_psd(b, cfg):
@@ -534,7 +541,7 @@ def aluthge(
 ) -> AluthgeParts:
     """Aluthge-type transform ``|T|^alpha U |T|^beta`` with its candidate
     polar factor ``U* U U``."""
-    t = _require_square(as_operator(t))
+    t = _square_operator(t)
     parts = polar_decompose(t, cfg)
     return _aluthge(parts, _psd_powers(parts.modulus, cfg), alpha, beta)
 
@@ -572,7 +579,7 @@ def binormal_equivalents(
     exponents; the report evaluates the given finite sample and claims
     nothing beyond it.
     """
-    t = _require_square(as_operator(t))
+    t = _square_operator(t)
     if not alphas_betas:
         raise ValueError("alphas_betas must contain at least one pair")
     binormal, _ = is_binormal(t, cfg)
@@ -634,7 +641,7 @@ def powers_report(
     whether the next power stays a partial isometry, and the identities
     ``(U* U U)^n = U* U^{n+1}`` and ``((U* U U)^n)* (U* U U)^n =
     (U^{n+1})* U^{n+1}`` (exact for every partial isometry)."""
-    t = _require_square(as_operator(t))
+    t = _square_operator(t)
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
     u = polar_decompose(t, cfg).isometry
@@ -643,13 +650,11 @@ def powers_report(
     tilde = u.conj().T @ u @ u
 
     entries: list[PowersEntry] = []
-    u_pow = u
-    tilde_pow = tilde
-    for n in range(1, max_n + 1):
+    walk = zip(range(1, max_n + 1), pairwise(_powers(u, 0)), _powers(tilde, 0))
+    for n, (u_pow, u_next), tilde_pow in walk:
         p_final = u_pow @ u_pow.conj().T
         p_initial = u_pow.conj().T @ u_pow
         pi_residual = equality_residual(u_pow @ u_pow.conj().T @ u_pow, u_pow)
-        u_next = u_pow @ u
         entries.append(
             PowersEntry(
                 n=n,
@@ -668,8 +673,6 @@ def powers_report(
                 ),
             )
         )
-        u_pow = u_next
-        tilde_pow = tilde_pow @ tilde
     return PowersReport(entries=tuple(entries))
 
 
@@ -684,7 +687,7 @@ def mp_centered_check(
     (n+1)-centered, additionally checks that ``U^k (U^k)*`` commutes with
     ``|T|`` and ``(U^k)* U^k`` with ``|T*|`` for k = 1..n.
     """
-    t = _require_square(as_operator(t))
+    t = _square_operator(t)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     decomp = _svd(t)
@@ -716,7 +719,7 @@ def _mp_centered_check(
     are the commutators formed again."""
     decisions = report.commute_decisions()
     if len(decisions) < n:
-        pairs = zip(*_commutators(parts, n, cfg))
+        pairs = zip(*_commutators(parts.isometry, parts.modulus, n, cfg))
         decisions = tuple(norm <= threshold for norm, threshold in pairs)
     verified = 1 + len(list(takewhile(bool, decisions[:n])))
     if verified < n:
@@ -724,15 +727,11 @@ def _mp_centered_check(
             f"operator is only {verified}-centered at tolerance, need {n}"
         )
 
-    residuals: list[float] = []
-    t_pow = t
-    pinv_pow = pinv
-    for k in range(1, n + 1):
-        # pinv is the inverse of T itself; each higher power is inverted anew.
-        inverse = pinv if k == 1 else _pinv(_svd(t_pow), cfg)
-        residuals.append(_residual(inverse, pinv_pow))
-        t_pow = t_pow @ t
-        pinv_pow = pinv_pow @ pinv
+    # pinv is the inverse of T itself; each higher power is inverted anew.
+    residuals = [
+        _residual(_pinv(_svd(t_pow), cfg) if k else pinv, pinv_pow)
+        for k, t_pow, pinv_pow in zip(range(n), _powers(t, 0), _powers(pinv, 0))
+    ]
 
     inverse_order = min(inverse_report.verified_order, n)
 
@@ -741,16 +740,14 @@ def _mp_centered_check(
     adj_norms: list[float] = []
     mod_ok = True
     if plus_one:
-        u, p = parts.isometry, parts.modulus
-        u_pow = u
-        for _ in range(n):
+        p = parts.modulus
+        for u_pow in islice(_powers(parts.isometry, 0), n):
             p_final = u_pow @ u_pow.conj().T
             p_initial = u_pow.conj().T @ u_pow
             mod_norms.append(commutator_norm(p_final, p))
             adj_norms.append(commutator_norm(p_initial, adjoint_modulus))
             mod_ok = mod_ok and commutes(p_final, p, cfg)
             mod_ok = mod_ok and commutes(p_initial, adjoint_modulus, cfg)
-            u_pow = u_pow @ u
 
     ok = (
         all(r <= cfg.equality_rel_tol for r in residuals)

@@ -17,23 +17,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .classify import CenteredReport, _centered_report
-from .core import (
-    DEFAULT_TOLERANCES,
-    ToleranceConfig,
-    _adjoint,
-    _residual,
-    _svd,
-    as_operator,
-    commutator_threshold,
-    fro_norm,
-    rank_margin,
-)
+from .classify import CenteredReport, _centered_order
+from .core import DEFAULT_TOLERANCES, ToleranceConfig, _svd, as_operator
 from .decomp import PolarCheck, PolarParts, _polar_check, _polar_parts
 
 __all__ = [
@@ -330,22 +320,6 @@ def pattern_mismatches(spec: ShiftSpec, decisions: Sequence[bool]) -> int:
     return sum(d != p for d, p in zip(decisions, predicted, strict=True))
 
 
-def _block_oracle(stack: np.ndarray, u: np.ndarray, cfg: ToleranceConfig):
-    """``classify._definitional_residuals`` with one batched SVD per power.
-    The k-th power of a subdiagonal stack maps block position j to j+k
-    through ``stack[j+k-1] @ ... @ stack[j]``."""
-    t_pow, u_pow = stack, u
-    for k in range(1, len(stack) + 1):
-        parts = _polar_parts(_svd(t_pow), cfg)
-        yield (
-            _residual(t_pow, u_pow @ parts.modulus),
-            _residual(
-                _adjoint(u_pow) @ u_pow, _adjoint(parts.isometry) @ parts.isometry
-            ),
-        )
-        t_pow, u_pow = stack[k:] @ t_pow[:-1], u[k:] @ u_pow[:-1]
-
-
 def certify_blockwise(
     t, max_n: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> CenteredReport:
@@ -354,9 +328,11 @@ def certify_blockwise(
 
     ``T^k`` and ``U^k`` sit on the k-th block subdiagonal; ``|T|``,
     ``U^k |T| (U^k)*`` and the commutators are block diagonal. So the dense
-    quantities are exactly their blocks and the dense thresholds apply
-    unchanged. Raises ValueError if ``t`` has a nonzero entry off its first
-    block subdiagonal.
+    quantities are exactly their blocks, and ``classify._centered_order``
+    runs on the block stack: the same commutators, thresholds, definitional
+    oracle and report as the dense route, each power formed and factored as
+    a stack of 3x3 blocks. Raises ValueError if ``t`` has a nonzero entry
+    off its first block subdiagonal.
     """
     t = as_operator(t)
     blocks = t.shape[0] // BLOCK
@@ -364,17 +340,6 @@ def certify_blockwise(
         raise ValueError(f"need 3x3 blocks and max_n < blocks: {t.shape}, {max_n}")
     stack = _subdiagonal_blocks(t)
     parts = _polar_parts(_svd(stack), cfg)
-    u, p = parts.isometry, parts.modulus
-    p = np.concatenate([p, np.zeros_like(p[:1])])  # |T| is zero at the last position
-
-    norms, thresholds, u_pow = [], [], u
-    for k in range(1, max(max_n, 2)):  # k = 1 decides binormality
-        conjugated = u_pow @ p[:-k] @ _adjoint(u_pow)
-        norms.append(fro_norm(conjugated @ p[k:] - p[k:] @ conjugated))
-        thresholds.append(commutator_threshold(conjugated, p, cfg))
-        u_pow = u[k:] @ u_pow[:-1]
-    s = np.append(parts.singular_values, np.zeros(BLOCK))
-    margin = rank_margin(np.sort(s)[::-1], cfg)
-    # The definitional check stays independent and shares only U.
-    oracle = _block_oracle(stack, u, cfg)
-    return _centered_report(t.shape[0], max_n, norms, thresholds, margin, oracle, cfg)
+    # |T| is zero at the last block position, which no block leaves.
+    modulus = np.concatenate([parts.modulus, np.zeros_like(parts.modulus[:1])])
+    return _centered_order(stack, replace(parts, modulus=modulus), max_n, cfg)

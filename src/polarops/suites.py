@@ -109,6 +109,12 @@ def _dims_cycle(rng: np.random.Generator, low: int, high: int, count: int):
     return [int(d) for d in rng.integers(low, high + 1, size=count)]
 
 
+def _share(trials: int, parts: int) -> int:
+    """``trials // parts`` draws, but at least one whenever ``trials`` is
+    positive, so that no part of a suite passes on an empty set."""
+    return max(1, trials // parts) if trials > 0 else 0
+
+
 def suite_polar_contract(
     rng: np.random.Generator,
     dim: int,
@@ -184,7 +190,7 @@ def suite_product_polar(
     commuting-moduli pairs that must land on the polar side; the transfer
     factor must reproduce the product's polar factor on every pair."""
     if constructed is None:
-        constructed = trials // 4
+        constructed = _share(trials, 4)
     mismatches = 0
     constructed_failures = 0
     worst_transfer = 0.0
@@ -253,7 +259,7 @@ def suite_aluthge_binormal(
 ) -> SuiteResult:
     """Binormal draws must satisfy all five equivalent statements (closed
     forms included); non-binormal draws must falsify all five at once."""
-    half = trials // 2
+    half = _share(trials, 2)
     binormal_failures = 0
     nonbinormal_failures = 0
     worst_closed_form = 0.0
@@ -448,7 +454,7 @@ def suite_psd_pairs(
     projections; non-commuting pairs yield non-PSD products and fail the
     projection-product reconstruction; range projections are stable under
     ``T T*`` and under positive powers."""
-    half = trials // 2
+    half = _share(trials, 2)
     failures = 0
     exponents = (0.5, 1.0 / 3.0, 2.0)
     for index, d in enumerate(_dims_cycle(rng, 2, dim, half)):

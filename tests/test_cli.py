@@ -257,6 +257,19 @@ class TestVerifyTheoremsCommand:
         code_b, out_b, _ = run_cli(capsys, argv)
         assert (code_a, out_a) == (code_b, out_b)
 
+    def test_one_trial_checks_something_in_every_suite(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify-theorems", "--trials", "1"])
+        assert code == 0
+        counts = {
+            name: int(value)
+            for name, value in value_lines(out).items()
+            if name.endswith("_trials")
+        }
+        assert set(counts) == {f"{name}_trials" for name in cli.SUITES}
+        assert all(count > 0 for count in counts.values()), counts
+        # One random pair and one constructed commuting-moduli pair.
+        assert counts["product-polar_trials"] == 2
+
     def test_rejects_dim_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, ["verify-theorems", "--dim", "13"])
         assert code == 2

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
-from polarops.classify import centered_order, is_n_centered_definitional
+from polarops.classify import _powers, centered_order, is_n_centered_definitional
 from polarops.core import commutes, rank_margin, svd
 from polarops.decomp import polar_decompose, verify_polar
+from polarops.sampling import random_operator
 from polarops.shifts import (
     BLOCK,
     ShiftSpec,
+    _subdiagonal_blocks,
     angle_constants,
     block_t,
     build_truncated,
@@ -322,6 +326,35 @@ class TestCertifyBlockwise:
         for shape_or_order in ((t[:-1, :-1], 5), (t[:-3], 5), (t, 0), (t, 7)):
             with pytest.raises(ValueError, match="3x3 blocks"):
                 certify_blockwise(*shape_or_order)
+
+
+def _on_block_subdiagonal(stack, k, blocks):
+    """The matrix of ``blocks`` 3x3 block positions with ``stack[j]`` at block
+    position (j + k, j) and zeros elsewhere."""
+    grid = np.zeros((blocks, blocks, BLOCK, BLOCK), dtype=np.complex128)
+    grid[np.arange(k, blocks), np.arange(blocks - k)] = stack
+    return grid.swapaxes(1, 2).reshape(BLOCK * blocks, BLOCK * blocks)
+
+
+class TestPowers:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_block_stack_powers_sit_on_the_kth_subdiagonal(self, n):
+        spec = ShiftSpec.from_recipe(n)
+        t = build_truncated(spec)
+        powers = list(_powers(_subdiagonal_blocks(t), 1))
+        # T^blocks = 0: the walk ends with the single block of T^(blocks-1).
+        assert [len(power) for power in powers] == list(range(spec.blocks - 1, 0, -1))
+        for k, power in enumerate(powers, start=1):
+            expected = np.linalg.matrix_power(t, k)
+            placed = _on_block_subdiagonal(power, k, spec.blocks)
+            assert np.linalg.norm(placed - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    def test_matrix_powers_are_repeated_right_multiplication(self):
+        a = random_operator(np.random.default_rng(5), 6)
+        expected = a
+        for power in islice(_powers(a, 0), 8):
+            assert np.array_equal(power, expected)
+            expected = expected @ a
 
 
 class TestVerifyPredictedStructure:
