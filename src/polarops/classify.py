@@ -12,22 +12,28 @@ at hand (the partial isometry vanishing on the null space), and every
 "commutes" decision uses the scaled threshold from
 :class:`polarops.core.ToleranceConfig`.
 
-Sharing rule: the definitional oracle shares only ``U`` with the commutator
-criterion; it factors every power ``T^k`` it checks, ``k = 1`` included.
-Everything else in one evaluation is factored once: the private helpers
-(``_centered_order``, ``_aluthge``, ``_mp_centered_check``) take the polar
-parts, reports and PSD eigendecompositions a caller has already computed,
-and the public functions validate their input and call them. The rule holds
-on both centered-order routes: ``_centered_order`` takes a dense matrix, or
-the stack of 3x3 blocks of an operator on its first block subdiagonal (for
+Sharing rule: the definitional oracle shares only ``U`` and the walk of
+its powers ``U^k`` with the commutator criterion; it factors every power
+``T^k`` it checks, ``k = 1`` included. Everything else in one evaluation is
+factored once: the private helpers (``_centered_order``, ``_aluthge``,
+``_mp_centered_check``) take the polar parts, reports and PSD
+eigendecompositions a caller has already computed, and the public functions
+validate their input and call them. The rule holds on both centered-order
+routes: ``_centered_order`` takes a dense matrix, or the stack of 3x3 blocks
+of an operator on its first block subdiagonal (for
 :func:`polarops.shifts.certify_blockwise`), and walks the powers of either
-with one generator, ``_powers``.
+once, forward, in groups of consecutive powers that fit a fixed number of
+entries (``_power_groups``). Each group is one stacked commutator
+expression and one stacked SVD of the powers the oracle checks, so a shift's
+block stacks and small matrices take a few LAPACK calls for all their
+powers, while a matrix above 64x64 still walks one power at a time. The
+report is bitwise the same for every grouping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, pairwise, takewhile
+from itertools import accumulate, islice, pairwise, takewhile
 
 import numpy as np
 
@@ -54,6 +60,8 @@ from .decomp import (
     PolarCheck,
     PolarParts,
     _pinv,
+    _isometry,
+    _modulus,
     _polar_check,
     _polar_parts,
     abs_value,
@@ -291,15 +299,12 @@ def _powers(a: np.ndarray, offset: int):
         power = power[offset:] @ a[: len(power) - offset]
 
 
-def _definitional_residuals(
-    t: np.ndarray, u: np.ndarray, cfg: ToleranceConfig, offset: int = 0
-):
+def _definitional_residuals(t: np.ndarray, u: np.ndarray, cfg: ToleranceConfig):
     """Yield the ``(equation, range)`` residuals of ``T^k = U^k |T^k|`` for
-    k = 1, 2, ..., with ``u`` the polar factor of ``t``; for ``offset`` 1,
-    of the block stacks ``t`` and ``u`` of ``_powers``. One SVD of each
-    power, its own polar decomposition ``U_k |T^k|``, gives ``|T^k|`` and,
-    as ``U_k* U_k``, the range projection of ``(T^k)*``."""
-    for t_pow, u_pow in zip(_powers(t, offset), _powers(u, offset)):
+    k = 1, 2, ..., with ``u`` the polar factor of the matrix ``t``. One SVD
+    of each power, its own polar decomposition ``U_k |T^k|``, gives
+    ``|T^k|`` and, as ``U_k* U_k``, the range projection of ``(T^k)*``."""
+    for t_pow, u_pow in zip(_powers(t, 0), _powers(u, 0)):
         parts = _polar_parts(_svd(t_pow), cfg)
         u_k = parts.isometry
         yield (
@@ -315,23 +320,112 @@ def _definitional_prefix(residuals, cfg: ToleranceConfig) -> int:
     return len(list(takewhile(lambda r: r[0] <= tol and r[1] <= tol, residuals)))
 
 
+# Complex entries that one group of powers of U may hold in _centered_order:
+# a matrix above 64x64 walks one power at a time, while a block stack or a
+# small matrix walks many powers per stacked expression and SVD. A group
+# keeps about ten arrays of its size alive at once, 0.6 MB at this budget;
+# twice the budget doubles that and saves no measurable time on the shifts.
+_GROUP_ENTRIES = 2**12
+
+
+def _power_groups(a: np.ndarray, offset: int, last):
+    """The powers ``a, a^2, ...`` of ``_powers``, in lists of consecutive
+    powers holding at most ``_GROUP_ENTRIES`` complex entries, and at least
+    one power each. The walk stops after power ``last()``, read again before
+    each power, so that a caller may shorten or extend it between groups."""
+    powers = _powers(a, offset)
+    group: list[np.ndarray] = []
+    entries = k = 0
+    while k < last():
+        # Power k + 1 has offset * k blocks fewer than a.
+        size = a[0].size * (len(a) - offset * k)
+        if group and entries + size > _GROUP_ENTRIES:
+            yield group
+            group, entries = [], 0
+            continue
+        group.append(next(powers))
+        entries += size
+        k += 1
+    if group:
+        yield group
+
+
+def _stack(parts: list[np.ndarray]) -> np.ndarray:
+    """The stacks ``parts`` as one stack; a single one is not copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _commutators(
-    u: np.ndarray, p: np.ndarray, count: int, cfg: ToleranceConfig
+    u_pows: list[np.ndarray], p: np.ndarray, cfg: ToleranceConfig
 ) -> tuple[list[float], list[float]]:
-    """Norms of ``[U^k |T| (U^k)*, |T|]`` and their thresholds for
-    k = 1..count, from the polar parts ``u`` and ``p`` of ``T``. For a block
-    stack (see ``_powers``), ``p`` holds ``|T|`` on every block position,
-    the trailing zero block included, so that ``p[:len(u_pow)]`` holds the
-    moduli at the sources of the blocks of ``U^k`` and
-    ``p[len(p) - len(u_pow):]`` those at their images; the commutator is
-    then block diagonal. For a matrix both are ``p``."""
-    norms, thresholds = [], []
-    for u_pow in islice(_powers(u, len(p) - len(u)), count):
-        conjugated = u_pow @ p[: len(u_pow)] @ _adjoint(u_pow)
-        image = p[len(p) - len(u_pow) :]
-        norms.append(fro_norm(conjugated @ image - image @ conjugated))
-        thresholds.append(commutator_threshold(conjugated, p, cfg))
-    return norms, thresholds
+    """Norms of ``[U^k |T| (U^k)*, |T|]`` and their thresholds for the
+    consecutive block stacks ``u_pows`` of powers of ``U`` (see ``_powers``),
+    with ``p`` holding ``|T|`` on every block position, the trailing zero
+    block of a shift included. The sources of the blocks of ``U^k`` are the
+    first ``len(U^k)`` positions and their images the last, so the
+    commutator is block diagonal. All powers share one stacked expression;
+    each norm and threshold is taken on its power's contiguous slice, which
+    keeps it bitwise equal to that of the power alone."""
+    lengths = [len(u_pow) for u_pow in u_pows]
+    u = _stack(u_pows)
+    sources = _stack([p[:n] for n in lengths])
+    images = _stack([p[len(p) - n :] for n in lengths])
+    conjugated = u @ sources @ _adjoint(u)
+    commutator = conjugated @ images - images @ conjugated
+    spans = [slice(a, b) for a, b in pairwise(accumulate(lengths, initial=0))]
+    return (
+        [fro_norm(commutator[span]) for span in spans],
+        [commutator_threshold(conjugated[span], p, cfg) for span in spans],
+    )
+
+
+def _block_squares(x: np.ndarray) -> np.ndarray:
+    """Sum of the squared moduli of the entries of each block of a stack."""
+    y = np.ascontiguousarray(x).view(np.float64)
+    return np.einsum("...ij,...ij->...", y, y)
+
+
+def _power_residuals(a: np.ndarray, b: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``core._residual`` of each power's slice of the stacks ``a`` and
+    ``b``, the powers starting at the block positions ``starts``, from
+    per-power sums of squares. Only their comparison with a tolerance is
+    reported, so the last bits need not match a ``fro_norm`` per power."""
+    diff, left, right = (
+        np.sqrt(np.add.reduceat(_block_squares(x), starts)) for x in (a - b, a, b)
+    )
+    return diff / np.maximum(1.0, np.maximum(left, right))
+
+
+def _oracle_prefix(
+    t_pows: list[np.ndarray], u_pows: list[np.ndarray], cfg: ToleranceConfig
+) -> int:
+    """Number of leading powers among the consecutive block stacks
+    ``t_pows`` of ``T^k`` for which ``T^k = U^k |T^k|``, with ``u_pows``
+    those of ``U^k``, is the polar decomposition; what
+    ``_definitional_prefix`` makes of ``_definitional_residuals``, from one
+    stacked SVD of all the powers. Each power keeps its own rank cutoff,
+    ``rank_rel_tol`` times the largest singular value of its direct sum.
+
+    An SVD that fails for one matrix fails for the whole stack; the powers
+    are then factored one at a time up to the first failing power, so that a
+    power past it (say, one whose entries overflowed) is never factored."""
+    lengths = [len(t_pow) for t_pow in t_pows]
+    starts = np.cumsum([0, *lengths[:-1]])
+    t, u = _stack(t_pows), _stack(u_pows)
+    try:
+        decomp = _svd(t)
+    except np.linalg.LinAlgError:
+        if len(t_pows) == 1:
+            raise
+        alone = (_oracle_prefix([t_k], [u_k], cfg) for t_k, u_k in zip(t_pows, u_pows))
+        return len(list(takewhile(bool, alone)))
+    s = decomp.singular_values
+    top = np.repeat(np.maximum.reduceat(s[:, 0], starts), lengths)
+    u_k = _isometry(decomp, np.count_nonzero(s > cfg.rank_rel_tol * top[:, None], -1))
+    equation = _power_residuals(t, u @ _modulus(decomp), starts)
+    ranges = _power_residuals(_adjoint(u) @ u, _adjoint(u_k) @ u_k, starts)
+    tol = cfg.equality_rel_tol
+    return len(list(takewhile(bool, (equation <= tol) & (ranges <= tol))))
 
 
 def _centered_order(
@@ -346,17 +440,52 @@ def _centered_order(
     ``t``, with ``parts`` those of the stack and the modulus padded as
     ``_commutators`` takes it. ``binormal`` is the k = 1 decision
     (``[U |T| U*, |T|] = 0`` exactly when ``[T* T, T T*] = 0``), so it is
-    decided for max_n = 1 too, whose report lists no commutator. ``oracle``,
-    when given, yields what ``_definitional_residuals`` would, for a caller
-    that walks the powers itself; it is consumed up to power
-    min(verified + 1, max_n) at most."""
+    decided for max_n = 1 too, whose report lists no commutator.
+
+    One forward walk forms each ``U^k`` once, in groups of consecutive
+    powers (``_power_groups``). Each group gets one stacked commutator
+    expression and, for the powers the oracle still checks (k up to
+    min(verified + 1, max_n), none after a failing power), one stacked SVD
+    of the ``T^k``. The report does not depend on how the powers are
+    grouped. ``oracle``, when given, yields what ``_definitional_residuals``
+    would, for a caller that walks the powers itself; it replaces the
+    walk's own oracle and is consumed up to power min(verified + 1, max_n)
+    at most."""
     u, p = parts.isometry, parts.modulus
-    norms, thresholds = _commutators(u, p, max(max_n - 1, 1), cfg)
-    decisions = [norm <= threshold for norm, threshold in zip(norms, thresholds)]
-    verified = 1 + len(list(takewhile(bool, decisions[: max_n - 1])))
-    if oracle is None:
-        oracle = _definitional_residuals(t, u, cfg, len(p) - len(u))
-    passing = _definitional_prefix(islice(oracle, min(verified + 1, max_n)), cfg)
+    offset = u.ndim - 2
+    if not offset:
+        # A matrix is a stack of one block, which each power keeps.
+        t, u, p = t[None], u[None], p[None]
+    count = max(max_n - 1, 1)
+    norms: list[float] = []
+    thresholds: list[float] = []
+    verified, passing = 1, 0
+    checking = oracle is None
+    t_powers = _powers(t, offset)
+
+    def last() -> int:
+        # The oracle may need T^max_n, one power past the commutators,
+        # unless the run of vanishing commutators ended below max_n - 1.
+        ended = verified <= min(len(norms), max_n - 1)
+        return count if not checking or (ended and verified < max_n - 1) else max_n
+
+    first = 1
+    for group in _power_groups(u, offset, last):
+        if first <= count:
+            more = _commutators(group[: count - first + 1], p, cfg)
+            norms += more[0]
+            thresholds += more[1]
+            pairs = zip(norms[: max_n - 1], thresholds)
+            verified = 1 + len(list(takewhile(bool, (a <= b for a, b in pairs))))
+        checked = min(len(group), min(verified + 1, max_n) - first + 1)
+        if checking and checked > 0:
+            t_pows = list(islice(t_powers, checked))
+            passed = _oracle_prefix(t_pows, group[:checked], cfg)
+            passing += passed
+            checking = passed == checked
+        first += len(group)
+    if oracle is not None:
+        passing = _definitional_prefix(islice(oracle, min(verified + 1, max_n)), cfg)
     return CenteredReport(
         # The rows of |T|, of a stack as one direct sum.
         dimension=p.size // p.shape[-1],
@@ -365,7 +494,7 @@ def _centered_order(
         commutator_norms=tuple(norms[: max_n - 1]),
         commutator_thresholds=tuple(thresholds[: max_n - 1]),
         rank_margin=rank_margin(np.sort(parts.singular_values, axis=None)[::-1], cfg),
-        binormal=decisions[0],
+        binormal=norms[0] <= thresholds[0],
         oracle_agrees=passing == verified,
     )
 
@@ -719,8 +848,9 @@ def _mp_centered_check(
     are the commutators formed again."""
     decisions = report.commute_decisions()
     if len(decisions) < n:
-        pairs = zip(*_commutators(parts.isometry, parts.modulus, n, cfg))
-        decisions = tuple(norm <= threshold for norm, threshold in pairs)
+        # An empty oracle: only the commutators up to k = n are wanted.
+        again = _centered_order(t, parts, n + 1, cfg, oracle=iter(()))
+        decisions = again.commute_decisions()
     verified = 1 + len(list(takewhile(bool, decisions[:n])))
     if verified < n:
         raise ValueError(

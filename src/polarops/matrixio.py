@@ -87,13 +87,27 @@ def doc_to_matrix(doc: dict) -> np.ndarray:
     return as_operator(out.reshape(rows, cols))
 
 
+_PAIR = "[%r, %r]"
+# The text of an entry whose real and imaginary parts are both +0.0.
+_ZERO_PAIR = "[0.0, 0.0]"
+
+
 def write_matrix(path: str | Path, a) -> None:
     """Write ``a`` as the text ``json.dumps(matrix_to_doc(a)) + "\\n"``,
-    formatted directly: ``json.dumps`` writes finite floats by ``repr``."""
+    formatted directly: ``json.dumps`` writes finite floats by ``repr``.
+    An entry whose 128 bits are all zero is written as its literal text, so
+    the block shifts, almost all zeros, format only their nonzero entries;
+    ``-0.0`` has a bit set and keeps its sign through ``repr``."""
     a = as_operator(a)
     rows, cols = a.shape
-    flat = np.stack([a.real, a.imag], -1).reshape(-1).tolist()
-    data = ", ".join(["[%r, %r]"] * (rows * cols)) % tuple(flat)
+    pairs = np.stack([a.real, a.imag], -1).reshape(-1, 2)
+    zero = ~pairs.view(np.uint64).any(axis=1)
+    if zero.any():
+        template = ", ".join(map((_PAIR, _ZERO_PAIR).__getitem__, zero.tolist()))
+        pairs = pairs[~zero]
+    else:
+        template = ", ".join([_PAIR] * (rows * cols))
+    data = template % tuple(pairs.reshape(-1).tolist())
     text = f'{{"rows": {rows}, "cols": {cols}, "data": [{data}]}}\n'
     Path(path).write_text(text, encoding="utf-8")
 

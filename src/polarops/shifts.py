@@ -330,8 +330,11 @@ def certify_blockwise(
     ``U^k |T| (U^k)*`` and the commutators are block diagonal. So the dense
     quantities are exactly their blocks, and ``classify._centered_order``
     runs on the block stack: the same commutators, thresholds, definitional
-    oracle and report as the dense route, each power formed and factored as
-    a stack of 3x3 blocks. Raises ValueError if ``t`` has a nonzero entry
+    oracle and report as the dense route, each power formed as a stack of
+    3x3 blocks. The walk groups consecutive powers up to a fixed number of
+    entries, so the commutators of many powers are one stacked expression
+    and the oracle factors them in one stacked SVD: a few LAPACK calls for
+    all powers of a shift. Raises ValueError if ``t`` has a nonzero entry
     off its first block subdiagonal.
     """
     t = as_operator(t)

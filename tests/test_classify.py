@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from polarops import classify
 from polarops.classify import (
     aluthge,
     binormal_equivalents,
@@ -35,8 +36,9 @@ from polarops.sampling import (
     random_operator,
     random_spectrum_operator,
     random_unitary,
+    structured_fixtures,
 )
-from polarops.shifts import ShiftSpec, build_truncated
+from polarops.shifts import ShiftSpec, build_truncated, certify_blockwise
 
 TIGHT = 1e-12
 EXPONENT_PAIRS = [(0.5, 0.5), (1.0, 2.0)]
@@ -151,6 +153,38 @@ def _centered_cases() -> list[np.ndarray]:
     draws = [random_mixed_rank(rng, int(d)) for d in rng.integers(2, 7, size=20)]
     shifts = [build_truncated(ShiftSpec.from_recipe(n)) for n in range(2, 9)]
     return draws + [1e-6 * t for t in draws] + shifts
+
+
+def _budget_runs() -> list:
+    """Calls of both centered-order routes whose walks group the powers
+    differently at different budgets: the block and dense routes on the
+    shifts of orders 2-12, the block route at order 60 (several groups at
+    the default budget), and mixed-rank draws, the structured fixtures and
+    their tiny-norm copies on the dense route."""
+    runs = []
+    for n in range(2, 13):
+        spec = ShiftSpec.from_recipe(n)
+        t = build_truncated(spec)
+        runs.append(lambda t=t, m=spec.blocks - 1: certify_blockwise(t, m))
+        runs.append(lambda t=t, m=spec.blocks - 1: centered_order(t, m))
+    shift60 = build_truncated(ShiftSpec.from_recipe(60))
+    runs.append(lambda: certify_blockwise(shift60, 62))
+    rng = rng_for(20261019)
+    draws = [random_mixed_rank(rng, int(d)) for d in rng.integers(2, 9, size=20)]
+    fixtures = [matrix for _, matrix in structured_fixtures(rng)]
+    for t in draws + fixtures + [1e-6 * t for t in draws + fixtures]:
+        for max_n in (2, 6, 10):
+            runs.append(lambda t=t, m=max_n: centered_order(t, m))
+    return runs
+
+
+@pytest.mark.parametrize("budget", [1, 2**62], ids=["alone", "one-group"])
+def test_report_does_not_depend_on_the_group_budget(monkeypatch, budget):
+    # Budget 1 walks every power alone; 2**62 walks all powers in one group.
+    runs = _budget_runs()
+    expected = [repr(run()) for run in runs]
+    monkeypatch.setattr(classify, "_GROUP_ENTRIES", budget)
+    assert [repr(run()) for run in runs] == expected
 
 
 class TestDefinitionalCheck:

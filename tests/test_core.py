@@ -74,6 +74,34 @@ class TestAsOperator:
             as_operator(np.array([[1.0, np.inf], [0.0, 0.0]]))
 
 
+def _fro_norm_cases() -> list:
+    rng = rng_for(7)
+    square = random_complex(rng, 9, 9)
+    stack = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    return [
+        square,
+        random_complex(rng, 4, 7),
+        stack,
+        stack[1:4],
+        square.T,
+        square.conj(),
+        square.conj().T,
+        stack.conj().swapaxes(-1, -2),
+        square[::2, 1::3],
+        np.zeros((3, 3), dtype=complex),
+        1e-200 * square,
+        rng.standard_normal((6, 5)),
+        np.arange(-6, 6).reshape(3, 4),
+    ]
+
+
+@pytest.mark.parametrize("a", _fro_norm_cases())
+def test_fro_norm_is_bitwise_numpy_norm(a):
+    expected = float(np.linalg.norm(a))
+    assert type(fro_norm(a)) is float
+    assert np.float64(fro_norm(a)).tobytes() == np.float64(expected).tobytes()
+
+
 class TestCommutator:
     def test_identity_commutes_with_anything(self):
         b = random_complex(rng_for(0), 4, 4)

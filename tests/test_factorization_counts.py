@@ -1,17 +1,21 @@
 """Factorization-count gates and the single-pass definitional oracle.
 
-LAPACK call counts are deterministic. The whole-suite count, the counts of
-the suites that share factorizations within a trial, the blockwise
-``counterexample`` count and the dense-file commands (one SVD of ``T`` per
-command) are pinned exactly; single calls are pinned to one SVD per
-operator power, or capped where a later change may lower them further.
-The equivalence tests keep the two-call definition of ``oracle_agrees``
-and the two-SVD definitional loop as references for the single pass.
+LAPACK call counts are deterministic, and so are the matrices factored: a
+stacked call factors every matrix of its stack. The whole-suite count, the
+counts of the suites that share factorizations within a trial, the
+blockwise ``counterexample`` count and the dense-file commands (one SVD of
+``T`` per command) are pinned exactly; single calls are pinned to one
+matrix per operator power, or capped where a later change may lower them
+further. Grouping the powers of the centered-order walk lowers the calls
+but, wherever the oracle agrees, not the matrices factored. The
+equivalence tests keep the two-call definition of ``oracle_agrees`` and
+the two-SVD definitional loop as references for the single pass.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -26,27 +30,41 @@ from polarops.shifts import ShiftSpec, build_truncated
 from polarops.suites import run_suite
 
 
+@dataclass
+class LapackLog:
+    """Calls of numpy's svd/eigh/eigvalsh keyed by ``(name, ndim of the
+    input)``: 2 for a dense operator, 3 for a stack. ``matrices`` counts, per
+    name, the matrices those calls factored: the product of the leading
+    dimensions of each input, 1 for a dense operator."""
+
+    calls: Counter = field(default_factory=Counter)
+    matrices: Counter = field(default_factory=Counter)
+
+    def clear(self) -> None:
+        self.calls.clear()
+        self.matrices.clear()
+
+
 @pytest.fixture
-def lapack_calls(monkeypatch) -> Counter:
-    """Count calls of numpy's svd/eigh/eigvalsh for the rest of the test,
-    keyed by ``(name, ndim of the input)``: 2 for a dense operator, 3 for a
-    stack of blocks."""
-    calls: Counter = Counter()
+def lapack_calls(monkeypatch) -> LapackLog:
+    """Log the calls of numpy's svd/eigh/eigvalsh for the rest of the test."""
+    log = LapackLog()
     for name in ("svd", "eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
         def counted(a, *args, _original=original, _name=name, **kwargs):
-            calls[_name, np.ndim(a)] += 1
+            log.calls[_name, np.ndim(a)] += 1
+            log.matrices[_name] += int(np.prod(np.shape(a)[:-2], dtype=int))
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    return calls
+    return log
 
 
-def _totals(calls: Counter) -> Counter:
+def _totals(log: LapackLog) -> Counter:
     """Calls per name, whatever the input's ndim."""
     totals: Counter = Counter()
-    for (name, _), count in calls.items():
+    for (name, _), count in log.calls.items():
         totals[name] += count
     return totals
 
@@ -92,9 +110,12 @@ def _two_svd_residuals(t: np.ndarray, n: int) -> tuple[list[float], list[float]]
 
 
 def test_centered_order_on_order6_shift_makes_at_most_8_svds(lapack_calls):
+    # One SVD for U, then the 27x27 powers T^1..T^7 in two groups, five
+    # powers and two, one stacked SVD each.
     report = centered_order(_shift(6), 7)
     assert report.verified_order == 6 and report.oracle_agrees
-    assert _totals(lapack_calls)["svd"] <= 8
+    assert _totals(lapack_calls)["svd"] == 3
+    assert lapack_calls.matrices["svd"] == 8
 
 
 def test_oracle_factors_every_power_it_checks(monkeypatch):
@@ -102,12 +123,14 @@ def test_oracle_factors_every_power_it_checks(monkeypatch):
     original = np.linalg.svd
 
     def recorded(a, *args, **kwargs):
-        factored.append(np.array(a))
+        # Each matrix of a stacked input, a dense input as itself.
+        factored.extend(np.array(a).reshape(-1, *np.shape(a)[-2:]))
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recorded)
     t = _shift(6)
     centered_order(t, 7)
+    assert len(factored) == 8
     t_pow = t
     for _ in range(7):
         assert any(np.array_equal(t_pow, a) for a in factored[1:])
@@ -123,51 +146,73 @@ def test_definitional_check_takes_one_svd_per_power(lapack_calls, n):
 
 def test_definitional_pass_in_centered_order_stops_at_first_failure(lapack_calls):
     # A generic draw is 1-centered and fails at power 2: one SVD for U, then
-    # the oracle factors T and T^2 and stops, whatever max_n is.
+    # the oracle factors T and T^2 in one stacked SVD and stops, whatever
+    # max_n is.
     t = random_mixed_rank(np.random.default_rng(5), 5)
     report = centered_order(t, 6)
     assert report.verified_order == 1 and report.oracle_agrees
-    assert _totals(lapack_calls)["svd"] == 3
+    assert _totals(lapack_calls)["svd"] == 2
+    assert lapack_calls.matrices["svd"] == 3
 
 
 def test_run_suite_all_factorization_counts(lapack_calls):
     run_suite("all", 0, 6, 100)
-    assert _totals(lapack_calls) == Counter(svd=6028, eigh=250, eigvalsh=887)
+    assert _totals(lapack_calls) == Counter(svd=5703, eigh=250, eigvalsh=887)
+    assert lapack_calls.matrices == Counter(svd=6028, eigh=250, eigvalsh=887)
 
 
 @pytest.mark.parametrize(
     "suite, counts",
     [
+        # Each case pins the calls, then the matrices they factored.
         # 112 operators: one SVD for U, then six powers walked once for both
         # the report's oracle and the order-by-order comparison.
-        ("centered-oracle", Counter(svd=784)),
+        ("centered-oracle", (Counter(svd=784), Counter(svd=784))),
         # 100 operators: T, its two-power oracle walk and T*, then three per
         # exponent pair (T_ab, T_ab* and the polar check's range
         # projection); one eigh each of |T| and |T*|.
-        ("aluthge-binormal", Counter(svd=1300, eigh=200, eigvalsh=300)),
+        (
+            "aluthge-binormal",
+            (
+                Counter(svd=1300, eigh=200, eigvalsh=300),
+                Counter(svd=1300, eigh=200, eigvalsh=300),
+            ),
+        ),
         # 112 operators: T, pinv, T*, pinv*, |T| and |T*| (for their
         # inverses) and the range projection in pinv's polar check once
-        # each, plus both oracle walks and the inverses of T^k, k >= 2.
-        ("mp-inverse", Counter(svd=1345, eigvalsh=112)),
+        # each, plus both oracle walks, one stacked SVD each, and the
+        # inverses of T^k, k >= 2.
+        (
+            "mp-inverse",
+            (Counter(svd=1051, eigvalsh=112), Counter(svd=1345, eigvalsh=112)),
+        ),
         # 50 commuting pairs take one eigh each for all four powers.
-        ("psd-pairs", Counter(svd=450, eigh=50, eigvalsh=50)),
+        (
+            "psd-pairs",
+            (
+                Counter(svd=450, eigh=50, eigvalsh=50),
+                Counter(svd=450, eigh=50, eigvalsh=50),
+            ),
+        ),
     ],
 )
 def test_suite_factorization_counts(lapack_calls, suite, counts):
     run_suite(suite, 0, 6, 100)
-    assert _totals(lapack_calls) == counts
+    assert (_totals(lapack_calls), lapack_calls.matrices) == counts
 
 
 def test_counterexample_n60_factors_blocks_not_the_dense_operator(
     lapack_calls, tmp_path, capsys
 ):
-    # One batched SVD of the block stack for U and |T|, one per power T^k
-    # for k = 1..61 in the definitional check, and the predicted-structure
-    # check on the blocks (|T_m*|, the range projections of the predicted
-    # moduli and their eigenvalues); nothing dense is factored.
+    # One batched SVD of the block stack for U and |T|, one per group of
+    # powers T^k, k = 1..61, in the definitional check (the 1,952 blocks of
+    # those powers in five groups), and the predicted-structure check on
+    # the blocks (|T_m*|, the range projections of the predicted moduli and
+    # their eigenvalues); nothing dense is factored.
     code = main(["counterexample", "--n", "60", "--out", str(tmp_path / "s.json")])
     assert code == 0 and "verdict: pass" in capsys.readouterr().out
-    assert lapack_calls == Counter({("svd", 3): 64, ("eigvalsh", 3): 1})
+    assert lapack_calls.calls == Counter({("svd", 3): 8, ("eigvalsh", 3): 1})
+    assert lapack_calls.matrices == Counter(svd=2138, eigvalsh=62)
 
 
 @pytest.mark.parametrize(
@@ -183,8 +228,8 @@ def test_counterexample_n60_factors_blocks_not_the_dense_operator(
         # T once; the inverse polar checks need a square T.
         ("mp", (7, 4), 1),
         # A generic draw is 1-centered: T once for U and the margin, then
-        # the oracle factors T and T^2 on its own.
-        ("classify", (6, 6), 3),
+        # the oracle factors T and T^2 on its own, in one stacked SVD.
+        ("classify", (6, 6), 2),
     ],
 )
 def test_dense_file_commands_factor_t_once(
@@ -198,6 +243,8 @@ def test_dense_file_commands_factor_t_once(
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 0, capsys.readouterr().out
     assert _totals(lapack_calls)["svd"] == svds
+    # Every input is one matrix but that of classify's oracle, T and T^2.
+    assert lapack_calls.matrices["svd"] == svds + (command == "classify")
 
 
 @pytest.mark.parametrize("max_n", [1, 2, 3, 6, 9])

@@ -16,6 +16,7 @@ from polarops.matrixio import (
     read_matrix,
     write_matrix,
 )
+from polarops.shifts import ShiftSpec, build_truncated
 
 FINITE = st.floats(
     min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
@@ -246,7 +247,27 @@ def _writer_cases() -> list[np.ndarray]:
             [complex(2.2250738585072014e-308, -5e-324), complex(1e16, 123456789.0)],
         ]
     )
-    return [square, square.T, wide, wide.T.conj(), special, np.eye(4), [[1, -2]]]
+    # Every combination of +0.0 and -0.0 in the two parts, between nonzeros.
+    zero, neg = 0.0, -0.0
+    signed_zeros = np.array(
+        [
+            [complex(zero, zero), complex(neg, zero), 1.5, complex(zero, neg), -2j],
+            [complex(neg, neg), complex(zero, 3.0), complex(neg, -1e-300), 0, -0.0],
+        ]
+    )
+    shift = build_truncated(ShiftSpec.from_recipe(2))
+    return [
+        square,
+        square.T,
+        wide,
+        wide.T.conj(),
+        special,
+        np.eye(4),
+        [[1, -2]],
+        signed_zeros,
+        np.zeros((5, 3)),
+        shift,
+    ]
 
 
 @pytest.mark.parametrize(
