@@ -32,6 +32,7 @@ report is bitwise the same for every grouping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate, islice, pairwise, takewhile
 
@@ -285,16 +286,33 @@ def is_binormal(
     return commutes(left, right, cfg), commutator_norm(left, right)
 
 
-def _powers(a: np.ndarray, offset: int):
+# A power of the rescaled walk (see _powers) whose largest entry exceeds this
+# is scaled down to about its square root, 2**33: its sums of squares stay
+# far from overflow, and its norms far above the max(1, .) floor of
+# core._residual.
+_POWER_LIMIT = 2.0**64
+
+
+def _powers(a: np.ndarray, offset: int, rescale: bool = False):
     """Yield ``a, a^2, ...``, each power the previous one times ``a``. With
     ``offset`` 0, ``a`` is a matrix and each step is ``power @ a``. With
     ``offset`` 1, ``a`` is the stack of the blocks of an operator on its
     first block subdiagonal, ``a[j]`` mapping block position j to j + 1; the
     k-th power is the stack of the blocks of ``T^k`` on its k-th block
     subdiagonal, ``power[j] = a[j+k-1] @ ... @ a[j]``, one block shorter
-    each time, and the walk ends when no block is left."""
+    each time, and the walk ends when no block is left.
+
+    With ``rescale``, a power whose largest entry exceeds ``_POWER_LIMIT``
+    is multiplied by the exact power of two that brings that entry to about
+    2**33, and the walk goes on from the scaled power. Each power is then
+    ``a^k`` times a positive factor: enough for a check that is homogeneous
+    in the power, and its squared norms never overflow."""
     power = a
     while len(power):
+        if rescale:
+            top = np.abs(power).max()
+            if top > _POWER_LIMIT:
+                power = power * 2.0 ** (33 - math.frexp(top)[1])
         yield power
         power = power[offset:] @ a[: len(power) - offset]
 
@@ -461,7 +479,9 @@ def _centered_order(
     thresholds: list[float] = []
     verified, passing = 1, 0
     checking = oracle is None
-    t_powers = _powers(t, offset)
+    # The entries of a shift's T^k grow like 2^k, and the oracle's check
+    # T^k = U^k |T^k| is homogeneous in T^k.
+    t_powers = _powers(t, offset, rescale=offset == 1)
 
     def last() -> int:
         # The oracle may need T^max_n, one power past the commutators,

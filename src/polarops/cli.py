@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 from .classify import centered_order, is_binormal
@@ -231,7 +232,22 @@ def cmd_verify_theorems(args: argparse.Namespace) -> RunReport:
     return report
 
 
+# The command functions by sub-command name, looked up on each call rather
+# than held by the parser built once, so that a function replaced at run
+# time (say, by a tracing wrapper) is the one called.
+_COMMANDS = {
+    "polar": cmd_polar,
+    "mp": cmd_mp,
+    "classify": cmd_classify,
+    "counterexample": cmd_counterexample,
+    "verify-theorems": cmd_verify_theorems,
+}
+
+
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` returns a fresh
+    ``Namespace`` on each call, so no call sees another's options."""
     parser = argparse.ArgumentParser(
         prog="polarops",
         description=(
@@ -270,7 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     polar.add_argument(
         "--out", default=None, help="output prefix for the .u.json/.p.json files"
     )
-    polar.set_defaults(func=cmd_polar)
 
     mp = sub.add_parser(
         "mp",
@@ -279,7 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     mp.add_argument("input", help="matrix file (JSON)")
     mp.add_argument("--out", default=None, help="output path for the inverse")
-    mp.set_defaults(func=cmd_mp)
 
     classify = sub.add_parser(
         "classify",
@@ -290,7 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
     classify.add_argument(
         "--max-n", type=int, default=6, help="largest centered order to check"
     )
-    classify.set_defaults(func=cmd_classify)
 
     counter = sub.add_parser(
         "counterexample",
@@ -307,7 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="number of 3x3 block positions (default n+3, minimum n+2)",
     )
     counter.add_argument("--out", default=None, help="output path for the matrix")
-    counter.set_defaults(func=cmd_counterexample)
 
     verify = sub.add_parser(
         "verify-theorems",
@@ -327,18 +339,16 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--trials", type=int, default=50, help="number of random trials"
     )
-    verify.set_defaults(func=cmd_verify_theorems)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     args.echo = "polarops " + " ".join(argv)
     try:
-        report = args.func(args)
+        report = _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

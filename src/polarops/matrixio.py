@@ -88,25 +88,33 @@ def doc_to_matrix(doc: dict) -> np.ndarray:
 
 
 _PAIR = "[%r, %r]"
-# The text of an entry whose real and imaginary parts are both +0.0.
-_ZERO_PAIR = "[0.0, 0.0]"
+# The text of an entry whose real and imaginary parts are both +0.0, with
+# the separator that follows it.
+_ZERO_ITEM = "[0.0, 0.0], "
 
 
 def write_matrix(path: str | Path, a) -> None:
     """Write ``a`` as the text ``json.dumps(matrix_to_doc(a)) + "\\n"``,
     formatted directly: ``json.dumps`` writes finite floats by ``repr``.
-    An entry whose 128 bits are all zero is written as its literal text, so
-    the block shifts, almost all zeros, format only their nonzero entries;
-    ``-0.0`` has a bit set and keeps its sign through ``repr``."""
+    An entry whose 128 bits are all zero is written as its literal text, and
+    a run of them as one repeated string, so the block shifts, almost all
+    zeros, cost Python work only for their nonzero entries; ``-0.0`` has a
+    bit set and keeps its sign through ``repr``."""
     a = as_operator(a)
     rows, cols = a.shape
-    pairs = np.stack([a.real, a.imag], -1).reshape(-1, 2)
-    zero = ~pairs.view(np.uint64).any(axis=1)
-    if zero.any():
-        template = ", ".join(map((_PAIR, _ZERO_PAIR).__getitem__, zero.tolist()))
-        pairs = pairs[~zero]
+    size = rows * cols
+    # The (re, im) pairs in row-major order; a view of a C-ordered ``a``.
+    pairs = np.ascontiguousarray(a).reshape(-1).view(np.float64).reshape(-1, 2)
+    bits = pairs.view(np.uint64)
+    (kept,) = np.nonzero(bits[:, 0] | bits[:, 1])
+    if len(kept) == size:
+        template = ", ".join([_PAIR] * size)
     else:
-        template = ", ".join([_PAIR] * (rows * cols))
+        # The zero runs before, between and after the nonzero entries; the
+        # text ends in the ", " of its last run or nonzero entry: cut it.
+        gaps = np.diff(kept, prepend=-1, append=size) - 1
+        template = f"{_PAIR}, ".join(map(_ZERO_ITEM.__mul__, gaps.tolist()))[:-2]
+        pairs = pairs[kept]
     data = template % tuple(pairs.reshape(-1).tolist())
     text = f'{{"rows": {rows}, "cols": {cols}, "data": [{data}]}}\n'
     Path(path).write_text(text, encoding="utf-8")

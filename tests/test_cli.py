@@ -319,6 +319,42 @@ class TestErrorPaths:
         assert err == "error: rows and cols must be integers\n"
 
 
+class TestRepeatedCalls:
+    """``main`` parses with one parser per process; no call may see
+    another's options or state."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_valid_call_after_a_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["counterexample", "--blocks", "5"])  # --n is required
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        out_path = tmp_path / "shift.json"
+        argv = ["counterexample", "--n", "3", "--out", str(out_path)]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert value_lines(out)["blocks"] == "6"
+
+    def test_tolerance_does_not_leak_into_the_next_call(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        write_matrix(path, random_operator(np.random.default_rng(3), 4))
+        _, loose, _ = run_cli(capsys, ["classify", str(path), "--eq-tol", "0.5"])
+        _, default, _ = run_cli(capsys, ["classify", str(path)])
+        assert "equality_rel_tol=0.5" in loose.splitlines()[1]
+        assert default.splitlines()[1].endswith("equality_rel_tol=1e-09")
+        assert default.splitlines()[0] == f"command: polarops classify {path}"
+
+    def test_identical_calls_print_identical_bytes(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        write_matrix(path, random_operator(np.random.default_rng(4), 5))
+        argv = ["classify", str(path), "--max-n", "4"]
+        first, second = run_cli(capsys, argv), run_cli(capsys, argv)
+        assert first == second
+        assert first[1].endswith("\n") and first[2] == ""
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "polarops.cli", "verify-theorems", "--suite",

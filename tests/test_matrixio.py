@@ -256,6 +256,20 @@ def _writer_cases() -> list[np.ndarray]:
         ]
     )
     shift = build_truncated(ShiftSpec.from_recipe(2))
+    # Zero runs at both ends of the data, around two nonzero entries.
+    ends = np.zeros((4, 6), dtype=np.complex128)
+    ends[1, 2], ends[2, 4] = 3.0 - 1j, complex(0.0, 7.5)
+    last_only = np.zeros((3, 4), dtype=np.complex128)
+    last_only[-1, -1] = -2.5
+    # -0.0 in either part breaks a zero run into two.
+    run_breaks = np.zeros((2, 7), dtype=np.complex128)
+    run_breaks[0, 2], run_breaks[1, 1], run_breaks[1, 5] = (
+        complex(-0.0, 0.0),
+        complex(0.0, -0.0),
+        1e-300,
+    )
+    sparse = np.zeros((5, 8), dtype=np.complex128)
+    sparse[[0, 2, 3, 4], [7, 1, 1, 5]] = [1j, -0.0, 4.0, complex(-3.0, -0.0)]
     return [
         square,
         square.T,
@@ -267,6 +281,12 @@ def _writer_cases() -> list[np.ndarray]:
         signed_zeros,
         np.zeros((5, 3)),
         shift,
+        ends,
+        last_only,
+        np.zeros((1, 1)),
+        run_breaks,
+        sparse.T,  # a non-contiguous view
+        build_truncated(ShiftSpec.from_recipe(12)),
     ]
 
 
@@ -275,6 +295,31 @@ def _writer_cases() -> list[np.ndarray]:
 )
 def test_written_text_is_the_json_of_the_document(tmp_path, a):
     path = tmp_path / "m.json"
+    write_matrix(path, a)
+    assert path.read_text(encoding="utf-8") == json.dumps(matrix_to_doc(a)) + "\n"
+
+
+SIGNED_PART = st.sampled_from([0.0, -0.0]) | ANY_FINITE
+# Half the entries +0.0; the others take a signed zero or any finite float
+# in either part.
+SPARSE_ENTRY = st.just(0j) | st.builds(complex, SIGNED_PART, SIGNED_PART)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+        lambda shape: st.lists(
+            SPARSE_ENTRY, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]
+        ).map(lambda entries: np.array(entries).reshape(shape))
+    ),
+    transpose=st.booleans(),
+)
+def test_written_text_of_sparse_matrices_with_signed_zeros(
+    tmp_path_factory, a, transpose
+):
+    if transpose:
+        a = a.T  # a non-contiguous view
+    path = tmp_path_factory.getbasetemp() / "sparse.json"  # one file, rewritten
     write_matrix(path, a)
     assert path.read_text(encoding="utf-8") == json.dumps(matrix_to_doc(a)) + "\n"
 

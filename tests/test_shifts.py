@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -304,6 +305,16 @@ class TestCertifyBlockwise:
         assert report.verified_order == 8
         assert report.oracle_agrees == centered_order(t, 8).oracle_agrees
         assert all(report.commute_decisions())
+
+    def test_large_order_without_overflow(self):
+        # The entries of T^k grow like 2^k; unscaled, the oracle's sums of
+        # squares overflow near k = 450 and its check fails.
+        spec = ShiftSpec.from_recipe(500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = certify_blockwise(build_truncated(spec), spec.blocks - 1)
+        assert report.verified_order == 500
+        assert report.oracle_agrees
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_max_n_one_matches_the_dense_route(self, n):
