@@ -18,7 +18,12 @@ its powers ``U^k`` with the commutator criterion; it factors every power
 factored once: the private helpers (``_centered_order``, ``_aluthge``,
 ``_mp_centered_check``) take the polar parts, reports and PSD
 eigendecompositions a caller has already computed, and the public functions
-validate their input and call them. The rule holds on both centered-order
+validate their input and call them. ``product_polar``, ``polar_transfer``
+and ``binormal_equivalents`` are batch-of-one calls into kernels that take
+a 4-D stack of operators of one matrix each (``_product_polars``,
+``_polar_transfers``, ``_binormal_equivalents``), so that the suites
+evaluate each group of draws of one shape with one call per
+factorization. The rule holds on both centered-order
 routes: ``_centered_order`` takes a dense matrix, or the stack of 3x3 blocks
 of an operator on its first block subdiagonal (for
 :func:`polarops.shifts.certify_blockwise`), and walks the powers of either
@@ -32,6 +37,7 @@ report is bitwise the same for every grouping.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate, islice, pairwise, takewhile
@@ -65,6 +71,8 @@ from .decomp import (
     _modulus,
     _polar_check,
     _polar_parts,
+    _split_checks,
+    _split_parts,
     abs_value,
     polar_decompose,
     verify_polar,
@@ -280,10 +288,14 @@ def is_binormal(
     t, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> tuple[bool, float]:
     """Whether ``[T* T, T T*]`` vanishes, plus the raw commutator norm."""
-    t = _square_operator(t)
-    left = t.conj().T @ t
-    right = t @ t.conj().T
-    return commutes(left, right, cfg), commutator_norm(left, right)
+    return _binormal(_square_operator(t), cfg)
+
+
+def _binormal(t: np.ndarray, cfg: ToleranceConfig):
+    """``is_binormal`` of a checked square matrix, or of each operator of a
+    stack of operators (arrays of verdicts and norms)."""
+    norm, commute = _commutator_test(_adjoint(t) @ t, t @ _adjoint(t), cfg)
+    return commute, norm
 
 
 # A power of the rescaled walk (see _powers) whose largest entry exceeds this
@@ -319,16 +331,24 @@ def _powers(a: np.ndarray, offset: int, rescale: bool = False):
 
 def _definitional_residuals(t: np.ndarray, u: np.ndarray, cfg: ToleranceConfig):
     """Yield the ``(equation, range)`` residuals of ``T^k = U^k |T^k|`` for
-    k = 1, 2, ..., with ``u`` the polar factor of the matrix ``t``. One SVD
-    of each power, its own polar decomposition ``U_k |T^k|``, gives
-    ``|T^k|`` and, as ``U_k* U_k``, the range projection of ``(T^k)*``."""
+    k = 1, 2, ..., with ``u`` the polar factor of the matrix ``t``; see
+    ``_definitional_check``."""
     for t_pow, u_pow in zip(_powers(t, 0), _powers(u, 0)):
-        parts = _polar_parts(_svd(t_pow), cfg)
-        u_k = parts.isometry
-        yield (
-            _residual(t_pow, u_pow @ parts.modulus),
-            _residual(_adjoint(u_pow) @ u_pow, _adjoint(u_k) @ u_k),
-        )
+        yield _definitional_check(t_pow, u_pow, cfg)
+
+
+def _definitional_check(t_pow: np.ndarray, u_pow: np.ndarray, cfg: ToleranceConfig):
+    """The ``(equation, range)`` residuals of ``T^k = U^k |T^k|`` for the
+    power ``t_pow`` of ``T`` and ``u_pow`` of its polar factor, or for each
+    operator of two stacks of operators. One SVD of the power, its own polar
+    decomposition ``U_k |T^k|``, gives ``|T^k|`` and, as ``U_k* U_k``, the
+    range projection of ``(T^k)*``."""
+    parts = _polar_parts(_svd(t_pow), cfg)
+    u_k = parts.isometry
+    return (
+        _residual(t_pow, u_pow @ parts.modulus),
+        _residual(_adjoint(u_pow) @ u_pow, _adjoint(u_k) @ u_k),
+    )
 
 
 def _definitional_prefix(residuals, cfg: ToleranceConfig) -> int:
@@ -563,44 +583,62 @@ def product_polar(
     and the unconditional transfer factor ``U W V`` built from the polar
     decomposition of ``|T| |S*|``.
     """
+    t, s = _square_pair(t, s)
+    return _product_polars(t[None, None], s[None, None], cfg)[0]
+
+
+def _square_pair(t, s) -> tuple[np.ndarray, np.ndarray]:
     t = _square_operator(t)
     s = _square_operator(s)
     if t.shape != s.shape:
         raise ValueError(f"dimension mismatch: {t.shape} vs {s.shape}")
+    return t, s
 
-    t_parts = polar_decompose(t, cfg)
-    s_parts = polar_decompose(s, cfg)
-    mod_t = t_parts.modulus
-    mod_s_adj = abs_value(s.conj().T, cfg)
+
+def _product_polars(
+    t: np.ndarray, s: np.ndarray, cfg: ToleranceConfig
+) -> list[ProductPolarReport]:
+    """``product_polar`` of each pair of operators of two stacks of
+    operators of one matrix each. ``T``, ``S`` and ``S*`` share one stacked
+    SVD, and so do ``T S`` and ``|T| |S*|``."""
+    count = len(t)
+    t_parts, s_parts, s_adj_parts = _split_parts(
+        _polar_parts(_svd(np.concatenate([t, s, _adjoint(s)])), cfg), count
+    )
+    mod_t, mod_s_adj = t_parts.modulus, s_adj_parts.modulus
 
     product = t @ s
-    product_parts = polar_decompose(product, cfg)
+    product_parts, moduli_parts = _split_parts(
+        _polar_parts(_svd(np.concatenate([product, mod_t @ mod_s_adj])), cfg), count
+    )
     candidate = t_parts.isometry @ s_parts.isometry
 
-    residual = equality_residual(product, candidate @ product_parts.modulus)
-    check = verify_polar(
-        product,
-        PolarParts(
-            isometry=candidate,
-            modulus=product_parts.modulus,
-            rank=product_parts.rank,
-        ),
-        cfg,
-    )
+    residual = _residual(product, candidate @ product_parts.modulus)
+    check = _polar_check(product, candidate, product_parts.modulus, cfg)
 
-    w = polar_decompose(mod_t @ mod_s_adj, cfg).isometry
-    transfer = t_parts.isometry @ w @ s_parts.isometry
-
-    return ProductPolarReport(
-        commutator_norm=commutator_norm(mod_t, mod_s_adj),
-        moduli_commute=commutes(mod_t, mod_s_adj, cfg),
-        candidate_isometry=candidate,
-        equality_residual=residual,
-        equation_holds=residual <= cfg.equality_rel_tol,
-        is_polar=check.ok,
-        transfer_isometry=transfer,
-        transfer_residual=equality_residual(transfer, product_parts.isometry),
+    transfer = t_parts.isometry @ moduli_parts.isometry @ s_parts.isometry
+    norm, commute = _commutator_test(mod_t, mod_s_adj, cfg)
+    transfer_residual = _residual(transfer, product_parts.isometry)
+    rows = zip(
+        norm.tolist(),
+        commute.tolist(),
+        candidate[:, 0],
+        residual.tolist(),
+        check.ok.tolist(),
+        transfer[:, 0],
+        transfer_residual.tolist(),
     )
+    return [
+        ProductPolarReport(a, b, c, res, res <= cfg.equality_rel_tol, ok, d, e)
+        for a, b, c, res, ok, d, e in rows
+    ]
+
+
+def _commutator_test(a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig):
+    """The norm of ``[a, b]`` and whether it vanishes (``core.commutes``),
+    for matrices or for each operator of two stacks of operators."""
+    norm = fro_norm(a @ b - b @ a)
+    return norm, norm <= commutator_threshold(a, b, cfg)
 
 
 def polar_transfer(
@@ -613,43 +651,36 @@ def polar_transfer(
     the polar factor of ``T S`` then ``U* W2 V*`` is the polar factor of
     ``|T| |S*|``. Both candidates are pushed through ``verify_polar``.
     """
-    t = _square_operator(t)
-    s = _square_operator(s)
-    if t.shape != s.shape:
-        raise ValueError(f"dimension mismatch: {t.shape} vs {s.shape}")
+    t, s = _square_pair(t, s)
+    return _polar_transfers(t[None, None], s[None, None], cfg)[0]
 
-    t_parts = polar_decompose(t, cfg)
-    u = t_parts.isometry
-    v = polar_decompose(s, cfg).isometry
-    product = t @ s
-    moduli = t_parts.modulus @ abs_value(s.conj().T, cfg)
 
-    product_parts = polar_decompose(product, cfg)
-    moduli_parts = polar_decompose(moduli, cfg)
-
-    product_check = verify_polar(
-        product,
-        PolarParts(
-            isometry=u @ moduli_parts.isometry @ v,
-            modulus=product_parts.modulus,
-            rank=product_parts.rank,
-        ),
-        cfg,
+def _polar_transfers(
+    t: np.ndarray, s: np.ndarray, cfg: ToleranceConfig
+) -> list[TransferReport]:
+    """``polar_transfer`` of each pair of operators of two stacks of
+    operators of one matrix each. ``T``, ``S`` and ``S*`` share one stacked
+    SVD, ``T S`` and ``|T| |S*|`` another, and both directions one polar
+    check."""
+    count = len(t)
+    t_parts, s_parts, s_adj_parts = _split_parts(
+        _polar_parts(_svd(np.concatenate([t, s, _adjoint(s)])), cfg), count
     )
-    moduli_check = verify_polar(
-        moduli,
-        PolarParts(
-            isometry=u.conj().T @ product_parts.isometry @ v.conj().T,
-            modulus=moduli_parts.modulus,
-            rank=moduli_parts.rank,
-        ),
-        cfg,
+    u, v = t_parts.isometry, s_parts.isometry
+    targets = np.concatenate([t @ s, t_parts.modulus @ s_adj_parts.modulus])
+    target_parts = _polar_parts(_svd(targets), cfg)
+    product_parts, moduli_parts = _split_parts(target_parts, count)
+    candidates = np.concatenate(
+        [
+            u @ moduli_parts.isometry @ v,
+            _adjoint(u) @ product_parts.isometry @ _adjoint(v),
+        ]
     )
-    return TransferReport(
-        product_check=product_check,
-        moduli_check=moduli_check,
-        ok=product_check.ok and moduli_check.ok,
-    )
+    checks = _split_checks(_polar_check(targets, candidates, target_parts.modulus, cfg))
+    return [
+        TransferReport(product_check=first, moduli_check=second, ok=first.ok and second.ok)
+        for first, second in zip(checks[:count], checks[count:])
+    ]
 
 
 def positive_product_polar(
@@ -707,7 +738,7 @@ def _aluthge(parts: PolarParts, power, alpha: float, beta: float) -> AluthgePart
         alpha=float(alpha),
         beta=float(beta),
         transform=p_alpha @ u @ p_beta,
-        tilde_u=u.conj().T @ u @ u,
+        tilde_u=_adjoint(u) @ u @ u,
     )
 
 
@@ -731,55 +762,91 @@ def binormal_equivalents(
     t = _square_operator(t)
     if not alphas_betas:
         raise ValueError("alphas_betas must contain at least one pair")
-    binormal, _ = is_binormal(t, cfg)
-    parts = polar_decompose(t, cfg)
+    return _binormal_equivalents(t[None, None], alphas_betas, cfg)[0]
+
+
+def _binormal_equivalents(
+    t: np.ndarray, alphas_betas: list[tuple[float, float]], cfg: ToleranceConfig
+) -> list[BinormalEquivalents]:
+    """``binormal_equivalents`` of each operator of a stack of operators of
+    one matrix each. ``T`` and ``T*`` share one stacked SVD and one
+    ``eigh`` of their moduli; the two-power oracle factors ``T`` and ``T^2``
+    in one stacked SVD, both powers for every operator; the transforms of
+    every exponent pair and their adjoints form one stack, pair by pair."""
+    count = len(t)
+    binormal, _ = _binormal(t, cfg)
+    parts, adjoint_parts = _split_parts(
+        _polar_parts(_svd(np.concatenate([t, _adjoint(t)])), cfg), count
+    )
     u = parts.isometry
-    oracle = _definitional_residuals(t, u, cfg)
-    two_centered = _definitional_prefix(islice(oracle, 2), cfg) == 2
-    power = _psd_powers(parts.modulus, cfg)
-    adjoint_power = _psd_powers(abs_value(t.conj().T, cfg), cfg)
-
-    checks: list[AluthgePairCheck] = []
-    for alpha, beta in alphas_betas:
-        al = _aluthge(parts, power, alpha, beta)
-        transform_mod = polar_decompose(al.transform, cfg).modulus
-        transform_adj_mod = abs_value(al.transform.conj().T, cfg)
-        eq_res = _residual(al.transform, al.tilde_u @ transform_mod)
-        polar_check = _polar_check(
-            al.transform, al.tilde_u, transform_mod, cfg, transform_adj_mod
-        )
-        p_alpha = power(alpha)
-        modulus_form = u.conj().T @ p_alpha @ u @ power(beta)
-        adjoint_form = p_alpha @ adjoint_power(beta)
-        mod_res = _residual(transform_mod, modulus_form)
-        adj_res = _residual(transform_adj_mod, adjoint_form)
-        checks.append(
-            AluthgePairCheck(
-                alpha=float(alpha),
-                beta=float(beta),
-                equality_residual=eq_res,
-                equality_holds=eq_res <= cfg.equality_rel_tol,
-                polar_check=polar_check,
-                modulus_form_residual=mod_res,
-                modulus_form_holds=mod_res <= cfg.equality_rel_tol,
-                adjoint_form_residual=adj_res,
-                adjoint_form_holds=adj_res <= cfg.equality_rel_tol,
-            )
-        )
-
-    statements = (
-        binormal,
-        two_centered,
-        all(c.equality_holds for c in checks),
-        all(c.polar_check.ok for c in checks),
-        all(c.modulus_form_holds and c.adjoint_form_holds for c in checks),
+    tol = cfg.equality_rel_tol
+    equation, ranges = _definitional_check(
+        np.concatenate([t, t @ t]), np.concatenate([u, u @ u]), cfg
     )
-    return BinormalEquivalents(
-        binormal=binormal,
-        two_centered=two_centered,
-        pair_checks=tuple(checks),
-        statements=statements,
+    holds = (equation <= tol) & (ranges <= tol)
+    two_centered = holds[:count] & holds[count:]
+    both = functools.cache(
+        _psd_powers(np.concatenate([parts.modulus, adjoint_parts.modulus]), cfg)
     )
+
+    def power(alpha: float) -> np.ndarray:
+        return both(alpha)[:count]
+
+    def adjoint_power(beta: float) -> np.ndarray:
+        return both(beta)[count:]
+
+    pairs = [_aluthge(parts, power, alpha, beta) for alpha, beta in alphas_betas]
+    transform = np.concatenate([al.transform for al in pairs])
+    tilde_u = np.concatenate([al.tilde_u for al in pairs])
+    moduli = _modulus(_svd(np.concatenate([transform, _adjoint(transform)])))
+    transform_mod, transform_adj_mod = moduli[: len(transform)], moduli[len(transform) :]
+    eq_res = _residual(transform, tilde_u @ transform_mod)
+    polar_checks = _split_checks(
+        _polar_check(transform, tilde_u, transform_mod, cfg, transform_adj_mod)
+    )
+    modulus_form = np.concatenate(
+        [_adjoint(u) @ power(al.alpha) @ u @ power(al.beta) for al in pairs]
+    )
+    adjoint_form = np.concatenate(
+        [power(al.alpha) @ adjoint_power(al.beta) for al in pairs]
+    )
+    mod_res = _residual(transform_mod, modulus_form)
+    adj_res = _residual(transform_adj_mod, adjoint_form)
+
+    checks = [
+        AluthgePairCheck(
+            al.alpha,
+            al.beta,
+            eq,
+            eq <= tol,
+            polar_check,
+            mod,
+            mod <= tol,
+            adj,
+            adj <= tol,
+        )
+        for al, eq, polar_check, mod, adj in zip(
+            [al for al in pairs for _ in range(count)],
+            eq_res.tolist(),
+            polar_checks,
+            mod_res.tolist(),
+            adj_res.tolist(),
+        )
+    ]
+    reports = []
+    for i, (binormal_i, two_centered_i) in enumerate(
+        zip(binormal.tolist(), two_centered.tolist())
+    ):
+        own = tuple(checks[i::count])
+        statements = (
+            binormal_i,
+            two_centered_i,
+            all(c.equality_holds for c in own),
+            all(c.polar_check.ok for c in own),
+            all(c.modulus_form_holds and c.adjoint_form_holds for c in own),
+        )
+        reports.append(BinormalEquivalents(binormal_i, two_centered_i, own, statements))
+    return reports
 
 
 def powers_report(

@@ -82,18 +82,40 @@ def as_operator(a) -> np.ndarray:
     return arr
 
 
-def fro_norm(a) -> float:
-    """Frobenius norm; for an ``(..., m, n)`` stack, that of its direct sum.
+def fro_norm(a):
+    """Frobenius norm; for an ``(..., m, n)`` stack of three axes, that of
+    its direct sum; for a stack of four, ``(operators, blocks, m, n)``, an
+    array of the norms of its operators, each the direct sum of its blocks.
     A complex128 array takes the steps of ``numpy.linalg.norm`` without its
     generic wrapper: the entries in memory order, the dot products of their
     real and imaginary parts, and the square root of the sum, so the result
-    is bitwise that of ``norm(a)``. Other dtypes go to ``norm`` itself."""
+    is bitwise that of ``norm(a)``. Other dtypes go to ``norm`` itself. A
+    stack of operators takes each operator's entries in row-major order and
+    forms its two dot products as a ``(1, k) @ (k, 1)`` matmul, which is
+    bitwise the dot product of that operator alone."""
     a = np.asarray(a)
+    if a.ndim == 4:
+        # (operators, 2, 1, k): the real parts, then the imaginary parts.
+        x = a.astype(np.complex128, copy=False).reshape(len(a), -1)
+        parts = x.view(np.float64).reshape(len(a), -1, 2).swapaxes(1, 2)[:, :, None]
+        squares = (parts @ _adjoint(parts))[..., 0, 0]
+        return np.sqrt(squares[:, 0] + squares[:, 1])
     if a.dtype != np.complex128:
         return float(np.linalg.norm(a))
     x = a.ravel(order="K")
     re, im = x.real, x.imag
     return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _floor_one(*norms):
+    """``max(1, *norms)``; for norms of the operators of a stack (arrays), one
+    value per operator."""
+    if isinstance(norms[0], np.ndarray):
+        top = np.maximum(norms[0], 1.0)
+        for norm in norms[1:]:
+            top = np.maximum(top, norm)
+        return top
+    return max(1.0, *norms)
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -120,11 +142,15 @@ def commutator_norm(a, b) -> float:
     return fro_norm(commutator(a, b))
 
 
-def commutator_threshold(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+def commutator_threshold(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     """Largest commutator norm that counts as vanishing. It scales with both
     operand norms and is floored at ``COMMUTATOR_FLOOR`` so that operators
-    of tiny norm still count as commuting. Stacks count as direct sums."""
-    return max(cfg.zero_rel_tol * fro_norm(a) * fro_norm(b), COMMUTATOR_FLOOR)
+    of tiny norm still count as commuting. Stacks of three axes count as
+    direct sums; stacks of operators get one threshold per operator."""
+    bound = cfg.zero_rel_tol * fro_norm(a) * fro_norm(b)
+    if isinstance(bound, np.ndarray):
+        return np.maximum(bound, COMMUTATOR_FLOOR)
+    return max(bound, COMMUTATOR_FLOOR)
 
 
 def commutes(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
@@ -148,6 +174,17 @@ def _svd(a: np.ndarray) -> SvdResult:
     stack, without validation."""
     left, s, right_h = np.linalg.svd(a, full_matrices=False)
     return SvdResult(left, s, _adjoint(right_h))
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of a Hermitian array or of each matrix of a
+    stack, without validation."""
+    return np.linalg.eigvalsh(a)
+
+
+def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR factorization of a checked array, without validation."""
+    return np.linalg.qr(a)
 
 
 def svd(a) -> SvdResult:
@@ -176,7 +213,7 @@ def herm_eig(a) -> HermEigResult:
 
 def herm_eigvals(a) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending."""
-    return np.linalg.eigvalsh(_square_operator(a))
+    return _eigvalsh(_square_operator(a))
 
 
 def numerical_rank(s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
@@ -192,12 +229,16 @@ def numerical_rank(s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
 
 
 def _rank(s: np.ndarray, cfg: ToleranceConfig):
-    """``numerical_rank`` of one spectrum. For a stack of spectra, one rank
-    per matrix, all with the cutoff of their direct sum: ``rank_rel_tol``
-    times the largest singular value in the whole stack."""
+    """``numerical_rank`` of one spectrum. For the spectra of a stack, one
+    rank per matrix, each with the cutoff of its operator: ``rank_rel_tol``
+    times the largest singular value of the whole stack of three axes, or
+    of each operator of a stack of four."""
     if s.ndim == 1:
         return numerical_rank(s, cfg)
-    return np.count_nonzero(s > cfg.rank_rel_tol * s.max(), axis=-1)
+    if s.ndim == 2:
+        return np.count_nonzero(s > cfg.rank_rel_tol * s.max(), axis=-1)
+    top = s.reshape(len(s), -1).max(axis=-1)
+    return (s > cfg.rank_rel_tol * top[:, None, None]).sum(axis=-1)
 
 
 def _leading(vectors: np.ndarray, r) -> np.ndarray:
@@ -212,6 +253,30 @@ def _leading(vectors: np.ndarray, r) -> np.ndarray:
     top = int(r.max())
     keep = np.arange(top) < r[..., None]
     return vectors[..., :top] * keep[..., None, :]
+
+
+def _leading_product(left: np.ndarray, right: np.ndarray | None, r) -> np.ndarray:
+    """``L_r R_r*``, with ``L_r`` the first ``r`` columns of ``left`` and
+    ``R_r`` those of ``right`` (``_leading``); with ``right`` None, ``R_r``
+    is ``L_r`` itself, masked alike. A stack of operators is split into
+    subgroups of one largest rank per operator, and each subgroup is sliced
+    to its own rank as ``_leading`` slices one operator, so that a matrix of
+    rank ``r`` gets the product it gets alone, bitwise."""
+    if left.ndim == 4:
+        top = r.max(axis=-1)
+        ranks = set(top.tolist())
+        if len(ranks) > 1:
+            columns = left if right is None else right
+            out = np.empty(left.shape[:-1] + columns.shape[-2:-1], dtype=np.complex128)
+            for rank in ranks:
+                (members,) = np.nonzero(top == rank)
+                w = _leading(left[members], r[members])
+                x = w if right is None else right[members][..., :rank]
+                out[members] = w @ _adjoint(x)
+            return out
+    w = _leading(left, r)
+    x = w if right is None else right[..., : w.shape[-1]]
+    return w @ _adjoint(x)
 
 
 def rank_margin(s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
@@ -270,36 +335,43 @@ def _require_positive(alpha: float) -> None:
 def _psd_powers(a, cfg: ToleranceConfig):
     """``alpha -> fractional_power_psd(a, alpha)`` from one validation, one
     ``eigh`` and one rank clamp of ``a``; each power is bitwise equal to
-    that of ``fractional_power_psd``, which wraps this."""
-    a = as_operator(a)
-    if not is_hermitian(a, cfg):
+    that of ``fractional_power_psd``, which wraps this. A stack of operators
+    gets one Hermitian test, negativity tolerance and rank cutoff per
+    operator, and raises if any operator fails its test."""
+    if np.ndim(a) < 4:
+        a = as_operator(a)
+    if a.shape[-1] != a.shape[-2] or not np.all(
+        fro_norm(a - _adjoint(a)) <= cfg.equality_rel_tol * _floor_one(fro_norm(a))
+    ):
         raise ValueError("fractional powers require a Hermitian input")
-    eig = herm_eig(0.5 * (a + a.conj().T))
-    values = eig.eigenvalues.copy()
-    lam_max = float(values[-1]) if values.size else 0.0
-    neg_tol = cfg.zero_rel_tol * max(1.0, abs(lam_max))
-    if values[0] < -neg_tol:
-        raise ValueError(f"input is not PSD: smallest eigenvalue {values[0]:.3e}")
-    cutoff = cfg.rank_rel_tol * max(lam_max, 0.0)
+    values, vectors = np.linalg.eigh(0.5 * (a + _adjoint(a)))
+    if a.ndim == 4:
+        lam_max = values[..., -1].max(axis=-1)[:, None, None]
+        smallest = values[..., 0].min()
+    else:
+        lam_max, smallest = float(values[-1]), values[0]
+    neg_tol = cfg.zero_rel_tol * _floor_one(abs(lam_max))
+    if np.any(values[..., :1] < -neg_tol):
+        raise ValueError(f"input is not PSD: smallest eigenvalue {smallest:.3e}")
+    cutoff = cfg.rank_rel_tol * np.maximum(lam_max, 0.0)
     values[values <= cutoff] = 0.0
-    vectors = eig.eigenvectors
 
     def power(alpha: float) -> np.ndarray:
         _require_positive(alpha)
         powered = np.where(values > 0.0, values**alpha, 0.0)
-        result = (vectors * powered) @ vectors.conj().T
+        result = (vectors * powered[..., None, :]) @ _adjoint(vectors)
         # The exact result is Hermitian; re-symmetrize to kill round-off drift.
-        return 0.5 * (result + result.conj().T)
+        return 0.5 * (result + _adjoint(result))
 
     return power
 
 
 def _range_projection(t: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    """``range_projection`` of a checked array, or of the direct sum of an
-    ``(..., m, n)`` stack, one projection per matrix (see ``_rank``)."""
+    """``range_projection`` of a checked array, of the direct sum of a
+    stack, or of each operator of a stack of operators; one projection per
+    matrix, with the rank cutoffs of ``_rank``."""
     decomp = _svd(t)
-    w = _leading(decomp.left_vectors, _rank(decomp.singular_values, cfg))
-    p = w @ _adjoint(w)
+    p = _leading_product(decomp.left_vectors, None, _rank(decomp.singular_values, cfg))
     return 0.5 * (p + _adjoint(p))
 
 
@@ -317,10 +389,15 @@ def equality_residual(a, b) -> float:
     return _residual(a, b)
 
 
-def _residual(a: np.ndarray, b: np.ndarray) -> float:
+def _residual(a: np.ndarray, b: np.ndarray):
     """``equality_residual`` of checked arrays, or of the direct sums of two
-    stacks of the same shape."""
-    return fro_norm(a - b) / max(1.0, fro_norm(a), fro_norm(b))
+    stacks of the same shape, or of each pair of operators of two stacks of
+    operators (one residual each)."""
+    if a.ndim == 4:
+        # One fro_norm pass over the three stacks, one norm per operator.
+        norms = fro_norm(np.concatenate([a - b, a, b])).reshape(3, -1)
+        return norms[0] / _floor_one(norms[1], norms[2])
+    return fro_norm(a - b) / _floor_one(fro_norm(a), fro_norm(b))
 
 
 def approx_equal(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:

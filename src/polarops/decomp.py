@@ -10,9 +10,12 @@ identities ``|T*| = U |T| U*`` and ``U |T| = |T*| U``, and reports per-identity
 residuals.
 
 All operations accept rectangular input except where noted; all are pure.
-The private kernels also take ``(..., m, n)`` stacks, which stand for the
-direct sums of their matrices; the public functions validate their 2-D
-input and call them.
+The private kernels follow the stack rule of :mod:`polarops.core`: a 2-D
+array is a matrix, a 3-D ``(blocks, m, n)`` stack stands for the direct sum
+of its blocks, and a 4-D ``(operators, blocks, m, n)`` stack holds
+independent operators, each such a direct sum, with one rank cutoff, norm
+and residual per operator. The public functions validate their 2-D input
+and call them.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from .core import (
     SvdResult,
     ToleranceConfig,
     _adjoint,
-    _leading,
+    _eigvalsh,
+    _floor_one,
+    _leading_product,
     _range_projection,
     _rank,
     _residual,
@@ -69,13 +74,25 @@ class PolarParts:
 
 @dataclass(frozen=True)
 class PolarCheck:
-    """Outcome of ``verify_polar``: per-identity scaled residuals."""
+    """Outcome of ``verify_polar``: per-identity scaled residuals. The check
+    of a stack of operators holds arrays, one entry per operator, until
+    ``_split_checks`` splits it."""
 
     ok: bool
     residuals: dict[str, float]
 
     def worst(self) -> float:
         return max(self.residuals.values())
+
+
+def _split_checks(check: PolarCheck) -> list[PolarCheck]:
+    """The check of each operator of a stack, from the stack's check."""
+    names = list(check.residuals)
+    columns = zip(*(check.residuals[name].tolist() for name in names))
+    return [
+        PolarCheck(ok=ok, residuals=dict(zip(names, values)))
+        for ok, values in zip(check.ok.tolist(), columns)
+    ]
 
 
 @dataclass(frozen=True)
@@ -105,17 +122,30 @@ def _isometry(decomp: SvdResult, r) -> np.ndarray:
     """``W_r X_r*`` from the SVD ``t = W diag(s) X*`` of rank ``r`` (one
     rank per matrix of a stack, from ``core._rank``): the canonical polar
     factor of ``t``."""
-    w = _leading(decomp.left_vectors, r)
-    return w @ _adjoint(decomp.right_vectors[..., : w.shape[-1]])
+    return _leading_product(decomp.left_vectors, decomp.right_vectors, r)
 
 
 def _polar_parts(decomp: SvdResult, cfg: ToleranceConfig) -> PolarParts:
     """``polar_decompose`` of the operator whose SVD is ``decomp``. For a
     stack, ``rank`` holds one rank per matrix, all with the cutoff of the
-    direct sum."""
+    direct sum, or of their operator in a stack of operators."""
     s = decomp.singular_values
     r = _rank(s, cfg)
     return PolarParts(_isometry(decomp, r), _modulus(decomp), r, s)
+
+
+def _split_parts(parts: PolarParts, count: int) -> list[PolarParts]:
+    """The parts of each run of ``count`` consecutive operators, from the
+    parts of a stack of operators."""
+    return [
+        PolarParts(
+            parts.isometry[start : start + count],
+            parts.modulus[start : start + count],
+            parts.rank[start : start + count],
+            parts.singular_values[start : start + count],
+        )
+        for start in range(0, len(parts.modulus), count)
+    ]
 
 
 def polar_decompose(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PolarParts:
@@ -171,26 +201,34 @@ def _polar_check(
     """``verify_polar`` of checked arrays, or of stacks ``t``, ``u``, ``p``
     of matching shapes standing for their direct sums: the norms, the
     extreme eigenvalues of the Hermitian part of ``p`` and the rank cutoff
-    of its range projection are taken over the whole stack.
-    ``adjoint_modulus``, when given, is ``abs_value(t*)``, already formed
-    by the caller; otherwise it is factored here."""
+    of its range projection are taken over the whole stack, or over each
+    operator of a stack of operators, whose check holds one residual and
+    verdict per operator (see ``_split_checks``). ``adjoint_modulus``, when
+    given, is ``abs_value(t*)``, already formed by the caller; otherwise it
+    is factored here."""
     herm = 0.5 * (p + _adjoint(p))
-    eigenvalues = np.linalg.eigvalsh(herm)
-    psd_scale = max(1.0, float(eigenvalues[..., -1].max()))
+    eigenvalues = _eigvalsh(herm)
+    if p.ndim == 4:
+        lowest = np.maximum(-eigenvalues[..., 0].min(axis=-1), 0.0)
+        psd_scale = _floor_one(eigenvalues[..., -1].max(axis=-1))
+    else:
+        lowest = max(0.0, -float(eigenvalues[..., 0].min()))
+        psd_scale = max(1.0, float(eigenvalues[..., -1].max()))
     if adjoint_modulus is None:
         adjoint_modulus = _modulus(_svd(_adjoint(t)))
     up = u @ p
 
     residuals = {
         "reconstruction": _residual(t, up),
-        "modulus_hermitian": fro_norm(p - _adjoint(p)) / max(1.0, fro_norm(p)),
-        "modulus_psd": max(0.0, -float(eigenvalues[..., 0].min())) / psd_scale,
+        "modulus_hermitian": fro_norm(p - _adjoint(p)) / _floor_one(fro_norm(p)),
+        "modulus_psd": lowest / psd_scale,
         "partial_isometry": _residual(u @ _adjoint(u) @ u, u),
         "range_condition": _residual(_adjoint(u) @ u, _range_projection(p, cfg)),
         "adjoint_modulus": _residual(up @ _adjoint(u), adjoint_modulus),
         "intertwine": _residual(up, adjoint_modulus @ u),
     }
-    ok = all(value <= polar_tolerance(name, cfg) for name, value in residuals.items())
+    verdicts = [value <= polar_tolerance(name, cfg) for name, value in residuals.items()]
+    ok = np.logical_and.reduce(verdicts) if p.ndim == 4 else all(verdicts)
     return PolarCheck(ok=ok, residuals=residuals)
 
 

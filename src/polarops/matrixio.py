@@ -91,20 +91,19 @@ _PAIR = "[%r, %r]"
 # The text of an entry whose real and imaginary parts are both +0.0, with
 # the separator that follows it.
 _ZERO_ITEM = "[0.0, 0.0], "
+# Entries per piece of text that write_matrix formats and writes at once,
+# rounded up to whole rows: a matrix of up to 256x256 is one piece, and a
+# piece of a larger one holds a few MB of text.
+_PIECE_ENTRIES = 2**16
 
 
-def write_matrix(path: str | Path, a) -> None:
-    """Write ``a`` as the text ``json.dumps(matrix_to_doc(a)) + "\\n"``,
-    formatted directly: ``json.dumps`` writes finite floats by ``repr``.
-    An entry whose 128 bits are all zero is written as its literal text, and
-    a run of them as one repeated string, so the block shifts, almost all
-    zeros, cost Python work only for their nonzero entries; ``-0.0`` has a
-    bit set and keeps its sign through ``repr``."""
-    a = as_operator(a)
-    rows, cols = a.shape
-    size = rows * cols
-    # The (re, im) pairs in row-major order; a view of a C-ordered ``a``.
-    pairs = np.ascontiguousarray(a).reshape(-1).view(np.float64).reshape(-1, 2)
+def _entries_text(pairs: np.ndarray) -> str:
+    """The entries ``pairs`` (one ``(re, im)`` row each) as JSON text, joined
+    by ", ". An entry whose 128 bits are all zero is written as its literal
+    text, and a run of them as one repeated string, so the block shifts,
+    almost all zeros, cost Python work only for their nonzero entries;
+    ``-0.0`` has a bit set and keeps its sign through ``repr``."""
+    size = len(pairs)
     bits = pairs.view(np.uint64)
     (kept,) = np.nonzero(bits[:, 0] | bits[:, 1])
     if len(kept) == size:
@@ -115,9 +114,25 @@ def write_matrix(path: str | Path, a) -> None:
         gaps = np.diff(kept, prepend=-1, append=size) - 1
         template = f"{_PAIR}, ".join(map(_ZERO_ITEM.__mul__, gaps.tolist()))[:-2]
         pairs = pairs[kept]
-    data = template % tuple(pairs.reshape(-1).tolist())
-    text = f'{{"rows": {rows}, "cols": {cols}, "data": [{data}]}}\n'
-    Path(path).write_text(text, encoding="utf-8")
+    return template % tuple(pairs.reshape(-1).tolist())
+
+
+def write_matrix(path: str | Path, a) -> None:
+    """Write ``a`` as the text ``json.dumps(matrix_to_doc(a)) + "\\n"``,
+    formatted directly (``json.dumps`` writes finite floats by ``repr``),
+    in pieces of whole rows of at least ``_PIECE_ENTRIES`` entries through
+    one open file, so that no more than a piece of the text is held at
+    once."""
+    a = as_operator(a)
+    rows, cols = a.shape
+    # The (re, im) pairs in row-major order; a view of a C-ordered ``a``.
+    pairs = np.ascontiguousarray(a).reshape(-1).view(np.float64).reshape(-1, 2)
+    step = cols * -(-_PIECE_ENTRIES // cols)
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(f'{{"rows": {rows}, "cols": {cols}, "data": [')
+        for start in range(0, rows * cols, step):
+            out.write((", " if start else "") + _entries_text(pairs[start : start + step]))
+        out.write("]}\n")
 
 
 def read_matrix(path: str | Path) -> np.ndarray:

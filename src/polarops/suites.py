@@ -5,6 +5,13 @@ one family of identities, and returns a :class:`SuiteResult` holding named
 check records. The CLI runner renders these as report lines; the acceptance
 tests call them directly with pinned seeds, trial counts, and tolerances.
 All suites are deterministic given (seed, dim, trials, cfg).
+
+``polar-contract``, ``product-polar``, ``polar-transfer`` and
+``aluthge-binormal`` draw every trial's operators first, in the order of a
+per-trial loop (no evaluation consumes the generator), evaluate each group
+of draws of one shape as one stack of operators (``_by_shape``), and fold
+the per-trial verdicts and worst residuals back in trial order; each
+trial's values are bitwise those it gets alone.
 """
 
 from __future__ import annotations
@@ -16,15 +23,15 @@ from itertools import islice
 import numpy as np
 
 from .classify import (
+    _binormal_equivalents,
     _centered_order,
     _definitional_prefix,
     _definitional_residuals,
     _mp_centered_check,
-    binormal_equivalents,
+    _polar_transfers,
+    _product_polars,
     centered_order,
     is_binormal,
-    polar_transfer,
-    product_polar,
 )
 from .core import (
     DEFAULT_TOLERANCES,
@@ -38,14 +45,15 @@ from .core import (
     svd,
 )
 from .decomp import (
+    PolarCheck,
     _mp_polar_parts,
     _pinv,
     _polar_check,
     _polar_parts,
+    _split_checks,
     abs_value,
     moore_penrose,
     polar_decompose,
-    verify_polar,
 )
 from .sampling import (
     random_binormal,
@@ -115,6 +123,21 @@ def _share(trials: int, parts: int) -> int:
     return max(1, trials // parts) if trials > 0 else 0
 
 
+def _by_shape(draws: list[tuple[np.ndarray, ...]], evaluate) -> list:
+    """``evaluate(*stacks)`` once per group of draws of one shape, each
+    operand stacked as operators of one matrix, ``(draws, 1, m, n)``; the
+    results, one per draw, in draw order."""
+    groups: dict[tuple, list[int]] = {}
+    for index, operands in enumerate(draws):
+        groups.setdefault(tuple(x.shape for x in operands), []).append(index)
+    results: list = [None] * len(draws)
+    for members in groups.values():
+        stacks = [np.stack(column)[:, None] for column in zip(*(draws[i] for i in members))]
+        for index, result in zip(members, evaluate(*stacks)):
+            results[index] = result
+    return results
+
+
 def suite_polar_contract(
     rng: np.random.Generator,
     dim: int,
@@ -123,18 +146,21 @@ def suite_polar_contract(
 ) -> SuiteResult:
     """Polar contract on random operators, square and rectangular, full and
     deficient rank: verify_polar must pass every draw."""
-    failures = 0
-    worst = 0.0
+    draws = []
     for index, d in enumerate(_dims_cycle(rng, 2, dim, trials)):
         if index % 4 == 3:
             rows, cols = d, max(2, d - 1)
-            t = random_operator(rng, rows, cols)
+            draws.append((random_operator(rng, rows, cols),))
         else:
-            t = random_mixed_rank(rng, d)
-        check = verify_polar(t, polar_decompose(t, cfg), cfg)
-        worst = max(worst, check.worst())
-        if not check.ok:
-            failures += 1
+            draws.append((random_mixed_rank(rng, d),))
+
+    def evaluate(t: np.ndarray) -> list[PolarCheck]:
+        parts = _polar_parts(_svd(t), cfg)
+        return _split_checks(_polar_check(t, parts.isometry, parts.modulus, cfg))
+
+    checks = _by_shape(draws, evaluate)
+    failures = sum(not check.ok for check in checks)
+    worst = max([0.0, *(check.worst() for check in checks)])
     records = (
         CheckRecord("contract_failures", float(failures), failures == 0),
         CheckRecord("worst_residual", worst, worst <= cfg.equality_rel_tol),
@@ -191,24 +217,20 @@ def suite_product_polar(
     factor must reproduce the product's polar factor on every pair."""
     if constructed is None:
         constructed = _share(trials, 4)
-    mismatches = 0
-    constructed_failures = 0
-    worst_transfer = 0.0
-    for d in _dims_cycle(rng, 2, dim, trials):
-        report = product_polar(
-            random_operator(rng, d), random_operator(rng, d), cfg
-        )
-        if not report.agree():
-            mismatches += 1
-        worst_transfer = max(worst_transfer, report.transfer_residual)
-    for d in _dims_cycle(rng, 2, dim, constructed):
-        t, s = random_commuting_moduli_pair(rng, d)
-        report = product_polar(t, s, cfg)
-        if not report.agree():
-            mismatches += 1
-        if not report.is_polar:
-            constructed_failures += 1
-        worst_transfer = max(worst_transfer, report.transfer_residual)
+    draws = [
+        (random_operator(rng, d), random_operator(rng, d))
+        for d in _dims_cycle(rng, 2, dim, trials)
+    ]
+    draws += [
+        random_commuting_moduli_pair(rng, d)
+        for d in _dims_cycle(rng, 2, dim, constructed)
+    ]
+    reports = _by_shape(draws, lambda t, s: _product_polars(t, s, cfg))
+    mismatches = sum(not report.agree() for report in reports)
+    constructed_failures = sum(
+        not report.is_polar for report in reports[len(reports) - constructed :]
+    )
+    worst_transfer = max([0.0, *(report.transfer_residual for report in reports)])
     records = (
         CheckRecord("three_way_mismatches", float(mismatches), mismatches == 0),
         CheckRecord(
@@ -233,17 +255,23 @@ def suite_polar_transfer(
 ) -> SuiteResult:
     """Both transfer directions must pass the full polar contract on every
     random pair, deficient draws included."""
-    failures = 0
-    worst = 0.0
+    draws = []
     for index, d in enumerate(_dims_cycle(rng, 2, dim, trials)):
         if index % 3 == 2:
-            t, s = random_mixed_rank(rng, d), random_mixed_rank(rng, d)
+            draws.append((random_mixed_rank(rng, d), random_mixed_rank(rng, d)))
         else:
-            t, s = random_operator(rng, d), random_operator(rng, d)
-        report = polar_transfer(t, s, cfg)
-        worst = max(worst, report.product_check.worst(), report.moduli_check.worst())
-        if not report.ok:
-            failures += 1
+            draws.append((random_operator(rng, d), random_operator(rng, d)))
+    reports = _by_shape(draws, lambda t, s: _polar_transfers(t, s, cfg))
+    failures = sum(not report.ok for report in reports)
+    worst = max(
+        [
+            0.0,
+            *(
+                max(report.product_check.worst(), report.moduli_check.worst())
+                for report in reports
+            ),
+        ]
+    )
     records = (
         CheckRecord("transfer_failures", float(failures), failures == 0),
         CheckRecord("worst_residual", worst, worst <= cfg.equality_rel_tol),
@@ -260,24 +288,26 @@ def suite_aluthge_binormal(
     """Binormal draws must satisfy all five equivalent statements (closed
     forms included); non-binormal draws must falsify all five at once."""
     half = _share(trials, 2)
-    binormal_failures = 0
-    nonbinormal_failures = 0
-    worst_closed_form = 0.0
+    draws = [(random_binormal(rng, d),) for d in _dims_cycle(rng, 2, dim, half)]
+    draws += [(random_nonbinormal(rng, d),) for d in _dims_cycle(rng, 2, dim, half)]
     pairs = list(ALUTHGE_EXPONENTS)
-    for d in _dims_cycle(rng, 2, dim, half):
-        report = binormal_equivalents(random_binormal(rng, d), pairs, cfg)
-        if not (all(report.statements) and report.agree()):
-            binormal_failures += 1
-        for check in report.pair_checks:
-            worst_closed_form = max(
-                worst_closed_form,
-                check.modulus_form_residual,
-                check.adjoint_form_residual,
-            )
-    for d in _dims_cycle(rng, 2, dim, half):
-        report = binormal_equivalents(random_nonbinormal(rng, d), pairs, cfg)
-        if any(report.statements) or not report.agree():
-            nonbinormal_failures += 1
+    reports = _by_shape(draws, lambda t: _binormal_equivalents(t, pairs, cfg))
+    binormal_failures = sum(
+        not (all(report.statements) and report.agree()) for report in reports[:half]
+    )
+    nonbinormal_failures = sum(
+        any(report.statements) or not report.agree() for report in reports[half:]
+    )
+    worst_closed_form = max(
+        [
+            0.0,
+            *(
+                max(check.modulus_form_residual, check.adjoint_form_residual)
+                for report in reports[:half]
+                for check in report.pair_checks
+            ),
+        ]
+    )
     records = (
         CheckRecord(
             "binormal_violations", float(binormal_failures), binormal_failures == 0

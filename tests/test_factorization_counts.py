@@ -2,7 +2,8 @@
 
 LAPACK call counts are deterministic, and so are the matrices factored: a
 stacked call factors every matrix of its stack. The whole-suite count, the
-counts of the suites that share factorizations within a trial, the
+counts of the suites that share factorizations within a trial or batch
+their trials by shape, the
 blockwise ``counterexample`` count and the dense-file commands (one SVD of
 ``T`` per command) are pinned exactly; single calls are pinned to one
 matrix per operator power, or capped where a later change may lower them
@@ -156,9 +157,27 @@ def test_definitional_pass_in_centered_order_stops_at_first_failure(lapack_calls
 
 
 def test_run_suite_all_factorization_counts(lapack_calls):
+    # polar-contract, product-polar, polar-transfer and aluthge-binormal
+    # factor each shape group in a few stacked calls; the matrices factored
+    # are those of the per-trial evaluation.
     run_suite("all", 0, 6, 100)
-    assert _totals(lapack_calls) == Counter(svd=5703, eigh=250, eigvalsh=887)
+    assert _totals(lapack_calls) == Counter(svd=2415, eigh=55, eigvalsh=186)
     assert lapack_calls.matrices == Counter(svd=6028, eigh=250, eigvalsh=887)
+
+
+def test_polar_contract_calls_scale_with_shape_groups_not_trials(lapack_calls):
+    # Dims 2-6, square and (d, d - 1) draws: nine shape groups, each one SVD
+    # of T, one of T* and one for the range projection of |T|, plus one
+    # eigvalsh.
+    counts = []
+    for trials in (100, 400):
+        lapack_calls.clear()
+        run_suite("polar-contract", 0, 6, trials)
+        counts.append((_totals(lapack_calls), lapack_calls.matrices["svd"]))
+    assert counts == [
+        (Counter(svd=27, eigvalsh=9), 300),
+        (Counter(svd=27, eigvalsh=9), 1200),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -168,13 +187,16 @@ def test_run_suite_all_factorization_counts(lapack_calls):
         # 112 operators: one SVD for U, then six powers walked once for both
         # the report's oracle and the order-by-order comparison.
         ("centered-oracle", (Counter(svd=784), Counter(svd=784))),
-        # 100 operators: T, its two-power oracle walk and T*, then three per
-        # exponent pair (T_ab, T_ab* and the polar check's range
-        # projection); one eigh each of |T| and |T*|.
+        # 100 operators in five shape groups. Per group: one SVD of T and
+        # T*, one of T and T^2 for the two-power oracle, one of the
+        # transforms T_ab and their adjoints at all three exponent pairs,
+        # one for the polar check's range projections; one eigh of |T| and
+        # |T*|, one eigvalsh. Per operator that is T, T*, T, T^2, then three
+        # per pair, one eigh each of |T| and |T*|, and three eigvalsh.
         (
             "aluthge-binormal",
             (
-                Counter(svd=1300, eigh=200, eigvalsh=300),
+                Counter(svd=20, eigh=5, eigvalsh=5),
                 Counter(svd=1300, eigh=200, eigvalsh=300),
             ),
         ),

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polarops import matrixio
 from polarops.matrixio import (
     _pairs_as_floats,
     doc_to_matrix,
@@ -294,6 +295,25 @@ def _writer_cases() -> list[np.ndarray]:
     "a", _writer_cases(), ids=lambda a: "x".join(map(str, np.shape(a)))
 )
 def test_written_text_is_the_json_of_the_document(tmp_path, a):
+    path = tmp_path / "m.json"
+    write_matrix(path, a)
+    assert path.read_text(encoding="utf-8") == json.dumps(matrix_to_doc(a)) + "\n"
+
+
+@pytest.mark.parametrize("piece", [1, 4, 7])
+def test_written_text_is_the_same_in_pieces(tmp_path, monkeypatch, piece):
+    # Pieces of whole rows, down to one row each: zero runs and signed zeros
+    # fall across the boundaries between pieces.
+    monkeypatch.setattr(matrixio, "_PIECE_ENTRIES", piece)
+    path = tmp_path / "m.json"
+    for a in _writer_cases():
+        write_matrix(path, a)
+        assert path.read_text(encoding="utf-8") == json.dumps(matrix_to_doc(a)) + "\n"
+
+
+def test_a_shift_above_the_piece_size_is_written_in_pieces(tmp_path):
+    a = build_truncated(ShiftSpec.from_recipe(98))  # 303x303: two pieces
+    assert a.size > matrixio._PIECE_ENTRIES
     path = tmp_path / "m.json"
     write_matrix(path, a)
     assert path.read_text(encoding="utf-8") == json.dumps(matrix_to_doc(a)) + "\n"

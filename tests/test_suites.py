@@ -4,31 +4,48 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarops.classify import (
     AluthgePairCheck,
     BinormalEquivalents,
     MpCenteredReport,
+    ProductPolarReport,
+    TransferReport,
+    _binormal,
+    _binormal_equivalents,
     _definitional_prefix,
     _mp_centered_check,
+    _polar_transfers,
+    _product_polars,
     aluthge,
     binormal_equivalents,
     centered_order,
     is_binormal,
     is_n_centered_definitional,
     mp_centered_check,
+    polar_transfer,
+    product_polar,
 )
 from polarops.core import (
     DEFAULT_TOLERANCES,
+    _psd_powers,
+    _range_projection,
+    _svd,
     commutator_norm,
     commutes,
     equality_residual,
     fractional_power_psd,
+    fro_norm,
     is_hermitian_psd,
     range_projection,
 )
 from polarops.decomp import (
     PolarParts,
+    _polar_check,
+    _polar_parts,
+    _split_checks,
     abs_value,
     moore_penrose,
     mp_polar_parts,
@@ -39,9 +56,11 @@ from polarops.sampling import (
     random_binormal,
     random_commuting_psd_pair,
     random_mixed_rank,
+    random_commuting_moduli_pair,
     random_nonbinormal,
     random_operator,
     random_psd_pair,
+    random_rank_deficient,
     random_spectrum_operator,
     structured_fixtures,
 )
@@ -50,7 +69,9 @@ from polarops.suites import (
     SUITES,
     CheckRecord,
     SuiteResult,
+    _by_shape,
     _dims_cycle,
+    _share,
     run_suite,
     suite_shift_family,
     suite_v_entries,
@@ -227,7 +248,7 @@ def _reference_centered_oracle(rng, dim, trials, cfg=DEFAULT_TOLERANCES, max_n=6
 
 
 def _reference_aluthge_binormal(rng, dim, trials, cfg=DEFAULT_TOLERANCES):
-    half = trials // 2
+    half = _share(trials, 2)
     binormal_failures = nonbinormal_failures = 0
     worst = 0.0
     pairs = list(ALUTHGE_EXPONENTS)
@@ -397,3 +418,237 @@ def test_mp_centered_check_matches_its_reference_at_every_order():
             with pytest.raises(ValueError, match=f"only {verified}-centered"):
                 mp_centered_check(t, verified + 1)
     assert checked_at_max_n > 0
+
+
+# The four suites that evaluate their trials by shape group, as they were
+# written before they did: one trial at a time, every value from public
+# per-operator calls on a matrix. Each batched suite must reproduce every
+# record of its reference exactly.
+
+
+def _reference_product_polar(t, s, cfg=DEFAULT_TOLERANCES):
+    t_parts = polar_decompose(t, cfg)
+    s_parts = polar_decompose(s, cfg)
+    mod_t = t_parts.modulus
+    mod_s_adj = abs_value(s.conj().T, cfg)
+    product = t @ s
+    product_parts = polar_decompose(product, cfg)
+    candidate = t_parts.isometry @ s_parts.isometry
+    residual = equality_residual(product, candidate @ product_parts.modulus)
+    check = verify_polar(
+        product, PolarParts(candidate, product_parts.modulus, product_parts.rank), cfg
+    )
+    w = polar_decompose(mod_t @ mod_s_adj, cfg).isometry
+    transfer = t_parts.isometry @ w @ s_parts.isometry
+    return ProductPolarReport(
+        commutator_norm=commutator_norm(mod_t, mod_s_adj),
+        moduli_commute=commutes(mod_t, mod_s_adj, cfg),
+        candidate_isometry=candidate,
+        equality_residual=residual,
+        equation_holds=residual <= cfg.equality_rel_tol,
+        is_polar=check.ok,
+        transfer_isometry=transfer,
+        transfer_residual=equality_residual(transfer, product_parts.isometry),
+    )
+
+
+def _reference_polar_transfer(t, s, cfg=DEFAULT_TOLERANCES):
+    t_parts = polar_decompose(t, cfg)
+    u = t_parts.isometry
+    v = polar_decompose(s, cfg).isometry
+    product = t @ s
+    moduli = t_parts.modulus @ abs_value(s.conj().T, cfg)
+    product_parts = polar_decompose(product, cfg)
+    moduli_parts = polar_decompose(moduli, cfg)
+    product_check = verify_polar(
+        product,
+        PolarParts(
+            u @ moduli_parts.isometry @ v, product_parts.modulus, product_parts.rank
+        ),
+        cfg,
+    )
+    moduli_check = verify_polar(
+        moduli,
+        PolarParts(
+            u.conj().T @ product_parts.isometry @ v.conj().T,
+            moduli_parts.modulus,
+            moduli_parts.rank,
+        ),
+        cfg,
+    )
+    return TransferReport(product_check, moduli_check, product_check.ok and moduli_check.ok)
+
+
+def _product_fields(report: ProductPolarReport) -> tuple:
+    """The fields of a report, arrays as their bytes, for exact comparison."""
+    return tuple(
+        (value.shape, value.tobytes()) if isinstance(value, np.ndarray) else value
+        for value in vars(report).values()
+    )
+
+
+def _reference_polar_contract(rng, dim, trials, cfg=DEFAULT_TOLERANCES):
+    failures = 0
+    worst = 0.0
+    for index, d in enumerate(_dims_cycle(rng, 2, dim, trials)):
+        if index % 4 == 3:
+            t = random_operator(rng, d, max(2, d - 1))
+        else:
+            t = random_mixed_rank(rng, d)
+        check = verify_polar(t, polar_decompose(t, cfg), cfg)
+        worst = max(worst, check.worst())
+        failures += not check.ok
+    records = (
+        CheckRecord("contract_failures", float(failures), failures == 0),
+        CheckRecord("worst_residual", worst, worst <= cfg.equality_rel_tol),
+    )
+    return SuiteResult("polar-contract", trials, records)
+
+
+def _reference_product_polar_suite(rng, dim, trials, cfg=DEFAULT_TOLERANCES):
+    constructed = _share(trials, 4)
+    mismatches = constructed_failures = 0
+    worst = 0.0
+    for d in _dims_cycle(rng, 2, dim, trials):
+        report = _reference_product_polar(
+            random_operator(rng, d), random_operator(rng, d), cfg
+        )
+        mismatches += not report.agree()
+        worst = max(worst, report.transfer_residual)
+    for d in _dims_cycle(rng, 2, dim, constructed):
+        report = _reference_product_polar(*random_commuting_moduli_pair(rng, d), cfg)
+        mismatches += not report.agree()
+        constructed_failures += not report.is_polar
+        worst = max(worst, report.transfer_residual)
+    tol = cfg.equality_rel_tol
+    records = (
+        CheckRecord("three_way_mismatches", float(mismatches), mismatches == 0),
+        CheckRecord(
+            "constructed_not_polar",
+            float(constructed_failures),
+            constructed_failures == 0,
+        ),
+        CheckRecord("worst_transfer_residual", worst, worst <= tol),
+    )
+    return SuiteResult("product-polar", trials + constructed, records)
+
+
+def _reference_polar_transfer_suite(rng, dim, trials, cfg=DEFAULT_TOLERANCES):
+    failures = 0
+    worst = 0.0
+    for index, d in enumerate(_dims_cycle(rng, 2, dim, trials)):
+        if index % 3 == 2:
+            t, s = random_mixed_rank(rng, d), random_mixed_rank(rng, d)
+        else:
+            t, s = random_operator(rng, d), random_operator(rng, d)
+        report = _reference_polar_transfer(t, s, cfg)
+        worst = max(worst, report.product_check.worst(), report.moduli_check.worst())
+        failures += not report.ok
+    records = (
+        CheckRecord("transfer_failures", float(failures), failures == 0),
+        CheckRecord("worst_residual", worst, worst <= cfg.equality_rel_tol),
+    )
+    return SuiteResult("polar-transfer", trials, records)
+
+
+PER_TRIAL_REFERENCES = {
+    "polar-contract": _reference_polar_contract,
+    "product-polar": _reference_product_polar_suite,
+    "polar-transfer": _reference_polar_transfer_suite,
+    "aluthge-binormal": _reference_aluthge_binormal,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_TRIAL_REFERENCES))
+@pytest.mark.parametrize("dim", [2, 6, 12])
+def test_batched_suite_matches_its_per_trial_reference(name, dim):
+    for seed in range(5):
+        for trials in (1, 3, 20, 100):
+            expected = PER_TRIAL_REFERENCES[name](np.random.default_rng(seed), dim, trials)
+            assert SUITES[name](np.random.default_rng(seed), dim, trials) == expected
+
+
+def _draw(rng, kind: int, d: int, rank: int) -> np.ndarray:
+    """Kind 0: a (d, d - 1) draw; 1: a square draw; 2: a square binormal
+    draw. The first two have rank ``rank`` capped at the smaller side, so
+    zero and full rank both occur."""
+    if kind == 2:
+        return random_binormal(rng, d)
+    cols = d - 1 if kind == 0 else d
+    return random_rank_deficient(rng, d, cols, min(rank, cols))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.lists(st.integers(2, 12), min_size=1, max_size=3),
+    specs=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 12)),
+        min_size=1,
+        max_size=10,
+    ),
+)
+def test_operator_stacks_match_per_operator_calls(seed, dims, specs):
+    # Each draw takes one of a few dims and one of three kinds: shape groups
+    # of several operators of mixed rank, and groups of one, both occur.
+    cfg = DEFAULT_TOLERANCES
+    rng = np.random.default_rng(seed)
+    operators = [
+        _draw(rng, kind, dims[index % len(dims)], rank) for kind, index, rank in specs
+    ]
+
+    def polar(t):
+        parts = _polar_parts(_svd(t), cfg)
+        return zip(
+            parts.isometry,
+            parts.modulus,
+            parts.rank.tolist(),
+            _split_checks(_polar_check(t, parts.isometry, parts.modulus, cfg)),
+            _range_projection(t, cfg),
+            fro_norm(t).tolist(),
+        )
+
+    for t, (u, p, rank, check, projection, norm) in zip(
+        operators, _by_shape([(t,) for t in operators], polar)
+    ):
+        parts = polar_decompose(t, cfg)
+        assert np.array_equal(u[0], parts.isometry) and np.array_equal(p[0], parts.modulus)
+        assert rank == [parts.rank]
+        assert check == verify_polar(t, parts, cfg)
+        assert np.array_equal(projection[0], range_projection(t, cfg))
+        assert norm == fro_norm(t)
+
+    square = [t for t in operators if t.shape[0] == t.shape[1]]
+    if not square:
+        return
+    pairs = [(t, random_mixed_rank(rng, len(t))) for t in square]
+    products = _by_shape(pairs, lambda t, s: _product_polars(t, s, cfg))
+    transfers = _by_shape(pairs, lambda t, s: _polar_transfers(t, s, cfg))
+    for (t, s), product, transfer in zip(pairs, products, transfers):
+        expected = _reference_product_polar(t, s, cfg)
+        assert _product_fields(product) == _product_fields(expected)
+        assert _product_fields(product_polar(t, s, cfg)) == _product_fields(expected)
+        assert transfer == _reference_polar_transfer(t, s, cfg) == polar_transfer(t, s, cfg)
+
+    exponents = [*ALUTHGE_EXPONENTS, (2.0, 0.25)]
+
+    def binormal(t):
+        verdicts, norms = _binormal(t, cfg)
+        powers = _psd_powers(_polar_parts(_svd(t), cfg).modulus, cfg)
+        return zip(
+            verdicts.tolist(),
+            norms.tolist(),
+            _binormal_equivalents(t, exponents, cfg),
+            powers(0.5),
+            powers(3.0),
+        )
+
+    for t, (verdict, norm, report, root, cube) in zip(
+        square, _by_shape([(t,) for t in square], binormal)
+    ):
+        assert (verdict, norm) == is_binormal(t, cfg)
+        assert report == _reference_binormal_equivalents(t, exponents, cfg)
+        assert report == binormal_equivalents(t, exponents, cfg)
+        modulus = abs_value(t, cfg)
+        assert np.array_equal(root[0], fractional_power_psd(modulus, 0.5, cfg))
+        assert np.array_equal(cube[0], fractional_power_psd(modulus, 3.0, cfg))
