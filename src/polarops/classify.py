@@ -1,10 +1,10 @@
 """Classification of dense complex matrices through their polar factors.
 
 Implements the commutator criterion for n-centered operators next to the
-brute-force definitional check, the three-way equivalence for polar
-decompositions of products, the transfer construction that moves a polar
-factor between ``T S`` and ``|T| |S*|``, Aluthge-type transforms with their
-binormality equivalences, and the interplay between centered order and the
+definitional check, the three-way equivalence for polar decompositions of
+products, the transfer construction that moves a polar factor between
+``T S`` and ``|T| |S*|``, Aluthge-type transforms with their binormality
+equivalences, and the interplay between centered order and the
 Moore-Penrose inverse.
 
 Conventions: ``U`` always denotes the canonical polar factor of the operator
@@ -12,9 +12,11 @@ at hand (the partial isometry vanishing on the null space), and every
 "commutes" decision uses the scaled threshold from
 :class:`polarops.core.ToleranceConfig`.
 
-Sharing rule: the definitional oracle shares only ``U`` and the walk of
-its powers ``U^k`` with the commutator criterion; it factors every power
-``T^k`` it checks, ``k = 1`` included. Everything else in one evaluation is
+Sharing rule: one function, ``_oracle_residuals``, factors the powers
+``T^k`` for the definitional check, ``k = 1`` included, and shares only
+``U`` and the walk of its powers ``U^k`` with the commutator criterion.
+``centered_order``, ``is_n_centered_definitional`` and
+``binormal_equivalents`` all reach it. Everything else in one evaluation is
 factored once: the private helpers (``_centered_order``, ``_aluthge``,
 ``_mp_centered_check``) take the polar parts, reports and PSD
 eigendecompositions a caller has already computed, and the public functions
@@ -23,16 +25,16 @@ and ``binormal_equivalents`` are batch-of-one calls into kernels that take
 a 4-D stack of operators of one matrix each (``_product_polars``,
 ``_polar_transfers``, ``_binormal_equivalents``), so that the suites
 evaluate each group of draws of one shape with one call per
-factorization. The rule holds on both centered-order
-routes: ``_centered_order`` takes a dense matrix, or the stack of 3x3 blocks
-of an operator on its first block subdiagonal (for
+factorization. The rule holds on both centered-order routes:
+``_centered_order`` takes a dense matrix, or the stack of 3x3 blocks of an
+operator on its first block subdiagonal (for
 :func:`polarops.shifts.certify_blockwise`), and walks the powers of either
 once, forward, in groups of consecutive powers that fit a fixed number of
 entries (``_power_groups``). Each group is one stacked commutator
-expression and one stacked SVD of the powers the oracle checks, so a shift's
-block stacks and small matrices take a few LAPACK calls for all their
-powers, while a matrix above 64x64 still walks one power at a time. The
-report is bitwise the same for every grouping.
+expression and one stacked SVD of the powers the oracle checks, so a
+shift's block stacks and small matrices take a few LAPACK calls for all
+their powers, while a matrix above 64x64 still walks one power at a time.
+The report is bitwise the same for every grouping.
 """
 
 from __future__ import annotations
@@ -329,35 +331,6 @@ def _powers(a: np.ndarray, offset: int, rescale: bool = False):
         power = power[offset:] @ a[: len(power) - offset]
 
 
-def _definitional_residuals(t: np.ndarray, u: np.ndarray, cfg: ToleranceConfig):
-    """Yield the ``(equation, range)`` residuals of ``T^k = U^k |T^k|`` for
-    k = 1, 2, ..., with ``u`` the polar factor of the matrix ``t``; see
-    ``_definitional_check``."""
-    for t_pow, u_pow in zip(_powers(t, 0), _powers(u, 0)):
-        yield _definitional_check(t_pow, u_pow, cfg)
-
-
-def _definitional_check(t_pow: np.ndarray, u_pow: np.ndarray, cfg: ToleranceConfig):
-    """The ``(equation, range)`` residuals of ``T^k = U^k |T^k|`` for the
-    power ``t_pow`` of ``T`` and ``u_pow`` of its polar factor, or for each
-    operator of two stacks of operators. One SVD of the power, its own polar
-    decomposition ``U_k |T^k|``, gives ``|T^k|`` and, as ``U_k* U_k``, the
-    range projection of ``(T^k)*``."""
-    parts = _polar_parts(_svd(t_pow), cfg)
-    u_k = parts.isometry
-    return (
-        _residual(t_pow, u_pow @ parts.modulus),
-        _residual(_adjoint(u_pow) @ u_pow, _adjoint(u_k) @ u_k),
-    )
-
-
-def _definitional_prefix(residuals, cfg: ToleranceConfig) -> int:
-    """Number of leading ``(equation, range)`` residual pairs that both
-    vanish; consumes ``residuals`` only up to the first failing power."""
-    tol = cfg.equality_rel_tol
-    return len(list(takewhile(lambda r: r[0] <= tol and r[1] <= tol, residuals)))
-
-
 # Complex entries that one group of powers of U may hold in _centered_order:
 # a matrix above 64x64 walks one power at a time, while a block stack or a
 # small matrix walks many powers per stacked expression and SVD. A group
@@ -393,6 +366,11 @@ def _stack(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _spans(lengths: list[int]) -> list[slice]:
+    """The slices of consecutive stacks of ``lengths`` in their ``_stack``."""
+    return [slice(a, b) for a, b in pairwise(accumulate(lengths, initial=0))]
+
+
 def _commutators(
     u_pows: list[np.ndarray], p: np.ndarray, cfg: ToleranceConfig
 ) -> tuple[list[float], list[float]]:
@@ -410,68 +388,44 @@ def _commutators(
     images = _stack([p[len(p) - n :] for n in lengths])
     conjugated = u @ sources @ _adjoint(u)
     commutator = conjugated @ images - images @ conjugated
-    spans = [slice(a, b) for a, b in pairwise(accumulate(lengths, initial=0))]
+    spans = _spans(lengths)
     return (
         [fro_norm(commutator[span]) for span in spans],
         [commutator_threshold(conjugated[span], p, cfg) for span in spans],
     )
 
 
-def _block_squares(x: np.ndarray) -> np.ndarray:
-    """Sum of the squared moduli of the entries of each block of a stack."""
-    y = np.ascontiguousarray(x).view(np.float64)
-    return np.einsum("...ij,...ij->...", y, y)
-
-
-def _power_residuals(a: np.ndarray, b: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """``core._residual`` of each power's slice of the stacks ``a`` and
-    ``b``, the powers starting at the block positions ``starts``, from
-    per-power sums of squares. Only their comparison with a tolerance is
-    reported, so the last bits need not match a ``fro_norm`` per power."""
-    diff, left, right = (
-        np.sqrt(np.add.reduceat(_block_squares(x), starts)) for x in (a - b, a, b)
-    )
-    return diff / np.maximum(1.0, np.maximum(left, right))
-
-
-def _oracle_prefix(
+def _oracle_residuals(
     t_pows: list[np.ndarray], u_pows: list[np.ndarray], cfg: ToleranceConfig
-) -> int:
-    """Number of leading powers among the consecutive block stacks
-    ``t_pows`` of ``T^k`` for which ``T^k = U^k |T^k|``, with ``u_pows``
-    those of ``U^k``, is the polar decomposition; what
-    ``_definitional_prefix`` makes of ``_definitional_residuals``, from one
-    stacked SVD of all the powers. Each power keeps its own rank cutoff,
-    ``rank_rel_tol`` times the largest singular value of its direct sum.
+) -> list[tuple[float, float]]:
+    """The definitional check: for each of the consecutive block stacks
+    ``t_pows`` of powers ``T^k``, with ``u_pows`` those of ``U^k``, the
+    ``(equation, range)`` residuals of ``T^k = U^k |T^k|`` and of
+    ``(U^k)* U^k`` against the range projection of ``(T^k)*``. Both vanish
+    exactly when ``U^k |T^k|`` is the polar decomposition of ``T^k``.
 
-    An SVD that fails for one matrix fails for the whole stack; the powers
-    are then factored one at a time up to the first failing power, so that a
-    power past it (say, one whose entries overflowed) is never factored."""
+    One stacked SVD of all the powers gives each its own polar
+    decomposition ``U_k |T^k|``, with its own rank cutoff, ``rank_rel_tol``
+    times the largest singular value of its direct sum; ``U_k* U_k`` is the
+    range projection. Each residual is ``core._residual`` of its power's
+    slice of the stacks."""
     lengths = [len(t_pow) for t_pow in t_pows]
-    starts = np.cumsum([0, *lengths[:-1]])
     t, u = _stack(t_pows), _stack(u_pows)
-    try:
-        decomp = _svd(t)
-    except np.linalg.LinAlgError:
-        if len(t_pows) == 1:
-            raise
-        alone = (_oracle_prefix([t_k], [u_k], cfg) for t_k, u_k in zip(t_pows, u_pows))
-        return len(list(takewhile(bool, alone)))
+    decomp = _svd(t)
     s = decomp.singular_values
+    starts = list(accumulate(lengths[:-1], initial=0))
     top = np.repeat(np.maximum.reduceat(s[:, 0], starts), lengths)
     u_k = _isometry(decomp, np.count_nonzero(s > cfg.rank_rel_tol * top[:, None], -1))
-    equation = _power_residuals(t, u @ _modulus(decomp), starts)
-    ranges = _power_residuals(_adjoint(u) @ u, _adjoint(u_k) @ u_k, starts)
-    tol = cfg.equality_rel_tol
-    return len(list(takewhile(bool, (equation <= tol) & (ranges <= tol))))
+    equation = u @ _modulus(decomp)
+    gram, projection = _adjoint(u) @ u, _adjoint(u_k) @ u_k
+    return [
+        (_residual(t[span], equation[span]), _residual(gram[span], projection[span]))
+        for span in _spans(lengths)
+    ]
 
 
 def _centered_order(
-    t: np.ndarray,
-    parts: PolarParts,
-    max_n: int,
-    cfg: ToleranceConfig,
-    oracle=None,
+    t: np.ndarray, parts: PolarParts, max_n: int, cfg: ToleranceConfig
 ) -> CenteredReport:
     """``centered_order`` of a checked square ``t`` with polar parts
     ``parts``, or of the operator whose block stack (see ``_powers``) is
@@ -483,22 +437,21 @@ def _centered_order(
     One forward walk forms each ``U^k`` once, in groups of consecutive
     powers (``_power_groups``). Each group gets one stacked commutator
     expression and, for the powers the oracle still checks (k up to
-    min(verified + 1, max_n), none after a failing power), one stacked SVD
-    of the ``T^k``. The report does not depend on how the powers are
-    grouped. ``oracle``, when given, yields what ``_definitional_residuals``
-    would, for a caller that walks the powers itself; it replaces the
-    walk's own oracle and is consumed up to power min(verified + 1, max_n)
-    at most."""
+    min(verified + 1, max_n), none after a failing power), one call of
+    ``_oracle_residuals`` on the ``T^k``; the oracle agrees when its
+    leading run of passing powers ends at the verified order. The report
+    does not depend on how the powers are grouped."""
     u, p = parts.isometry, parts.modulus
     offset = u.ndim - 2
     if not offset:
         # A matrix is a stack of one block, which each power keeps.
         t, u, p = t[None], u[None], p[None]
     count = max(max_n - 1, 1)
+    tol = cfg.equality_rel_tol
     norms: list[float] = []
     thresholds: list[float] = []
     verified, passing = 1, 0
-    checking = oracle is None
+    checking = True
     # The entries of a shift's T^k grow like 2^k, and the oracle's check
     # T^k = U^k |T^k| is homogeneous in T^k.
     t_powers = _powers(t, offset, rescale=offset == 1)
@@ -520,12 +473,24 @@ def _centered_order(
         checked = min(len(group), min(verified + 1, max_n) - first + 1)
         if checking and checked > 0:
             t_pows = list(islice(t_powers, checked))
-            passed = _oracle_prefix(t_pows, group[:checked], cfg)
+            try:
+                residuals = _oracle_residuals(t_pows, group[:checked], cfg)
+            except np.linalg.LinAlgError:
+                # An SVD that fails for one matrix fails for the whole
+                # stack: factor the powers one at a time, up to the first
+                # failing power, so that a power past it (say, one whose
+                # entries overflowed) is never factored.
+                if checked == 1:
+                    raise
+                residuals = (
+                    _oracle_residuals([t_k], [u_k], cfg)[0]
+                    for t_k, u_k in zip(t_pows, group)
+                )
+            holds = (all(r <= tol for r in pair) for pair in residuals)
+            passed = len(list(takewhile(bool, holds)))
             passing += passed
             checking = passed == checked
         first += len(group)
-    if oracle is not None:
-        passing = _definitional_prefix(islice(oracle, min(verified + 1, max_n)), cfg)
     return CenteredReport(
         # The rows of |T|, of a stack as one direct sum.
         dimension=p.size // p.shape[-1],
@@ -560,16 +525,22 @@ def centered_order(
 def is_n_centered_definitional(
     t, n: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> DefinitionalCheck:
-    """Brute-force check that ``T^k = U^k |T^k|`` is the polar decomposition
-    for every k = 1..n, with ``U`` the polar factor of ``T`` itself. Takes
-    n + 1 SVDs: one for ``U`` and one for each power ``T^k``."""
+    """Check from the definition that ``T^k = U^k |T^k|`` is the polar
+    decomposition for every k = 1..n, with ``U`` the polar factor of ``T``
+    itself. One SVD gives ``U``; the powers ``T^k`` go through
+    ``_oracle_residuals`` in the groups of ``_power_groups``, one stacked
+    SVD per group, so a small matrix takes two SVDs for any n. Raises if a
+    power cannot be factored."""
     t = _square_operator(t)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     u = polar_decompose(t, cfg).isometry
-    residuals = list(islice(_definitional_residuals(t, u, cfg), n))
+    t_powers = _powers(t[None], 0)
+    residuals = []
+    for group in _power_groups(u[None], 0, lambda: n):
+        residuals += _oracle_residuals(list(islice(t_powers, len(group))), group, cfg)
     equation, ranges = zip(*residuals)
-    ok = _definitional_prefix(residuals, cfg) == n
+    ok = all(r <= cfg.equality_rel_tol for r in equation + ranges)
     return DefinitionalCheck(ok=ok, equation_residuals=equation, range_residuals=ranges)
 
 
@@ -692,10 +663,7 @@ def positive_product_polar(
     factor is the product of the two range projections. Raises if the inputs
     are not PSD or do not commute at tolerance.
     """
-    a = _square_operator(a)
-    b = _square_operator(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    a, b = _square_pair(a, b)
     if not is_hermitian_psd(a, cfg) or not is_hermitian_psd(b, cfg):
         raise ValueError("inputs must be Hermitian positive semidefinite")
     if not commutes(a, b, cfg):
@@ -770,8 +738,8 @@ def _binormal_equivalents(
 ) -> list[BinormalEquivalents]:
     """``binormal_equivalents`` of each operator of a stack of operators of
     one matrix each. ``T`` and ``T*`` share one stacked SVD and one
-    ``eigh`` of their moduli; the two-power oracle factors ``T`` and ``T^2``
-    in one stacked SVD, both powers for every operator; the transforms of
+    ``eigh`` of their moduli; the oracle (``_oracle_residuals``) factors
+    ``T`` and ``T^2`` in one stacked SVD, both powers for every operator; the transforms of
     every exponent pair and their adjoints form one stack, pair by pair."""
     count = len(t)
     binormal, _ = _binormal(t, cfg)
@@ -780,11 +748,9 @@ def _binormal_equivalents(
     )
     u = parts.isometry
     tol = cfg.equality_rel_tol
-    equation, ranges = _definitional_check(
-        np.concatenate([t, t @ t]), np.concatenate([u, u @ u]), cfg
-    )
-    holds = (equation <= tol) & (ranges <= tol)
-    two_centered = holds[:count] & holds[count:]
+    residuals = _oracle_residuals([*t, *(t @ t)], [*u, *(u @ u)], cfg)
+    holds = [all(r <= tol for r in pair) for pair in residuals]
+    two_centered = [a and b for a, b in zip(holds[:count], holds[count:])]
     both = functools.cache(
         _psd_powers(np.concatenate([parts.modulus, adjoint_parts.modulus]), cfg)
     )
@@ -835,7 +801,7 @@ def _binormal_equivalents(
     ]
     reports = []
     for i, (binormal_i, two_centered_i) in enumerate(
-        zip(binormal.tolist(), two_centered.tolist())
+        zip(binormal.tolist(), two_centered)
     ):
         own = tuple(checks[i::count])
         statements = (
@@ -935,9 +901,9 @@ def _mp_centered_check(
     are the commutators formed again."""
     decisions = report.commute_decisions()
     if len(decisions) < n:
-        # An empty oracle: only the commutators up to k = n are wanted.
-        again = _centered_order(t, parts, n + 1, cfg, oracle=iter(()))
-        decisions = again.commute_decisions()
+        u_pows = list(islice(_powers(parts.isometry[None], 0), n))
+        norms, thresholds = _commutators(u_pows, parts.modulus[None], cfg)
+        decisions = [norm <= threshold for norm, threshold in zip(norms, thresholds)]
     verified = 1 + len(list(takewhile(bool, decisions[:n])))
     if verified < n:
         raise ValueError(

@@ -18,20 +18,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import takewhile
 
 import numpy as np
 
 from .classify import (
     _binormal_equivalents,
     _centered_order,
-    _definitional_prefix,
-    _definitional_residuals,
     _mp_centered_check,
     _polar_transfers,
     _product_polars,
     centered_order,
     is_binormal,
+    is_n_centered_definitional,
 )
 from .core import (
     DEFAULT_TOLERANCES,
@@ -183,21 +182,20 @@ def suite_centered_oracle(
     operators.extend(matrix for _, matrix in structured_fixtures(rng))
     disagreements = 0
     report_flags = 0
+    tol = cfg.equality_rel_tol
     for t in operators:
-        parts = polar_decompose(t, cfg)
-        # One walk of the definitional check over max_n powers, with the
-        # criterion's U, feeds the report's oracle and the order-by-order
-        # comparison: the check holds at order n exactly when its first n
-        # powers pass.
-        oracle = _definitional_residuals(t, parts.isometry, cfg)
-        residuals = list(islice(oracle, max_n))
-        report = _centered_order(t, parts, max_n, cfg, oracle=iter(residuals))
+        report = _centered_order(t, polar_decompose(t, cfg), max_n, cfg)
+        # The report's oracle agrees exactly when the definitional check
+        # passes up to the verified order and no further; only a flagged
+        # operator needs the check over all max_n powers. The routes then
+        # disagree at the orders between the two.
         if not report.oracle_agrees:
             report_flags += 1
-        passing = _definitional_prefix(residuals, cfg)
-        for n in range(1, max_n + 1):
-            if (passing >= n) != (report.verified_order >= n):
-                disagreements += 1
+            check = is_n_centered_definitional(t, max_n, cfg)
+            pairs = zip(check.equation_residuals, check.range_residuals)
+            holds = (a <= tol and b <= tol for a, b in pairs)
+            passing = len(list(takewhile(bool, holds)))
+            disagreements += abs(passing - report.verified_order)
     records = (
         CheckRecord("order_disagreements", float(disagreements), disagreements == 0),
         CheckRecord("oracle_flag_failures", float(report_flags), report_flags == 0),

@@ -3,20 +3,22 @@
 LAPACK call counts are deterministic, and so are the matrices factored: a
 stacked call factors every matrix of its stack. The whole-suite count, the
 counts of the suites that share factorizations within a trial or batch
-their trials by shape, the
-blockwise ``counterexample`` count and the dense-file commands (one SVD of
-``T`` per command) are pinned exactly; single calls are pinned to one
-matrix per operator power, or capped where a later change may lower them
-further. Grouping the powers of the centered-order walk lowers the calls
-but, wherever the oracle agrees, not the matrices factored. The
-equivalence tests keep the two-call definition of ``oracle_agrees`` and
-the two-SVD definitional loop as references for the single pass.
+their trials by shape, the blockwise ``counterexample`` count and the
+dense-file commands (one SVD of ``T`` per command) are pinned exactly;
+single calls are pinned to their stacked calls and to one matrix per
+operator power. Every route to the definitional check, ``centered_order``,
+``is_n_centered_definitional`` and ``binormal_equivalents``, factors the
+powers ``T^k`` in one stacked SVD per group of powers, so grouping lowers
+the calls but, wherever the oracle agrees, not the matrices factored. The
+equivalence tests keep the two-call definition of ``oracle_agrees`` and the
+two-SVD definitional loop as references for the single pass, and a test
+forces the oracle's fallback to one power at a time.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -110,7 +112,7 @@ def _two_svd_residuals(t: np.ndarray, n: int) -> tuple[list[float], list[float]]
     return equation, ranges
 
 
-def test_centered_order_on_order6_shift_makes_at_most_8_svds(lapack_calls):
+def test_centered_order_on_order6_shift_makes_3_svds_of_8_matrices(lapack_calls):
     # One SVD for U, then the 27x27 powers T^1..T^7 in two groups, five
     # powers and two, one stacked SVD each.
     report = centered_order(_shift(6), 7)
@@ -139,10 +141,58 @@ def test_oracle_factors_every_power_it_checks(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 3, 7])
-def test_definitional_check_takes_one_svd_per_power(lapack_calls, n):
+def test_definitional_check_takes_two_svds(lapack_calls, n):
+    # One SVD for U, then the 5x5 powers T^1..T^n in one stacked SVD.
     t = random_mixed_rank(np.random.default_rng(n), 5)
     is_n_centered_definitional(t, n)
-    assert _totals(lapack_calls)["svd"] == n + 1
+    assert _totals(lapack_calls)["svd"] == 2
+    assert lapack_calls.matrices["svd"] == n + 1
+
+
+def test_oracle_falls_back_to_one_power_at_a_time(monkeypatch):
+    # A tiny rank-4 draw: its commutators fall below the absolute floor, so
+    # the criterion reaches order 6, while the range of (T^2)* already
+    # differs from that of (U^2)* U^2.
+    t = 1e-12 * random_mixed_rank(np.random.default_rng(11), 5)
+    expected = centered_order(t, 6)
+    assert expected.verified_order == 6 and not expected.oracle_agrees
+    check = is_n_centered_definitional(t, 6)
+    tol = DEFAULT_TOLERANCES.equality_rel_tol
+    assert check.range_residuals[0] <= tol < check.range_residuals[1]
+
+    factored = []
+    original = np.linalg.svd
+
+    def single(a, *args, **kwargs):
+        # A stack of more than one matrix fails, as when one of them does.
+        if np.ndim(a) > 2 and len(a) > 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        factored.append(np.reshape(a, np.shape(a)[-2:]))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", single)
+    assert centered_order(t, 6) == expected
+    # T for U, then T and T^2 one at a time; no power past the first
+    # failing one.
+    assert len(factored) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(factored, [t, t, t @ t]))
+
+    def no_square(a, *args, **kwargs):
+        if any(np.array_equal(m, t @ t) for m in np.reshape(a, (-1, *t.shape))):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return original(a, *args, **kwargs)
+
+    # The definitional check reports every power, so one it cannot factor
+    # raises.
+    monkeypatch.setattr(np.linalg, "svd", no_square)
+    assert is_n_centered_definitional(t, 1) == replace(
+        check,
+        ok=True,
+        equation_residuals=check.equation_residuals[:1],
+        range_residuals=check.range_residuals[:1],
+    )
+    with pytest.raises(np.linalg.LinAlgError):
+        is_n_centered_definitional(t, 2)
 
 
 def test_definitional_pass_in_centered_order_stops_at_first_failure(lapack_calls):
@@ -161,8 +211,8 @@ def test_run_suite_all_factorization_counts(lapack_calls):
     # factor each shape group in a few stacked calls; the matrices factored
     # are those of the per-trial evaluation.
     run_suite("all", 0, 6, 100)
-    assert _totals(lapack_calls) == Counter(svd=2415, eigh=55, eigvalsh=186)
-    assert lapack_calls.matrices == Counter(svd=6028, eigh=250, eigvalsh=887)
+    assert _totals(lapack_calls) == Counter(svd=1855, eigh=55, eigvalsh=186)
+    assert lapack_calls.matrices == Counter(svd=5615, eigh=250, eigvalsh=887)
 
 
 def test_polar_contract_calls_scale_with_shape_groups_not_trials(lapack_calls):
@@ -184,9 +234,10 @@ def test_polar_contract_calls_scale_with_shape_groups_not_trials(lapack_calls):
     "suite, counts",
     [
         # Each case pins the calls, then the matrices they factored.
-        # 112 operators: one SVD for U, then six powers walked once for both
-        # the report's oracle and the order-by-order comparison.
-        ("centered-oracle", (Counter(svd=784), Counter(svd=784))),
+        # 112 operators: one SVD for U, then one stacked SVD of the powers
+        # the report's oracle checks: T and T^2 for a 1-centered draw.
+        # Every report agrees, so no operator needs the full walk.
+        ("centered-oracle", (Counter(svd=224), Counter(svd=371))),
         # 100 operators in five shape groups. Per group: one SVD of T and
         # T*, one of T and T^2 for the two-power oracle, one of the
         # transforms T_ab and their adjoints at all three exponent pairs,

@@ -1,0 +1,54 @@
+"""Every module-level private name of the package is used in the package.
+
+A private function, class or constant (a module-level name with one
+leading underscore) that no code in ``src/`` references is dead: tests may
+exercise it, but nothing they check is part of what the package does. Uses
+inside the definition itself (recursion) and in tests do not count.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _private_definitions(tree: ast.Module):
+    """The module-level private definitions of ``tree``: (name, node)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(node: ast.AST):
+    """Names that ``node`` reads, as names or as attributes; an import
+    alone is no use."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+
+
+def test_every_private_name_is_used_in_src():
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))]
+    assert trees
+    uses = Counter(name for tree in trees for name in _references(tree))
+    unused = [
+        name
+        for tree in trees
+        for name, node in _private_definitions(tree)
+        # Uses inside the definition itself, such as recursion, do not count.
+        if uses[name] == Counter(_references(node))[name]
+    ]
+    assert not unused, f"private names used nowhere in src/: {unused}"

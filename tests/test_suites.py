@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from itertools import takewhile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polarops.suites as suites
 from polarops.classify import (
     AluthgePairCheck,
     BinormalEquivalents,
@@ -15,7 +18,6 @@ from polarops.classify import (
     TransferReport,
     _binormal,
     _binormal_equivalents,
-    _definitional_prefix,
     _mp_centered_check,
     _polar_transfers,
     _product_polars,
@@ -236,8 +238,9 @@ def _reference_centered_oracle(rng, dim, trials, cfg=DEFAULT_TOLERANCES, max_n=6
         report = centered_order(t, max_n, cfg)
         report_flags += not report.oracle_agrees
         check = is_n_centered_definitional(t, max_n, cfg)
+        tol = cfg.equality_rel_tol
         pairs = zip(check.equation_residuals, check.range_residuals)
-        passing = _definitional_prefix(pairs, cfg)
+        passing = len(list(takewhile(lambda r: r[0] <= tol and r[1] <= tol, pairs)))
         for n in range(1, max_n + 1):
             disagreements += (passing >= n) != (report.verified_order >= n)
     records = (
@@ -367,10 +370,27 @@ REFERENCES = {
 
 @pytest.mark.parametrize("name", sorted(REFERENCES))
 @pytest.mark.parametrize("dim", [2, 4, 6, 8])
-def test_suite_matches_its_public_call_reference(name, dim):
-    for seed in (dim, 100 + dim):
-        expected = REFERENCES[name](np.random.default_rng(seed), dim, 12)
-        assert SUITES[name](np.random.default_rng(seed), dim, 12) == expected
+def test_suite_matches_its_public_call_reference(monkeypatch, name, dim):
+    def results() -> list[SuiteResult]:
+        out = []
+        for seed in (dim, 100 + dim):
+            expected = REFERENCES[name](np.random.default_rng(seed), dim, 12)
+            assert SUITES[name](np.random.default_rng(seed), dim, 12) == expected
+            out.append(expected)
+        return out
+
+    results()
+    if name == "centered-oracle":
+        # Tiny draws: the absolute commutator floor stops the criterion at
+        # order 1 while the definitional check passes further, so reports
+        # are flagged and the routes disagree order by order.
+        def tiny(rng, d, draw=random_mixed_rank):
+            return 1e-6 * draw(rng, d)
+
+        monkeypatch.setattr(suites, "random_mixed_rank", tiny)
+        monkeypatch.setitem(globals(), "random_mixed_rank", tiny)
+        for result in results():
+            assert not any(record.passed for record in result.records)
 
 
 def _equivalence_operators() -> list[np.ndarray]:
