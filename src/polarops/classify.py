@@ -25,16 +25,21 @@ and ``binormal_equivalents`` are batch-of-one calls into kernels that take
 a 4-D stack of operators of one matrix each (``_product_polars``,
 ``_polar_transfers``, ``_binormal_equivalents``), so that the suites
 evaluate each group of draws of one shape with one call per
-factorization. The rule holds on both centered-order routes:
-``_centered_order`` takes a dense matrix, or the stack of 3x3 blocks of an
+factorization. The rule holds on every centered-order route:
+``_centered_order`` takes a dense matrix, the stack of 3x3 blocks of an
 operator on its first block subdiagonal (for
-:func:`polarops.shifts.certify_blockwise`), and walks the powers of either
-once, forward, in groups of consecutive powers that fit a fixed number of
-entries (``_power_groups``). Each group is one stacked commutator
-expression and one stacked SVD of the powers the oracle checks, so a
-shift's block stacks and small matrices take a few LAPACK calls for all
+:func:`polarops.shifts.certify_blockwise`), or a 4-D stack of operators of
+one matrix each (for the suites; one report per operator), and walks the
+powers once, forward, for all operators, in groups of consecutive powers
+that fit a fixed number of entries per operator (``_power_groups``). Each
+group is one stacked commutator expression, with one threshold per
+(operator, power), and one stacked SVD per number of powers that the
+operators' oracles check, each with its own rank cutoffs, so a shift's
+block stacks and a group of small matrices take a few LAPACK calls for all
 their powers, while a matrix above 64x64 still walks one power at a time.
-The report is bitwise the same for every grouping.
+Each report is bitwise the report of its operator alone, whatever the
+grouping. ``_mp_centered_check`` takes a stack of operators too, and
+inverts the powers ``T^k``, k >= 2, of all of them in one stacked SVD.
 """
 
 from __future__ import annotations
@@ -48,12 +53,15 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOLERANCES,
+    SvdResult,
     ToleranceConfig,
     _adjoint,
+    _floor_one,
     _psd_powers,
     _residual,
     _square_operator,
     _svd,
+    _threshold,
     commutator_norm,
     commutator_threshold,
     commutes,
@@ -309,12 +317,13 @@ _POWER_LIMIT = 2.0**64
 
 def _powers(a: np.ndarray, offset: int, rescale: bool = False):
     """Yield ``a, a^2, ...``, each power the previous one times ``a``. With
-    ``offset`` 0, ``a`` is a matrix and each step is ``power @ a``. With
-    ``offset`` 1, ``a`` is the stack of the blocks of an operator on its
-    first block subdiagonal, ``a[j]`` mapping block position j to j + 1; the
-    k-th power is the stack of the blocks of ``T^k`` on its k-th block
-    subdiagonal, ``power[j] = a[j+k-1] @ ... @ a[j]``, one block shorter
-    each time, and the walk ends when no block is left.
+    ``offset`` 0, ``a`` is a matrix, or a stack of matrices each walked on
+    its own, and each step is ``power @ a``. With ``offset`` 1, ``a`` is the
+    stack of the blocks of an operator on its first block subdiagonal,
+    ``a[j]`` mapping block position j to j + 1; the k-th power is the stack
+    of the blocks of ``T^k`` on its k-th block subdiagonal, ``power[j] =
+    a[j+k-1] @ ... @ a[j]``, one block shorter each time, and the walk ends
+    when no block is left.
 
     With ``rescale``, a power whose largest entry exceeds ``_POWER_LIMIT``
     is multiplied by the exact power of two that brings that entry to about
@@ -331,25 +340,28 @@ def _powers(a: np.ndarray, offset: int, rescale: bool = False):
         power = power[offset:] @ a[: len(power) - offset]
 
 
-# Complex entries that one group of powers of U may hold in _centered_order:
-# a matrix above 64x64 walks one power at a time, while a block stack or a
-# small matrix walks many powers per stacked expression and SVD. A group
-# keeps about ten arrays of its size alive at once, 0.6 MB at this budget;
-# twice the budget doubles that and saves no measurable time on the shifts.
+# Complex entries that one group of powers of U may hold per operator in
+# _centered_order: a matrix above 64x64 walks one power at a time, while a
+# block stack or a small matrix walks many powers per stacked expression and
+# SVD. A group keeps about ten arrays of its size alive at once, 0.6 MB per
+# operator at this budget; twice the budget doubles that and saves no
+# measurable time on the shifts.
 _GROUP_ENTRIES = 2**12
 
 
 def _power_groups(a: np.ndarray, offset: int, last):
     """The powers ``a, a^2, ...`` of ``_powers``, in lists of consecutive
-    powers holding at most ``_GROUP_ENTRIES`` complex entries, and at least
-    one power each. The walk stops after power ``last()``, read again before
-    each power, so that a caller may shorten or extend it between groups."""
+    powers holding at most ``_GROUP_ENTRIES`` complex entries per operator
+    (each matrix of a stack of operators ``(operators, 1, m, m)`` is one),
+    and at least one power each. The walk stops after power ``last()``, read
+    again before each power, so that a caller may shorten or extend it
+    between groups."""
     powers = _powers(a, offset)
     group: list[np.ndarray] = []
     entries = k = 0
     while k < last():
         # Power k + 1 has offset * k blocks fewer than a.
-        size = a[0].size * (len(a) - offset * k)
+        size = a[0].size if a.ndim == 4 else a[0].size * (len(a) - offset * k)
         if group and entries + size > _GROUP_ENTRIES:
             yield group
             group, entries = [], 0
@@ -361,147 +373,237 @@ def _power_groups(a: np.ndarray, offset: int, last):
         yield group
 
 
-def _stack(parts: list[np.ndarray]) -> np.ndarray:
-    """The stacks ``parts`` as one stack; a single one is not copied."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    """The stacks of operators ``parts`` as one, the blocks of each operator
+    one part after another along axis 1; a single part is not copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def _spans(lengths: list[int]) -> list[slice]:
-    """The slices of consecutive stacks of ``lengths`` in their ``_stack``."""
+    """The slices of consecutive parts of ``lengths`` blocks in their ``_join``."""
     return [slice(a, b) for a, b in pairwise(accumulate(lengths, initial=0))]
+
+
+def _power_norms(x: np.ndarray, lengths: list[int]) -> np.ndarray:
+    """``fro_norm`` of the span of each power in ``x``, a stack of operators
+    whose axis 1 holds consecutive powers of ``lengths`` blocks each, as an
+    array ``(operators, powers)``. Powers of one length (those of matrices)
+    take one ``fro_norm`` of a stack with one operator per (operator,
+    power) pair; the shrinking powers of a block stack take one call per
+    span. Each norm is bitwise that of its span alone."""
+    if len(set(lengths)) == 1:
+        pairs = x.reshape(len(x) * len(lengths), lengths[0], *x.shape[2:])
+        return fro_norm(pairs).reshape(len(x), -1)
+    spans = _spans(lengths)
+    return np.array([[fro_norm(own[span]) for span in spans] for own in x])
+
+
+def _power_residuals(a: np.ndarray, b: np.ndarray, lengths: list[int]) -> np.ndarray:
+    """``core._residual`` of the span of each power in ``a`` and ``b``, as
+    ``_power_norms`` takes them, bitwise that of the spans alone; ``a - b``
+    is formed once for all spans."""
+    if len(set(lengths)) > 1:
+        spans = _spans(lengths)
+        return np.array(
+            [
+                [fro_norm(d[s]) / _floor_one(fro_norm(x[s]), fro_norm(y[s])) for s in spans]
+                for d, x, y in zip(a - b, a, b)
+            ]
+        )
+    difference, *norms = (_power_norms(x, lengths) for x in (a - b, a, b))
+    return difference / _floor_one(*norms)
 
 
 def _commutators(
     u_pows: list[np.ndarray], p: np.ndarray, cfg: ToleranceConfig
-) -> tuple[list[float], list[float]]:
-    """Norms of ``[U^k |T| (U^k)*, |T|]`` and their thresholds for the
-    consecutive block stacks ``u_pows`` of powers of ``U`` (see ``_powers``),
-    with ``p`` holding ``|T|`` on every block position, the trailing zero
-    block of a shift included. The sources of the blocks of ``U^k`` are the
-    first ``len(U^k)`` positions and their images the last, so the
-    commutator is block diagonal. All powers share one stacked expression;
-    each norm and threshold is taken on its power's contiguous slice, which
-    keeps it bitwise equal to that of the power alone."""
-    lengths = [len(u_pow) for u_pow in u_pows]
-    u = _stack(u_pows)
-    sources = _stack([p[:n] for n in lengths])
-    images = _stack([p[len(p) - n :] for n in lengths])
+) -> tuple[np.ndarray, np.ndarray]:
+    """Norms of ``[U^k |T| (U^k)*, |T|]`` and their thresholds, each an
+    array ``(operators, powers)``, for the consecutive powers ``u_pows`` of
+    ``U`` (see ``_powers``), each a stack of operators ``(operators, blocks,
+    m, m)``, with ``p`` holding ``|T|`` of each operator on every block
+    position, the trailing zero block of a shift included. The sources of
+    the blocks of ``U^k`` are the first ``blocks`` positions and their
+    images the last, so the commutator is block diagonal. All powers share
+    one stacked expression and one ``fro_norm(p)``; each norm and threshold
+    is taken on its (operator, power) span, which keeps it bitwise equal to
+    that of the power of that operator alone."""
+    lengths = [u_pow.shape[1] for u_pow in u_pows]
+    u = _join(u_pows)
+    sources = _join([p[:, :n] for n in lengths])
+    images = _join([p[:, p.shape[1] - n :] for n in lengths])
     conjugated = u @ sources @ _adjoint(u)
     commutator = conjugated @ images - images @ conjugated
-    spans = _spans(lengths)
     return (
-        [fro_norm(commutator[span]) for span in spans],
-        [commutator_threshold(conjugated[span], p, cfg) for span in spans],
+        _power_norms(commutator, lengths),
+        _threshold(_power_norms(conjugated, lengths), fro_norm(p)[:, None], cfg),
     )
 
 
 def _oracle_residuals(
     t_pows: list[np.ndarray], u_pows: list[np.ndarray], cfg: ToleranceConfig
-) -> list[tuple[float, float]]:
-    """The definitional check: for each of the consecutive block stacks
-    ``t_pows`` of powers ``T^k``, with ``u_pows`` those of ``U^k``, the
-    ``(equation, range)`` residuals of ``T^k = U^k |T^k|`` and of
-    ``(U^k)* U^k`` against the range projection of ``(T^k)*``. Both vanish
-    exactly when ``U^k |T^k|`` is the polar decomposition of ``T^k``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The definitional check: for each of the consecutive powers ``t_pows``
+    of ``T``, stacks of operators ``(operators, blocks, m, m)``, with
+    ``u_pows`` those of ``U``, the residuals of ``T^k = U^k |T^k|`` and of
+    ``(U^k)* U^k`` against the range projection of ``(T^k)*``, as two arrays
+    ``(operators, powers)``. Both vanish exactly when ``U^k |T^k|`` is the
+    polar decomposition of ``T^k``.
 
-    One stacked SVD of all the powers gives each its own polar
-    decomposition ``U_k |T^k|``, with its own rank cutoff, ``rank_rel_tol``
-    times the largest singular value of its direct sum; ``U_k* U_k`` is the
-    range projection. Each residual is ``core._residual`` of its power's
-    slice of the stacks."""
-    lengths = [len(t_pow) for t_pow in t_pows]
-    t, u = _stack(t_pows), _stack(u_pows)
-    decomp = _svd(t)
+    One stacked SVD of every matrix of every power gives each power of each
+    operator its own polar decomposition ``U_k |T^k|``, with its own rank
+    cutoff, ``rank_rel_tol`` times the largest singular value of its direct
+    sum; ``U_k* U_k`` is the range projection. Each operator's ``U_k`` are
+    formed from columns sliced to its largest rank over ``t_pows``, as for
+    that operator alone. Each residual is ``core._residual`` of its
+    (operator, power) span."""
+    lengths = [t_pow.shape[1] for t_pow in t_pows]
+    t, u = _join(t_pows), _join(u_pows)
+    # LAPACK takes every matrix as one 3-D stack; its factors are shaped as t.
+    flat = _svd(t.reshape(-1, *t.shape[2:]))
+    decomp = SvdResult(
+        *(x.reshape(*t.shape[:2], *x.shape[1:]) for x in vars(flat).values())
+    )
     s = decomp.singular_values
     starts = list(accumulate(lengths[:-1], initial=0))
-    top = np.repeat(np.maximum.reduceat(s[:, 0], starts), lengths)
-    u_k = _isometry(decomp, np.count_nonzero(s > cfg.rank_rel_tol * top[:, None], -1))
+    top = np.repeat(np.maximum.reduceat(s[..., 0], starts, axis=-1), lengths, axis=-1)
+    u_k = _isometry(decomp, np.count_nonzero(s > cfg.rank_rel_tol * top[..., None], -1))
     equation = u @ _modulus(decomp)
     gram, projection = _adjoint(u) @ u, _adjoint(u_k) @ u_k
-    return [
-        (_residual(t[span], equation[span]), _residual(gram[span], projection[span]))
-        for span in _spans(lengths)
-    ]
+    return (
+        _power_residuals(t, equation, lengths),
+        _power_residuals(gram, projection, lengths),
+    )
 
 
-def _centered_order(
-    t: np.ndarray, parts: PolarParts, max_n: int, cfg: ToleranceConfig
-) -> CenteredReport:
+def _oracle_run(
+    t_pows: list[np.ndarray], u_pows: list[np.ndarray], cfg: ToleranceConfig
+) -> np.ndarray:
+    """For each operator of the stacks of ``_oracle_residuals``, the number
+    of leading powers in ``t_pows`` that pass the definitional check.
+
+    An SVD that fails for one matrix fails for its whole stack. The
+    operators are then checked one at a time, and the powers of one
+    operator one at a time, up to its first failing power, so that a power
+    past it (say, one whose entries overflowed) is never factored. A single
+    power that cannot be factored raises."""
+    try:
+        equation, ranges = _oracle_residuals(t_pows, u_pows, cfg)
+    except np.linalg.LinAlgError:
+        if len(t_pows[0]) > 1:
+            return np.concatenate(
+                [
+                    _oracle_run([x[[i]] for x in t_pows], [x[[i]] for x in u_pows], cfg)
+                    for i in range(len(t_pows[0]))
+                ]
+            )
+        if len(t_pows) == 1:
+            raise
+        passes = (_oracle_run([t_k], [u_k], cfg)[0] for t_k, u_k in zip(t_pows, u_pows))
+        return np.array([len(list(takewhile(bool, passes)))])
+    holds = np.maximum(equation, ranges) <= cfg.equality_rel_tol
+    return np.logical_and.accumulate(holds, axis=1).sum(axis=1)
+
+
+def _centered_order(t: np.ndarray, parts: PolarParts, max_n: int, cfg: ToleranceConfig):
     """``centered_order`` of a checked square ``t`` with polar parts
-    ``parts``, or of the operator whose block stack (see ``_powers``) is
+    ``parts``; or of the operator whose block stack (see ``_powers``) is
     ``t``, with ``parts`` those of the stack and the modulus padded as
-    ``_commutators`` takes it. ``binormal`` is the k = 1 decision
-    (``[U |T| U*, |T|] = 0`` exactly when ``[T* T, T T*] = 0``), so it is
-    decided for max_n = 1 too, whose report lists no commutator.
+    ``_commutators`` takes it; or, as a list of reports, of each operator of
+    a stack of operators ``(operators, 1, d, d)``, with ``parts`` those of
+    the stack. ``binormal`` is the k = 1 decision (``[U |T| U*, |T|] = 0``
+    exactly when ``[T* T, T T*] = 0``), so it is decided for max_n = 1 too,
+    whose report lists no commutator.
 
-    One forward walk forms each ``U^k`` once, in groups of consecutive
-    powers (``_power_groups``). Each group gets one stacked commutator
-    expression and, for the powers the oracle still checks (k up to
-    min(verified + 1, max_n), none after a failing power), one call of
-    ``_oracle_residuals`` on the ``T^k``; the oracle agrees when its
-    leading run of passing powers ends at the verified order. The report
-    does not depend on how the powers are grouped."""
-    u, p = parts.isometry, parts.modulus
-    offset = u.ndim - 2
-    if not offset:
-        # A matrix is a stack of one block, which each power keeps.
-        t, u, p = t[None], u[None], p[None]
+    One forward walk forms each ``U^k`` once for all operators, in groups
+    of consecutive powers (``_power_groups``), as far as the operator that
+    needs most. Each group gets one stacked commutator expression and, for
+    the powers each operator's oracle still checks (k up to min(verified +
+    1, max_n), none after a group that holds a failing power), one call of
+    ``_oracle_run`` per number of powers checked; the oracle agrees when its
+    leading run of passing powers ends at the verified order. Each report
+    is bitwise the report of its operator alone, and does not depend on how
+    the powers are grouped."""
+    stacked = t.ndim == 4
+    offset = int(t.ndim == 3)
+    # The powers are walked as given and seen as stacks of operators: a
+    # matrix is an operator of one block, and a block stack one operator.
+    lead = (None,) * (4 - t.ndim)
+    p = parts.modulus[lead]
+    operators = len(p)
     count = max(max_n - 1, 1)
-    tol = cfg.equality_rel_tol
-    norms: list[float] = []
-    thresholds: list[float] = []
-    verified, passing = 1, 0
-    checking = True
+    norm_parts: list[np.ndarray] = []
+    threshold_parts: list[np.ndarray] = []
+    verified = [1] * operators
+    passing = [0] * operators
+    checking = [True] * operators
     # The entries of a shift's T^k grow like 2^k, and the oracle's check
     # T^k = U^k |T^k| is homogeneous in T^k.
-    t_powers = _powers(t, offset, rescale=offset == 1)
-
-    def last() -> int:
-        # The oracle may need T^max_n, one power past the commutators,
-        # unless the run of vanishing commutators ended below max_n - 1.
-        ended = verified <= min(len(norms), max_n - 1)
-        return count if not checking or (ended and verified < max_n - 1) else max_n
-
+    t_powers = (power[lead] for power in _powers(t, offset, rescale=offset == 1))
+    # The oracle may need T^max_n, one power past the commutators, unless,
+    # for every operator, it has stopped or the run of vanishing
+    # commutators ended below max_n - 1. That changes only between groups.
+    reach = max_n
     first = 1
-    for group in _power_groups(u, offset, last):
+    for powers in _power_groups(parts.isometry, offset, lambda: reach):
+        group = [power[lead] for power in powers]
         if first <= count:
-            more = _commutators(group[: count - first + 1], p, cfg)
-            norms += more[0]
-            thresholds += more[1]
-            pairs = zip(norms[: max_n - 1], thresholds)
-            verified = 1 + len(list(takewhile(bool, (a <= b for a, b in pairs))))
-        checked = min(len(group), min(verified + 1, max_n) - first + 1)
-        if checking and checked > 0:
-            t_pows = list(islice(t_powers, checked))
-            try:
-                residuals = _oracle_residuals(t_pows, group[:checked], cfg)
-            except np.linalg.LinAlgError:
-                # An SVD that fails for one matrix fails for the whole
-                # stack: factor the powers one at a time, up to the first
-                # failing power, so that a power past it (say, one whose
-                # entries overflowed) is never factored.
-                if checked == 1:
-                    raise
-                residuals = (
-                    _oracle_residuals([t_k], [u_k], cfg)[0]
-                    for t_k, u_k in zip(t_pows, group)
-                )
-            holds = (all(r <= tol for r in pair) for pair in residuals)
-            passed = len(list(takewhile(bool, holds)))
-            passing += passed
-            checking = passed == checked
+            norms, thresholds = _commutators(group[: count - first + 1], p, cfg)
+            norm_parts.append(norms)
+            threshold_parts.append(thresholds)
+            # Extend the runs still unbroken, by the decisions k < max_n.
+            rows = (norms[:, : max_n - first] <= thresholds[:, : max_n - first]).tolist()
+            verified = [
+                order + len(list(takewhile(bool, row))) if order == first else order
+                for order, row in zip(verified, rows)
+            ]
+        limit = min(len(group), max_n - first + 1)
+        checked = [
+            min(order + 2 - first, limit) if on else 0
+            for order, on in zip(verified, checking)
+        ]
+        sizes = sorted({c for c in checked if c > 0})
+        # An operator checks the next group only after passing every power
+        # of this one, so the walk of T^k stays in step with the group.
+        t_pows = list(islice(t_powers, sizes[-1] if sizes else 0))
+        for c in sizes:
+            members = [i for i, own in enumerate(checked) if own == c]
+            pick = slice(None) if len(members) == operators else members
+            passed = _oracle_run(
+                [x[pick] for x in t_pows[:c]], [x[pick] for x in group[:c]], cfg
+            )
+            for i, run in zip(members, passed.tolist()):
+                passing[i] += run
+                checking[i] = run == c
         first += len(group)
-    return CenteredReport(
-        # The rows of |T|, of a stack as one direct sum.
-        dimension=p.size // p.shape[-1],
-        max_order_checked=max_n,
-        verified_order=verified,
-        commutator_norms=tuple(norms[: max_n - 1]),
-        commutator_thresholds=tuple(thresholds[: max_n - 1]),
-        rank_margin=rank_margin(np.sort(parts.singular_values, axis=None)[::-1], cfg),
-        binormal=norms[0] <= thresholds[0],
-        oracle_agrees=passing == verified,
+        stop = min(first, max_n - 1)
+        if all(not on or v < stop for v, on in zip(verified, checking)):
+            reach = count
+    norms, thresholds = (
+        _join(chunks)[:, : max_n - 1] for chunks in (norm_parts, threshold_parts)
     )
+    spectra = np.sort(np.reshape(parts.singular_values, (operators, -1)), axis=1)
+    reports = [
+        CenteredReport(
+            # The rows of |T|, of a block stack as one direct sum.
+            dimension=p.shape[1] * p.shape[2],
+            max_order_checked=max_n,
+            verified_order=order,
+            commutator_norms=tuple(own_norms),
+            commutator_thresholds=tuple(own_thresholds),
+            rank_margin=rank_margin(spectrum[::-1], cfg),
+            binormal=binormal,
+            oracle_agrees=agrees,
+        )
+        for order, own_norms, own_thresholds, spectrum, binormal, agrees in zip(
+            verified,
+            norms.tolist(),
+            thresholds.tolist(),
+            spectra,
+            (norm_parts[0][:, 0] <= threshold_parts[0][:, 0]).tolist(),
+            [runs == order for runs, order in zip(passing, verified)],
+        )
+    ]
+    return reports if stacked else reports[0]
 
 
 def centered_order(
@@ -535,13 +637,17 @@ def is_n_centered_definitional(
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     u = polar_decompose(t, cfg).isometry
-    t_powers = _powers(t[None], 0)
-    residuals = []
-    for group in _power_groups(u[None], 0, lambda: n):
-        residuals += _oracle_residuals(list(islice(t_powers, len(group))), group, cfg)
-    equation, ranges = zip(*residuals)
+    t_powers = _powers(t[None, None], 0)
+    equation: list[float] = []
+    ranges: list[float] = []
+    for group in _power_groups(u[None, None], 0, lambda: n):
+        more = _oracle_residuals(list(islice(t_powers, len(group))), group, cfg)
+        equation += more[0][0].tolist()
+        ranges += more[1][0].tolist()
     ok = all(r <= cfg.equality_rel_tol for r in equation + ranges)
-    return DefinitionalCheck(ok=ok, equation_residuals=equation, range_residuals=ranges)
+    return DefinitionalCheck(
+        ok=ok, equation_residuals=tuple(equation), range_residuals=tuple(ranges)
+    )
 
 
 def product_polar(
@@ -739,8 +845,9 @@ def _binormal_equivalents(
     """``binormal_equivalents`` of each operator of a stack of operators of
     one matrix each. ``T`` and ``T*`` share one stacked SVD and one
     ``eigh`` of their moduli; the oracle (``_oracle_residuals``) factors
-    ``T`` and ``T^2`` in one stacked SVD, both powers for every operator; the transforms of
-    every exponent pair and their adjoints form one stack, pair by pair."""
+    ``T`` and ``T^2`` of every operator in one stacked SVD; the transforms
+    of every exponent pair and their adjoints form one stack, pair by
+    pair."""
     count = len(t)
     binormal, _ = _binormal(t, cfg)
     parts, adjoint_parts = _split_parts(
@@ -748,9 +855,8 @@ def _binormal_equivalents(
     )
     u = parts.isometry
     tol = cfg.equality_rel_tol
-    residuals = _oracle_residuals([*t, *(t @ t)], [*u, *(u @ u)], cfg)
-    holds = [all(r <= tol for r in pair) for pair in residuals]
-    two_centered = [a and b for a, b in zip(holds[:count], holds[count:])]
+    equation, ranges = _oracle_residuals([t, t @ t], [u, u @ u], cfg)
+    two_centered = ((equation <= tol) & (ranges <= tol)).all(axis=1).tolist()
     both = functools.cache(
         _psd_powers(np.concatenate([parts.modulus, adjoint_parts.modulus]), cfg)
     )
@@ -888,61 +994,93 @@ def _mp_centered_check(
     parts: PolarParts,
     pinv: np.ndarray,
     adjoint_modulus: np.ndarray,
-    report: CenteredReport,
-    inverse_report: CenteredReport,
-    n: int,
+    report,
+    inverse_report,
+    n,
     cfg: ToleranceConfig,
-) -> MpCenteredReport:
+):
     """``mp_centered_check(t, n)`` from what the caller has computed: the
     polar parts of ``t``, ``pinv = moore_penrose(t)``, ``adjoint_modulus =
     abs_value(t*)`` and the reports of ``t`` and ``pinv`` from
     ``centered_order`` at one ``max_n >= n``. The order at n + 1 needs the
     commutator at k = n, which a report of ``max_n == n`` lacks; only then
-    are the commutators formed again."""
-    decisions = report.commute_decisions()
-    if len(decisions) < n:
-        u_pows = list(islice(_powers(parts.isometry[None], 0), n))
-        norms, thresholds = _commutators(u_pows, parts.modulus[None], cfg)
-        decisions = [norm <= threshold for norm, threshold in zip(norms, thresholds)]
-    verified = 1 + len(list(takewhile(bool, decisions[:n])))
-    if verified < n:
-        raise ValueError(
-            f"operator is only {verified}-centered at tolerance, need {n}"
+    are the commutators formed again.
+
+    For a stack of operators ``(operators, 1, d, d)`` with the parts of the
+    stack, ``report``, ``inverse_report`` and ``n`` hold one entry per
+    operator, and the result is a list of reports, each bitwise that of its
+    operator alone. Each power walk runs over the stack, as far as the
+    operators that need it; the inverses of the powers ``T^k``, k >= 2, of
+    every operator take one stacked SVD."""
+    if t.ndim == 2:
+        one = (None, None)
+        parts = PolarParts(parts.isometry[one], parts.modulus[one], parts.rank)
+        stacks = (t[one], parts, pinv[one], adjoint_modulus[one])
+        return _mp_centered_check(*stacks, [report], [inverse_report], [n], cfg)[0]
+    u, p = parts.isometry, parts.modulus
+    orders = [int(k) for k in n]
+    decisions = [list(own.commute_decisions()) for own in report]
+    short = [i for i, k in enumerate(orders) if len(decisions[i]) < k]
+    if short:
+        u_pows = list(islice(_powers(u[short], 0), max(orders[i] for i in short)))
+        norms, thresholds = _commutators(u_pows, p[short], cfg)
+        for i, row in zip(short, (norms <= thresholds).tolist()):
+            decisions[i] = row
+    verified = [1 + len(list(takewhile(bool, d[:k]))) for d, k in zip(decisions, orders)]
+    for order, k in zip(verified, orders):
+        if order < k:
+            raise ValueError(f"operator is only {order}-centered at tolerance, need {k}")
+
+    # pinv is the inverse of T itself; each higher power is inverted anew,
+    # those of all operators in one stacked SVD.
+    top = max(orders)
+    members = [[i for i, k in enumerate(orders) if k > j] for j in range(top)]
+    t_pows = islice(_powers(t, 0), top)
+    higher = [t_pow[own] for t_pow, own in zip(t_pows, members)][1:]
+    inverses = [pinv]
+    if higher:
+        stack = _pinv(_svd(np.concatenate(higher)), cfg)
+        inverses += np.split(stack, list(accumulate(map(len, higher[:-1]))))
+    pinv_pows = [pinv_pow[own] for pinv_pow, own in zip(_powers(pinv, 0), members)]
+    values = iter(_residual(np.concatenate(inverses), np.concatenate(pinv_pows)).tolist())
+    residuals: list[list[float]] = [[] for _ in orders]
+    for own in members:
+        for i in own:
+            residuals[i].append(next(values))
+
+    # The modulus commutators of the operators that are (n+1)-centered.
+    plus = [i for i, (order, k) in enumerate(zip(verified, orders)) if order >= k + 1]
+    mod_norms: list[list[float]] = [[] for _ in orders]
+    adj_norms: list[list[float]] = [[] for _ in orders]
+    mod_ok = [True for _ in orders]
+    if plus:
+        u_pows = islice(_powers(u[plus], 0), max(orders[i] for i in plus))
+        for j, u_pow in enumerate(u_pows):
+            p_final = u_pow @ _adjoint(u_pow)
+            p_initial = _adjoint(u_pow) @ u_pow
+            final = _commutator_test(p_final, p[plus], cfg)
+            initial = _commutator_test(p_initial, adjoint_modulus[plus], cfg)
+            rows = zip(plus, *(x.tolist() for x in (*final, *initial)))
+            for i, mod_norm, mod_commutes, adj_norm, adj_commutes in rows:
+                if j < orders[i]:
+                    mod_norms[i].append(mod_norm)
+                    adj_norms[i].append(adj_norm)
+                    mod_ok[i] = mod_ok[i] and mod_commutes and adj_commutes
+
+    tol = cfg.equality_rel_tol
+    reports = []
+    for i, k in enumerate(orders):
+        inverse_order = min(inverse_report[i].verified_order, k)
+        ok = all(r <= tol for r in residuals[i]) and inverse_order >= k and mod_ok[i]
+        reports.append(
+            MpCenteredReport(
+                order=k,
+                power_inverse_residuals=tuple(residuals[i]),
+                inverse_verified_order=inverse_order,
+                checked_modulus_commutators=verified[i] >= k + 1,
+                modulus_commutator_norms=tuple(mod_norms[i]),
+                adjoint_modulus_commutator_norms=tuple(adj_norms[i]),
+                ok=ok,
+            )
         )
-
-    # pinv is the inverse of T itself; each higher power is inverted anew.
-    residuals = [
-        _residual(_pinv(_svd(t_pow), cfg) if k else pinv, pinv_pow)
-        for k, t_pow, pinv_pow in zip(range(n), _powers(t, 0), _powers(pinv, 0))
-    ]
-
-    inverse_order = min(inverse_report.verified_order, n)
-
-    plus_one = verified >= n + 1
-    mod_norms: list[float] = []
-    adj_norms: list[float] = []
-    mod_ok = True
-    if plus_one:
-        p = parts.modulus
-        for u_pow in islice(_powers(parts.isometry, 0), n):
-            p_final = u_pow @ u_pow.conj().T
-            p_initial = u_pow.conj().T @ u_pow
-            mod_norms.append(commutator_norm(p_final, p))
-            adj_norms.append(commutator_norm(p_initial, adjoint_modulus))
-            mod_ok = mod_ok and commutes(p_final, p, cfg)
-            mod_ok = mod_ok and commutes(p_initial, adjoint_modulus, cfg)
-
-    ok = (
-        all(r <= cfg.equality_rel_tol for r in residuals)
-        and inverse_order >= n
-        and mod_ok
-    )
-    return MpCenteredReport(
-        order=n,
-        power_inverse_residuals=tuple(residuals),
-        inverse_verified_order=inverse_order,
-        checked_modulus_commutators=plus_one,
-        modulus_commutator_norms=tuple(mod_norms),
-        adjoint_modulus_commutator_norms=tuple(adj_norms),
-        ok=ok,
-    )
+    return reports

@@ -92,8 +92,11 @@ def fro_norm(a):
     is bitwise that of ``norm(a)``. Other dtypes go to ``norm`` itself. A
     stack of operators takes each operator's entries in row-major order and
     forms its two dot products as a ``(1, k) @ (k, 1)`` matmul, which is
-    bitwise the dot product of that operator alone."""
+    bitwise the dot product of that operator alone; a stack of one operator
+    takes the dot products of that operator directly."""
     a = np.asarray(a)
+    if a.ndim == 4 and len(a) == 1 and a.dtype == np.complex128:
+        return np.array([fro_norm(a[0])])
     if a.ndim == 4:
         # (operators, 2, 1, k): the real parts, then the imaginary parts.
         x = a.astype(np.complex128, copy=False).reshape(len(a), -1)
@@ -147,7 +150,13 @@ def commutator_threshold(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     operand norms and is floored at ``COMMUTATOR_FLOOR`` so that operators
     of tiny norm still count as commuting. Stacks of three axes count as
     direct sums; stacks of operators get one threshold per operator."""
-    bound = cfg.zero_rel_tol * fro_norm(a) * fro_norm(b)
+    return _threshold(fro_norm(a), fro_norm(b), cfg)
+
+
+def _threshold(a_norm, b_norm, cfg: ToleranceConfig):
+    """``commutator_threshold`` of operands with the norms ``a_norm`` and
+    ``b_norm``, floats or arrays (one threshold per entry)."""
+    bound = cfg.zero_rel_tol * a_norm * b_norm
     if isinstance(bound, np.ndarray):
         return np.maximum(bound, COMMUTATOR_FLOOR)
     return max(bound, COMMUTATOR_FLOOR)

@@ -148,6 +148,14 @@ def _split_parts(parts: PolarParts, count: int) -> list[PolarParts]:
     ]
 
 
+def _join_parts(*parts: PolarParts) -> PolarParts:
+    """The parts of the stacks of operators of ``parts``, one after another,
+    as the parts of one stack; the inverse of ``_split_parts``."""
+    return PolarParts(
+        *(np.concatenate(fields) for fields in zip(*(vars(p).values() for p in parts)))
+    )
+
+
 def polar_decompose(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PolarParts:
     """Canonical polar decomposition ``t = U P`` with ``U* U = P_{ran t*}``.
 
@@ -233,14 +241,18 @@ def _polar_check(
 
 
 def _pinv(decomp: SvdResult, cfg: ToleranceConfig) -> np.ndarray:
-    """``moore_penrose`` of the operator whose SVD is ``decomp``."""
-    r = numerical_rank(decomp.singular_values, cfg)
-    if r == 0:
-        shape = (len(decomp.right_vectors), len(decomp.left_vectors))
-        return np.zeros(shape, dtype=np.complex128)
-    x = decomp.right_vectors[:, :r]
-    w = decomp.left_vectors[:, :r]
-    return (x / decomp.singular_values[:r]) @ w.conj().T
+    """``moore_penrose`` of the operator whose SVD is ``decomp``, or of each
+    operator of a stack of operators, with the rank cutoffs of
+    ``core._rank``: ``X_r diag(1/s_r) W_r*``. Only the leading ``r``
+    columns of ``X`` are divided, and the product is that of
+    ``_leading_product``, so each operator of a stack gets bitwise the
+    inverse it gets alone; rank 0 gives the zero matrix."""
+    s = decomp.singular_values
+    r = _rank(s, cfg)
+    keep = np.arange(s.shape[-1]) < np.expand_dims(r, -1)
+    x = decomp.right_vectors
+    scaled = np.divide(x, s[..., None, :], out=np.zeros_like(x), where=keep[..., None, :])
+    return _leading_product(scaled, decomp.left_vectors, r)
 
 
 def moore_penrose(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:

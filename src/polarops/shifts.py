@@ -211,9 +211,12 @@ def _dense(stack, offset: int = 1) -> np.ndarray:
     position (m, m-1); with ``offset`` 0, on its diagonal up to a trailing
     zero block instead."""
     blocks = len(stack) + 1
-    grid = np.zeros((blocks, blocks, BLOCK, BLOCK), dtype=np.complex128)
+    dense = np.zeros((BLOCK * blocks, BLOCK * blocks), dtype=np.complex128)
+    # The blocks are written through a view of the matrix, so that no second
+    # matrix-sized array is made.
+    grid = dense.reshape(blocks, BLOCK, blocks, BLOCK).swapaxes(1, 2)
     grid[np.arange(offset, blocks - 1 + offset), np.arange(blocks - 1)] = stack
-    return grid.swapaxes(1, 2).reshape(BLOCK * blocks, BLOCK * blocks)
+    return dense
 
 
 def _subdiagonal_blocks(t: np.ndarray) -> np.ndarray:

@@ -6,12 +6,16 @@ check records. The CLI runner renders these as report lines; the acceptance
 tests call them directly with pinned seeds, trial counts, and tolerances.
 All suites are deterministic given (seed, dim, trials, cfg).
 
-``polar-contract``, ``product-polar``, ``polar-transfer`` and
-``aluthge-binormal`` draw every trial's operators first, in the order of a
-per-trial loop (no evaluation consumes the generator), evaluate each group
-of draws of one shape as one stack of operators (``_by_shape``), and fold
-the per-trial verdicts and worst residuals back in trial order; each
-trial's values are bitwise those it gets alone.
+``polar-contract``, ``centered-oracle``, ``product-polar``,
+``polar-transfer``, ``aluthge-binormal`` and ``mp-inverse`` draw every
+trial's operators first, in the order of a per-trial loop (no evaluation
+consumes the generator), evaluate each group of draws of one shape as one
+stack of operators (``_by_shape``), and fold the per-trial verdicts and
+worst residuals back in trial order; each trial's values are bitwise those
+it gets alone. ``centered-oracle`` and ``mp-inverse`` walk the powers of a
+whole group at once (``classify._centered_order`` on a stack of
+operators). ``psd-pairs`` still evaluates one pair at a time;
+``shift-family`` and ``v-entries`` check fixed families.
 """
 
 from __future__ import annotations
@@ -23,36 +27,37 @@ from itertools import takewhile
 import numpy as np
 
 from .classify import (
+    CenteredReport,
+    _binormal,
     _binormal_equivalents,
     _centered_order,
     _mp_centered_check,
     _polar_transfers,
     _product_polars,
     centered_order,
-    is_binormal,
     is_n_centered_definitional,
 )
 from .core import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
+    _adjoint,
     _psd_powers,
+    _residual,
     _svd,
     commutes,
     equality_residual,
     is_hermitian_psd,
     range_projection,
-    svd,
 )
 from .decomp import (
     PolarCheck,
-    _mp_polar_parts,
+    _join_parts,
     _pinv,
     _polar_check,
     _polar_parts,
     _split_checks,
+    _split_parts,
     abs_value,
-    moore_penrose,
-    polar_decompose,
 )
 from .sampling import (
     random_binormal,
@@ -180,11 +185,15 @@ def suite_centered_oracle(
         random_mixed_rank(rng, d) for d in _dims_cycle(rng, 2, dim, trials)
     ]
     operators.extend(matrix for _, matrix in structured_fixtures(rng))
+
+    def evaluate(t: np.ndarray) -> list[CenteredReport]:
+        return _centered_order(t, _polar_parts(_svd(t), cfg), max_n, cfg)
+
+    reports = _by_shape([(t,) for t in operators], evaluate)
     disagreements = 0
     report_flags = 0
     tol = cfg.equality_rel_tol
-    for t in operators:
-        report = _centered_order(t, polar_decompose(t, cfg), max_n, cfg)
+    for t, report in zip(operators, reports):
         # The report's oracle agrees exactly when the definitional check
         # passes up to the verified order and no further; only a flagged
         # operator needs the check over all max_n powers. The routes then
@@ -342,56 +351,64 @@ def suite_mp_inverse(
         for i, d in enumerate(_dims_cycle(rng, 2, dim, trials))
     ]
     operators.extend(matrix for _, matrix in structured_fixtures(rng))
+
+    def evaluate(t: np.ndarray) -> list[tuple[bool, list[float]]]:
+        # One stacked SVD of T and T* (pinv, U, |T|, |T*|), one of pinv,
+        # pinv*, |T| and |T*| (pinv's polar parts, |pinv*| and the inverses
+        # of the moduli); the inverse polar factor is U*.
+        count = len(t)
+        decomp = _svd(np.concatenate([t, _adjoint(t)]))
+        parts, adjoint_parts = _split_parts(_polar_parts(decomp, cfg), count)
+        pinv = _pinv(decomp, cfg)[:count]
+        moduli = [parts.modulus, adjoint_parts.modulus]
+        inverse = _svd(np.concatenate([pinv, _adjoint(pinv), *moduli]))
+        inverse_parts, inverse_adjoint_parts, _, _ = _split_parts(
+            _polar_parts(inverse, cfg), count
+        )
+        modulus_residuals = _residual(
+            _pinv(inverse, cfg)[2 * count :],
+            np.concatenate([inverse_adjoint_parts.modulus, inverse_parts.modulus]),
+        ).tolist()
+        inverse_polar = _split_checks(
+            _polar_check(
+                pinv,
+                _adjoint(parts.isometry),
+                inverse_parts.modulus,
+                cfg,
+                inverse_adjoint_parts.modulus,
+            )
+        )
+        binormal = _binormal(np.concatenate([t, pinv]), cfg)[0].tolist()
+        # The walks of T and pinv share one stack.
+        both = _centered_order(
+            np.concatenate([t, pinv]), _join_parts(parts, inverse_parts), max_n, cfg
+        )
+        reports, inverse_reports = both[:count], both[count:]
+        orders = [report.verified_order for report in reports]
+        mp_reports = _mp_centered_check(
+            t, parts, pinv, adjoint_parts.modulus, reports, inverse_reports, orders, cfg
+        )
+        results = []
+        for i, mp_report in enumerate(mp_reports):
+            residuals = [
+                modulus_residuals[i],
+                modulus_residuals[count + i],
+                inverse_polar[i].worst(),
+                *mp_report.power_inverse_residuals,
+            ]
+            ok = (
+                all(r <= cfg.equality_rel_tol for r in residuals)
+                and inverse_polar[i].ok
+                and mp_report.ok
+                and inverse_reports[i].verified_order == orders[i]
+                and binormal[i] == binormal[count + i]
+            )
+            results.append((ok, residuals))
+        return results
+
     failures = 0
     worst = 0.0
-    for t in operators:
-        # One factorization each of T (pinv, |T|, U) and of pinv (its polar
-        # parts both through U* and on its own); |T*| and |pinv*| once each.
-        decomp = svd(t)
-        parts = _polar_parts(decomp, cfg)
-        pinv = _pinv(decomp, cfg)
-        inverse = _svd(pinv)
-        inverse_parts = _mp_polar_parts(decomp, inverse, cfg)
-        adjoint_modulus = abs_value(t.conj().T, cfg)
-        inverse_adjoint_modulus = abs_value(pinv.conj().T, cfg)
-        residuals = [
-            equality_residual(
-                moore_penrose(parts.modulus, cfg), inverse_adjoint_modulus
-            ),
-            equality_residual(
-                moore_penrose(adjoint_modulus, cfg), inverse_parts.modulus
-            ),
-        ]
-        inverse_polar = _polar_check(
-            pinv,
-            inverse_parts.isometry,
-            inverse_parts.modulus,
-            cfg,
-            inverse_adjoint_modulus,
-        )
-        residuals.append(inverse_polar.worst())
-
-        report = _centered_order(t, parts, max_n, cfg)
-        inverse_report = _centered_order(pinv, _polar_parts(inverse, cfg), max_n, cfg)
-        mp_report = _mp_centered_check(
-            t,
-            parts,
-            pinv,
-            adjoint_modulus,
-            report,
-            inverse_report,
-            report.verified_order,
-            cfg,
-        )
-        residuals.extend(mp_report.power_inverse_residuals)
-
-        ok = (
-            all(r <= cfg.equality_rel_tol for r in residuals)
-            and inverse_polar.ok
-            and mp_report.ok
-            and inverse_report.verified_order == report.verified_order
-            and is_binormal(t, cfg)[0] == is_binormal(pinv, cfg)[0]
-        )
+    for ok, residuals in _by_shape([(t,) for t in operators], evaluate):
         worst = max(worst, max(residuals))
         if not ok:
             failures += 1

@@ -2,8 +2,9 @@
 
 LAPACK call counts are deterministic, and so are the matrices factored: a
 stacked call factors every matrix of its stack. The whole-suite count, the
-counts of the suites that share factorizations within a trial or batch
-their trials by shape, the blockwise ``counterexample`` count and the
+counts of the suites that share factorizations within a trial or evaluate
+their trials in shape groups (every suite but ``psd-pairs``, whose pairs
+go one at a time), the blockwise ``counterexample`` count and the
 dense-file commands (one SVD of ``T`` per command) are pinned exactly;
 single calls are pinned to their stacked calls and to one matrix per
 operator power. Every route to the definitional check, ``centered_order``,
@@ -207,11 +208,10 @@ def test_definitional_pass_in_centered_order_stops_at_first_failure(lapack_calls
 
 
 def test_run_suite_all_factorization_counts(lapack_calls):
-    # polar-contract, product-polar, polar-transfer and aluthge-binormal
-    # factor each shape group in a few stacked calls; the matrices factored
-    # are those of the per-trial evaluation.
+    # Every suite but psd-pairs factors each shape group in a few stacked
+    # calls; the matrices factored are those of the per-trial evaluation.
     run_suite("all", 0, 6, 100)
-    assert _totals(lapack_calls) == Counter(svd=1855, eigh=55, eigvalsh=186)
+    assert _totals(lapack_calls) == Counter(svd=636, eigh=55, eigvalsh=81)
     assert lapack_calls.matrices == Counter(svd=5615, eigh=250, eigvalsh=887)
 
 
@@ -230,14 +230,33 @@ def test_polar_contract_calls_scale_with_shape_groups_not_trials(lapack_calls):
     ]
 
 
+def test_mp_inverse_calls_scale_with_shape_groups_not_trials(lapack_calls):
+    # Dims 2-6 and the 15x15 and 18x18 shift fixtures: seven shape groups,
+    # each one SVD of T and T*, one of pinv, pinv*, |T| and |T*|, one for
+    # the range projection in pinv's polar check and one eigvalsh, then the
+    # oracle of the walks of T and pinv (one stacked SVD per number of
+    # powers checked) and, where an operator is 2-centered or more, one of
+    # the powers T^k, k >= 2, for their inverses.
+    counts = []
+    for trials in (100, 400):
+        lapack_calls.clear()
+        run_suite("mp-inverse", 0, 6, trials)
+        counts.append((_totals(lapack_calls), Counter(lapack_calls.matrices)))
+    assert counts == [
+        (Counter(svd=38, eigvalsh=7), Counter(svd=1345, eigvalsh=112)),
+        (Counter(svd=38, eigvalsh=7), Counter(svd=4645, eigvalsh=412)),
+    ]
+
+
 @pytest.mark.parametrize(
     "suite, counts",
     [
         # Each case pins the calls, then the matrices they factored.
-        # 112 operators: one SVD for U, then one stacked SVD of the powers
-        # the report's oracle checks: T and T^2 for a 1-centered draw.
-        # Every report agrees, so no operator needs the full walk.
-        ("centered-oracle", (Counter(svd=224), Counter(svd=371))),
+        # 112 operators in seven shape groups. Per group: one SVD for U,
+        # then one stacked SVD of the powers the reports' oracles check per
+        # number of powers checked (T and T^2 for a 1-centered draw): 18
+        # calls. Every report agrees, so no operator needs the full walk.
+        ("centered-oracle", (Counter(svd=18), Counter(svd=371))),
         # 100 operators in five shape groups. Per group: one SVD of T and
         # T*, one of T and T^2 for the two-power oracle, one of the
         # transforms T_ab and their adjoints at all three exponent pairs,
@@ -251,13 +270,14 @@ def test_polar_contract_calls_scale_with_shape_groups_not_trials(lapack_calls):
                 Counter(svd=1300, eigh=200, eigvalsh=300),
             ),
         ),
-        # 112 operators: T, pinv, T*, pinv*, |T| and |T*| (for their
-        # inverses) and the range projection in pinv's polar check once
-        # each, plus both oracle walks, one stacked SVD each, and the
-        # inverses of T^k, k >= 2.
+        # 112 operators in seven shape groups: T, pinv, T*, pinv*, |T| and
+        # |T*| (for their inverses) and the range projection in pinv's polar
+        # check once each, the powers that both oracle walks check and the
+        # powers T^k, k >= 2, for their inverses; per group a few stacked
+        # calls (see the test above).
         (
             "mp-inverse",
-            (Counter(svd=1051, eigvalsh=112), Counter(svd=1345, eigvalsh=112)),
+            (Counter(svd=38, eigvalsh=7), Counter(svd=1345, eigvalsh=112)),
         ),
         # 50 commuting pairs take one eigh each for all four powers.
         (

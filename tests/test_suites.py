@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from itertools import takewhile
+from itertools import accumulate, islice, repeat, takewhile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polarops.suites as suites
@@ -16,8 +17,10 @@ from polarops.classify import (
     MpCenteredReport,
     ProductPolarReport,
     TransferReport,
+    _GROUP_ENTRIES,
     _binormal,
     _binormal_equivalents,
+    _centered_order,
     _mp_centered_check,
     _polar_transfers,
     _product_polars,
@@ -368,29 +371,48 @@ REFERENCES = {
 }
 
 
+# The draw of each suite that evaluates its operators in shape groups
+# through the stacked centered-order walk.
+STACKED_WALK_DRAWS = {
+    "centered-oracle": "random_mixed_rank",
+    "mp-inverse": "random_spectrum_operator",
+}
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCES))
-@pytest.mark.parametrize("dim", [2, 4, 6, 8])
+@pytest.mark.parametrize("dim", [2, 4, 6, 8, 12])
 def test_suite_matches_its_public_call_reference(monkeypatch, name, dim):
-    def results() -> list[SuiteResult]:
+    def results(seeds=(dim, 100 + dim), trial_counts=(12,)) -> list[SuiteResult]:
         out = []
-        for seed in (dim, 100 + dim):
-            expected = REFERENCES[name](np.random.default_rng(seed), dim, 12)
-            assert SUITES[name](np.random.default_rng(seed), dim, 12) == expected
-            out.append(expected)
+        for seed in seeds:
+            for trials in trial_counts:
+                expected = REFERENCES[name](np.random.default_rng(seed), dim, trials)
+                assert SUITES[name](np.random.default_rng(seed), dim, trials) == expected
+                out.append(expected)
         return out
 
     results()
-    if name == "centered-oracle":
-        # Tiny draws: the absolute commutator floor stops the criterion at
-        # order 1 while the definitional check passes further, so reports
-        # are flagged and the routes disagree order by order.
-        def tiny(rng, d, draw=random_mixed_rank):
-            return 1e-6 * draw(rng, d)
+    if name not in STACKED_WALK_DRAWS:
+        return
+    # Shape groups of one operator and of many, several per group.
+    results(range(10), (1, 3, 20, 100))
+    draw_name = STACKED_WALK_DRAWS[name]
+    for scale in (1e-6, 1e-12):
+        # Tiny draws: the absolute commutator floor makes the criterion
+        # overshoot, so orders, oracle flags and verdicts all change.
+        def scaled(rng, d, *args, draw=globals()[draw_name], scale=scale, **kwargs):
+            return scale * draw(rng, d, *args, **kwargs)
 
-        monkeypatch.setattr(suites, "random_mixed_rank", tiny)
-        monkeypatch.setitem(globals(), "random_mixed_rank", tiny)
-        for result in results():
-            assert not any(record.passed for record in result.records)
+        monkeypatch.setattr(suites, draw_name, scaled)
+        monkeypatch.setitem(globals(), draw_name, scaled)
+        results(range(5), (1, 3, 20))
+        if name == "centered-oracle" and scale == 1e-6:
+            # The floor stops the criterion at order 1 while the
+            # definitional check passes further, so reports are flagged and
+            # the routes disagree order by order.
+            for result in results():
+                assert not any(record.passed for record in result.records)
+        monkeypatch.undo()
 
 
 def _equivalence_operators() -> list[np.ndarray]:
@@ -672,3 +694,129 @@ def test_operator_stacks_match_per_operator_calls(seed, dims, specs):
         modulus = abs_value(t, cfg)
         assert np.array_equal(root[0], fractional_power_psd(modulus, 0.5, cfg))
         assert np.array_equal(cube[0], fractional_power_psd(modulus, 3.0, cfg))
+
+
+def _walk_operator(rng, kind: int, d: int, rank: int, fixtures) -> np.ndarray:
+    """Kind 0: a square draw of rank ``rank`` capped at d; 1: a binormal
+    draw; 2: a structured fixture; 3: the zero operator; 4 and 5: draws
+    scaled by 1e-6 and 1e-12, whose commutators fall below the absolute
+    floor."""
+    if kind == 0:
+        return random_rank_deficient(rng, d, d, min(rank, d))
+    if kind == 1:
+        return random_binormal(rng, d)
+    if kind == 2:
+        return fixtures[rank % len(fixtures)]
+    if kind == 3:
+        return np.zeros((d, d), dtype=np.complex128)
+    return (1e-6 if kind == 4 else 1e-12) * random_mixed_rank(rng, d)
+
+
+def _stacked_walk(operators, max_n, cfg=DEFAULT_TOLERANCES):
+    """The report of each operator from one stacked walk per shape group."""
+
+    def evaluate(t):
+        return _centered_order(t, _polar_parts(_svd(t), cfg), max_n, cfg)
+
+    return _by_shape([(t,) for t in operators], evaluate)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.lists(st.integers(2, 24), min_size=1, max_size=3),
+    specs=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 12)),
+        min_size=1,
+        max_size=12,
+    ),
+    max_n=st.one_of(st.integers(1, 9), st.integers(10, 40)),
+)
+# A binormal draw checks a second group of powers, a tiny draw stops after
+# its first: the second group must not check the tiny draw again.
+@example(seed=0, dims=[21], specs=[(1, 0, 0), (4, 0, 0)], max_n=10)
+def test_stacked_walk_matches_the_walk_of_each_operator(seed, dims, specs, max_n):
+    # Groups mix operators whose runs of vanishing commutators, and whose
+    # oracles, stop at different powers, so one walk serves operators that
+    # check different numbers of powers. The walks of dims above 12 and of
+    # the shift fixtures span several groups of powers once max_n is large
+    # enough, and the shifts' commutators vanish again once U^k is zero.
+    rng = np.random.default_rng(seed)
+    fixtures = [matrix for _, matrix in structured_fixtures(rng)]
+    operators = [
+        _walk_operator(rng, kind, dims[index % len(dims)], rank, fixtures)
+        for kind, index, rank in specs
+    ]
+    factored = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        factored.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
+        return original(a, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "svd", counted):
+        reports = _stacked_walk(operators, max_n)
+    # Each oracle factors, past the U of its operator, the powers k up to
+    # min(verified + 1, max_n) of each group of powers until the group that
+    # holds its first failing power.
+    tol = DEFAULT_TOLERANCES.equality_rel_tol
+    expected = len(operators)
+    for t, report in zip(operators, reports):
+        assert report == centered_order(t, max_n)
+        check = is_n_centered_definitional(t, max_n)
+        pairs = zip(check.equation_residuals, check.range_residuals)
+        run = len(list(takewhile(lambda r: r[0] <= tol and r[1] <= tol, pairs)))
+        per_group = max(1, _GROUP_ENTRIES // t.size)
+        groups = -(-(run + 1) // per_group)
+        expected += min(report.verified_order + 1, max_n, groups * per_group)
+    assert sum(factored) == expected
+
+
+def test_stacked_walk_falls_back_to_one_operator_at_a_time(monkeypatch):
+    # One shape group whose operators stop at different powers: generic
+    # draws (1-centered), binormal draws (2-centered), a normal matrix
+    # (every power passes) and tiny draws whose criterion overshoots while
+    # their oracle fails early.
+    rng = np.random.default_rng(7)
+    operators = [random_mixed_rank(rng, 5) for _ in range(2)]
+    operators += [random_binormal(rng, 5) for _ in range(2)]
+    operators += [np.diag([1.0, 1j, -2.0, 0.5, 0.0]).astype(np.complex128)]
+    operators += [1e-12 * random_mixed_rank(np.random.default_rng(11), 5)]
+    operators += [1e-6 * random_mixed_rank(rng, 5)]
+    max_n = 6
+    expected = [centered_order(t, max_n) for t in operators]
+    stack = np.stack(operators)[:, None]
+    parts = _polar_parts(_svd(stack), DEFAULT_TOLERANCES)
+
+    # Alone, each operator's oracle checks T^1..T^c, c = min(verified + 1,
+    # max_n), and stops after its first failing power; the walk takes the
+    # operators by c, then in order.
+    tol = DEFAULT_TOLERANCES.equality_rel_tol
+    factored_alone = []
+    for t, report in zip(operators, expected):
+        check = is_n_centered_definitional(t, max_n)
+        pairs = zip(check.equation_residuals, check.range_residuals)
+        run = len(list(takewhile(lambda r: r[0] <= tol and r[1] <= tol, pairs)))
+        checked = min(report.verified_order + 1, max_n)
+        factored_alone.append((checked, t, min(run + 1, checked)))
+    assert len({checked for checked, _, _ in factored_alone}) > 1
+    order = sorted(range(len(operators)), key=lambda i: factored_alone[i][0])
+    powers = []
+    for i in order:
+        _, t, count = factored_alone[i]
+        powers += islice(accumulate(repeat(t), lambda power, _: power @ t), count)
+
+    factored = []
+    original = np.linalg.svd
+
+    def single(a, *args, **kwargs):
+        # A stack of more than one matrix fails, as when one of them does.
+        if np.ndim(a) > 2 and np.prod(np.shape(a)[:-2]) > 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        factored.append(np.reshape(a, np.shape(a)[-2:]))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", single)
+    assert _centered_order(stack, parts, max_n, DEFAULT_TOLERANCES) == expected
+    assert len(factored) == len(powers)
+    assert all(np.array_equal(a, power) for a, power in zip(factored, powers))
