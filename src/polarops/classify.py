@@ -379,11 +379,6 @@ def _join(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
-def _spans(lengths: list[int]) -> list[slice]:
-    """The slices of consecutive parts of ``lengths`` blocks in their ``_join``."""
-    return [slice(a, b) for a, b in pairwise(accumulate(lengths, initial=0))]
-
-
 def _power_norms(x: np.ndarray, lengths: list[int]) -> np.ndarray:
     """``fro_norm`` of the span of each power in ``x``, a stack of operators
     whose axis 1 holds consecutive powers of ``lengths`` blocks each, as an
@@ -394,7 +389,7 @@ def _power_norms(x: np.ndarray, lengths: list[int]) -> np.ndarray:
     if len(set(lengths)) == 1:
         pairs = x.reshape(len(x) * len(lengths), lengths[0], *x.shape[2:])
         return fro_norm(pairs).reshape(len(x), -1)
-    spans = _spans(lengths)
+    spans = [slice(a, b) for a, b in pairwise(accumulate(lengths, initial=0))]
     return np.array([[fro_norm(own[span]) for span in spans] for own in x])
 
 
@@ -402,14 +397,6 @@ def _power_residuals(a: np.ndarray, b: np.ndarray, lengths: list[int]) -> np.nda
     """``core._residual`` of the span of each power in ``a`` and ``b``, as
     ``_power_norms`` takes them, bitwise that of the spans alone; ``a - b``
     is formed once for all spans."""
-    if len(set(lengths)) > 1:
-        spans = _spans(lengths)
-        return np.array(
-            [
-                [fro_norm(d[s]) / _floor_one(fro_norm(x[s]), fro_norm(y[s])) for s in spans]
-                for d, x, y in zip(a - b, a, b)
-            ]
-        )
     difference, *norms = (_power_norms(x, lengths) for x in (a - b, a, b))
     return difference / _floor_one(*norms)
 

@@ -92,11 +92,8 @@ def fro_norm(a):
     is bitwise that of ``norm(a)``. Other dtypes go to ``norm`` itself. A
     stack of operators takes each operator's entries in row-major order and
     forms its two dot products as a ``(1, k) @ (k, 1)`` matmul, which is
-    bitwise the dot product of that operator alone; a stack of one operator
-    takes the dot products of that operator directly."""
+    bitwise the dot product of that operator alone."""
     a = np.asarray(a)
-    if a.ndim == 4 and len(a) == 1 and a.dtype == np.complex128:
-        return np.array([fro_norm(a[0])])
     if a.ndim == 4:
         # (operators, 2, 1, k): the real parts, then the imaginary parts.
         x = a.astype(np.complex128, copy=False).reshape(len(a), -1)

@@ -39,6 +39,7 @@ from .classify import (
 )
 from .core import (
     DEFAULT_TOLERANCES,
+    SvdResult,
     ToleranceConfig,
     _adjoint,
     _psd_powers,
@@ -359,14 +360,14 @@ def suite_mp_inverse(
         count = len(t)
         decomp = _svd(np.concatenate([t, _adjoint(t)]))
         parts, adjoint_parts = _split_parts(_polar_parts(decomp, cfg), count)
-        pinv = _pinv(decomp, cfg)[:count]
+        pinv = _pinv(SvdResult(*(x[:count] for x in vars(decomp).values())), cfg)
         moduli = [parts.modulus, adjoint_parts.modulus]
         inverse = _svd(np.concatenate([pinv, _adjoint(pinv), *moduli]))
         inverse_parts, inverse_adjoint_parts, _, _ = _split_parts(
             _polar_parts(inverse, cfg), count
         )
         modulus_residuals = _residual(
-            _pinv(inverse, cfg)[2 * count :],
+            _pinv(SvdResult(*(x[2 * count :] for x in vars(inverse).values())), cfg),
             np.concatenate([inverse_adjoint_parts.modulus, inverse_parts.modulus]),
         ).tolist()
         inverse_polar = _split_checks(
