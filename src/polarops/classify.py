@@ -27,19 +27,22 @@ a 4-D stack of operators of one matrix each (``_product_polars``,
 evaluate each group of draws of one shape with one call per
 factorization. The rule holds on every centered-order route:
 ``_centered_order`` takes a dense matrix, the stack of 3x3 blocks of an
-operator on its first block subdiagonal (for
-:func:`polarops.shifts.certify_blockwise`), or a 4-D stack of operators of
-one matrix each (for the suites; one report per operator), and walks the
-powers once, forward, for all operators, in groups of consecutive powers
-that fit a fixed number of entries per operator (``_power_groups``). Each
+operator on its first block subdiagonal with labels of its equal blocks
+(for :func:`polarops.shifts.certify_blockwise`; each power is formed,
+factored and checked once per distinct window of consecutive blocks,
+``_Windows``), or a 4-D stack of operators of one matrix each (for the
+suites; one report per operator), and walks the powers once, forward, for
+all operators, in groups of consecutive powers that fit a fixed number of
+entries per operator at their block positions (``_power_groups``). Each
 group is one stacked commutator expression, with one threshold per
 (operator, power), and one stacked SVD per number of powers that the
 operators' oracles check, each with its own rank cutoffs, so a shift's
 block stacks and a group of small matrices take a few LAPACK calls for all
 their powers, while a matrix above 64x64 still walks one power at a time.
 Each report is bitwise the report of its operator alone, whatever the
-grouping. ``_mp_centered_check`` takes a stack of operators too, and
-inverts the powers ``T^k``, k >= 2, of all of them in one stacked SVD.
+grouping or the windows. ``_mp_centered_check`` takes a stack of operators
+too, and inverts the powers ``T^k``, k >= 2, of all of them in one stacked
+SVD.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate, islice, pairwise, takewhile
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +63,7 @@ from .core import (
     _floor_one,
     _psd_powers,
     _residual,
+    _span_norms,
     _square_operator,
     _svd,
     _threshold,
@@ -315,29 +320,113 @@ def _binormal(t: np.ndarray, cfg: ToleranceConfig):
 _POWER_LIMIT = 2.0**64
 
 
-def _powers(a: np.ndarray, offset: int, rescale: bool = False):
-    """Yield ``a, a^2, ...``, each power the previous one times ``a``. With
-    ``offset`` 0, ``a`` is a matrix, or a stack of matrices each walked on
-    its own, and each step is ``power @ a``. With ``offset`` 1, ``a`` is the
-    stack of the blocks of an operator on its first block subdiagonal,
-    ``a[j]`` mapping block position j to j + 1; the k-th power is the stack
-    of the blocks of ``T^k`` on its k-th block subdiagonal, ``power[j] =
-    a[j+k-1] @ ... @ a[j]``, one block shorter each time, and the walk ends
-    when no block is left.
+class _Layout(NamedTuple):
+    """Where the distinct windows of one power ``T^k``, ``U^k`` of a block
+    stack (see ``_Windows``) sit among its block positions: ``index[j]`` is
+    the window at position j, and ``sources[w]`` the first position of
+    window w. The commutator ``[U^k |T| (U^k)*, |T|]`` at position j takes
+    ``|T|`` at j and at its image j + k, so it is a function of the pair
+    (window at j, block at j + k): ``pairs[j]`` is the pair at position j,
+    and pair i is window ``prefix[i]`` with its image at position
+    ``images[i]``."""
+
+    index: np.ndarray
+    sources: np.ndarray
+    pairs: np.ndarray
+    prefix: np.ndarray
+    images: np.ndarray
+
+
+class _Windows:
+    """The distinct windows of consecutive blocks of a block stack (see
+    ``_powers``), from labels of its blocks: ``labels[j]`` for the block at
+    position j, equal for equal blocks. ``T^k`` at position j, ``a[j+k-1]
+    @ ... @ a[j]``, is a function of the window of labels j..j+k-1, and so
+    is ``U^k``, so each power is formed, factored and checked once per
+    distinct window. The windows of each length are numbered once, when a
+    walk first needs them, and shared by all walks: the window of k + 1
+    labels at position j is the window of k labels at j followed by the
+    label at j + k.
+
+    The labels go on with one of their own at the last position, where
+    ``|T|`` holds the zero block that no block leaves. A window over it is
+    no window of a power; it is the (window, image) pair of the commutator
+    at the last position, and it sorts last among the windows of its
+    length."""
+
+    def __init__(self, labels: np.ndarray):
+        self.labels = np.append(labels, labels.max() + 1)
+        _, starts = np.unique(self.labels, return_index=True)
+        # Per length k, from k = 1: the window at each position, the first
+        # position of each window, and the step to the windows of power k.
+        self._lengths = [(self.labels, starts, (None, starts[:-1]))]
+        self._kept = 1
+
+    def _length(self, k: int):
+        """The window of k labels at each position, the first position of
+        each window, and the ``step`` of power k."""
+        while len(self._lengths) < k:
+            ids, starts, _ = self._lengths[-1]
+            keys = self.labels[len(self._lengths) :] * len(starts) + ids[:-1]
+            _, starts, longer = np.unique(keys, return_index=True, return_inverse=True)
+            self._lengths.append((longer, starts, (ids[starts[:-1] + 1], starts[:-1])))
+        return self._lengths[k - 1]
+
+    def step(self, k: int) -> tuple[np.ndarray | None, np.ndarray]:
+        """For each window of power k: the window of power k - 1 at the
+        position after its first (None for k = 1), and its first position."""
+        return self._length(k)[2]
+
+    def layouts(self, first: int, count: int) -> list[_Layout]:
+        """The layouts of the powers first, ..., first + count - 1, a group
+        of ``_power_groups``. The walks of ``T^k`` and ``U^k`` go through
+        the groups in order, neither behind the first power of the group,
+        so the windows of fewer labels are dropped: what is kept spans one
+        group."""
+        while self._kept < first:
+            self._lengths[self._kept - 1] = None
+            self._kept += 1
+        layouts = []
+        for k in range(first, first + count):
+            ids, starts, _ = self._length(k)
+            pairs, ends, _ = self._length(k + 1)
+            layouts.append(_Layout(ids[:-1], starts[:-1], pairs, ids[ends], ends + k))
+        return layouts
+
+
+def _powers(a: np.ndarray, windows: _Windows | None = None, rescale: bool = False):
+    """Yield ``a, a^2, ...``, each power the previous one times ``a``.
+    Without ``windows``, ``a`` is a matrix, or a stack of matrices each
+    walked on its own, and each step is ``power @ a``. With ``windows``,
+    ``a`` is the stack of the blocks of an operator on its first block
+    subdiagonal, ``a[j]`` mapping block position j to j + 1: the k-th power
+    is the stack of the blocks of ``T^k`` on its k-th block subdiagonal,
+    ``a[j+k-1] @ ... @ a[j]`` at position j, one block shorter each time, and
+    the walk ends when no block is left. It is held as one block per
+    distinct window of ``windows``, ``T^k`` at position j being the block
+    of window ``index[j]`` of the layout of power k (``_Layout``), and each
+    step is the window of power k at the next position times the first
+    block, ``T^k[j+1] @ a[j]``, once per window.
 
     With ``rescale``, a power whose largest entry exceeds ``_POWER_LIMIT``
     is multiplied by the exact power of two that brings that entry to about
     2**33, and the walk goes on from the scaled power. Each power is then
     ``a^k`` times a positive factor: enough for a check that is homogeneous
     in the power, and its squared norms never overflow."""
-    power = a
+    power = a if windows is None else a[windows.step(1)[1]]
+    k = 1
     while len(power):
         if rescale:
             top = np.abs(power).max()
             if top > _POWER_LIMIT:
                 power = power * 2.0 ** (33 - math.frexp(top)[1])
         yield power
-        power = power[offset:] @ a[: len(power) - offset]
+        k += 1
+        if windows is None:
+            power = power @ a
+        else:
+            after, heads = windows.step(k)
+            power = power[after] @ a[heads]
 
 
 # Complex entries that one group of powers of U may hold per operator in
@@ -349,19 +438,25 @@ def _powers(a: np.ndarray, offset: int, rescale: bool = False):
 _GROUP_ENTRIES = 2**12
 
 
-def _power_groups(a: np.ndarray, offset: int, last):
+def _power_groups(a: np.ndarray, windows: _Windows | None, last):
     """The powers ``a, a^2, ...`` of ``_powers``, in lists of consecutive
     powers holding at most ``_GROUP_ENTRIES`` complex entries per operator
     (each matrix of a stack of operators ``(operators, 1, m, m)`` is one),
-    and at least one power each. The walk stops after power ``last()``, read
-    again before each power, so that a caller may shorten or extend it
-    between groups."""
-    powers = _powers(a, offset)
+    and at least one power each; a block stack counts every block
+    position, not only its distinct windows, so that the powers of a group
+    take a bounded size at their positions. The walk stops after power
+    ``last()``, read again before each power, so that a caller may shorten
+    or extend it between groups."""
+    powers = _powers(a, windows)
     group: list[np.ndarray] = []
     entries = k = 0
     while k < last():
-        # Power k + 1 has offset * k blocks fewer than a.
-        size = a[0].size if a.ndim == 4 else a[0].size * (len(a) - offset * k)
+        # The entries of power k + 1 per operator; that of a block stack
+        # has k blocks fewer than a.
+        if a.ndim == 4:
+            size = a[0].size
+        else:
+            size = a[0].size * (len(a) - k) if windows else a.size
         if group and entries + size > _GROUP_ENTRIES:
             yield group
             group, entries = [], 0
@@ -379,71 +474,136 @@ def _join(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
+def _spans(powers: list[np.ndarray], layouts: list | None):
+    """The block positions of each of the consecutive powers ``powers``, and
+    the layouts (see ``_Windows``) of as many powers from the start of
+    ``layouts`` as one, for their windows joined by ``_join``: the windows
+    and pairs of each power numbered on from those of the powers before it.
+    Powers of matrices, one block per operator, have no layouts, and None
+    for their joined layout."""
+    if layouts is None:
+        return [power.shape[1] for power in powers], None
+    layouts = layouts[: len(powers)]
+    lengths = [len(own.index) for own in layouts]
+    if len(layouts) == 1:
+        return lengths, layouts[0]
+    index, sources, pairs, prefix, images = map(np.concatenate, zip(*layouts))
+    windows = [len(own.sources) for own in layouts]
+    counts = [len(own.prefix) for own in layouts]
+    joined = _Layout(
+        index + _offsets(windows, lengths),
+        sources,
+        pairs + _offsets(counts, lengths),
+        prefix + _offsets(windows, counts),
+        images,
+    )
+    return lengths, joined
+
+
+def _offsets(counts: list[int], sizes: list[int]) -> np.ndarray:
+    """For runs of ``sizes`` entries, one run per power, the sum of
+    ``counts`` over the powers before each entry's."""
+    return np.repeat(np.cumsum(counts) - counts, sizes)
+
+
+def _at(x: np.ndarray, index: np.ndarray | None) -> np.ndarray:
+    """The blocks of the stack of operators ``x`` at ``index`` along axis
+    1: a power held by windows, gathered back to its block positions; ``x``
+    itself for no index."""
+    return x if index is None else x[:, index]
+
+
 def _power_norms(x: np.ndarray, lengths: list[int]) -> np.ndarray:
     """``fro_norm`` of the span of each power in ``x``, a stack of operators
     whose axis 1 holds consecutive powers of ``lengths`` blocks each, as an
     array ``(operators, powers)``. Powers of one length (those of matrices)
     take one ``fro_norm`` of a stack with one operator per (operator,
-    power) pair; the shrinking powers of a block stack take one call per
-    span. Each norm is bitwise that of its span alone."""
+    power) pair; the shrinking powers of a block stack, gathered to their
+    block positions in row-major order, take ``core._span_norms``. Each
+    norm is bitwise that of its span alone."""
     if len(set(lengths)) == 1:
         pairs = x.reshape(len(x) * len(lengths), lengths[0], *x.shape[2:])
         return fro_norm(pairs).reshape(len(x), -1)
-    spans = [slice(a, b) for a, b in pairwise(accumulate(lengths, initial=0))]
-    return np.array([[fro_norm(own[span]) for span in spans] for own in x])
+    block = x[0, 0].size
+    return _span_norms(x.reshape(len(x), -1), [n * block for n in lengths])
 
 
-def _power_residuals(a: np.ndarray, b: np.ndarray, lengths: list[int]) -> np.ndarray:
-    """``core._residual`` of the span of each power in ``a`` and ``b``, as
-    ``_power_norms`` takes them, bitwise that of the spans alone; ``a - b``
-    is formed once for all spans."""
-    difference, *norms = (_power_norms(x, lengths) for x in (a - b, a, b))
+def _power_residuals(
+    a: np.ndarray, b: np.ndarray, lengths: list[int], index: np.ndarray | None
+) -> np.ndarray:
+    """``core._residual`` of the span of each power in ``a`` and ``b`` at
+    the block positions ``index`` (``_at``), as ``_power_norms`` takes
+    them, bitwise that of the spans alone; ``a - b`` is formed once for all
+    spans, on the windows."""
+    difference, *norms = (_power_norms(_at(x, index), lengths) for x in (a - b, a, b))
     return difference / _floor_one(*norms)
 
 
 def _commutators(
-    u_pows: list[np.ndarray], p: np.ndarray, cfg: ToleranceConfig
+    u_pows: list[np.ndarray],
+    p: np.ndarray,
+    cfg: ToleranceConfig,
+    layouts: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Norms of ``[U^k |T| (U^k)*, |T|]`` and their thresholds, each an
     array ``(operators, powers)``, for the consecutive powers ``u_pows`` of
     ``U`` (see ``_powers``), each a stack of operators ``(operators, blocks,
     m, m)``, with ``p`` holding ``|T|`` of each operator on every block
-    position, the trailing zero block of a shift included. The sources of
-    the blocks of ``U^k`` are the first ``blocks`` positions and their
-    images the last, so the commutator is block diagonal. All powers share
-    one stacked expression and one ``fro_norm(p)``; each norm and threshold
-    is taken on its (operator, power) span, which keeps it bitwise equal to
-    that of the power of that operator alone."""
-    lengths = [u_pow.shape[1] for u_pow in u_pows]
+    position, the trailing zero block of a shift included. A power of a
+    block stack holds its distinct windows, placed by its layout in
+    ``layouts`` (see ``_spans``); its blocks map each position j to j + k, so
+    the commutator is block diagonal, with ``|T|`` at j as the source and
+    at j + k as the image. The conjugated blocks are formed once per
+    window, and the commutators once per (window, image) pair. All powers
+    share one stacked expression and one ``fro_norm(p)``; each norm and
+    threshold is taken on its (operator, power) span at its block
+    positions, which keeps it bitwise equal to that of the power of that
+    operator alone."""
+    lengths, spans = _spans(u_pows, layouts)
     u = _join(u_pows)
-    sources = _join([p[:, :n] for n in lengths])
-    images = _join([p[:, p.shape[1] - n :] for n in lengths])
+    if spans is None:
+        # Each power of a matrix is one block, with |T| as source and image.
+        index = pairs = prefix = None
+        sources = images = p
+    else:
+        index, sources, pairs, prefix, images = spans
+        sources, images = p[:, sources], p[:, images]
     conjugated = u @ sources @ _adjoint(u)
-    commutator = conjugated @ images - images @ conjugated
+    paired = _at(conjugated, prefix)
+    commutator = paired @ images - images @ paired
     return (
-        _power_norms(commutator, lengths),
-        _threshold(_power_norms(conjugated, lengths), fro_norm(p)[:, None], cfg),
+        _power_norms(_at(commutator, pairs), lengths),
+        _threshold(
+            _power_norms(_at(conjugated, index), lengths), fro_norm(p)[:, None], cfg
+        ),
     )
 
 
 def _oracle_residuals(
-    t_pows: list[np.ndarray], u_pows: list[np.ndarray], cfg: ToleranceConfig
+    t_pows: list[np.ndarray],
+    u_pows: list[np.ndarray],
+    cfg: ToleranceConfig,
+    layouts: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The definitional check: for each of the consecutive powers ``t_pows``
     of ``T``, stacks of operators ``(operators, blocks, m, m)``, with
     ``u_pows`` those of ``U``, the residuals of ``T^k = U^k |T^k|`` and of
     ``(U^k)* U^k`` against the range projection of ``(T^k)*``, as two arrays
     ``(operators, powers)``. Both vanish exactly when ``U^k |T^k|`` is the
-    polar decomposition of ``T^k``.
+    polar decomposition of ``T^k``. The powers of a block stack hold their
+    distinct windows, placed by ``layouts`` (see ``_commutators``).
 
-    One stacked SVD of every matrix of every power gives each power of each
-    operator its own polar decomposition ``U_k |T^k|``, with its own rank
-    cutoff, ``rank_rel_tol`` times the largest singular value of its direct
-    sum; ``U_k* U_k`` is the range projection. Each operator's ``U_k`` are
-    formed from columns sliced to its largest rank over ``t_pows``, as for
-    that operator alone. Each residual is ``core._residual`` of its
-    (operator, power) span."""
-    lengths = [t_pow.shape[1] for t_pow in t_pows]
+    One stacked SVD of every matrix (or window) of every power gives each
+    power of each operator its own polar decomposition ``U_k |T^k|``, with
+    its own rank cutoff, ``rank_rel_tol`` times the largest singular value
+    of its direct sum; ``U_k* U_k`` is the range projection. Each operator's
+    ``U_k`` are formed from columns sliced to its largest rank over
+    ``t_pows``, as for that operator alone. Each residual is
+    ``core._residual`` of its (operator, power) span at its block
+    positions."""
+    lengths, spans = _spans(t_pows, layouts)
+    index = None if spans is None else spans.index
+    counts = [t_pow.shape[1] for t_pow in t_pows]
     t, u = _join(t_pows), _join(u_pows)
     # LAPACK takes every matrix as one 3-D stack; its factors are shaped as t.
     flat = _svd(t.reshape(-1, *t.shape[2:]))
@@ -451,19 +611,22 @@ def _oracle_residuals(
         *(x.reshape(*t.shape[:2], *x.shape[1:]) for x in vars(flat).values())
     )
     s = decomp.singular_values
-    starts = list(accumulate(lengths[:-1], initial=0))
-    top = np.repeat(np.maximum.reduceat(s[..., 0], starts, axis=-1), lengths, axis=-1)
+    starts = list(accumulate(counts[:-1], initial=0))
+    top = np.repeat(np.maximum.reduceat(s[..., 0], starts, axis=-1), counts, axis=-1)
     u_k = _isometry(decomp, np.count_nonzero(s > cfg.rank_rel_tol * top[..., None], -1))
     equation = u @ _modulus(decomp)
     gram, projection = _adjoint(u) @ u, _adjoint(u_k) @ u_k
     return (
-        _power_residuals(t, equation, lengths),
-        _power_residuals(gram, projection, lengths),
+        _power_residuals(t, equation, lengths, index),
+        _power_residuals(gram, projection, lengths, index),
     )
 
 
 def _oracle_run(
-    t_pows: list[np.ndarray], u_pows: list[np.ndarray], cfg: ToleranceConfig
+    t_pows: list[np.ndarray],
+    u_pows: list[np.ndarray],
+    cfg: ToleranceConfig,
+    layouts: list | None = None,
 ) -> np.ndarray:
     """For each operator of the stacks of ``_oracle_residuals``, the number
     of leading powers in ``t_pows`` that pass the definitional check.
@@ -474,44 +637,58 @@ def _oracle_run(
     past it (say, one whose entries overflowed) is never factored. A single
     power that cannot be factored raises."""
     try:
-        equation, ranges = _oracle_residuals(t_pows, u_pows, cfg)
+        equation, ranges = _oracle_residuals(t_pows, u_pows, cfg, layouts)
     except np.linalg.LinAlgError:
         if len(t_pows[0]) > 1:
             return np.concatenate(
                 [
-                    _oracle_run([x[[i]] for x in t_pows], [x[[i]] for x in u_pows], cfg)
+                    _oracle_run(
+                        [x[[i]] for x in t_pows], [x[[i]] for x in u_pows], cfg, layouts
+                    )
                     for i in range(len(t_pows[0]))
                 ]
             )
         if len(t_pows) == 1:
             raise
-        passes = (_oracle_run([t_k], [u_k], cfg)[0] for t_k, u_k in zip(t_pows, u_pows))
+        passes = (
+            _oracle_run([t_pows[k]], [u_pows[k]], cfg, layouts and layouts[k:])[0]
+            for k in range(len(t_pows))
+        )
         return np.array([len(list(takewhile(bool, passes)))])
     holds = np.maximum(equation, ranges) <= cfg.equality_rel_tol
     return np.logical_and.accumulate(holds, axis=1).sum(axis=1)
 
 
-def _centered_order(t: np.ndarray, parts: PolarParts, max_n: int, cfg: ToleranceConfig):
+def _centered_order(
+    t: np.ndarray,
+    parts: PolarParts,
+    max_n: int,
+    cfg: ToleranceConfig,
+    labels: np.ndarray | None = None,
+):
     """``centered_order`` of a checked square ``t`` with polar parts
     ``parts``; or of the operator whose block stack (see ``_powers``) is
-    ``t``, with ``parts`` those of the stack and the modulus padded as
-    ``_commutators`` takes it; or, as a list of reports, of each operator of
-    a stack of operators ``(operators, 1, d, d)``, with ``parts`` those of
-    the stack. ``binormal`` is the k = 1 decision (``[U |T| U*, |T|] = 0``
-    exactly when ``[T* T, T T*] = 0``), so it is decided for max_n = 1 too,
-    whose report lists no commutator.
+    ``t``, with ``labels`` of its blocks (see ``_Windows``), ``parts`` those
+    of the stack and the modulus padded as ``_commutators`` takes it; or,
+    as a list of reports, of each operator of a stack of operators
+    ``(operators, 1, d, d)``, with ``parts`` those of the stack.
+    ``binormal`` is the k = 1 decision (``[U |T| U*, |T|] = 0`` exactly when
+    ``[T* T, T T*] = 0``), so it is decided for max_n = 1 too, whose report
+    lists no commutator.
 
     One forward walk forms each ``U^k`` once for all operators, in groups
     of consecutive powers (``_power_groups``), as far as the operator that
-    needs most. Each group gets one stacked commutator expression and, for
+    needs most; a block stack's powers are formed, factored and checked once
+    per distinct window of its labels, and their norms taken at every block
+    position. Each group gets one stacked commutator expression and, for
     the powers each operator's oracle still checks (k up to min(verified +
     1, max_n), none after a group that holds a failing power), one call of
     ``_oracle_run`` per number of powers checked; the oracle agrees when its
     leading run of passing powers ends at the verified order. Each report
     is bitwise the report of its operator alone, and does not depend on how
-    the powers are grouped."""
+    the powers are grouped or on the windows."""
     stacked = t.ndim == 4
-    offset = int(t.ndim == 3)
+    windows = None if labels is None else _Windows(labels)
     # The powers are walked as given and seen as stacks of operators: a
     # matrix is an operator of one block, and a block stack one operator.
     lead = (None,) * (4 - t.ndim)
@@ -525,16 +702,20 @@ def _centered_order(t: np.ndarray, parts: PolarParts, max_n: int, cfg: Tolerance
     checking = [True] * operators
     # The entries of a shift's T^k grow like 2^k, and the oracle's check
     # T^k = U^k |T^k| is homogeneous in T^k.
-    t_powers = (power[lead] for power in _powers(t, offset, rescale=offset == 1))
+    t_powers = (
+        power[lead] for power in _powers(t, windows, rescale=windows is not None)
+    )
     # The oracle may need T^max_n, one power past the commutators, unless,
     # for every operator, it has stopped or the run of vanishing
     # commutators ended below max_n - 1. That changes only between groups.
     reach = max_n
     first = 1
-    for powers in _power_groups(parts.isometry, offset, lambda: reach):
+    for powers in _power_groups(parts.isometry, windows, lambda: reach):
         group = [power[lead] for power in powers]
+        layouts = None if windows is None else windows.layouts(first, len(group))
         if first <= count:
-            norms, thresholds = _commutators(group[: count - first + 1], p, cfg)
+            listed = group[: count - first + 1]
+            norms, thresholds = _commutators(listed, p, cfg, layouts)
             norm_parts.append(norms)
             threshold_parts.append(thresholds)
             # Extend the runs still unbroken, by the decisions k < max_n.
@@ -556,7 +737,10 @@ def _centered_order(t: np.ndarray, parts: PolarParts, max_n: int, cfg: Tolerance
             members = [i for i, own in enumerate(checked) if own == c]
             pick = slice(None) if len(members) == operators else members
             passed = _oracle_run(
-                [x[pick] for x in t_pows[:c]], [x[pick] for x in group[:c]], cfg
+                [x[pick] for x in t_pows[:c]],
+                [x[pick] for x in group[:c]],
+                cfg,
+                layouts,
             )
             for i, run in zip(members, passed.tolist()):
                 passing[i] += run
@@ -624,10 +808,10 @@ def is_n_centered_definitional(
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     u = polar_decompose(t, cfg).isometry
-    t_powers = _powers(t[None, None], 0)
+    t_powers = _powers(t[None, None])
     equation: list[float] = []
     ranges: list[float] = []
-    for group in _power_groups(u[None, None], 0, lambda: n):
+    for group in _power_groups(u[None, None], None, lambda: n):
         more = _oracle_residuals(list(islice(t_powers, len(group))), group, cfg)
         equation += more[0][0].tolist()
         ranges += more[1][0].tolist()
@@ -925,7 +1109,7 @@ def powers_report(
     tilde = u.conj().T @ u @ u
 
     entries: list[PowersEntry] = []
-    walk = zip(range(1, max_n + 1), pairwise(_powers(u, 0)), _powers(tilde, 0))
+    walk = zip(range(1, max_n + 1), pairwise(_powers(u)), _powers(tilde))
     for n, (u_pow, u_next), tilde_pow in walk:
         p_final = u_pow @ u_pow.conj().T
         p_initial = u_pow.conj().T @ u_pow
@@ -1009,7 +1193,7 @@ def _mp_centered_check(
     decisions = [list(own.commute_decisions()) for own in report]
     short = [i for i, k in enumerate(orders) if len(decisions[i]) < k]
     if short:
-        u_pows = list(islice(_powers(u[short], 0), max(orders[i] for i in short)))
+        u_pows = list(islice(_powers(u[short]), max(orders[i] for i in short)))
         norms, thresholds = _commutators(u_pows, p[short], cfg)
         for i, row in zip(short, (norms <= thresholds).tolist()):
             decisions[i] = row
@@ -1022,13 +1206,13 @@ def _mp_centered_check(
     # those of all operators in one stacked SVD.
     top = max(orders)
     members = [[i for i, k in enumerate(orders) if k > j] for j in range(top)]
-    t_pows = islice(_powers(t, 0), top)
+    t_pows = islice(_powers(t), top)
     higher = [t_pow[own] for t_pow, own in zip(t_pows, members)][1:]
     inverses = [pinv]
     if higher:
         stack = _pinv(_svd(np.concatenate(higher)), cfg)
         inverses += np.split(stack, list(accumulate(map(len, higher[:-1]))))
-    pinv_pows = [pinv_pow[own] for pinv_pow, own in zip(_powers(pinv, 0), members)]
+    pinv_pows = [pinv_pow[own] for pinv_pow, own in zip(_powers(pinv), members)]
     values = iter(_residual(np.concatenate(inverses), np.concatenate(pinv_pows)).tolist())
     residuals: list[list[float]] = [[] for _ in orders]
     for own in members:
@@ -1041,7 +1225,7 @@ def _mp_centered_check(
     adj_norms: list[list[float]] = [[] for _ in orders]
     mod_ok = [True for _ in orders]
     if plus:
-        u_pows = islice(_powers(u[plus], 0), max(orders[i] for i in plus))
+        u_pows = islice(_powers(u[plus]), max(orders[i] for i in plus))
         for j, u_pow in enumerate(u_pows):
             p_final = u_pow @ _adjoint(u_pow)
             p_initial = _adjoint(u_pow) @ u_pow

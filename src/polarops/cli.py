@@ -30,8 +30,8 @@ from pathlib import Path
 from .classify import centered_order, is_binormal
 from .core import DEFAULT_TOLERANCES, ToleranceConfig, rank_margin, svd
 from .decomp import (
-    _mp_polar_parts,
-    _pinv,
+    moore_penrose_from_svd,
+    mp_polar_parts_from_svd,
     penrose_check,
     polar_decompose,
     polar_tolerance,
@@ -125,7 +125,7 @@ def cmd_mp(args: argparse.Namespace) -> RunReport:
     cfg = _tolerances(args)
     t = read_matrix(args.input)
     decomp = svd(t)  # the one factorization of T: pinv, margin, inverse polar
-    pinv = _pinv(decomp, cfg)
+    pinv = moore_penrose_from_svd(decomp, cfg)
     out = args.out if args.out else str(Path(args.input).with_suffix("")) + ".pinv.json"
     write_matrix(out, pinv)
 
@@ -140,7 +140,7 @@ def cmd_mp(args: argparse.Namespace) -> RunReport:
     ):
         report.add_check(name, residual, residual <= cfg.equality_rel_tol)
     if t.shape[0] == t.shape[1]:
-        inverse_parts = _mp_polar_parts(decomp, svd(pinv), cfg)
+        inverse_parts = mp_polar_parts_from_svd(decomp, svd(pinv), cfg)
         inverse_check = verify_polar(pinv, inverse_parts, cfg)
         for name, residual in inverse_check.residuals.items():
             passed = residual <= polar_tolerance(name, cfg)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -103,8 +104,29 @@ def fro_norm(a):
     if a.dtype != np.complex128:
         return float(np.linalg.norm(a))
     x = a.ravel(order="K")
-    re, im = x.real, x.imag
+    return _dot_norm(x.real, x.imag)
+
+
+def _dot_norm(re: np.ndarray, im: np.ndarray) -> float:
+    """The square root of the sum of the dot products of ``re`` and ``im``
+    with themselves: the last step of ``fro_norm``."""
     return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _span_norms(rows: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """``fro_norm`` of consecutive spans of ``sizes`` entries of each row
+    of a 2-D complex128 array, as an array ``(rows, spans)``. Each span takes
+    the steps of ``fro_norm`` on views of the row's real and imaginary parts,
+    which hold its entries in the order and with the strides of the span's
+    own, so each norm is bitwise that of the span alone, without a call of
+    ``fro_norm`` per span."""
+    bounds = list(pairwise(accumulate(sizes, initial=0)))
+    return np.array(
+        [
+            [_dot_norm(re[lo:hi], im[lo:hi]) for lo, hi in bounds]
+            for re, im in zip(rows.real, rows.imag)
+        ]
+    )
 
 
 def _floor_one(*norms):

@@ -51,8 +51,10 @@ __all__ = [
     "polar_tolerance",
     "verify_polar",
     "moore_penrose",
+    "moore_penrose_from_svd",
     "penrose_check",
     "mp_polar_parts",
+    "mp_polar_parts_from_svd",
 ]
 
 
@@ -257,7 +259,16 @@ def _pinv(decomp: SvdResult, cfg: ToleranceConfig) -> np.ndarray:
 
 def moore_penrose(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """Moore-Penrose inverse via SVD inversion above the rank cutoff."""
-    return _pinv(svd(t), cfg)
+    return moore_penrose_from_svd(svd(t), cfg)
+
+
+def moore_penrose_from_svd(
+    decomp: SvdResult, cfg: ToleranceConfig = DEFAULT_TOLERANCES
+) -> np.ndarray:
+    """``moore_penrose`` of the matrix whose SVD (``core.svd``) is
+    ``decomp``, for a caller that factors the matrix once for this and for
+    more."""
+    return _pinv(decomp, cfg)
 
 
 def penrose_check(
@@ -290,15 +301,15 @@ def mp_polar_parts(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PolarParts:
     if t.shape[0] != t.shape[1]:
         raise ValueError(f"expected a square operator, got {t.shape}")
     decomp = svd(t)
-    return _mp_polar_parts(decomp, _svd(_pinv(decomp, cfg)), cfg)
+    return mp_polar_parts_from_svd(decomp, _svd(_pinv(decomp, cfg)), cfg)
 
 
-def _mp_polar_parts(
-    decomp: SvdResult, inverse: SvdResult, cfg: ToleranceConfig
+def mp_polar_parts_from_svd(
+    decomp: SvdResult, inverse: SvdResult, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> PolarParts:
-    """``mp_polar_parts`` from the SVD ``decomp`` of a square operator and
-    the SVD ``inverse`` of its inverse ``_pinv(decomp)``, which gives the
-    modulus."""
+    """``mp_polar_parts`` from the SVD ``decomp`` (``core.svd``) of a square
+    matrix and the SVD ``inverse`` of its inverse
+    ``moore_penrose_from_svd(decomp)``, which gives the modulus."""
     r = numerical_rank(decomp.singular_values, cfg)
     return PolarParts(
         isometry=_isometry(decomp, r).conj().T,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -231,6 +231,20 @@ def _subdiagonal_blocks(t: np.ndarray) -> np.ndarray:
     return stack
 
 
+def _block_labels(stack: np.ndarray) -> np.ndarray:
+    """Labels of the blocks of a stack, equal exactly for blocks of equal
+    bytes (so a ``-0.0`` entry differs from ``0.0``), numbered in order of
+    first occurrence."""
+    data, size = stack.tobytes(), stack[0].nbytes
+    table: dict[bytes, int] = {}
+    return np.array(
+        [
+            table.setdefault(data[i : i + size], len(table))
+            for i in range(0, len(data), size)
+        ]
+    )
+
+
 def build_truncated(spec: ShiftSpec) -> np.ndarray:
     """Assemble the truncated block shift: blocks T_1..T_{blocks-1} sit on
     the first block subdiagonal of a (3*blocks) x (3*blocks) matrix.
@@ -334,18 +348,34 @@ def certify_blockwise(
     quantities are exactly their blocks, and ``classify._centered_order``
     runs on the block stack: the same commutators, thresholds, definitional
     oracle and report as the dense route, each power formed as a stack of
-    3x3 blocks. The walk groups consecutive powers up to a fixed number of
-    entries, so the commutators of many powers are one stacked expression
-    and the oracle factors them in one stacked SVD: a few LAPACK calls for
-    all powers of a shift. Raises ValueError if ``t`` has a nonzero entry
-    off its first block subdiagonal.
+    3x3 blocks. The blocks are labelled by their exact bytes, so that a
+    ``-0.0`` entry differs from ``0.0``, and each power is formed, factored
+    and checked once per distinct window of consecutive labels: identical
+    blocks give identical products, and every norm is taken on the blocks
+    of every position, so the report is bitwise that of the walk of every
+    block position. The written shift has 4 distinct blocks and a few
+    distinct windows per power, so the work grows linearly in n. The walk
+    groups consecutive powers up to a fixed number of entries at their
+    block positions, so the commutators of many powers are one stacked
+    expression and the oracle factors them in one stacked SVD: a few LAPACK
+    calls for all powers of a shift. Raises ValueError if ``t`` has a
+    nonzero entry off its first block subdiagonal.
     """
     t = as_operator(t)
     blocks = t.shape[0] // BLOCK
     if t.shape != (BLOCK * blocks,) * 2 or not 1 <= max_n < blocks:
         raise ValueError(f"need 3x3 blocks and max_n < blocks: {t.shape}, {max_n}")
     stack = _subdiagonal_blocks(t)
-    parts = _polar_parts(_svd(stack), cfg)
-    # |T| is zero at the last block position, which no block leaves.
-    modulus = np.concatenate([parts.modulus, np.zeros_like(parts.modulus[:1])])
-    return _centered_order(stack, replace(parts, modulus=modulus), max_n, cfg)
+    labels = _block_labels(stack)
+    _, heads = np.unique(labels, return_index=True)
+    # The polar parts of each distinct block, at every block position; |T|
+    # is zero at the last block position, which no block leaves.
+    distinct = _polar_parts(_svd(stack[heads]), cfg)
+    padded = np.concatenate([distinct.modulus, np.zeros_like(distinct.modulus[:1])])
+    parts = PolarParts(
+        distinct.isometry[labels],
+        padded[np.append(labels, len(heads))],
+        distinct.rank[labels],
+        distinct.singular_values[labels],
+    )
+    return _centered_order(stack, parts, max_n, cfg, labels)

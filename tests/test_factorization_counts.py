@@ -7,7 +7,8 @@ their trials in shape groups (every suite but ``psd-pairs``, whose pairs
 go one at a time), the blockwise ``counterexample`` count and the
 dense-file commands (one SVD of ``T`` per command) are pinned exactly;
 single calls are pinned to their stacked calls and to one matrix per
-operator power. Every route to the definitional check, ``centered_order``,
+operator power, or per distinct window of a block shift's powers. Every
+route to the definitional check, ``centered_order``,
 ``is_n_centered_definitional`` and ``binormal_equivalents``, factors the
 powers ``T^k`` in one stacked SVD per group of powers, so grouping lowers
 the calls but, wherever the oracle agrees, not the matrices factored. The
@@ -30,7 +31,7 @@ from polarops.core import DEFAULT_TOLERANCES, equality_residual, range_projectio
 from polarops.decomp import abs_value, polar_decompose
 from polarops.matrixio import write_matrix
 from polarops.sampling import random_mixed_rank, random_operator, structured_fixtures
-from polarops.shifts import ShiftSpec, build_truncated
+from polarops.shifts import ShiftSpec, build_truncated, certify_blockwise
 from polarops.suites import run_suite
 
 
@@ -297,15 +298,31 @@ def test_suite_factorization_counts(lapack_calls, suite, counts):
 def test_counterexample_n60_factors_blocks_not_the_dense_operator(
     lapack_calls, tmp_path, capsys
 ):
-    # One batched SVD of the block stack for U and |T|, one per group of
-    # powers T^k, k = 1..61, in the definitional check (the 1,952 blocks of
-    # those powers in five groups), and the predicted-structure check on
-    # the blocks (|T_m*|, the range projections of the predicted moduli and
-    # their eigenvalues); nothing dense is factored.
+    # One batched SVD of the 4 distinct blocks for U and |T|, one per group
+    # of powers T^k, k = 1..61, in the definitional check (the 241 distinct
+    # windows of the 1,952 blocks of those powers, in five groups), and the
+    # predicted-structure check on the 62 blocks (|T_m*|, the range
+    # projections of the predicted moduli and their eigenvalues); nothing
+    # dense is factored.
     code = main(["counterexample", "--n", "60", "--out", str(tmp_path / "s.json")])
     assert code == 0 and "verdict: pass" in capsys.readouterr().out
     assert lapack_calls.calls == Counter({("svd", 3): 8, ("eigvalsh", 3): 1})
-    assert lapack_calls.matrices == Counter(svd=2138, eigvalsh=62)
+    assert lapack_calls.matrices == Counter(svd=4 + 241 + 2 * 62, eigvalsh=62)
+
+
+def test_certify_blockwise_oracle_factors_linearly_many_matrices(lapack_calls):
+    # The shift of order n on n + 3 blocks has 4 distinct blocks, and each
+    # power T^k the oracle checks, k = 1..n+1, at most 4 distinct windows:
+    # 4n + 1 matrices in all, where the (n + 1)(n + 4) / 2 blocks of those
+    # powers (1,952 at n = 60) grow quadratically.
+    oracle = []
+    for n in (20, 40, 60):
+        spec = ShiftSpec.from_recipe(n)
+        lapack_calls.clear()
+        assert certify_blockwise(build_truncated(spec), spec.blocks - 1).oracle_agrees
+        # The first SVD factors the 4 distinct blocks for U and |T|.
+        oracle.append(lapack_calls.matrices["svd"] - 4)
+    assert oracle == [81, 161, 241]
 
 
 @pytest.mark.parametrize(

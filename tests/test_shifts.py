@@ -2,19 +2,42 @@
 
 from __future__ import annotations
 
+import math
 import warnings
-from itertools import islice
+from dataclasses import astuple
+from itertools import islice, takewhile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polarops.classify import _powers, centered_order, is_n_centered_definitional
-from polarops.core import commutes, rank_margin, svd
-from polarops.decomp import polar_decompose, verify_polar
+from polarops.classify import (
+    CenteredReport,
+    _powers,
+    _Windows,
+    centered_order,
+    is_n_centered_definitional,
+)
+from polarops.core import (
+    DEFAULT_TOLERANCES,
+    _adjoint,
+    _residual,
+    _svd,
+    _threshold,
+    as_operator,
+    commutes,
+    fro_norm,
+    rank_margin,
+    svd,
+)
+from polarops.decomp import _polar_parts, polar_decompose, verify_polar
 from polarops.sampling import random_operator
 from polarops.shifts import (
     BLOCK,
     ShiftSpec,
+    _block_labels,
+    _dense,
     _subdiagonal_blocks,
     angle_constants,
     block_t,
@@ -339,6 +362,158 @@ class TestCertifyBlockwise:
                 certify_blockwise(*shape_or_order)
 
 
+_POOL_KINDS = ("zero", "sparse", "dense", "rank-one", "negative-zeros", "conjugate")
+
+
+def _pool(rng, kinds) -> np.ndarray:
+    """A pool of 3x3 blocks, one per kind, for the windowed-walk tests.
+    ``negative-zeros`` copies the block before it (or a zero block) with
+    -0.0 in place of its zeros, and ``conjugate`` conjugates it; a real
+    block's conjugate carries -0.0 imaginary parts. Either makes a block of
+    values equal to, and bytes other than, one already in the pool, or (for
+    a complex block) one of the same real parts."""
+    pool = []
+    for kind in kinds:
+        last = pool[-1] if pool else np.zeros((BLOCK, BLOCK), dtype=np.complex128)
+        if kind == "zero":
+            block = np.zeros((BLOCK, BLOCK), dtype=np.complex128)
+        elif kind == "sparse":
+            # The zero pattern of block_t, with seeded weights.
+            block = block_t(1, (1.0, 2.0))
+            block[1:, :2] *= rng.integers(1, 4)
+        elif kind == "dense":
+            block = random_operator(rng, BLOCK)
+        elif kind == "rank-one":
+            left, right = rng.standard_normal((2, BLOCK, 1))
+            block = (left @ right.T).astype(np.complex128)
+        elif kind == "negative-zeros":
+            block = np.where(last == 0, complex(-0.0, -0.0), last)
+        else:
+            block = last.conj()
+        pool.append(block)
+    return np.array(pool)
+
+
+def _reference_certify_blockwise(t, max_n, cfg=DEFAULT_TOLERANCES) -> CenteredReport:
+    """``certify_blockwise`` as the walk of every block position, one power
+    at a time: each power of ``T`` and ``U`` formed at every position, each
+    commutator taken at every position, and the oracle factoring every
+    block of ``T^k``, k up to min(verified + 1, max_n), up to its first
+    failing power."""
+    stack = _subdiagonal_blocks(as_operator(t))
+    parts = _polar_parts(_svd(stack), cfg)
+    u, p = parts.isometry, np.concatenate([parts.modulus, np.zeros((1, BLOCK, BLOCK))])
+    norms, thresholds = [], []
+    u_pow = u
+    for k in range(1, max(max_n - 1, 1) + 1):
+        conjugated = u_pow @ p[: len(u_pow)] @ _adjoint(u_pow)
+        commutator = conjugated @ p[k:] - p[k:] @ conjugated
+        norms.append(fro_norm(commutator))
+        thresholds.append(_threshold(fro_norm(conjugated), fro_norm(p), cfg))
+        u_pow = u_pow[1:] @ u[: len(u_pow) - 1]
+    decisions = [norm <= threshold for norm, threshold in zip(norms, thresholds)]
+    verified = 1 + len(list(takewhile(bool, decisions[: max_n - 1])))
+    passing, t_pow, u_pow = 0, stack, u
+    for _ in range(min(verified + 1, max_n)):
+        # The entries of T^k are rescaled by exact powers of two.
+        top = np.abs(t_pow).max()
+        if top > 2.0**64:
+            t_pow = t_pow * 2.0 ** (33 - math.frexp(top)[1])
+        own = _polar_parts(_svd(t_pow), cfg)
+        equation = _residual(t_pow, u_pow @ own.modulus)
+        projection = _adjoint(own.isometry) @ own.isometry
+        ranges = _residual(_adjoint(u_pow) @ u_pow, projection)
+        if max(equation, ranges) > cfg.equality_rel_tol:
+            break
+        passing += 1
+        t_pow = t_pow[1:] @ stack[: len(t_pow) - 1]
+        u_pow = u_pow[1:] @ u[: len(u_pow) - 1]
+    return CenteredReport(
+        dimension=BLOCK * len(p),
+        max_order_checked=max_n,
+        verified_order=verified,
+        commutator_norms=tuple(norms[: max_n - 1]),
+        commutator_thresholds=tuple(thresholds[: max_n - 1]),
+        rank_margin=rank_margin(np.sort(parts.singular_values, axis=None)[::-1], cfg),
+        binormal=decisions[0],
+        oracle_agrees=passing == verified,
+    )
+
+
+def _hex(report: CenteredReport) -> tuple:
+    """The fields of a report, each float as float hex."""
+
+    def exact(value):
+        if isinstance(value, tuple):
+            return tuple(map(exact, value))
+        return value.hex() if isinstance(value, float) else value
+
+    return exact(astuple(report))
+
+
+class TestWindowedWalk:
+    """``certify_blockwise`` forms, factors and checks each power once per
+    distinct window of its blocks; its report is bitwise that of the walk of
+    every block position."""
+
+    @pytest.mark.parametrize("extra", [2, 3, 10])
+    def test_shifts_match_the_walk_of_every_position(self, extra):
+        # Up to 11 windows per power at blocks = n + 10.
+        for n in range(2, 61):
+            spec = ShiftSpec.from_recipe(n, n + extra)
+            t = build_truncated(spec)
+            expected = _reference_certify_blockwise(t, spec.blocks - 1)
+            assert _hex(certify_blockwise(t, spec.blocks - 1)) == _hex(expected), n
+
+    def test_oracle_falls_back_to_one_power_at_a_time(self, monkeypatch):
+        # An SVD that fails for one matrix fails for its whole stack; the
+        # oracle then factors the windows of one power at a time, each
+        # placed by its own layout.
+        spec = ShiftSpec.from_recipe(8)
+        t = build_truncated(spec)
+        expected = _hex(certify_blockwise(t, spec.blocks - 1))
+        original = np.linalg.svd
+        factored = []
+
+        def small_stacks_only(a, *args, **kwargs):
+            if np.ndim(a) > 2 and np.prod(np.shape(a)[:-2]) > 5:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            factored.append(np.prod(np.shape(a)[:-2]))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", small_stacks_only)
+        assert _hex(certify_blockwise(t, spec.blocks - 1)) == expected
+        # The 4 distinct blocks, then T^1..T^9 one power at a time.
+        assert len(factored) == 1 + 9
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(st.sampled_from(_POOL_KINDS), min_size=1, max_size=6),
+        positions=st.integers(1, 30),
+        distinct=st.booleans(),
+        data=st.data(),
+    )
+    def test_block_stacks_match_the_walk_of_every_position(
+        self, seed, kinds, positions, distinct, data
+    ):
+        # Block stacks drawn from a pool of 1-6 blocks (see _pool): zero
+        # blocks, blocks with exact zeros, dense and rank-one blocks, and
+        # blocks of equal values but other bytes (-0.0 for 0.0); or every
+        # block distinct.
+        rng = np.random.default_rng(seed)
+        if distinct:
+            stack = random_operator(rng, BLOCK * positions, BLOCK)
+            stack = stack.reshape(positions, BLOCK, BLOCK)
+        else:
+            pool = _pool(rng, kinds)
+            stack = pool[rng.integers(0, len(pool), positions)]
+        t = _dense(stack)
+        max_n = data.draw(st.integers(1, positions), label="max_n")
+        expected = _reference_certify_blockwise(t, max_n)
+        assert _hex(certify_blockwise(t, max_n)) == _hex(expected)
+
+
 def _on_block_subdiagonal(stack, k, blocks):
     """The matrix of ``blocks`` 3x3 block positions with ``stack[j]`` at block
     position (j + k, j) and zeros elsewhere."""
@@ -348,22 +523,47 @@ def _on_block_subdiagonal(stack, k, blocks):
 
 
 class TestPowers:
+    @staticmethod
+    def _spans(stack, labels):
+        """The walk of ``stack`` held by the windows of ``labels``, each power
+        gathered back to its block positions, and the windows per power."""
+        windows = _Windows(labels)
+        powers = list(_powers(stack, windows))
+        layouts = windows.layouts(1, len(powers))
+        spans = [power[layout.index] for power, layout in zip(powers, layouts)]
+        return spans, [len(power) for power in powers]
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_block_stack_powers_sit_on_the_kth_subdiagonal(self, n):
+        # The blocks labelled by their exact bytes, as certify_blockwise
+        # labels them.
         spec = ShiftSpec.from_recipe(n)
         t = build_truncated(spec)
-        powers = list(_powers(_subdiagonal_blocks(t), 1))
+        stack = _subdiagonal_blocks(t)
+        spans, windows = self._spans(stack, _block_labels(stack))
         # T^blocks = 0: the walk ends with the single block of T^(blocks-1).
-        assert [len(power) for power in powers] == list(range(spec.blocks - 1, 0, -1))
-        for k, power in enumerate(powers, start=1):
+        assert [len(span) for span in spans] == list(range(spec.blocks - 1, 0, -1))
+        # The shift has 4 distinct blocks, and few windows per power.
+        assert windows[0] == 4 and max(windows) <= 5
+        for k, span in enumerate(spans, start=1):
             expected = np.linalg.matrix_power(t, k)
-            placed = _on_block_subdiagonal(power, k, spec.blocks)
+            placed = _on_block_subdiagonal(span, k, spec.blocks)
             assert np.linalg.norm(placed - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_distinct_labels_walk_every_block_position(self, n):
+        # With a label per block, each window is one block position, and
+        # the gathered powers are bitwise those of the bytes labels.
+        stack = _subdiagonal_blocks(build_truncated(ShiftSpec.from_recipe(n)))
+        spans, windows = self._spans(stack, np.arange(len(stack)))
+        assert windows == [len(span) for span in spans]
+        shared, _ = self._spans(stack, _block_labels(stack))
+        assert all(np.array_equal(a, b) for a, b in zip(spans, shared, strict=True))
 
     def test_matrix_powers_are_repeated_right_multiplication(self):
         a = random_operator(np.random.default_rng(5), 6)
         expected = a
-        for power in islice(_powers(a, 0), 8):
+        for power in islice(_powers(a), 8):
             assert np.array_equal(power, expected)
             expected = expected @ a
 
