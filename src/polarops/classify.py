@@ -12,27 +12,28 @@ at hand (the partial isometry vanishing on the null space), and every
 "commutes" decision uses the scaled threshold from
 :class:`polarops.core.ToleranceConfig`.
 
+Stack rule: every public function but ``is_n_centered_definitional`` takes
+a matrix, or a 4-D stack of operators ``(operators, 1, d, d)`` (a pair of
+such stacks for ``product_polar`` and ``polar_transfer``), validates it
+once, and gives each operator of a stack bitwise the result it gets alone:
+a list of reports, or for ``is_binormal`` of (verdict, norm) pairs, and
+for ``aluthge`` parts holding stacks. The suites evaluate each group of
+draws of one shape with one call per factorization this way.
+
 Sharing rule: one function, ``_oracle_residuals``, factors the powers
 ``T^k`` for the definitional check, ``k = 1`` included, and shares only
 ``U`` and the walk of its powers ``U^k`` with the commutator criterion.
 ``centered_order``, ``is_n_centered_definitional`` and
 ``binormal_equivalents`` all reach it. Everything else in one evaluation is
-factored once: the private helpers (``_centered_order``, ``_aluthge``,
-``_mp_centered_check``) take the polar parts, reports and PSD
-eigendecompositions a caller has already computed, and the public functions
-validate their input and call them. ``product_polar``, ``polar_transfer``
-and ``binormal_equivalents`` are batch-of-one calls into kernels that take
-a 4-D stack of operators of one matrix each (``_product_polars``,
-``_polar_transfers``, ``_binormal_equivalents``), so that the suites
-evaluate each group of draws of one shape with one call per
-factorization. The rule holds on every centered-order route:
-``_centered_order`` takes a dense matrix, the stack of 3x3 blocks of an
-operator on its first block subdiagonal with labels of its equal blocks
-(for :func:`polarops.shifts.certify_blockwise`; each power is formed,
-factored and checked once per distinct window of consecutive blocks,
-``_Windows``), or a 4-D stack of operators of one matrix each (for the
-suites; one report per operator), and walks the powers once, forward, for
-all operators, in groups of consecutive powers that fit a fixed number of
+factored once: ``centered_order`` and ``mp_centered_check`` take the polar
+parts or SVDs a caller already holds. The rule holds on every
+centered-order route: ``centered_order`` takes a matrix, a stack of
+operators (one report per operator), or, with ``labels`` of its equal
+blocks, the stack of 3x3 blocks of an operator on its first block
+subdiagonal (for :func:`polarops.shifts.certify_blockwise`; each power is
+formed, factored and checked once per distinct window of consecutive
+blocks, ``_Windows``), and walks the powers once, forward, for all
+operators, in groups of consecutive powers that fit a fixed number of
 entries per operator at their block positions (``_power_groups``). Each
 group is one stacked commutator expression, with one threshold per
 (operator, power), and one stacked SVD per number of powers that the
@@ -40,9 +41,8 @@ operators' oracles check, each with its own rank cutoffs, so a shift's
 block stacks and a group of small matrices take a few LAPACK calls for all
 their powers, while a matrix above 64x64 still walks one power at a time.
 Each report is bitwise the report of its operator alone, whatever the
-grouping or the windows. ``_mp_centered_check`` takes a stack of operators
-too, and inverts the powers ``T^k``, k >= 2, of all of them in one stacked
-SVD.
+grouping or the windows. ``mp_centered_check`` inverts the powers ``T^k``,
+k >= 2, of all operators of a stack in one stacked SVD.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import accumulate, islice, pairwise, takewhile
+from itertools import accumulate, islice, takewhile
 from typing import NamedTuple
 
 import numpy as np
@@ -60,35 +60,24 @@ from .core import (
     SvdResult,
     ToleranceConfig,
     _adjoint,
+    _checked,
     _floor_one,
+    _isometry,
+    _modulus,
     _psd_powers,
     _residual,
+    _same_square,
     _span_norms,
-    _square_operator,
     _svd,
     _threshold,
-    commutator_norm,
     commutator_threshold,
-    commutes,
-    equality_residual,
     fro_norm,
-    is_hermitian_psd,
-    numerical_rank,
-    range_projection,
     rank_margin,
-    svd,
 )
 from .decomp import (
     PolarCheck,
     PolarParts,
-    _pinv,
-    _isometry,
-    _modulus,
-    _polar_check,
-    _polar_parts,
-    _split_checks,
-    _split_parts,
-    abs_value,
+    moore_penrose,
     polar_decompose,
     verify_polar,
 )
@@ -101,18 +90,14 @@ __all__ = [
     "AluthgeParts",
     "AluthgePairCheck",
     "BinormalEquivalents",
-    "PowersEntry",
-    "PowersReport",
     "MpCenteredReport",
     "is_binormal",
     "centered_order",
     "is_n_centered_definitional",
     "product_polar",
     "polar_transfer",
-    "positive_product_polar",
     "aluthge",
     "binormal_equivalents",
-    "powers_report",
     "mp_centered_check",
 ]
 
@@ -252,34 +237,6 @@ class BinormalEquivalents:
 
 
 @dataclass(frozen=True)
-class PowersEntry:
-    """Power-n data for the polar factor ``U``: the products
-    ``p_final = U^n (U^n)*`` and ``p_initial = (U^n)* U^n`` (projections
-    exactly when ``U^n`` is a partial isometry), the commutators that govern
-    whether ``U^{n+1}`` stays a partial isometry, and the residuals of the
-    iterated-transform identities."""
-
-    n: int
-    p_final: np.ndarray
-    p_initial: np.ndarray
-    is_partial_isometry: bool
-    initial_commutator_norm: float
-    initial_commutes: bool
-    final_commutator_norm: float
-    final_commutes: bool
-    tilde_power_residual: float
-    tilde_projection_residual: float
-
-
-@dataclass(frozen=True)
-class PowersReport:
-    entries: tuple[PowersEntry, ...]
-
-    def entry(self, n: int) -> PowersEntry:
-        return self.entries[n - 1]
-
-
-@dataclass(frozen=True)
 class MpCenteredReport:
     """Centered-order interplay with the Moore-Penrose inverse.
 
@@ -299,18 +256,21 @@ class MpCenteredReport:
     ok: bool
 
 
-def is_binormal(
-    t, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> tuple[bool, float]:
-    """Whether ``[T* T, T T*]`` vanishes, plus the raw commutator norm."""
-    return _binormal(_square_operator(t), cfg)
-
-
-def _binormal(t: np.ndarray, cfg: ToleranceConfig):
-    """``is_binormal`` of a checked square matrix, or of each operator of a
-    stack of operators (arrays of verdicts and norms)."""
+def is_binormal(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
+    """Whether ``[T* T, T T*]`` vanishes, plus the raw commutator norm; for
+    a stack of operators, a list of one such pair per operator."""
+    t = _checked(t, (2, 4), square=True)
     norm, commute = _commutator_test(_adjoint(t) @ t, t @ _adjoint(t), cfg)
-    return commute, norm
+    if t.ndim == 2:
+        return commute, norm
+    return list(zip(commute.tolist(), norm.tolist()))
+
+
+def _commutator_test(a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig):
+    """The norm of ``[a, b]`` and whether it vanishes (``core.commutes``),
+    for matrices or for each operator of two stacks of operators."""
+    norm = fro_norm(a @ b - b @ a)
+    return norm, norm <= commutator_threshold(a, b, cfg)
 
 
 # A power of the rescaled walk (see _powers) whose largest entry exceeds this
@@ -430,7 +390,7 @@ def _powers(a: np.ndarray, windows: _Windows | None = None, rescale: bool = Fals
 
 
 # Complex entries that one group of powers of U may hold per operator in
-# _centered_order: a matrix above 64x64 walks one power at a time, while a
+# centered_order: a matrix above 64x64 walks one power at a time, while a
 # block stack or a small matrix walks many powers per stacked expression and
 # SVD. A group keeps about ten arrays of its size alive at once, 0.6 MB per
 # operator at this budget; twice the budget doubles that and saves no
@@ -659,22 +619,32 @@ def _oracle_run(
     return np.logical_and.accumulate(holds, axis=1).sum(axis=1)
 
 
-def _centered_order(
-    t: np.ndarray,
-    parts: PolarParts,
+def centered_order(
+    t,
     max_n: int,
-    cfg: ToleranceConfig,
+    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
+    *,
+    parts: PolarParts | None = None,
     labels: np.ndarray | None = None,
 ):
-    """``centered_order`` of a checked square ``t`` with polar parts
-    ``parts``; or of the operator whose block stack (see ``_powers``) is
-    ``t``, with ``labels`` of its blocks (see ``_Windows``), ``parts`` those
-    of the stack and the modulus padded as ``_commutators`` takes it; or,
-    as a list of reports, of each operator of a stack of operators
-    ``(operators, 1, d, d)``, with ``parts`` those of the stack.
-    ``binormal`` is the k = 1 decision (``[U |T| U*, |T|] = 0`` exactly when
-    ``[T* T, T T*] = 0``), so it is decided for max_n = 1 too, whose report
-    lists no commutator.
+    """Largest verified centered order via the commutator criterion.
+
+    The operator is (k+1)-centered exactly when ``[U^j |T| (U^j)*, |T|]``
+    vanishes for j = 1..k, so the verified order is one plus the initial run
+    of vanishing commutators. Norms and thresholds keep being reported past
+    the first failure for diagnostics. ``binormal`` is the k = 1 decision
+    (``[U |T| U*, |T|] = 0`` exactly when ``[T* T, T T*] = 0``), so it is
+    decided for max_n = 1 too, whose report lists no commutator.
+    ``oracle_agrees`` comes from one pass of the definitional route with the
+    same ``U``, which factors ``T^k`` for k = 1..min(verified + 1, max_n) and
+    stops at the first failing power.
+
+    ``t`` is a matrix, or a stack of operators ``(operators, 1, d, d)``
+    (a list of reports, one per operator); ``parts`` are its polar parts,
+    when the caller holds them. With ``labels``, ``t`` is the stack of
+    blocks of an operator on its first block subdiagonal (see ``_powers``),
+    ``labels`` label its blocks (see ``_Windows``), and ``parts`` are those
+    of the stack with the modulus padded as ``_commutators`` takes it.
 
     One forward walk forms each ``U^k`` once for all operators, in groups
     of consecutive powers (``_power_groups``), as far as the operator that
@@ -686,8 +656,15 @@ def _centered_order(
     ``_oracle_run`` per number of powers checked; the oracle agrees when its
     leading run of passing powers ends at the verified order. Each report
     is bitwise the report of its operator alone, and does not depend on how
-    the powers are grouped or on the windows."""
-    stacked = t.ndim == 4
+    the powers are grouped or on the windows.
+    """
+    t = _checked(t, (2, 4) if labels is None else (3,), square=True)
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
+    if parts is None:
+        if labels is not None:
+            raise ValueError("a block stack needs the parts of its blocks")
+        parts = polar_decompose(t, cfg)
     windows = None if labels is None else _Windows(labels)
     # The powers are walked as given and seen as stacks of operators: a
     # matrix is an operator of one block, and a block stack one operator.
@@ -774,25 +751,7 @@ def _centered_order(
             [runs == order for runs, order in zip(passing, verified)],
         )
     ]
-    return reports if stacked else reports[0]
-
-
-def centered_order(
-    t, max_n: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> CenteredReport:
-    """Largest verified centered order via the commutator criterion.
-
-    The operator is (k+1)-centered exactly when ``[U^j |T| (U^j)*, |T|]``
-    vanishes for j = 1..k, so the verified order is one plus the initial run
-    of vanishing commutators. Norms and thresholds keep being reported past
-    the first failure for diagnostics. ``oracle_agrees`` comes from one pass
-    of the definitional route with the same ``U``, which factors ``T^k`` for
-    k = 1..min(verified + 1, max_n) and stops at the first failing power.
-    """
-    t = _square_operator(t)
-    if max_n < 1:
-        raise ValueError(f"max_n must be at least 1, got {max_n}")
-    return _centered_order(t, polar_decompose(t, cfg), max_n, cfg)
+    return reports if t.ndim == 4 else reports[0]
 
 
 def is_n_centered_definitional(
@@ -804,7 +763,7 @@ def is_n_centered_definitional(
     ``_oracle_residuals`` in the groups of ``_power_groups``, one stacked
     SVD per group, so a small matrix takes two SVDs for any n. Raises if a
     power cannot be factored."""
-    t = _square_operator(t)
+    t = _checked(t, square=True)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     u = polar_decompose(t, cfg).isometry
@@ -821,48 +780,42 @@ def is_n_centered_definitional(
     )
 
 
-def product_polar(
-    t, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> ProductPolarReport:
+def _square_pair(t, s) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Two square matrices of one shape, or two stacks of operators of one
+    matrix each, as two such stacks, and whether they were matrices."""
+    t, s = _same_square(t, s, (2, 4))
+    if t.ndim == 2:
+        return t[None, None], s[None, None], True
+    if t.shape[1] != 1:
+        raise ValueError(f"expected operators of one matrix each, got {t.shape}")
+    return t, s, False
+
+
+def product_polar(t, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     """Evaluate the product ``T S`` against the candidate factor ``U V``.
 
     Returns the moduli commutator data, the residual of the equation
     ``T S = U V |T S|``, the full polar-contract verdict for ``(U V, |T S|)``,
     and the unconditional transfer factor ``U W V`` built from the polar
-    decomposition of ``|T| |S*|``.
+    decomposition of ``|T| |S*|``; for two stacks of operators, a list of
+    one report per pair. ``T``, ``S`` and ``S*`` share one stacked SVD, and
+    so do ``T S`` and ``|T| |S*|``.
     """
-    t, s = _square_pair(t, s)
-    return _product_polars(t[None, None], s[None, None], cfg)[0]
-
-
-def _square_pair(t, s) -> tuple[np.ndarray, np.ndarray]:
-    t = _square_operator(t)
-    s = _square_operator(s)
-    if t.shape != s.shape:
-        raise ValueError(f"dimension mismatch: {t.shape} vs {s.shape}")
-    return t, s
-
-
-def _product_polars(
-    t: np.ndarray, s: np.ndarray, cfg: ToleranceConfig
-) -> list[ProductPolarReport]:
-    """``product_polar`` of each pair of operators of two stacks of
-    operators of one matrix each. ``T``, ``S`` and ``S*`` share one stacked
-    SVD, and so do ``T S`` and ``|T| |S*|``."""
+    t, s, single = _square_pair(t, s)
     count = len(t)
-    t_parts, s_parts, s_adj_parts = _split_parts(
-        _polar_parts(_svd(np.concatenate([t, s, _adjoint(s)])), cfg), count
-    )
+    factors = polar_decompose(np.concatenate([t, s, _adjoint(s)]), cfg)
+    t_parts, s_parts, s_adj_parts = (factors[i : i + count] for i in (0, count, 2 * count))
     mod_t, mod_s_adj = t_parts.modulus, s_adj_parts.modulus
 
     product = t @ s
-    product_parts, moduli_parts = _split_parts(
-        _polar_parts(_svd(np.concatenate([product, mod_t @ mod_s_adj])), cfg), count
-    )
+    targets = polar_decompose(np.concatenate([product, mod_t @ mod_s_adj]), cfg)
+    product_parts, moduli_parts = targets[:count], targets[count:]
     candidate = t_parts.isometry @ s_parts.isometry
 
     residual = _residual(product, candidate @ product_parts.modulus)
-    check = _polar_check(product, candidate, product_parts.modulus, cfg)
+    checks = verify_polar(
+        product, PolarParts(candidate, product_parts.modulus, product_parts.rank), cfg
+    )
 
     transfer = t_parts.isometry @ moduli_parts.isometry @ s_parts.isometry
     norm, commute = _commutator_test(mod_t, mod_s_adj, cfg)
@@ -872,110 +825,63 @@ def _product_polars(
         commute.tolist(),
         candidate[:, 0],
         residual.tolist(),
-        check.ok.tolist(),
+        checks,
         transfer[:, 0],
         transfer_residual.tolist(),
     )
-    return [
-        ProductPolarReport(a, b, c, res, res <= cfg.equality_rel_tol, ok, d, e)
-        for a, b, c, res, ok, d, e in rows
+    reports = [
+        ProductPolarReport(a, b, c, res, res <= cfg.equality_rel_tol, check.ok, d, e)
+        for a, b, c, res, check, d, e in rows
     ]
+    return reports[0] if single else reports
 
 
-def _commutator_test(a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig):
-    """The norm of ``[a, b]`` and whether it vanishes (``core.commutes``),
-    for matrices or for each operator of two stacks of operators."""
-    norm = fro_norm(a @ b - b @ a)
-    return norm, norm <= commutator_threshold(a, b, cfg)
-
-
-def polar_transfer(
-    t, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> TransferReport:
+def polar_transfer(t, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     """Move polar factors between ``T S`` and ``|T| |S*|`` in both directions.
 
     With ``T = U |T|`` and ``S = V |S|``: if ``W1`` is the polar factor of
     ``|T| |S*|`` then ``U W1 V`` is the polar factor of ``T S``; if ``W2`` is
     the polar factor of ``T S`` then ``U* W2 V*`` is the polar factor of
-    ``|T| |S*|``. Both candidates are pushed through ``verify_polar``.
+    ``|T| |S*|``. Both candidates are pushed through ``verify_polar``; for
+    two stacks of operators, a list of one report per pair. ``T``, ``S``
+    and ``S*`` share one stacked SVD, ``T S`` and ``|T| |S*|`` another, and
+    both directions one polar check.
     """
-    t, s = _square_pair(t, s)
-    return _polar_transfers(t[None, None], s[None, None], cfg)[0]
-
-
-def _polar_transfers(
-    t: np.ndarray, s: np.ndarray, cfg: ToleranceConfig
-) -> list[TransferReport]:
-    """``polar_transfer`` of each pair of operators of two stacks of
-    operators of one matrix each. ``T``, ``S`` and ``S*`` share one stacked
-    SVD, ``T S`` and ``|T| |S*|`` another, and both directions one polar
-    check."""
+    t, s, single = _square_pair(t, s)
     count = len(t)
-    t_parts, s_parts, s_adj_parts = _split_parts(
-        _polar_parts(_svd(np.concatenate([t, s, _adjoint(s)])), cfg), count
-    )
+    factors = polar_decompose(np.concatenate([t, s, _adjoint(s)]), cfg)
+    t_parts, s_parts, s_adj_parts = (factors[i : i + count] for i in (0, count, 2 * count))
     u, v = t_parts.isometry, s_parts.isometry
     targets = np.concatenate([t @ s, t_parts.modulus @ s_adj_parts.modulus])
-    target_parts = _polar_parts(_svd(targets), cfg)
-    product_parts, moduli_parts = _split_parts(target_parts, count)
+    target_parts = polar_decompose(targets, cfg)
+    product_parts, moduli_parts = target_parts[:count], target_parts[count:]
     candidates = np.concatenate(
         [
             u @ moduli_parts.isometry @ v,
             _adjoint(u) @ product_parts.isometry @ _adjoint(v),
         ]
     )
-    checks = _split_checks(_polar_check(targets, candidates, target_parts.modulus, cfg))
-    return [
+    checks = verify_polar(
+        targets, PolarParts(candidates, target_parts.modulus, target_parts.rank), cfg
+    )
+    reports = [
         TransferReport(product_check=first, moduli_check=second, ok=first.ok and second.ok)
         for first, second in zip(checks[:count], checks[count:])
     ]
-
-
-def positive_product_polar(
-    a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> PolarParts:
-    """Polar decomposition of a product of commuting PSD operators.
-
-    For commuting PSD ``A`` and ``B`` the product is again PSD and its polar
-    factor is the product of the two range projections. Raises if the inputs
-    are not PSD or do not commute at tolerance.
-    """
-    a, b = _square_pair(a, b)
-    if not is_hermitian_psd(a, cfg) or not is_hermitian_psd(b, cfg):
-        raise ValueError("inputs must be Hermitian positive semidefinite")
-    if not commutes(a, b, cfg):
-        raise ValueError("inputs must commute at tolerance")
-
-    product = a @ b
-    modulus = 0.5 * (product + product.conj().T)
-    parts = PolarParts(
-        isometry=range_projection(a, cfg) @ range_projection(b, cfg),
-        modulus=modulus,
-        rank=numerical_rank(svd(product).singular_values, cfg),
-    )
-    check = verify_polar(product, parts, cfg)
-    if not check.ok:
-        raise ValueError(
-            f"projection product failed the polar contract: {check.residuals}"
-        )
-    return parts
+    return reports[0] if single else reports
 
 
 def aluthge(
     t, alpha: float, beta: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> AluthgeParts:
     """Aluthge-type transform ``|T|^alpha U |T|^beta`` with its candidate
-    polar factor ``U* U U``."""
-    t = _square_operator(t)
-    parts = polar_decompose(t, cfg)
-    return _aluthge(parts, _psd_powers(parts.modulus, cfg), alpha, beta)
-
-
-def _aluthge(parts: PolarParts, power, alpha: float, beta: float) -> AluthgeParts:
-    """``aluthge`` from the polar parts of ``T`` and ``power``, the map
-    ``alpha -> |T|**alpha`` that ``core._psd_powers`` returns."""
+    polar factor ``U* U U``; for a stack of operators, parts holding one
+    transform and one factor per operator."""
+    t = _checked(t, (2, 4), square=True)
     if alpha <= 0 or beta <= 0:
         raise ValueError(f"exponents must be positive, got ({alpha}, {beta})")
+    parts = polar_decompose(t, cfg)
+    power = _psd_powers(parts.modulus, cfg)
     u = parts.isometry
     p_alpha = power(alpha)
     p_beta = p_alpha if beta == alpha else power(beta)
@@ -991,7 +897,7 @@ def binormal_equivalents(
     t,
     alphas_betas: list[tuple[float, float]],
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> BinormalEquivalents:
+):
     """Evaluate the five equivalent forms of binormality over a sample of
     exponent pairs.
 
@@ -1003,34 +909,27 @@ def binormal_equivalents(
     arithmetic these are equivalent with (3)-(5) quantified over all positive
     exponents; the report evaluates the given finite sample and claims
     nothing beyond it.
+
+    For a stack of operators, a list of one report per operator. ``T`` and
+    ``T*`` share one stacked SVD and one ``eigh`` of their moduli; the
+    oracle (``_oracle_residuals``) factors ``T`` and ``T^2`` of every
+    operator in one stacked SVD; the transforms of every exponent pair and
+    their adjoints form one stack, pair by pair.
     """
-    t = _square_operator(t)
+    t = _checked(t, (2, 4), square=True)
     if not alphas_betas:
         raise ValueError("alphas_betas must contain at least one pair")
-    return _binormal_equivalents(t[None, None], alphas_betas, cfg)[0]
-
-
-def _binormal_equivalents(
-    t: np.ndarray, alphas_betas: list[tuple[float, float]], cfg: ToleranceConfig
-) -> list[BinormalEquivalents]:
-    """``binormal_equivalents`` of each operator of a stack of operators of
-    one matrix each. ``T`` and ``T*`` share one stacked SVD and one
-    ``eigh`` of their moduli; the oracle (``_oracle_residuals``) factors
-    ``T`` and ``T^2`` of every operator in one stacked SVD; the transforms
-    of every exponent pair and their adjoints form one stack, pair by
-    pair."""
+    single = t.ndim == 2
+    if single:
+        t = t[None, None]
     count = len(t)
-    binormal, _ = _binormal(t, cfg)
-    parts, adjoint_parts = _split_parts(
-        _polar_parts(_svd(np.concatenate([t, _adjoint(t)])), cfg), count
-    )
-    u = parts.isometry
+    binormal = [flag for flag, _ in is_binormal(t, cfg)]
+    factors = polar_decompose(np.concatenate([t, _adjoint(t)]), cfg)
+    u = factors.isometry[:count]
     tol = cfg.equality_rel_tol
     equation, ranges = _oracle_residuals([t, t @ t], [u, u @ u], cfg)
     two_centered = ((equation <= tol) & (ranges <= tol)).all(axis=1).tolist()
-    both = functools.cache(
-        _psd_powers(np.concatenate([parts.modulus, adjoint_parts.modulus]), cfg)
-    )
+    both = functools.cache(_psd_powers(factors.modulus, cfg))
 
     def power(alpha: float) -> np.ndarray:
         return both(alpha)[:count]
@@ -1038,28 +937,30 @@ def _binormal_equivalents(
     def adjoint_power(beta: float) -> np.ndarray:
         return both(beta)[count:]
 
-    pairs = [_aluthge(parts, power, alpha, beta) for alpha, beta in alphas_betas]
-    transform = np.concatenate([al.transform for al in pairs])
-    tilde_u = np.concatenate([al.tilde_u for al in pairs])
-    moduli = _modulus(_svd(np.concatenate([transform, _adjoint(transform)])))
-    transform_mod, transform_adj_mod = moduli[: len(transform)], moduli[len(transform) :]
+    transform = np.concatenate([power(a) @ u @ power(b) for a, b in alphas_betas])
+    tilde_u = np.concatenate([_adjoint(u) @ u @ u] * len(alphas_betas))
+    transforms = polar_decompose(np.concatenate([transform, _adjoint(transform)]), cfg)
+    split = len(transform)
+    transform_parts, adjoint_parts = transforms[:split], transforms[split:]
+    transform_mod = transform_parts.modulus
     eq_res = _residual(transform, tilde_u @ transform_mod)
-    polar_checks = _split_checks(
-        _polar_check(transform, tilde_u, transform_mod, cfg, transform_adj_mod)
+    polar_checks = verify_polar(
+        transform,
+        PolarParts(tilde_u, transform_mod, transform_parts.rank),
+        cfg,
+        adjoint_parts=adjoint_parts,
     )
     modulus_form = np.concatenate(
-        [_adjoint(u) @ power(al.alpha) @ u @ power(al.beta) for al in pairs]
+        [_adjoint(u) @ power(a) @ u @ power(b) for a, b in alphas_betas]
     )
-    adjoint_form = np.concatenate(
-        [power(al.alpha) @ adjoint_power(al.beta) for al in pairs]
-    )
+    adjoint_form = np.concatenate([power(a) @ adjoint_power(b) for a, b in alphas_betas])
     mod_res = _residual(transform_mod, modulus_form)
-    adj_res = _residual(transform_adj_mod, adjoint_form)
+    adj_res = _residual(adjoint_parts.modulus, adjoint_form)
 
     checks = [
         AluthgePairCheck(
-            al.alpha,
-            al.beta,
+            float(alpha),
+            float(beta),
             eq,
             eq <= tol,
             polar_check,
@@ -1068,8 +969,8 @@ def _binormal_equivalents(
             adj,
             adj <= tol,
         )
-        for al, eq, polar_check, mod, adj in zip(
-            [al for al in pairs for _ in range(count)],
+        for (alpha, beta), eq, polar_check, mod, adj in zip(
+            [pair for pair in alphas_betas for _ in range(count)],
             eq_res.tolist(),
             polar_checks,
             mod_res.tolist(),
@@ -1077,9 +978,7 @@ def _binormal_equivalents(
         )
     ]
     reports = []
-    for i, (binormal_i, two_centered_i) in enumerate(
-        zip(binormal.tolist(), two_centered)
-    ):
+    for i, (binormal_i, two_centered_i) in enumerate(zip(binormal, two_centered)):
         own = tuple(checks[i::count])
         statements = (
             binormal_i,
@@ -1089,55 +988,18 @@ def _binormal_equivalents(
             all(c.modulus_form_holds and c.adjoint_form_holds for c in own),
         )
         reports.append(BinormalEquivalents(binormal_i, two_centered_i, own, statements))
-    return reports
-
-
-def powers_report(
-    t, max_n: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> PowersReport:
-    """Track powers of the polar factor: the products ``U^n (U^n)*`` and
-    ``(U^n)* U^n``, partial-isometry flags, the commutators controlling
-    whether the next power stays a partial isometry, and the identities
-    ``(U* U U)^n = U* U^{n+1}`` and ``((U* U U)^n)* (U* U U)^n =
-    (U^{n+1})* U^{n+1}`` (exact for every partial isometry)."""
-    t = _square_operator(t)
-    if max_n < 1:
-        raise ValueError(f"max_n must be at least 1, got {max_n}")
-    u = polar_decompose(t, cfg).isometry
-    u_final = u @ u.conj().T
-    u_initial = u.conj().T @ u
-    tilde = u.conj().T @ u @ u
-
-    entries: list[PowersEntry] = []
-    walk = zip(range(1, max_n + 1), pairwise(_powers(u)), _powers(tilde))
-    for n, (u_pow, u_next), tilde_pow in walk:
-        p_final = u_pow @ u_pow.conj().T
-        p_initial = u_pow.conj().T @ u_pow
-        pi_residual = equality_residual(u_pow @ u_pow.conj().T @ u_pow, u_pow)
-        entries.append(
-            PowersEntry(
-                n=n,
-                p_final=p_final,
-                p_initial=p_initial,
-                is_partial_isometry=pi_residual <= cfg.equality_rel_tol,
-                initial_commutator_norm=commutator_norm(p_initial, u_final),
-                initial_commutes=commutes(p_initial, u_final, cfg),
-                final_commutator_norm=commutator_norm(p_final, u_initial),
-                final_commutes=commutes(p_final, u_initial, cfg),
-                tilde_power_residual=equality_residual(
-                    tilde_pow, u.conj().T @ u_next
-                ),
-                tilde_projection_residual=equality_residual(
-                    tilde_pow.conj().T @ tilde_pow, u_next.conj().T @ u_next
-                ),
-            )
-        )
-    return PowersReport(entries=tuple(entries))
+    return reports[0] if single else reports
 
 
 def mp_centered_check(
-    t, n: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> MpCenteredReport:
+    t,
+    n,
+    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
+    *,
+    decomp: SvdResult | None = None,
+    adjoint_parts: PolarParts | None = None,
+    inverse_parts: PolarParts | None = None,
+):
     """Verify that the Moore-Penrose inverse respects the centered structure.
 
     Requires ``t`` to be n-centered at tolerance (raises otherwise). Checks
@@ -1145,58 +1007,42 @@ def mp_centered_check(
     centered order n by the commutator criterion. When the operator is even
     (n+1)-centered, additionally checks that ``U^k (U^k)*`` commutes with
     ``|T|`` and ``(U^k)* U^k`` with ``|T*|`` for k = 1..n.
+
+    For a stack of operators, ``n`` is one order or one order per operator,
+    and the result is a list of reports, each bitwise that of its operator
+    alone. A caller may pass what it holds: ``decomp``, the SVD of ``t``
+    (for ``U``, ``|T|`` and the inverse); ``adjoint_parts``, the polar parts
+    of ``t*``; and ``inverse_parts``, those of ``moore_penrose(t)``. The
+    orders of ``t`` and of its inverse come from the commutators of their
+    polar parts alone, and the inverses of the powers ``T^k``, k >= 2, of
+    every operator take one stacked SVD.
     """
-    t = _square_operator(t)
-    if n < 1:
+    t = _checked(t, (2, 4), square=True)
+    orders = [int(k) for k in np.broadcast_to(n, len(t) if t.ndim == 4 else 1)]
+    if min(orders) < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    decomp = _svd(t)
-    parts = _polar_parts(decomp, cfg)
-    pinv = _pinv(decomp, cfg)
-    report = _centered_order(t, parts, n + 1, cfg)
-    inverse_report = centered_order(pinv, n, cfg)
-    adjoint_modulus = abs_value(t.conj().T, cfg)
-    return _mp_centered_check(
-        t, parts, pinv, adjoint_modulus, report, inverse_report, n, cfg
-    )
+    if decomp is None:
+        decomp = _svd(t)
+    parts = polar_decompose(t, cfg, decomp=decomp)
+    pinv = moore_penrose(t, cfg, decomp=decomp)
+    if adjoint_parts is None:
+        adjoint_parts = polar_decompose(_adjoint(t), cfg)
+    if inverse_parts is None:
+        inverse_parts = polar_decompose(pinv, cfg)
+    stacks = [t, pinv, parts.isometry, parts.modulus, adjoint_parts.modulus]
+    stacks += [inverse_parts.isometry, inverse_parts.modulus]
+    single = t.ndim == 2
+    if single:
+        stacks = [x[None, None] for x in stacks]
+    t, pinv, u, p, adjoint_modulus, inverse_u, inverse_p = stacks
 
-
-def _mp_centered_check(
-    t: np.ndarray,
-    parts: PolarParts,
-    pinv: np.ndarray,
-    adjoint_modulus: np.ndarray,
-    report,
-    inverse_report,
-    n,
-    cfg: ToleranceConfig,
-):
-    """``mp_centered_check(t, n)`` from what the caller has computed: the
-    polar parts of ``t``, ``pinv = moore_penrose(t)``, ``adjoint_modulus =
-    abs_value(t*)`` and the reports of ``t`` and ``pinv`` from
-    ``centered_order`` at one ``max_n >= n``. The order at n + 1 needs the
-    commutator at k = n, which a report of ``max_n == n`` lacks; only then
-    are the commutators formed again.
-
-    For a stack of operators ``(operators, 1, d, d)`` with the parts of the
-    stack, ``report``, ``inverse_report`` and ``n`` hold one entry per
-    operator, and the result is a list of reports, each bitwise that of its
-    operator alone. Each power walk runs over the stack, as far as the
-    operators that need it; the inverses of the powers ``T^k``, k >= 2, of
-    every operator take one stacked SVD."""
-    if t.ndim == 2:
-        one = (None, None)
-        parts = PolarParts(parts.isometry[one], parts.modulus[one], parts.rank)
-        stacks = (t[one], parts, pinv[one], adjoint_modulus[one])
-        return _mp_centered_check(*stacks, [report], [inverse_report], [n], cfg)[0]
-    u, p = parts.isometry, parts.modulus
-    orders = [int(k) for k in n]
-    decisions = [list(own.commute_decisions()) for own in report]
-    short = [i for i, k in enumerate(orders) if len(decisions[i]) < k]
-    if short:
-        u_pows = list(islice(_powers(u[short]), max(orders[i] for i in short)))
-        norms, thresholds = _commutators(u_pows, p[short], cfg)
-        for i, row in zip(short, (norms <= thresholds).tolist()):
-            decisions[i] = row
+    # The criterion's decisions for T and pinv, k = 1..n, in one stacked
+    # expression, each bitwise that of centered_order.
+    top = max(orders)
+    u_pows = list(islice(_powers(np.concatenate([u, inverse_u])), top))
+    norms, thresholds = _commutators(u_pows, np.concatenate([p, inverse_p]), cfg)
+    decisions = (norms <= thresholds).tolist()
+    decisions, inverse_decisions = decisions[: len(t)], decisions[len(t) :]
     verified = [1 + len(list(takewhile(bool, d[:k]))) for d, k in zip(decisions, orders)]
     for order, k in zip(verified, orders):
         if order < k:
@@ -1204,13 +1050,12 @@ def _mp_centered_check(
 
     # pinv is the inverse of T itself; each higher power is inverted anew,
     # those of all operators in one stacked SVD.
-    top = max(orders)
     members = [[i for i, k in enumerate(orders) if k > j] for j in range(top)]
     t_pows = islice(_powers(t), top)
     higher = [t_pow[own] for t_pow, own in zip(t_pows, members)][1:]
     inverses = [pinv]
     if higher:
-        stack = _pinv(_svd(np.concatenate(higher)), cfg)
+        stack = moore_penrose(np.concatenate(higher), cfg)
         inverses += np.split(stack, list(accumulate(map(len, higher[:-1]))))
     pinv_pows = [pinv_pow[own] for pinv_pow, own in zip(_powers(pinv), members)]
     values = iter(_residual(np.concatenate(inverses), np.concatenate(pinv_pows)).tolist())
@@ -1241,7 +1086,7 @@ def _mp_centered_check(
     tol = cfg.equality_rel_tol
     reports = []
     for i, k in enumerate(orders):
-        inverse_order = min(inverse_report[i].verified_order, k)
+        inverse_order = 1 + len(list(takewhile(bool, inverse_decisions[i][: k - 1])))
         ok = all(r <= tol for r in residuals[i]) and inverse_order >= k and mod_ok[i]
         reports.append(
             MpCenteredReport(
@@ -1254,4 +1099,4 @@ def _mp_centered_check(
                 ok=ok,
             )
         )
-    return reports
+    return reports[0] if single else reports

@@ -30,8 +30,8 @@ from pathlib import Path
 from .classify import centered_order, is_binormal
 from .core import DEFAULT_TOLERANCES, ToleranceConfig, rank_margin, svd
 from .decomp import (
-    moore_penrose_from_svd,
-    mp_polar_parts_from_svd,
+    moore_penrose,
+    mp_polar_parts,
     penrose_check,
     polar_decompose,
     polar_tolerance,
@@ -125,7 +125,7 @@ def cmd_mp(args: argparse.Namespace) -> RunReport:
     cfg = _tolerances(args)
     t = read_matrix(args.input)
     decomp = svd(t)  # the one factorization of T: pinv, margin, inverse polar
-    pinv = moore_penrose_from_svd(decomp, cfg)
+    pinv = moore_penrose(t, cfg, decomp=decomp)
     out = args.out if args.out else str(Path(args.input).with_suffix("")) + ".pinv.json"
     write_matrix(out, pinv)
 
@@ -140,7 +140,7 @@ def cmd_mp(args: argparse.Namespace) -> RunReport:
     ):
         report.add_check(name, residual, residual <= cfg.equality_rel_tol)
     if t.shape[0] == t.shape[1]:
-        inverse_parts = mp_polar_parts_from_svd(decomp, svd(pinv), cfg)
+        inverse_parts = mp_polar_parts(t, cfg, decomp=decomp, inverse_decomp=svd(pinv))
         inverse_check = verify_polar(pinv, inverse_parts, cfg)
         for name, residual in inverse_check.residuals.items():
             passed = residual <= polar_tolerance(name, cfg)

@@ -73,13 +73,24 @@ def as_operator(a) -> np.ndarray:
 
     Raises ValueError for non-2-D input, empty axes, or non-finite entries.
     """
+    return _checked(a)
+
+
+def _checked(a, ndims: tuple[int, ...] = (2,), square: bool = False) -> np.ndarray:
+    """``as_operator`` of a matrix or of a stack of matrices of one of
+    ``ndims`` axes (the stack rule: 3 for a direct sum of blocks, 4 for a
+    stack of operators); with ``square``, every matrix must be square. The
+    one input check of the public functions."""
     arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ValueError(f"operator must be 2-D, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
+    if arr.ndim not in ndims:
+        kinds = " or ".join(f"{n}-D" for n in ndims)
+        raise ValueError(f"operator must be {kinds}, got shape {arr.shape}")
+    if 0 in arr.shape:
         raise ValueError(f"operator axes must be nonempty, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("operator entries must be finite")
+    if square and arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"expected a square operator, got {arr.shape}")
     return arr
 
 
@@ -145,18 +156,20 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _require_same_square(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
+def _same_square(a, b, ndims: tuple[int, ...] = (2, 3, 4)):
+    """``_checked`` of two square operators, or stacks, of one shape."""
+    a, b = _checked(a, ndims), _checked(b, ndims)
+    if a.shape[-1] != a.shape[-2] or b.shape[-1] != b.shape[-2]:
         raise ValueError(f"expected square operators, got {a.shape} and {b.shape}")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return a, b
 
 
 def commutator(a, b) -> np.ndarray:
-    """Return ``a @ b - b @ a`` for square operators of equal dimension."""
-    a = as_operator(a)
-    b = as_operator(b)
-    _require_same_square(a, b)
+    """Return ``a @ b - b @ a`` for square operators of equal dimension, or
+    for each pair of matrices of two stacks of one shape."""
+    a, b = _same_square(a, b)
     return a @ b - b @ a
 
 
@@ -181,20 +194,25 @@ def _threshold(a_norm, b_norm, cfg: ToleranceConfig):
     return max(bound, COMMUTATOR_FLOOR)
 
 
-def commutes(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """Toleranced commutator-vanishing test against :func:`commutator_threshold`."""
-    a = as_operator(a)
-    b = as_operator(b)
-    return commutator_norm(a, b) <= commutator_threshold(a, b, cfg)
+def commutes(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
+    """Toleranced commutator-vanishing test against :func:`commutator_threshold`;
+    for two stacks of operators, one verdict per operator."""
+    a, b = _same_square(a, b)
+    return fro_norm(a @ b - b @ a) <= commutator_threshold(a, b, cfg)
 
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Thin SVD ``m = left @ diag(s) @ right*`` with orthonormal columns."""
+    """Thin SVD ``m = left @ diag(s) @ right*`` with orthonormal columns.
+    The SVD of a stack holds stacks; indexing it takes the SVDs of the
+    matrices (or operators) ``index`` of the stack."""
 
     left_vectors: np.ndarray
     singular_values: np.ndarray
     right_vectors: np.ndarray
+
+    def __getitem__(self, index) -> SvdResult:
+        return SvdResult(*(x[index] for x in vars(self).values()))
 
 
 def _svd(a: np.ndarray) -> SvdResult:
@@ -216,7 +234,22 @@ def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def svd(a) -> SvdResult:
-    return _svd(as_operator(a))
+    """Thin SVD of a matrix, or of each matrix of a stack."""
+    return _svd(_checked(a, (2, 3, 4)))
+
+
+def _modulus(decomp: SvdResult) -> np.ndarray:
+    """``X diag(s) X*`` from the SVD ``t = W diag(s) X*``: the modulus ``|t|``."""
+    x = decomp.right_vectors
+    result = (x * decomp.singular_values[..., None, :]) @ _adjoint(x)
+    return 0.5 * (result + _adjoint(result))
+
+
+def _isometry(decomp: SvdResult, r) -> np.ndarray:
+    """``W_r X_r*`` from the SVD ``t = W diag(s) X*`` of rank ``r`` (one
+    rank per matrix of a stack, from ``_rank``): the canonical polar factor
+    of ``t``."""
+    return _leading_product(decomp.left_vectors, decomp.right_vectors, r)
 
 
 @dataclass(frozen=True)
@@ -227,21 +260,14 @@ class HermEigResult:
     eigenvectors: np.ndarray
 
 
-def _square_operator(a) -> np.ndarray:
-    a = as_operator(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square operator, got {a.shape}")
-    return a
-
-
 def herm_eig(a) -> HermEigResult:
-    values, vectors = np.linalg.eigh(_square_operator(a))
+    values, vectors = np.linalg.eigh(_checked(a, square=True))
     return HermEigResult(values, vectors)
 
 
 def herm_eigvals(a) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending."""
-    return _eigvalsh(_square_operator(a))
+    return _eigvalsh(_checked(a, square=True))
 
 
 def numerical_rank(s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
@@ -321,21 +347,28 @@ def rank_margin(s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
     return float(s[r - 1] / s[0])
 
 
-def is_hermitian(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    a = as_operator(a)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return fro_norm(a - a.conj().T) <= cfg.equality_rel_tol * max(1.0, fro_norm(a))
+def is_hermitian(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
+    """Whether ``a`` equals its adjoint within tolerance; for a stack of
+    operators, one verdict per operator."""
+    a = _checked(a, (2, 4))
+    if a.shape[-1] != a.shape[-2]:
+        return np.zeros(len(a), dtype=bool) if a.ndim == 4 else False
+    return fro_norm(a - _adjoint(a)) <= cfg.equality_rel_tol * _floor_one(fro_norm(a))
 
 
-def is_hermitian_psd(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """True iff ``a`` is Hermitian within tolerance with spectrum >= -tol."""
-    a = as_operator(a)
-    if not is_hermitian(a, cfg):
-        return False
-    values = herm_eigvals(0.5 * (a + a.conj().T))
-    scale = max(1.0, float(values[-1]) if values.size else 0.0)
-    return bool(values[0] >= -cfg.zero_rel_tol * scale)
+def is_hermitian_psd(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
+    """True iff ``a`` is Hermitian within tolerance with spectrum >= -tol.
+    A stack of operators gets one verdict per operator, and only its
+    Hermitian operators are factored."""
+    a = _checked(a, (2, 4))
+    verdicts = np.atleast_1d(is_hermitian(a, cfg))
+    stack = a if a.ndim == 4 else a[None, None]
+    if verdicts.any():
+        h = stack[verdicts]
+        values = _eigvalsh(0.5 * (h + _adjoint(h)))
+        scale = _floor_one(values[..., -1].max(axis=-1))
+        verdicts[verdicts] = values[..., 0].min(axis=-1) >= -cfg.zero_rel_tol * scale
+    return verdicts if a.ndim == 4 else bool(verdicts[0])
 
 
 def fractional_power_psd(
@@ -404,14 +437,15 @@ def _range_projection(t: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
 
 
 def range_projection(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Orthogonal projection onto the numerical range (column space) of ``t``."""
-    return _range_projection(as_operator(t), cfg)
+    """Orthogonal projection onto the numerical range (column space) of
+    ``t``; for a stack, that of ``_range_projection``."""
+    return _range_projection(_checked(t, (2, 3, 4)), cfg)
 
 
-def equality_residual(a, b) -> float:
-    """Frobenius distance scaled by ``max(1, |a|, |b|)``."""
-    a = as_operator(a)
-    b = as_operator(b)
+def equality_residual(a, b):
+    """Frobenius distance scaled by ``max(1, |a|, |b|)``; for stacks, that
+    of ``_residual``."""
+    a, b = _checked(a, (2, 3, 4)), _checked(b, (2, 3, 4))
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return _residual(a, b)

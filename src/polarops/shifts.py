@@ -22,9 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .classify import CenteredReport, _centered_order
-from .core import DEFAULT_TOLERANCES, ToleranceConfig, _svd, as_operator
-from .decomp import PolarCheck, PolarParts, _polar_check, _polar_parts
+from .classify import CenteredReport, centered_order
+from .core import DEFAULT_TOLERANCES, ToleranceConfig, as_operator
+from .decomp import PolarCheck, PolarParts, polar_decompose, verify_polar
 
 __all__ = [
     "AngleConstants",
@@ -304,7 +304,8 @@ def verify_predicted_structure(
     if t.shape != (spec.dimension,) * 2:
         raise ValueError(f"shape {t.shape} does not match dimension {spec.dimension}")
     isometries, moduli = _predicted_blocks(spec)
-    return _polar_check(_subdiagonal_blocks(t), isometries, moduli, cfg)
+    predicted = PolarParts(isometries, moduli, BLOCK * (spec.blocks - 1))
+    return verify_polar(_subdiagonal_blocks(t), predicted, cfg)
 
 
 def expected_commutator_pattern(spec: ShiftSpec, k: int) -> bool:
@@ -345,8 +346,8 @@ def certify_blockwise(
 
     ``T^k`` and ``U^k`` sit on the k-th block subdiagonal; ``|T|``,
     ``U^k |T| (U^k)*`` and the commutators are block diagonal. So the dense
-    quantities are exactly their blocks, and ``classify._centered_order``
-    runs on the block stack: the same commutators, thresholds, definitional
+    quantities are exactly their blocks, and ``classify.centered_order``
+    runs on the block stack, with the labels of its blocks: the same commutators, thresholds, definitional
     oracle and report as the dense route, each power formed as a stack of
     3x3 blocks. The blocks are labelled by their exact bytes, so that a
     ``-0.0`` entry differs from ``0.0``, and each power is formed, factored
@@ -370,7 +371,7 @@ def certify_blockwise(
     _, heads = np.unique(labels, return_index=True)
     # The polar parts of each distinct block, at every block position; |T|
     # is zero at the last block position, which no block leaves.
-    distinct = _polar_parts(_svd(stack[heads]), cfg)
+    distinct = polar_decompose(stack[heads], cfg)
     padded = np.concatenate([distinct.modulus, np.zeros_like(distinct.modulus[:1])])
     parts = PolarParts(
         distinct.isometry[labels],
@@ -378,4 +379,4 @@ def certify_blockwise(
         distinct.rank[labels],
         distinct.singular_values[labels],
     )
-    return _centered_order(stack, parts, max_n, cfg, labels)
+    return centered_order(stack, max_n, cfg, parts=parts, labels=labels)

@@ -6,15 +6,15 @@ check records. The CLI runner renders these as report lines; the acceptance
 tests call them directly with pinned seeds, trial counts, and tolerances.
 All suites are deterministic given (seed, dim, trials, cfg).
 
-``polar-contract``, ``centered-oracle``, ``product-polar``,
-``polar-transfer``, ``aluthge-binormal`` and ``mp-inverse`` draw every
-trial's operators first, in the order of a per-trial loop (no evaluation
-consumes the generator), evaluate each group of draws of one shape as one
-stack of operators (``_by_shape``), and fold the per-trial verdicts and
+The seven random suites (``polar-contract``, ``centered-oracle``,
+``product-polar``, ``polar-transfer``, ``aluthge-binormal``, ``mp-inverse``
+and ``psd-pairs``) draw every trial's operators first, in the order of a
+per-trial loop (no evaluation consumes the generator), evaluate each group
+of draws of one shape as one stack of operators (``_by_shape``) through the
+public functions, which take stacks, and fold the per-trial verdicts and
 worst residuals back in trial order; each trial's values are bitwise those
 it gets alone. ``centered-oracle`` and ``mp-inverse`` walk the powers of a
-whole group at once (``classify._centered_order`` on a stack of
-operators). ``psd-pairs`` still evaluates one pair at a time;
+whole group at once (``classify.centered_order`` on a stack of operators).
 ``shift-family`` and ``v-entries`` check fixed families.
 """
 
@@ -27,38 +27,31 @@ from itertools import takewhile
 import numpy as np
 
 from .classify import (
-    CenteredReport,
-    _binormal,
-    _binormal_equivalents,
-    _centered_order,
-    _mp_centered_check,
-    _polar_transfers,
-    _product_polars,
+    binormal_equivalents,
     centered_order,
+    is_binormal,
     is_n_centered_definitional,
+    mp_centered_check,
+    polar_transfer,
+    product_polar,
 )
 from .core import (
     DEFAULT_TOLERANCES,
-    SvdResult,
     ToleranceConfig,
     _adjoint,
     _psd_powers,
-    _residual,
-    _svd,
     commutes,
     equality_residual,
     is_hermitian_psd,
     range_projection,
+    svd,
 )
 from .decomp import (
-    PolarCheck,
-    _join_parts,
-    _pinv,
-    _polar_check,
-    _polar_parts,
-    _split_checks,
-    _split_parts,
+    PolarParts,
     abs_value,
+    moore_penrose,
+    polar_decompose,
+    verify_polar,
 )
 from .sampling import (
     random_binormal,
@@ -159,11 +152,7 @@ def suite_polar_contract(
         else:
             draws.append((random_mixed_rank(rng, d),))
 
-    def evaluate(t: np.ndarray) -> list[PolarCheck]:
-        parts = _polar_parts(_svd(t), cfg)
-        return _split_checks(_polar_check(t, parts.isometry, parts.modulus, cfg))
-
-    checks = _by_shape(draws, evaluate)
+    checks = _by_shape(draws, lambda t: verify_polar(t, polar_decompose(t, cfg), cfg))
     failures = sum(not check.ok for check in checks)
     worst = max([0.0, *(check.worst() for check in checks)])
     records = (
@@ -187,10 +176,7 @@ def suite_centered_oracle(
     ]
     operators.extend(matrix for _, matrix in structured_fixtures(rng))
 
-    def evaluate(t: np.ndarray) -> list[CenteredReport]:
-        return _centered_order(t, _polar_parts(_svd(t), cfg), max_n, cfg)
-
-    reports = _by_shape([(t,) for t in operators], evaluate)
+    reports = _by_shape([(t,) for t in operators], lambda t: centered_order(t, max_n, cfg))
     disagreements = 0
     report_flags = 0
     tol = cfg.equality_rel_tol
@@ -233,7 +219,7 @@ def suite_product_polar(
         random_commuting_moduli_pair(rng, d)
         for d in _dims_cycle(rng, 2, dim, constructed)
     ]
-    reports = _by_shape(draws, lambda t, s: _product_polars(t, s, cfg))
+    reports = _by_shape(draws, lambda t, s: product_polar(t, s, cfg))
     mismatches = sum(not report.agree() for report in reports)
     constructed_failures = sum(
         not report.is_polar for report in reports[len(reports) - constructed :]
@@ -269,7 +255,7 @@ def suite_polar_transfer(
             draws.append((random_mixed_rank(rng, d), random_mixed_rank(rng, d)))
         else:
             draws.append((random_operator(rng, d), random_operator(rng, d)))
-    reports = _by_shape(draws, lambda t, s: _polar_transfers(t, s, cfg))
+    reports = _by_shape(draws, lambda t, s: polar_transfer(t, s, cfg))
     failures = sum(not report.ok for report in reports)
     worst = max(
         [
@@ -299,7 +285,7 @@ def suite_aluthge_binormal(
     draws = [(random_binormal(rng, d),) for d in _dims_cycle(rng, 2, dim, half)]
     draws += [(random_nonbinormal(rng, d),) for d in _dims_cycle(rng, 2, dim, half)]
     pairs = list(ALUTHGE_EXPONENTS)
-    reports = _by_shape(draws, lambda t: _binormal_equivalents(t, pairs, cfg))
+    reports = _by_shape(draws, lambda t: binormal_equivalents(t, pairs, cfg))
     binormal_failures = sum(
         not (all(report.statements) and report.agree()) for report in reports[:half]
     )
@@ -358,36 +344,42 @@ def suite_mp_inverse(
         # pinv*, |T| and |T*| (pinv's polar parts, |pinv*| and the inverses
         # of the moduli); the inverse polar factor is U*.
         count = len(t)
-        decomp = _svd(np.concatenate([t, _adjoint(t)]))
-        parts, adjoint_parts = _split_parts(_polar_parts(decomp, cfg), count)
-        pinv = _pinv(SvdResult(*(x[:count] for x in vars(decomp).values())), cfg)
-        moduli = [parts.modulus, adjoint_parts.modulus]
-        inverse = _svd(np.concatenate([pinv, _adjoint(pinv), *moduli]))
-        inverse_parts, inverse_adjoint_parts, _, _ = _split_parts(
-            _polar_parts(inverse, cfg), count
-        )
-        modulus_residuals = _residual(
-            _pinv(SvdResult(*(x[2 * count :] for x in vars(inverse).values())), cfg),
+        first = np.concatenate([t, _adjoint(t)])
+        decomp = svd(first)
+        factors = polar_decompose(first, cfg, decomp=decomp)
+        parts, adjoint_parts = factors[:count], factors[count:]
+        pinv = moore_penrose(t, cfg, decomp=decomp[:count])
+        second = np.concatenate([pinv, _adjoint(pinv), factors.modulus])
+        inverse = svd(second)
+        inverse_factors = polar_decompose(second, cfg, decomp=inverse)
+        inverse_parts = inverse_factors[:count]
+        inverse_adjoint_parts = inverse_factors[count : 2 * count]
+        modulus_residuals = equality_residual(
+            moore_penrose(second[2 * count :], cfg, decomp=inverse[2 * count :]),
             np.concatenate([inverse_adjoint_parts.modulus, inverse_parts.modulus]),
         ).tolist()
-        inverse_polar = _split_checks(
-            _polar_check(
-                pinv,
-                _adjoint(parts.isometry),
-                inverse_parts.modulus,
-                cfg,
-                inverse_adjoint_parts.modulus,
-            )
+        inverse_polar = verify_polar(
+            pinv,
+            PolarParts(_adjoint(parts.isometry), inverse_parts.modulus, parts.rank),
+            cfg,
+            adjoint_parts=inverse_adjoint_parts,
         )
-        binormal = _binormal(np.concatenate([t, pinv]), cfg)[0].tolist()
+        walked = np.concatenate([t, pinv])
+        binormal = [flag for flag, _ in is_binormal(walked, cfg)]
         # The walks of T and pinv share one stack.
-        both = _centered_order(
-            np.concatenate([t, pinv]), _join_parts(parts, inverse_parts), max_n, cfg
+        joined = zip(vars(parts).values(), vars(inverse_parts).values())
+        both = centered_order(
+            walked, max_n, cfg, parts=PolarParts(*map(np.concatenate, joined))
         )
         reports, inverse_reports = both[:count], both[count:]
         orders = [report.verified_order for report in reports]
-        mp_reports = _mp_centered_check(
-            t, parts, pinv, adjoint_parts.modulus, reports, inverse_reports, orders, cfg
+        mp_reports = mp_centered_check(
+            t,
+            orders,
+            cfg,
+            decomp=decomp[:count],
+            adjoint_parts=adjoint_parts,
+            inverse_parts=inverse_parts,
         )
         results = []
         for i, mp_report in enumerate(mp_reports):
@@ -501,49 +493,43 @@ def suite_psd_pairs(
     projection-product reconstruction; range projections are stable under
     ``T T*`` and under positive powers."""
     half = _share(trials, 2)
-    failures = 0
-    exponents = (0.5, 1.0 / 3.0, 2.0)
-    for index, d in enumerate(_dims_cycle(rng, 2, dim, half)):
-        a, b = random_commuting_psd_pair(rng, d, deficient=index % 3 == 0)
-        checks = [is_hermitian_psd(a @ b, cfg)]
+    tol = cfg.equality_rel_tol
+    commuting = [
+        random_commuting_psd_pair(rng, d, deficient=index % 3 == 0)
+        for index, d in enumerate(_dims_cycle(rng, 2, dim, half))
+    ]
+    other = [
+        (*random_psd_pair(rng, d), random_operator(rng, d))
+        for d in _dims_cycle(rng, 2, dim, half)
+    ]
+
+    def commuting_checks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        product = a @ b
         power = _psd_powers(a, cfg)
-        for exponent in exponents:
-            checks.append(commutes(power(exponent), b, cfg))
-        proj_a = range_projection(a, cfg)
-        proj_b = range_projection(b, cfg)
-        checks.append(commutes(a, proj_b, cfg))
-        checks.append(commutes(proj_a, proj_b, cfg))
-        checks.append(
-            equality_residual(range_projection(power(0.5), cfg), proj_a)
-            <= cfg.equality_rel_tol
-        )
+        projections = range_projection(np.concatenate([a, b, power(0.5)]), cfg)
+        proj_a, proj_b, proj_root = np.split(projections, 3)
+        checks = [is_hermitian_psd(product, cfg)]
+        checks += [commutes(power(exponent), b, cfg) for exponent in (0.5, 1 / 3, 2.0)]
+        checks += [commutes(a, proj_b, cfg), commutes(proj_a, proj_b, cfg)]
+        checks.append(equality_residual(proj_root, proj_a) <= tol)
+        reconstruction = proj_a @ proj_b @ abs_value(product, cfg)
+        checks.append(equality_residual(reconstruction, product) <= tol)
+        return np.logical_and.reduce(checks)
+
+    def other_checks(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
         product = a @ b
-        reconstruction = equality_residual(
-            proj_a @ proj_b @ abs_value(product, cfg), product
-        )
-        checks.append(reconstruction <= cfg.equality_rel_tol)
-        if not all(checks):
-            failures += 1
-    for d in _dims_cycle(rng, 2, dim, half):
-        a, b = random_psd_pair(rng, d)
-        checks = [not is_hermitian_psd(a @ b, cfg)]
-        product = a @ b
-        reconstruction = equality_residual(
-            range_projection(a, cfg)
-            @ range_projection(b, cfg)
-            @ abs_value(product, cfg),
-            product,
-        )
-        checks.append(reconstruction > cfg.equality_rel_tol)
-        t = random_operator(rng, d)
-        checks.append(
-            equality_residual(
-                range_projection(t, cfg), range_projection(t @ t.conj().T, cfg)
-            )
-            <= cfg.equality_rel_tol
-        )
-        if not all(checks):
-            failures += 1
+        projections = range_projection(np.concatenate([a, b, t, t @ _adjoint(t)]), cfg)
+        proj_a, proj_b, proj_t, proj_gram = np.split(projections, 4)
+        reconstruction = proj_a @ proj_b @ abs_value(product, cfg)
+        checks = [
+            ~is_hermitian_psd(product, cfg),
+            equality_residual(reconstruction, product) > tol,
+            equality_residual(proj_t, proj_gram) <= tol,
+        ]
+        return np.logical_and.reduce(checks)
+
+    passed = _by_shape(commuting, commuting_checks) + _by_shape(other, other_checks)
+    failures = sum(not ok for ok in passed)
     records = (
         CheckRecord("psd_pair_failures", float(failures), failures == 0),
     )

@@ -14,8 +14,6 @@ from polarops.classify import (
     is_n_centered_definitional,
     mp_centered_check,
     polar_transfer,
-    positive_product_polar,
-    powers_report,
     product_polar,
 )
 from polarops.core import (
@@ -26,7 +24,7 @@ from polarops.core import (
     rank_margin,
     svd,
 )
-from polarops.decomp import abs_value, moore_penrose, polar_decompose, verify_polar
+from polarops.decomp import abs_value, moore_penrose, polar_decompose
 from polarops.sampling import (
     random_binormal,
     random_commuting_moduli_pair,
@@ -272,41 +270,6 @@ class TestPolarTransfer:
             assert polar_transfer(t, s).ok
 
 
-class TestPositiveProductPolar:
-    def test_diagonal_example(self):
-        parts = positive_product_polar(np.diag([1.0, 0.0]), np.diag([2.0, 3.0]))
-        assert np.allclose(parts.isometry, np.diag([1.0, 0.0]), atol=TIGHT)
-        assert np.allclose(parts.modulus, np.diag([2.0, 0.0]), atol=TIGHT)
-
-    def test_projection_squared(self):
-        p = np.diag([1.0, 1.0, 0.0])
-        parts = positive_product_polar(p, p)
-        assert np.allclose(parts.isometry, p, atol=TIGHT)
-        assert np.allclose(parts.modulus, p, atol=TIGHT)
-
-    def test_shared_eigenbasis_pair(self):
-        rng = rng_for(11)
-        q = random_unitary(rng, 4)
-
-        def psd(values):
-            out = (q * np.asarray(values, dtype=float)) @ q.conj().T
-            return 0.5 * (out + out.conj().T)
-
-        a, b = psd([1.0, 2.0, 0.0, 3.0]), psd([2.0, 0.0, 1.0, 4.0])
-        parts = positive_product_polar(a, b)
-        assert verify_polar(a @ b, parts).ok
-
-    def test_rejects_non_psd(self):
-        with pytest.raises(ValueError):
-            positive_product_polar(np.diag([1.0, -1.0]), np.eye(2))
-
-    def test_rejects_non_commuting(self):
-        a = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
-        b = np.diag([1.0, 3.0]).astype(complex)
-        with pytest.raises(ValueError):
-            positive_product_polar(a, b)
-
-
 class TestAluthge:
     def test_nilpotent_shift_collapses(self):
         parts = aluthge(J2, 0.5, 0.5)
@@ -443,59 +406,6 @@ class TestCenteredStabilization:
             d = t.shape[0]
             if centered_order(t, d * d).verified_order == d * d:
                 assert centered_order(t, 2 * d * d).verified_order == 2 * d * d
-
-
-class TestPowersReport:
-    def test_unitary_all_projections_identity(self):
-        w = random_unitary(rng_for(17), 3)
-        report = powers_report(w, 4)
-        for entry in report.entries:
-            assert entry.is_partial_isometry
-            assert entry.initial_commutes and entry.final_commutes
-            assert np.allclose(entry.p_final, np.eye(3), atol=1e-10)
-            assert np.allclose(entry.p_initial, np.eye(3), atol=1e-10)
-
-    def test_nilpotent_powers_vanish(self):
-        report = powers_report(J2, 3)
-        assert report.entry(1).is_partial_isometry
-        # U^2 = 0 is still a partial isometry with zero projections.
-        assert report.entry(2).is_partial_isometry
-        assert np.all(np.abs(report.entry(2).p_final) < TIGHT)
-
-    def test_shift_factor_powers_stay_partial_isometries(self):
-        t = build_truncated(ShiftSpec.from_recipe(3))
-        report = powers_report(t, 4)
-        for entry in report.entries:
-            assert entry.is_partial_isometry
-
-    def test_tilde_identities_hold_unconditionally(self):
-        rng = rng_for(18)
-        for _ in range(15):
-            t = random_mixed_rank(rng, 4)
-            report = powers_report(t, 4)
-            for entry in report.entries:
-                assert entry.tilde_power_residual < 1e-9
-                assert entry.tilde_projection_residual < 1e-9
-
-    def test_commutators_gate_next_partial_isometry(self):
-        # Whenever U^n is a partial isometry and both gating commutators
-        # vanish, U^{n+1} is a partial isometry too.
-        rng = rng_for(19)
-        for _ in range(20):
-            t = random_mixed_rank(rng, 4)
-            report = powers_report(t, 5)
-            for n in range(1, 5):
-                entry = report.entry(n)
-                if (
-                    entry.is_partial_isometry
-                    and entry.initial_commutes
-                    and entry.final_commutes
-                ):
-                    assert report.entry(n + 1).is_partial_isometry
-
-    def test_rejects_bad_max_n(self):
-        with pytest.raises(ValueError):
-            powers_report(np.eye(2), 0)
 
 
 class TestMpCenteredCheck:

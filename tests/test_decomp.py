@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from polarops.core import (
     DEFAULT_TOLERANCES,
-    _svd,
     equality_residual,
     fractional_power_psd,
     range_projection,
@@ -17,8 +16,6 @@ from polarops.core import (
 )
 from polarops.decomp import (
     PolarParts,
-    _polar_check,
-    _polar_parts,
     abs_value,
     moore_penrose,
     mp_polar_parts,
@@ -241,7 +238,7 @@ class TestPolarCheck:
         rng = rng_for(22)
         for dim in (2, 3, 5):
             stack = _mixed_rank_stack(rng, 6, dim)
-            parts = _polar_parts(_svd(stack), DEFAULT_TOLERANCES)
+            parts = polar_decompose(stack)
             dense = polar_decompose(_direct_sum(stack))
             assert parts.rank[0] == 0
             assert int(parts.rank.sum()) == dense.rank
@@ -252,7 +249,7 @@ class TestPolarCheck:
     def test_matches_verify_polar_on_the_direct_sum(self, dim):
         rng = rng_for(30 + dim)
         stack = _mixed_rank_stack(rng, 5, dim)
-        parts = _polar_parts(_svd(stack), DEFAULT_TOLERANCES)
+        parts = polar_decompose(stack)
         scaled = parts.isometry.copy()
         scaled[2] *= 1 + 1e-6
         other = _mixed_rank_stack(rng, 5, dim)
@@ -262,7 +259,7 @@ class TestPolarCheck:
             (stack, other, other, False),
         ]
         for t, u, p, expected in triples:
-            block = _polar_check(t, u, p, DEFAULT_TOLERANCES)
+            block = verify_polar(t, PolarParts(u, p, 0))
             dense = verify_polar(
                 _direct_sum(t), PolarParts(_direct_sum(u), _direct_sum(p), 0)
             )

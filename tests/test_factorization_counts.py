@@ -3,9 +3,9 @@
 LAPACK call counts are deterministic, and so are the matrices factored: a
 stacked call factors every matrix of its stack. The whole-suite count, the
 counts of the suites that share factorizations within a trial or evaluate
-their trials in shape groups (every suite but ``psd-pairs``, whose pairs
-go one at a time), the blockwise ``counterexample`` count and the
-dense-file commands (one SVD of ``T`` per command) are pinned exactly;
+their trials in shape groups (every random suite), the blockwise
+``counterexample`` count and the dense-file commands (one SVD of ``T`` per
+command) are pinned exactly;
 single calls are pinned to their stacked calls and to one matrix per
 operator power, or per distinct window of a block shift's powers. Every
 route to the definitional check, ``centered_order``,
@@ -209,10 +209,10 @@ def test_definitional_pass_in_centered_order_stops_at_first_failure(lapack_calls
 
 
 def test_run_suite_all_factorization_counts(lapack_calls):
-    # Every suite but psd-pairs factors each shape group in a few stacked
-    # calls; the matrices factored are those of the per-trial evaluation.
+    # Every random suite factors each shape group in a few stacked calls;
+    # the matrices factored are those of the per-trial evaluation.
     run_suite("all", 0, 6, 100)
-    assert _totals(lapack_calls) == Counter(svd=636, eigh=55, eigvalsh=81)
+    assert _totals(lapack_calls) == Counter(svd=206, eigh=10, eigvalsh=36)
     assert lapack_calls.matrices == Counter(svd=5615, eigh=250, eigvalsh=887)
 
 
@@ -280,11 +280,16 @@ def test_mp_inverse_calls_scale_with_shape_groups_not_trials(lapack_calls):
             "mp-inverse",
             (Counter(svd=38, eigvalsh=7), Counter(svd=1345, eigvalsh=112)),
         ),
-        # 50 commuting pairs take one eigh each for all four powers.
+        # 50 commuting and 50 other pairs, each half in five shape groups.
+        # Per commuting group: one SVD for the range projections of A, B and
+        # A^(1/2), one for |A B|, one eigh of A for all four powers and one
+        # eigvalsh of the Hermitian products A B. Per other group: one SVD
+        # for the range projections of A, B, T and T T*, one for |A B|; no
+        # product is Hermitian, so none is factored.
         (
             "psd-pairs",
             (
-                Counter(svd=450, eigh=50, eigvalsh=50),
+                Counter(svd=20, eigh=5, eigvalsh=5),
                 Counter(svd=450, eigh=50, eigvalsh=50),
             ),
         ),

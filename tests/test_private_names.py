@@ -1,9 +1,14 @@
-"""Every module-level private name of the package is used in the package.
+"""Every module-level private name of the package is used in the package,
+and no module reaches into another's private names but those of ``core``.
 
 A private function, class or constant (a module-level name with one
 leading underscore) that no code in ``src/`` references is dead: tests may
 exercise it, but nothing they check is part of what the package does. Uses
 inside the definition itself (recursion) and in tests do not count.
+
+The modules above ``core`` talk to each other through their public
+functions, which validate their input and take stacks; ``core``'s private
+kernels are the one shared layer below them.
 """
 
 from __future__ import annotations
@@ -52,3 +57,33 @@ def test_every_private_name_is_used_in_src():
         if uses[name] == Counter(_references(node))[name]
     ]
     assert not unused, f"private names used nowhere in src/: {unused}"
+
+
+def _imported_privates(path: Path):
+    """(module, name) of each private name that the module at ``path``
+    imports from another module of its package."""
+    package = path.parent.name
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            module = node.module or ""
+        elif (node.module or "").startswith(f"{package}."):
+            module = node.module[len(package) + 1 :]
+        else:
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_") and not alias.name.startswith("__"):
+                yield module, alias.name
+
+
+def test_no_module_imports_another_modules_private_names_but_cores():
+    paths = sorted(SRC.rglob("*.py"))
+    assert paths
+    crossing = [
+        f"{path.stem} imports {module}.{name}"
+        for path in paths
+        for module, name in _imported_privates(path)
+        if module not in ("core", path.stem)
+    ]
+    assert not crossing, crossing

@@ -23,7 +23,6 @@ from polarops.core import (
     DEFAULT_TOLERANCES,
     _adjoint,
     _residual,
-    _svd,
     _threshold,
     as_operator,
     commutes,
@@ -31,7 +30,7 @@ from polarops.core import (
     rank_margin,
     svd,
 )
-from polarops.decomp import _polar_parts, polar_decompose, verify_polar
+from polarops.decomp import polar_decompose, verify_polar
 from polarops.sampling import random_operator
 from polarops.shifts import (
     BLOCK,
@@ -401,7 +400,7 @@ def _reference_certify_blockwise(t, max_n, cfg=DEFAULT_TOLERANCES) -> CenteredRe
     block of ``T^k``, k up to min(verified + 1, max_n), up to its first
     failing power."""
     stack = _subdiagonal_blocks(as_operator(t))
-    parts = _polar_parts(_svd(stack), cfg)
+    parts = polar_decompose(stack, cfg)
     u, p = parts.isometry, np.concatenate([parts.modulus, np.zeros((1, BLOCK, BLOCK))])
     norms, thresholds = [], []
     u_pow = u
@@ -419,7 +418,7 @@ def _reference_certify_blockwise(t, max_n, cfg=DEFAULT_TOLERANCES) -> CenteredRe
         top = np.abs(t_pow).max()
         if top > 2.0**64:
             t_pow = t_pow * 2.0 ** (33 - math.frexp(top)[1])
-        own = _polar_parts(_svd(t_pow), cfg)
+        own = polar_decompose(t_pow, cfg)
         equation = _residual(t_pow, u_pow @ own.modulus)
         projection = _adjoint(own.isometry) @ own.isometry
         ranges = _residual(_adjoint(u_pow) @ u_pow, projection)
