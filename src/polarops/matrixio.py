@@ -5,14 +5,32 @@ One matrix per file:
     {"rows": 2, "cols": 2,
      "data": [[1.0, 0.0], [0.0, 0.0], [0.0, -1.0], [2.5, 0.0]]}
 
-``data`` is row-major, one [real, imaginary] pair per entry. Writing floats
-through ``repr`` round-trips exactly, so write-then-read is bit-identical,
-signed zeros included.
+``data`` is row-major, one [real, imaginary] pair per entry. Every float is
+written as the text of its ``repr``, as ``json.dumps`` writes it, which
+reads back to the same double, so write-then-read is bit-identical, signed
+zeros included.
+
+``write_matrix`` writes that text without calling ``repr`` per float.
+``repr`` gives the shortest decimal that reads back as the float (the
+shortest round-trip digits of Steele & White, PLDI 1990, and of Adams's
+Ryu, PLDI 2018). Here those digits come from exact integer and
+double-double arithmetic on arrays of floats (``_shortest_digits``), and
+the text from the sign, the decimal point and the number of digits alone
+(``_layout``). Each float the arithmetic does not take goes to ``repr`` on
+its own: subnormals, floats below 1e-6 or from 1e17 up, powers of two, and
+the rare float within 1e-9 of a rounding bound or of a tie. ``repr`` also
+writes every piece with fewer than ``_VECTOR_MIN`` entries to format. On a
+shared 2-vCPU x86-64 host (numpy 2.4, Python 3.11; medians of 11 runs,
+alternating with the writer that calls ``repr`` per float), writing a
+complex Gaussian 96x96 matrix takes 9 ms instead of 24 ms, and a 256x256
+one 54 ms instead of 174 ms.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from functools import cache
 from itertools import chain
 from pathlib import Path
 
@@ -92,29 +110,256 @@ _PAIR = "[%r, %r]"
 # the separator that follows it.
 _ZERO_ITEM = "[0.0, 0.0], "
 # Entries per piece of text that write_matrix formats and writes at once,
-# rounded up to whole rows: a matrix of up to 256x256 is one piece, and a
-# piece of a larger one holds a few MB of text.
-_PIECE_ENTRIES = 2**16
+# rounded up to whole rows. The formatter's arrays for a piece take about
+# 0.9 MB, and its text about 90 kB: larger pieces pay numpy's cost per call
+# less often, but leave more of the heap held after a write.
+_PIECE_ENTRIES = 2**11
+# Below this many entries with a nonzero bit, a piece is formatted by
+# ``repr`` alone: the array formatter's fixed cost, about 0.2 ms, is that of
+# ``repr`` on 150-200 entries.
+_VECTOR_MIN = 200
+
+# Text columns per float: the longest ``repr`` of a finite float64, such as
+# "-2.2250738585072014e-308", has 24 characters.
+_WIDTH = 24
+_ROW = np.dtype((np.void, _WIDTH))
+# The bytes of one entry, "[" re ", " im "], ", as two cells of one float's
+# text each; the NUL bytes are dropped from the text, and the first byte
+# marks where a run of zero entries may go.
+_CELL = _WIDTH + 5
+_ENTRY = np.frombuffer(
+    b"\0[" + bytes(_WIDTH) + b", \0" + b"\0\0" + bytes(_WIDTH) + b"], ", dtype=np.uint8
+)
+# For each group of four of the 20 bytes that ``_digit_chars`` fills (3
+# unused, then 17 digits) and each number s of digits shown, the group's
+# byte mask.
+_SHOWN = np.frombuffer(
+    bytes(255 * (4 * g + i - 3 < s) for g in range(5) for s in range(18) for i in range(4)),
+    dtype=np.uint32,
+).reshape(5, 18)
+# The row of a zero, "0.0" after a NUL column for its sign.
+_ZERO_ROW = np.frombuffer((b"\0" + b"0.0").ljust(_WIDTH, b"\0"), dtype=np.uint8)
+# 10**k for k = 0..22, the powers of ten that are doubles exactly, and their
+# Veltkamp halves (``_halves``), for exact products by them.
+_POW10 = np.array([float(10**k) for k in range(23)])
+_SPLITTER = 2.0**27 + 1.0
+_MANTISSA = np.uint64(2**52 - 1)
+# A candidate whose distance from a float lies within this of the float's
+# rounding bound, or of the other candidate's distance, is left to ``repr``.
+_MARGIN = 1e-9
+
+
+def _halves(a):
+    """Veltkamp's split of ``a`` into two doubles of 26 significant bits
+    each whose sum is ``a``, so that products of halves are exact."""
+    t = _SPLITTER * a
+    high = t - (t - a)
+    return high, a - high
+
+
+# Split as Python floats: the same halves, without running numpy's
+# arithmetic at import.
+_POW10_HALVES = tuple(map(np.array, zip(*(_halves(float(10**k)) for k in range(23)))))
+
+
+def _scaled(x: np.ndarray):
+    """``y = x 10**k`` in [1e16, 1e17) for each float of ``x`` (positive,
+    in [1e-6, 1e17)), with k the exact power of ten from 10**0..10**22 that
+    puts it there: ``(k, big, frac, half)``, where ``y = big + frac``
+    exactly (Dekker's two-product, then an int64 and a double in [-1/2,
+    1/2]), and ``half = ulp(x) 10**k / 2``, also exact, is half the gap
+    between ``x`` and its neighbours in these units, in [0.55, 11.2]. Where
+    log10 rounds across a power of ten, ``big`` falls outside
+    (1e16, 1e17)."""
+    k = np.clip(16 - np.floor(np.log10(x)), 0, 22).astype(np.intp)
+    scale = _POW10[k]
+    high = x * scale
+    xh, xl = _halves(x)
+    sh, sl = _POW10_HALVES[0][k], _POW10_HALVES[1][k]
+    low = ((xh * sh - high) + xh * sl + xl * sh) + xl * sl
+    carry = np.rint(low)
+    big = high.astype(np.int64) + carry.astype(np.int64)
+    return k, big, low - carry, np.spacing(x) * 0.5 * scale
+
+
+def _shortest_digits(x: np.ndarray):
+    """The shortest decimal that reads back as each float of ``x``
+    (positive, normal, in [1e-6, 1e17), not a power of two), the one
+    ``repr`` writes: ``(digits, count, decpt, decided)``, with ``x`` about
+    ``0.d1d2...d17 * 10**decpt``, where ``digits`` is the integer
+    ``d1d2...d17`` of the decimal's ``count`` digits and zeros after them.
+    ``decided`` is False where the arithmetic here cannot tell the choice
+    apart from another one.
+
+    In the units of ``_scaled``, a decimal of ``17 - j`` digits is a
+    multiple of ``10**j``, and it reads back as ``x`` if it lies within
+    ``half`` of ``y``. The nearest multiple of 1 always does; ``repr``
+    takes the nearest multiple of the largest ``10**j`` that does. The
+    interval ``y ± half`` is narrower than 100, so it holds at most one
+    multiple of 100, and if it holds one, the number of zeros that
+    multiple ends in is that ``j``."""
+    k, big, frac, half = _scaled(x)
+    decided = (big > 10**16) & (big < 10**17)  # else y is out of range
+    rem100 = (big - big // 100 * 100).astype(np.float64)
+    rem10 = rem100 - 10 * np.floor(rem100 / 10)
+    # For j = 1 and 2: whether the nearest multiple of 10**j lies inside,
+    # whether y lies (about) halfway between two, and the step from ``big``
+    # to the nearest one.
+    inside, halfway, step = [], [], []
+    for unit, rem in ((10, rem10), (100, rem100)):
+        # From the multiple of ``unit`` at or below ``big`` up to y, and
+        # from y up to the next one.
+        up = rem + frac
+        down = unit - up
+        up = np.abs(up)
+        dist = np.minimum(up, down)
+        decided &= np.abs(dist - half) >= _MARGIN
+        inside.append(dist < half)
+        halfway.append(np.abs(down - up) < _MARGIN)
+        step.append((down < up) * unit - rem)
+    # Inside at j = 2 implies inside at j = 1; no tie is inside at j = 2.
+    shift = inside[0] * step[0] + inside[1] * (step[1] - step[0])
+    tie = np.where(inside[0], halfway[0] & ~inside[1], np.abs(frac) > 0.5 - _MARGIN)
+    level = inside[0] + inside[1].astype(np.intp)
+    digits = big + shift.astype(np.int64)
+    (more,) = np.nonzero(level == 2)
+    unit = 1000
+    while len(more):
+        more = more[digits[more] % unit == 0]
+        level[more] += 1
+        unit *= 10
+    decided &= ~tie
+    # The multiple may be 10**17 itself (level 17): the digit 1, a place up.
+    rolled = digits == 10**17
+    digits[rolled] = 10**16
+    return digits, 17 - level + rolled, 17 - k + rolled, decided
+
+
+@cache
+def _layout(decpt: int) -> tuple[np.ndarray, list]:
+    """How ``repr`` lays out a positive float whose 17 digits d1d2... have
+    their decimal point at ``decpt``: positional if ``-4 < decpt <= 16``,
+    else ``d1.d2...e+XX``. Returns ``(row, runs)``: a row of ``_WIDTH``
+    bytes, a NUL sign column first, with every character but the digits,
+    and the digits as runs ``(column, first digit, length)``."""
+    if -4 < decpt <= 16:
+        if decpt <= 0:
+            text = "0." + "0" * -decpt + "#" * 17
+        else:
+            text = "#" * decpt + "." + "#" * (17 - decpt)
+    else:
+        text = "#." + "#" * 16 + f"e{decpt - 1:+03d}"
+    runs, first = [], 0
+    for run in re.finditer("#+", text):
+        runs.append((1 + run.start(), first, len(run.group())))
+        first += len(run.group())
+    row = np.zeros(_WIDTH, dtype=np.uint8)
+    row[1 : 1 + len(text)] = np.frombuffer(text.replace("#", "\0").encode(), dtype=np.uint8)
+    return row, runs
+
+
+def _repr_rows(x: np.ndarray) -> np.ndarray:
+    """``repr`` of each float of ``x``, as rows like ``_float_rows``'s."""
+    texts = np.array(list(map(repr, x.tolist())), dtype=f"S{_WIDTH}")
+    return texts.view(np.uint8).reshape(len(x), _WIDTH)
+
+
+@cache
+def _four_digits() -> np.ndarray:
+    """The four digits of each of 0..9999, as one uint32 each."""
+    return np.frombuffer("".join(map("{:04d}".format, range(10**4))).encode(), dtype=np.uint32)
+
+
+def _digit_chars(digits: np.ndarray, shown: np.ndarray) -> np.ndarray:
+    """The first ``shown`` of the 17 decimal digits of each of ``digits``
+    (int64, below 10**17, zero-padded on the left) as ASCII bytes, and NUL
+    bytes for the others."""
+    four = _four_digits()
+    chars = np.empty((len(digits), 5), dtype=np.uint32)
+    for column in range(4, -1, -1):
+        rest = digits // 10**4
+        chars[:, column] = four[digits - rest * 10**4] & _SHOWN[column][shown]
+        digits = rest
+    return chars.view(np.uint8)[:, 3:]
+
+
+def _float_rows(x: np.ndarray, rows: np.ndarray) -> None:
+    """Write the text of ``repr`` of each float of ``x`` (1-D, finite) into
+    ``rows``, one row of ``_WIDTH`` bytes each (its last axis contiguous),
+    with NUL bytes between and after the characters, which the text drops.
+
+    ``repr`` writes the shortest digits that read back as the float
+    (``_shortest_digits``) by a layout that depends only on where the
+    decimal point falls (``_layout``), with NUL bytes for the digits it
+    does not show, and the sign in front. The floats are sorted by the
+    decimal point, and each run of one layout is filled from one row and a
+    few slices of digit columns. ``repr`` writes the floats that
+    ``_shortest_digits`` does not take or cannot decide."""
+    bits = x.view(np.uint64)
+    magnitude = np.abs(x)
+    taken = (magnitude >= 1e-6) & (magnitude < 1e17) & (bits & _MANTISSA != 0)
+    (index,) = np.nonzero(taken)
+    digits, count, decpt, decided = _shortest_digits(magnitude[index])
+    (order,) = np.nonzero(decided)
+    order = order[np.argsort(decpt[order].astype(np.int8), kind="stable")]
+    index, digits, count, decpt = index[order], digits[order], count[order], decpt[order]
+    # The digits shown: ``count``, and in a positional layout at least one
+    # after the point ("12.0").
+    shown = np.where((-4 < decpt) & (decpt <= 16), np.maximum(count, decpt + 1), count)
+    chars = _digit_chars(digits, shown)
+    text = np.empty((len(index), _WIDTH), dtype=np.uint8)
+    # The run of each decimal point, from -5 to 18.
+    starts = np.searchsorted(decpt, range(-5, 20)).tolist()
+    for point, start, stop in zip(range(-5, 19), starts, starts[1:]):
+        if start == stop:
+            continue
+        row, runs = _layout(point)
+        text[start:stop] = row
+        for column, first, length in runs:
+            text[start:stop, column : column + length] = chars[start:stop, first : first + length]
+        if not -4 < point <= 16:  # no point after a lone digit: "1e-05"
+            text[start:stop, 2] *= count[start:stop] > 1
+    rows.view(_ROW)[index, 0] = text.view(_ROW)[:, 0]
+    zero = magnitude == 0
+    rows[zero] = _ZERO_ROW
+    rest = ~zero
+    rest[index] = False
+    (rest,) = np.nonzero(rest)
+    rows[rest] = _repr_rows(x[rest])
+    # A "-" in the NUL column in front; ``repr``'s text has its own.
+    rows[:, 0] |= (bits >> np.uint64(63)).astype(np.uint8) * ord("-")
 
 
 def _entries_text(pairs: np.ndarray) -> str:
     """The entries ``pairs`` (one ``(re, im)`` row each) as JSON text, joined
-    by ", ". An entry whose 128 bits are all zero is written as its literal
-    text, and a run of them as one repeated string, so the block shifts,
-    almost all zeros, cost Python work only for their nonzero entries;
-    ``-0.0`` has a bit set and keeps its sign through ``repr``."""
+    by ", ", each float as ``repr`` writes it. An entry whose 128 bits are
+    all zero is written as its literal text, and a run of them as one
+    repeated string, so the block shifts, almost all zeros, cost work only
+    for their nonzero entries; ``-0.0`` has a bit set and keeps its sign.
+    The other entries are formatted by ``repr`` if there are fewer than
+    ``_VECTOR_MIN``, else as arrays (``_float_rows``)."""
     size = len(pairs)
     bits = pairs.view(np.uint64)
     (kept,) = np.nonzero(bits[:, 0] | bits[:, 1])
-    if len(kept) == size:
-        template = ", ".join([_PAIR] * size)
+    # With zero entries, a "\n" before each formatted entry marks where the
+    # run of zero entries before it goes.
+    mark = "\n" if len(kept) < size else ""
+    if len(kept) < _VECTOR_MIN:
+        text = f"{mark}{_PAIR}, " * len(kept) % tuple(pairs[kept].reshape(-1).tolist())
     else:
-        # The zero runs before, between and after the nonzero entries; the
-        # text ends in the ", " of its last run or nonzero entry: cut it.
-        gaps = np.diff(kept, prepend=-1, append=size) - 1
-        template = f"{_PAIR}, ".join(map(_ZERO_ITEM.__mul__, gaps.tolist()))[:-2]
-        pairs = pairs[kept]
-    return template % tuple(pairs.reshape(-1).tolist())
+        cells = np.empty((len(kept), len(_ENTRY)), dtype=np.uint8)
+        cells[:] = _ENTRY
+        if mark:
+            cells[:, 0] = ord(mark)
+        _float_rows(pairs[kept].reshape(-1), cells.reshape(-1, _CELL)[:, 2 : 2 + _WIDTH])
+        text = cells[cells != 0].tobytes().decode("ascii")
+    if mark:
+        # The zero runs before each entry and after the last; the text ends
+        # in the ", " of its last run or entry.
+        bounds = np.concatenate([[-1], kept, [size]])
+        runs = map(_ZERO_ITEM.__mul__, (bounds[1:] - bounds[:-1] - 1).tolist())
+        text = "".join(chain.from_iterable(zip(text.split(mark), runs)))
+    return text[:-2]
 
 
 def write_matrix(path: str | Path, a) -> None:
@@ -137,8 +382,10 @@ def write_matrix(path: str | Path, a) -> None:
 
 def read_matrix(path: str | Path) -> np.ndarray:
     text = Path(path).read_text(encoding="utf-8")
+    # A document nested deeper than the interpreter's recursion limit makes
+    # json.loads raise RecursionError.
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
     return doc_to_matrix(doc)

@@ -309,6 +309,18 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert err == "error: entry 0 is too large for a float\n"
 
+    def test_data_nested_past_the_recursion_limit(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        depth = 100_000
+        path.write_text(
+            '{"rows": 1, "cols": 1, "data": ' + "[" * depth + "]" * depth + "}",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, ["classify", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: not valid JSON: ")
+        assert err.count("\n") == 1  # one line, no traceback
+
     def test_boolean_shape_fields(self, capsys, tmp_path):
         path = tmp_path / "bool.json"
         path.write_text(

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarops import matrixio
+from polarops.decomp import moore_penrose, polar_decompose
 from polarops.matrixio import (
     _pairs_as_floats,
     doc_to_matrix,
@@ -361,3 +362,175 @@ def test_read_rejects_invalid_json(tmp_path):
 def test_read_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_matrix(tmp_path / "absent.json")
+
+
+# The array formatter: every float's text is ``repr``'s, byte for byte.
+
+
+def formatted(values) -> list[str]:
+    """The text that the array formatter gives each float of ``values``."""
+    x = np.array(values, dtype=np.float64).reshape(-1)
+    rows = np.zeros((len(x), matrixio._WIDTH), dtype=np.uint8)
+    matrixio._float_rows(x, rows)
+    # The text drops the NUL bytes between and after the characters.
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in rows]
+
+
+def around(v: float, ulps: int = 1) -> list[float]:
+    """``v`` and the ``ulps`` floats on either side of it."""
+    out = [v]
+    below = above = v
+    for _ in range(ulps):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [float(below), float(above)]
+    return out
+
+
+EDGE_FLOATS = (
+    [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    + [u for e in range(-30, 31) for u in around(10.0**e)]
+    + [u for e in range(-1074, 1024) for u in around(2.0**e)]
+    # Where repr switches between positional and exponent layouts.
+    + around(1e-4, 4)
+    + around(1e16, 4)
+    + [9.999999999999999e-05, 9999999999999998.0, 1.0000000000000002e16]
+    # Integers and short decimals.
+    + [float(i) for i in range(-1000, 1001)]
+    + [i / 1000 for i in range(-3000, 3001)]
+    + [0.1, 0.2, 0.3, 1 / 3, 2 / 3, 123456789012345.0, 2.0**53 + 2, 1e15 + 0.5]
+)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_formatter_matches_repr_on_edge_floats(sign):
+    values = [sign * v for v in EDGE_FLOATS]
+    assert formatted(values) == list(map(repr, values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ANY_FINITE, min_size=1, max_size=64))
+def test_formatter_matches_repr_on_any_finite_floats(values):
+    assert formatted(values) == list(map(repr, values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_formatter_matches_repr_on_raw_bit_patterns(patterns):
+    x = np.array(patterns, dtype=np.uint64).view(np.float64)
+    x = x[np.isfinite(x)]
+    assert formatted(x) == list(map(repr, x.tolist()))
+
+
+def test_formatter_matches_repr_on_seeded_draws():
+    rng = np.random.default_rng(2018)
+    n = 50_000
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64)
+    x = np.concatenate(
+        [
+            rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 19, n),
+            bits[np.isfinite(bits)],
+            # Short decimals, whose digits end well before the 17th.
+            rng.integers(-(10**6), 10**6, n) / 10.0 ** rng.integers(0, 12, n),
+        ]
+    )
+    assert formatted(x) == list(map(repr, x.tolist()))
+
+
+def _dense_factors():
+    rng = np.random.default_rng(18)
+    for rows, cols in [(96, 96), (224, 176), (256, 200)]:
+        t = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        parts = polar_decompose(t)
+        shape = f"{rows}x{cols}"
+        yield pytest.param(parts.isometry, id=f"U-{shape}")
+        yield pytest.param(parts.modulus, id=f"P-{shape}")
+        yield pytest.param(moore_penrose(t), id=f"pinv-{shape}")
+
+
+@pytest.mark.parametrize("a", _dense_factors())
+def test_written_text_of_dense_factors_is_the_json_of_the_document(tmp_path, a):
+    path = tmp_path / "m.json"
+    write_matrix(path, a)
+    assert path.read_text(encoding="utf-8") == json.dumps(matrix_to_doc(a)) + "\n"
+
+
+def test_dense_matrix_of_several_pieces_with_zero_runs(tmp_path):
+    rng = np.random.default_rng(300)
+    a = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+    a[27, 250:] = 0  # a zero run across two rows
+    a[28, :40] = 0
+    a[100, 7], a[200, 9] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    assert a.size > 4 * matrixio._PIECE_ENTRIES
+    path = tmp_path / "m.json"
+    write_matrix(path, a)
+    assert path.read_text(encoding="utf-8") == json.dumps(matrix_to_doc(a)) + "\n"
+
+
+@pytest.mark.parametrize("piece", [1, 4, 7, matrixio._PIECE_ENTRIES])
+def test_array_formatter_writes_the_json_of_every_writer_case(
+    tmp_path, monkeypatch, piece
+):
+    # Every piece with an entry to format goes through the array formatter.
+    monkeypatch.setattr(matrixio, "_VECTOR_MIN", 1)
+    monkeypatch.setattr(matrixio, "_PIECE_ENTRIES", piece)
+    path = tmp_path / "m.json"
+    for a in _writer_cases():
+        write_matrix(path, a)
+        assert path.read_text(encoding="utf-8") == json.dumps(matrix_to_doc(a)) + "\n"
+
+
+SPARSE_MATRICES = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda shape: st.lists(
+        SPARSE_ENTRY, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]
+    ).map(lambda entries: np.array(entries).reshape(shape))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=SPARSE_MATRICES, piece=st.sampled_from([1, 5, matrixio._PIECE_ENTRIES]))
+def test_array_formatter_writes_sparse_matrices_with_signed_zeros(
+    tmp_path_factory, a, piece
+):
+    path = tmp_path_factory.getbasetemp() / "sparse-array.json"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrixio, "_VECTOR_MIN", 1)
+        patch.setattr(matrixio, "_PIECE_ENTRIES", piece)
+        write_matrix(path, a)
+    assert path.read_text(encoding="utf-8") == json.dumps(matrix_to_doc(a)) + "\n"
+
+
+@pytest.fixture
+def formatter_calls(monkeypatch) -> dict[str, list[int]]:
+    """The number of floats of each call to the array formatter
+    (``"array"``) and to its per-float ``repr`` (``"repr"``)."""
+    calls: dict[str, list[int]] = {"array": [], "repr": []}
+    for key, name in (("array", "_float_rows"), ("repr", "_repr_rows")):
+        inner = getattr(matrixio, name)
+
+        def counted(x, *args, inner=inner, key=key):
+            calls[key].append(len(x))
+            return inner(x, *args)
+
+        monkeypatch.setattr(matrixio, name, counted)
+    return calls
+
+
+def test_the_factors_of_a_dense_draw_are_formatted_without_repr(
+    tmp_path, formatter_calls
+):
+    rng = np.random.default_rng(96)
+    t = rng.standard_normal((96, 96)) + 1j * rng.standard_normal((96, 96))
+    parts = polar_decompose(t)
+    for a in (parts.isometry, parts.modulus, moore_penrose(t)):
+        write_matrix(tmp_path / "m.json", a)
+    # U, P and pinv: every float by the array formatter, none by repr.
+    assert sum(formatter_calls["array"]) == 3 * 2 * 96 * 96
+    assert sum(formatter_calls["repr"]) == 0
+
+
+def test_floats_outside_the_array_formatter_go_to_repr(formatter_calls):
+    # A power of two, a float below 1e-6, one from 1e17 up and a subnormal
+    # go to repr; zeros and the others do not.
+    values = [1.0, 0.1, 1e-7, -0.0, 3.5e17, 0.3, 5e-324, 0.0, -2.5, 123.456]
+    assert formatted(values) == list(map(repr, values))
+    assert formatter_calls["repr"] == [4]
