@@ -17,7 +17,8 @@ a matrix, or a 4-D stack of operators ``(operators, 1, d, d)`` (a pair of
 such stacks for ``product_polar`` and ``polar_transfer``), validates it
 once, and gives each operator of a stack bitwise the result it gets alone:
 a list of reports, or for ``is_binormal`` of (verdict, norm) pairs, and
-for ``aluthge`` parts holding stacks. The suites evaluate each group of
+for ``aluthge`` parts holding stacks; below them, everything runs on
+stacks of operators (``core._stacked``). The suites evaluate each group of
 draws of one shape with one call per factorization this way.
 
 Sharing rule: one function, ``_oracle_residuals``, factors the powers
@@ -27,22 +28,11 @@ Sharing rule: one function, ``_oracle_residuals``, factors the powers
 ``binormal_equivalents`` all reach it. Everything else in one evaluation is
 factored once: ``centered_order`` and ``mp_centered_check`` take the polar
 parts or SVDs a caller already holds. The rule holds on every
-centered-order route: ``centered_order`` takes a matrix, a stack of
-operators (one report per operator), or, with ``labels`` of its equal
-blocks, the stack of 3x3 blocks of an operator on its first block
-subdiagonal (for :func:`polarops.shifts.certify_blockwise`; each power is
-formed, factored and checked once per distinct window of consecutive
-blocks, ``_Windows``), and walks the powers once, forward, for all
-operators, in groups of consecutive powers that fit a fixed number of
-entries per operator at their block positions (``_power_groups``). Each
-group is one stacked commutator expression, with one threshold per
-(operator, power), and one stacked SVD per number of powers that the
-operators' oracles check, each with its own rank cutoffs, so a shift's
-block stacks and a group of small matrices take a few LAPACK calls for all
-their powers, while a matrix above 64x64 still walks one power at a time.
-Each report is bitwise the report of its operator alone, whatever the
-grouping or the windows. ``mp_centered_check`` inverts the powers ``T^k``,
-k >= 2, of all operators of a stack in one stacked SVD.
+centered-order route, a matrix, a stack of operators or, with ``labels``,
+the 3x3 blocks of a shift (:func:`polarops.shifts.certify_blockwise`): one
+forward walk of the powers in stacked groups (``centered_order``), each
+report bitwise that of its operator alone. ``mp_centered_check`` inverts
+the powers ``T^k``, k >= 2, of all operators of a stack in one stacked SVD.
 """
 
 from __future__ import annotations
@@ -61,17 +51,19 @@ from .core import (
     ToleranceConfig,
     _adjoint,
     _checked,
+    _commutator_test,
     _floor_one,
     _isometry,
     _modulus,
+    _norms,
     _psd_powers,
     _residual,
     _same_square,
     _span_norms,
+    _stacked,
     _svd,
     _threshold,
-    commutator_threshold,
-    fro_norm,
+    _unstacked,
     rank_margin,
 )
 from .decomp import (
@@ -259,18 +251,9 @@ class MpCenteredReport:
 def is_binormal(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     """Whether ``[T* T, T T*]`` vanishes, plus the raw commutator norm; for
     a stack of operators, a list of one such pair per operator."""
-    t = _checked(t, (2, 4), square=True)
-    norm, commute = _commutator_test(_adjoint(t) @ t, t @ _adjoint(t), cfg)
-    if t.ndim == 2:
-        return commute, norm
-    return list(zip(commute.tolist(), norm.tolist()))
-
-
-def _commutator_test(a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig):
-    """The norm of ``[a, b]`` and whether it vanishes (``core.commutes``),
-    for matrices or for each operator of two stacks of operators."""
-    norm = fro_norm(a @ b - b @ a)
-    return norm, norm <= commutator_threshold(a, b, cfg)
+    x, lead = _stacked(_checked(t, (2, 4), square=True))
+    norm, commute = _commutator_test(_adjoint(x) @ x, x @ _adjoint(x), cfg)
+    return _unstacked(list(zip(commute.tolist(), norm.tolist())), lead)
 
 
 # A power of the rescaled walk (see _powers) whose largest entry exceeds this
@@ -358,24 +341,24 @@ def _powers(a: np.ndarray, windows: _Windows | None = None, rescale: bool = Fals
     """Yield ``a, a^2, ...``, each power the previous one times ``a``.
     Without ``windows``, ``a`` is a matrix, or a stack of matrices each
     walked on its own, and each step is ``power @ a``. With ``windows``,
-    ``a`` is the stack of the blocks of an operator on its first block
-    subdiagonal, ``a[j]`` mapping block position j to j + 1: the k-th power
-    is the stack of the blocks of ``T^k`` on its k-th block subdiagonal,
-    ``a[j+k-1] @ ... @ a[j]`` at position j, one block shorter each time, and
-    the walk ends when no block is left. It is held as one block per
-    distinct window of ``windows``, ``T^k`` at position j being the block
-    of window ``index[j]`` of the layout of power k (``_Layout``), and each
-    step is the window of power k at the next position times the first
-    block, ``T^k[j+1] @ a[j]``, once per window.
+    ``a`` holds the blocks of an operator on its first block subdiagonal
+    on its third axis from the end, ``a[j]`` mapping block position j to
+    j + 1: the k-th power holds the blocks of ``T^k`` on its k-th block
+    subdiagonal, ``a[j+k-1] @ ... @ a[j]`` at position j, one block shorter
+    each time, and the walk ends when no block is left. It is held as one
+    block per distinct window of ``windows``, ``T^k`` at position j being
+    the block of window ``index[j]`` of the layout of power k (``_Layout``),
+    and each step is the window of power k at the next position times the
+    first block, ``T^k[j+1] @ a[j]``, once per window.
 
     With ``rescale``, a power whose largest entry exceeds ``_POWER_LIMIT``
     is multiplied by the exact power of two that brings that entry to about
     2**33, and the walk goes on from the scaled power. Each power is then
     ``a^k`` times a positive factor: enough for a check that is homogeneous
     in the power, and its squared norms never overflow."""
-    power = a if windows is None else a[windows.step(1)[1]]
+    power = a if windows is None else a.take(windows.step(1)[1], axis=-3)
     k = 1
-    while len(power):
+    while power.size:
         if rescale:
             top = np.abs(power).max()
             if top > _POWER_LIMIT:
@@ -386,7 +369,7 @@ def _powers(a: np.ndarray, windows: _Windows | None = None, rescale: bool = Fals
             power = power @ a
         else:
             after, heads = windows.step(k)
-            power = power[after] @ a[heads]
+            power = power.take(after, axis=-3) @ a.take(heads, axis=-3)
 
 
 # Complex entries that one group of powers of U may hold per operator in
@@ -399,24 +382,21 @@ _GROUP_ENTRIES = 2**12
 
 
 def _power_groups(a: np.ndarray, windows: _Windows | None, last):
-    """The powers ``a, a^2, ...`` of ``_powers``, in lists of consecutive
-    powers holding at most ``_GROUP_ENTRIES`` complex entries per operator
-    (each matrix of a stack of operators ``(operators, 1, m, m)`` is one),
-    and at least one power each; a block stack counts every block
-    position, not only its distinct windows, so that the powers of a group
-    take a bounded size at their positions. The walk stops after power
-    ``last()``, read again before each power, so that a caller may shorten
-    or extend it between groups."""
+    """The powers ``a, a^2, ...`` of ``_powers`` of a stack of operators
+    ``(operators, blocks, m, m)``, in lists of consecutive powers holding at
+    most ``_GROUP_ENTRIES`` complex entries per operator, and at least one
+    power each; the powers of a block stack count every block position,
+    not only their distinct windows, so that the powers of a group take a
+    bounded size at their positions. The walk stops after power ``last()``,
+    read again before each power, so that a caller may shorten or extend
+    it between groups."""
     powers = _powers(a, windows)
     group: list[np.ndarray] = []
     entries = k = 0
     while k < last():
         # The entries of power k + 1 per operator; that of a block stack
         # has k blocks fewer than a.
-        if a.ndim == 4:
-            size = a[0].size
-        else:
-            size = a[0].size * (len(a) - k) if windows else a.size
+        size = a[0, 0].size * (a.shape[1] - k if windows else a.shape[1])
         if group and entries + size > _GROUP_ENTRIES:
             yield group
             group, entries = [], 0
@@ -477,13 +457,12 @@ def _power_norms(x: np.ndarray, lengths: list[int]) -> np.ndarray:
     """``fro_norm`` of the span of each power in ``x``, a stack of operators
     whose axis 1 holds consecutive powers of ``lengths`` blocks each, as an
     array ``(operators, powers)``. Powers of one length (those of matrices)
-    take one ``fro_norm`` of a stack with one operator per (operator,
+    take one ``core._norms`` of a stack with one operator per (operator,
     power) pair; the shrinking powers of a block stack, gathered to their
     block positions in row-major order, take ``core._span_norms``. Each
     norm is bitwise that of its span alone."""
     if len(set(lengths)) == 1:
-        pairs = x.reshape(len(x) * len(lengths), lengths[0], *x.shape[2:])
-        return fro_norm(pairs).reshape(len(x), -1)
+        return _norms(x.reshape(len(x), len(lengths), lengths[0], *x.shape[2:]))
     block = x[0, 0].size
     return _span_norms(x.reshape(len(x), -1), [n * block for n in lengths])
 
@@ -515,7 +494,7 @@ def _commutators(
     the commutator is block diagonal, with ``|T|`` at j as the source and
     at j + k as the image. The conjugated blocks are formed once per
     window, and the commutators once per (window, image) pair. All powers
-    share one stacked expression and one ``fro_norm(p)``; each norm and
+    share one stacked expression and one norm of ``p``; each norm and
     threshold is taken on its (operator, power) span at its block
     positions, which keeps it bitwise equal to that of the power of that
     operator alone."""
@@ -534,7 +513,7 @@ def _commutators(
     return (
         _power_norms(_at(commutator, pairs), lengths),
         _threshold(
-            _power_norms(_at(conjugated, index), lengths), fro_norm(p)[:, None], cfg
+            _power_norms(_at(conjugated, index), lengths), _norms(p)[:, None], cfg
         ),
     )
 
@@ -565,11 +544,7 @@ def _oracle_residuals(
     index = None if spans is None else spans.index
     counts = [t_pow.shape[1] for t_pow in t_pows]
     t, u = _join(t_pows), _join(u_pows)
-    # LAPACK takes every matrix as one 3-D stack; its factors are shaped as t.
-    flat = _svd(t.reshape(-1, *t.shape[2:]))
-    decomp = SvdResult(
-        *(x.reshape(*t.shape[:2], *x.shape[1:]) for x in vars(flat).values())
-    )
+    decomp = _svd(t)
     s = decomp.singular_values
     starts = list(accumulate(counts[:-1], initial=0))
     top = np.repeat(np.maximum.reduceat(s[..., 0], starts, axis=-1), counts, axis=-1)
@@ -665,11 +640,9 @@ def centered_order(
         if labels is not None:
             raise ValueError("a block stack needs the parts of its blocks")
         parts = polar_decompose(t, cfg)
+    t, lead, parts = _stacked(t, parts)
+    u, p = parts.isometry, parts.modulus
     windows = None if labels is None else _Windows(labels)
-    # The powers are walked as given and seen as stacks of operators: a
-    # matrix is an operator of one block, and a block stack one operator.
-    lead = (None,) * (4 - t.ndim)
-    p = parts.modulus[lead]
     operators = len(p)
     count = max(max_n - 1, 1)
     norm_parts: list[np.ndarray] = []
@@ -679,16 +652,13 @@ def centered_order(
     checking = [True] * operators
     # The entries of a shift's T^k grow like 2^k, and the oracle's check
     # T^k = U^k |T^k| is homogeneous in T^k.
-    t_powers = (
-        power[lead] for power in _powers(t, windows, rescale=windows is not None)
-    )
+    t_powers = _powers(t, windows, rescale=windows is not None)
     # The oracle may need T^max_n, one power past the commutators, unless,
     # for every operator, it has stopped or the run of vanishing
     # commutators ended below max_n - 1. That changes only between groups.
     reach = max_n
     first = 1
-    for powers in _power_groups(parts.isometry, windows, lambda: reach):
-        group = [power[lead] for power in powers]
+    for group in _power_groups(u, windows, lambda: reach):
         layouts = None if windows is None else windows.layouts(first, len(group))
         if first <= count:
             listed = group[: count - first + 1]
@@ -751,7 +721,7 @@ def centered_order(
             [runs == order for runs, order in zip(passing, verified)],
         )
     ]
-    return reports if t.ndim == 4 else reports[0]
+    return _unstacked(reports, lead)
 
 
 def is_n_centered_definitional(
@@ -763,14 +733,14 @@ def is_n_centered_definitional(
     ``_oracle_residuals`` in the groups of ``_power_groups``, one stacked
     SVD per group, so a small matrix takes two SVDs for any n. Raises if a
     power cannot be factored."""
-    t = _checked(t, square=True)
+    t, _ = _stacked(_checked(t, square=True))
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     u = polar_decompose(t, cfg).isometry
-    t_powers = _powers(t[None, None])
+    t_powers = _powers(t)
     equation: list[float] = []
     ranges: list[float] = []
-    for group in _power_groups(u[None, None], None, lambda: n):
+    for group in _power_groups(u, None, lambda: n):
         more = _oracle_residuals(list(islice(t_powers, len(group))), group, cfg)
         equation += more[0][0].tolist()
         ranges += more[1][0].tolist()
@@ -780,15 +750,18 @@ def is_n_centered_definitional(
     )
 
 
-def _square_pair(t, s) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Two square matrices of one shape, or two stacks of operators of one
-    matrix each, as two such stacks, and whether they were matrices."""
-    t, s = _same_square(t, s, (2, 4))
-    if t.ndim == 2:
-        return t[None, None], s[None, None], True
+def _product_parts(t, s, cfg: ToleranceConfig):
+    """For two square matrices, or stacks of operators of one matrix each:
+    the ``lead`` of ``core._stacked``, the polar parts of ``T``, ``S`` and
+    ``S*`` (one SVD), and the stack of ``T S`` and ``|T| |S*|`` with its."""
+    t, lead, s = _same_square(t, s, (2, 4))
     if t.shape[1] != 1:
         raise ValueError(f"expected operators of one matrix each, got {t.shape}")
-    return t, s, False
+    count = len(t)
+    factors = polar_decompose(np.concatenate([t, s, _adjoint(s)]), cfg)
+    t_parts, s_parts, s_adj_parts = (factors[i : i + count] for i in (0, count, 2 * count))
+    targets = np.concatenate([t @ s, t_parts.modulus @ s_adj_parts.modulus])
+    return lead, t_parts, s_parts, s_adj_parts, targets, polar_decompose(targets, cfg)
 
 
 def product_polar(t, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
@@ -801,15 +774,11 @@ def product_polar(t, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     one report per pair. ``T``, ``S`` and ``S*`` share one stacked SVD, and
     so do ``T S`` and ``|T| |S*|``.
     """
-    t, s, single = _square_pair(t, s)
-    count = len(t)
-    factors = polar_decompose(np.concatenate([t, s, _adjoint(s)]), cfg)
-    t_parts, s_parts, s_adj_parts = (factors[i : i + count] for i in (0, count, 2 * count))
+    lead, t_parts, s_parts, s_adj_parts, targets, target_parts = _product_parts(t, s, cfg)
+    count = len(targets) // 2
+    product, product_parts = targets[:count], target_parts[:count]
+    moduli_parts = target_parts[count:]
     mod_t, mod_s_adj = t_parts.modulus, s_adj_parts.modulus
-
-    product = t @ s
-    targets = polar_decompose(np.concatenate([product, mod_t @ mod_s_adj]), cfg)
-    product_parts, moduli_parts = targets[:count], targets[count:]
     candidate = t_parts.isometry @ s_parts.isometry
 
     residual = _residual(product, candidate @ product_parts.modulus)
@@ -833,7 +802,7 @@ def product_polar(t, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
         ProductPolarReport(a, b, c, res, res <= cfg.equality_rel_tol, check.ok, d, e)
         for a, b, c, res, check, d, e in rows
     ]
-    return reports[0] if single else reports
+    return _unstacked(reports, lead)
 
 
 def polar_transfer(t, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
@@ -847,14 +816,10 @@ def polar_transfer(t, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     and ``S*`` share one stacked SVD, ``T S`` and ``|T| |S*|`` another, and
     both directions one polar check.
     """
-    t, s, single = _square_pair(t, s)
-    count = len(t)
-    factors = polar_decompose(np.concatenate([t, s, _adjoint(s)]), cfg)
-    t_parts, s_parts, s_adj_parts = (factors[i : i + count] for i in (0, count, 2 * count))
-    u, v = t_parts.isometry, s_parts.isometry
-    targets = np.concatenate([t @ s, t_parts.modulus @ s_adj_parts.modulus])
-    target_parts = polar_decompose(targets, cfg)
+    lead, t_parts, s_parts, _, targets, target_parts = _product_parts(t, s, cfg)
+    count = len(targets) // 2
     product_parts, moduli_parts = target_parts[:count], target_parts[count:]
+    u, v = t_parts.isometry, s_parts.isometry
     candidates = np.concatenate(
         [
             u @ moduli_parts.isometry @ v,
@@ -868,7 +833,7 @@ def polar_transfer(t, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
         TransferReport(product_check=first, moduli_check=second, ok=first.ok and second.ok)
         for first, second in zip(checks[:count], checks[count:])
     ]
-    return reports[0] if single else reports
+    return _unstacked(reports, lead)
 
 
 def aluthge(
@@ -877,7 +842,7 @@ def aluthge(
     """Aluthge-type transform ``|T|^alpha U |T|^beta`` with its candidate
     polar factor ``U* U U``; for a stack of operators, parts holding one
     transform and one factor per operator."""
-    t = _checked(t, (2, 4), square=True)
+    t, lead = _stacked(_checked(t, (2, 4), square=True))
     if alpha <= 0 or beta <= 0:
         raise ValueError(f"exponents must be positive, got ({alpha}, {beta})")
     parts = polar_decompose(t, cfg)
@@ -885,12 +850,8 @@ def aluthge(
     u = parts.isometry
     p_alpha = power(alpha)
     p_beta = p_alpha if beta == alpha else power(beta)
-    return AluthgeParts(
-        alpha=float(alpha),
-        beta=float(beta),
-        transform=p_alpha @ u @ p_beta,
-        tilde_u=_adjoint(u) @ u @ u,
-    )
+    parts = AluthgeParts(float(alpha), float(beta), p_alpha @ u @ p_beta, _adjoint(u) @ u @ u)
+    return _unstacked(parts, lead)
 
 
 def binormal_equivalents(
@@ -916,12 +877,9 @@ def binormal_equivalents(
     operator in one stacked SVD; the transforms of every exponent pair and
     their adjoints form one stack, pair by pair.
     """
-    t = _checked(t, (2, 4), square=True)
+    t, lead = _stacked(_checked(t, (2, 4), square=True))
     if not alphas_betas:
         raise ValueError("alphas_betas must contain at least one pair")
-    single = t.ndim == 2
-    if single:
-        t = t[None, None]
     count = len(t)
     binormal = [flag for flag, _ in is_binormal(t, cfg)]
     factors = polar_decompose(np.concatenate([t, _adjoint(t)]), cfg)
@@ -988,7 +946,7 @@ def binormal_equivalents(
             all(c.modulus_form_holds and c.adjoint_form_holds for c in own),
         )
         reports.append(BinormalEquivalents(binormal_i, two_centered_i, own, statements))
-    return reports[0] if single else reports
+    return _unstacked(reports, lead)
 
 
 def mp_centered_check(
@@ -1017,8 +975,10 @@ def mp_centered_check(
     polar parts alone, and the inverses of the powers ``T^k``, k >= 2, of
     every operator take one stacked SVD.
     """
-    t = _checked(t, (2, 4), square=True)
-    orders = [int(k) for k in np.broadcast_to(n, len(t) if t.ndim == 4 else 1)]
+    t, lead, decomp, adjoint_parts, inverse_parts = _stacked(
+        _checked(t, (2, 4), square=True), decomp, adjoint_parts, inverse_parts
+    )
+    orders = [int(k) for k in np.broadcast_to(n, len(t))]
     if min(orders) < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if decomp is None:
@@ -1029,12 +989,8 @@ def mp_centered_check(
         adjoint_parts = polar_decompose(_adjoint(t), cfg)
     if inverse_parts is None:
         inverse_parts = polar_decompose(pinv, cfg)
-    stacks = [t, pinv, parts.isometry, parts.modulus, adjoint_parts.modulus]
-    stacks += [inverse_parts.isometry, inverse_parts.modulus]
-    single = t.ndim == 2
-    if single:
-        stacks = [x[None, None] for x in stacks]
-    t, pinv, u, p, adjoint_modulus, inverse_u, inverse_p = stacks
+    u, p, adjoint_modulus = parts.isometry, parts.modulus, adjoint_parts.modulus
+    inverse_u, inverse_p = inverse_parts.isometry, inverse_parts.modulus
 
     # The criterion's decisions for T and pinv, k = 1..n, in one stacked
     # expression, each bitwise that of centered_order.
@@ -1099,4 +1055,4 @@ def mp_centered_check(
                 ok=ok,
             )
         )
-    return reports[0] if single else reports
+    return _unstacked(reports, lead)

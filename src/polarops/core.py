@@ -5,13 +5,20 @@ generators) is built on the handful of primitives in this module: Frobenius
 norms with ``max(1, .)`` scaling, a relative singular-value rank cutoff, and
 eigendecomposition-based fractional powers of positive semidefinite matrices.
 All functions are pure and safe for concurrent use.
+
+One path: the kernels take stacks of operators ``(..., blocks, m, n)`` only,
+each operator the direct sum of its blocks, and reduce over its last three
+axes. A public function checks its input (``_checked``), takes it into such
+a stack on entry (``_stacked``) and gives the result back on exit
+(``_unstacked``); only these three look at how many axes an input has.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
+from itertools import accumulate, groupby, pairwise
 
 import numpy as np
 
@@ -29,7 +36,6 @@ __all__ = [
     "svd",
     "HermEigResult",
     "herm_eig",
-    "herm_eigvals",
     "numerical_rank",
     "rank_margin",
     "is_hermitian",
@@ -94,43 +100,79 @@ def _checked(a, ndims: tuple[int, ...] = (2,), square: bool = False) -> np.ndarr
     return arr
 
 
+def _stacked(arr: np.ndarray, *held):
+    """Entry: a matrix as the stack of operators ``(1, 1, m, n)``, a 3-D
+    direct sum as ``(1, blocks, m, n)``, a 4-D stack as itself, more axes
+    as one operator (``fro_norm``); the number ``lead`` of axes put in
+    front; and the arrays of what a caller holds (``held``) lifted alike."""
+    if arr.ndim > 4:
+        arr = arr.ravel(order="K")
+    lift = (None,) * (4 - arr.ndim)
+
+    def lifted(value):
+        if hasattr(value, "__dataclass_fields__"):
+            return type(value)(*map(lifted, vars(value).values()))
+        return value[lift] if hasattr(value, "ndim") else value
+
+    return arr[lift], len(lift), *map(lifted, held)
+
+
+def _unstacked(value, lead: int):
+    """Exit: ``value`` as it is for a stack of operators (``lead`` 0), else
+    its one operator's: the first of a list or of an array of one value per
+    operator (a Python scalar), arrays without the ``lead`` axes in front,
+    and a dataclass field by field; anything else as it is."""
+    ndim = getattr(value, "ndim", None)
+    if lead and ndim is not None:
+        own = value[(0,) * min(ndim, lead)]
+        return own.item() if own.ndim == 0 else own
+    if lead and type(value) is list:
+        return value[0]
+    if lead and hasattr(value, "__dataclass_fields__"):
+        return type(value)(*(_unstacked(x, lead) for x in vars(value).values()))
+    return value
+
+
 def fro_norm(a):
     """Frobenius norm; for an ``(..., m, n)`` stack of three axes, that of
     its direct sum; for a stack of four, ``(operators, blocks, m, n)``, an
-    array of the norms of its operators, each the direct sum of its blocks.
-    A complex128 array takes the steps of ``numpy.linalg.norm`` without its
-    generic wrapper: the entries in memory order, the dot products of their
-    real and imaginary parts, and the square root of the sum, so the result
-    is bitwise that of ``norm(a)``. Other dtypes go to ``norm`` itself. A
-    stack of operators takes each operator's entries in row-major order and
-    forms its two dot products as a ``(1, k) @ (k, 1)`` matmul, which is
-    bitwise the dot product of that operator alone."""
-    a = np.asarray(a)
-    if a.ndim == 4:
-        # (operators, 2, 1, k): the real parts, then the imaginary parts.
-        x = a.astype(np.complex128, copy=False).reshape(len(a), -1)
-        parts = x.view(np.float64).reshape(len(a), -1, 2).swapaxes(1, 2)[:, :, None]
-        squares = (parts @ _adjoint(parts))[..., 0, 0]
-        return np.sqrt(squares[:, 0] + squares[:, 1])
-    if a.dtype != np.complex128:
-        return float(np.linalg.norm(a))
-    x = a.ravel(order="K")
-    return _dot_norm(x.real, x.imag)
+    array of the norms of its operators. Each norm is bitwise
+    ``numpy.linalg.norm`` of its operator alone, whatever its layout."""
+    x, lead = _entries(a)
+    return _unstacked(_norms(x), lead)
 
 
-def _dot_norm(re: np.ndarray, im: np.ndarray) -> float:
-    """The square root of the sum of the dot products of ``re`` and ``im``
-    with themselves: the last step of ``fro_norm``."""
-    return math.sqrt(re.dot(re) + im.dot(im))
+def _entries(a) -> tuple[np.ndarray, int]:
+    """``_stacked`` of unchecked input, as complex128 or float64."""
+    arr = np.asarray(a)
+    return _stacked(arr.astype(complex if arr.dtype.kind == "c" else float, copy=False))
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """Each operator's entries in memory order, as ``ravel(order="K")``
+    takes them (axes by stride, each in index order), as ``(..., 1, 1, k)``."""
+    if not x.flags.c_contiguous:
+        # A stable sort of the three axes by decreasing stride.
+        for i, j in ((-3, -2), (-2, -1), (-3, -2)):
+            if abs(x.strides[i]) < abs(x.strides[j]):
+                x = x.swapaxes(i, j)
+        x = np.ascontiguousarray(x)
+    return x.reshape(x.shape[:-3] + (1, 1, -1))
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The norm of each operator of a stack, by ``numpy.linalg.norm``'s
+    steps: the dots of the real and imaginary parts of its ``_rows``, each a
+    ``(1, k) @ (k, 1)`` matmul (bitwise that dot), and the root of the sum."""
+    rows = _rows(x)[..., 0, :, :]
+    re, im = rows.real, rows.imag
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
 
 
 def _span_norms(rows: np.ndarray, sizes: list[int]) -> np.ndarray:
     """``fro_norm`` of consecutive spans of ``sizes`` entries of each row
-    of a 2-D complex128 array, as an array ``(rows, spans)``. Each span takes
-    the steps of ``fro_norm`` on views of the row's real and imaginary parts,
-    which hold its entries in the order and with the strides of the span's
-    own, so each norm is bitwise that of the span alone, without a call of
-    ``fro_norm`` per span."""
+    of a 2-D complex128 array, as ``(rows, spans)``: bitwise each span's
+    own norm, from views of the row, without a call per span."""
     bounds = list(pairwise(accumulate(sizes, initial=0)))
     return np.array(
         [
@@ -140,15 +182,13 @@ def _span_norms(rows: np.ndarray, sizes: list[int]) -> np.ndarray:
     )
 
 
+def _dot_norm(re: np.ndarray, im: np.ndarray) -> float:
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _floor_one(*norms):
-    """``max(1, *norms)``; for norms of the operators of a stack (arrays), one
-    value per operator."""
-    if isinstance(norms[0], np.ndarray):
-        top = np.maximum(norms[0], 1.0)
-        for norm in norms[1:]:
-            top = np.maximum(top, norm)
-        return top
-    return max(1.0, *norms)
+    """``max(1, *norms)``, one value per entry of the arrays ``norms``."""
+    return functools.reduce(np.maximum, norms, 1.0)
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -157,24 +197,26 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def _same_square(a, b, ndims: tuple[int, ...] = (2, 3, 4)):
-    """``_checked`` of two square operators, or stacks, of one shape."""
+    """``_stacked`` of two checked square operators, or stacks, of one shape:
+    ``(a, lead, b)``."""
     a, b = _checked(a, ndims), _checked(b, ndims)
     if a.shape[-1] != a.shape[-2] or b.shape[-1] != b.shape[-2]:
         raise ValueError(f"expected square operators, got {a.shape} and {b.shape}")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a, b
+    return _stacked(a, b)
 
 
 def commutator(a, b) -> np.ndarray:
     """Return ``a @ b - b @ a`` for square operators of equal dimension, or
     for each pair of matrices of two stacks of one shape."""
-    a, b = _same_square(a, b)
-    return a @ b - b @ a
+    x, lead, y = _same_square(a, b)
+    return _unstacked(x @ y - y @ x, lead)
 
 
 def commutator_norm(a, b) -> float:
-    return fro_norm(commutator(a, b))
+    x, lead, y = _same_square(a, b)
+    return _unstacked(_norms(x @ y - y @ x), lead)
 
 
 def commutator_threshold(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
@@ -182,23 +224,28 @@ def commutator_threshold(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     operand norms and is floored at ``COMMUTATOR_FLOOR`` so that operators
     of tiny norm still count as commuting. Stacks of three axes count as
     direct sums; stacks of operators get one threshold per operator."""
-    return _threshold(fro_norm(a), fro_norm(b), cfg)
+    (x, lead), (y, other) = _entries(a), _entries(b)
+    return _unstacked(_threshold(_norms(x), _norms(y), cfg), min(lead, other))
 
 
 def _threshold(a_norm, b_norm, cfg: ToleranceConfig):
     """``commutator_threshold`` of operands with the norms ``a_norm`` and
-    ``b_norm``, floats or arrays (one threshold per entry)."""
-    bound = cfg.zero_rel_tol * a_norm * b_norm
-    if isinstance(bound, np.ndarray):
-        return np.maximum(bound, COMMUTATOR_FLOOR)
-    return max(bound, COMMUTATOR_FLOOR)
+    ``b_norm``, one threshold per entry."""
+    return np.maximum(cfg.zero_rel_tol * a_norm * b_norm, COMMUTATOR_FLOOR)
+
+
+def _commutator_test(a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig):
+    """The norm of ``[a, b]`` and whether it vanishes against
+    ``commutator_threshold``, for each operator of two stacks."""
+    norm = _norms(a @ b - b @ a)
+    return norm, norm <= _threshold(_norms(a), _norms(b), cfg)
 
 
 def commutes(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     """Toleranced commutator-vanishing test against :func:`commutator_threshold`;
     for two stacks of operators, one verdict per operator."""
-    a, b = _same_square(a, b)
-    return fro_norm(a @ b - b @ a) <= commutator_threshold(a, b, cfg)
+    x, lead, y = _same_square(a, b)
+    return _unstacked(_commutator_test(x, y, cfg)[1], lead)
 
 
 @dataclass(frozen=True)
@@ -215,17 +262,19 @@ class SvdResult:
         return SvdResult(*(x[index] for x in vars(self).values()))
 
 
+def _lapack(name: str, a: np.ndarray, **kwargs) -> list[np.ndarray]:
+    """``numpy.linalg.<name>``, looked up at call time, of each matrix of
+    the stack ``a``, passed as one 3-D stack whatever its leading axes; the
+    results shaped back as ``a``."""
+    out = getattr(np.linalg, name)(a.reshape(-1, *a.shape[-2:]), **kwargs)
+    parts = out if isinstance(out, tuple) else (out,)
+    return [x.reshape(*a.shape[:-2], *x.shape[1:]) for x in parts]
+
+
 def _svd(a: np.ndarray) -> SvdResult:
-    """``svd`` of a checked array, or of each matrix of an ``(..., m, n)``
-    stack, without validation."""
-    left, s, right_h = np.linalg.svd(a, full_matrices=False)
+    """``svd`` of each matrix of a stack, without validation."""
+    left, s, right_h = _lapack("svd", a, full_matrices=False)
     return SvdResult(left, s, _adjoint(right_h))
-
-
-def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues, ascending, of a Hermitian array or of each matrix of a
-    stack, without validation."""
-    return np.linalg.eigvalsh(a)
 
 
 def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +284,8 @@ def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def svd(a) -> SvdResult:
     """Thin SVD of a matrix, or of each matrix of a stack."""
-    return _svd(_checked(a, (2, 3, 4)))
+    x, lead = _stacked(_checked(a, (2, 3, 4)))
+    return _unstacked(_svd(x), lead)
 
 
 def _modulus(decomp: SvdResult) -> np.ndarray:
@@ -245,10 +295,9 @@ def _modulus(decomp: SvdResult) -> np.ndarray:
     return 0.5 * (result + _adjoint(result))
 
 
-def _isometry(decomp: SvdResult, r) -> np.ndarray:
-    """``W_r X_r*`` from the SVD ``t = W diag(s) X*`` of rank ``r`` (one
-    rank per matrix of a stack, from ``_rank``): the canonical polar factor
-    of ``t``."""
+def _isometry(decomp: SvdResult, r: np.ndarray) -> np.ndarray:
+    """``W_r X_r*`` from the SVD ``t = W diag(s) X*`` of a stack, with one
+    rank per matrix (from ``_rank``): the canonical polar factor of ``t``."""
     return _leading_product(decomp.left_vectors, decomp.right_vectors, r)
 
 
@@ -261,13 +310,8 @@ class HermEigResult:
 
 
 def herm_eig(a) -> HermEigResult:
-    values, vectors = np.linalg.eigh(_checked(a, square=True))
-    return HermEigResult(values, vectors)
-
-
-def herm_eigvals(a) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending."""
-    return _eigvalsh(_checked(a, square=True))
+    x, lead = _stacked(_checked(a, square=True))
+    return _unstacked(HermEigResult(*_lapack("eigh", x)), lead)
 
 
 def numerical_rank(s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
@@ -282,54 +326,36 @@ def numerical_rank(s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
     return int(np.count_nonzero(s > cfg.rank_rel_tol * s[0]))
 
 
-def _rank(s: np.ndarray, cfg: ToleranceConfig):
-    """``numerical_rank`` of one spectrum. For the spectra of a stack, one
-    rank per matrix, each with the cutoff of its operator: ``rank_rel_tol``
-    times the largest singular value of the whole stack of three axes, or
-    of each operator of a stack of four."""
-    if s.ndim == 1:
-        return numerical_rank(s, cfg)
-    if s.ndim == 2:
-        return np.count_nonzero(s > cfg.rank_rel_tol * s.max(), axis=-1)
-    top = s.reshape(len(s), -1).max(axis=-1)
-    return (s > cfg.rank_rel_tol * top[:, None, None]).sum(axis=-1)
-
-
-def _leading(vectors: np.ndarray, r) -> np.ndarray:
-    """The first ``r`` columns of ``vectors``. For a stack, ``r`` holds one
-    rank per matrix: the columns are sliced to the largest rank and zeroed
-    past each matrix's own rank inside that slice. Slicing first keeps a
-    product over matrices of one shared rank bitwise equal to the
-    per-matrix slices; a mask over all columns would change the inner
-    dimension of the product, and with it the last bits."""
-    if vectors.ndim == 2:
-        return vectors[:, :r]
-    top = int(r.max())
-    keep = np.arange(top) < r[..., None]
-    return vectors[..., :top] * keep[..., None, :]
+def _rank(s: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """``numerical_rank`` of each spectrum of the matrices of a stack of
+    operators ``(..., blocks, k)``, each with the cutoff of its operator:
+    ``rank_rel_tol`` times the largest singular value of its direct sum."""
+    top = np.maximum.reduce(s, axis=(-2, -1), keepdims=True)
+    return np.add.reduce(s > cfg.rank_rel_tol * top, axis=-1)
 
 
 def _leading_product(left: np.ndarray, right: np.ndarray | None, r) -> np.ndarray:
     """``L_r R_r*``, with ``L_r`` the first ``r`` columns of ``left`` and
-    ``R_r`` those of ``right`` (``_leading``); with ``right`` None, ``R_r``
-    is ``L_r`` itself, masked alike. A stack of operators is split into
-    subgroups of one largest rank per operator, and each subgroup is sliced
-    to its own rank as ``_leading`` slices one operator, so that a matrix of
-    rank ``r`` gets the product it gets alone, bitwise."""
-    if left.ndim == 4:
-        top = r.max(axis=-1)
-        ranks = set(top.tolist())
-        if len(ranks) > 1:
-            columns = left if right is None else right
-            out = np.empty(left.shape[:-1] + columns.shape[-2:-1], dtype=np.complex128)
-            for rank in ranks:
-                (members,) = np.nonzero(top == rank)
-                w = _leading(left[members], r[members])
-                x = w if right is None else right[members][..., :rank]
-                out[members] = w @ _adjoint(x)
-            return out
-    w = _leading(left, r)
-    x = w if right is None else right[..., : w.shape[-1]]
+    ``R_r`` those of ``right`` (or ``L_r``, for None), ``r`` one rank per
+    matrix. Each subgroup of one largest rank per operator is sliced to it,
+    and a matrix of lower rank zeroed past its own, so that each matrix
+    gets bitwise its product alone (a mask over all columns would not)."""
+    top = np.maximum.reduce(r, axis=-1)
+    ranks = set(top.tolist())
+    if len(ranks) > 1:
+        columns = left if right is None else right
+        out = np.empty(left.shape[:-1] + columns.shape[-2:-1], dtype=np.complex128)
+        for rank in ranks:
+            (members,) = np.nonzero(top == rank)
+            out[members] = _leading_product(
+                left[members], None if right is None else right[members], r[members]
+            )
+        return out
+    (rank,) = ranks
+    w = left[..., :rank]
+    if np.minimum.reduce(r, axis=None) < rank:
+        w = w * (np.arange(rank) < r[..., None])[..., None, :]
+    x = w if right is None else right[..., :rank]
     return w @ _adjoint(x)
 
 
@@ -347,28 +373,32 @@ def rank_margin(s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
     return float(s[r - 1] / s[0])
 
 
+def _hermitian(x: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """``is_hermitian`` of each operator of a stack of operators."""
+    if x.shape[-1] != x.shape[-2]:
+        return np.zeros(x.shape[:-3], dtype=bool)
+    return _norms(x - _adjoint(x)) <= cfg.equality_rel_tol * _floor_one(_norms(x))
+
+
 def is_hermitian(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     """Whether ``a`` equals its adjoint within tolerance; for a stack of
     operators, one verdict per operator."""
-    a = _checked(a, (2, 4))
-    if a.shape[-1] != a.shape[-2]:
-        return np.zeros(len(a), dtype=bool) if a.ndim == 4 else False
-    return fro_norm(a - _adjoint(a)) <= cfg.equality_rel_tol * _floor_one(fro_norm(a))
+    x, lead = _stacked(_checked(a, (2, 4)))
+    return _unstacked(_hermitian(x, cfg), lead)
 
 
 def is_hermitian_psd(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     """True iff ``a`` is Hermitian within tolerance with spectrum >= -tol.
     A stack of operators gets one verdict per operator, and only its
     Hermitian operators are factored."""
-    a = _checked(a, (2, 4))
-    verdicts = np.atleast_1d(is_hermitian(a, cfg))
-    stack = a if a.ndim == 4 else a[None, None]
+    x, lead = _stacked(_checked(a, (2, 4)))
+    verdicts = _hermitian(x, cfg)
     if verdicts.any():
-        h = stack[verdicts]
-        values = _eigvalsh(0.5 * (h + _adjoint(h)))
+        h = x[verdicts]
+        (values,) = _lapack("eigvalsh", 0.5 * (h + _adjoint(h)))
         scale = _floor_one(values[..., -1].max(axis=-1))
         verdicts[verdicts] = values[..., 0].min(axis=-1) >= -cfg.zero_rel_tol * scale
-    return verdicts if a.ndim == 4 else bool(verdicts[0])
+    return _unstacked(verdicts, lead)
 
 
 def fractional_power_psd(
@@ -394,26 +424,18 @@ def _require_positive(alpha: float) -> None:
 
 
 def _psd_powers(a, cfg: ToleranceConfig):
-    """``alpha -> fractional_power_psd(a, alpha)`` from one validation, one
-    ``eigh`` and one rank clamp of ``a``; each power is bitwise equal to
-    that of ``fractional_power_psd``, which wraps this. A stack of operators
-    gets one Hermitian test, negativity tolerance and rank cutoff per
-    operator, and raises if any operator fails its test."""
-    if np.ndim(a) < 4:
-        a = as_operator(a)
-    if a.shape[-1] != a.shape[-2] or not np.all(
-        fro_norm(a - _adjoint(a)) <= cfg.equality_rel_tol * _floor_one(fro_norm(a))
-    ):
+    """``alpha -> fractional_power_psd(a, alpha)`` of a matrix, or of each
+    operator of a stack, from one validation, ``eigh`` and rank clamp, with
+    each operator's own Hermitian test, negativity tolerance and cutoff;
+    a stack raises if any operator fails its test."""
+    x, lead = _stacked(_checked(a, (2, 4)))
+    if not _hermitian(x, cfg).all():
         raise ValueError("fractional powers require a Hermitian input")
-    values, vectors = np.linalg.eigh(0.5 * (a + _adjoint(a)))
-    if a.ndim == 4:
-        lam_max = values[..., -1].max(axis=-1)[:, None, None]
-        smallest = values[..., 0].min()
-    else:
-        lam_max, smallest = float(values[-1]), values[0]
+    values, vectors = _lapack("eigh", 0.5 * (x + _adjoint(x)))
+    lam_max = values[..., -1].max(axis=-1)[..., None, None]
     neg_tol = cfg.zero_rel_tol * _floor_one(abs(lam_max))
     if np.any(values[..., :1] < -neg_tol):
-        raise ValueError(f"input is not PSD: smallest eigenvalue {smallest:.3e}")
+        raise ValueError(f"input is not PSD: smallest eigenvalue {values.min():.3e}")
     cutoff = cfg.rank_rel_tol * np.maximum(lam_max, 0.0)
     values[values <= cutoff] = 0.0
 
@@ -422,15 +444,14 @@ def _psd_powers(a, cfg: ToleranceConfig):
         powered = np.where(values > 0.0, values**alpha, 0.0)
         result = (vectors * powered[..., None, :]) @ _adjoint(vectors)
         # The exact result is Hermitian; re-symmetrize to kill round-off drift.
-        return 0.5 * (result + _adjoint(result))
+        return _unstacked(0.5 * (result + _adjoint(result)), lead)
 
     return power
 
 
 def _range_projection(t: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    """``range_projection`` of a checked array, of the direct sum of a
-    stack, or of each operator of a stack of operators; one projection per
-    matrix, with the rank cutoffs of ``_rank``."""
+    """``range_projection`` of each matrix of a stack of operators, with
+    the rank cutoffs of ``_rank``."""
     decomp = _svd(t)
     p = _leading_product(decomp.left_vectors, None, _rank(decomp.singular_values, cfg))
     return 0.5 * (p + _adjoint(p))
@@ -439,7 +460,8 @@ def _range_projection(t: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
 def range_projection(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """Orthogonal projection onto the numerical range (column space) of
     ``t``; for a stack, that of ``_range_projection``."""
-    return _range_projection(_checked(t, (2, 3, 4)), cfg)
+    x, lead = _stacked(_checked(t, (2, 3, 4)))
+    return _unstacked(_range_projection(x, cfg), lead)
 
 
 def equality_residual(a, b):
@@ -448,18 +470,33 @@ def equality_residual(a, b):
     a, b = _checked(a, (2, 3, 4)), _checked(b, (2, 3, 4))
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return _residual(a, b)
+    x, lead, y = _stacked(a, b)
+    return _unstacked(_residual(x, y), lead)
 
 
-def _residual(a: np.ndarray, b: np.ndarray):
-    """``equality_residual`` of checked arrays, or of the direct sums of two
-    stacks of the same shape, or of each pair of operators of two stacks of
-    operators (one residual each)."""
-    if a.ndim == 4:
-        # One fro_norm pass over the three stacks, one norm per operator.
-        norms = fro_norm(np.concatenate([a - b, a, b])).reshape(3, -1)
-        return norms[0] / _floor_one(norms[1], norms[2])
-    return fro_norm(a - b) / _floor_one(fro_norm(a), fro_norm(b))
+# Runs of up to this many entries share one pass over a copy of their rows.
+_JOINT_ENTRIES = 2**14
+
+
+def _residual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``equality_residual`` of each pair of operators of two stacks of
+    operators of one shape, every norm taken on its operand's own layout."""
+    return _residuals((a, b))[0]
+
+
+def _residuals(*pairs: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
+    """``_residual`` of each pair; the pairs of each run of one shape share
+    one pass over their norms while the run holds few entries."""
+    out = []
+    for _, run in groupby(pairs, lambda pair: pair[0].shape):
+        run = list(run)
+        if 3 * len(run) * run[0][0].size > _JOINT_ENTRIES:
+            norms = np.array([[_norms(x) for x in (a - b, a, b)] for a, b in run])
+        else:
+            rows = [_rows(x)[None] for a, b in run for x in (a - b, a, b)]
+            norms = _norms(np.concatenate(rows)).reshape(len(run), 3, *run[0][0].shape[:-3])
+        out += list(norms[:, 0] / _floor_one(norms[:, 1], norms[:, 2]))
+    return out
 
 
 def approx_equal(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:

@@ -10,15 +10,15 @@ identities ``|T*| = U |T| U*`` and ``U |T| = |T*| U``, and reports per-identity
 residuals.
 
 All operations accept rectangular input except where noted; all are pure.
-``abs_value``, ``polar_decompose``, ``verify_polar`` and ``moore_penrose``
-follow the stack rule of the README: a 2-D array is a matrix, a 3-D
-``(blocks, m, n)`` stack stands for the direct sum of its blocks, and a 4-D
-``(operators, blocks, m, n)`` stack holds independent operators, each such
-a direct sum, with one rank cutoff, norm and residual per operator, each
-bitwise what that operator gets alone. Input is validated once, on entry.
-``polar_decompose``, ``moore_penrose`` and ``mp_polar_parts`` take the SVD
-of ``t`` that a caller already holds (``decomp``), so that one
-factorization serves several of them.
+Every function but ``penrose_check`` follows the stack rule of the README
+(a 3-D ``(blocks, m, n)`` stack is the direct sum of its blocks, a 4-D
+``(operators, blocks, m, n)`` stack holds independent operators): input is
+validated once and taken into a stack of operators (``core._stacked``), so
+each operator runs the one stacked path and gets bitwise what it gets
+alone, with its own rank cutoff, norms and residuals. ``polar_decompose``,
+``moore_penrose`` and ``mp_polar_parts`` take the SVD of ``t`` that a
+caller already holds (``decomp``), so that one factorization serves
+several of them.
 """
 
 from __future__ import annotations
@@ -33,18 +33,19 @@ from .core import (
     ToleranceConfig,
     _adjoint,
     _checked,
-    _eigvalsh,
     _floor_one,
     _isometry,
+    _lapack,
     _leading_product,
     _modulus,
+    _norms,
     _range_projection,
     _rank,
-    _residual,
+    _residuals,
+    _stacked,
     _svd,
+    _unstacked,
     as_operator,
-    fro_norm,
-    numerical_rank,
 )
 
 __all__ = [
@@ -106,7 +107,8 @@ class PenroseCheck:
 
 def abs_value(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """Hermitian PSD square root of ``t* t``, computed from the SVD of ``t``."""
-    return _modulus(_svd(_checked(t, (2, 3, 4))))
+    x, lead = _stacked(_checked(t, (2, 3, 4)))
+    return _unstacked(_modulus(_svd(x)), lead)
 
 
 def polar_decompose(
@@ -122,18 +124,25 @@ def polar_decompose(
     gets one rank per matrix, all with the cutoff of the direct sum, or of
     their operator in a stack of operators.
     """
-    t = _checked(t, (2, 3, 4))
+    x, lead, decomp = _stacked(_checked(t, (2, 3, 4)), decomp)
     if decomp is None:
-        decomp = _svd(t)
+        decomp = _svd(x)
     s = decomp.singular_values
     r = _rank(s, cfg)
-    return PolarParts(_isometry(decomp, r), _modulus(decomp), r, s)
+    return _unstacked(PolarParts(_isometry(decomp, r), _modulus(decomp), r, s), lead)
 
 
 def polar_tolerance(name: str, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
     """Tolerance for the ``verify_polar`` residual called ``name``:
     ``zero_rel_tol`` for ``modulus_psd``, ``equality_rel_tol`` otherwise."""
     return cfg.zero_rel_tol if name == "modulus_psd" else cfg.equality_rel_tol
+
+
+# The residuals of ``verify_polar``, in the order of its report.
+_POLAR_RESIDUALS = (
+    "reconstruction", "modulus_hermitian", "modulus_psd", "partial_isometry",
+    "range_condition", "adjoint_modulus", "intertwine",
+)
 
 
 def verify_polar(
@@ -162,43 +171,38 @@ def verify_polar(
     factored here.
     """
     t = _checked(t, (2, 3, 4))
-    u = _checked(parts.isometry, (t.ndim,))
-    p = _checked(parts.modulus, (t.ndim,))
+    x, lead, adjoint_parts = _stacked(t, adjoint_parts)
+    u, p = (_checked(a, (4 - lead,)) for a in (parts.isometry, parts.modulus))
     if u.shape != t.shape:
         raise ValueError(f"isometry shape {u.shape} does not match operator {t.shape}")
     if p.shape != (*t.shape[:-2], t.shape[-1], t.shape[-1]):
         raise ValueError(f"modulus shape {p.shape} does not match operator {t.shape}")
-    herm = 0.5 * (p + _adjoint(p))
-    eigenvalues = _eigvalsh(herm)
-    if p.ndim == 4:
-        lowest = np.maximum(-eigenvalues[..., 0].min(axis=-1), 0.0)
-        psd_scale = _floor_one(eigenvalues[..., -1].max(axis=-1))
-    else:
-        lowest = max(0.0, -float(eigenvalues[..., 0].min()))
-        psd_scale = max(1.0, float(eigenvalues[..., -1].max()))
-    if adjoint_parts is None:
-        adjoint_modulus = _modulus(_svd(_adjoint(t)))
-    else:
-        adjoint_modulus = adjoint_parts.modulus
+    (u, _), (p, _) = _stacked(u), _stacked(p)
+    (eigenvalues,) = _lapack("eigvalsh", 0.5 * (p + _adjoint(p)))
+    lowest = eigenvalues[..., 0].min(axis=-1)
+    # max(0, -lowest), with +0.0 for a lowest eigenvalue of zero.
+    psd = np.where(lowest < 0.0, -lowest, 0.0) / _floor_one(eigenvalues[..., -1].max(-1))
+    adjoint_modulus = (
+        _modulus(_svd(_adjoint(x))) if adjoint_parts is None else adjoint_parts.modulus
+    )
     up = u @ p
-
-    residuals = {
-        "reconstruction": _residual(t, up),
-        "modulus_hermitian": fro_norm(p - _adjoint(p)) / _floor_one(fro_norm(p)),
-        "modulus_psd": lowest / psd_scale,
-        "partial_isometry": _residual(u @ _adjoint(u) @ u, u),
-        "range_condition": _residual(_adjoint(u) @ u, _range_projection(p, cfg)),
-        "adjoint_modulus": _residual(up @ _adjoint(u), adjoint_modulus),
-        "intertwine": _residual(up, adjoint_modulus @ u),
-    }
+    # |P - P*| / max(1, |P|): the norm of P* is bitwise that of P.
+    values = _residuals(
+        (x, up),
+        (p, _adjoint(p)),
+        (u @ _adjoint(u) @ u, u),
+        (_adjoint(u) @ u, _range_projection(p, cfg)),
+        (up @ _adjoint(u), adjoint_modulus),
+        (up, adjoint_modulus @ u),
+    )
+    residuals = dict(zip(_POLAR_RESIDUALS, [*values[:2], psd, *values[2:]]))
     verdicts = [value <= polar_tolerance(name, cfg) for name, value in residuals.items()]
-    if p.ndim < 4:
-        return PolarCheck(ok=all(verdicts), residuals=residuals)
     columns = zip(*(value.tolist() for value in residuals.values()))
-    return [
+    checks = [
         PolarCheck(ok=ok, residuals=dict(zip(residuals, values)))
         for ok, values in zip(np.logical_and.reduce(verdicts).tolist(), columns)
     ]
+    return _unstacked(checks, lead)
 
 
 def moore_penrose(
@@ -211,32 +215,31 @@ def moore_penrose(
     ``core._leading_product``, so each operator of a stack gets bitwise the
     inverse it gets alone; rank 0 gives the zero matrix. ``decomp`` is the
     SVD of ``t``, when the caller holds it."""
-    t = _checked(t, (2, 3, 4))
+    t, lead, decomp = _stacked(_checked(t, (2, 3, 4)), decomp)
     if decomp is None:
         decomp = _svd(t)
     s = decomp.singular_values
     r = _rank(s, cfg)
-    keep = np.arange(s.shape[-1]) < np.expand_dims(r, -1)
+    keep = np.arange(s.shape[-1]) < r[..., None]
     x = decomp.right_vectors
     scaled = np.divide(x, s[..., None, :], out=np.zeros_like(x), where=keep[..., None, :])
-    return _leading_product(scaled, decomp.left_vectors, r)
+    return _unstacked(_leading_product(scaled, decomp.left_vectors, r), lead)
 
 
 def penrose_check(
     t, x, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> PenroseCheck:
-    """Evaluate the four Moore-Penrose equations for a candidate inverse ``x``."""
+    """Evaluate the four Moore-Penrose equations for a candidate inverse ``x``
+    of a matrix ``t``."""
     t = as_operator(t)
     x = as_operator(x)
     if x.shape != (t.shape[1], t.shape[0]):
         raise ValueError(f"candidate shape {x.shape} does not match operator {t.shape}")
-    tx = t @ x
-    xt = x @ t
-    residuals = (
-        fro_norm(t @ x @ t - t) / max(1.0, fro_norm(t)),
-        fro_norm(x @ t @ x - x) / max(1.0, fro_norm(x)),
-        fro_norm(tx.conj().T - tx) / max(1.0, fro_norm(tx)),
-        fro_norm(xt.conj().T - xt) / max(1.0, fro_norm(xt)),
+    t, lead, x = _stacked(t, x)
+    tx, xt = t @ x, x @ t
+    pairs = ((t @ x @ t, t), (x @ t @ x, x), (_adjoint(tx), tx), (_adjoint(xt), xt))
+    residuals = tuple(
+        _unstacked(_norms(a - b) / _floor_one(_norms(b)), lead) for a, b in pairs
     )
     ok = all(value <= cfg.equality_rel_tol for value in residuals)
     return PenroseCheck(residuals=residuals, ok=ok)
@@ -249,22 +252,21 @@ def mp_polar_parts(
     decomp: SvdResult | None = None,
     inverse_decomp: SvdResult | None = None,
 ) -> PolarParts:
-    """Polar decomposition of the Moore-Penrose inverse of a square ``t``.
+    """Polar decomposition of the Moore-Penrose inverse of a square ``t``,
+    or of each operator of a stack.
 
     If ``t = U |t|`` then the inverse decomposes as ``U* |pinv(t)|``; the
     returned parts pass ``verify_polar`` against ``moore_penrose(t)``.
     ``decomp`` is the SVD of ``t`` and ``inverse_decomp`` that of
     ``moore_penrose(t)``, when the caller holds them.
     """
-    t = _checked(t, square=True)
+    t = _checked(t, (2, 3, 4), square=True)
+    x, lead, decomp, inverse_decomp = _stacked(t, decomp, inverse_decomp)
     if decomp is None:
-        decomp = _svd(t)
+        decomp = _svd(x)
     if inverse_decomp is None:
-        inverse_decomp = _svd(moore_penrose(t, cfg, decomp=decomp))
-    r = numerical_rank(decomp.singular_values, cfg)
-    return PolarParts(
-        isometry=_isometry(decomp, r).conj().T,
-        modulus=_modulus(inverse_decomp),
-        rank=r,
-        singular_values=inverse_decomp.singular_values,
-    )
+        inverse_decomp = _svd(moore_penrose(x, cfg, decomp=decomp))
+    r = _rank(decomp.singular_values, cfg)
+    inverse_s = inverse_decomp.singular_values
+    parts = PolarParts(_adjoint(_isometry(decomp, r)), _modulus(inverse_decomp), r, inverse_s)
+    return _unstacked(parts, lead)

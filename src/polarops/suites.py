@@ -50,6 +50,7 @@ from .decomp import (
     PolarParts,
     abs_value,
     moore_penrose,
+    mp_polar_parts,
     polar_decompose,
     verify_polar,
 )
@@ -342,7 +343,7 @@ def suite_mp_inverse(
     def evaluate(t: np.ndarray) -> list[tuple[bool, list[float]]]:
         # One stacked SVD of T and T* (pinv, U, |T|, |T*|), one of pinv,
         # pinv*, |T| and |T*| (pinv's polar parts, |pinv*| and the inverses
-        # of the moduli); the inverse polar factor is U*.
+        # of the moduli); mp_polar_parts takes pinv's polar factor as U*.
         count = len(t)
         first = np.concatenate([t, _adjoint(t)])
         decomp = svd(first)
@@ -360,7 +361,7 @@ def suite_mp_inverse(
         ).tolist()
         inverse_polar = verify_polar(
             pinv,
-            PolarParts(_adjoint(parts.isometry), inverse_parts.modulus, parts.rank),
+            mp_polar_parts(t, cfg, decomp=decomp[:count], inverse_decomp=inverse[:count]),
             cfg,
             adjoint_parts=inverse_adjoint_parts,
         )

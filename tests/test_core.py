@@ -102,6 +102,35 @@ def test_fro_norm_is_bitwise_numpy_norm(a):
     assert np.float64(fro_norm(a)).tobytes() == np.float64(expected).tobytes()
 
 
+def _strided_stacks() -> list:
+    """Stacks of operators whose operators are not C-ordered complex
+    arrays: strided (their rows of entries are no contiguous view),
+    transposed, conjugate-transposed, and real."""
+    rng = rng_for(11)
+    x = rng.standard_normal((40, 3, 7, 7)) + 1j * rng.standard_normal((40, 3, 7, 7))
+    column = random_complex(rng, 6, 6)[:, :1]
+    return [
+        np.ones((3, 4, 2, 2), dtype=complex)[..., ::2],
+        column[None, None],
+        x[:, :, ::2, 1::3],
+        x.swapaxes(-1, -2),
+        x.conj().swapaxes(-1, -2),
+        x[:, :1].swapaxes(-1, -2),
+        x.transpose(0, 3, 1, 2),
+        x.real.copy(),
+    ]
+
+
+@pytest.mark.parametrize("stack", _strided_stacks())
+def test_fro_norm_of_a_stack_is_bitwise_each_operators_norm(stack):
+    norms = fro_norm(stack)
+    assert norms.shape == (len(stack),)
+    for norm, operator in zip(norms, stack):
+        expected = np.float64(np.linalg.norm(operator)).tobytes()
+        assert norm.tobytes() == expected
+        assert np.float64(fro_norm(operator)).tobytes() == expected
+
+
 class TestCommutator:
     def test_identity_commutes_with_anything(self):
         b = random_complex(rng_for(0), 4, 4)

@@ -8,7 +8,9 @@ inside the definition itself (recursion) and in tests do not count.
 
 The modules above ``core`` talk to each other through their public
 functions, which validate their input and take stacks; ``core``'s private
-kernels are the one shared layer below them.
+kernels are the one shared layer below them. Only ``core``'s entry and exit
+helpers look at how many axes an array has, and no code branches on
+whether a value is an array or a Python scalar.
 """
 
 from __future__ import annotations
@@ -87,3 +89,49 @@ def test_no_module_imports_another_modules_private_names_but_cores():
         if module not in ("core", path.stem)
     ]
     assert not crossing, crossing
+
+
+# The entry and exit helpers of the one stacked path, and the input check
+# under them: the only functions that look at how many axes an array has.
+_RANK_READERS = {("core", "_checked"), ("core", "_stacked"), ("core", "_unstacked")}
+
+
+def _functions(tree: ast.Module):
+    """(name, node) of each module-level function of ``tree``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+
+
+def test_only_the_entry_and_exit_helpers_read_ndim():
+    reads = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {
+            id(child)
+            for name, node in _functions(tree)
+            if (path.stem, name) in _RANK_READERS
+            for child in ast.walk(node)
+        }
+        reads += [
+            f"{path.stem}:{child.lineno}"
+            for child in ast.walk(tree)
+            if isinstance(child, (ast.Attribute, ast.Name))
+            and "ndim" in (getattr(child, "attr", None), getattr(child, "id", None))
+            and id(child) not in inside
+        ]
+    assert not reads, f"ndim read outside the entry and exit helpers: {reads}"
+
+
+def test_no_scalar_or_array_branch_on_ndarray():
+    # A kernel takes stacks only; a Python scalar never reaches it.
+    branches = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and "ndarray" in {a.attr for a in ast.walk(node) if isinstance(a, ast.Attribute)}
+    ]
+    assert not branches, f"isinstance(..., np.ndarray) branches: {branches}"
