@@ -28,11 +28,22 @@ Sharing rule: one function, ``_oracle_residuals``, factors the powers
 ``binormal_equivalents`` all reach it. Everything else in one evaluation is
 factored once: ``centered_order`` and ``mp_centered_check`` take the polar
 parts or SVDs a caller already holds. The rule holds on every
-centered-order route, a matrix, a stack of operators or, with ``labels``,
-the 3x3 blocks of a shift (:func:`polarops.shifts.certify_blockwise`): one
-forward walk of the powers in stacked groups (``centered_order``), each
-report bitwise that of its operator alone. ``mp_centered_check`` inverts
-the powers ``T^k``, k >= 2, of all operators of a stack in one stacked SVD.
+centered-order route: ``centered_order`` takes a matrix, a stack of
+operators (one report per operator), or, with ``labels`` of its equal
+blocks, the stack of 3x3 blocks of an operator on its first block
+subdiagonal (for :func:`polarops.shifts.certify_blockwise`; each power is
+formed, factored and checked once per distinct window of consecutive
+blocks, ``_Windows``), and walks the powers once, forward, for all
+operators, in groups of consecutive powers that fit a fixed number of
+entries per operator at their block positions (``_power_groups``). Each
+group is one stacked commutator expression, with one threshold per
+(operator, power), and one stacked SVD per number of powers that the
+operators' oracles check, each with its own rank cutoffs, so a shift's
+block stacks and a group of small matrices take a few LAPACK calls for all
+their powers, while a matrix above 64x64 still walks one power at a time.
+Each report is bitwise the report of its operator alone, whatever the
+grouping or the windows. ``mp_centered_check`` inverts the powers ``T^k``,
+k >= 2, of all operators of a stack in one stacked SVD.
 """
 
 from __future__ import annotations
@@ -753,7 +764,8 @@ def is_n_centered_definitional(
 def _product_parts(t, s, cfg: ToleranceConfig):
     """For two square matrices, or stacks of operators of one matrix each:
     the ``lead`` of ``core._stacked``, the polar parts of ``T``, ``S`` and
-    ``S*`` (one SVD), and the stack of ``T S`` and ``|T| |S*|`` with its."""
+    ``S*`` (one SVD), and the stack of ``T S`` and ``|T| |S*|`` with its
+    polar parts (one SVD), joined and as the pair of each half."""
     t, lead, s = _same_square(t, s, (2, 4))
     if t.shape[1] != 1:
         raise ValueError(f"expected operators of one matrix each, got {t.shape}")
@@ -761,7 +773,9 @@ def _product_parts(t, s, cfg: ToleranceConfig):
     factors = polar_decompose(np.concatenate([t, s, _adjoint(s)]), cfg)
     t_parts, s_parts, s_adj_parts = (factors[i : i + count] for i in (0, count, 2 * count))
     targets = np.concatenate([t @ s, t_parts.modulus @ s_adj_parts.modulus])
-    return lead, t_parts, s_parts, s_adj_parts, targets, polar_decompose(targets, cfg)
+    target_parts = polar_decompose(targets, cfg)
+    halves = [(targets[i : i + count], target_parts[i : i + count]) for i in (0, count)]
+    return lead, t_parts, s_parts, s_adj_parts, (targets, target_parts), *halves
 
 
 def product_polar(t, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
@@ -774,10 +788,9 @@ def product_polar(t, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     one report per pair. ``T``, ``S`` and ``S*`` share one stacked SVD, and
     so do ``T S`` and ``|T| |S*|``.
     """
-    lead, t_parts, s_parts, s_adj_parts, targets, target_parts = _product_parts(t, s, cfg)
-    count = len(targets) // 2
-    product, product_parts = targets[:count], target_parts[:count]
-    moduli_parts = target_parts[count:]
+    lead, t_parts, s_parts, s_adj_parts, _, (product, product_parts), (_, moduli_parts) = (
+        _product_parts(t, s, cfg)
+    )
     mod_t, mod_s_adj = t_parts.modulus, s_adj_parts.modulus
     candidate = t_parts.isometry @ s_parts.isometry
 
@@ -816,9 +829,9 @@ def polar_transfer(t, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     and ``S*`` share one stacked SVD, ``T S`` and ``|T| |S*|`` another, and
     both directions one polar check.
     """
-    lead, t_parts, s_parts, _, targets, target_parts = _product_parts(t, s, cfg)
-    count = len(targets) // 2
-    product_parts, moduli_parts = target_parts[:count], target_parts[count:]
+    lead, t_parts, s_parts, _, (targets, parts), (_, product_parts), (_, moduli_parts) = (
+        _product_parts(t, s, cfg)
+    )
     u, v = t_parts.isometry, s_parts.isometry
     candidates = np.concatenate(
         [
@@ -826,12 +839,10 @@ def polar_transfer(t, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
             _adjoint(u) @ product_parts.isometry @ _adjoint(v),
         ]
     )
-    checks = verify_polar(
-        targets, PolarParts(candidates, target_parts.modulus, target_parts.rank), cfg
-    )
+    checks = verify_polar(targets, PolarParts(candidates, parts.modulus, parts.rank), cfg)
     reports = [
         TransferReport(product_check=first, moduli_check=second, ok=first.ok and second.ok)
-        for first, second in zip(checks[:count], checks[count:])
+        for first, second in zip(checks[: len(u)], checks[len(u) :])
     ]
     return _unstacked(reports, lead)
 
@@ -850,7 +861,12 @@ def aluthge(
     u = parts.isometry
     p_alpha = power(alpha)
     p_beta = p_alpha if beta == alpha else power(beta)
-    parts = AluthgeParts(float(alpha), float(beta), p_alpha @ u @ p_beta, _adjoint(u) @ u @ u)
+    parts = AluthgeParts(
+        alpha=float(alpha),
+        beta=float(beta),
+        transform=p_alpha @ u @ p_beta,
+        tilde_u=_adjoint(u) @ u @ u,
+    )
     return _unstacked(parts, lead)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import accumulate, groupby, pairwise
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -108,13 +108,15 @@ def _stacked(arr: np.ndarray, *held):
     if arr.ndim > 4:
         arr = arr.ravel(order="K")
     lift = (None,) * (4 - arr.ndim)
+    return arr[lift], len(lift), *[_lifted(value, lift) for value in held]
 
-    def lifted(value):
-        if hasattr(value, "__dataclass_fields__"):
-            return type(value)(*map(lifted, vars(value).values()))
-        return value[lift] if hasattr(value, "ndim") else value
 
-    return arr[lift], len(lift), *map(lifted, held)
+def _lifted(value, lift: tuple):
+    """``value[lift]`` of an array, a dataclass field by field, anything
+    else (None) as it is."""
+    if hasattr(value, "__dataclass_fields__"):
+        return type(value)(*(_lifted(x, lift) for x in vars(value).values()))
+    return value[lift] if hasattr(value, "ndim") else value
 
 
 def _unstacked(value, lead: int):
@@ -137,42 +139,46 @@ def fro_norm(a):
     """Frobenius norm; for an ``(..., m, n)`` stack of three axes, that of
     its direct sum; for a stack of four, ``(operators, blocks, m, n)``, an
     array of the norms of its operators. Each norm is bitwise
-    ``numpy.linalg.norm`` of its operator alone, whatever its layout."""
+    ``numpy.linalg.norm`` of its operator alone, whatever its layout, in
+    its precision (integer and boolean input as float64)."""
     x, lead = _entries(a)
     return _unstacked(_norms(x), lead)
 
 
 def _entries(a) -> tuple[np.ndarray, int]:
-    """``_stacked`` of unchecked input, as complex128 or float64."""
+    """``_stacked`` of unchecked input, integer and boolean input as float64."""
     arr = np.asarray(a)
-    return _stacked(arr.astype(complex if arr.dtype.kind == "c" else float, copy=False))
+    return _stacked(arr if arr.dtype.kind in "fc" else arr.astype(float))
 
 
 def _rows(x: np.ndarray) -> np.ndarray:
     """Each operator's entries in memory order, as ``ravel(order="K")``
-    takes them (axes by stride, each in index order), as ``(..., 1, 1, k)``."""
+    takes them (axes by stride, each in index order), as ``(..., 1, k)``."""
     if not x.flags.c_contiguous:
         # A stable sort of the three axes by decreasing stride.
         for i, j in ((-3, -2), (-2, -1), (-3, -2)):
             if abs(x.strides[i]) < abs(x.strides[j]):
                 x = x.swapaxes(i, j)
         x = np.ascontiguousarray(x)
-    return x.reshape(x.shape[:-3] + (1, 1, -1))
+    return x.reshape(x.shape[:-3] + (1, -1))
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
     """The norm of each operator of a stack, by ``numpy.linalg.norm``'s
     steps: the dots of the real and imaginary parts of its ``_rows``, each a
     ``(1, k) @ (k, 1)`` matmul (bitwise that dot), and the root of the sum."""
-    rows = _rows(x)[..., 0, :, :]
+    rows = _rows(x)
     re, im = rows.real, rows.imag
     return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
 
 
 def _span_norms(rows: np.ndarray, sizes: list[int]) -> np.ndarray:
     """``fro_norm`` of consecutive spans of ``sizes`` entries of each row
-    of a 2-D complex128 array, as ``(rows, spans)``: bitwise each span's
-    own norm, from views of the row, without a call per span."""
+    of a 2-D complex128 array, as an array ``(rows, spans)``. Each span takes
+    the steps of ``fro_norm`` on views of the row's real and imaginary parts,
+    which hold its entries in the order and with the strides of the span's
+    own, so each norm is bitwise that of the span alone, without a call of
+    ``fro_norm`` per span."""
     bounds = list(pairwise(accumulate(sizes, initial=0)))
     return np.array(
         [
@@ -183,6 +189,9 @@ def _span_norms(rows: np.ndarray, sizes: list[int]) -> np.ndarray:
 
 
 def _dot_norm(re: np.ndarray, im: np.ndarray) -> float:
+    """The square root of the sum of the dot products of ``re`` and ``im``
+    with themselves: the last steps of ``numpy.linalg.norm``, as ``_norms``
+    takes them for a whole operator."""
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
@@ -266,9 +275,10 @@ def _lapack(name: str, a: np.ndarray, **kwargs) -> list[np.ndarray]:
     """``numpy.linalg.<name>``, looked up at call time, of each matrix of
     the stack ``a``, passed as one 3-D stack whatever its leading axes; the
     results shaped back as ``a``."""
-    out = getattr(np.linalg, name)(a.reshape(-1, *a.shape[-2:]), **kwargs)
+    lead = a.shape[:-2]
+    out = getattr(np.linalg, name)(a.reshape((-1,) + a.shape[-2:]), **kwargs)
     parts = out if isinstance(out, tuple) else (out,)
-    return [x.reshape(*a.shape[:-2], *x.shape[1:]) for x in parts]
+    return [x.reshape(lead + x.shape[1:]) for x in parts]
 
 
 def _svd(a: np.ndarray) -> SvdResult:
@@ -474,29 +484,10 @@ def equality_residual(a, b):
     return _unstacked(_residual(x, y), lead)
 
 
-# Runs of up to this many entries share one pass over a copy of their rows.
-_JOINT_ENTRIES = 2**14
-
-
 def _residual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``equality_residual`` of each pair of operators of two stacks of
-    operators of one shape, every norm taken on its operand's own layout."""
-    return _residuals((a, b))[0]
-
-
-def _residuals(*pairs: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
-    """``_residual`` of each pair; the pairs of each run of one shape share
-    one pass over their norms while the run holds few entries."""
-    out = []
-    for _, run in groupby(pairs, lambda pair: pair[0].shape):
-        run = list(run)
-        if 3 * len(run) * run[0][0].size > _JOINT_ENTRIES:
-            norms = np.array([[_norms(x) for x in (a - b, a, b)] for a, b in run])
-        else:
-            rows = [_rows(x)[None] for a, b in run for x in (a - b, a, b)]
-            norms = _norms(np.concatenate(rows)).reshape(len(run), 3, *run[0][0].shape[:-3])
-        out += list(norms[:, 0] / _floor_one(norms[:, 1], norms[:, 2]))
-    return out
+    operators of one shape."""
+    return _norms(a - b) / _floor_one(_norms(a), _norms(b))
 
 
 def approx_equal(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:

@@ -41,7 +41,7 @@ from .core import (
     _norms,
     _range_projection,
     _rank,
-    _residuals,
+    _residual,
     _stacked,
     _svd,
     _unstacked,
@@ -138,13 +138,6 @@ def polar_tolerance(name: str, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> flo
     return cfg.zero_rel_tol if name == "modulus_psd" else cfg.equality_rel_tol
 
 
-# The residuals of ``verify_polar``, in the order of its report.
-_POLAR_RESIDUALS = (
-    "reconstruction", "modulus_hermitian", "modulus_psd", "partial_isometry",
-    "range_condition", "adjoint_modulus", "intertwine",
-)
-
-
 def verify_polar(
     t,
     parts: PolarParts,
@@ -186,21 +179,22 @@ def verify_polar(
         _modulus(_svd(_adjoint(x))) if adjoint_parts is None else adjoint_parts.modulus
     )
     up = u @ p
-    # |P - P*| / max(1, |P|): the norm of P* is bitwise that of P.
-    values = _residuals(
-        (x, up),
-        (p, _adjoint(p)),
-        (u @ _adjoint(u) @ u, u),
-        (_adjoint(u) @ u, _range_projection(p, cfg)),
-        (up @ _adjoint(u), adjoint_modulus),
-        (up, adjoint_modulus @ u),
-    )
-    residuals = dict(zip(_POLAR_RESIDUALS, [*values[:2], psd, *values[2:]]))
-    verdicts = [value <= polar_tolerance(name, cfg) for name, value in residuals.items()]
-    columns = zip(*(value.tolist() for value in residuals.values()))
+    residuals = {
+        "reconstruction": _residual(x, up),
+        "modulus_hermitian": _norms(p - _adjoint(p)) / _floor_one(_norms(p)),
+        "modulus_psd": psd,
+        "partial_isometry": _residual(u @ _adjoint(u) @ u, u),
+        "range_condition": _residual(_adjoint(u) @ u, _range_projection(p, cfg)),
+        "adjoint_modulus": _residual(up @ _adjoint(u), adjoint_modulus),
+        "intertwine": _residual(up, adjoint_modulus @ u),
+    }
+    tolerances = [polar_tolerance(name, cfg) for name in residuals]
     checks = [
-        PolarCheck(ok=ok, residuals=dict(zip(residuals, values)))
-        for ok, values in zip(np.logical_and.reduce(verdicts).tolist(), columns)
+        PolarCheck(
+            ok=all(value <= tol for value, tol in zip(values, tolerances)),
+            residuals=dict(zip(residuals, values)),
+        )
+        for values in zip(*(value.tolist() for value in residuals.values()))
     ]
     return _unstacked(checks, lead)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _norms, _qr, _svd
+from .core import _qr, _svd, commutator_norm, fro_norm
 from .shifts import ShiftSpec, build_truncated
 
 __all__ = [
@@ -117,13 +117,6 @@ def random_commuting_psd_pair(
     return build(), build()
 
 
-def _far_from_commuting(a: np.ndarray, b: np.ndarray, min_scaled: float) -> bool:
-    """Whether ``|[a, b]|_F > min_scaled * |a|_F * |b|_F``, for C-ordered
-    square matrices of one shape: the three norms in one pass."""
-    commutator, a_norm, b_norm = _norms(np.stack([a @ b - b @ a, a, b])[:, None])
-    return bool(commutator > min_scaled * a_norm * b_norm)
-
-
 def random_psd_pair(
     rng: np.random.Generator, dim: int, min_scaled_commutator: float = 1e-3
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +124,7 @@ def random_psd_pair(
     for _ in range(64):
         a = random_psd(rng, dim)
         b = random_psd(rng, dim)
-        if _far_from_commuting(a, b, min_scaled_commutator):
+        if commutator_norm(a, b) > min_scaled_commutator * fro_norm(a) * fro_norm(b):
             return a, b
     raise RuntimeError("could not draw a non-commuting PSD pair")
 
@@ -189,7 +182,9 @@ def random_nonbinormal(
         t = random_operator(rng, dim)
         left = t.conj().T @ t
         right = t @ t.conj().T
-        if _far_from_commuting(left, right, min_scaled_commutator):
+        if commutator_norm(left, right) > min_scaled_commutator * fro_norm(
+            left
+        ) * fro_norm(right):
             return t
     raise RuntimeError("could not draw a non-binormal operator")
 

@@ -92,6 +92,8 @@ def _fro_norm_cases() -> list:
         1e-200 * square,
         rng.standard_normal((6, 5)),
         np.arange(-6, 6).reshape(3, 4),
+        square.astype(np.complex64).T,
+        stack.real.astype(np.float32),
     ]
 
 
@@ -103,9 +105,9 @@ def test_fro_norm_is_bitwise_numpy_norm(a):
 
 
 def _strided_stacks() -> list:
-    """Stacks of operators whose operators are not C-ordered complex
+    """Stacks of operators whose operators are not C-ordered complex128
     arrays: strided (their rows of entries are no contiguous view),
-    transposed, conjugate-transposed, and real."""
+    transposed, conjugate-transposed, real, and of single precision."""
     rng = rng_for(11)
     x = rng.standard_normal((40, 3, 7, 7)) + 1j * rng.standard_normal((40, 3, 7, 7))
     column = random_complex(rng, 6, 6)[:, :1]
@@ -118,6 +120,8 @@ def _strided_stacks() -> list:
         x[:, :1].swapaxes(-1, -2),
         x.transpose(0, 3, 1, 2),
         x.real.copy(),
+        x.astype(np.complex64).swapaxes(-1, -2),
+        x.real.astype(np.float32),
     ]
 
 
@@ -127,7 +131,7 @@ def test_fro_norm_of_a_stack_is_bitwise_each_operators_norm(stack):
     assert norms.shape == (len(stack),)
     for norm, operator in zip(norms, stack):
         expected = np.float64(np.linalg.norm(operator)).tobytes()
-        assert norm.tobytes() == expected
+        assert np.float64(norm).tobytes() == expected
         assert np.float64(fro_norm(operator)).tobytes() == expected
 
 
