@@ -42,8 +42,12 @@ operators' oracles check, each with its own rank cutoffs, so a shift's
 block stacks and a group of small matrices take a few LAPACK calls for all
 their powers, while a matrix above 64x64 still walks one power at a time.
 Each report is bitwise the report of its operator alone, whatever the
-grouping or the windows. ``mp_centered_check`` inverts the powers ``T^k``,
-k >= 2, of all operators of a stack in one stacked SVD.
+grouping or the windows. ``mp_centered_check`` finds the orders of ``T``
+and of its inverse from the criterion alone, without the oracle, in one
+walk of the powers of both polar factors for all operators of a stack (one
+stacked commutator expression), takes the ``U^k`` of its modulus
+commutators from that walk, and inverts the powers ``T^k``, k >= 2, in one
+stacked SVD.
 """
 
 from __future__ import annotations
@@ -243,9 +247,10 @@ class BinormalEquivalents:
 class MpCenteredReport:
     """Centered-order interplay with the Moore-Penrose inverse.
 
-    ``power_inverse_residuals[k-1]`` is the scaled defect of
-    ``pinv(T^k) = pinv(T)^k``. ``inverse_verified_order`` comes from running
-    the commutator criterion on the inverse and must reach ``order``.
+    ``order`` is the operator's criterion order, capped at the ``max_n`` of
+    the check. ``power_inverse_residuals[k-1]`` is the scaled defect of
+    ``pinv(T^k) = pinv(T)^k``. ``inverse_verified_order`` is the inverse's
+    criterion order, also up to ``max_n``, and must reach ``order``.
     The modulus commutator lists are populated only when the operator is
     (order+1)-centered, in which case both must vanish for k = 1..order.
     """
@@ -967,7 +972,7 @@ def binormal_equivalents(
 
 def mp_centered_check(
     t,
-    n,
+    max_n: int,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     *,
     decomp: SvdResult | None = None,
@@ -976,27 +981,29 @@ def mp_centered_check(
 ):
     """Verify that the Moore-Penrose inverse respects the centered structure.
 
-    Requires ``t`` to be n-centered at tolerance (raises otherwise). Checks
-    ``pinv(T^k) = pinv(T)^k`` for k = 1..n and that the inverse reaches
-    centered order n by the commutator criterion. When the operator is even
-    (n+1)-centered, additionally checks that ``U^k (U^k)*`` commutes with
-    ``|T|`` and ``(U^k)* U^k`` with ``|T*|`` for k = 1..n.
+    The order ``n`` is the criterion order of ``t`` capped at ``max_n``,
+    from the commutators k = 1..max_n, which also tell whether ``t`` is
+    (n+1)-centered. Checks ``pinv(T^k) = pinv(T)^k`` for k = 1..n and that
+    the inverse reaches centered order n by the commutator criterion;
+    ``inverse_verified_order`` is the inverse's criterion order up to
+    ``max_n``. When the operator is even (n+1)-centered, additionally checks
+    that ``U^k (U^k)*`` commutes with ``|T|`` and ``(U^k)* U^k`` with
+    ``|T*|`` for k = 1..n.
 
-    For a stack of operators, ``n`` is one order or one order per operator,
-    and the result is a list of reports, each bitwise that of its operator
-    alone. A caller may pass what it holds: ``decomp``, the SVD of ``t``
-    (for ``U``, ``|T|`` and the inverse); ``adjoint_parts``, the polar parts
-    of ``t*``; and ``inverse_parts``, those of ``moore_penrose(t)``. The
-    orders of ``t`` and of its inverse come from the commutators of their
-    polar parts alone, and the inverses of the powers ``T^k``, k >= 2, of
-    every operator take one stacked SVD.
+    For a stack of operators, the result is a list of reports, each bitwise
+    that of its operator alone. A caller may pass what it holds: ``decomp``,
+    the SVD of ``t`` (for ``U``, ``|T|`` and the inverse); ``adjoint_parts``,
+    the polar parts of ``t*``; and ``inverse_parts``, those of
+    ``moore_penrose(t)``. The orders of ``t`` and of its inverse come from
+    one walk of the powers of their polar factors, whose commutators take
+    one stacked expression, and the inverses of the powers ``T^k``, k >= 2,
+    of every operator take one stacked SVD.
     """
     t, lead, decomp, adjoint_parts, inverse_parts = _stacked(
         _checked(t, (2, 4), square=True), decomp, adjoint_parts, inverse_parts
     )
-    orders = [int(k) for k in np.broadcast_to(n, len(t))]
-    if min(orders) < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
     if decomp is None:
         decomp = _svd(t)
     parts = polar_decompose(t, cfg, decomp=decomp)
@@ -1008,20 +1015,18 @@ def mp_centered_check(
     u, p, adjoint_modulus = parts.isometry, parts.modulus, adjoint_parts.modulus
     inverse_u, inverse_p = inverse_parts.isometry, inverse_parts.modulus
 
-    # The criterion's decisions for T and pinv, k = 1..n, in one stacked
-    # expression, each bitwise that of centered_order.
-    top = max(orders)
-    u_pows = list(islice(_powers(np.concatenate([u, inverse_u])), top))
+    # The criterion's decisions for T and pinv, k = 1..max_n, in one stacked
+    # expression, each bitwise that of centered_order: the leading run of
+    # vanishing commutators of each operator.
+    u_pows = list(islice(_powers(np.concatenate([u, inverse_u])), max_n))
     norms, thresholds = _commutators(u_pows, np.concatenate([p, inverse_p]), cfg)
-    decisions = (norms <= thresholds).tolist()
-    decisions, inverse_decisions = decisions[: len(t)], decisions[len(t) :]
-    verified = [1 + len(list(takewhile(bool, d[:k]))) for d, k in zip(decisions, orders)]
-    for order, k in zip(verified, orders):
-        if order < k:
-            raise ValueError(f"operator is only {order}-centered at tolerance, need {k}")
+    runs = [len(list(takewhile(bool, row))) for row in (norms <= thresholds).tolist()]
+    found = [min(run + 1, max_n) for run in runs]
+    orders, inverse_orders = found[: len(t)], found[len(t) :]
 
     # pinv is the inverse of T itself; each higher power is inverted anew,
     # those of all operators in one stacked SVD.
+    top = max(orders)
     members = [[i for i, k in enumerate(orders) if k > j] for j in range(top)]
     t_pows = islice(_powers(t), top)
     higher = [t_pow[own] for t_pow, own in zip(t_pows, members)][1:]
@@ -1036,36 +1041,34 @@ def mp_centered_check(
         for i in own:
             residuals[i].append(next(values))
 
-    # The modulus commutators of the operators that are (n+1)-centered.
-    plus = [i for i, (order, k) in enumerate(zip(verified, orders)) if order >= k + 1]
+    # The modulus commutators of the (n+1)-centered operators: those whose
+    # max_n commutators all vanish, so that n = max_n, each U^k sliced from
+    # the criterion's walk.
+    plus_one = [run == max_n for run in runs[: len(t)]]
+    plus = [i for i, own in enumerate(plus_one) if own]
     mod_norms: list[list[float]] = [[] for _ in orders]
     adj_norms: list[list[float]] = [[] for _ in orders]
     mod_ok = [True for _ in orders]
     if plus:
-        u_pows = islice(_powers(u[plus]), max(orders[i] for i in plus))
-        for j, u_pow in enumerate(u_pows):
-            p_final = u_pow @ _adjoint(u_pow)
-            p_initial = _adjoint(u_pow) @ u_pow
-            final = _commutator_test(p_final, p[plus], cfg)
-            initial = _commutator_test(p_initial, adjoint_modulus[plus], cfg)
+        for u_pow in (u_pow[plus] for u_pow in u_pows):
+            final = _commutator_test(u_pow @ _adjoint(u_pow), p[plus], cfg)
+            initial = _commutator_test(_adjoint(u_pow) @ u_pow, adjoint_modulus[plus], cfg)
             rows = zip(plus, *(x.tolist() for x in (*final, *initial)))
             for i, mod_norm, mod_commutes, adj_norm, adj_commutes in rows:
-                if j < orders[i]:
-                    mod_norms[i].append(mod_norm)
-                    adj_norms[i].append(adj_norm)
-                    mod_ok[i] = mod_ok[i] and mod_commutes and adj_commutes
+                mod_norms[i].append(mod_norm)
+                adj_norms[i].append(adj_norm)
+                mod_ok[i] = mod_ok[i] and mod_commutes and adj_commutes
 
     tol = cfg.equality_rel_tol
     reports = []
-    for i, k in enumerate(orders):
-        inverse_order = 1 + len(list(takewhile(bool, inverse_decisions[i][: k - 1])))
+    for i, (k, inverse_order) in enumerate(zip(orders, inverse_orders)):
         ok = all(r <= tol for r in residuals[i]) and inverse_order >= k and mod_ok[i]
         reports.append(
             MpCenteredReport(
                 order=k,
                 power_inverse_residuals=tuple(residuals[i]),
                 inverse_verified_order=inverse_order,
-                checked_modulus_commutators=verified[i] >= k + 1,
+                checked_modulus_commutators=plus_one[i],
                 modulus_commutator_norms=tuple(mod_norms[i]),
                 adjoint_modulus_commutator_norms=tuple(adj_norms[i]),
                 ok=ok,

@@ -287,11 +287,6 @@ def _svd(a: np.ndarray) -> SvdResult:
     return SvdResult(left, s, _adjoint(right_h))
 
 
-def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR factorization of a checked array, without validation."""
-    return np.linalg.qr(a)
-
-
 def svd(a) -> SvdResult:
     """Thin SVD of a matrix, or of each matrix of a stack."""
     x, lead = _stacked(_checked(a, (2, 3, 4)))

@@ -231,7 +231,7 @@ def penrose_check(
         raise ValueError(f"candidate shape {x.shape} does not match operator {t.shape}")
     t, lead, x = _stacked(t, x)
     tx, xt = t @ x, x @ t
-    pairs = ((t @ x @ t, t), (x @ t @ x, x), (_adjoint(tx), tx), (_adjoint(xt), xt))
+    pairs = ((tx @ t, t), (xt @ x, x), (_adjoint(tx), tx), (_adjoint(xt), xt))
     residuals = tuple(
         _unstacked(_norms(a - b) / _floor_one(_norms(b)), lead) for a, b in pairs
     )

@@ -13,8 +13,10 @@ per-trial loop (no evaluation consumes the generator), evaluate each group
 of draws of one shape as one stack of operators (``_by_shape``) through the
 public functions, which take stacks, and fold the per-trial verdicts and
 worst residuals back in trial order; each trial's values are bitwise those
-it gets alone. ``centered-oracle`` and ``mp-inverse`` walk the powers of a
-whole group at once (``classify.centered_order`` on a stack of operators).
+it gets alone. ``centered-oracle`` walks the powers of a whole group at
+once (``classify.centered_order`` on a stack of operators), and
+``mp-inverse`` those of a group and of its inverses in one walk of the
+criterion (``classify.mp_centered_check`` on a stack of operators).
 ``shift-family`` and ``v-entries`` check fixed families.
 """
 
@@ -47,7 +49,6 @@ from .core import (
     svd,
 )
 from .decomp import (
-    PolarParts,
     abs_value,
     moore_penrose,
     mp_polar_parts,
@@ -348,7 +349,6 @@ def suite_mp_inverse(
         first = np.concatenate([t, _adjoint(t)])
         decomp = svd(first)
         factors = polar_decompose(first, cfg, decomp=decomp)
-        parts, adjoint_parts = factors[:count], factors[count:]
         pinv = moore_penrose(t, cfg, decomp=decomp[:count])
         second = np.concatenate([pinv, _adjoint(pinv), factors.modulus])
         inverse = svd(second)
@@ -365,21 +365,13 @@ def suite_mp_inverse(
             cfg,
             adjoint_parts=inverse_adjoint_parts,
         )
-        walked = np.concatenate([t, pinv])
-        binormal = [flag for flag, _ in is_binormal(walked, cfg)]
-        # The walks of T and pinv share one stack.
-        joined = zip(vars(parts).values(), vars(inverse_parts).values())
-        both = centered_order(
-            walked, max_n, cfg, parts=PolarParts(*map(np.concatenate, joined))
-        )
-        reports, inverse_reports = both[:count], both[count:]
-        orders = [report.verified_order for report in reports]
+        binormal = [flag for flag, _ in is_binormal(np.concatenate([t, pinv]), cfg)]
         mp_reports = mp_centered_check(
             t,
-            orders,
+            max_n,
             cfg,
             decomp=decomp[:count],
-            adjoint_parts=adjoint_parts,
+            adjoint_parts=factors[count:],
             inverse_parts=inverse_parts,
         )
         results = []
@@ -394,7 +386,7 @@ def suite_mp_inverse(
                 all(r <= cfg.equality_rel_tol for r in residuals)
                 and inverse_polar[i].ok
                 and mp_report.ok
-                and inverse_reports[i].verified_order == orders[i]
+                and mp_report.inverse_verified_order == mp_report.order
                 and binormal[i] == binormal[count + i]
             )
             results.append((ok, residuals))

@@ -431,9 +431,19 @@ class TestMpCenteredCheck:
         inverse_report = centered_order(moore_penrose(t), 4)
         assert inverse_report.verified_order == 3
 
-    def test_rejects_insufficient_order(self):
-        with pytest.raises(ValueError, match="1-centered"):
-            mp_centered_check(UPPER, 2)
+    def test_finds_the_order_below_max_n(self):
+        # UPPER is only 1-centered: the order is found, not required, and
+        # the modulus commutators need a 2-centered operator.
+        report = mp_centered_check(UPPER, 2)
+        assert report.order == 1
+        assert report.inverse_verified_order == 1
+        assert not report.checked_modulus_commutators
+        assert report.modulus_commutator_norms == ()
+        assert report.ok
+
+    def test_rejects_bad_max_n(self):
+        with pytest.raises(ValueError, match="max_n"):
+            mp_centered_check(UPPER, 0)
 
     def test_order_preserved_both_directions(self):
         rng = rng_for(21)

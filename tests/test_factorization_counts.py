@@ -212,8 +212,8 @@ def test_run_suite_all_factorization_counts(lapack_calls):
     # Every random suite factors each shape group in a few stacked calls;
     # the matrices factored are those of the per-trial evaluation.
     run_suite("all", 0, 6, 100)
-    assert _totals(lapack_calls) == Counter(svd=206, eigh=10, eigvalsh=36)
-    assert lapack_calls.matrices == Counter(svd=5615, eigh=250, eigvalsh=887)
+    assert _totals(lapack_calls) == Counter(svd=195, eigh=10, eigvalsh=36)
+    assert lapack_calls.matrices == Counter(svd=5097, eigh=250, eigvalsh=887)
 
 
 def test_polar_contract_calls_scale_with_shape_groups_not_trials(lapack_calls):
@@ -234,18 +234,18 @@ def test_polar_contract_calls_scale_with_shape_groups_not_trials(lapack_calls):
 def test_mp_inverse_calls_scale_with_shape_groups_not_trials(lapack_calls):
     # Dims 2-6 and the 15x15 and 18x18 shift fixtures: seven shape groups,
     # each one SVD of T and T*, one of pinv, pinv*, |T| and |T*|, one for
-    # the range projection in pinv's polar check and one eigvalsh, then the
-    # oracle of the walks of T and pinv (one stacked SVD per number of
-    # powers checked) and, where an operator is 2-centered or more, one of
-    # the powers T^k, k >= 2, for their inverses.
+    # the range projection in pinv's polar check and one eigvalsh, and,
+    # where an operator is 2-centered or more, one of the powers T^k,
+    # k >= 2, for their inverses. The orders of T and pinv come from their
+    # commutators alone, which factor nothing.
     counts = []
     for trials in (100, 400):
         lapack_calls.clear()
         run_suite("mp-inverse", 0, 6, trials)
         counts.append((_totals(lapack_calls), Counter(lapack_calls.matrices)))
     assert counts == [
-        (Counter(svd=38, eigvalsh=7), Counter(svd=1345, eigvalsh=112)),
-        (Counter(svd=38, eigvalsh=7), Counter(svd=4645, eigvalsh=412)),
+        (Counter(svd=27, eigvalsh=7), Counter(svd=827, eigvalsh=112)),
+        (Counter(svd=27, eigvalsh=7), Counter(svd=2927, eigvalsh=412)),
     ]
 
 
@@ -273,12 +273,11 @@ def test_mp_inverse_calls_scale_with_shape_groups_not_trials(lapack_calls):
         ),
         # 112 operators in seven shape groups: T, pinv, T*, pinv*, |T| and
         # |T*| (for their inverses) and the range projection in pinv's polar
-        # check once each, the powers that both oracle walks check and the
-        # powers T^k, k >= 2, for their inverses; per group a few stacked
-        # calls (see the test above).
+        # check once each, and the powers T^k, k >= 2, up to each order, for
+        # their inverses; per group a few stacked calls (see the test above).
         (
             "mp-inverse",
-            (Counter(svd=38, eigvalsh=7), Counter(svd=1345, eigvalsh=112)),
+            (Counter(svd=27, eigvalsh=7), Counter(svd=827, eigvalsh=112)),
         ),
         # 50 commuting and 50 other pairs, each half in five shape groups.
         # Per commuting group: one SVD for the range projections of A, B and

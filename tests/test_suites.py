@@ -183,12 +183,11 @@ def _reference_binormal_equivalents(t, pairs, cfg=DEFAULT_TOLERANCES):
     return BinormalEquivalents(binormal, two_centered, tuple(checks), statements)
 
 
-def _reference_mp_centered_check(t, n, cfg=DEFAULT_TOLERANCES, pinv=None):
-    """``mp_centered_check(t, n)`` from public calls on matrices; ``pinv``
-    is ``moore_penrose(t, cfg)``, when the caller has it."""
-    verified = centered_order(t, n + 1, cfg).verified_order
-    if verified < n:
-        raise ValueError(f"operator is only {verified}-centered at tolerance, need {n}")
+def _reference_mp_centered_check(t, max_n, cfg=DEFAULT_TOLERANCES, pinv=None):
+    """``mp_centered_check(t, max_n)`` from public calls on matrices;
+    ``pinv`` is ``moore_penrose(t, cfg)``, when the caller has it."""
+    verified = centered_order(t, max_n + 1, cfg).verified_order
+    n = min(verified, max_n)
     if pinv is None:
         pinv = moore_penrose(t, cfg)
     residuals, t_pow, pinv_pow = [], t, pinv
@@ -197,7 +196,7 @@ def _reference_mp_centered_check(t, n, cfg=DEFAULT_TOLERANCES, pinv=None):
         inverse = pinv if k == 0 else moore_penrose(t_pow, cfg)
         residuals.append(equality_residual(inverse, pinv_pow))
         t_pow, pinv_pow = t_pow @ t, pinv_pow @ pinv
-    inverse_order = centered_order(pinv, n, cfg).verified_order
+    inverse_order = centered_order(pinv, max_n, cfg).verified_order
     plus_one = verified >= n + 1
     mod_norms, adj_norms, mod_ok = [], [], True
     if plus_one:
@@ -300,15 +299,13 @@ def _reference_mp_operator(t, cfg, max_n, seen):
     ]
     inverse_polar = verify_polar(pinv, inverse_parts, cfg)
     residuals.append(inverse_polar.worst())
-    report = centered_order(t, max_n, cfg)
-    inverse_report = centered_order(pinv, max_n, cfg)
-    mp_report = _reference_mp_centered_check(t, report.verified_order, cfg, pinv)
+    mp_report = _reference_mp_centered_check(t, max_n, cfg, pinv)
     residuals.extend(mp_report.power_inverse_residuals)
     ok = (
         all(r <= cfg.equality_rel_tol for r in residuals)
         and inverse_polar.ok
         and mp_report.ok
-        and inverse_report.verified_order == report.verified_order
+        and mp_report.inverse_verified_order == mp_report.order
         and is_binormal(t, cfg)[0] == is_binormal(pinv, cfg)[0]
     )
     seen[key] = ok, max(residuals)
@@ -454,7 +451,6 @@ def test_binormal_equivalents_matches_its_reference():
 
 def test_mp_centered_check_matches_its_reference_at_every_order():
     operators = _equivalence_operators()
-    orders = []
     for t in operators:
         # The factorizations a caller may hand over, as the suite does.
         held = {
@@ -462,21 +458,18 @@ def test_mp_centered_check_matches_its_reference_at_every_order():
             "adjoint_parts": polar_decompose(t.conj().T),
             "inverse_parts": polar_decompose(moore_penrose(t)),
         }
-        verified = centered_order(t, 6).verified_order
-        orders.append(verified)
-        for n in range(1, verified + 1):
-            expected = _reference_mp_centered_check(t, n)
-            assert mp_centered_check(t, n) == expected
-            assert mp_centered_check(t, n, **held) == expected
-        if verified < 6:
-            with pytest.raises(ValueError, match=f"only {verified}-centered"):
-                mp_centered_check(t, verified + 1)
-    # A stack of operators of one shape, each at its own order.
-    draws = [(t, np.array(n)) for t, n in zip(operators, orders)]
-    groups = _by_shape(draws, lambda t, n: mp_centered_check(t, n[:, 0]))
+        for max_n in range(1, 8):
+            expected = _reference_mp_centered_check(t, max_n)
+            assert mp_centered_check(t, max_n) == expected
+            assert mp_centered_check(t, max_n, **held) == expected
+    # A stack of operators of one shape at one max_n, each at the order
+    # found for it.
+    draws = [(t,) for t in operators]
+    groups = _by_shape(draws, lambda t: mp_centered_check(t, 6))
+    orders = [report.order for report in groups]
     assert len(set(orders)) > 1
-    for (t, n), report in zip(draws, groups):
-        assert report == _reference_mp_centered_check(t, int(n))
+    for (t,), report in zip(draws, groups):
+        assert report == _reference_mp_centered_check(t, 6)
 
 
 # The four suites that evaluate their trials by shape group, as they were
