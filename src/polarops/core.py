@@ -274,7 +274,11 @@ class SvdResult:
 def _lapack(name: str, a: np.ndarray, **kwargs) -> list[np.ndarray]:
     """``numpy.linalg.<name>``, looked up at call time, of each matrix of
     the stack ``a``, passed as one 3-D stack whatever its leading axes; the
-    results shaped back as ``a``."""
+    results shaped back as ``a``. A stack with an entry that is not finite
+    (a power that overflowed, say) raises ``numpy.linalg.LinAlgError``
+    before LAPACK sees it: its routines may not return on such input."""
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError(f"{name} of a matrix with entries that are not finite")
     lead = a.shape[:-2]
     out = getattr(np.linalg, name)(a.reshape((-1,) + a.shape[-2:]), **kwargs)
     parts = out if isinstance(out, tuple) else (out,)

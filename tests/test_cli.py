@@ -145,6 +145,23 @@ class TestClassifyCommand:
         assert code == 0
         assert value_lines(out)["binormal"] == "true"
 
+    def test_an_entry_whose_powers_overflow_ends_in_a_failed_verdict(self, tmp_path):
+        # The powers of T overflow to inf and NaN, which no LAPACK call may
+        # see: an SVD of them need not return. Run in its own process, so
+        # that a hang ends at the timeout.
+        t = random_operator(np.random.default_rng(3), 5)
+        t[0, 0] = 1e150
+        path = tmp_path / "large.json"
+        write_matrix(path, t)
+        proc = subprocess.run(
+            [sys.executable, "-m", "polarops.cli", "classify", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout.endswith("verdict: fail\n")
+
     def test_rejects_rectangular_input(self, capsys, tmp_path):
         path = tmp_path / "r.json"
         write_matrix(path, np.zeros((2, 3)))

@@ -11,6 +11,7 @@ from polarops.core import (
     COMMUTATOR_FLOOR,
     DEFAULT_TOLERANCES,
     ToleranceConfig,
+    _lapack,
     _psd_powers,
     approx_equal,
     as_operator,
@@ -200,6 +201,15 @@ class TestSvdAndRank:
         assert rank_margin(np.array([2.0, 1.0])) == pytest.approx(0.5)
         assert rank_margin(np.array([0.0])) == np.inf
         assert rank_margin(np.array([1.0, 5e-13])) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("name", ["svd", "eigh", "eigvalsh"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.nan)])
+    def test_lapack_rejects_entries_that_are_not_finite(self, name, bad):
+        # A stack of two operators of two blocks; one entry of one block bad.
+        stack = np.tile(np.eye(3, dtype=complex), (2, 2, 1, 1))
+        stack[1, 0, 2, 1] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            _lapack(name, stack)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), rows=st.integers(1, 6), cols=st.integers(1, 6))

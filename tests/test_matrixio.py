@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarops import matrixio
+from polarops.core import as_operator
 from polarops.decomp import moore_penrose, polar_decompose
 from polarops.matrixio import (
     _pairs_as_floats,
@@ -534,3 +538,289 @@ def test_floats_outside_the_array_formatter_go_to_repr(formatter_calls):
     values = [1.0, 0.1, 1e-7, -0.0, 3.5e17, 0.3, 5e-324, 0.0, -2.5, 123.456]
     assert formatted(values) == list(map(repr, values))
     assert formatter_calls["repr"] == [4]
+
+
+# The array reader: every file reads bit for bit as ``json.loads`` and
+# ``doc_to_matrix`` read it, with the same errors.
+
+
+def json_reader(path) -> np.ndarray:
+    """The reference reader: the whole text, ``json.loads`` and
+    ``doc_to_matrix``, with ``read_matrix``'s error for invalid JSON."""
+    text = path.read_text(encoding="utf-8")
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"not valid JSON: {exc}") from exc
+    return doc_to_matrix(doc)
+
+
+def outcome(read, path):
+    """What ``read(path)`` gives: the bits of its matrix and its shape, or
+    the type and message of its exception."""
+    try:
+        a = read(path)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return a.shape, bits(a).tolist()
+
+
+def read_by_arrays(path) -> np.ndarray:
+    """``read_matrix`` with ``json.loads`` unusable: only text that the
+    array reader takes reads."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrixio.json, "loads", _no_json)
+        return read_matrix(path)
+
+
+def _no_json(*args, **kwargs):
+    raise AssertionError("json.loads called")
+
+
+# Floats at the places where the reader's arithmetic changes course: the
+# decades near the ends of its exact range, powers of two (where the gap
+# between doubles halves), 2**53, the normal and subnormal ends.
+READER_EDGES = (
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    + [u for v in (1e-6, 1e-4, 1e16, 1e17, 1e22, 1e23, 2.0**53, 2.0**63) for u in around(v, 2)]
+    + [u for e in range(-40, 70) for u in around(2.0**e)]
+    + [u for e in range(-25, 26) for u in around(10.0**e)]
+)
+BIT_PATTERN = st.integers(0, 2**64 - 1).map(
+    lambda b: float(np.array(b, dtype=np.uint64).view(np.float64))
+)
+READER_FLOAT = (
+    st.sampled_from(READER_EDGES)
+    | BIT_PATTERN.filter(np.isfinite)
+    | st.floats(-1e3, 1e3)
+    | st.builds(lambda x, e: x * 10.0**e, st.floats(-10, 10), st.integers(-30, 30))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(READER_FLOAT, min_size=2, max_size=40))
+def test_reader_matches_the_json_route_on_written_files(tmp_path_factory, values):
+    a = np.array(values[: len(values) // 2 * 2]).view(np.complex128).reshape(1, -1)
+    path = tmp_path_factory.getbasetemp() / "reader.json"
+    write_matrix(path, a)
+    assert bits(read_by_arrays(path)).tolist() == bits(json_reader(path)).tolist()
+    assert np.array_equal(bits(read_matrix(path)), bits(a))
+
+
+def canonical_text(tokens: list[str], rows: int = 1) -> str:
+    """The canonical text of a matrix of ``rows`` rows whose numbers, in
+    pairs, are ``tokens``."""
+    pairs = ", ".join(f"[{re}, {im}]" for re, im in zip(tokens[::2], tokens[1::2]))
+    return f'{{"rows": {rows}, "cols": {len(tokens) // 2 // rows}, "data": [{pairs}]}}\n'
+
+
+DECIMAL = st.builds(
+    lambda sign, digits, point, exponent: (
+        sign
+        + (digits[:point].lstrip("0") or "0")
+        + "."
+        + (digits[point:] or "0")
+        + exponent
+    ),
+    st.sampled_from(["", "-"]),
+    st.text("0123456789", min_size=17, max_size=25),
+    st.integers(1, 25),
+    st.sampled_from(["", "e5", "E-7", "e+12", "e-30", "e0"])
+    | st.integers(-30, 30).map(lambda e: f"e{e}"),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(DECIMAL, min_size=2, max_size=20))
+def test_reader_matches_float_on_long_decimals(tmp_path_factory, tokens):
+    # 17-25 digits: more than repr writes, some past 10**18, some past the
+    # powers of ten the arithmetic takes.
+    tokens = tokens[: len(tokens) // 2 * 2]
+    path = tmp_path_factory.getbasetemp() / "decimals.json"
+    path.write_text(canonical_text(tokens), encoding="utf-8")
+    expected = np.array([float(token) for token in tokens])
+    assert bits(read_by_arrays(path)).tolist() == bits(expected).tolist()
+
+
+def halfway_tokens() -> list[str]:
+    """Decimals exactly halfway between two adjacent doubles, which round
+    to the one with an even significand, written out as integers, with a
+    fraction and in e-notation."""
+    rng = np.random.default_rng(21)
+    tokens = []
+    for exponent in range(50, 64):
+        for _ in range(4):
+            x = float(2.0**exponent * rng.uniform(1, 2))
+            half = (Fraction(x) + Fraction(float(np.nextafter(x, np.inf)))) / 2
+            # The gaps here are 2**-2 and up, so three decimals hold it.
+            whole, rest = divmod(half, 1)
+            digits, decimals = str(whole), f"{int(rest * 1000):03d}".rstrip("0") or "0"
+            tokens += [f"{digits}.{decimals}", f"{digits[0]}.{digits[1:]}{decimals}e{len(digits) - 1}"]
+            assert all(Fraction(token) == half for token in tokens[-2:])
+    return tokens
+
+
+@pytest.mark.parametrize(
+    "tokens",
+    [
+        pytest.param(halfway_tokens(), id="halfway"),
+        pytest.param(["1.5e3", "-2E-5", "4e+2", "-0.0", "0e0", "-0.0e-9"], id="e-notation"),
+        pytest.param(["9007199254740993.0", "-9007199254740993.0"], id="tie-above-2**53"),
+        pytest.param(
+            ["123456789012345678.5", "0.000123456789012345678", "9300000000000000001e0", "1.0"],
+            id="19-digits",
+        ),
+        pytest.param(["1e-400", "-1e-400", "2.5e-324", "5e-324"], id="underflow"),
+        pytest.param(["1e-1000", "-2.5E-01000", "1.5e0010", "7e-0005"], id="long-exponents"),
+        pytest.param(["1e22", "1e23", "1.0e-22", "1.0e-23"], id="range-ends"),
+    ],
+)
+def test_reader_matches_float_on_hand_built_numbers(tmp_path, tokens):
+    path = tmp_path / "hand.json"
+    path.write_text(canonical_text(tokens), encoding="utf-8")
+    expected = np.array([float(token) for token in tokens])
+    assert outcome(read_by_arrays, path) == outcome(json_reader, path)
+    assert outcome(read_by_arrays, path)[1] == bits(expected).tolist()
+
+
+VALID_HEAD = '{"rows": 1, "cols": 2, "data": '
+# Documents the array reader does not take, each read (or rejected) by the
+# JSON route; the array reader must not take them either.
+FALLBACK_TEXTS = {
+    "leading-zero": VALID_HEAD + "[[01.5, 0.0], [1.0, 2.0]]}\n",
+    "point-last": VALID_HEAD + "[[1., 0.0], [1.0, 2.0]]}\n",
+    "point-first": VALID_HEAD + "[[.5, 0.0], [1.0, 2.0]]}\n",
+    "plus-sign": VALID_HEAD + "[[+1.0, 0.0], [1.0, 2.0]]}\n",
+    "minus-zero-integer": VALID_HEAD + "[[-0, 0.0], [1.0, 2.0]]}\n",
+    "integer": VALID_HEAD + "[[1, 0.0], [1.0, 2.0]]}\n",
+    "true": VALID_HEAD + "[[true, 0.0], [1.0, 2.0]]}\n",
+    "nan": VALID_HEAD + "[[NaN, 0.0], [1.0, 2.0]]}\n",
+    "infinity": VALID_HEAD + "[[-Infinity, 0.0], [1.0, 2.0]]}\n",
+    "long-integer": VALID_HEAD + f"[[{'7' * 400}, 0.0], [1.0, 2.0]]}}\n",
+    "19-digit-integer": VALID_HEAD + "[[1234567890123456789, 0.0], [1.0, 2.0]]}\n",
+    "long-number": VALID_HEAD + f"[[0.{'3' * 60}, 0.0], [1.0, 2.0]]}}\n",
+    "two-points": VALID_HEAD + "[[1.2.3, 0.0], [1.0, 2.0]]}\n",
+    "two-marks": VALID_HEAD + "[[1e5e5, 0.0], [1.0, 2.0]]}\n",
+    "mark-last": VALID_HEAD + "[[1.5e, 0.0], [1.0, 2.0]]}\n",
+    "point-after-mark": VALID_HEAD + "[[1e5.5, 0.0], [1.0, 2.0]]}\n",
+    "crlf": VALID_HEAD + "[[1.5, 0.0], [1.0, 2.0]]}\r\n",
+    "cr-inside": VALID_HEAD + "[[1.5, 0.0],\r\n[1.0, 2.0]]}\n",
+    "tab": VALID_HEAD + "[[1.5,\t0.0], [1.0, 2.0]]}\n",
+    "no-space": VALID_HEAD + "[[1.5,0.0], [1.0, 2.0]]}\n",
+    "bom": "\ufeff" + VALID_HEAD + "[[1.5, 0.0], [1.0, 2.0]]}\n",
+    "non-ascii": VALID_HEAD + "[[1.5, 0.0], [1.0, 2.\u0661]]}\n",
+    "trailing-space": VALID_HEAD + "[[1.5, 0.0], [1.0, 2.0]]}\n ",
+    "no-final-newline": VALID_HEAD + "[[1.5, 0.0], [1.0, 2.0]]}",
+    "two-newlines": VALID_HEAD + "[[1.5, 0.0], [1.0, 2.0]]}\n\n",
+    "keys-reordered": '{"cols": 2, "rows": 1, "data": [[1.5, 0.0], [1.0, 2.0]]}\n',
+    "extra-key": VALID_HEAD + '[[1.5, 0.0], [1.0, 2.0]], "name": "t"}\n',
+    "key-repeated": VALID_HEAD + '[[1.5, 0.0], [1.0, 2.0]], "rows": 2}\n',
+    "count-short": VALID_HEAD + "[[1.5, 0.0]]}\n",
+    "count-long": VALID_HEAD + "[[1.5, 0.0], [1.0, 2.0], [3.0, 4.0]]}\n",
+    "shape-past-the-text": '{"rows": 100000, "cols": 100000, "data": [[1.5, 0.0]]}\n',
+    "shape-past-int-limit": f'{{"rows": 1{"0" * 5000}, "cols": 1, "data": [[1.5, 0.0]]}}\n',
+    "empty-data": '{"rows": 1, "cols": 1, "data": []}\n',
+    "triple": VALID_HEAD + "[[1.5, 0.0, 2.0], [1.0, 2.0]]}\n",
+    "nested": VALID_HEAD + "[[[1.5], 0.0], [1.0, 2.0]]}\n",
+    "empty-file": "",
+}
+
+
+# Canonical documents that the JSON route reads or rejects for their values.
+EDGE_TEXTS = {
+    "overflow": VALID_HEAD + "[[1e400, 0.0], [1.0, 2.0]]}\n",
+    "19-digit-significand": VALID_HEAD + "[[1.234567890123456789, 0.0], [1.0, 2.0]]}\n",
+    "underflow": VALID_HEAD + "[[1e-400, -1e-400], [1.0, 2.0]]}\n",
+}
+
+
+@pytest.mark.parametrize(
+    "text, taken",
+    [pytest.param(text, False, id=name) for name, text in FALLBACK_TEXTS.items()]
+    + [pytest.param(text, True, id=name) for name, text in EDGE_TEXTS.items()],
+)
+def test_fallback_and_errors_are_the_json_routes(tmp_path, text, taken):
+    path = tmp_path / "doc.json"
+    path.write_bytes(text.encode())
+    assert (matrixio._read_canonical(path) is not None) == taken
+    assert outcome(read_matrix, path) == outcome(json_reader, path)
+
+
+@pytest.mark.parametrize(
+    "doc", [doc for doc, _ in MALFORMED], ids=[f"doc{i}" for i in range(len(MALFORMED))]
+)
+def test_malformed_documents_read_as_by_the_json_route(tmp_path, doc):
+    # Their JSON text: some become valid (a tuple is written as a list).
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc, default=repr) + "\n", encoding="utf-8")
+    assert outcome(read_matrix, path) == outcome(json_reader, path)
+
+
+def test_a_missing_file_raises_as_the_json_route(tmp_path):
+    path = tmp_path / "absent.json"
+    assert outcome(read_matrix, path) == outcome(json_reader, path)
+    assert outcome(read_matrix, path)[0] is FileNotFoundError
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes")
+def test_a_named_pipe_is_read_once(tmp_path):
+    # A pipe can be read only once, so the array reader must leave it to
+    # the JSON route unread.
+    path = tmp_path / "pipe.json"
+    os.mkfifo(path)
+    a = np.array([[1.5 - 2j, 0.1]])
+    text = json.dumps(matrix_to_doc(a)) + "\n"
+    result = {}
+
+    def write():
+        with open(path, "w", encoding="utf-8") as pipe:
+            pipe.write(text)
+
+    def read():
+        result["a"] = read_matrix(path)
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (write, read)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert np.array_equal(bits(result["a"]), bits(a))
+
+
+@pytest.mark.parametrize("block", [128, 300, 4096])
+def test_every_written_file_reads_without_json_in_any_block_size(
+    tmp_path, monkeypatch, block
+):
+    # Blocks of one entry or a few: pieces end at every kind of boundary.
+    monkeypatch.setattr(matrixio, "_READ_BYTES", block)
+    path = tmp_path / "m.json"
+    for a in _writer_cases():
+        write_matrix(path, a)
+        assert np.array_equal(bits(read_by_arrays(path)), bits(json_reader(path)))
+        assert np.array_equal(bits(read_by_arrays(path)), bits(as_operator(a)))
+
+
+@pytest.mark.parametrize("a", _dense_factors())
+def test_dense_factors_read_without_json(tmp_path, a):
+    path = tmp_path / "m.json"
+    write_matrix(path, a)
+    assert np.array_equal(bits(read_by_arrays(path)), bits(json_reader(path)))
+
+
+def test_a_file_of_many_blocks_is_read_in_pieces(tmp_path, monkeypatch):
+    pieces = []
+    inner = matrixio._piece_values
+
+    def counted(piece):
+        pieces.append(len(piece))
+        return inner(piece)
+
+    monkeypatch.setattr(matrixio, "_piece_values", counted)
+    rng = np.random.default_rng(256)
+    a = rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200))
+    path = tmp_path / "m.json"
+    write_matrix(path, a)
+    assert np.array_equal(bits(read_by_arrays(path)), bits(a))
+    assert len(pieces) > 10
+    assert max(pieces) <= matrixio._READ_BYTES + matrixio._ENTRY_MAX
