@@ -22,10 +22,13 @@ stacks of operators (``core._stacked``). The suites evaluate each group of
 draws of one shape with one call per factorization this way.
 
 Sharing rule: one function, ``_oracle_residuals``, factors the powers
-``T^k`` for the definitional check, ``k = 1`` included, and shares only
-``U`` and the walk of its powers ``U^k`` with the commutator criterion.
-``centered_order``, ``is_n_centered_definitional`` and
-``binormal_equivalents`` all reach it. Everything else in one evaluation is
+``T^k`` for the definitional check, and shares only ``U`` and the walk of
+its powers ``U^k`` with the commutator criterion. ``centered_order``,
+``is_n_centered_definitional`` and ``binormal_equivalents`` all reach it.
+``T`` itself is factored once: where ``centered_order`` and
+``is_n_centered_definitional`` take an SVD of ``T`` for ``U`` (no
+``parts`` passed), the oracle's ``k = 1`` residuals come from that SVD, and
+it factors only ``T^k``, ``k >= 2``. Everything else in one evaluation is
 factored once: ``centered_order`` and ``mp_centered_check`` take the polar
 parts or SVDs a caller already holds. The rule holds on every
 centered-order route: ``centered_order`` takes a matrix, a stack of
@@ -539,6 +542,7 @@ def _oracle_residuals(
     u_pows: list[np.ndarray],
     cfg: ToleranceConfig,
     layouts: list | None = None,
+    held: SvdResult | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The definitional check: for each of the consecutive powers ``t_pows``
     of ``T``, stacks of operators ``(operators, blocks, m, m)``, with
@@ -555,12 +559,16 @@ def _oracle_residuals(
     ``U_k`` are formed from columns sliced to its largest rank over
     ``t_pows``, as for that operator alone. Each residual is
     ``core._residual`` of its (operator, power) span at its block
-    positions."""
+    positions.
+
+    ``held`` is the SVD of ``t_pows[0]``, when it is ``T`` itself and the
+    caller has factored it for ``U``: then only the powers after it are
+    factored, and the residuals are bitwise those of one SVD of all."""
     lengths, spans = _spans(t_pows, layouts)
     index = None if spans is None else spans.index
     counts = [t_pow.shape[1] for t_pow in t_pows]
     t, u = _join(t_pows), _join(u_pows)
-    decomp = _svd(t)
+    decomp = _svd(t) if held is None else _joined_svd(held, t_pows[1:])
     s = decomp.singular_values
     starts = list(accumulate(counts[:-1], initial=0))
     top = np.repeat(np.maximum.reduceat(s[..., 0], starts, axis=-1), counts, axis=-1)
@@ -573,14 +581,28 @@ def _oracle_residuals(
     )
 
 
+def _joined_svd(held: SvdResult, rest: list[np.ndarray]) -> SvdResult:
+    """The SVD of ``_join([first, *rest])``, with the SVD ``held`` of
+    ``first``: only ``rest`` is factored. Each array is laid out as
+    ``core._svd`` lays out its own (the right vectors as the adjoint of a
+    C-ordered array), so that the products formed from it are bitwise
+    those of one SVD of the whole join."""
+    decomps = [held, _svd(_join(rest))] if rest else [held]
+    raw = [(d.left_vectors, d.singular_values, _adjoint(d.right_vectors)) for d in decomps]
+    left, s, right_h = (np.concatenate(arrays, axis=1) for arrays in zip(*raw))
+    return SvdResult(left, s, _adjoint(right_h))
+
+
 def _oracle_run(
     t_pows: list[np.ndarray],
     u_pows: list[np.ndarray],
     cfg: ToleranceConfig,
     layouts: list | None = None,
+    held: SvdResult | None = None,
 ) -> np.ndarray:
     """For each operator of the stacks of ``_oracle_residuals``, the number
-    of leading powers in ``t_pows`` that pass the definitional check.
+    of leading powers in ``t_pows`` that pass the definitional check, with
+    the SVD ``held`` of ``T`` (see ``_oracle_residuals``).
 
     An SVD that fails for one matrix fails for its whole stack. The
     operators are then checked one at a time, and the powers of one
@@ -588,13 +610,17 @@ def _oracle_run(
     past it (say, one whose entries overflowed) is never factored. A single
     power that cannot be factored raises."""
     try:
-        equation, ranges = _oracle_residuals(t_pows, u_pows, cfg, layouts)
+        equation, ranges = _oracle_residuals(t_pows, u_pows, cfg, layouts, held)
     except np.linalg.LinAlgError:
         if len(t_pows[0]) > 1:
             return np.concatenate(
                 [
                     _oracle_run(
-                        [x[[i]] for x in t_pows], [x[[i]] for x in u_pows], cfg, layouts
+                        [x[[i]] for x in t_pows],
+                        [x[[i]] for x in u_pows],
+                        cfg,
+                        layouts,
+                        None if held is None else held[[i]],
                     )
                     for i in range(len(t_pows[0]))
                 ]
@@ -602,7 +628,13 @@ def _oracle_run(
         if len(t_pows) == 1:
             raise
         passes = (
-            _oracle_run([t_pows[k]], [u_pows[k]], cfg, layouts and layouts[k:])[0]
+            _oracle_run(
+                [t_pows[k]],
+                [u_pows[k]],
+                cfg,
+                layouts and layouts[k:],
+                None if k else held,
+            )[0]
             for k in range(len(t_pows))
         )
         return np.array([len(list(takewhile(bool, passes)))])
@@ -627,8 +659,10 @@ def centered_order(
     (``[U |T| U*, |T|] = 0`` exactly when ``[T* T, T T*] = 0``), so it is
     decided for max_n = 1 too, whose report lists no commutator.
     ``oracle_agrees`` comes from one pass of the definitional route with the
-    same ``U``, which factors ``T^k`` for k = 1..min(verified + 1, max_n) and
-    stops at the first failing power.
+    same ``U``, which checks ``T^k`` for k = 1..min(verified + 1, max_n) and
+    stops at the first failing power. Without ``parts``, the SVD of ``T``
+    taken here for ``U`` also gives the k = 1 residuals, so the oracle
+    factors only the powers k >= 2.
 
     ``t`` is a matrix, or a stack of operators ``(operators, 1, d, d)``
     (a list of reports, one per operator); ``parts`` are its polar parts,
@@ -652,11 +686,14 @@ def centered_order(
     t = _checked(t, (2, 4) if labels is None else (3,), square=True)
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
-    if parts is None:
-        if labels is not None:
-            raise ValueError("a block stack needs the parts of its blocks")
-        parts = polar_decompose(t, cfg)
+    if parts is None and labels is not None:
+        raise ValueError("a block stack needs the parts of its blocks")
     t, lead, parts = _stacked(t, parts)
+    # The SVD of T taken here for U also serves the oracle's check of T.
+    held = None
+    if parts is None:
+        held = _svd(t)
+        parts = polar_decompose(t, cfg, decomp=held)
     u, p = parts.isometry, parts.modulus
     windows = None if labels is None else _Windows(labels)
     operators = len(p)
@@ -704,11 +741,13 @@ def centered_order(
                 [x[pick] for x in group[:c]],
                 cfg,
                 layouts,
+                None if held is None else held[pick],
             )
             for i, run in zip(members, passed.tolist()):
                 passing[i] += run
                 checking[i] = run == c
         first += len(group)
+        held = None
         stop = min(first, max_n - 1)
         if all(not on or v < stop for v, on in zip(verified, checking)):
             reach = count
@@ -745,19 +784,23 @@ def is_n_centered_definitional(
 ) -> DefinitionalCheck:
     """Check from the definition that ``T^k = U^k |T^k|`` is the polar
     decomposition for every k = 1..n, with ``U`` the polar factor of ``T``
-    itself. One SVD gives ``U``; the powers ``T^k`` go through
-    ``_oracle_residuals`` in the groups of ``_power_groups``, one stacked
-    SVD per group, so a small matrix takes two SVDs for any n. Raises if a
-    power cannot be factored."""
+    itself. One SVD gives ``U`` and serves the check of ``T`` itself; the
+    powers ``T^k``, k >= 2, go through ``_oracle_residuals`` in the groups
+    of ``_power_groups``, one stacked SVD per group, so a small matrix
+    takes two SVDs for any n >= 2, and one for n = 1. Raises if a power
+    cannot be factored."""
     t, _ = _stacked(_checked(t, square=True))
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    u = polar_decompose(t, cfg).isometry
+    held = _svd(t)
+    u = polar_decompose(t, cfg, decomp=held).isometry
     t_powers = _powers(t)
     equation: list[float] = []
     ranges: list[float] = []
     for group in _power_groups(u, None, lambda: n):
-        more = _oracle_residuals(list(islice(t_powers, len(group))), group, cfg)
+        t_pows = list(islice(t_powers, len(group)))
+        more = _oracle_residuals(t_pows, group, cfg, held=held)
+        held = None
         equation += more[0][0].tolist()
         ranges += more[1][0].tolist()
     ok = all(r <= cfg.equality_rel_tol for r in equation + ranges)

@@ -82,22 +82,31 @@ def as_operator(a) -> np.ndarray:
     return _checked(a)
 
 
-def _checked(a, ndims: tuple[int, ...] = (2,), square: bool = False) -> np.ndarray:
+def _checked(
+    a, ndims: tuple[int, ...] = (2,), square: bool = False, finite: bool = True
+) -> np.ndarray:
     """``as_operator`` of a matrix or of a stack of matrices of one of
     ``ndims`` axes (the stack rule: 3 for a direct sum of blocks, 4 for a
     stack of operators); with ``square``, every matrix must be square. The
-    one input check of the public functions."""
+    one input check of the public functions. Without ``finite``, the
+    caller checks finiteness itself (``_require_finite``)."""
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim not in ndims:
         kinds = " or ".join(f"{n}-D" for n in ndims)
         raise ValueError(f"operator must be {kinds}, got shape {arr.shape}")
     if 0 in arr.shape:
         raise ValueError(f"operator axes must be nonempty, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("operator entries must be finite")
+    if finite:
+        _require_finite(arr)
     if square and arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"expected a square operator, got {arr.shape}")
     return arr
+
+
+def _require_finite(arr: np.ndarray) -> None:
+    """Raise the ``_checked`` error unless every entry of ``arr`` is finite."""
+    if not np.isfinite(arr).all():
+        raise ValueError("operator entries must be finite")
 
 
 def _stacked(arr: np.ndarray, *held):
@@ -463,6 +472,21 @@ def _range_projection(t: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
     the rank cutoffs of ``_rank``."""
     decomp = _svd(t)
     p = _leading_product(decomp.left_vectors, None, _rank(decomp.singular_values, cfg))
+    return 0.5 * (p + _adjoint(p))
+
+
+def _hermitian_range_projection(
+    values: np.ndarray, vectors: np.ndarray, cfg: ToleranceConfig
+) -> np.ndarray:
+    """``_range_projection`` of each Hermitian matrix of a stack of
+    operators from its ``eigh``: the |eigenvalues| are its singular values,
+    so the eigenvectors ordered by |eigenvalue|, largest first, take the
+    place of the left singular vectors, with the cutoffs of ``_rank``."""
+    magnitudes = np.abs(values)
+    order = np.argsort(-magnitudes, axis=-1, kind="stable")
+    s = np.take_along_axis(magnitudes, order, axis=-1)
+    leading = np.take_along_axis(vectors, order[..., None, :], axis=-1)
+    p = _leading_product(leading, None, _rank(s, cfg))
     return 0.5 * (p + _adjoint(p))
 
 

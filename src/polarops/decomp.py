@@ -17,8 +17,8 @@ validated once and taken into a stack of operators (``core._stacked``), so
 each operator runs the one stacked path and gets bitwise what it gets
 alone, with its own rank cutoff, norms and residuals. ``polar_decompose``,
 ``moore_penrose`` and ``mp_polar_parts`` take the SVD of ``t`` that a
-caller already holds (``decomp``), so that one factorization serves
-several of them.
+caller already holds (``decomp``), and ``mp_polar_parts`` its polar parts
+(``parts``), so that one factorization serves several of them.
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ from .core import (
     _adjoint,
     _checked,
     _floor_one,
+    _hermitian_range_projection,
     _isometry,
     _lapack,
     _leading_product,
     _modulus,
     _norms,
-    _range_projection,
     _rank,
     _residual,
     _stacked,
@@ -125,11 +125,15 @@ def polar_decompose(
     their operator in a stack of operators.
     """
     x, lead, decomp = _stacked(_checked(t, (2, 3, 4)), decomp)
-    if decomp is None:
-        decomp = _svd(x)
+    return _unstacked(_polar_parts(_svd(x) if decomp is None else decomp, cfg), lead)
+
+
+def _polar_parts(decomp: SvdResult, cfg: ToleranceConfig) -> PolarParts:
+    """``polar_decompose`` of each matrix of a stack of operators, from its
+    SVD ``decomp``."""
     s = decomp.singular_values
     r = _rank(s, cfg)
-    return _unstacked(PolarParts(_isometry(decomp, r), _modulus(decomp), r, s), lead)
+    return PolarParts(_isometry(decomp, r), _modulus(decomp), r, s)
 
 
 def polar_tolerance(name: str, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
@@ -162,6 +166,13 @@ def verify_polar(
     are taken over the whole of a direct sum. ``adjoint_parts`` are the
     polar parts of ``t*``, when the caller holds them; otherwise ``|t*|`` is
     factored here.
+
+    ``P`` is factored on its own, once: one ``eigh`` of its Hermitian part
+    gives the extreme eigenvalues and the range projection, from the
+    eigenvectors whose |eigenvalue| (a singular value of that Hermitian
+    part) lies above the rank cutoff of ``core.range_projection``, largest
+    first. A ``P`` far enough from Hermitian for its own range to differ
+    from that already fails ``modulus_hermitian``.
     """
     t = _checked(t, (2, 3, 4))
     x, lead, adjoint_parts = _stacked(t, adjoint_parts)
@@ -171,10 +182,12 @@ def verify_polar(
     if p.shape != (*t.shape[:-2], t.shape[-1], t.shape[-1]):
         raise ValueError(f"modulus shape {p.shape} does not match operator {t.shape}")
     (u, _), (p, _) = _stacked(u), _stacked(p)
-    (eigenvalues,) = _lapack("eigvalsh", 0.5 * (p + _adjoint(p)))
+    # One eigh of the Hermitian part of P gives its spectrum and its range.
+    eigenvalues, eigenvectors = _lapack("eigh", 0.5 * (p + _adjoint(p)))
     lowest = eigenvalues[..., 0].min(axis=-1)
     # max(0, -lowest), with +0.0 for a lowest eigenvalue of zero.
     psd = np.where(lowest < 0.0, -lowest, 0.0) / _floor_one(eigenvalues[..., -1].max(-1))
+    projection = _hermitian_range_projection(eigenvalues, eigenvectors, cfg)
     adjoint_modulus = (
         _modulus(_svd(_adjoint(x))) if adjoint_parts is None else adjoint_parts.modulus
     )
@@ -184,7 +197,7 @@ def verify_polar(
         "modulus_hermitian": _norms(p - _adjoint(p)) / _floor_one(_norms(p)),
         "modulus_psd": psd,
         "partial_isometry": _residual(u @ _adjoint(u) @ u, u),
-        "range_condition": _residual(_adjoint(u) @ u, _range_projection(p, cfg)),
+        "range_condition": _residual(_adjoint(u) @ u, projection),
         "adjoint_modulus": _residual(up @ _adjoint(u), adjoint_modulus),
         "intertwine": _residual(up, adjoint_modulus @ u),
     }
@@ -245,22 +258,29 @@ def mp_polar_parts(
     *,
     decomp: SvdResult | None = None,
     inverse_decomp: SvdResult | None = None,
+    parts: PolarParts | None = None,
 ) -> PolarParts:
     """Polar decomposition of the Moore-Penrose inverse of a square ``t``,
     or of each operator of a stack.
 
     If ``t = U |t|`` then the inverse decomposes as ``U* |pinv(t)|``; the
     returned parts pass ``verify_polar`` against ``moore_penrose(t)``.
-    ``decomp`` is the SVD of ``t`` and ``inverse_decomp`` that of
-    ``moore_penrose(t)``, when the caller holds them.
+    ``decomp`` is the SVD of ``t``, ``parts`` its polar parts and
+    ``inverse_decomp`` the SVD of ``moore_penrose(t)``, when the caller
+    holds them; ``U`` and its rank are taken from ``parts``.
     """
     t = _checked(t, (2, 3, 4), square=True)
-    x, lead, decomp, inverse_decomp = _stacked(t, decomp, inverse_decomp)
-    if decomp is None:
+    x, lead, decomp, inverse_decomp, parts = _stacked(t, decomp, inverse_decomp, parts)
+    if decomp is None and (parts is None or inverse_decomp is None):
         decomp = _svd(x)
     if inverse_decomp is None:
         inverse_decomp = _svd(moore_penrose(x, cfg, decomp=decomp))
-    r = _rank(decomp.singular_values, cfg)
-    inverse_s = inverse_decomp.singular_values
-    parts = PolarParts(_adjoint(_isometry(decomp, r)), _modulus(inverse_decomp), r, inverse_s)
-    return _unstacked(parts, lead)
+    if parts is None:
+        parts = _polar_parts(decomp, cfg)
+    inverse_parts = PolarParts(
+        _adjoint(parts.isometry),
+        _modulus(inverse_decomp),
+        parts.rank,
+        inverse_decomp.singular_values,
+    )
+    return _unstacked(inverse_parts, lead)

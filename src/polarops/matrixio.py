@@ -63,7 +63,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import as_operator
+from .core import _checked, _require_finite, as_operator
 
 __all__ = ["matrix_to_doc", "doc_to_matrix", "write_matrix", "read_matrix"]
 
@@ -399,12 +399,16 @@ def write_matrix(path: str | Path, a) -> None:
     formatted directly (``json.dumps`` writes finite floats by ``repr``),
     in pieces of whole rows of at least ``_PIECE_ENTRIES`` entries through
     one open file, so that no more than a piece of the text is held at
-    once."""
-    a = as_operator(a)
+    once. Finiteness is checked over the same pieces, before the file is
+    opened: a non-finite entry raises the error of ``as_operator`` and
+    leaves no file, and no mask of the whole matrix is made."""
+    a = _checked(a, finite=False)
     rows, cols = a.shape
     # The (re, im) pairs in row-major order; a view of a C-ordered ``a``.
     pairs = np.ascontiguousarray(a).reshape(-1).view(np.float64).reshape(-1, 2)
     step = cols * -(-_PIECE_ENTRIES // cols)
+    for start in range(0, rows * cols, step):
+        _require_finite(pairs[start : start + step])
     with open(path, "w", encoding="utf-8") as out:
         out.write(f'{{"rows": {rows}, "cols": {cols}, "data": [')
         for start in range(0, rows * cols, step):

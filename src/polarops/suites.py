@@ -344,7 +344,8 @@ def suite_mp_inverse(
     def evaluate(t: np.ndarray) -> list[tuple[bool, list[float]]]:
         # One stacked SVD of T and T* (pinv, U, |T|, |T*|), one of pinv,
         # pinv*, |T| and |T*| (pinv's polar parts, |pinv*| and the inverses
-        # of the moduli); mp_polar_parts takes pinv's polar factor as U*.
+        # of the moduli); mp_polar_parts takes pinv's polar factor as U*,
+        # from the polar parts of T.
         count = len(t)
         first = np.concatenate([t, _adjoint(t)])
         decomp = svd(first)
@@ -361,7 +362,7 @@ def suite_mp_inverse(
         ).tolist()
         inverse_polar = verify_polar(
             pinv,
-            mp_polar_parts(t, cfg, decomp=decomp[:count], inverse_decomp=inverse[:count]),
+            mp_polar_parts(t, cfg, inverse_decomp=inverse[:count], parts=factors[:count]),
             cfg,
             adjoint_parts=inverse_adjoint_parts,
         )

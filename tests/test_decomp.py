@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,11 +23,13 @@ from polarops.decomp import (
     mp_polar_parts,
     penrose_check,
     polar_decompose,
+    polar_tolerance,
     verify_polar,
 )
 from polarops.sampling import (
     random_mixed_rank,
     random_operator,
+    random_rank_deficient,
     random_spectrum_operator,
     random_unitary,
 )
@@ -170,9 +174,13 @@ class TestVerifyPolar:
             verify_polar(t, PolarParts(np.zeros((2, 3)), np.zeros((2, 2)), 0))
 
 
-def _reference_polar_residuals(t, parts) -> dict[str, float]:
-    """The ``verify_polar`` residuals as the check computed them before its
-    kernels took stacks, written with numpy alone."""
+def _reference_polar_residuals(t, parts, svd_route: bool = False) -> dict[str, float]:
+    """The ``verify_polar`` residuals of a matrix, written with numpy alone.
+    The spectrum and the range projection of ``P`` come from one ``eigh``
+    of its Hermitian part, the eigenvectors ordered by |eigenvalue|, largest
+    first. With ``svd_route``, they come as the check took them before it
+    factored ``P`` once: the projection from an SVD of ``P`` itself, the
+    eigenvalues from ``eigvalsh``."""
     t, u, p = (np.asarray(a, dtype=complex) for a in (t, parts.isometry, parts.modulus))
 
     def fro(a):
@@ -185,12 +193,18 @@ def _reference_polar_residuals(t, parts) -> dict[str, float]:
     x = right_h.conj().T
     adjoint_modulus = (x * s) @ x.conj().T
     adjoint_modulus = 0.5 * (adjoint_modulus + adjoint_modulus.conj().T)
-    left, s, _ = np.linalg.svd(p, full_matrices=False)
+    hermitian = 0.5 * (p + p.conj().T)
+    if svd_route:
+        left, s, _ = np.linalg.svd(p, full_matrices=False)
+        eigenvalues = np.linalg.eigvalsh(hermitian)
+    else:
+        eigenvalues, vectors = np.linalg.eigh(hermitian)
+        order = np.argsort(-np.abs(eigenvalues), kind="stable")
+        left, s = vectors[:, order], np.abs(eigenvalues)[order]
     cutoff = DEFAULT_TOLERANCES.rank_rel_tol * s[0]
     r = int(np.count_nonzero(s > cutoff)) if s[0] > 0 else 0
     projection = left[:, :r] @ left[:, :r].conj().T
     projection = 0.5 * (projection + projection.conj().T)
-    eigenvalues = np.linalg.eigvalsh(0.5 * (p + p.conj().T))
     return {
         "reconstruction": residual(t, u @ p),
         "modulus_hermitian": fro(p - p.conj().T) / max(1.0, fro(p)),
@@ -233,6 +247,61 @@ class TestPolarCheck:
         for t, parts in cases:
             expected = _reference_polar_residuals(t, parts)
             assert verify_polar(t, parts).residuals == expected
+
+    def test_verdicts_match_the_svd_route(self):
+        # The range projection and spectrum of P from one eigh of its
+        # Hermitian part, against an SVD of P itself and eigvalsh: the same
+        # verdict, and each residual within 1e-13, on canonical parts of
+        # mixed-rank, rank-deficient, rectangular and zero operators, on
+        # the unitary-completion and wrong-sign candidates, on a modulus a
+        # little off Hermitian, and on stacks whose first block lies below
+        # the rank cutoff of the whole stack.
+        rng = rng_for(23)
+        operators = [random_mixed_rank(rng, d) for d in range(2, 7) for _ in range(6)]
+        operators += [
+            random_rank_deficient(rng, rows, cols, rank)
+            for rows, cols, rank in [(6, 6, 3), (8, 8, 1), (7, 4, 2), (4, 7, 3), (9, 9, 8)]
+        ]
+        operators += [random_operator(rng, 6, 3), random_operator(rng, 3, 6)]
+        operators.append(np.zeros((4, 4), dtype=complex))
+        cases = [(t, polar_decompose(t)) for t in operators]
+        nilpotent = np.array([[0, 1], [0, 0]], dtype=complex)
+        swap = np.array([[0, 1], [1, 0]], dtype=complex)
+        cases.append((nilpotent, PolarParts(swap, np.diag([0.0, 1.0]), 1)))
+        cases.append((np.eye(2, dtype=complex), PolarParts(-np.eye(2), np.eye(2), 2)))
+        t = random_mixed_rank(rng, 5)
+        parts = polar_decompose(t)
+        skew = random_operator(rng, 5)
+        skew = (skew - skew.conj().T) / np.linalg.norm(skew - skew.conj().T)
+        cases.append((t, replace(parts, modulus=parts.modulus + 1e-14 * skew)))
+        for dim in (2, 3, 5):
+            stack = _mixed_rank_stack(rng, 6, dim)
+            block_parts = polar_decompose(stack)
+            u, p = map(_direct_sum, (block_parts.isometry, block_parts.modulus))
+            cases.append((stack, block_parts, _direct_sum(stack), PolarParts(u, p, 0)))
+        for t, parts, *dense in cases:
+            check = verify_polar(t, parts)
+            expected = _reference_polar_residuals(*(dense or (t, parts)), svd_route=True)
+            assert check.residuals.keys() == expected.keys()
+            for name, value in check.residuals.items():
+                assert abs(value - expected[name]) <= 1e-13, name
+            passes = all(value <= polar_tolerance(name) for name, value in expected.items())
+            assert check.ok == passes
+
+    def test_modulus_off_hermitian_fails_on_both_routes(self):
+        # A modulus far enough from Hermitian for its range to differ from
+        # that of its Hermitian part fails modulus_hermitian on either route.
+        rng = rng_for(24)
+        t = random_mixed_rank(rng, 5)
+        parts = polar_decompose(t)
+        skew = random_operator(rng, 5)
+        skew = skew - skew.conj().T
+        off = replace(parts, modulus=parts.modulus + 1e-6 * skew)
+        check = verify_polar(t, off)
+        expected = _reference_polar_residuals(t, off, svd_route=True)
+        assert not check.ok
+        assert check.residuals["modulus_hermitian"] > polar_tolerance("modulus_hermitian")
+        assert expected["modulus_hermitian"] == check.residuals["modulus_hermitian"]
 
     def test_stack_parts_are_those_of_the_direct_sum(self):
         rng = rng_for(22)
@@ -348,6 +417,24 @@ class TestMpPolarParts:
             assert np.array_equal(parts.modulus, abs_value(pinv))
             assert parts.rank == direct.rank
             assert np.array_equal(parts.singular_values, svd(pinv).singular_values)
+
+    def test_held_polar_parts_give_the_same_bits(self):
+        # The polar parts of T, sliced from those of a stack of T and T* as
+        # the mp-inverse suite holds them, stand in for U and its rank.
+        rng = rng_for(10)
+        t = np.stack([random_mixed_rank(rng, 5) for _ in range(4)])[:, None]
+        t[1] *= 1e-3
+        first = np.concatenate([t, t.conj().swapaxes(-1, -2)])
+        held = polar_decompose(first)[: len(t)]
+        inverse_decomp = svd(moore_penrose(t))
+        expected = mp_polar_parts(t, inverse_decomp=inverse_decomp)
+        parts = mp_polar_parts(t, inverse_decomp=inverse_decomp, parts=held)
+        for name, value in vars(expected).items():
+            assert np.array_equal(getattr(parts, name), value), name
+        matrix = t[2, 0]
+        alone = mp_polar_parts(matrix, parts=polar_decompose(matrix))
+        for name, value in vars(mp_polar_parts(matrix)).items():
+            assert np.array_equal(getattr(alone, name), value), name
 
 
 class TestMpModulusIdentities:

@@ -4,14 +4,19 @@ LAPACK call counts are deterministic, and so are the matrices factored: a
 stacked call factors every matrix of its stack. The whole-suite count, the
 counts of the suites that share factorizations within a trial or evaluate
 their trials in shape groups (every random suite), the blockwise
-``counterexample`` count and the dense-file commands (one SVD of ``T`` per
-command) are pinned exactly;
-single calls are pinned to their stacked calls and to one matrix per
+``counterexample`` count and the dense-file commands are pinned exactly,
+and no dense-file command factors the same matrix twice: ``T`` once for
+``U``, the margin and, in ``classify``, the oracle's check of ``T`` itself;
+``verify_polar`` factors ``|T*|`` by SVD and its modulus ``P`` by one
+``eigh``, for both its spectrum and its range projection.
+Single calls are pinned to their stacked calls and to one matrix per
 operator power, or per distinct window of a block shift's powers. Every
 route to the definitional check, ``centered_order``,
 ``is_n_centered_definitional`` and ``binormal_equivalents``, factors the
 powers ``T^k`` in one stacked SVD per group of powers, so grouping lowers
-the calls but, wherever the oracle agrees, not the matrices factored. The
+the calls but, wherever the oracle agrees, not the matrices factored;
+where the first two take the SVD of ``T`` for ``U`` themselves, the
+oracle takes ``T`` itself from it and factors only ``T^k``, k >= 2. The
 equivalence tests keep the two-call definition of ``oracle_agrees`` and the
 two-SVD definitional loop as references for the single pass, and a test
 forces the oracle's fallback to one power at a time.
@@ -114,13 +119,14 @@ def _two_svd_residuals(t: np.ndarray, n: int) -> tuple[list[float], list[float]]
     return equation, ranges
 
 
-def test_centered_order_on_order6_shift_makes_3_svds_of_8_matrices(lapack_calls):
-    # One SVD for U, then the 27x27 powers T^1..T^7 in two groups, five
-    # powers and two, one stacked SVD each.
+def test_centered_order_on_order6_shift_makes_3_svds_of_7_matrices(lapack_calls):
+    # One SVD for U, which also serves the oracle's check of T, then the
+    # 27x27 powers T^2..T^7 in two groups, T^2..T^5 and T^6..T^7, one
+    # stacked SVD each.
     report = centered_order(_shift(6), 7)
     assert report.verified_order == 6 and report.oracle_agrees
     assert _totals(lapack_calls)["svd"] == 3
-    assert lapack_calls.matrices["svd"] == 8
+    assert lapack_calls.matrices["svd"] == 7
 
 
 def test_oracle_factors_every_power_it_checks(monkeypatch):
@@ -135,20 +141,34 @@ def test_oracle_factors_every_power_it_checks(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recorded)
     t = _shift(6)
     centered_order(t, 7)
-    assert len(factored) == 8
+    # T once, for U and for the oracle's check of T; then T^2..T^7.
+    assert len(factored) == 7
+    assert np.array_equal(factored[0], t)
     t_pow = t
-    for _ in range(7):
-        assert any(np.array_equal(t_pow, a) for a in factored[1:])
+    for _ in range(6):
         t_pow = t_pow @ t
+        assert any(np.array_equal(t_pow, a) for a in factored[1:])
 
 
-@pytest.mark.parametrize("n", [1, 3, 7])
+@pytest.mark.parametrize("n", [3, 7])
 def test_definitional_check_takes_two_svds(lapack_calls, n):
-    # One SVD for U, then the 5x5 powers T^1..T^n in one stacked SVD.
+    # One SVD of T for U and the check of T itself, then the 5x5 powers
+    # T^2..T^n in one stacked SVD.
     t = random_mixed_rank(np.random.default_rng(n), 5)
     is_n_centered_definitional(t, n)
     assert _totals(lapack_calls)["svd"] == 2
-    assert lapack_calls.matrices["svd"] == n + 1
+    assert lapack_calls.matrices["svd"] == n
+
+
+def test_definitional_check_of_t_alone_takes_the_svd_of_u(lapack_calls):
+    # For n = 1 the SVD of T taken for U is the only factorization.
+    t = random_mixed_rank(np.random.default_rng(1), 5)
+    check = is_n_centered_definitional(t, 1)
+    assert lapack_calls.calls == Counter({("svd", 3): 1})
+    assert lapack_calls.matrices["svd"] == 1
+    equation, ranges = _two_svd_residuals(t, 1)
+    assert list(check.equation_residuals) == equation
+    np.testing.assert_allclose(check.range_residuals, ranges, rtol=0, atol=1e-12)
 
 
 def test_oracle_falls_back_to_one_power_at_a_time(monkeypatch):
@@ -174,10 +194,10 @@ def test_oracle_falls_back_to_one_power_at_a_time(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", single)
     assert centered_order(t, 6) == expected
-    # T for U, then T and T^2 one at a time; no power past the first
-    # failing one.
-    assert len(factored) == 3
-    assert all(np.array_equal(a, b) for a, b in zip(factored, [t, t, t @ t]))
+    # T for U and the check of T itself, then T^2 on its own; no power
+    # past the first failing one.
+    assert len(factored) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(factored, [t, t @ t]))
 
     def no_square(a, *args, **kwargs):
         if any(np.array_equal(m, t @ t) for m in np.reshape(a, (-1, *t.shape))):
@@ -198,43 +218,43 @@ def test_oracle_falls_back_to_one_power_at_a_time(monkeypatch):
 
 
 def test_definitional_pass_in_centered_order_stops_at_first_failure(lapack_calls):
-    # A generic draw is 1-centered and fails at power 2: one SVD for U, then
-    # the oracle factors T and T^2 in one stacked SVD and stops, whatever
-    # max_n is.
+    # A generic draw is 1-centered and fails at power 2: one SVD of T for U
+    # and the check of T itself, then the oracle factors T^2 and stops,
+    # whatever max_n is.
     t = random_mixed_rank(np.random.default_rng(5), 5)
     report = centered_order(t, 6)
     assert report.verified_order == 1 and report.oracle_agrees
     assert _totals(lapack_calls)["svd"] == 2
-    assert lapack_calls.matrices["svd"] == 3
+    assert lapack_calls.matrices["svd"] == 2
 
 
 def test_run_suite_all_factorization_counts(lapack_calls):
     # Every random suite factors each shape group in a few stacked calls;
     # the matrices factored are those of the per-trial evaluation.
     run_suite("all", 0, 6, 100)
-    assert _totals(lapack_calls) == Counter(svd=195, eigh=10, eigvalsh=36)
-    assert lapack_calls.matrices == Counter(svd=5097, eigh=250, eigvalsh=887)
+    assert _totals(lapack_calls) == Counter(svd=164, eigh=41, eigvalsh=5)
+    assert lapack_calls.matrices == Counter(svd=4141, eigh=1087, eigvalsh=50)
 
 
 def test_polar_contract_calls_scale_with_shape_groups_not_trials(lapack_calls):
     # Dims 2-6, square and (d, d - 1) draws: nine shape groups, each one SVD
-    # of T, one of T* and one for the range projection of |T|, plus one
-    # eigvalsh.
+    # of T, one of T*, and one eigh of |T| for its spectrum and its range
+    # projection.
     counts = []
     for trials in (100, 400):
         lapack_calls.clear()
         run_suite("polar-contract", 0, 6, trials)
         counts.append((_totals(lapack_calls), lapack_calls.matrices["svd"]))
     assert counts == [
-        (Counter(svd=27, eigvalsh=9), 300),
-        (Counter(svd=27, eigvalsh=9), 1200),
+        (Counter(svd=18, eigh=9), 200),
+        (Counter(svd=18, eigh=9), 800),
     ]
 
 
 def test_mp_inverse_calls_scale_with_shape_groups_not_trials(lapack_calls):
     # Dims 2-6 and the 15x15 and 18x18 shift fixtures: seven shape groups,
-    # each one SVD of T and T*, one of pinv, pinv*, |T| and |T*|, one for
-    # the range projection in pinv's polar check and one eigvalsh, and,
+    # each one SVD of T and T*, one of pinv, pinv*, |T| and |T*|, one eigh
+    # of the modulus in pinv's polar check, and,
     # where an operator is 2-centered or more, one of the powers T^k,
     # k >= 2, for their inverses. The orders of T and pinv come from their
     # commutators alone, which factor nothing.
@@ -244,8 +264,8 @@ def test_mp_inverse_calls_scale_with_shape_groups_not_trials(lapack_calls):
         run_suite("mp-inverse", 0, 6, trials)
         counts.append((_totals(lapack_calls), Counter(lapack_calls.matrices)))
     assert counts == [
-        (Counter(svd=27, eigvalsh=7), Counter(svd=827, eigvalsh=112)),
-        (Counter(svd=27, eigvalsh=7), Counter(svd=2927, eigvalsh=412)),
+        (Counter(svd=20, eigh=7), Counter(svd=715, eigh=112)),
+        (Counter(svd=20, eigh=7), Counter(svd=2515, eigh=412)),
     ]
 
 
@@ -254,30 +274,28 @@ def test_mp_inverse_calls_scale_with_shape_groups_not_trials(lapack_calls):
     [
         # Each case pins the calls, then the matrices they factored.
         # 112 operators in seven shape groups. Per group: one SVD for U,
-        # then one stacked SVD of the powers the reports' oracles check per
-        # number of powers checked (T and T^2 for a 1-centered draw): 18
-        # calls. Every report agrees, so no operator needs the full walk.
-        ("centered-oracle", (Counter(svd=18), Counter(svd=371))),
+        # which also gives the oracle's check of T, then one stacked SVD of
+        # the powers k >= 2 the reports' oracles check per number of powers
+        # checked (T^2 for a 1-centered draw): 18 calls. Every report
+        # agrees, so no operator needs the full walk.
+        ("centered-oracle", (Counter(svd=18), Counter(svd=259))),
         # 100 operators in five shape groups. Per group: one SVD of T and
         # T*, one of T and T^2 for the two-power oracle, one of the
-        # transforms T_ab and their adjoints at all three exponent pairs,
-        # one for the polar check's range projections; one eigh of |T| and
-        # |T*|, one eigvalsh. Per operator that is T, T*, T, T^2, then three
-        # per pair, one eigh each of |T| and |T*|, and three eigvalsh.
+        # transforms T_ab and their adjoints at all three exponent pairs;
+        # one eigh of |T| and |T*|, one eigh of the transforms' moduli for
+        # the polar check. Per operator that is T, T*, T, T^2, then two SVDs
+        # and one eigh per pair, and one eigh each of |T| and |T*|.
         (
             "aluthge-binormal",
-            (
-                Counter(svd=20, eigh=5, eigvalsh=5),
-                Counter(svd=1300, eigh=200, eigvalsh=300),
-            ),
+            (Counter(svd=15, eigh=10), Counter(svd=1000, eigh=500)),
         ),
         # 112 operators in seven shape groups: T, pinv, T*, pinv*, |T| and
-        # |T*| (for their inverses) and the range projection in pinv's polar
-        # check once each, and the powers T^k, k >= 2, up to each order, for
+        # |T*| (for their inverses) once each, the modulus in pinv's polar
+        # check by eigh, and the powers T^k, k >= 2, up to each order, for
         # their inverses; per group a few stacked calls (see the test above).
         (
             "mp-inverse",
-            (Counter(svd=27, eigvalsh=7), Counter(svd=827, eigvalsh=112)),
+            (Counter(svd=20, eigh=7), Counter(svd=715, eigh=112)),
         ),
         # 50 commuting and 50 other pairs, each half in five shape groups.
         # Per commuting group: one SVD for the range projections of A, B and
@@ -305,13 +323,13 @@ def test_counterexample_n60_factors_blocks_not_the_dense_operator(
     # One batched SVD of the 4 distinct blocks for U and |T|, one per group
     # of powers T^k, k = 1..61, in the definitional check (the 241 distinct
     # windows of the 1,952 blocks of those powers, in five groups), and the
-    # predicted-structure check on the 62 blocks (|T_m*|, the range
-    # projections of the predicted moduli and their eigenvalues); nothing
-    # dense is factored.
+    # predicted-structure check on the 62 blocks (an SVD for |T_m*|, one
+    # eigh of the predicted moduli for their eigenvalues and range
+    # projections); nothing dense is factored.
     code = main(["counterexample", "--n", "60", "--out", str(tmp_path / "s.json")])
     assert code == 0 and "verdict: pass" in capsys.readouterr().out
-    assert lapack_calls.calls == Counter({("svd", 3): 8, ("eigvalsh", 3): 1})
-    assert lapack_calls.matrices == Counter(svd=4 + 241 + 2 * 62, eigvalsh=62)
+    assert lapack_calls.calls == Counter({("svd", 3): 7, ("eigh", 3): 1})
+    assert lapack_calls.matrices == Counter(svd=4 + 241 + 62, eigh=62)
 
 
 def test_certify_blockwise_oracle_factors_linearly_many_matrices(lapack_calls):
@@ -329,36 +347,71 @@ def test_certify_blockwise_oracle_factors_linearly_many_matrices(lapack_calls):
     assert oracle == [81, 161, 241]
 
 
+def _dense_file_argv(tmp_path, command: str, shape: tuple[int, int]) -> list[str]:
+    """The command line of ``command`` on a seeded Gaussian file of
+    ``shape``, written before the caller starts logging."""
+    path = tmp_path / "t.json"
+    write_matrix(path, random_operator(np.random.default_rng(4), *shape))
+    argv = [command, str(path)]
+    if command != "classify":
+        argv += ["--out", str(tmp_path / "out")]
+    return argv
+
+
 @pytest.mark.parametrize(
     "command, shape, svds",
     [
-        # T once for U, |T| and the margin; verify_polar factors |T*| and
-        # the range projection of P on its own.
-        ("polar", (6, 6), 3),
-        ("polar", (7, 4), 3),
+        # T once for U, |T| and the margin; verify_polar factors |T*| and,
+        # by one eigh, P.
+        ("polar", (6, 6), 2),
+        ("polar", (7, 4), 2),
         # T once for the inverse, the margin and U*; pinv once for its
-        # modulus; verify_polar twice on the inverse.
-        ("mp", (6, 6), 4),
+        # modulus; verify_polar factors pinv* and, by one eigh, |pinv|.
+        ("mp", (6, 6), 3),
         # T once; the inverse polar checks need a square T.
         ("mp", (7, 4), 1),
-        # A generic draw is 1-centered: T once for U and the margin, then
-        # the oracle factors T and T^2 on its own, in one stacked SVD.
+        # A generic draw is 1-centered: T once for U, the margin and the
+        # oracle's check of T, then the oracle factors T^2 on its own.
         ("classify", (6, 6), 2),
     ],
 )
 def test_dense_file_commands_factor_t_once(
     lapack_calls, tmp_path, capsys, command, shape, svds
 ):
-    path = tmp_path / "t.json"
-    write_matrix(path, random_operator(np.random.default_rng(4), *shape))
+    argv = _dense_file_argv(tmp_path, command, shape)
     lapack_calls.clear()
-    argv = [command, str(path)]
-    if command != "classify":
-        argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 0, capsys.readouterr().out
     assert _totals(lapack_calls)["svd"] == svds
-    # Every input is one matrix but that of classify's oracle, T and T^2.
-    assert lapack_calls.matrices["svd"] == svds + (command == "classify")
+    # Every input is one matrix.
+    assert lapack_calls.matrices["svd"] == svds
+
+
+@pytest.mark.parametrize(
+    "command, counts",
+    [
+        # T^2 and T are walked in groups of their own at this size.
+        ("classify", Counter(svd=2)),
+        ("polar", Counter(svd=2, eigh=1)),
+        ("mp", Counter(svd=3, eigh=1)),
+    ],
+)
+def test_dense_file_commands_factor_no_matrix_twice(
+    monkeypatch, tmp_path, capsys, command, counts
+):
+    argv = _dense_file_argv(tmp_path, command, (80, 80))
+    factored: list[tuple[str, bytes]] = []
+    for name in ("svd", "eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def recorded(a, *args, _original=original, _name=name, **kwargs):
+            matrices = np.reshape(a, (-1, *np.shape(a)[-2:]))
+            factored.extend((_name, np.ascontiguousarray(m).tobytes()) for m in matrices)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    assert main(argv) == 0, capsys.readouterr().out
+    assert Counter(name for name, _ in factored) == counts
+    assert len({data for _, data in factored}) == len(factored)
 
 
 @pytest.mark.parametrize("max_n", [1, 2, 3, 6, 9])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -347,6 +348,32 @@ def test_written_text_of_sparse_matrices_with_signed_zeros(
     path = tmp_path_factory.getbasetemp() / "sparse.json"  # one file, rewritten
     write_matrix(path, a)
     assert path.read_text(encoding="utf-8") == json.dumps(matrix_to_doc(a)) + "\n"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
+@pytest.mark.parametrize("row", [0, 150, 299])
+def test_write_rejects_non_finite_entries_in_any_piece(tmp_path, bad, row):
+    # 300x300 is written in several pieces of whole rows; a non-finite entry
+    # in any of them raises before the file is created.
+    a = build_truncated(ShiftSpec.from_recipe(97))
+    a[row, row // 2] = bad
+    path = tmp_path / "m.json"
+    with pytest.raises(ValueError, match="^operator entries must be finite$"):
+        write_matrix(path, a)
+    assert not path.exists()
+
+
+def test_write_checks_finiteness_without_a_whole_matrix_mask():
+    # The 3009x3009 shift of order 1000 (109 MB of text): a bool mask of the
+    # whole matrix would take 9.1 MB; pieces of whole rows take a few kB.
+    a = build_truncated(ShiftSpec.from_recipe(1000))
+    tracemalloc.start()
+    try:
+        write_matrix(os.devnull, a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_rejects_non_finite_payload():
