@@ -18,8 +18,13 @@ such stacks for ``product_polar`` and ``polar_transfer``), validates it
 once, and gives each operator of a stack bitwise the result it gets alone:
 a list of reports, or for ``is_binormal`` of (verdict, norm) pairs, and
 for ``aluthge`` parts holding stacks; below them, everything runs on
-stacks of operators (``core._stacked``). The suites evaluate each group of
-draws of one shape with one call per factorization this way.
+stacks of operators (``core._stacked``). Each function but
+``centered_order``, whose ``labels`` route takes a 3-D block stack,
+declares that entry with ``core._boundary`` and is its kernel under it;
+the functions here call the kernels of the others (``polar_decompose.kernel``,
+``verify_polar.kernel``, ...), never the others, so each operand is
+checked once per public call. The suites evaluate each group of draws of
+one shape with one call per factorization this way.
 
 Sharing rule: one function, ``_oracle_residuals``, factors the powers
 ``T^k`` for the definitional check, and shares only ``U`` and the walk of
@@ -27,8 +32,9 @@ its powers ``U^k`` with the commutator criterion. ``centered_order``,
 ``is_n_centered_definitional`` and ``binormal_equivalents`` all reach it.
 ``T`` itself is factored once: where ``centered_order`` and
 ``is_n_centered_definitional`` take an SVD of ``T`` for ``U`` (no
-``parts`` passed), the oracle's ``k = 1`` residuals come from that SVD, and
-it factors only ``T^k``, ``k >= 2``. Everything else in one evaluation is
+``parts`` passed), and ``binormal_equivalents`` one of ``T`` and ``T*``,
+the oracle's ``k = 1`` residuals come from that SVD, and it factors only
+``T^k``, ``k >= 2``. Everything else in one evaluation is
 factored once: ``centered_order`` and ``mp_centered_check`` take the polar
 parts or SVDs a caller already holds. The rule holds on every
 centered-order route: ``centered_order`` takes a matrix, a stack of
@@ -68,6 +74,7 @@ from .core import (
     SvdResult,
     ToleranceConfig,
     _adjoint,
+    _boundary,
     _checked,
     _commutator_test,
     _floor_one,
@@ -76,7 +83,6 @@ from .core import (
     _norms,
     _psd_powers,
     _residual,
-    _same_square,
     _span_norms,
     _stacked,
     _svd,
@@ -267,12 +273,12 @@ class MpCenteredReport:
     ok: bool
 
 
+@_boundary((2, 4), square=True)
 def is_binormal(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     """Whether ``[T* T, T T*]`` vanishes, plus the raw commutator norm; for
     a stack of operators, a list of one such pair per operator."""
-    x, lead = _stacked(_checked(t, (2, 4), square=True))
-    norm, commute = _commutator_test(_adjoint(x) @ x, x @ _adjoint(x), cfg)
-    return _unstacked(list(zip(commute.tolist(), norm.tolist())), lead)
+    norm, commute = _commutator_test(_adjoint(t) @ t, t @ _adjoint(t), cfg)
+    return list(zip(commute.tolist(), norm.tolist()))
 
 
 # A power of the rescaled walk (see _powers) whose largest entry exceeds this
@@ -693,7 +699,7 @@ def centered_order(
     held = None
     if parts is None:
         held = _svd(t)
-        parts = polar_decompose(t, cfg, decomp=held)
+        parts = polar_decompose.kernel(t, cfg, decomp=held)
     u, p = parts.isometry, parts.modulus
     windows = None if labels is None else _Windows(labels)
     operators = len(p)
@@ -779,6 +785,7 @@ def centered_order(
     return _unstacked(reports, lead)
 
 
+@_boundary((2,), square=True)
 def is_n_centered_definitional(
     t, n: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> DefinitionalCheck:
@@ -789,11 +796,10 @@ def is_n_centered_definitional(
     of ``_power_groups``, one stacked SVD per group, so a small matrix
     takes two SVDs for any n >= 2, and one for n = 1. Raises if a power
     cannot be factored."""
-    t, _ = _stacked(_checked(t, square=True))
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     held = _svd(t)
-    u = polar_decompose(t, cfg, decomp=held).isometry
+    u = polar_decompose.kernel(t, cfg, decomp=held).isometry
     t_powers = _powers(t)
     equation: list[float] = []
     ranges: list[float] = []
@@ -809,23 +815,23 @@ def is_n_centered_definitional(
     )
 
 
-def _product_parts(t, s, cfg: ToleranceConfig):
-    """For two square matrices, or stacks of operators of one matrix each:
-    the ``lead`` of ``core._stacked``, the polar parts of ``T``, ``S`` and
-    ``S*`` (one SVD), and the stack of ``T S`` and ``|T| |S*|`` with its
-    polar parts (one SVD), joined and as the pair of each half."""
-    t, lead, s = _same_square(t, s, (2, 4))
+def _product_parts(t: np.ndarray, s: np.ndarray, cfg: ToleranceConfig):
+    """For two stacks of operators of one square matrix each: the polar
+    parts of ``T``, ``S`` and ``S*`` (one SVD), and the stack of ``T S`` and
+    ``|T| |S*|`` with its polar parts (one SVD), joined and as the pair of
+    each half."""
     if t.shape[1] != 1:
         raise ValueError(f"expected operators of one matrix each, got {t.shape}")
     count = len(t)
-    factors = polar_decompose(np.concatenate([t, s, _adjoint(s)]), cfg)
+    factors = polar_decompose.kernel(np.concatenate([t, s, _adjoint(s)]), cfg)
     t_parts, s_parts, s_adj_parts = (factors[i : i + count] for i in (0, count, 2 * count))
     targets = np.concatenate([t @ s, t_parts.modulus @ s_adj_parts.modulus])
-    target_parts = polar_decompose(targets, cfg)
+    target_parts = polar_decompose.kernel(targets, cfg)
     halves = [(targets[i : i + count], target_parts[i : i + count]) for i in (0, count)]
-    return lead, t_parts, s_parts, s_adj_parts, (targets, target_parts), *halves
+    return t_parts, s_parts, s_adj_parts, (targets, target_parts), *halves
 
 
+@_boundary((2, 4), (2, 4), square=True)
 def product_polar(t, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     """Evaluate the product ``T S`` against the candidate factor ``U V``.
 
@@ -836,16 +842,14 @@ def product_polar(t, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     one report per pair. ``T``, ``S`` and ``S*`` share one stacked SVD, and
     so do ``T S`` and ``|T| |S*|``.
     """
-    lead, t_parts, s_parts, s_adj_parts, _, (product, product_parts), (_, moduli_parts) = (
+    t_parts, s_parts, s_adj_parts, _, (product, product_parts), (_, moduli_parts) = (
         _product_parts(t, s, cfg)
     )
     mod_t, mod_s_adj = t_parts.modulus, s_adj_parts.modulus
     candidate = t_parts.isometry @ s_parts.isometry
 
     residual = _residual(product, candidate @ product_parts.modulus)
-    checks = verify_polar(
-        product, PolarParts(candidate, product_parts.modulus, product_parts.rank), cfg
-    )
+    checks = verify_polar.kernel(product, candidate, product_parts.modulus, cfg)
 
     transfer = t_parts.isometry @ moduli_parts.isometry @ s_parts.isometry
     norm, commute = _commutator_test(mod_t, mod_s_adj, cfg)
@@ -859,13 +863,13 @@ def product_polar(t, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
         transfer[:, 0],
         transfer_residual.tolist(),
     )
-    reports = [
+    return [
         ProductPolarReport(a, b, c, res, res <= cfg.equality_rel_tol, check.ok, d, e)
         for a, b, c, res, check, d, e in rows
     ]
-    return _unstacked(reports, lead)
 
 
+@_boundary((2, 4), (2, 4), square=True)
 def polar_transfer(t, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     """Move polar factors between ``T S`` and ``|T| |S*|`` in both directions.
 
@@ -877,7 +881,7 @@ def polar_transfer(t, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     and ``S*`` share one stacked SVD, ``T S`` and ``|T| |S*|`` another, and
     both directions one polar check.
     """
-    lead, t_parts, s_parts, _, (targets, parts), (_, product_parts), (_, moduli_parts) = (
+    t_parts, s_parts, _, (targets, parts), (_, product_parts), (_, moduli_parts) = (
         _product_parts(t, s, cfg)
     )
     u, v = t_parts.isometry, s_parts.isometry
@@ -887,37 +891,36 @@ def polar_transfer(t, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
             _adjoint(u) @ product_parts.isometry @ _adjoint(v),
         ]
     )
-    checks = verify_polar(targets, PolarParts(candidates, parts.modulus, parts.rank), cfg)
-    reports = [
+    checks = verify_polar.kernel(targets, candidates, parts.modulus, cfg)
+    return [
         TransferReport(product_check=first, moduli_check=second, ok=first.ok and second.ok)
         for first, second in zip(checks[: len(u)], checks[len(u) :])
     ]
-    return _unstacked(reports, lead)
 
 
+@_boundary((2, 4), square=True)
 def aluthge(
     t, alpha: float, beta: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> AluthgeParts:
     """Aluthge-type transform ``|T|^alpha U |T|^beta`` with its candidate
     polar factor ``U* U U``; for a stack of operators, parts holding one
     transform and one factor per operator."""
-    t, lead = _stacked(_checked(t, (2, 4), square=True))
     if alpha <= 0 or beta <= 0:
         raise ValueError(f"exponents must be positive, got ({alpha}, {beta})")
-    parts = polar_decompose(t, cfg)
+    parts = polar_decompose.kernel(t, cfg)
     power = _psd_powers(parts.modulus, cfg)
     u = parts.isometry
     p_alpha = power(alpha)
     p_beta = p_alpha if beta == alpha else power(beta)
-    parts = AluthgeParts(
+    return AluthgeParts(
         alpha=float(alpha),
         beta=float(beta),
         transform=p_alpha @ u @ p_beta,
         tilde_u=_adjoint(u) @ u @ u,
     )
-    return _unstacked(parts, lead)
 
 
+@_boundary((2, 4), square=True)
 def binormal_equivalents(
     t,
     alphas_betas: list[tuple[float, float]],
@@ -937,19 +940,21 @@ def binormal_equivalents(
 
     For a stack of operators, a list of one report per operator. ``T`` and
     ``T*`` share one stacked SVD and one ``eigh`` of their moduli; the
-    oracle (``_oracle_residuals``) factors ``T`` and ``T^2`` of every
-    operator in one stacked SVD; the transforms of every exponent pair and
-    their adjoints form one stack, pair by pair.
+    oracle (``_oracle_residuals``) takes the SVD of ``T`` from that one and
+    factors only ``T^2`` of every operator, in one stacked SVD; the
+    transforms of every exponent pair and their adjoints form one stack,
+    pair by pair.
     """
-    t, lead = _stacked(_checked(t, (2, 4), square=True))
     if not alphas_betas:
         raise ValueError("alphas_betas must contain at least one pair")
     count = len(t)
-    binormal = [flag for flag, _ in is_binormal(t, cfg)]
-    factors = polar_decompose(np.concatenate([t, _adjoint(t)]), cfg)
+    binormal = [flag for flag, _ in is_binormal.kernel(t, cfg)]
+    pair = np.concatenate([t, _adjoint(t)])
+    decomp = _svd(pair)
+    factors = polar_decompose.kernel(pair, cfg, decomp=decomp)
     u = factors.isometry[:count]
     tol = cfg.equality_rel_tol
-    equation, ranges = _oracle_residuals([t, t @ t], [u, u @ u], cfg)
+    equation, ranges = _oracle_residuals([t, t @ t], [u, u @ u], cfg, held=decomp[:count])
     two_centered = ((equation <= tol) & (ranges <= tol)).all(axis=1).tolist()
     both = functools.cache(_psd_powers(factors.modulus, cfg))
 
@@ -961,16 +966,13 @@ def binormal_equivalents(
 
     transform = np.concatenate([power(a) @ u @ power(b) for a, b in alphas_betas])
     tilde_u = np.concatenate([_adjoint(u) @ u @ u] * len(alphas_betas))
-    transforms = polar_decompose(np.concatenate([transform, _adjoint(transform)]), cfg)
+    parts = polar_decompose.kernel(np.concatenate([transform, _adjoint(transform)]), cfg)
     split = len(transform)
-    transform_parts, adjoint_parts = transforms[:split], transforms[split:]
+    transform_parts, adjoint_parts = parts[:split], parts[split:]
     transform_mod = transform_parts.modulus
     eq_res = _residual(transform, tilde_u @ transform_mod)
-    polar_checks = verify_polar(
-        transform,
-        PolarParts(tilde_u, transform_mod, transform_parts.rank),
-        cfg,
-        adjoint_parts=adjoint_parts,
+    polar_checks = verify_polar.kernel(
+        transform, tilde_u, transform_mod, cfg, adjoint_parts
     )
     modulus_form = np.concatenate(
         [_adjoint(u) @ power(a) @ u @ power(b) for a, b in alphas_betas]
@@ -1010,9 +1012,10 @@ def binormal_equivalents(
             all(c.modulus_form_holds and c.adjoint_form_holds for c in own),
         )
         reports.append(BinormalEquivalents(binormal_i, two_centered_i, own, statements))
-    return _unstacked(reports, lead)
+    return reports
 
 
+@_boundary((2, 4), square=True, held=("decomp", "adjoint_parts", "inverse_parts"))
 def mp_centered_check(
     t,
     max_n: int,
@@ -1042,19 +1045,15 @@ def mp_centered_check(
     one stacked expression, and the inverses of the powers ``T^k``, k >= 2,
     of every operator take one stacked SVD.
     """
-    t, lead, decomp, adjoint_parts, inverse_parts = _stacked(
-        _checked(t, (2, 4), square=True), decomp, adjoint_parts, inverse_parts
-    )
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
-    if decomp is None:
-        decomp = _svd(t)
-    parts = polar_decompose(t, cfg, decomp=decomp)
-    pinv = moore_penrose(t, cfg, decomp=decomp)
+    decomp = _svd(t) if decomp is None else decomp
+    parts = polar_decompose.kernel(t, cfg, decomp=decomp)
+    pinv = moore_penrose.kernel(t, cfg, decomp=decomp)
     if adjoint_parts is None:
-        adjoint_parts = polar_decompose(_adjoint(t), cfg)
+        adjoint_parts = polar_decompose.kernel(_adjoint(t), cfg)
     if inverse_parts is None:
-        inverse_parts = polar_decompose(pinv, cfg)
+        inverse_parts = polar_decompose.kernel(pinv, cfg)
     u, p, adjoint_modulus = parts.isometry, parts.modulus, adjoint_parts.modulus
     inverse_u, inverse_p = inverse_parts.isometry, inverse_parts.modulus
 
@@ -1075,7 +1074,7 @@ def mp_centered_check(
     higher = [t_pow[own] for t_pow, own in zip(t_pows, members)][1:]
     inverses = [pinv]
     if higher:
-        stack = moore_penrose(np.concatenate(higher), cfg)
+        stack = moore_penrose.kernel(np.concatenate(higher), cfg)
         inverses += np.split(stack, list(accumulate(map(len, higher[:-1]))))
     pinv_pows = [pinv_pow[own] for pinv_pow, own in zip(_powers(pinv), members)]
     values = iter(_residual(np.concatenate(inverses), np.concatenate(pinv_pows)).tolist())
@@ -1117,4 +1116,4 @@ def mp_centered_check(
                 ok=ok,
             )
         )
-    return _unstacked(reports, lead)
+    return reports

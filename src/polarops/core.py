@@ -11,6 +11,18 @@ each operator the direct sum of its blocks, and reduce over its last three
 axes. A public function checks its input (``_checked``), takes it into such
 a stack on entry (``_stacked``) and gives the result back on exit
 (``_unstacked``); only these three look at how many axes an input has.
+
+One declaration, ``_boundary``, states that entry and exit, as a generalized
+ufunc states its core signature: the axes each array operand may have,
+whether its matrices must be square, and which held parts (``decomp=``,
+``parts=``, ...) are lifted with it. The public functions of ``core``,
+``decomp`` and ``classify`` that it describes are their kernels under it,
+and each exposes its kernel as ``.kernel``. Inside those modules a public
+function calls ``other.kernel`` or a private kernel of ``core``, never
+another public function, so each array operand is checked once per public
+call. Arrays formed inside a call (products, powers, transforms) are not
+checked again: an entry that overflowed reaches a factorization, and
+``_lapack`` refuses it.
 """
 
 from __future__ import annotations
@@ -107,6 +119,41 @@ def _require_finite(arr: np.ndarray) -> None:
     """Raise the ``_checked`` error unless every entry of ``arr`` is finite."""
     if not np.isfinite(arr).all():
         raise ValueError("operator entries must be finite")
+
+
+def _boundary(*axes: tuple[int, ...], square: bool = False, held: tuple[str, ...] = ()):
+    """Declare the boundary of a public function whose body, its kernel,
+    takes stacks of operators. ``axes`` holds, for each array operand (the
+    leading positional arguments), the numbers of axes it may have (the
+    stack rule, see ``_checked``); with ``square``, every matrix of every
+    operand is square; ``held`` names the keyword arguments, parts that a
+    caller holds for the operand, lifted along with it (``_lifted``).
+    Operands of a pair have one shape.
+
+    The declared function checks each operand once, takes the operands and
+    the held parts into stacks of operators (``_stacked``), calls the
+    kernel with the other arguments as given, and gives the kernel's result
+    back unstacked (``_unstacked``). The kernel is its ``.kernel``."""
+
+    count, squares = len(axes), (square,) * len(axes)
+
+    def declare(kernel):
+        @functools.wraps(kernel)
+        def public(*args, **kwargs):
+            operands = list(map(_checked, args[:count], axes, squares))
+            a = operands[0]
+            for b in operands[1:]:
+                if b.shape != a.shape:
+                    raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+            x, lead, *lifted = _stacked(*operands, *map(kwargs.get, held))
+            kwargs.update(zip(held, lifted[count - 1 :]))
+            result = kernel(x, *lifted[: count - 1], *args[count:], **kwargs)
+            return _unstacked(result, lead)
+
+        public.kernel = kernel
+        return public
+
+    return declare
 
 
 def _stacked(arr: np.ndarray, *held):
@@ -214,27 +261,19 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _same_square(a, b, ndims: tuple[int, ...] = (2, 3, 4)):
-    """``_stacked`` of two checked square operators, or stacks, of one shape:
-    ``(a, lead, b)``."""
-    a, b = _checked(a, ndims), _checked(b, ndims)
-    if a.shape[-1] != a.shape[-2] or b.shape[-1] != b.shape[-2]:
-        raise ValueError(f"expected square operators, got {a.shape} and {b.shape}")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return _stacked(a, b)
-
-
+@_boundary((2, 3, 4), (2, 3, 4), square=True)
 def commutator(a, b) -> np.ndarray:
     """Return ``a @ b - b @ a`` for square operators of equal dimension, or
     for each pair of matrices of two stacks of one shape."""
-    x, lead, y = _same_square(a, b)
-    return _unstacked(x @ y - y @ x, lead)
+    return a @ b - b @ a
 
 
-def commutator_norm(a, b) -> float:
-    x, lead, y = _same_square(a, b)
-    return _unstacked(_norms(x @ y - y @ x), lead)
+@_boundary((2, 3, 4), (2, 3, 4), square=True)
+def commutator_norm(a, b) -> float | np.ndarray:
+    """``fro_norm(commutator(a, b))``: a float for two operators (a direct
+    sum counts as one), an array of one norm per operator for two stacks
+    of operators."""
+    return _norms(a @ b - b @ a)
 
 
 def commutator_threshold(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
@@ -259,11 +298,11 @@ def _commutator_test(a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig):
     return norm, norm <= _threshold(_norms(a), _norms(b), cfg)
 
 
+@_boundary((2, 3, 4), (2, 3, 4), square=True)
 def commutes(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     """Toleranced commutator-vanishing test against :func:`commutator_threshold`;
     for two stacks of operators, one verdict per operator."""
-    x, lead, y = _same_square(a, b)
-    return _unstacked(_commutator_test(x, y, cfg)[1], lead)
+    return _commutator_test(a, b, cfg)[1]
 
 
 @dataclass(frozen=True)
@@ -300,10 +339,10 @@ def _svd(a: np.ndarray) -> SvdResult:
     return SvdResult(left, s, _adjoint(right_h))
 
 
+@_boundary((2, 3, 4))
 def svd(a) -> SvdResult:
     """Thin SVD of a matrix, or of each matrix of a stack."""
-    x, lead = _stacked(_checked(a, (2, 3, 4)))
-    return _unstacked(_svd(x), lead)
+    return _svd(a)
 
 
 def _modulus(decomp: SvdResult) -> np.ndarray:
@@ -327,9 +366,12 @@ class HermEigResult:
     eigenvectors: np.ndarray
 
 
+@_boundary((2,), square=True)
 def herm_eig(a) -> HermEigResult:
-    x, lead = _stacked(_checked(a, square=True))
-    return _unstacked(HermEigResult(*_lapack("eigh", x)), lead)
+    """``numpy.linalg.eigh`` of a square matrix, which reads its lower
+    triangle as that of a Hermitian matrix: eigenvalues ascending, with
+    orthonormal eigenvectors as columns."""
+    return HermEigResult(*_lapack("eigh", a))
 
 
 def numerical_rank(s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
@@ -391,34 +433,30 @@ def rank_margin(s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
     return float(s[r - 1] / s[0])
 
 
-def _hermitian(x: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    """``is_hermitian`` of each operator of a stack of operators."""
-    if x.shape[-1] != x.shape[-2]:
-        return np.zeros(x.shape[:-3], dtype=bool)
-    return _norms(x - _adjoint(x)) <= cfg.equality_rel_tol * _floor_one(_norms(x))
-
-
+@_boundary((2, 4))
 def is_hermitian(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     """Whether ``a`` equals its adjoint within tolerance; for a stack of
     operators, one verdict per operator."""
-    x, lead = _stacked(_checked(a, (2, 4)))
-    return _unstacked(_hermitian(x, cfg), lead)
+    if a.shape[-1] != a.shape[-2]:
+        return np.zeros(a.shape[:-3], dtype=bool)
+    return _norms(a - _adjoint(a)) <= cfg.equality_rel_tol * _floor_one(_norms(a))
 
 
+@_boundary((2, 4))
 def is_hermitian_psd(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     """True iff ``a`` is Hermitian within tolerance with spectrum >= -tol.
     A stack of operators gets one verdict per operator, and only its
     Hermitian operators are factored."""
-    x, lead = _stacked(_checked(a, (2, 4)))
-    verdicts = _hermitian(x, cfg)
+    verdicts = is_hermitian.kernel(a, cfg)
     if verdicts.any():
-        h = x[verdicts]
+        h = a[verdicts]
         (values,) = _lapack("eigvalsh", 0.5 * (h + _adjoint(h)))
         scale = _floor_one(values[..., -1].max(axis=-1))
         verdicts[verdicts] = values[..., 0].min(axis=-1) >= -cfg.zero_rel_tol * scale
-    return _unstacked(verdicts, lead)
+    return verdicts
 
 
+@_boundary((2,))
 def fractional_power_psd(
     a, alpha: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> np.ndarray:
@@ -431,7 +469,6 @@ def fractional_power_psd(
     Raises ValueError for ``alpha <= 0``, non-Hermitian input, or an
     eigenvalue below the negativity tolerance.
     """
-    a = as_operator(a)
     _require_positive(alpha)
     return _psd_powers(a, cfg)(alpha)
 
@@ -441,13 +478,12 @@ def _require_positive(alpha: float) -> None:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
 
 
-def _psd_powers(a, cfg: ToleranceConfig):
-    """``alpha -> fractional_power_psd(a, alpha)`` of a matrix, or of each
-    operator of a stack, from one validation, ``eigh`` and rank clamp, with
-    each operator's own Hermitian test, negativity tolerance and cutoff;
-    a stack raises if any operator fails its test."""
-    x, lead = _stacked(_checked(a, (2, 4)))
-    if not _hermitian(x, cfg).all():
+def _psd_powers(x: np.ndarray, cfg: ToleranceConfig):
+    """``alpha -> fractional_power_psd(x, alpha)`` of each operator of a
+    stack of operators, from one ``eigh`` and rank clamp, with each
+    operator's own Hermitian test, negativity tolerance and cutoff; a stack
+    raises if any operator fails its test."""
+    if not is_hermitian.kernel(x, cfg).all():
         raise ValueError("fractional powers require a Hermitian input")
     values, vectors = _lapack("eigh", 0.5 * (x + _adjoint(x)))
     lam_max = values[..., -1].max(axis=-1)[..., None, None]
@@ -462,23 +498,15 @@ def _psd_powers(a, cfg: ToleranceConfig):
         powered = np.where(values > 0.0, values**alpha, 0.0)
         result = (vectors * powered[..., None, :]) @ _adjoint(vectors)
         # The exact result is Hermitian; re-symmetrize to kill round-off drift.
-        return _unstacked(0.5 * (result + _adjoint(result)), lead)
+        return 0.5 * (result + _adjoint(result))
 
     return power
-
-
-def _range_projection(t: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    """``range_projection`` of each matrix of a stack of operators, with
-    the rank cutoffs of ``_rank``."""
-    decomp = _svd(t)
-    p = _leading_product(decomp.left_vectors, None, _rank(decomp.singular_values, cfg))
-    return 0.5 * (p + _adjoint(p))
 
 
 def _hermitian_range_projection(
     values: np.ndarray, vectors: np.ndarray, cfg: ToleranceConfig
 ) -> np.ndarray:
-    """``_range_projection`` of each Hermitian matrix of a stack of
+    """``range_projection.kernel`` of each Hermitian matrix of a stack of
     operators from its ``eigh``: the |eigenvalues| are its singular values,
     so the eigenvectors ordered by |eigenvalue|, largest first, take the
     place of the left singular vectors, with the cutoffs of ``_rank``."""
@@ -490,21 +518,21 @@ def _hermitian_range_projection(
     return 0.5 * (p + _adjoint(p))
 
 
+@_boundary((2, 3, 4))
 def range_projection(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """Orthogonal projection onto the numerical range (column space) of
-    ``t``; for a stack, that of ``_range_projection``."""
-    x, lead = _stacked(_checked(t, (2, 3, 4)))
-    return _unstacked(_range_projection(x, cfg), lead)
+    ``t``; for a stack, that of each matrix, with the rank cutoffs of
+    ``_rank``."""
+    decomp = _svd(t)
+    p = _leading_product(decomp.left_vectors, None, _rank(decomp.singular_values, cfg))
+    return 0.5 * (p + _adjoint(p))
 
 
+@_boundary((2, 3, 4), (2, 3, 4))
 def equality_residual(a, b):
     """Frobenius distance scaled by ``max(1, |a|, |b|)``; for stacks, that
     of ``_residual``."""
-    a, b = _checked(a, (2, 3, 4)), _checked(b, (2, 3, 4))
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    x, lead, y = _stacked(a, b)
-    return _unstacked(_residual(x, y), lead)
+    return _residual(a, b)
 
 
 def _residual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -513,6 +541,8 @@ def _residual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _norms(a - b) / _floor_one(_norms(a), _norms(b))
 
 
-def approx_equal(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """True iff ``|a - b|_F <= equality_rel_tol * max(1, |a|_F, |b|_F)``."""
-    return equality_residual(a, b) <= cfg.equality_rel_tol
+@_boundary((2, 3, 4), (2, 3, 4))
+def approx_equal(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool | np.ndarray:
+    """True iff ``|a - b|_F <= equality_rel_tol * max(1, |a|_F, |b|_F)``; for
+    two stacks of operators, an array of one verdict per operator."""
+    return _residual(a, b) <= cfg.equality_rel_tol

@@ -13,9 +13,10 @@ All operations accept rectangular input except where noted; all are pure.
 Every function but ``penrose_check`` follows the stack rule of the README
 (a 3-D ``(blocks, m, n)`` stack is the direct sum of its blocks, a 4-D
 ``(operators, blocks, m, n)`` stack holds independent operators): input is
-validated once and taken into a stack of operators (``core._stacked``), so
-each operator runs the one stacked path and gets bitwise what it gets
-alone, with its own rank cutoff, norms and residuals. ``polar_decompose``,
+validated once and taken into a stack of operators (``core._boundary``;
+``verify_polar`` and ``penrose_check`` write their entry by hand), so each
+operator runs the one stacked path and gets bitwise what it gets alone,
+with its own rank cutoff, norms and residuals. ``polar_decompose``,
 ``moore_penrose`` and ``mp_polar_parts`` take the SVD of ``t`` that a
 caller already holds (``decomp``), and ``mp_polar_parts`` its polar parts
 (``parts``), so that one factorization serves several of them.
@@ -32,6 +33,7 @@ from .core import (
     SvdResult,
     ToleranceConfig,
     _adjoint,
+    _boundary,
     _checked,
     _floor_one,
     _hermitian_range_projection,
@@ -45,7 +47,6 @@ from .core import (
     _stacked,
     _svd,
     _unstacked,
-    as_operator,
 )
 
 __all__ = [
@@ -105,12 +106,13 @@ class PenroseCheck:
     ok: bool
 
 
+@_boundary((2, 3, 4))
 def abs_value(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """Hermitian PSD square root of ``t* t``, computed from the SVD of ``t``."""
-    x, lead = _stacked(_checked(t, (2, 3, 4)))
-    return _unstacked(_modulus(_svd(x)), lead)
+    return _modulus(_svd(t))
 
 
+@_boundary((2, 3, 4), held=("decomp",))
 def polar_decompose(
     t, cfg: ToleranceConfig = DEFAULT_TOLERANCES, *, decomp: SvdResult | None = None
 ) -> PolarParts:
@@ -124,13 +126,7 @@ def polar_decompose(
     gets one rank per matrix, all with the cutoff of the direct sum, or of
     their operator in a stack of operators.
     """
-    x, lead, decomp = _stacked(_checked(t, (2, 3, 4)), decomp)
-    return _unstacked(_polar_parts(_svd(x) if decomp is None else decomp, cfg), lead)
-
-
-def _polar_parts(decomp: SvdResult, cfg: ToleranceConfig) -> PolarParts:
-    """``polar_decompose`` of each matrix of a stack of operators, from its
-    SVD ``decomp``."""
+    decomp = _svd(t) if decomp is None else decomp
     s = decomp.singular_values
     r = _rank(s, cfg)
     return PolarParts(_isometry(decomp, r), _modulus(decomp), r, s)
@@ -173,6 +169,11 @@ def verify_polar(
     part) lies above the rank cutoff of ``core.range_projection``, largest
     first. A ``P`` far enough from Hermitian for its own range to differ
     from that already fails ``modulus_hermitian``.
+
+    The entry checks ``t`` and the shapes of its parts, so it is written
+    here and not declared (``core._boundary``); ``verify_polar.kernel``
+    takes stacks of operators, as the kernels of the declared functions do:
+    ``(t, isometry, modulus, cfg, adjoint_parts)``.
     """
     t = _checked(t, (2, 3, 4))
     x, lead, adjoint_parts = _stacked(t, adjoint_parts)
@@ -182,6 +183,13 @@ def verify_polar(
     if p.shape != (*t.shape[:-2], t.shape[-1], t.shape[-1]):
         raise ValueError(f"modulus shape {p.shape} does not match operator {t.shape}")
     (u, _), (p, _) = _stacked(u), _stacked(p)
+    return _unstacked(_polar_checks(x, u, p, cfg, adjoint_parts), lead)
+
+
+def _polar_checks(x, u, p, cfg: ToleranceConfig, adjoint_parts=None) -> list[PolarCheck]:
+    """``verify_polar`` of each operator of a stack of operators ``x``, with
+    the stacks ``u`` and ``p`` of its parts: a list of one check per
+    operator."""
     # One eigh of the Hermitian part of P gives its spectrum and its range.
     eigenvalues, eigenvectors = _lapack("eigh", 0.5 * (p + _adjoint(p)))
     lowest = eigenvalues[..., 0].min(axis=-1)
@@ -209,9 +217,13 @@ def verify_polar(
         )
         for values in zip(*(value.tolist() for value in residuals.values()))
     ]
-    return _unstacked(checks, lead)
+    return checks
 
 
+verify_polar.kernel = _polar_checks
+
+
+@_boundary((2, 3, 4), held=("decomp",))
 def moore_penrose(
     t, cfg: ToleranceConfig = DEFAULT_TOLERANCES, *, decomp: SvdResult | None = None
 ) -> np.ndarray:
@@ -222,15 +234,13 @@ def moore_penrose(
     ``core._leading_product``, so each operator of a stack gets bitwise the
     inverse it gets alone; rank 0 gives the zero matrix. ``decomp`` is the
     SVD of ``t``, when the caller holds it."""
-    t, lead, decomp = _stacked(_checked(t, (2, 3, 4)), decomp)
-    if decomp is None:
-        decomp = _svd(t)
+    decomp = _svd(t) if decomp is None else decomp
     s = decomp.singular_values
     r = _rank(s, cfg)
     keep = np.arange(s.shape[-1]) < r[..., None]
     x = decomp.right_vectors
     scaled = np.divide(x, s[..., None, :], out=np.zeros_like(x), where=keep[..., None, :])
-    return _unstacked(_leading_product(scaled, decomp.left_vectors, r), lead)
+    return _leading_product(scaled, decomp.left_vectors, r)
 
 
 def penrose_check(
@@ -238,8 +248,7 @@ def penrose_check(
 ) -> PenroseCheck:
     """Evaluate the four Moore-Penrose equations for a candidate inverse ``x``
     of a matrix ``t``."""
-    t = as_operator(t)
-    x = as_operator(x)
+    t, x = _checked(t), _checked(x)
     if x.shape != (t.shape[1], t.shape[0]):
         raise ValueError(f"candidate shape {x.shape} does not match operator {t.shape}")
     t, lead, x = _stacked(t, x)
@@ -252,6 +261,7 @@ def penrose_check(
     return PenroseCheck(residuals=residuals, ok=ok)
 
 
+@_boundary((2, 3, 4), square=True, held=("decomp", "inverse_decomp", "parts"))
 def mp_polar_parts(
     t,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -269,18 +279,15 @@ def mp_polar_parts(
     ``inverse_decomp`` the SVD of ``moore_penrose(t)``, when the caller
     holds them; ``U`` and its rank are taken from ``parts``.
     """
-    t = _checked(t, (2, 3, 4), square=True)
-    x, lead, decomp, inverse_decomp, parts = _stacked(t, decomp, inverse_decomp, parts)
     if decomp is None and (parts is None or inverse_decomp is None):
-        decomp = _svd(x)
+        decomp = _svd(t)
     if inverse_decomp is None:
-        inverse_decomp = _svd(moore_penrose(x, cfg, decomp=decomp))
+        inverse_decomp = _svd(moore_penrose.kernel(t, cfg, decomp=decomp))
     if parts is None:
-        parts = _polar_parts(decomp, cfg)
-    inverse_parts = PolarParts(
+        parts = polar_decompose.kernel(t, cfg, decomp=decomp)
+    return PolarParts(
         _adjoint(parts.isometry),
         _modulus(inverse_decomp),
         parts.rank,
         inverse_decomp.singular_values,
     )
-    return _unstacked(inverse_parts, lead)

@@ -285,7 +285,9 @@ def _reference_fractional_power(a, alpha):
 
 class TestPsdPowers:
     """``_psd_powers`` factors once for many exponents and must give
-    ``fractional_power_psd`` bit for bit, errors included."""
+    ``fractional_power_psd`` bit for bit, errors included. It is a kernel:
+    it takes the stack of operators ``a[None, None]`` of a matrix, and the
+    boundary of ``fractional_power_psd`` alone checks finiteness."""
 
     EXPONENTS = (0.5, 1.0 / 3.0, 1.0, 2.0, 3.0, np.sqrt(2.0) / 2.0)
 
@@ -300,10 +302,10 @@ class TestPsdPowers:
 
     def test_bitwise_equal_to_fractional_power_psd(self):
         for a in self.inputs():
-            power = _psd_powers(a, DEFAULT_TOLERANCES)
+            power = _psd_powers(a[None, None], DEFAULT_TOLERANCES)
             for alpha in self.EXPONENTS:
                 expected = _reference_fractional_power(a, alpha)
-                assert np.array_equal(power(alpha), expected)
+                assert np.array_equal(power(alpha)[0, 0], expected)
                 assert np.array_equal(fractional_power_psd(a, alpha), expected)
 
     @pytest.mark.parametrize(
@@ -320,8 +322,12 @@ class TestPsdPowers:
     def test_raises_the_same_errors(self, a, alpha, match):
         with pytest.raises(ValueError, match=match) as public:
             fractional_power_psd(a, alpha)
+        if match == "finite":
+            # The input check is the boundary's (core._boundary), not the
+            # kernel's; tests/test_boundary.py covers it for every function.
+            return
         with pytest.raises(ValueError, match=match) as private:
-            _psd_powers(a, DEFAULT_TOLERANCES)(alpha)
+            _psd_powers(a[None, None], DEFAULT_TOLERANCES)(alpha)
         assert str(private.value) == str(public.value)
 
 

@@ -15,8 +15,9 @@ route to the definitional check, ``centered_order``,
 ``is_n_centered_definitional`` and ``binormal_equivalents``, factors the
 powers ``T^k`` in one stacked SVD per group of powers, so grouping lowers
 the calls but, wherever the oracle agrees, not the matrices factored;
-where the first two take the SVD of ``T`` for ``U`` themselves, the
-oracle takes ``T`` itself from it and factors only ``T^k``, k >= 2. The
+where they take the SVD of ``T`` for ``U`` themselves (``binormal_equivalents``
+in one SVD of ``T`` and ``T*``), the oracle takes ``T`` itself from it and
+factors only ``T^k``, k >= 2. The
 equivalence tests keep the two-call definition of ``oracle_agrees`` and the
 two-SVD definitional loop as references for the single pass, and a test
 forces the oracle's fallback to one power at a time.
@@ -233,7 +234,7 @@ def test_run_suite_all_factorization_counts(lapack_calls):
     # the matrices factored are those of the per-trial evaluation.
     run_suite("all", 0, 6, 100)
     assert _totals(lapack_calls) == Counter(svd=164, eigh=41, eigvalsh=5)
-    assert lapack_calls.matrices == Counter(svd=4141, eigh=1087, eigvalsh=50)
+    assert lapack_calls.matrices == Counter(svd=4041, eigh=1087, eigvalsh=50)
 
 
 def test_polar_contract_calls_scale_with_shape_groups_not_trials(lapack_calls):
@@ -280,14 +281,15 @@ def test_mp_inverse_calls_scale_with_shape_groups_not_trials(lapack_calls):
         # agrees, so no operator needs the full walk.
         ("centered-oracle", (Counter(svd=18), Counter(svd=259))),
         # 100 operators in five shape groups. Per group: one SVD of T and
-        # T*, one of T and T^2 for the two-power oracle, one of the
-        # transforms T_ab and their adjoints at all three exponent pairs;
-        # one eigh of |T| and |T*|, one eigh of the transforms' moduli for
-        # the polar check. Per operator that is T, T*, T, T^2, then two SVDs
-        # and one eigh per pair, and one eigh each of |T| and |T*|.
+        # T*, which also gives the two-power oracle its check of T, one of
+        # T^2 for that oracle, one of the transforms T_ab and their
+        # adjoints at all three exponent pairs; one eigh of |T| and |T*|,
+        # one eigh of the transforms' moduli for the polar check. Per
+        # operator that is T, T*, T^2, then two SVDs and one eigh per pair,
+        # and one eigh each of |T| and |T*|.
         (
             "aluthge-binormal",
-            (Counter(svd=15, eigh=10), Counter(svd=1000, eigh=500)),
+            (Counter(svd=15, eigh=10), Counter(svd=900, eigh=500)),
         ),
         # 112 operators in seven shape groups: T, pinv, T*, pinv*, |T| and
         # |T*| (for their inverses) once each, the modulus in pinv's polar

@@ -7,10 +7,16 @@ exercise it, but nothing they check is part of what the package does. Uses
 inside the definition itself (recursion) and in tests do not count.
 
 The modules above ``core`` talk to each other through their public
-functions, which validate their input and take stacks; ``core``'s private
-kernels are the one shared layer below them. Only ``core``'s entry and exit
-helpers look at how many axes an array has, and no code branches on
-whether a value is an array or a Python scalar.
+names: the public functions, which validate their input and take stacks,
+and the kernels of those declared by ``core._boundary`` (and of
+``verify_polar``), which take checked stacks of operators and are reached
+as ``.kernel`` of a public name, so they need no private import. Inside
+``core``, ``decomp`` and ``classify`` a public function calls such a kernel
+rather than another public function (``tests/test_boundary.py``), so each
+operand is checked once. ``core``'s private kernels are the one shared
+layer below them. Only ``core``'s entry and exit helpers look at how many
+axes an array has, and no code branches on whether a value is an array or
+a Python scalar.
 """
 
 from __future__ import annotations
