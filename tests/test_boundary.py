@@ -179,7 +179,10 @@ def _prepared(name: str, operands: list[np.ndarray]):
 # functions that take unchecked numeric input), and the forms it takes: a
 # matrix and, where it takes one, a 4-D stack.
 CHECKS = [
-    *[(name, len(axes), (2, 4) if 4 in axes[0] else (2,)) for name, (axes, _, _) in DECLARED.items()],
+    *[
+        (name, len(axes), (2, 4) if 4 in axes[0] else (2,))
+        for name, (axes, _, _) in DECLARED.items()
+    ],
     ("as_operator", 1, (2,)),
     ("fro_norm", 0, (2, 4)),
     ("commutator_threshold", 0, (2, 4)),
@@ -205,7 +208,7 @@ def test_each_array_operand_is_checked_once(monkeypatch, name, count, ndim):
     checked = core._checked
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args)
         return checked(*args, **kwargs)
 
     for module in MODULES:
@@ -214,14 +217,10 @@ def test_each_array_operand_is_checked_once(monkeypatch, name, count, ndim):
     assert len(calls) == count
 
 
-def _declared_names() -> set[str]:
-    """The public functions of the three modules that carry a kernel: the
-    declared ones and ``verify_polar``."""
-    return {name for _, name, value in _public_functions() if hasattr(value, "kernel")}
-
-
 def test_no_declared_function_is_called_by_name_inside_the_three_modules():
-    names = _declared_names()
+    # The public functions that carry a kernel: the declared ones and
+    # verify_polar.
+    names = {name for _, name, value in _public_functions() if hasattr(value, "kernel")}
     assert set(DECLARED) | {"verify_polar"} == names
     calls = [
         f"{module.__name__}:{node.lineno} {node.func.id}"
