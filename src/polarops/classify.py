@@ -1015,13 +1015,16 @@ def binormal_equivalents(
     return reports
 
 
-@_boundary((2, 4), square=True, held=("decomp", "adjoint_parts", "inverse_parts"))
+@_boundary(
+    (2, 4), square=True, held=("decomp", "parts", "adjoint_parts", "inverse_parts")
+)
 def mp_centered_check(
     t,
     max_n: int,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     *,
     decomp: SvdResult | None = None,
+    parts: PolarParts | None = None,
     adjoint_parts: PolarParts | None = None,
     inverse_parts: PolarParts | None = None,
 ):
@@ -1038,17 +1041,18 @@ def mp_centered_check(
 
     For a stack of operators, the result is a list of reports, each bitwise
     that of its operator alone. A caller may pass what it holds: ``decomp``,
-    the SVD of ``t`` (for ``U``, ``|T|`` and the inverse); ``adjoint_parts``,
-    the polar parts of ``t*``; and ``inverse_parts``, those of
-    ``moore_penrose(t)``. The orders of ``t`` and of its inverse come from
-    one walk of the powers of their polar factors, whose commutators take
-    one stacked expression, and the inverses of the powers ``T^k``, k >= 2,
-    of every operator take one stacked SVD.
+    the SVD of ``t`` (for the inverse, and for ``U`` and ``|T|``); ``parts``,
+    the polar parts of ``t``; ``adjoint_parts``, those of ``t*``; and
+    ``inverse_parts``, those of ``moore_penrose(t)``. The orders of ``t``
+    and of its inverse come from one walk of the powers of their polar
+    factors, whose commutators take one stacked expression, and the inverses
+    of the powers ``T^k``, k >= 2, of every operator take one stacked SVD.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
     decomp = _svd(t) if decomp is None else decomp
-    parts = polar_decompose.kernel(t, cfg, decomp=decomp)
+    if parts is None:
+        parts = polar_decompose.kernel(t, cfg, decomp=decomp)
     pinv = moore_penrose.kernel(t, cfg, decomp=decomp)
     if adjoint_parts is None:
         adjoint_parts = polar_decompose.kernel(_adjoint(t), cfg)

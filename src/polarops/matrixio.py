@@ -22,32 +22,32 @@ the rare float within 1e-9 of a rounding bound or of a tie. ``repr`` also
 writes every piece with fewer than ``_VECTOR_MIN`` entries to format. On a
 shared 2-vCPU x86-64 host (numpy 2.4, Python 3.11; medians of 11 runs,
 alternating with the writer that calls ``repr`` per float), writing a
-complex Gaussian 96x96 matrix takes 9 ms instead of 24 ms, and a 256x256
-one 54 ms instead of 174 ms.
+complex Gaussian 96x96 matrix takes 10 ms instead of 27 ms, and a 256x256
+one 42 ms instead of 164 ms.
 
-``read_matrix`` reads that text, ``json.dumps(matrix_to_doc(a)) + "\n"``,
-as arrays (``_read_canonical``): it reads the file's bytes in blocks and
-converts each piece of whole entries on its own (``_piece_values``). It
-checks the header, every separator, the count of entries, and each number
-against JSON's number grammar. Each number ``w 10**q`` reads as the double
-nearest it, which is what ``float`` gives: with ``w`` below 2**53 and
-``|q| <= 22``, both ``w`` and ``10**|q|`` are doubles, so one product or
-quotient rounds once (Clinger, PLDI 1990). With ``w`` below 10**18 and ``q
-<= 0``, the quotient ``c`` of ``fl(w)`` rounds to within 1.5 gaps, and the
-exact residual ``w - c 10**-q`` (Dekker's two-product) tells whether ``c``
-or a neighbour is nearest (``_nearest``). ``float`` converts each other
-number on its own: more than 18 significant digits, an exponent outside
-that range, a tie, a result within 1e-9 of a tie, and a power of two; the
-files of Gaussian draws have none. Any other text goes through
-``Path.read_text``, ``json.loads`` and ``doc_to_matrix``, so every value and
-every error stays as before: integer or boolean entries, NaN, Infinity,
-other whitespace or keys or key order, text that is not ASCII, a wrong
-count, a missing final newline, a number longer than 40 characters, a file
-that is not a regular file. On the host above (numpy 2.4; medians of 11
-runs, alternating with the ``json.loads`` route), reading a complex
-Gaussian 96x96 file takes 4.1 ms instead of 8.0 ms, and a 256x256 one 27 ms
-instead of 71 ms, with a traced peak (``tracemalloc``) of 2.4 MB instead of
-2.0 MB and of 3.4 MB instead of 14.5 MB.
+``read_matrix`` reads that text, ``json.dumps(matrix_to_doc(a)) + "\n"``, as
+arrays (``_read_canonical``): it reads the file's bytes in blocks and
+converts each piece of whole entries on its own (``_piece_values``), from a
+view of the bytes read. It checks the header, every separator, the count of
+entries, and each number against JSON's number grammar. Each number ``w
+10**q`` reads as the double nearest it, which is what ``float`` gives: with
+``w`` below 2**53 and ``|q| <= 22``, both ``w`` and ``10**|q|`` are doubles,
+so one product or quotient rounds once (Clinger, PLDI 1990). With ``w``
+below 10**18 and ``q <= 0``, the quotient ``c`` of ``fl(w)`` rounds to
+within 1.5 gaps, and the exact residual ``w - c 10**-q`` (Dekker's
+two-product) tells whether ``c`` or a neighbour is nearest (``_nearest``).
+``float`` converts each other number on its own: more than 18 significant
+digits, an exponent outside that range, a tie, a result within 1e-9 of a
+tie, and a power of two; the files of Gaussian draws have none. Any other
+text goes through ``Path.read_text``, ``json.loads`` and ``doc_to_matrix``,
+so every value and every error stays as before: integer or boolean entries,
+NaN, Infinity, other whitespace or keys or key order, text that is not
+ASCII, a wrong count, a missing final newline, a number longer than 40
+characters, a file that is not a regular file. On the host above (numpy 2.4;
+medians of 11 runs, alternating with the ``json.loads`` route), reading a
+complex Gaussian 96x96 file takes 5.5 ms instead of 10.6 ms, and a 256x256
+one 36 ms instead of 118 ms, with a traced peak (``tracemalloc``) of 2.5 MB
+instead of 1.7 MB and of 4.2 MB instead of 12.3 MB.
 """
 
 from __future__ import annotations
@@ -137,10 +137,13 @@ _PAIR = "[%r, %r]"
 # the separator that follows it.
 _ZERO_ITEM = "[0.0, 0.0], "
 # Entries per piece of text that write_matrix formats and writes at once,
-# rounded up to whole rows. The formatter's arrays for a piece take about
-# 0.9 MB, and its text about 90 kB: larger pieces pay numpy's cost per call
-# less often, but leave more of the heap held after a write.
-_PIECE_ENTRIES = 2**11
+# rounded up to whole rows. A piece of a dense factor takes about 380 kB of
+# text, and one write of a 256x256 one a traced peak of 3.5 MB; larger pieces
+# pay numpy's fixed cost per call less often. Against 2**11 entries, this
+# size writes that factor in 39 ms instead of 48 ms (medians of 21
+# alternating runs on the host named above); 2**14 entries take 38 ms but
+# double the peak, to 6.9 MB.
+_PIECE_ENTRIES = 2**13
 # Below this many entries with a nonzero bit, a piece is formatted by
 # ``repr`` alone: the array formatter's fixed cost, about 0.2 ms, is that of
 # ``repr`` on 150-200 entries.
@@ -384,7 +387,7 @@ def _entries_text(pairs: np.ndarray) -> str:
         if mark:
             cells[:, 0] = ord(mark)
         _float_rows(pairs[kept].reshape(-1), cells.reshape(-1, _CELL)[:, 2 : 2 + _WIDTH])
-        text = cells[cells != 0].tobytes().decode("ascii")
+        text = cells.tobytes().translate(None, b"\0").decode("ascii")
     if mark:
         # The zero runs before each entry and after the last; the text ends
         # in the ", " of its last run or entry.
@@ -424,11 +427,13 @@ _HEADER = re.compile(rb'\{"rows": ([1-9][0-9]{0,17}), "cols": ([1-9][0-9]{0,17})
 # separator can take, "[0.0, 0.0], ".
 _TRAILER = b"]}\n"
 _ENTRY_BYTES = 12
-# Bytes read from a file at once. The reader holds about two blocks, and the
-# arrays of the piece of whole entries cut from one, about 13 bytes per byte
-# of text. At this size a 256x256 file reads with a traced peak of 3.4 MB,
-# its 1 MB of entries included, and larger blocks read it no faster.
-_READ_BYTES = 2**17
+# Bytes read from a file at once. The reader holds about one block, the
+# matrix, and the arrays of the piece of whole entries cut from the block,
+# about 5 bytes per byte of text. At this size a 256x256 unitary factor
+# reads with a traced peak of 4.0 MB, its 1 MB of entries included, in 32
+# ms instead of 38 ms at 2**17 bytes (medians of 21 alternating runs on the
+# host named above); 2**20 bytes read it no faster, with a peak of 6.6 MB.
+_READ_BYTES = 2**19
 # The longest number the array reader takes; ``repr`` writes at most 24
 # characters. Canonical entries hold the text "], [" at least once in every
 # ``_ENTRY_MAX`` bytes but the last ones.
@@ -472,10 +477,16 @@ def _field_masks() -> np.ndarray:
 def _eight_digits(words: np.ndarray) -> np.ndarray:
     """The number of the eight digits of each word, one digit value per
     byte, the first in the low byte (Lemire's SWAR parse: pairs, then
-    quads, then the whole)."""
-    words = (words * 2561) >> 8 & 0x00FF00FF00FF00FF
-    words = (words * 6553601) >> 16 & 0x0000FFFF0000FFFF
-    return (words * 42949672960001) >> 32
+    quads, then the whole), written over ``words`` (uint64)."""
+    words *= 2561
+    words >>= 8
+    words &= 0x00FF00FF00FF00FF
+    words *= 6553601
+    words >>= 16
+    words &= 0x0000FFFF0000FFFF
+    words *= 42949672960001
+    words >>= 32
+    return words
 
 
 def _nearest(w: np.ndarray, p: np.ndarray, c: np.ndarray):
@@ -504,7 +515,7 @@ def _nearest(w: np.ndarray, p: np.ndarray, c: np.ndarray):
     return value, settled
 
 
-def _piece_values(piece: bytes) -> np.ndarray | None:
+def _piece_values(piece: bytes | memoryview) -> np.ndarray | None:
     """The numbers of ``piece``, entries ``[re, im]`` joined by ``", "``, as
     one flat float64 array (re, im, re, im, ...), bit for bit those that
     ``json.loads`` reads: ``float`` of each number's text. None if
@@ -519,7 +530,10 @@ def _piece_values(piece: bytes) -> np.ndarray | None:
     the last ``_FIELD`` bytes of its significand, then ``w 10**q`` is one
     rounding when ``w`` is below 2**53 (Clinger's fast path), and
     ``_nearest`` settles it when ``q <= 0``. ``float`` converts the
-    others."""
+    others.
+
+    Each array of the piece is deleted after its last use, so that no more
+    than a few arrays of one value per number are held at once."""
     size = len(piece)
     body = np.frombuffer(piece, dtype=np.uint8)
     commas = np.flatnonzero(body == ord(","))
@@ -538,8 +552,10 @@ def _piece_values(piece: bytes) -> np.ndarray | None:
     length = np.empty_like(start)
     length[::2], length[1:-1:2], length[-1] = inner, outer - 1, size - 1
     length -= start
+    del commas, inner, outer
     if length.min() < 3 or length.max() > _TOKEN_MAX:
         return None
+    digits = np.count_nonzero(body - ord("0") < 10)
     # The exponent marks, each in the number that starts last before it.
     (mark_at,) = np.nonzero(body | 0x20 == ord("e"))
     owner = np.searchsorted(start, mark_at, side="right") - 1
@@ -557,6 +573,7 @@ def _piece_values(piece: bytes) -> np.ndarray | None:
     backwards = np.zeros(size + width, dtype=np.uint8)
     backwards[:size] = body[::-1]
     field = as_strided(backwards, (size + 1, width), (1, 1))[size - start - end]
+    del backwards
     back = np.argmax(field == ord("."), axis=1)
     point = end - 1 - back
     has_point = (back < span) & (body[np.maximum(start + point, 0)] == ord("."))
@@ -569,29 +586,39 @@ def _piece_values(piece: bytes) -> np.ndarray | None:
         # No leading zero: a "0" first is followed by no digit.
         & ((body[start + lead] != ord("0")) | (body[start + lead + 1] - ord("0") >= 10))
     )
+    del point, end
     # The sign, point and mark found are bytes of their numbers that are not
     # digits; if no other byte of the numbers is one, each is a digit.
     marks = np.count_nonzero(negative) + np.count_nonzero(has_point)
     marks += np.count_nonzero(has_mark) + np.count_nonzero(signed)
-    digits = np.count_nonzero(body - ord("0") < 10)
     if not valid.all() or int(length.sum()) - digits != marks:
         return None
 
     # The significand's last ``_FIELD`` bytes, its digits kept.
     fits = span <= _FIELD
     row = (_FIELD + 1) * np.minimum(span, _FIELD) + (back + 1) * (has_point & fits)
-    words = field.view(">u8")[:, :3] & np.take(_field_masks(), row, axis=0)
+    del span
+    words = np.take(_field_masks(), row, axis=0)
+    del row
+    words &= field.view(">u8")[:, :3]
+    del field
     bottom, middle, top = _eight_digits(words).T
+    del words
     fits &= top < 1000  # so that the sum below stays under 10**19
     total = top * 10**16 + middle * 10**8 + bottom
+    del bottom, middle, top
     # The digits in front of the point stand one column too far left.
     fraction = back * has_point
+    del back
     ahead = total // _POW10_U64[np.minimum(fraction + 1, 19)] * has_point
+    del has_point
     w = total - ahead * 9 * _POW10_U64[np.minimum(fraction, 19)]
+    del total, ahead
     fits &= w < 10**18
     w = w.astype(np.int64)
 
     q = -fraction
+    del fraction
     (index,) = np.nonzero(has_mark)
     if len(index):
         # Up to three exponent digits, read from the number's last bytes.
@@ -603,14 +630,18 @@ def _piece_values(piece: bytes) -> np.ndarray | None:
             exponent += digit * 10**place * (count > place)
         fits[index] &= count <= 3
         q[index] += np.where(after[index] == ord("-"), -exponent, exponent)
+    del has_mark, mark, after, signed
     fits &= np.abs(q) <= 22
     # w 10**q as (w 10**q) / 1 or as (w 1) / 10**-q: one rounding.
     at = np.minimum(np.maximum(q, -22), 22) + 22
     values = w.astype(np.float64) * _TIMES[at] / _OVER[at]
+    del at
     small = w < 2**53
     settled = fits & small
     (index,) = np.nonzero(fits & ~small & (q <= 0))
+    del fits, small
     values[index], settled[index] = _nearest(w[index], -q[index], values[index])
+    del w, q
     values.view(np.uint64)[...] |= negative.astype(np.uint64) << 63
     (index,) = np.nonzero(~settled)
     values[index] = [
@@ -623,9 +654,10 @@ def _piece_values(piece: bytes) -> np.ndarray | None:
 def _read_canonical(path: Path) -> np.ndarray | None:
     """The matrix of the canonical text at ``path``, which ``write_matrix``
     writes, or None for any other text. The file is read in blocks of
-    ``_READ_BYTES``, and each piece of whole entries is converted on its
-    own (``_piece_values``) into the one array of the matrix. Only a
-    regular file is read here: a pipe, say, can be read only once."""
+    ``_READ_BYTES``, and each piece of whole entries, a view of the text
+    read, is converted on its own (``_piece_values``) into the one array of
+    the matrix. Only a regular file is read here: a pipe, say, can be read
+    only once."""
     try:
         status = os.stat(path)
     except OSError:  # ``read_text`` raises it
@@ -637,26 +669,30 @@ def _read_canonical(path: Path) -> np.ndarray | None:
         head = _HEADER.match(data)
         if head is None:
             return None
-        rows, cols = int(head[1]), int(head[2])
+        # The match holds the first block; only its numbers are kept.
+        rows, cols, end = int(head[1]), int(head[2]), head.end()
+        del head
         # Checked before the array is made: a large shape in a short file.
-        if head.end() + _ENTRY_BYTES * rows * cols + 1 > status.st_size:
+        if end + _ENTRY_BYTES * rows * cols + 1 > status.st_size:
             return None
         out = np.empty(2 * rows * cols)
         filled = 0
-        data = data[head.end() :]
+        data = data[end:]
         while True:
-            block = file.read(_READ_BYTES)
-            if block:
+            # The next block is read once the entries before it are
+            # converted, so that about one block of text is held at a time.
+            more = bool(file.peek(1))
+            if more:
                 # The entries read so far, up to the last whole one.
                 cut = data.rfind(b"], [")
                 if cut < 0:
                     if len(data) > _ENTRY_MAX:
                         return None
-                    data += block
+                    data += file.read(_READ_BYTES)
                     continue
-                piece, data = data[: cut + 1], data[cut + 3 :] + block
+                piece = memoryview(data)[: cut + 1]
             elif data.endswith(_TRAILER):
-                piece = data[: -len(_TRAILER)]
+                piece = memoryview(data)[: -len(_TRAILER)]
             else:
                 return None
             values = _piece_values(piece)
@@ -664,8 +700,10 @@ def _read_canonical(path: Path) -> np.ndarray | None:
                 return None
             out[filled : filled + len(values)] = values
             filled += len(values)
-            if not block:
+            if not more:
                 break
+            del piece, values
+            data = data[cut + 3 :] + file.read(_READ_BYTES)
     if filled < len(out):
         return None
     return out.view(np.complex128).reshape(rows, cols)

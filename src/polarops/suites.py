@@ -372,6 +372,7 @@ def suite_mp_inverse(
             max_n,
             cfg,
             decomp=decomp[:count],
+            parts=factors[:count],
             adjoint_parts=factors[count:],
             inverse_parts=inverse_parts,
         )

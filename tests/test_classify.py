@@ -445,6 +445,27 @@ class TestMpCenteredCheck:
         with pytest.raises(ValueError, match="max_n"):
             mp_centered_check(UPPER, 0)
 
+    def test_held_polar_parts_give_the_same_bits(self):
+        # The polar parts of T, sliced from those of a stack of T and T* as
+        # the mp-inverse suite holds them, stand in for U and |T|. The
+        # unitary and the normal operator reach max_n, so the modulus
+        # commutators take U and |T| too.
+        rng = rng_for(25)
+        operators = [random_mixed_rank(rng, 5) for _ in range(2)]
+        operators += [random_unitary(rng, 5), random_normal_operator(rng, 5)]
+        t = np.stack(operators)[:, None]
+        t[1] *= 1e-3
+        first = np.concatenate([t, t.conj().swapaxes(-1, -2)])
+        decomp = svd(first)
+        held = polar_decompose(first, decomp=decomp)[: len(t)]
+        expected = mp_centered_check(t, 3, decomp=decomp[: len(t)])
+        reports = mp_centered_check(t, 3, decomp=decomp[: len(t)], parts=held)
+        assert any(report.checked_modulus_commutators for report in expected)
+        # repr tells every two doubles apart, the signs of zeros included.
+        assert repr(reports) == repr(expected)
+        alone = mp_centered_check(t[2, 0], 3, parts=polar_decompose(t[2, 0]))
+        assert repr(alone) == repr(mp_centered_check(t[2, 0], 3))
+
     def test_order_preserved_both_directions(self):
         rng = rng_for(21)
         for i in range(15):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import tracemalloc
@@ -318,7 +319,7 @@ def test_written_text_is_the_same_in_pieces(tmp_path, monkeypatch, piece):
 
 
 def test_a_shift_above_the_piece_size_is_written_in_pieces(tmp_path):
-    a = build_truncated(ShiftSpec.from_recipe(98))  # 303x303: two pieces
+    a = build_truncated(ShiftSpec.from_recipe(98))  # 303x303: several pieces
     assert a.size > matrixio._PIECE_ENTRIES
     path = tmp_path / "m.json"
     write_matrix(path, a)
@@ -374,6 +375,31 @@ def test_write_checks_finiteness_without_a_whole_matrix_mask():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("factor", [False, True], ids=["gaussian", "unitary-factor"])
+def test_one_read_and_one_write_stay_within_a_few_megabytes(tmp_path, factor):
+    # A 256x256 file holds about 3.3 MB of text and 1 MB of entries. One
+    # piece's text and arrays stay far below what the dense commands hold
+    # at this size (polar traces about 10 MB).
+    rng = np.random.default_rng(25)
+    a = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    if factor:
+        a = polar_decompose(a).isometry
+    path = tmp_path / "m.json"
+    write_matrix(path, a)
+    read_matrix(path)  # the formatter's and the parser's tables, made once
+    assert _traced_peak(lambda: write_matrix(path, a)) <= 5_000_000
+    assert _traced_peak(lambda: read_matrix(path)) <= 5_000_000
 
 
 def test_rejects_non_finite_payload():
@@ -844,10 +870,14 @@ def test_a_file_of_many_blocks_is_read_in_pieces(tmp_path, monkeypatch):
         return inner(piece)
 
     monkeypatch.setattr(matrixio, "_piece_values", counted)
+    # Entries of Gaussian draws take about 45 bytes of text each, so at
+    # 40 bytes each the file spans more than ten blocks at any block size.
+    side = math.isqrt(11 * matrixio._READ_BYTES // 40) + 1
     rng = np.random.default_rng(256)
-    a = rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200))
+    a = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     path = tmp_path / "m.json"
     write_matrix(path, a)
+    assert path.stat().st_size > 10 * matrixio._READ_BYTES
     assert np.array_equal(bits(read_by_arrays(path)), bits(a))
     assert len(pieces) > 10
     assert max(pieces) <= matrixio._READ_BYTES + matrixio._ENTRY_MAX
