@@ -523,7 +523,7 @@ def test_dense_matrix_of_several_pieces_with_zero_runs(tmp_path):
     assert path.read_text(encoding="utf-8") == json.dumps(matrix_to_doc(a)) + "\n"
 
 
-@pytest.mark.parametrize("piece", [1, 4, 7, matrixio._PIECE_ENTRIES])
+@pytest.mark.parametrize("piece", [1, 4, 7, 2048, matrixio._PIECE_ENTRIES])
 def test_array_formatter_writes_the_json_of_every_writer_case(
     tmp_path, monkeypatch, piece
 ):
