@@ -971,9 +971,7 @@ def binormal_equivalents(
     transform_parts, adjoint_parts = parts[:split], parts[split:]
     transform_mod = transform_parts.modulus
     eq_res = _residual(transform, tilde_u @ transform_mod)
-    polar_checks = verify_polar.kernel(
-        transform, tilde_u, transform_mod, cfg, adjoint_parts
-    )
+    polar_checks = verify_polar.kernel(transform, tilde_u, transform_mod, cfg)
     modulus_form = np.concatenate(
         [_adjoint(u) @ power(a) @ u @ power(b) for a, b in alphas_betas]
     )

@@ -7,7 +7,10 @@ stricter contract than the unitary polar factorization: the factor is unique,
 and it is the one under which products, powers, and Moore-Penrose inverses
 behave well. ``verify_polar`` checks the full contract plus the derived
 identities ``|T*| = U |T| U*`` and ``U |T| = |T*| U``, and reports per-identity
-residuals.
+residuals. It factors nothing but ``|T|`` (one ``eigh``): ``Q = U |T| U*`` is
+``|T*|`` exactly when ``Q`` is PSD (it is when ``|T|`` is) and ``Q^2 = T T*``,
+since a PSD matrix has one PSD square root, so both identities are checked
+by matmuls, with ``Q`` in place of ``|T*|``.
 
 All operations accept rectangular input except where noted; all are pure.
 Every function but ``penrose_check`` follows the stack rule of the README
@@ -138,13 +141,7 @@ def polar_tolerance(name: str, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> flo
     return cfg.zero_rel_tol if name == "modulus_psd" else cfg.equality_rel_tol
 
 
-def verify_polar(
-    t,
-    parts: PolarParts,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    *,
-    adjoint_parts: PolarParts | None = None,
-):
+def verify_polar(t, parts: PolarParts, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     """Check that ``parts`` is the polar decomposition of ``t``.
 
     Verifies, each within tolerance:
@@ -153,15 +150,21 @@ def verify_polar(
     * ``P`` Hermitian with spectrum >= -tol,
     * ``U`` a partial isometry (``U U* U = U``),
     * ``U* U`` equals the range projection of ``P``,
-    * ``|t*| = U P U*`` and ``U P = |t*| U``.
+    * ``|t*| = U P U*`` (adjoint_modulus) and ``U P = |t*| U`` (intertwine).
 
     Returns a PolarCheck carrying one scaled residual per identity, each
     compared against its ``polar_tolerance``; for a stack of operators, a
     list of one check per operator. The norms, the extreme eigenvalues of
     the Hermitian part of ``P`` and the rank cutoff of its range projection
-    are taken over the whole of a direct sum. ``adjoint_parts`` are the
-    polar parts of ``t*``, when the caller holds them; otherwise ``|t*|`` is
-    factored here.
+    are taken over the whole of a direct sum.
+
+    ``|t*|`` is not factored: with ``Q = U P U*``, adjoint_modulus is the
+    residual of ``Q^2 = t t*`` and intertwine that of ``U P = Q U``. A PSD
+    ``P`` (modulus_psd) makes ``Q`` PSD, and ``Q^2 = t t*`` then makes it
+    the one PSD square root ``|t*|``. Both sides of ``Q^2 = t t*`` are
+    formed from ``t`` and ``Q`` multiplied by ``2^-e``, one exact power of
+    two per operator with ``e`` the ``frexp`` exponent of its largest
+    |entry|, so the squares stay in range whatever the scale of ``t``.
 
     ``P`` is factored on its own, once: one ``eigh`` of its Hermitian part
     gives the extreme eigenvalues and the range projection, from the
@@ -173,20 +176,20 @@ def verify_polar(
     The entry checks ``t`` and the shapes of its parts, so it is written
     here and not declared (``core._boundary``); ``verify_polar.kernel``
     takes stacks of operators, as the kernels of the declared functions do:
-    ``(t, isometry, modulus, cfg, adjoint_parts)``.
+    ``(t, isometry, modulus, cfg)``.
     """
     t = _checked(t, (2, 3, 4))
-    x, lead, adjoint_parts = _stacked(t, adjoint_parts)
+    x, lead = _stacked(t)
     u, p = (_checked(a, (4 - lead,)) for a in (parts.isometry, parts.modulus))
     if u.shape != t.shape:
         raise ValueError(f"isometry shape {u.shape} does not match operator {t.shape}")
     if p.shape != (*t.shape[:-2], t.shape[-1], t.shape[-1]):
         raise ValueError(f"modulus shape {p.shape} does not match operator {t.shape}")
     (u, _), (p, _) = _stacked(u), _stacked(p)
-    return _unstacked(_polar_checks(x, u, p, cfg, adjoint_parts), lead)
+    return _unstacked(_polar_checks(x, u, p, cfg), lead)
 
 
-def _polar_checks(x, u, p, cfg: ToleranceConfig, adjoint_parts=None) -> list[PolarCheck]:
+def _polar_checks(x, u, p, cfg: ToleranceConfig) -> list[PolarCheck]:
     """``verify_polar`` of each operator of a stack of operators ``x``, with
     the stacks ``u`` and ``p`` of its parts: a list of one check per
     operator."""
@@ -196,18 +199,22 @@ def _polar_checks(x, u, p, cfg: ToleranceConfig, adjoint_parts=None) -> list[Pol
     # max(0, -lowest), with +0.0 for a lowest eigenvalue of zero.
     psd = np.where(lowest < 0.0, -lowest, 0.0) / _floor_one(eigenvalues[..., -1].max(-1))
     projection = _hermitian_range_projection(eigenvalues, eigenvectors, cfg)
-    adjoint_modulus = (
-        _modulus(_svd(_adjoint(x))) if adjoint_parts is None else adjoint_parts.modulus
-    )
-    up = u @ p
+    uh, up = _adjoint(u), u @ p
+    q = up @ uh
+    # Q^2 = T T* from T and Q times 2^-e, e the exponent of the largest
+    # |entry| of each operator: an exact scaling, under which no square
+    # overflows.
+    _, e = np.frexp(np.abs(x).max(axis=(1, 2, 3)))
+    scale = np.ldexp(1.0, np.minimum(-e, 1023))[:, None, None, None]
+    xs, qs = x * scale, q * scale
     residuals = {
         "reconstruction": _residual(x, up),
         "modulus_hermitian": _norms(p - _adjoint(p)) / _floor_one(_norms(p)),
         "modulus_psd": psd,
-        "partial_isometry": _residual(u @ _adjoint(u) @ u, u),
-        "range_condition": _residual(_adjoint(u) @ u, projection),
-        "adjoint_modulus": _residual(up @ _adjoint(u), adjoint_modulus),
-        "intertwine": _residual(up, adjoint_modulus @ u),
+        "partial_isometry": _residual(u @ uh @ u, u),
+        "range_condition": _residual(uh @ u, projection),
+        "adjoint_modulus": _residual(qs @ qs, xs @ _adjoint(xs)),
+        "intertwine": _residual(up, q @ u),
     }
     tolerances = [polar_tolerance(name, cfg) for name in residuals]
     checks = [

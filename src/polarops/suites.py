@@ -364,7 +364,6 @@ def suite_mp_inverse(
             pinv,
             mp_polar_parts(t, cfg, inverse_decomp=inverse[:count], parts=factors[:count]),
             cfg,
-            adjoint_parts=inverse_adjoint_parts,
         )
         binormal = [flag for flag, _ in is_binormal(np.concatenate([t, pinv]), cfg)]
         mp_reports = mp_centered_check(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -174,13 +176,21 @@ class TestVerifyPolar:
             verify_polar(t, PolarParts(np.zeros((2, 3)), np.zeros((2, 2)), 0))
 
 
-def _reference_polar_residuals(t, parts, svd_route: bool = False) -> dict[str, float]:
+def _reference_polar_residuals(
+    t, parts, svd_route: bool = False, adjoint_svd: bool = False
+) -> dict[str, float]:
     """The ``verify_polar`` residuals of a matrix, written with numpy alone.
     The spectrum and the range projection of ``P`` come from one ``eigh``
     of its Hermitian part, the eigenvectors ordered by |eigenvalue|, largest
-    first. With ``svd_route``, they come as the check took them before it
-    factored ``P`` once: the projection from an SVD of ``P`` itself, the
-    eigenvalues from ``eigvalsh``."""
+    first. With ``Q = U P U*``, adjoint_modulus is the residual of
+    ``Q^2 = T T*``, both sides formed from ``T`` and ``Q`` times ``2^-e``,
+    ``e`` the exponent of the largest |entry| of ``T``, and intertwine that
+    of ``U P = Q U``. With ``svd_route``, the spectrum and projection of
+    ``P`` come as the check took them before it factored ``P`` once: the
+    projection from an SVD of ``P`` itself, the eigenvalues from
+    ``eigvalsh``. With ``adjoint_svd``, adjoint_modulus and intertwine come
+    as the check took them before it squared ``Q``: ``Q = |T*|`` and
+    ``U P = |T*| U``, with ``|T*|`` from an SVD of ``T*``."""
     t, u, p = (np.asarray(a, dtype=complex) for a in (t, parts.isometry, parts.modulus))
 
     def fro(a):
@@ -189,10 +199,17 @@ def _reference_polar_residuals(t, parts, svd_route: bool = False) -> dict[str, f
     def residual(a, b):
         return fro(a - b) / max(1.0, fro(a), fro(b))
 
-    _, s, right_h = np.linalg.svd(t.conj().T, full_matrices=False)
-    x = right_h.conj().T
-    adjoint_modulus = (x * s) @ x.conj().T
-    adjoint_modulus = 0.5 * (adjoint_modulus + adjoint_modulus.conj().T)
+    q = u @ p @ u.conj().T
+    if adjoint_svd:
+        _, s, right_h = np.linalg.svd(t.conj().T, full_matrices=False)
+        x = right_h.conj().T
+        adjoint_modulus = (x * s) @ x.conj().T
+        adjoint_modulus = 0.5 * (adjoint_modulus + adjoint_modulus.conj().T)
+        adjoint = [residual(q, adjoint_modulus), residual(u @ p, adjoint_modulus @ u)]
+    else:
+        scale = 2.0 ** -math.frexp(float(np.abs(t).max()))[1]
+        ts, qs = t * scale, q * scale
+        adjoint = [residual(qs @ qs, ts @ ts.conj().T), residual(u @ p, q @ u)]
     hermitian = 0.5 * (p + p.conj().T)
     if svd_route:
         left, s, _ = np.linalg.svd(p, full_matrices=False)
@@ -212,8 +229,8 @@ def _reference_polar_residuals(t, parts, svd_route: bool = False) -> dict[str, f
         / max(1.0, float(eigenvalues[-1])),
         "partial_isometry": residual(u @ u.conj().T @ u, u),
         "range_condition": residual(u.conj().T @ u, projection),
-        "adjoint_modulus": residual(u @ p @ u.conj().T, adjoint_modulus),
-        "intertwine": residual(u @ p, adjoint_modulus @ u),
+        "adjoint_modulus": adjoint[0],
+        "intertwine": adjoint[1],
     }
 
 
@@ -235,6 +252,43 @@ def _mixed_rank_stack(rng, count: int, dim: int) -> np.ndarray:
     return stack
 
 
+def _passes(residuals: dict[str, float]) -> bool:
+    return all(value <= polar_tolerance(name) for name, value in residuals.items())
+
+
+def _verdict_cases() -> list[tuple]:
+    """``(t, parts)`` pairs, and ``(t, parts, dense t, dense parts)`` for a
+    stack: canonical parts of mixed-rank, rank-deficient, rectangular and
+    zero operators, the unitary-completion and wrong-sign candidates, a
+    modulus a little off Hermitian, and stacks whose first block lies below
+    the rank cutoff of the whole stack, with the direct sums they stand
+    for."""
+    rng = rng_for(23)
+    operators = [random_mixed_rank(rng, d) for d in range(2, 7) for _ in range(6)]
+    operators += [
+        random_rank_deficient(rng, rows, cols, rank)
+        for rows, cols, rank in [(6, 6, 3), (8, 8, 1), (7, 4, 2), (4, 7, 3), (9, 9, 8)]
+    ]
+    operators += [random_operator(rng, 6, 3), random_operator(rng, 3, 6)]
+    operators.append(np.zeros((4, 4), dtype=complex))
+    cases = [(t, polar_decompose(t)) for t in operators]
+    nilpotent = np.array([[0, 1], [0, 0]], dtype=complex)
+    swap = np.array([[0, 1], [1, 0]], dtype=complex)
+    cases.append((nilpotent, PolarParts(swap, np.diag([0.0, 1.0]), 1)))
+    cases.append((np.eye(2, dtype=complex), PolarParts(-np.eye(2), np.eye(2), 2)))
+    t = random_mixed_rank(rng, 5)
+    parts = polar_decompose(t)
+    skew = random_operator(rng, 5)
+    skew = (skew - skew.conj().T) / np.linalg.norm(skew - skew.conj().T)
+    cases.append((t, replace(parts, modulus=parts.modulus + 1e-14 * skew)))
+    for dim in (2, 3, 5):
+        stack = _mixed_rank_stack(rng, 6, dim)
+        block_parts = polar_decompose(stack)
+        u, p = map(_direct_sum, (block_parts.isometry, block_parts.modulus))
+        cases.append((stack, block_parts, _direct_sum(stack), PolarParts(u, p, 0)))
+    return cases
+
+
 class TestPolarCheck:
     def test_two_dimensional_check_is_the_reference_bitwise(self):
         rng = rng_for(21)
@@ -251,42 +305,52 @@ class TestPolarCheck:
     def test_verdicts_match_the_svd_route(self):
         # The range projection and spectrum of P from one eigh of its
         # Hermitian part, against an SVD of P itself and eigvalsh: the same
-        # verdict, and each residual within 1e-13, on canonical parts of
-        # mixed-rank, rank-deficient, rectangular and zero operators, on
-        # the unitary-completion and wrong-sign candidates, on a modulus a
-        # little off Hermitian, and on stacks whose first block lies below
-        # the rank cutoff of the whole stack.
-        rng = rng_for(23)
-        operators = [random_mixed_rank(rng, d) for d in range(2, 7) for _ in range(6)]
-        operators += [
-            random_rank_deficient(rng, rows, cols, rank)
-            for rows, cols, rank in [(6, 6, 3), (8, 8, 1), (7, 4, 2), (4, 7, 3), (9, 9, 8)]
-        ]
-        operators += [random_operator(rng, 6, 3), random_operator(rng, 3, 6)]
-        operators.append(np.zeros((4, 4), dtype=complex))
-        cases = [(t, polar_decompose(t)) for t in operators]
-        nilpotent = np.array([[0, 1], [0, 0]], dtype=complex)
-        swap = np.array([[0, 1], [1, 0]], dtype=complex)
-        cases.append((nilpotent, PolarParts(swap, np.diag([0.0, 1.0]), 1)))
-        cases.append((np.eye(2, dtype=complex), PolarParts(-np.eye(2), np.eye(2), 2)))
-        t = random_mixed_rank(rng, 5)
-        parts = polar_decompose(t)
-        skew = random_operator(rng, 5)
-        skew = (skew - skew.conj().T) / np.linalg.norm(skew - skew.conj().T)
-        cases.append((t, replace(parts, modulus=parts.modulus + 1e-14 * skew)))
-        for dim in (2, 3, 5):
-            stack = _mixed_rank_stack(rng, 6, dim)
-            block_parts = polar_decompose(stack)
-            u, p = map(_direct_sum, (block_parts.isometry, block_parts.modulus))
-            cases.append((stack, block_parts, _direct_sum(stack), PolarParts(u, p, 0)))
-        for t, parts, *dense in cases:
+        # verdict, and each residual within 1e-13, on the cases of
+        # _verdict_cases.
+        for t, parts, *dense in _verdict_cases():
             check = verify_polar(t, parts)
             expected = _reference_polar_residuals(*(dense or (t, parts)), svd_route=True)
             assert check.residuals.keys() == expected.keys()
             for name, value in check.residuals.items():
                 assert abs(value - expected[name]) <= 1e-13, name
-            passes = all(value <= polar_tolerance(name) for name, value in expected.items())
-            assert check.ok == passes
+            assert check.ok == _passes(expected)
+
+    def test_verdicts_match_the_adjoint_svd_route(self):
+        # adjoint_modulus as Q^2 = T T* and intertwine as U P = Q U, with
+        # Q = U P U*, against Q = |T*| and U P = |T*| U with |T*| from an
+        # SVD of T*: the same verdict on the cases of _verdict_cases, which
+        # hold both verdicts.
+        verdicts = []
+        for t, parts, *dense in _verdict_cases():
+            check = verify_polar(t, parts)
+            expected = _reference_polar_residuals(*(dense or (t, parts)), adjoint_svd=True)
+            assert check.ok == _passes(expected)
+            verdicts.append(check.ok)
+        assert set(verdicts) == {True, False}
+
+    def test_a_negated_eigenvalue_fails_modulus_psd_on_both_routes(self):
+        # Negate the largest eigenvalue lam of P (eigenvector v) and take
+        # U' = U (I - 2 v v*). Then U' P' = T still, U' is a partial
+        # isometry with U'* U' = U* U, and Q' = U' P' U'* squares to T T*:
+        # every residual passes on the matmul route but modulus_psd, and
+        # only that one tells Q' from the PSD root |T*|. The SVD route
+        # fails adjoint_modulus as well.
+        t = random_operator(rng_for(25), 5)
+        parts = polar_decompose(t)
+        eigenvalues, vectors = np.linalg.eigh(parts.modulus)
+        v = vectors[:, -1:]
+        flip = v @ v.conj().T
+        negated = PolarParts(
+            parts.isometry @ (np.eye(5) - 2 * flip),
+            parts.modulus - 2 * eigenvalues[-1] * flip,
+            5,
+        )
+        check = verify_polar(t, negated)
+        failing = {name for name, value in check.residuals.items() if not _passes({name: value})}
+        assert failing == {"modulus_psd"} and not check.ok
+        old = _reference_polar_residuals(t, negated, adjoint_svd=True)
+        assert not _passes(old)
+        assert old["adjoint_modulus"] > polar_tolerance("adjoint_modulus")
 
     def test_modulus_off_hermitian_fails_on_both_routes(self):
         # A modulus far enough from Hermitian for its range to differ from
@@ -337,6 +401,37 @@ class TestPolarCheck:
             for name, value in block.residuals.items():
                 close = pytest.approx(dense.residuals[name], rel=1e-12, abs=1e-15)
                 assert value == close
+
+
+def _scaling_draws() -> list[np.ndarray]:
+    """Mixed-rank square draws of dims 2-6 and rectangular draws, full and
+    deficient in rank."""
+    rng = rng_for(40)
+    draws = [random_mixed_rank(rng, d) for d in range(2, 7) for _ in range(2)]
+    draws += [random_rank_deficient(rng, 7, 4, 2), random_rank_deficient(rng, 4, 7, 3)]
+    return draws + [random_operator(rng, 6, 3), random_operator(rng, 3, 6)]
+
+
+class TestPolarCheckUnderScaling:
+    @pytest.mark.parametrize("exponent", range(-300, 151, 50))
+    def test_scaling_changes_no_verdict_and_warns_nothing(self, exponent):
+        c = 10.0**exponent
+        for t in _scaling_draws():
+            expected = verify_polar(t, polar_decompose(t)).ok
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert verify_polar(c * t, polar_decompose(c * t)).ok == expected
+
+    @pytest.mark.parametrize("c", [1e154, 1e160])
+    def test_adjoint_modulus_is_finite_where_norms_overflow(self, c):
+        # The norms of c T overflow here, but Q^2 = T T* is formed after an
+        # exact scaling of T and Q to entries of order one.
+        for t in _scaling_draws():
+            with np.errstate(over="ignore"):
+                check = verify_polar(c * t, polar_decompose(c * t))
+            value = check.residuals["adjoint_modulus"]
+            assert np.isfinite(value)
+            assert value <= polar_tolerance("adjoint_modulus")
 
 
 class TestMoorePenrose:

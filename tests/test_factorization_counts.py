@@ -7,8 +7,9 @@ their trials in shape groups (every random suite), the blockwise
 ``counterexample`` count and the dense-file commands are pinned exactly,
 and no dense-file command factors the same matrix twice: ``T`` once for
 ``U``, the margin and, in ``classify``, the oracle's check of ``T`` itself;
-``verify_polar`` factors ``|T*|`` by SVD and its modulus ``P`` by one
-``eigh``, for both its spectrum and its range projection.
+``verify_polar`` factors only its modulus ``P``, by one ``eigh`` for both
+its spectrum and its range projection, and checks the ``|T*|`` identities
+by matmuls.
 Single calls are pinned to their stacked calls and to one matrix per
 operator power, or per distinct window of a block shift's powers. Every
 route to the definitional check, ``centered_order``,
@@ -233,22 +234,21 @@ def test_run_suite_all_factorization_counts(lapack_calls):
     # Every random suite factors each shape group in a few stacked calls;
     # the matrices factored are those of the per-trial evaluation.
     run_suite("all", 0, 6, 100)
-    assert _totals(lapack_calls) == Counter(svd=164, eigh=41, eigvalsh=5)
-    assert lapack_calls.matrices == Counter(svd=4041, eigh=1087, eigvalsh=50)
+    assert _totals(lapack_calls) == Counter(svd=145, eigh=41, eigvalsh=5)
+    assert lapack_calls.matrices == Counter(svd=3616, eigh=1087, eigvalsh=50)
 
 
 def test_polar_contract_calls_scale_with_shape_groups_not_trials(lapack_calls):
     # Dims 2-6, square and (d, d - 1) draws: nine shape groups, each one SVD
-    # of T, one of T*, and one eigh of |T| for its spectrum and its range
-    # projection.
+    # of T and one eigh of |T| for its spectrum and its range projection.
     counts = []
     for trials in (100, 400):
         lapack_calls.clear()
         run_suite("polar-contract", 0, 6, trials)
         counts.append((_totals(lapack_calls), lapack_calls.matrices["svd"]))
     assert counts == [
-        (Counter(svd=18, eigh=9), 200),
-        (Counter(svd=18, eigh=9), 800),
+        (Counter(svd=9, eigh=9), 100),
+        (Counter(svd=9, eigh=9), 400),
     ]
 
 
@@ -325,13 +325,13 @@ def test_counterexample_n60_factors_blocks_not_the_dense_operator(
     # One batched SVD of the 4 distinct blocks for U and |T|, one per group
     # of powers T^k, k = 1..61, in the definitional check (the 241 distinct
     # windows of the 1,952 blocks of those powers, in five groups), and the
-    # predicted-structure check on the 62 blocks (an SVD for |T_m*|, one
-    # eigh of the predicted moduli for their eigenvalues and range
-    # projections); nothing dense is factored.
+    # predicted-structure check on the 62 blocks (one eigh of the predicted
+    # moduli for their eigenvalues and range projections); nothing dense is
+    # factored.
     code = main(["counterexample", "--n", "60", "--out", str(tmp_path / "s.json")])
     assert code == 0 and "verdict: pass" in capsys.readouterr().out
-    assert lapack_calls.calls == Counter({("svd", 3): 7, ("eigh", 3): 1})
-    assert lapack_calls.matrices == Counter(svd=4 + 241 + 62, eigh=62)
+    assert lapack_calls.calls == Counter({("svd", 3): 6, ("eigh", 3): 1})
+    assert lapack_calls.matrices == Counter(svd=4 + 241, eigh=62)
 
 
 def test_certify_blockwise_oracle_factors_linearly_many_matrices(lapack_calls):
@@ -363,13 +363,13 @@ def _dense_file_argv(tmp_path, command: str, shape: tuple[int, int]) -> list[str
 @pytest.mark.parametrize(
     "command, shape, svds",
     [
-        # T once for U, |T| and the margin; verify_polar factors |T*| and,
-        # by one eigh, P.
-        ("polar", (6, 6), 2),
-        ("polar", (7, 4), 2),
+        # T once for U, |T| and the margin; verify_polar factors only P,
+        # by one eigh.
+        ("polar", (6, 6), 1),
+        ("polar", (7, 4), 1),
         # T once for the inverse, the margin and U*; pinv once for its
-        # modulus; verify_polar factors pinv* and, by one eigh, |pinv|.
-        ("mp", (6, 6), 3),
+        # modulus; verify_polar factors only |pinv|, by one eigh.
+        ("mp", (6, 6), 2),
         # T once; the inverse polar checks need a square T.
         ("mp", (7, 4), 1),
         # A generic draw is 1-centered: T once for U, the margin and the
@@ -393,8 +393,8 @@ def test_dense_file_commands_factor_t_once(
     [
         # T^2 and T are walked in groups of their own at this size.
         ("classify", Counter(svd=2)),
-        ("polar", Counter(svd=2, eigh=1)),
-        ("mp", Counter(svd=3, eigh=1)),
+        ("polar", Counter(svd=1, eigh=1)),
+        ("mp", Counter(svd=2, eigh=1)),
     ],
 )
 def test_dense_file_commands_factor_no_matrix_twice(
