@@ -44,12 +44,15 @@ subdiagonal (for :func:`polarops.shifts.certify_blockwise`; each power is
 formed, factored and checked once per distinct window of consecutive
 blocks, ``_Windows``), and walks the powers once, forward, for all
 operators, in groups of consecutive powers that fit a fixed number of
-entries per operator at their block positions (``_power_groups``). Each
-group is one stacked commutator expression, with one threshold per
-(operator, power), and one stacked SVD per number of powers that the
-operators' oracles check, each with its own rank cutoffs, so a shift's
-block stacks and a group of small matrices take a few LAPACK calls for all
-their powers, while a matrix above 64x64 still walks one power at a time.
+entries per operator: of its matrices, or of a block stack's distinct
+windows (``_power_groups``). Each group is one stacked commutator
+expression, with one threshold per (operator, power), and one stacked SVD
+per number of powers that the operators' oracles check, each with its own
+rank cutoffs, so a shift's block stacks and a group of small matrices take
+a few LAPACK calls for all their powers, while a matrix above 64x64 still
+walks one power at a time. A norm of a matrix power is bitwise
+``numpy.linalg.norm``; a norm of a block stack's power adds one sum of
+squares per block position, taken once per window (``_power_norms``).
 Each report is bitwise the report of its operator alone, whatever the
 grouping or the windows. ``mp_centered_check`` finds the orders of ``T``
 and of its inverse from the criterion alone, without the oracle, in one
@@ -83,7 +86,6 @@ from .core import (
     _norms,
     _psd_powers,
     _residual,
-    _span_norms,
     _stacked,
     _svd,
     _threshold,
@@ -402,7 +404,10 @@ def _powers(a: np.ndarray, windows: _Windows | None = None, rescale: bool = Fals
 # block stack or a small matrix walks many powers per stacked expression and
 # SVD. A group keeps about ten arrays of its size alive at once, 0.6 MB per
 # operator at this budget; twice the budget doubles that and saves no
-# measurable time on the shifts.
+# measurable time on the shifts. The powers of a block stack count their
+# distinct windows only (see _power_groups); at their block positions they
+# hold one index and one sum of squares each, about 113 powers of a shift
+# per group, so under 1 MB per array at n = 1000.
 _GROUP_ENTRIES = 2**12
 
 
@@ -410,18 +415,21 @@ def _power_groups(a: np.ndarray, windows: _Windows | None, last):
     """The powers ``a, a^2, ...`` of ``_powers`` of a stack of operators
     ``(operators, blocks, m, m)``, in lists of consecutive powers holding at
     most ``_GROUP_ENTRIES`` complex entries per operator, and at least one
-    power each; the powers of a block stack count every block position,
-    not only their distinct windows, so that the powers of a group take a
-    bounded size at their positions. The walk stops after power ``last()``,
-    read again before each power, so that a caller may shorten or extend
-    it between groups."""
+    power each. A power of a block stack counts the entries of its distinct
+    windows, which the group forms, factors and checks, and not its block
+    positions, where only one sum of squares per position is placed (see
+    ``_power_norms``): a shift's few windows per power put dozens of powers
+    in one group at any order. The walk stops after power ``last()``, read
+    again before each power, so that a caller may shorten or extend it
+    between groups."""
     powers = _powers(a, windows)
     group: list[np.ndarray] = []
     entries = k = 0
     while k < last():
-        # The entries of power k + 1 per operator; that of a block stack
-        # has k blocks fewer than a.
-        size = a[0, 0].size * (a.shape[1] - k if windows else a.shape[1])
+        # The entries of power k + 1 per operator: one matrix, or one block
+        # per window.
+        blocks = len(windows.step(k + 1)[1]) if windows else a.shape[1]
+        size = a[0, 0].size * blocks
         if group and entries + size > _GROUP_ENTRIES:
             yield group
             group, entries = [], 0
@@ -471,35 +479,40 @@ def _offsets(counts: list[int], sizes: list[int]) -> np.ndarray:
     return np.repeat(np.cumsum(counts) - counts, sizes)
 
 
-def _at(x: np.ndarray, index: np.ndarray | None) -> np.ndarray:
-    """The blocks of the stack of operators ``x`` at ``index`` along axis
-    1: a power held by windows, gathered back to its block positions; ``x``
-    itself for no index."""
-    return x if index is None else x[:, index]
-
-
-def _power_norms(x: np.ndarray, lengths: list[int]) -> np.ndarray:
-    """``fro_norm`` of the span of each power in ``x``, a stack of operators
+def _power_norms(
+    x: np.ndarray, lengths: list[int], index: np.ndarray | None = None
+) -> np.ndarray:
+    """The norm of the span of each power in ``x``, a stack of operators
     whose axis 1 holds consecutive powers of ``lengths`` blocks each, as an
-    array ``(operators, powers)``. Powers of one length (those of matrices)
-    take one ``core._norms`` of a stack with one operator per (operator,
-    power) pair; the shrinking powers of a block stack, gathered to their
-    block positions in row-major order, take ``core._span_norms``. Each
-    norm is bitwise that of its span alone."""
-    if len(set(lengths)) == 1:
+    array ``(operators, powers)``.
+
+    Powers of matrices (no ``index``) take one ``core._norms`` of a stack
+    with one operator per (operator, power) pair, each norm bitwise
+    ``numpy.linalg.norm`` of its power alone. The powers of a block stack
+    hold one block per window (or per (window, image) pair), and ``index``
+    names the block at each of their block positions: each block gives one
+    sum of squares of its entries, the sum at each position is the sum of
+    its block, and each power adds up the sums of its positions in position
+    order (``numpy.add.reduceat``), so each norm is bitwise that of its
+    span alone, whatever the powers around it. This sums the squares of
+    ``fro_norm`` in another order, which moves a norm by at most ``γ_k``
+    relative for ``k`` squares (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3), and gathers no block to its positions."""
+    if index is None:
         return _norms(x.reshape(len(x), len(lengths), lengths[0], *x.shape[2:]))
-    block = x[0, 0].size
-    return _span_norms(x.reshape(len(x), -1), [n * block for n in lengths])
+    rows = x.reshape(*x.shape[:2], -1)
+    squares = (np.square(rows.real) + np.square(rows.imag)).sum(axis=-1)
+    starts = list(accumulate(lengths[:-1], initial=0))
+    return np.sqrt(np.add.reduceat(squares[:, index], starts, axis=1))
 
 
 def _power_residuals(
     a: np.ndarray, b: np.ndarray, lengths: list[int], index: np.ndarray | None
 ) -> np.ndarray:
-    """``core._residual`` of the span of each power in ``a`` and ``b`` at
-    the block positions ``index`` (``_at``), as ``_power_norms`` takes
-    them, bitwise that of the spans alone; ``a - b`` is formed once for all
-    spans, on the windows."""
-    difference, *norms = (_power_norms(_at(x, index), lengths) for x in (a - b, a, b))
+    """``core._residual`` of the span of each power in ``a`` and ``b``, its
+    norms taken as ``_power_norms`` takes them on the blocks at ``index``;
+    ``a - b`` is formed once for all spans, on the windows."""
+    difference, *norms = (_power_norms(x, lengths, index) for x in (a - b, a, b))
     return difference / _floor_one(*norms)
 
 
@@ -520,26 +533,25 @@ def _commutators(
     at j + k as the image. The conjugated blocks are formed once per
     window, and the commutators once per (window, image) pair. All powers
     share one stacked expression and one norm of ``p``; each norm and
-    threshold is taken on its (operator, power) span at its block
+    threshold is taken on its (operator, power) span by ``_power_norms``,
+    from the sums of squares of the windows and pairs placed at the block
     positions, which keeps it bitwise equal to that of the power of that
     operator alone."""
     lengths, spans = _spans(u_pows, layouts)
     u = _join(u_pows)
     if spans is None:
         # Each power of a matrix is one block, with |T| as source and image.
-        index = pairs = prefix = None
-        sources = images = p
+        index = pairs = None
+        images = p
+        paired = conjugated = u @ p @ _adjoint(u)
     else:
         index, sources, pairs, prefix, images = spans
-        sources, images = p[:, sources], p[:, images]
-    conjugated = u @ sources @ _adjoint(u)
-    paired = _at(conjugated, prefix)
+        conjugated = u @ p[:, sources] @ _adjoint(u)
+        paired, images = conjugated[:, prefix], p[:, images]
     commutator = paired @ images - images @ paired
     return (
-        _power_norms(_at(commutator, pairs), lengths),
-        _threshold(
-            _power_norms(_at(conjugated, index), lengths), _norms(p)[:, None], cfg
-        ),
+        _power_norms(commutator, lengths, pairs),
+        _threshold(_power_norms(conjugated, lengths, index), _norms(p)[:, None], cfg),
     )
 
 
@@ -680,14 +692,16 @@ def centered_order(
     One forward walk forms each ``U^k`` once for all operators, in groups
     of consecutive powers (``_power_groups``), as far as the operator that
     needs most; a block stack's powers are formed, factored and checked once
-    per distinct window of its labels, and their norms taken at every block
-    position. Each group gets one stacked commutator expression and, for
-    the powers each operator's oracle still checks (k up to min(verified +
-    1, max_n), none after a group that holds a failing power), one call of
-    ``_oracle_run`` per number of powers checked; the oracle agrees when its
-    leading run of passing powers ends at the verified order. Each report
-    is bitwise the report of its operator alone, and does not depend on how
-    the powers are grouped or on the windows.
+    per distinct window of its labels, its groups sized by those windows,
+    and each of their norms adds one sum of squares per block position
+    (``_power_norms``). Each group gets one stacked commutator expression
+    and, for the powers each operator's oracle still checks (k up to
+    min(verified + 1, max_n), none after a group that holds a failing
+    power), one call of ``_oracle_run`` per number of powers checked; the
+    oracle agrees when its leading run of passing powers ends at the
+    verified order. Each report is bitwise the report of its operator
+    alone, and does not depend on how the powers are grouped or on the
+    windows.
     """
     t = _checked(t, (2, 4) if labels is None else (3,), square=True)
     if max_n < 1:

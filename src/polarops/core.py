@@ -4,7 +4,10 @@ Everything downstream (polar decompositions, classification, the shift
 generators) is built on the handful of primitives in this module: Frobenius
 norms with ``max(1, .)`` scaling, a relative singular-value rank cutoff, and
 eigendecomposition-based fractional powers of positive semidefinite matrices.
-All functions are pure and safe for concurrent use.
+Each norm here is bitwise ``numpy.linalg.norm`` of its operator
+(``_norms``); the block walk of ``classify`` adds its norms from sums of
+squares per block position instead (``classify._power_norms``). All
+functions are pure and safe for concurrent use.
 
 One path: the kernels take stacks of operators ``(..., blocks, m, n)`` only,
 each operator the direct sum of its blocks, and reduce over its last three
@@ -28,9 +31,7 @@ checked again: an entry that overflowed reaches a factorization, and
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -226,29 +227,6 @@ def _norms(x: np.ndarray) -> np.ndarray:
     rows = _rows(x)
     re, im = rows.real, rows.imag
     return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
-
-
-def _span_norms(rows: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """``fro_norm`` of consecutive spans of ``sizes`` entries of each row
-    of a 2-D complex128 array, as an array ``(rows, spans)``. Each span takes
-    the steps of ``fro_norm`` on views of the row's real and imaginary parts,
-    which hold its entries in the order and with the strides of the span's
-    own, so each norm is bitwise that of the span alone, without a call of
-    ``fro_norm`` per span."""
-    bounds = list(pairwise(accumulate(sizes, initial=0)))
-    return np.array(
-        [
-            [_dot_norm(re[lo:hi], im[lo:hi]) for lo, hi in bounds]
-            for re, im in zip(rows.real, rows.imag)
-        ]
-    )
-
-
-def _dot_norm(re: np.ndarray, im: np.ndarray) -> float:
-    """The square root of the sum of the dot products of ``re`` and ``im``
-    with themselves: the last steps of ``numpy.linalg.norm``, as ``_norms``
-    takes them for a whole operator."""
-    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _floor_one(*norms):

@@ -322,15 +322,15 @@ def test_suite_factorization_counts(lapack_calls, suite, counts):
 def test_counterexample_n60_factors_blocks_not_the_dense_operator(
     lapack_calls, tmp_path, capsys
 ):
-    # One batched SVD of the 4 distinct blocks for U and |T|, one per group
-    # of powers T^k, k = 1..61, in the definitional check (the 241 distinct
-    # windows of the 1,952 blocks of those powers, in five groups), and the
+    # One batched SVD of the 4 distinct blocks for U and |T|, one for the
+    # powers T^k, k = 1..61, in the definitional check (the 241 distinct
+    # windows of the 1,952 blocks of those powers, in one group), and the
     # predicted-structure check on the 62 blocks (one eigh of the predicted
     # moduli for their eigenvalues and range projections); nothing dense is
     # factored.
     code = main(["counterexample", "--n", "60", "--out", str(tmp_path / "s.json")])
     assert code == 0 and "verdict: pass" in capsys.readouterr().out
-    assert lapack_calls.calls == Counter({("svd", 3): 6, ("eigh", 3): 1})
+    assert lapack_calls.calls == Counter({("svd", 3): 2, ("eigh", 3): 1})
     assert lapack_calls.matrices == Counter(svd=4 + 241, eigh=62)
 
 
@@ -347,6 +347,17 @@ def test_certify_blockwise_oracle_factors_linearly_many_matrices(lapack_calls):
         # The first SVD factors the 4 distinct blocks for U and |T|.
         oracle.append(lapack_calls.matrices["svd"] - 4)
     assert oracle == [81, 161, 241]
+
+
+def test_certify_blockwise_at_n1000_groups_powers_by_their_windows(lapack_calls):
+    # A group of powers counts the entries of its distinct windows, at most
+    # 4 per power here, not its block positions: the 1,001 powers the
+    # oracle checks take 9 groups, one stacked SVD each, after the SVD of
+    # the 4 distinct blocks.
+    spec = ShiftSpec.from_recipe(1000)
+    assert certify_blockwise(build_truncated(spec), spec.blocks - 1).oracle_agrees
+    assert lapack_calls.calls == Counter({("svd", 3): 10})
+    assert lapack_calls.matrices == Counter(svd=4 + 4001)
 
 
 def _dense_file_argv(tmp_path, command: str, shape: tuple[int, int]) -> list[str]:

@@ -37,6 +37,7 @@ from polarops.shifts import (
     ShiftSpec,
     _block_labels,
     _dense,
+    _predicted_pattern,
     _subdiagonal_blocks,
     angle_constants,
     block_t,
@@ -393,12 +394,47 @@ def _pool(rng, kinds) -> np.ndarray:
     return np.array(pool)
 
 
-def _reference_certify_blockwise(t, max_n, cfg=DEFAULT_TOLERANCES) -> CenteredReport:
+@st.composite
+def _block_stacks(draw):
+    """A block shift and an order ``max_n`` to certify it to: its blocks
+    drawn from a pool of 1-6 blocks (see ``_pool``): zero blocks, blocks
+    with exact zeros, dense and rank-one blocks, and blocks of equal values
+    but other bytes (-0.0 for 0.0); or every block distinct."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    kinds = draw(st.lists(st.sampled_from(_POOL_KINDS), min_size=1, max_size=6))
+    positions = draw(st.integers(1, 30), label="positions")
+    if draw(st.booleans(), label="distinct"):
+        stack = random_operator(rng, BLOCK * positions, BLOCK)
+        stack = stack.reshape(positions, BLOCK, BLOCK)
+    else:
+        pool = _pool(rng, kinds)
+        stack = pool[rng.integers(0, len(pool), positions)]
+    return _dense(stack), draw(st.integers(1, positions), label="max_n")
+
+
+def _position_norm(x: np.ndarray) -> float:
+    """The norm of a stack of 3x3 blocks as the block route takes it: one
+    sum of squares per block, the sums added in position order by
+    ``numpy.add.reduceat``."""
+    rows = x.reshape(1, len(x), -1)
+    squares = (np.square(rows.real) + np.square(rows.imag)).sum(axis=-1)
+    return float(np.sqrt(np.add.reduceat(squares, [0], axis=1))[0, 0])
+
+
+def _reference_certify_blockwise(
+    t, max_n, cfg=DEFAULT_TOLERANCES, norm=_position_norm
+) -> CenteredReport:
     """``certify_blockwise`` as the walk of every block position, one power
     at a time: each power of ``T`` and ``U`` formed at every position, each
     commutator taken at every position, and the oracle factoring every
     block of ``T^k``, k up to min(verified + 1, max_n), up to its first
-    failing power."""
+    failing power. Each norm of a power is ``norm`` of its blocks at every
+    position: by default as the block route takes it, or with ``fro_norm``
+    as the whole stack's."""
+
+    def residual(a, b):
+        return norm(a - b) / max(1.0, norm(a), norm(b))
+
     stack = _subdiagonal_blocks(as_operator(t))
     parts = polar_decompose(stack, cfg)
     u, p = parts.isometry, np.concatenate([parts.modulus, np.zeros((1, BLOCK, BLOCK))])
@@ -407,8 +443,8 @@ def _reference_certify_blockwise(t, max_n, cfg=DEFAULT_TOLERANCES) -> CenteredRe
     for k in range(1, max(max_n - 1, 1) + 1):
         conjugated = u_pow @ p[: len(u_pow)] @ _adjoint(u_pow)
         commutator = conjugated @ p[k:] - p[k:] @ conjugated
-        norms.append(fro_norm(commutator))
-        thresholds.append(_threshold(fro_norm(conjugated), fro_norm(p), cfg))
+        norms.append(norm(commutator))
+        thresholds.append(float(_threshold(norm(conjugated), fro_norm(p), cfg)))
         u_pow = u_pow[1:] @ u[: len(u_pow) - 1]
     decisions = [norm <= threshold for norm, threshold in zip(norms, thresholds)]
     verified = 1 + len(list(takewhile(bool, decisions[: max_n - 1])))
@@ -419,9 +455,9 @@ def _reference_certify_blockwise(t, max_n, cfg=DEFAULT_TOLERANCES) -> CenteredRe
         if top > 2.0**64:
             t_pow = t_pow * 2.0 ** (33 - math.frexp(top)[1])
         own = polar_decompose(t_pow, cfg)
-        equation = _residual(t_pow, u_pow @ own.modulus)
+        equation = residual(t_pow, u_pow @ own.modulus)
         projection = _adjoint(own.isometry) @ own.isometry
-        ranges = _residual(_adjoint(u_pow) @ u_pow, projection)
+        ranges = residual(_adjoint(u_pow) @ u_pow, projection)
         if max(equation, ranges) > cfg.equality_rel_tol:
             break
         passing += 1
@@ -437,6 +473,23 @@ def _reference_certify_blockwise(t, max_n, cfg=DEFAULT_TOLERANCES) -> CenteredRe
         binormal=decisions[0],
         oracle_agrees=passing == verified,
     )
+
+
+def _assert_close_to_the_gathered_norms(t, max_n):
+    """The block route's report against the walk of every position with
+    ``fro_norm`` of each gathered span: norms and thresholds within
+    ``rtol=1e-14``, every decision equal."""
+    report = certify_blockwise(t, max_n)
+    gathered = _reference_certify_blockwise(t, max_n, norm=fro_norm)
+    for field in ("commutator_norms", "commutator_thresholds"):
+        np.testing.assert_allclose(
+            getattr(report, field), getattr(gathered, field), rtol=1e-14, atol=0.0
+        )
+    assert report.commute_decisions() == gathered.commute_decisions()
+    decided = ("verified_order", "binormal", "oracle_agrees")
+    assert [getattr(report, name) for name in decided] == [
+        getattr(gathered, name) for name in decided
+    ]
 
 
 def _hex(report: CenteredReport) -> tuple:
@@ -486,31 +539,28 @@ class TestWindowedWalk:
         assert len(factored) == 1 + 9
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        kinds=st.lists(st.sampled_from(_POOL_KINDS), min_size=1, max_size=6),
-        positions=st.integers(1, 30),
-        distinct=st.booleans(),
-        data=st.data(),
-    )
-    def test_block_stacks_match_the_walk_of_every_position(
-        self, seed, kinds, positions, distinct, data
-    ):
-        # Block stacks drawn from a pool of 1-6 blocks (see _pool): zero
-        # blocks, blocks with exact zeros, dense and rank-one blocks, and
-        # blocks of equal values but other bytes (-0.0 for 0.0); or every
-        # block distinct.
-        rng = np.random.default_rng(seed)
-        if distinct:
-            stack = random_operator(rng, BLOCK * positions, BLOCK)
-            stack = stack.reshape(positions, BLOCK, BLOCK)
-        else:
-            pool = _pool(rng, kinds)
-            stack = pool[rng.integers(0, len(pool), positions)]
-        t = _dense(stack)
-        max_n = data.draw(st.integers(1, positions), label="max_n")
+    @given(case=_block_stacks())
+    def test_block_stacks_match_the_walk_of_every_position(self, case):
+        t, max_n = case
         expected = _reference_certify_blockwise(t, max_n)
         assert _hex(certify_blockwise(t, max_n)) == _hex(expected)
+
+
+class TestBlockRouteNorms:
+    """The block route sums each norm's squares per block position, where
+    ``fro_norm`` of the gathered span sums them entry by entry: the norms
+    move by rounding only, and no decision moves."""
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 60])
+    @pytest.mark.parametrize("extra", [3, 10])
+    def test_shifts_stay_within_rounding_of_the_gathered_norms(self, n, extra):
+        spec = ShiftSpec.from_recipe(n, n + extra)
+        _assert_close_to_the_gathered_norms(build_truncated(spec), spec.blocks - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_block_stacks())
+    def test_block_stacks_stay_within_rounding_of_the_gathered_norms(self, case):
+        _assert_close_to_the_gathered_norms(*case)
 
 
 def _on_block_subdiagonal(stack, k, blocks):
@@ -611,7 +661,33 @@ class TestVerifyPredictedStructure:
             verify_predicted_structure(build_truncated(ShiftSpec.from_recipe(3)), spec)
 
 
+def _reference_pattern(spec: ShiftSpec) -> list[bool]:
+    """The weight pattern for k = 1..blocks-2 as first written: one pass
+    over the block positions per power."""
+    return [True] + [
+        expected_commutator_pattern(spec, k) for k in range(2, spec.blocks - 1)
+    ]
+
+
+# Weights with exact repeats, neighbours one ulp apart, and subnormal and
+# tiny values whose differences multiply to an underflowing product.
+_WEIGHTS = (1.0, math.nextafter(1.0, 2.0), 2.0, 4.0, 1e-300, 2e-300, 5e-324, 1e-5)
+
+
 class TestPatternMismatches:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(_WEIGHTS), min_size=4, max_size=40))
+    def test_pairs_of_changes_give_the_pattern_of_every_position(self, g):
+        spec = ShiftSpec(n=2, blocks=len(g), g=tuple(g))
+        assert _predicted_pattern(spec) == _reference_pattern(spec)
+
+    def test_an_underflowing_product_keeps_its_verdict(self):
+        # Both differences are about 1e-300, and their product is 0.0: the
+        # commutator counts as vanishing at k = 2, as position by position.
+        g = (1e-300, 2e-300, 2e-300, 1e-300, 1e-300, 1e-300)
+        spec = ShiftSpec(n=2, blocks=len(g), g=g)
+        assert _predicted_pattern(spec) == _reference_pattern(spec) == [True] * 4
+
     def test_counts_disagreements_with_the_weights(self):
         spec = ShiftSpec.from_recipe(3, blocks=6)
         decisions = [True, True, False, True]
