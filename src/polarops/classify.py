@@ -480,7 +480,7 @@ def _offsets(counts: list[int], sizes: list[int]) -> np.ndarray:
 
 
 def _power_norms(
-    x: np.ndarray, lengths: list[int], index: np.ndarray | None = None
+    x: np.ndarray, lengths: list[int], index: np.ndarray | None
 ) -> np.ndarray:
     """The norm of the span of each power in ``x``, a stack of operators
     whose axis 1 holds consecutive powers of ``lengths`` blocks each, as an
@@ -490,11 +490,11 @@ def _power_norms(
     with one operator per (operator, power) pair, each norm bitwise
     ``numpy.linalg.norm`` of its power alone. The powers of a block stack
     hold one block per window (or per (window, image) pair), and ``index``
-    names the block at each of their block positions: each block gives one
-    sum of squares of its entries, the sum at each position is the sum of
-    its block, and each power adds up the sums of its positions in position
-    order (``numpy.add.reduceat``), so each norm is bitwise that of its
-    span alone, whatever the powers around it. This sums the squares of
+    names the block at each of their block positions: each block's entries
+    give one sum of squares, placed at every position of the block, and
+    each power adds up the sums of its positions in position order
+    (``numpy.add.reduceat``), so each norm is bitwise that of its span
+    alone, whatever the powers around it. This sums the squares of
     ``fro_norm`` in another order, which moves a norm by at most ``γ_k``
     relative for ``k`` squares (Higham, *Accuracy and Stability of Numerical
     Algorithms*, ch. 3), and gathers no block to its positions."""
@@ -576,8 +576,8 @@ def _oracle_residuals(
     of its direct sum; ``U_k* U_k`` is the range projection. Each operator's
     ``U_k`` are formed from columns sliced to its largest rank over
     ``t_pows``, as for that operator alone. Each residual is
-    ``core._residual`` of its (operator, power) span at its block
-    positions.
+    ``core._residual`` of its (operator, power) span, its norms taken by
+    ``_power_norms``.
 
     ``held`` is the SVD of ``t_pows[0]``, when it is ``T`` itself and the
     caller has factored it for ``U``: then only the powers after it are

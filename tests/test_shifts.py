@@ -22,7 +22,6 @@ from polarops.classify import (
 from polarops.core import (
     DEFAULT_TOLERANCES,
     _adjoint,
-    _residual,
     _threshold,
     as_operator,
     commutes,
@@ -446,7 +445,7 @@ def _reference_certify_blockwise(
         norms.append(norm(commutator))
         thresholds.append(float(_threshold(norm(conjugated), fro_norm(p), cfg)))
         u_pow = u_pow[1:] @ u[: len(u_pow) - 1]
-    decisions = [norm <= threshold for norm, threshold in zip(norms, thresholds)]
+    decisions = [value <= threshold for value, threshold in zip(norms, thresholds)]
     verified = 1 + len(list(takewhile(bool, decisions[: max_n - 1])))
     passing, t_pow, u_pow = 0, stack, u
     for _ in range(min(verified + 1, max_n)):
