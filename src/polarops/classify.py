@@ -24,7 +24,8 @@ declares that entry with ``core._boundary`` and is its kernel under it;
 the functions here call the kernels of the others (``polar_decompose.kernel``,
 ``verify_polar.kernel``, ...), never the others, so each operand is
 checked once per public call. The suites evaluate each group of draws of
-one shape with one call per factorization this way.
+one shape with one call per factorization this way, calling the kernels
+themselves.
 
 Sharing rule: one function, ``_oracle_residuals``, factors the powers
 ``T^k`` for the definitional check, and shares only ``U`` and the walk of
@@ -58,8 +59,9 @@ grouping or the windows. ``mp_centered_check`` finds the orders of ``T``
 and of its inverse from the criterion alone, without the oracle, in one
 walk of the powers of both polar factors for all operators of a stack (one
 stacked commutator expression), takes the ``U^k`` of its modulus
-commutators from that walk, and inverts the powers ``T^k``, k >= 2, in one
-stacked SVD.
+commutators from that walk, tests those commutators in one stacked
+expression per side over all powers, and inverts the powers ``T^k``,
+k >= 2, in one stacked SVD.
 """
 
 from __future__ import annotations
@@ -1059,6 +1061,9 @@ def mp_centered_check(
     and of its inverse come from one walk of the powers of their polar
     factors, whose commutators take one stacked expression, and the inverses
     of the powers ``T^k``, k >= 2, of every operator take one stacked SVD.
+    The modulus commutators of all (n+1)-centered operators at all powers
+    take one stacked ``core._commutator_test`` per side, with one operator
+    per (operator, power) pair, so each norm is that of its power alone.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
@@ -1100,35 +1105,32 @@ def mp_centered_check(
             residuals[i].append(next(values))
 
     # The modulus commutators of the (n+1)-centered operators: those whose
-    # max_n commutators all vanish, so that n = max_n, each U^k sliced from
-    # the criterion's walk.
+    # max_n commutators all vanish, so that n = max_n, each U^k taken from
+    # the criterion's walk. Each side is one stacked test over all powers,
+    # one operator per (operator, power) pair.
     plus_one = [run == max_n for run in runs[: len(t)]]
     plus = [i for i, own in enumerate(plus_one) if own]
-    mod_norms: list[list[float]] = [[] for _ in orders]
-    adj_norms: list[list[float]] = [[] for _ in orders]
-    mod_ok = [True for _ in orders]
+    modulus = {}
     if plus:
-        for u_pow in (u_pow[plus] for u_pow in u_pows):
-            final = _commutator_test(u_pow @ _adjoint(u_pow), p[plus], cfg)
-            initial = _commutator_test(_adjoint(u_pow) @ u_pow, adjoint_modulus[plus], cfg)
-            rows = zip(plus, *(x.tolist() for x in (*final, *initial)))
-            for i, mod_norm, mod_commutes, adj_norm, adj_commutes in rows:
-                mod_norms[i].append(mod_norm)
-                adj_norms[i].append(adj_norm)
-                mod_ok[i] = mod_ok[i] and mod_commutes and adj_commutes
+        u_k = _join(u_pows)[plus][:, :, None]
+        final = _commutator_test(u_k @ _adjoint(u_k), p[plus][:, None], cfg)
+        initial = _commutator_test(_adjoint(u_k) @ u_k, adjoint_modulus[plus][:, None], cfg)
+        commute = (final[1] & initial[1]).all(axis=1).tolist()
+        modulus = dict(zip(plus, zip(final[0].tolist(), initial[0].tolist(), commute)))
 
     tol = cfg.equality_rel_tol
     reports = []
     for i, (k, inverse_order) in enumerate(zip(orders, inverse_orders)):
-        ok = all(r <= tol for r in residuals[i]) and inverse_order >= k and mod_ok[i]
+        mod_norms, adj_norms, mod_ok = modulus.get(i, ((), (), True))
+        ok = all(r <= tol for r in residuals[i]) and inverse_order >= k and mod_ok
         reports.append(
             MpCenteredReport(
                 order=k,
                 power_inverse_residuals=tuple(residuals[i]),
                 inverse_verified_order=inverse_order,
                 checked_modulus_commutators=plus_one[i],
-                modulus_commutator_norms=tuple(mod_norms[i]),
-                adjoint_modulus_commutator_norms=tuple(adj_norms[i]),
+                modulus_commutator_norms=tuple(mod_norms),
+                adjoint_modulus_commutator_norms=tuple(adj_norms),
                 ok=ok,
             )
         )

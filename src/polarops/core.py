@@ -23,9 +23,10 @@ whether its matrices must be square, and which held parts (``decomp=``,
 and each exposes its kernel as ``.kernel``. Inside those modules a public
 function calls ``other.kernel`` or a private kernel of ``core``, never
 another public function, so each array operand is checked once per public
-call. Arrays formed inside a call (products, powers, transforms) are not
-checked again: an entry that overflowed reaches a factorization, and
-``_lapack`` refuses it.
+call; below ``suites.run_suite``, whose draws are finite by construction,
+the suites call kernels too. Arrays formed inside a call (products,
+powers, transforms) are not checked again: an entry that overflowed
+reaches a factorization, and ``_lapack`` refuses it.
 """
 
 from __future__ import annotations
@@ -377,24 +378,25 @@ def _leading_product(left: np.ndarray, right: np.ndarray | None, r) -> np.ndarra
     ``R_r`` those of ``right`` (or ``L_r``, for None), ``r`` one rank per
     matrix. Each subgroup of one largest rank per operator is sliced to it,
     and a matrix of lower rank zeroed past its own, so that each matrix
-    gets bitwise its product alone (a mask over all columns would not)."""
+    gets bitwise its product alone (a mask over all columns would not).
+    Only an operator of several blocks can hold a matrix of lower rank than
+    its largest."""
     top = np.maximum.reduce(r, axis=-1)
     ranks = set(top.tolist())
+    out = None
     if len(ranks) > 1:
         columns = left if right is None else right
         out = np.empty(left.shape[:-1] + columns.shape[-2:-1], dtype=np.complex128)
-        for rank in ranks:
-            (members,) = np.nonzero(top == rank)
-            out[members] = _leading_product(
-                left[members], None if right is None else right[members], r[members]
-            )
-        return out
-    (rank,) = ranks
-    w = left[..., :rank]
-    if np.minimum.reduce(r, axis=None) < rank:
-        w = w * (np.arange(rank) < r[..., None])[..., None, :]
-    x = w if right is None else right[..., :rank]
-    return w @ _adjoint(x)
+    for rank in ranks:
+        pick = slice(None) if out is None else np.nonzero(top == rank)[0]
+        w, own = left[pick, ..., :rank], r[pick]
+        if r.shape[-1] > 1 and np.minimum.reduce(own, axis=None) < rank:
+            w = w * (np.arange(rank) < own[..., None])[..., None, :]
+        x = w if right is None else right[pick, ..., :rank]
+        if out is None:
+            return w @ _adjoint(x)
+        out[pick] = w @ _adjoint(x)
+    return out
 
 
 def rank_margin(s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:

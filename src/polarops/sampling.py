@@ -4,13 +4,19 @@ Everything draws from a caller-supplied ``numpy.random.Generator``, so trial
 runs are reproducible from a single seed. Random entries use independent
 standard-normal real and imaginary parts; rank-deficient variants zero out
 trailing singular values to exercise the rank-cutoff paths.
+
+A stacked draw (``random_spectrum_operators``) takes the random numbers of
+its operators from the generator in the order of one draw after another,
+and only then factors them, each dimension's unitaries in one QR of a
+stack: the stream stays the same, and each operator is bitwise the one
+drawn alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import _svd, commutator_norm, fro_norm
+from .core import _adjoint, _svd, commutator_norm, fro_norm
 from .shifts import ShiftSpec, build_truncated
 
 __all__ = [
@@ -23,6 +29,7 @@ __all__ = [
     "random_commuting_psd_pair",
     "random_psd_pair",
     "random_spectrum_operator",
+    "random_spectrum_operators",
     "random_binormal",
     "random_nonbinormal",
     "random_commuting_moduli_pair",
@@ -32,20 +39,22 @@ __all__ = [
 
 def random_operator(rng: np.random.Generator, rows: int, cols: int | None = None):
     """Dense complex matrix with standard-normal real and imaginary parts."""
-    if cols is None:
-        cols = rows
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal(
-        (rows, cols)
-    )
+    cols = rows if cols is None else cols
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-ish unitary from the QR factorization of a random matrix, with
     the phase convention that makes the factorization unique."""
-    q, r = np.linalg.qr(random_operator(rng, dim))
-    phases = np.diag(r).copy()
-    phases = phases / np.abs(phases)
-    return q * phases
+    return _unitary_factors(random_operator(rng, dim))
+
+
+def _unitary_factors(a: np.ndarray) -> np.ndarray:
+    """The Q of the QR factorization of each matrix of a stack, its columns
+    multiplied by the phases of the diagonal of R."""
+    q, r = np.linalg.qr(a)
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    return q * (phases / np.abs(phases))[..., None, :]
 
 
 def random_rank_deficient(
@@ -90,9 +99,7 @@ def random_psd(
     if rank == 0:
         return np.zeros((dim, dim), dtype=np.complex128)
     q = random_unitary(rng, dim)
-    values = np.concatenate(
-        [rng.uniform(0.2, 3.0, size=rank), np.zeros(dim - rank)]
-    )
+    values = np.concatenate([rng.uniform(0.2, 3.0, size=rank), np.zeros(dim - rank)])
     out = (q * values) @ q.conj().T
     return 0.5 * (out + out.conj().T)
 
@@ -139,15 +146,38 @@ def random_spectrum_operator(
     """Random operator with singular values controlled inside [min_sv, max_sv]
     (log-uniform), optionally rank-deficient; keeps pseudo-inverse paths
     well-conditioned."""
-    if rank is None:
-        rank = dim
-    if not 1 <= rank <= dim:
-        raise ValueError(f"rank {rank} invalid for dimension {dim}")
-    values = np.exp(
-        rng.uniform(np.log(min_sv), np.log(max_sv), size=rank)
-    )
-    values = np.concatenate([values, np.zeros(dim - rank)])
-    return (random_unitary(rng, dim) * values) @ random_unitary(rng, dim).conj().T
+    rank = dim if rank is None else rank
+    return random_spectrum_operators(rng, [dim], [rank], min_sv, max_sv)[0]
+
+
+def random_spectrum_operators(
+    rng: np.random.Generator,
+    dims: list[int],
+    ranks: list[int],
+    min_sv: float = 0.05,
+    max_sv: float = 1.0,
+) -> list[np.ndarray]:
+    """``random_spectrum_operator`` of each dimension of ``dims`` with the
+    rank at the same place of ``ranks``, as a list. The generator is read
+    in the order of those draws one after another, and the unitaries of
+    each dimension are factored in one stacked QR, so each operator is
+    bitwise its draw alone and the generator ends in the same state."""
+    spectra, gaussians = [], []
+    for dim, rank in zip(dims, ranks, strict=True):
+        if not 1 <= rank <= dim:
+            raise ValueError(f"rank {rank} invalid for dimension {dim}")
+        values = np.exp(rng.uniform(np.log(min_sv), np.log(max_sv), size=rank))
+        spectra.append(np.concatenate([values, np.zeros(dim - rank)]))
+        # The real and imaginary parts of two random_operator draws.
+        parts = rng.standard_normal((4, dim, dim))
+        gaussians.append(parts[0::2] + 1j * parts[1::2])
+    operators = {}
+    for dim in dict.fromkeys(dims):
+        members = [i for i, own in enumerate(dims) if own == dim]
+        q = _unitary_factors(np.concatenate([gaussians[i] for i in members]))
+        values = np.stack([spectra[i] for i in members])[:, None, :]
+        operators.update(zip(members, (q[0::2] * values) @ _adjoint(q[1::2])))
+    return [operators[i] for i in range(len(dims))]
 
 
 def random_binormal(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -182,9 +212,8 @@ def random_nonbinormal(
         t = random_operator(rng, dim)
         left = t.conj().T @ t
         right = t @ t.conj().T
-        if commutator_norm(left, right) > min_scaled_commutator * fro_norm(
-            left
-        ) * fro_norm(right):
+        bound = min_scaled_commutator * fro_norm(left) * fro_norm(right)
+        if commutator_norm(left, right) > bound:
             return t
     raise RuntimeError("could not draw a non-binormal operator")
 

@@ -9,15 +9,21 @@ All suites are deterministic given (seed, dim, trials, cfg).
 The seven random suites (``polar-contract``, ``centered-oracle``,
 ``product-polar``, ``polar-transfer``, ``aluthge-binormal``, ``mp-inverse``
 and ``psd-pairs``) draw every trial's operators first, in the order of a
-per-trial loop (no evaluation consumes the generator), evaluate each group
-of draws of one shape as one stack of operators (``_by_shape``) through the
-public functions, which take stacks, and fold the per-trial verdicts and
-worst residuals back in trial order; each trial's values are bitwise those
-it gets alone. ``centered-oracle`` walks the powers of a whole group at
-once (``classify.centered_order`` on a stack of operators), and
-``mp-inverse`` those of a group and of its inverses in one walk of the
-criterion (``classify.mp_centered_check`` on a stack of operators).
-``shift-family`` and ``v-entries`` check fixed families.
+per-trial loop (no evaluation consumes the generator; ``mp-inverse`` takes
+all its draws from one stacked draw, ``sampling.random_spectrum_operators``,
+which reads the generator in that order), evaluate each group of draws of
+one shape as one complex stack of operators (``_by_shape``), and fold the
+per-trial verdicts and worst residuals back in trial order; each trial's
+values are bitwise those it gets alone. The suites' boundary is
+``run_suite``: their draws are finite by construction, so each evaluation
+calls the kernels of the public functions (``polar_decompose.kernel``,
+``verify_polar.kernel``, ...) on the stacks it builds and checks no operand
+again (``core._lapack`` still refuses a non-finite matrix), except
+``classify.centered_order``, which has no kernel. ``centered-oracle`` walks
+the powers of a whole group at once (``centered_order`` on a stack of
+operators), and ``mp-inverse`` those of a group and of its inverses in one
+walk of the criterion (``classify.mp_centered_check`` on a stack of
+operators). ``shift-family`` and ``v-entries`` check fixed families.
 """
 
 from __future__ import annotations
@@ -42,8 +48,8 @@ from .core import (
     ToleranceConfig,
     _adjoint,
     _psd_powers,
+    _residual,
     commutes,
-    equality_residual,
     is_hermitian_psd,
     range_projection,
     svd,
@@ -51,7 +57,6 @@ from .core import (
 from .decomp import (
     abs_value,
     moore_penrose,
-    mp_polar_parts,
     polar_decompose,
     verify_polar,
 )
@@ -63,7 +68,7 @@ from .sampling import (
     random_nonbinormal,
     random_operator,
     random_psd_pair,
-    random_spectrum_operator,
+    random_spectrum_operators,
     structured_fixtures,
 )
 from .shifts import (
@@ -154,7 +159,11 @@ def suite_polar_contract(
         else:
             draws.append((random_mixed_rank(rng, d),))
 
-    checks = _by_shape(draws, lambda t: verify_polar(t, polar_decompose(t, cfg), cfg))
+    def evaluate(t: np.ndarray) -> list:
+        parts = polar_decompose.kernel(t, cfg)
+        return verify_polar.kernel(t, parts.isometry, parts.modulus, cfg)
+
+    checks = _by_shape(draws, evaluate)
     failures = sum(not check.ok for check in checks)
     worst = max([0.0, *(check.worst() for check in checks)])
     records = (
@@ -221,7 +230,7 @@ def suite_product_polar(
         random_commuting_moduli_pair(rng, d)
         for d in _dims_cycle(rng, 2, dim, constructed)
     ]
-    reports = _by_shape(draws, lambda t, s: product_polar(t, s, cfg))
+    reports = _by_shape(draws, lambda t, s: product_polar.kernel(t, s, cfg))
     mismatches = sum(not report.agree() for report in reports)
     constructed_failures = sum(
         not report.is_polar for report in reports[len(reports) - constructed :]
@@ -257,7 +266,7 @@ def suite_polar_transfer(
             draws.append((random_mixed_rank(rng, d), random_mixed_rank(rng, d)))
         else:
             draws.append((random_operator(rng, d), random_operator(rng, d)))
-    reports = _by_shape(draws, lambda t, s: polar_transfer(t, s, cfg))
+    reports = _by_shape(draws, lambda t, s: polar_transfer.kernel(t, s, cfg))
     failures = sum(not report.ok for report in reports)
     worst = max(
         [
@@ -287,7 +296,7 @@ def suite_aluthge_binormal(
     draws = [(random_binormal(rng, d),) for d in _dims_cycle(rng, 2, dim, half)]
     draws += [(random_nonbinormal(rng, d),) for d in _dims_cycle(rng, 2, dim, half)]
     pairs = list(ALUTHGE_EXPONENTS)
-    reports = _by_shape(draws, lambda t: binormal_equivalents(t, pairs, cfg))
+    reports = _by_shape(draws, lambda t: binormal_equivalents.kernel(t, pairs, cfg))
     binormal_failures = sum(
         not (all(report.statements) and report.agree()) for report in reports[:half]
     )
@@ -333,40 +342,34 @@ def suite_mp_inverse(
     decomposition through the adjoint factor, power compatibility up to the
     verified order, preservation of the centered order, and preservation of
     binormality."""
-    operators = [
-        random_spectrum_operator(
-            rng, d, rank=(d if i % 3 else max(1, d - 1))
-        )
-        for i, d in enumerate(_dims_cycle(rng, 2, dim, trials))
-    ]
+    dims = _dims_cycle(rng, 2, dim, trials)
+    ranks = [d if i % 3 else max(1, d - 1) for i, d in enumerate(dims)]
+    operators = random_spectrum_operators(rng, dims, ranks)
     operators.extend(matrix for _, matrix in structured_fixtures(rng))
 
     def evaluate(t: np.ndarray) -> list[tuple[bool, list[float]]]:
         # One stacked SVD of T and T* (pinv, U, |T|, |T*|), one of pinv,
-        # pinv*, |T| and |T*| (pinv's polar parts, |pinv*| and the inverses
-        # of the moduli); mp_polar_parts takes pinv's polar factor as U*,
-        # from the polar parts of T.
+        # pinv*, |T| and |T*| (the polar parts of pinv and pinv* only, and
+        # the inverses of the moduli). pinv's polar parts are U* and |pinv|,
+        # as decomp.mp_polar_parts takes them from these factorizations.
         count = len(t)
         first = np.concatenate([t, _adjoint(t)])
-        decomp = svd(first)
-        factors = polar_decompose(first, cfg, decomp=decomp)
-        pinv = moore_penrose(t, cfg, decomp=decomp[:count])
+        decomp = svd.kernel(first)
+        factors = polar_decompose.kernel(first, cfg, decomp=decomp)
+        pinv = moore_penrose.kernel(t, cfg, decomp=decomp[:count])
         second = np.concatenate([pinv, _adjoint(pinv), factors.modulus])
-        inverse = svd(second)
-        inverse_factors = polar_decompose(second, cfg, decomp=inverse)
-        inverse_parts = inverse_factors[:count]
-        inverse_adjoint_parts = inverse_factors[count : 2 * count]
-        modulus_residuals = equality_residual(
-            moore_penrose(second[2 * count :], cfg, decomp=inverse[2 * count :]),
+        inverse = svd.kernel(second)
+        both = slice(2 * count)
+        inverse_factors = polar_decompose.kernel(second[both], cfg, decomp=inverse[both])
+        inverse_parts, inverse_adjoint_parts = inverse_factors[:count], inverse_factors[count:]
+        modulus_residuals = _residual(
+            moore_penrose.kernel(second[2 * count :], cfg, decomp=inverse[2 * count :]),
             np.concatenate([inverse_adjoint_parts.modulus, inverse_parts.modulus]),
         ).tolist()
-        inverse_polar = verify_polar(
-            pinv,
-            mp_polar_parts(t, cfg, inverse_decomp=inverse[:count], parts=factors[:count]),
-            cfg,
-        )
-        binormal = [flag for flag, _ in is_binormal(np.concatenate([t, pinv]), cfg)]
-        mp_reports = mp_centered_check(
+        inverse_u = _adjoint(factors.isometry[:count])
+        inverse_polar = verify_polar.kernel(pinv, inverse_u, inverse_parts.modulus, cfg)
+        binormal = [flag for flag, _ in is_binormal.kernel(np.concatenate([t, pinv]), cfg)]
+        mp_reports = mp_centered_check.kernel(
             t,
             max_n,
             cfg,
@@ -500,25 +503,28 @@ def suite_psd_pairs(
     def commuting_checks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         product = a @ b
         power = _psd_powers(a, cfg)
-        projections = range_projection(np.concatenate([a, b, power(0.5)]), cfg)
+        projections = range_projection.kernel(np.concatenate([a, b, power(0.5)]), cfg)
         proj_a, proj_b, proj_root = np.split(projections, 3)
-        checks = [is_hermitian_psd(product, cfg)]
-        checks += [commutes(power(exponent), b, cfg) for exponent in (0.5, 1 / 3, 2.0)]
-        checks += [commutes(a, proj_b, cfg), commutes(proj_a, proj_b, cfg)]
-        checks.append(equality_residual(proj_root, proj_a) <= tol)
-        reconstruction = proj_a @ proj_b @ abs_value(product, cfg)
-        checks.append(equality_residual(reconstruction, product) <= tol)
+        checks = [is_hermitian_psd.kernel(product, cfg)]
+        checks += [
+            commutes.kernel(power(exponent), b, cfg) for exponent in (0.5, 1 / 3, 2.0)
+        ]
+        checks += [commutes.kernel(a, proj_b, cfg), commutes.kernel(proj_a, proj_b, cfg)]
+        checks.append(_residual(proj_root, proj_a) <= tol)
+        reconstruction = proj_a @ proj_b @ abs_value.kernel(product, cfg)
+        checks.append(_residual(reconstruction, product) <= tol)
         return np.logical_and.reduce(checks)
 
     def other_checks(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
         product = a @ b
-        projections = range_projection(np.concatenate([a, b, t, t @ _adjoint(t)]), cfg)
+        gram = t @ _adjoint(t)
+        projections = range_projection.kernel(np.concatenate([a, b, t, gram]), cfg)
         proj_a, proj_b, proj_t, proj_gram = np.split(projections, 4)
-        reconstruction = proj_a @ proj_b @ abs_value(product, cfg)
+        reconstruction = proj_a @ proj_b @ abs_value.kernel(product, cfg)
         checks = [
-            ~is_hermitian_psd(product, cfg),
-            equality_residual(reconstruction, product) > tol,
-            equality_residual(proj_t, proj_gram) <= tol,
+            ~is_hermitian_psd.kernel(product, cfg),
+            _residual(reconstruction, product) > tol,
+            _residual(proj_t, proj_gram) <= tol,
         ]
         return np.logical_and.reduce(checks)
 

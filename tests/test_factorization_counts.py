@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import pytest
 
+from polarops import classify, core, decomp, suites
 from polarops.classify import centered_order, is_n_centered_definitional
 from polarops.cli import main
 from polarops.core import DEFAULT_TOLERANCES, equality_residual, range_projection
@@ -268,6 +269,32 @@ def test_mp_inverse_calls_scale_with_shape_groups_not_trials(lapack_calls):
         (Counter(svd=20, eigh=7), Counter(svd=715, eigh=112)),
         (Counter(svd=20, eigh=7), Counter(svd=2515, eigh=412)),
     ]
+
+
+def test_mp_inverse_draws_in_one_qr_per_dim_and_checks_no_operand(monkeypatch):
+    # Dims 2-6: the 20 draws take two unitaries each, from one stacked QR
+    # per dim (5 calls for 40 matrices); the fixtures' 6 unitaries take one
+    # QR each. Below run_suite every evaluation calls kernels on the stacks
+    # it builds, so no operand goes through core._checked.
+    log: Counter = Counter()
+    qr = np.linalg.qr
+
+    def counted_qr(a, *args, **kwargs):
+        log["qr"] += 1
+        log["qr_matrices"] += int(np.prod(np.shape(a)[:-2], dtype=int))
+        return qr(a, *args, **kwargs)
+
+    def counted_checked(*args, **kwargs):
+        log["checked"] += 1
+        return checked(*args, **kwargs)
+
+    checked = core._checked
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    for module in (core, decomp, classify, suites):
+        if hasattr(module, "_checked"):
+            monkeypatch.setattr(module, "_checked", counted_checked)
+    run_suite("mp-inverse", 0, 6, 20)
+    assert log == Counter(qr=11, qr_matrices=46)
 
 
 @pytest.mark.parametrize(

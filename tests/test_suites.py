@@ -58,6 +58,7 @@ from polarops.sampling import (
     random_psd_pair,
     random_rank_deficient,
     random_spectrum_operator,
+    random_spectrum_operators,
     structured_fixtures,
 )
 from polarops.suites import (
@@ -381,11 +382,23 @@ REFERENCES = {
 
 
 # The draw of each suite that evaluates its operators in shape groups
-# through the stacked centered-order walk.
+# through the stacked centered-order walk, and the draw its reference makes
+# per trial: mp-inverse draws all its operators in one stacked draw.
 STACKED_WALK_DRAWS = {
-    "centered-oracle": "random_mixed_rank",
-    "mp-inverse": "random_spectrum_operator",
+    "centered-oracle": ("random_mixed_rank", "random_mixed_rank"),
+    "mp-inverse": ("random_spectrum_operators", "random_spectrum_operator"),
 }
+
+
+def _scaled(draw, scale: float):
+    """``draw`` with each operator it returns, or each of the list of
+    operators of a stacked draw, multiplied by ``scale``."""
+
+    def scaled(*args, **kwargs):
+        drawn = draw(*args, **kwargs)
+        return [scale * t for t in drawn] if type(drawn) is list else scale * drawn
+
+    return scaled
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCES))
@@ -410,15 +423,14 @@ def test_suite_matches_its_public_call_reference(monkeypatch, name, dim):
         return
     # Shape groups of one operator and of many, several per group.
     results(range(10), (1, 3, 20, 100))
-    draw_name = STACKED_WALK_DRAWS[name]
+    suite_draw, reference_draw = STACKED_WALK_DRAWS[name]
     for scale in (1e-6, 1e-12):
         # Tiny draws: the absolute commutator floor makes the criterion
         # overshoot, so orders, oracle flags and verdicts all change.
-        def scaled(rng, d, *args, draw=globals()[draw_name], scale=scale, **kwargs):
-            return scale * draw(rng, d, *args, **kwargs)
-
-        monkeypatch.setattr(suites, draw_name, scaled)
-        monkeypatch.setitem(globals(), draw_name, scaled)
+        monkeypatch.setattr(suites, suite_draw, _scaled(getattr(suites, suite_draw), scale))
+        monkeypatch.setitem(
+            globals(), reference_draw, _scaled(globals()[reference_draw], scale)
+        )
         results(range(5), (1, 3, 20))
         if name == "centered-oracle" and scale == 1e-6:
             # The floor stops the criterion at order 1 while the
@@ -427,6 +439,73 @@ def test_suite_matches_its_public_call_reference(monkeypatch, name, dim):
             for result in results():
                 assert not any(record.passed for record in result.records)
         monkeypatch.undo()
+
+
+def _spectrum_operator_alone(rng, dim, min_sv=0.05, max_sv=1.0, rank=None):
+    """``random_spectrum_operator`` as first written, one draw at a time:
+    the spectrum, then two unitaries from the QR of a ``random_operator``
+    each, with the phases of the diagonal of R."""
+
+    def unitary() -> np.ndarray:
+        q, r = np.linalg.qr(random_operator(rng, dim))
+        phases = np.diag(r).copy()
+        return q * (phases / np.abs(phases))
+
+    rank = dim if rank is None else rank
+    values = np.exp(rng.uniform(np.log(min_sv), np.log(max_sv), size=rank))
+    values = np.concatenate([values, np.zeros(dim - rank)])
+    return (unitary() * values) @ unitary().conj().T
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 13, 20, 25])
+@pytest.mark.parametrize("interleaved", [False, True])
+def test_stacked_spectrum_draw_is_bitwise_the_draws_alone(count, interleaved):
+    # Dims 2-12, random or repeated in turn, full and deficient ranks, 1-25
+    # operators: the stacked draw reads the generator
+    # as the draws one at a time do, and each operator is bitwise its draw
+    # alone, by the first implementation and by the one-operator call.
+    choice = np.random.default_rng(count)
+    if interleaved:
+        dims = [2 + (i * 5) % 11 for i in range(count)]
+    else:
+        dims = [int(d) for d in choice.integers(2, 13, size=count)]
+    ranks = [d if i % 2 else int(choice.integers(1, d + 1)) for i, d in enumerate(dims)]
+    kwargs = {"min_sv": 0.01, "max_sv": 3.0} if count % 2 else {}
+    stacked_rng, alone_rng, single_rng = (np.random.default_rng(count) for _ in range(3))
+    stacked = random_spectrum_operators(stacked_rng, dims, ranks, **kwargs)
+    alone = [
+        _spectrum_operator_alone(alone_rng, d, rank=r, **kwargs) for d, r in zip(dims, ranks)
+    ]
+    single = [
+        random_spectrum_operator(single_rng, d, rank=r, **kwargs) for d, r in zip(dims, ranks)
+    ]
+    assert [t.shape for t in stacked] == [(d, d) for d in dims]
+    for a, b, c in zip(stacked, alone, single):
+        assert a.dtype == np.complex128
+        assert a.tobytes() == b.tobytes() == c.tobytes()
+    assert stacked_rng.bit_generator.state == alone_rng.bit_generator.state
+    assert single_rng.bit_generator.state == alone_rng.bit_generator.state
+
+
+def test_stacked_spectrum_draw_of_many_dims_in_one_call():
+    # 25 operators over every dim 2-12, a stack per dim, against the draws
+    # one at a time, with the shapes and ranks each asks for.
+    dims = [2 + (i * 7) % 11 for i in range(25)]
+    ranks = [max(1, d - i % 2) for i, d in enumerate(dims)]
+    first, second = np.random.default_rng(5), np.random.default_rng(5)
+    stacked = random_spectrum_operators(first, dims, ranks)
+    for t, d, r in zip(stacked, dims, ranks):
+        assert t.tobytes() == _spectrum_operator_alone(second, d, rank=r).tobytes()
+        assert np.linalg.matrix_rank(t) == r
+    assert first.bit_generator.state == second.bit_generator.state
+
+
+def test_stacked_spectrum_draw_refuses_a_rank_out_of_range():
+    rng = np.random.default_rng(0)
+    for rank in (0, 4):
+        with pytest.raises(ValueError, match="invalid for dimension 3"):
+            random_spectrum_operators(rng, [2, 3], [2, rank])
+    assert random_spectrum_operators(rng, [], []) == []
 
 
 def _equivalence_operators() -> list[np.ndarray]:
