@@ -10,6 +10,9 @@ and no dense-file command factors the same matrix twice: ``T`` once for
 ``verify_polar`` factors only its modulus ``P``, by one ``eigh`` for both
 its spectrum and its range projection, and checks the ``|T*|`` identities
 by matmuls.
+The ``mp-inverse`` suite is also pinned to one stacked QR per dimension
+for the unitaries of its draws, and to no ``core._checked`` call below
+``run_suite``.
 Single calls are pinned to their stacked calls and to one matrix per
 operator power, or per distinct window of a block shift's powers. Every
 route to the definitional check, ``centered_order``,
@@ -273,9 +276,10 @@ def test_mp_inverse_calls_scale_with_shape_groups_not_trials(lapack_calls):
 
 def test_mp_inverse_draws_in_one_qr_per_dim_and_checks_no_operand(monkeypatch):
     # Dims 2-6: the 20 draws take two unitaries each, from one stacked QR
-    # per dim (5 calls for 40 matrices); the fixtures' 6 unitaries take one
-    # QR each. Below run_suite every evaluation calls kernels on the stacks
-    # it builds, so no operand goes through core._checked.
+    # per dim (5 calls for 40 matrices; 40 calls before); the structured
+    # fixtures make 6 QR calls of one matrix each. Below run_suite every
+    # evaluation calls kernels on the stacks it builds, so no operand goes
+    # through core._checked (98 calls before).
     log: Counter = Counter()
     qr = np.linalg.qr
 
