@@ -501,7 +501,7 @@ def _power_norms(
     relative for ``k`` squares (Higham, *Accuracy and Stability of Numerical
     Algorithms*, ch. 3), and gathers no block to its positions."""
     if index is None:
-        return _norms(x.reshape(len(x), len(lengths), lengths[0], *x.shape[2:]))
+        return _norms(x.reshape(len(x), len(lengths), lengths[0], *x.shape[-2:]))
     rows = x.reshape(*x.shape[:2], -1)
     squares = (np.square(rows.real) + np.square(rows.imag)).sum(axis=-1)
     starts = list(accumulate(lengths[:-1], initial=0))
@@ -542,10 +542,11 @@ def _commutators(
     lengths, spans = _spans(u_pows, layouts)
     u = _join(u_pows)
     if spans is None:
-        # Each power of a matrix is one block, with |T| as source and image.
+        # Each power of a direct sum maps each block position to itself,
+        # with the block of |T| there as source and image.
         index = pairs = None
-        images = p
-        paired = conjugated = u @ p @ _adjoint(u)
+        u, images = u.reshape(len(u), len(lengths), *p.shape[1:]), p[:, None]
+        paired = conjugated = u @ images @ _adjoint(u)
     else:
         index, sources, pairs, prefix, images = spans
         conjugated = u @ p[:, sources] @ _adjoint(u)
@@ -1112,7 +1113,7 @@ def mp_centered_check(
     plus = [i for i, own in enumerate(plus_one) if own]
     modulus = {}
     if plus:
-        u_k = _join(u_pows)[plus][:, :, None]
+        u_k = np.stack(u_pows, axis=1)[plus]
         final = _commutator_test(u_k @ _adjoint(u_k), p[plus][:, None], cfg)
         initial = _commutator_test(_adjoint(u_k) @ u_k, adjoint_modulus[plus][:, None], cfg)
         commute = (final[1] & initial[1]).all(axis=1).tolist()

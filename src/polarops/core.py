@@ -383,20 +383,24 @@ def _leading_product(left: np.ndarray, right: np.ndarray | None, r) -> np.ndarra
     its largest."""
     top = np.maximum.reduce(r, axis=-1)
     ranks = set(top.tolist())
-    out = None
-    if len(ranks) > 1:
-        columns = left if right is None else right
-        out = np.empty(left.shape[:-1] + columns.shape[-2:-1], dtype=np.complex128)
+    if len(ranks) == 1:
+        return _rank_product(left, right, r, ranks.pop())
+    columns = left if right is None else right
+    out = np.empty(left.shape[:-1] + columns.shape[-2:-1], dtype=np.complex128)
     for rank in ranks:
-        pick = slice(None) if out is None else np.nonzero(top == rank)[0]
-        w, own = left[pick, ..., :rank], r[pick]
-        if r.shape[-1] > 1 and np.minimum.reduce(own, axis=None) < rank:
-            w = w * (np.arange(rank) < own[..., None])[..., None, :]
-        x = w if right is None else right[pick, ..., :rank]
-        if out is None:
-            return w @ _adjoint(x)
-        out[pick] = w @ _adjoint(x)
+        (members,) = np.nonzero(top == rank)
+        own = None if right is None else right[members]
+        out[members] = _rank_product(left[members], own, r[members], rank)
     return out
+
+
+def _rank_product(left: np.ndarray, right: np.ndarray | None, r, rank: int) -> np.ndarray:
+    """``_leading_product`` of operators whose largest rank is ``rank``."""
+    w = left[..., :rank]
+    if np.minimum.reduce(r, axis=None) < rank:
+        w = w * (np.arange(rank) < r[..., None])[..., None, :]
+    x = w if right is None else right[..., :rank]
+    return w @ _adjoint(x)
 
 
 def rank_margin(s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:

@@ -39,8 +39,11 @@ __all__ = [
 
 def random_operator(rng: np.random.Generator, rows: int, cols: int | None = None):
     """Dense complex matrix with standard-normal real and imaginary parts."""
-    cols = rows if cols is None else cols
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    if cols is None:
+        cols = rows
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal(
+        (rows, cols)
+    )
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -99,7 +102,9 @@ def random_psd(
     if rank == 0:
         return np.zeros((dim, dim), dtype=np.complex128)
     q = random_unitary(rng, dim)
-    values = np.concatenate([rng.uniform(0.2, 3.0, size=rank), np.zeros(dim - rank)])
+    values = np.concatenate(
+        [rng.uniform(0.2, 3.0, size=rank), np.zeros(dim - rank)]
+    )
     out = (q * values) @ q.conj().T
     return 0.5 * (out + out.conj().T)
 
@@ -212,8 +217,9 @@ def random_nonbinormal(
         t = random_operator(rng, dim)
         left = t.conj().T @ t
         right = t @ t.conj().T
-        bound = min_scaled_commutator * fro_norm(left) * fro_norm(right)
-        if commutator_norm(left, right) > bound:
+        if commutator_norm(left, right) > min_scaled_commutator * fro_norm(
+            left
+        ) * fro_norm(right):
             return t
     raise RuntimeError("could not draw a non-binormal operator")
 

@@ -466,6 +466,36 @@ class TestMpCenteredCheck:
         alone = mp_centered_check(t[2, 0], 3, parts=polar_decompose(t[2, 0]))
         assert repr(alone) == repr(mp_centered_check(t[2, 0], 3))
 
+    def test_modulus_commutators_of_direct_sums_are_blockwise(self):
+        # Stacks of operators of two blocks: the commutators of each power
+        # of U are those of the whole direct sum, block j of U^k against
+        # block j of |T| only, one norm per power, in the criterion's walk
+        # and in the modulus commutators alike.
+        rng = rng_for(26)
+        normal_sum = np.stack([np.diag([1.0, 0.0]), [[2.0, 1.0], [1.0, 2.0]]])
+        normals = np.stack([random_normal_operator(rng, 2) for _ in range(2)])
+        t = np.stack([normal_sum, normals, np.stack([UPPER, UPPER])]).astype(complex)
+        max_n = 4
+        reports = mp_centered_check(t, max_n)
+        assert [report.checked_modulus_commutators for report in reports] == [True, True, False]
+        assert reports[0].ok and reports[1].ok
+        parts = polar_decompose(t)
+        adjoint_modulus = polar_decompose(t.conj().swapaxes(-1, -2)).modulus
+        u_pow, criterion, expected, adjoint_expected = parts.isometry, [], [], []
+        for _ in range(max_n):
+            u_pow_h = u_pow.conj().swapaxes(-1, -2)
+            criterion.append(commutator_norm(u_pow @ parts.modulus @ u_pow_h, parts.modulus))
+            expected.append(commutator_norm(u_pow @ u_pow_h, parts.modulus))
+            adjoint_expected.append(commutator_norm(u_pow_h @ u_pow, adjoint_modulus))
+            u_pow = u_pow @ parts.isometry
+        for i in (0, 1):
+            assert reports[i].modulus_commutator_norms == tuple(n[i] for n in expected)
+            norms = reports[i].adjoint_modulus_commutator_norms
+            assert norms == tuple(n[i] for n in adjoint_expected)
+        for i, report in enumerate(centered_order(t, max_n)):
+            assert report.verified_order == reports[i].order
+            assert report.commutator_norms == tuple(n[i] for n in criterion[:-1])
+
     def test_order_preserved_both_directions(self):
         rng = rng_for(21)
         for i in range(15):
