@@ -685,8 +685,9 @@ def centered_order(
     taken here for ``U`` also gives the k = 1 residuals, so the oracle
     factors only the powers k >= 2.
 
-    ``t`` is a matrix, or a stack of operators ``(operators, 1, d, d)``
-    (a list of reports, one per operator); ``parts`` are its polar parts,
+    ``t`` is a matrix, or a stack of operators ``(operators, blocks, d,
+    d)``, each the direct sum of its blocks (a list of reports, one per
+    operator); ``parts`` are its polar parts,
     when the caller holds them. With ``labels``, ``t`` is the stack of
     blocks of an operator on its first block subdiagonal (see ``_powers``),
     ``labels`` label its blocks (see ``_Windows``), and ``parts`` are those
@@ -1055,7 +1056,8 @@ def mp_centered_check(
     ``|T*|`` for k = 1..n.
 
     For a stack of operators, the result is a list of reports, each bitwise
-    that of its operator alone. A caller may pass what it holds: ``decomp``,
+    that of its operator alone; an operator of several blocks is their
+    direct sum, each commutator taken block by block. A caller may pass what it holds: ``decomp``,
     the SVD of ``t`` (for the inverse, and for ``U`` and ``|T|``); ``parts``,
     the polar parts of ``t``; ``adjoint_parts``, those of ``t*``; and
     ``inverse_parts``, those of ``moore_penrose(t)``. The orders of ``t``

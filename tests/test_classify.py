@@ -466,6 +466,17 @@ class TestMpCenteredCheck:
         alone = mp_centered_check(t[2, 0], 3, parts=polar_decompose(t[2, 0]))
         assert repr(alone) == repr(mp_centered_check(t[2, 0], 3))
 
+    def test_a_failing_adjoint_modulus_commutator_fails_the_check(self):
+        # Held polar parts of another operator stand in for those of T*:
+        # (U^k)* U^k = diag(1, 0) does not commute with their modulus,
+        # while U^k (U^k)* = diag(1, 0) commutes with |T| = diag(2, 0).
+        other = polar_decompose(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        report = mp_centered_check(np.diag([2.0, 0.0]), 2, adjoint_parts=other)
+        assert report.checked_modulus_commutators
+        assert max(report.modulus_commutator_norms) < 1e-12
+        assert min(report.adjoint_modulus_commutator_norms) > 0.1
+        assert not report.ok
+
     def test_modulus_commutators_of_direct_sums_are_blockwise(self):
         # Stacks of operators of two blocks: the commutators of each power
         # of U are those of the whole direct sum, block j of U^k against
