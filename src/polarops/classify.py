@@ -47,13 +47,14 @@ blocks, ``_Windows``), and walks the powers once, forward, for all
 operators, in groups of consecutive powers that fit a fixed number of
 entries per operator: of its matrices, or of a block stack's distinct
 windows (``_power_groups``). Each group is one stacked commutator
-expression, with one threshold per (operator, power), and one stacked SVD
-per number of powers that the operators' oracles check, each with its own
-rank cutoffs, so a shift's block stacks and a group of small matrices take
-a few LAPACK calls for all their powers, while a matrix above 64x64 still
-walks one power at a time. A norm of a matrix power is bitwise
-``numpy.linalg.norm``; a norm of a block stack's power adds one sum of
-squares per block position, taken once per window (``_power_norms``).
+expression, with one threshold per (operator, power), and one pass of the
+oracles: one stacked SVD of the powers that each operator's oracle checks,
+however many that is for each, with its own rank cutoffs, so a shift's
+block stacks and a group of small matrices take a few LAPACK calls for all
+their powers, while a matrix above 64x64 still walks one power at a time.
+A norm of a matrix power is bitwise ``numpy.linalg.norm``; a norm of a
+block stack's power adds one sum of squares per block position, taken once
+per window (``_power_norms``).
 Each report is bitwise the report of its operator alone, whatever the
 grouping or the windows. ``mp_centered_check`` finds the orders of ``T``
 and of its inverse from the criterion alone, without the oracle, in one
@@ -564,6 +565,7 @@ def _oracle_residuals(
     cfg: ToleranceConfig,
     layouts: list | None = None,
     held: SvdResult | None = None,
+    checked: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The definitional check: for each of the consecutive powers ``t_pows``
     of ``T``, stacks of operators ``(operators, blocks, m, m)``, with
@@ -584,12 +586,16 @@ def _oracle_residuals(
 
     ``held`` is the SVD of ``t_pows[0]``, when it is ``T`` itself and the
     caller has factored it for ``U``: then only the powers after it are
-    factored, and the residuals are bitwise those of one SVD of all."""
+    factored, and the residuals are bitwise those of one SVD of all. With
+    ``checked``, operator i checks only its first ``checked[i]`` powers:
+    only those are factored (``_oracle_svd``), so its ``U_k`` take the
+    width of its largest rank over them, and its residuals past them are
+    formed but mean nothing."""
     lengths, spans = _spans(t_pows, layouts)
     index = None if spans is None else spans.index
     counts = [t_pow.shape[1] for t_pow in t_pows]
     t, u = _join(t_pows), _join(u_pows)
-    decomp = _svd(t) if held is None else _joined_svd(held, t_pows[1:])
+    decomp = _oracle_svd(t, counts, held, checked)
     s = decomp.singular_values
     starts = list(accumulate(counts[:-1], initial=0))
     top = np.repeat(np.maximum.reduceat(s[..., 0], starts, axis=-1), counts, axis=-1)
@@ -602,15 +608,34 @@ def _oracle_residuals(
     )
 
 
-def _joined_svd(held: SvdResult, rest: list[np.ndarray]) -> SvdResult:
-    """The SVD of ``_join([first, *rest])``, with the SVD ``held`` of
-    ``first``: only ``rest`` is factored. Each array is laid out as
-    ``core._svd`` lays out its own (the right vectors as the adjoint of a
-    C-ordered array), so that the products formed from it are bitwise
-    those of one SVD of the whole join."""
-    decomps = [held, _svd(_join(rest))] if rest else [held]
-    raw = [(d.left_vectors, d.singular_values, _adjoint(d.right_vectors)) for d in decomps]
-    left, s, right_h = (np.concatenate(arrays, axis=1) for arrays in zip(*raw))
+def _oracle_svd(
+    t: np.ndarray, counts: list[int], held: SvdResult | None, checked: np.ndarray | None
+) -> SvdResult:
+    """The SVD of each matrix of ``t``, consecutive powers joined along axis
+    1, ``counts[j]`` matrices for power j, where operator i checks its first
+    ``checked[i]`` powers (all, for None); ``held`` is the SVD of the first
+    power, when the caller holds it. One stacked SVD factors the checked
+    matrices that are not held; every matrix of an unchecked power gets
+    zero factors and no nonzero singular value, so its rank is zero at any
+    cutoff and its ``U_k`` is zero. Each array is laid out
+    as ``core._svd`` lays out its own (the right vectors as the adjoint of
+    a C-ordered array), so that the products formed from it are bitwise
+    those of one SVD of all."""
+    factored = np.ones(t.shape[:2], dtype=bool)
+    if checked is not None:
+        factored = np.repeat(np.arange(len(counts)) < checked[:, None], counts, axis=1)
+    if held is None and factored.all():
+        return _svd(t)
+    left, s, right_h = np.zeros(t.shape, complex), np.zeros(t.shape[:-1]), np.zeros(t.shape, complex)
+    parts = []
+    if held is not None:
+        factored[:, : counts[0]] = False
+        parts.append((held, np.s_[:, : counts[0]]))
+    if factored.any():
+        parts.append((_svd(t[factored]), factored))
+    for decomp, place in parts:
+        left[place], s[place] = decomp.left_vectors, decomp.singular_values
+        right_h[place] = _adjoint(decomp.right_vectors)
     return SvdResult(left, s, _adjoint(right_h))
 
 
@@ -620,30 +645,34 @@ def _oracle_run(
     cfg: ToleranceConfig,
     layouts: list | None = None,
     held: SvdResult | None = None,
+    checked: np.ndarray | None = None,
 ) -> np.ndarray:
-    """For each operator of the stacks of ``_oracle_residuals``, the number
-    of leading powers in ``t_pows`` that pass the definitional check, with
-    the SVD ``held`` of ``T`` (see ``_oracle_residuals``).
+    """For each operator i of the stacks of ``_oracle_residuals``, the
+    number of leading powers among its first ``checked[i]`` in ``t_pows``
+    (all, for None) that pass the definitional check, with the SVD ``held``
+    of ``T`` (see ``_oracle_residuals``): one pass for all operators.
 
     An SVD that fails for one matrix fails for its whole stack. The
-    operators are then checked one at a time, and the powers of one
-    operator one at a time, up to its first failing power, so that a power
-    past it (say, one whose entries overflowed) is never factored. A single
-    power that cannot be factored raises."""
+    operators are then checked one at a time, each on its own checked
+    powers, and the powers of one operator one at a time, up to its first
+    failing power, so that a power past it (say, one whose entries
+    overflowed) is never factored. A single power that cannot be factored
+    raises."""
     try:
-        equation, ranges = _oracle_residuals(t_pows, u_pows, cfg, layouts, held)
+        equation, ranges = _oracle_residuals(t_pows, u_pows, cfg, layouts, held, checked)
     except np.linalg.LinAlgError:
         if len(t_pows[0]) > 1:
+            counts = [len(t_pows)] * len(t_pows[0]) if checked is None else checked.tolist()
             return np.concatenate(
                 [
                     _oracle_run(
-                        [x[[i]] for x in t_pows],
-                        [x[[i]] for x in u_pows],
+                        [x[[i]] for x in t_pows[:c]],
+                        [x[[i]] for x in u_pows[:c]],
                         cfg,
                         layouts,
                         None if held is None else held[[i]],
                     )
-                    for i in range(len(t_pows[0]))
+                    for i, c in enumerate(counts)
                 ]
             )
         if len(t_pows) == 1:
@@ -660,7 +689,8 @@ def _oracle_run(
         )
         return np.array([len(list(takewhile(bool, passes)))])
     holds = np.maximum(equation, ranges) <= cfg.equality_rel_tol
-    return np.logical_and.accumulate(holds, axis=1).sum(axis=1)
+    runs = np.logical_and.accumulate(holds, axis=1).sum(axis=1)
+    return runs if checked is None else np.minimum(runs, checked)
 
 
 def centered_order(
@@ -699,13 +729,14 @@ def centered_order(
     per distinct window of its labels, its groups sized by those windows,
     and each of their norms adds one sum of squares per block position
     (``_power_norms``). Each group gets one stacked commutator expression
-    and, for the powers each operator's oracle still checks (k up to
-    min(verified + 1, max_n), none after a group that holds a failing
-    power), one call of ``_oracle_run`` per number of powers checked; the
-    oracle agrees when its leading run of passing powers ends at the
-    verified order. Each report is bitwise the report of its operator
-    alone, and does not depend on how the powers are grouped or on the
-    windows.
+    and one call of ``_oracle_run`` for the powers each operator's oracle
+    still checks (k up to min(verified + 1, max_n), none after a group that
+    holds a failing power): one pass that factors only those powers, each
+    operator's own, and cuts each operator's run of passing powers at its
+    own count; the oracle agrees when that run ends at the verified order.
+    Each report is bitwise the report of its operator alone, and does not
+    depend on how the powers are grouped, on the windows, or on how many
+    powers the other operators of the stack check.
     """
     t = _checked(t, (2, 4) if labels is None else (3,), square=True)
     if max_n < 1:
@@ -749,27 +780,28 @@ def centered_order(
                 for order, row in zip(verified, rows)
             ]
         limit = min(len(group), max_n - first + 1)
-        checked = [
-            min(order + 2 - first, limit) if on else 0
-            for order, on in zip(verified, checking)
-        ]
-        sizes = sorted({c for c in checked if c > 0})
+        # None past an operator's verified order + 1, which may lie behind
+        # the group.
+        checked = np.array(
+            [min(order + 2 - first, limit) if on else 0 for order, on in zip(verified, checking)]
+        ).clip(0)
+        (members,) = np.nonzero(checked)
         # An operator checks the next group only after passing every power
         # of this one, so the walk of T^k stays in step with the group.
-        t_pows = list(islice(t_powers, sizes[-1] if sizes else 0))
-        for c in sizes:
-            members = [i for i, own in enumerate(checked) if own == c]
+        t_pows = list(islice(t_powers, checked.max()))
+        if len(members):
             pick = slice(None) if len(members) == operators else members
             passed = _oracle_run(
-                [x[pick] for x in t_pows[:c]],
-                [x[pick] for x in group[:c]],
+                [x[pick] for x in t_pows],
+                [x[pick] for x in group[: len(t_pows)]],
                 cfg,
                 layouts,
                 None if held is None else held[pick],
+                checked[members],
             )
-            for i, run in zip(members, passed.tolist()):
+            for i, run, own in zip(members.tolist(), passed.tolist(), checked[members].tolist()):
                 passing[i] += run
-                checking[i] = run == c
+                checking[i] = run == own
         first += len(group)
         held = None
         stop = min(first, max_n - 1)

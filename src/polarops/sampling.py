@@ -5,34 +5,45 @@ runs are reproducible from a single seed. Random entries use independent
 standard-normal real and imaginary parts; rank-deficient variants zero out
 trailing singular values to exercise the rank-cutoff paths.
 
-A stacked draw (``random_spectrum_operators``) takes the random numbers of
-its operators from the generator in the order of one draw after another,
-and only then factors them, each dimension's unitaries in one QR of a
-stack: the stream stays the same, and each operator is bitwise the one
-drawn alone.
+A stacked draw (``random_spectrum_operators``, ``random_mixed_ranks``,
+``random_commuting_psd_pairs``, ``random_psd_pairs`` and
+``random_commuting_moduli_pairs``) takes the random numbers of its
+operators from the generator in the order of one draw after another, and
+only then factors them, in one QR (and, for moduli pairs, one SVD) of a
+stack per shape, and forms the products of each shape as one stacked
+expression: the stream stays the same, and each operator is bitwise the
+one drawn alone. The single draw is a one-element call of its stacked
+form. ``random_psd_pairs`` redraws a pair that commutes: it tests all its
+pairs at once, then restores the generator to its state after the first
+failing pair (saved after each pair's draw) and draws again from there, so
+the stream is the one of the draws one at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import _adjoint, _svd, commutator_norm, fro_norm
+from .core import _adjoint, _norms, _svd, commutator_norm, fro_norm
 from .shifts import ShiftSpec, build_truncated
 
 __all__ = [
     "random_operator",
     "random_rank_deficient",
     "random_mixed_rank",
+    "random_mixed_ranks",
     "random_unitary",
     "random_normal_operator",
     "random_psd",
     "random_commuting_psd_pair",
+    "random_commuting_psd_pairs",
     "random_psd_pair",
+    "random_psd_pairs",
     "random_spectrum_operator",
     "random_spectrum_operators",
     "random_binormal",
     "random_nonbinormal",
     "random_commuting_moduli_pair",
+    "random_commuting_moduli_pairs",
     "structured_fixtures",
 ]
 
@@ -60,6 +71,20 @@ def _unitary_factors(a: np.ndarray) -> np.ndarray:
     return q * (phases / np.abs(phases))[..., None, :]
 
 
+def _formed(drawn: list[tuple], form) -> list:
+    """``form(*stacks)`` once per group of the draws ``drawn`` whose parts
+    have one shape, each part stacked over the group; its results, one per
+    draw, in draw order. Each draw is its random numbers, read from the
+    generator before any is formed."""
+    groups: dict = {}
+    for index, parts in enumerate(drawn):
+        groups.setdefault(tuple(x.shape for x in parts), []).append(index)
+    formed = {}
+    for members in groups.values():
+        formed.update(zip(members, form(*map(np.array, zip(*(drawn[i] for i in members))))))
+    return [formed[i] for i in range(len(drawn))]
+
+
 def random_rank_deficient(
     rng: np.random.Generator, rows: int, cols: int, rank: int
 ) -> np.ndarray:
@@ -68,20 +93,45 @@ def random_rank_deficient(
         raise ValueError(f"rank {rank} invalid for shape ({rows}, {cols})")
     if rank == 0:
         return np.zeros((rows, cols), dtype=np.complex128)
+    return _formed([_deficient_parts(rng, rows, cols, rank)], _deficient_products)[0]
+
+
+def _deficient_parts(rng: np.random.Generator, rows: int, cols: int, rank: int):
+    """The random numbers of one ``random_rank_deficient`` draw, in its
+    order: Gaussian bases of its range and of its co-range, then its
+    nonzero singular values."""
     left = random_operator(rng, rows, rank)
     right = random_operator(rng, cols, rank)
-    ql = np.linalg.qr(left)[0]
-    qr = np.linalg.qr(right)[0]
-    values = rng.uniform(0.5, 2.0, size=rank)
-    return (ql * values) @ qr.conj().T
+    return left, right, rng.uniform(0.5, 2.0, size=rank)
+
+
+def _deficient_products(left, right, values) -> np.ndarray:
+    """``Q_l diag(values) Q_r*`` of each of a stack of ``_deficient_parts``,
+    ``Q_l`` and ``Q_r`` the Q of the QR factorizations of its bases: one QR
+    of both bases, two if their shapes differ."""
+    if left.shape == right.shape:
+        q = np.linalg.qr(np.concatenate([left, right]))[0]
+        left, right = q[: len(q) // 2], q[len(q) // 2 :]
+    else:
+        left, right = np.linalg.qr(left)[0], np.linalg.qr(right)[0]
+    return (left * values[:, None, :]) @ _adjoint(right)
 
 
 def random_mixed_rank(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Square matrix that is rank-deficient about a third of the time."""
-    if dim >= 2 and rng.uniform() < 0.35:
-        rank = int(rng.integers(1, dim))
-        return random_rank_deficient(rng, dim, dim, rank)
-    return random_operator(rng, dim)
+    return random_mixed_ranks(rng, [dim])[0]
+
+
+def random_mixed_ranks(rng: np.random.Generator, dims: list[int]) -> list[np.ndarray]:
+    """``random_mixed_rank`` of each dimension of ``dims``, as a list."""
+    operators, deficient = {}, {}
+    for index, dim in enumerate(dims):
+        if dim >= 2 and rng.uniform() < 0.35:
+            deficient[index] = _deficient_parts(rng, dim, dim, int(rng.integers(1, dim)))
+        else:
+            operators[index] = random_operator(rng, dim)
+    operators.update(zip(deficient, _formed(list(deficient.values()), _deficient_products)))
+    return [operators[i] for i in range(len(dims))]
 
 
 def random_normal_operator(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -101,44 +151,102 @@ def random_psd(
         raise ValueError(f"rank {rank} invalid for dimension {dim}")
     if rank == 0:
         return np.zeros((dim, dim), dtype=np.complex128)
-    q = random_unitary(rng, dim)
-    values = np.concatenate(
-        [rng.uniform(0.2, 3.0, size=rank), np.zeros(dim - rank)]
-    )
-    out = (q * values) @ q.conj().T
-    return 0.5 * (out + out.conj().T)
+    gaussian, values = _psd_parts(rng, dim, rank)
+    return _hermitian_products(_unitary_factors(gaussian), values)
+
+
+def _psd_parts(rng: np.random.Generator, dim: int, rank: int):
+    """The random numbers of one ``random_psd`` draw, in its order: the
+    Gaussian of its eigenbasis, then its eigenvalues, zero past ``rank``."""
+    gaussian = random_operator(rng, dim)
+    return gaussian, np.concatenate([rng.uniform(0.2, 3.0, size=rank), np.zeros(dim - rank)])
+
+
+def _hermitian_products(q: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``Q diag(values) Q*`` of each matrix of a stack, made exactly Hermitian."""
+    out = (q * values[..., None, :]) @ _adjoint(q)
+    return 0.5 * (out + _adjoint(out))
 
 
 def random_commuting_psd_pair(
     rng: np.random.Generator, dim: int, deficient: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """PSD pair sharing an eigenbasis, hence commuting to machine precision."""
-    q = random_unitary(rng, dim)
+    return random_commuting_psd_pairs(rng, [dim], [deficient])[0]
 
-    def spectrum() -> np.ndarray:
-        values = rng.uniform(0.2, 3.0, size=dim)
-        if deficient and dim >= 2:
-            zeros = rng.integers(1, dim)
-            values[rng.permutation(dim)[:zeros]] = 0.0
-        return values
 
-    def build() -> np.ndarray:
-        out = (q * spectrum()) @ q.conj().T
-        return 0.5 * (out + out.conj().T)
+def random_commuting_psd_pairs(
+    rng: np.random.Generator, dims: list[int], deficient: list[bool]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``random_commuting_psd_pair`` of each dimension of ``dims`` with the
+    flag at the same place of ``deficient``, as a list."""
+    drawn = [
+        (random_operator(rng, dim), _spectrum(rng, dim, own), _spectrum(rng, dim, own))
+        for dim, own in zip(dims, deficient, strict=True)
+    ]
+    return _formed(
+        drawn, lambda g, a, b: zip(*_hermitian_products(_unitary_factors(g), np.array((a, b))))
+    )
 
-    return build(), build()
+
+def _spectrum(rng: np.random.Generator, dim: int, deficient: bool) -> np.ndarray:
+    """Eigenvalues of one operator of a commuting PSD pair; when
+    ``deficient``, some of them (not all) zero."""
+    values = rng.uniform(0.2, 3.0, size=dim)
+    if deficient and dim >= 2:
+        zeros = rng.integers(1, dim)
+        values[rng.permutation(dim)[:zeros]] = 0.0
+    return values
 
 
 def random_psd_pair(
     rng: np.random.Generator, dim: int, min_scaled_commutator: float = 1e-3
 ) -> tuple[np.ndarray, np.ndarray]:
     """Independent PSD pair, redrawn until it clearly fails to commute."""
-    for _ in range(64):
-        a = random_psd(rng, dim)
-        b = random_psd(rng, dim)
-        if commutator_norm(a, b) > min_scaled_commutator * fro_norm(a) * fro_norm(b):
-            return a, b
-    raise RuntimeError("could not draw a non-commuting PSD pair")
+    return random_psd_pairs(rng, [dim], min_scaled_commutator)[0]
+
+
+def random_psd_pairs(
+    rng: np.random.Generator, dims: list[int], min_scaled_commutator: float = 1e-3, then=None
+) -> list[tuple[np.ndarray, ...]]:
+    """``random_psd_pair`` of each dimension of ``dims``, as a list; with
+    ``then``, each pair is followed by the draw ``then(rng, dim)``, third in
+    its tuple.
+
+    Each pass draws the pairs still wanted, saving the generator's state
+    after each pair, and tests them all (``_noncommuting``). The pairs
+    before the first that fails are kept; the generator goes back to the
+    state saved after that pair, and the next pass draws again from there,
+    so the stream is that of the draws one at a time. A pair that fails on
+    64 draws in a row raises ``RuntimeError``, with the generator after its
+    last draw."""
+    pairs: list[tuple[np.ndarray, ...]] = []
+    failed = 0
+    while len(pairs) < len(dims):
+        drawn, states, after = [], [], []
+        for dim in dims[len(pairs) :]:
+            drawn.append(_psd_parts(rng, dim, dim) + _psd_parts(rng, dim, dim))
+            states.append(rng.bit_generator.state)
+            after.append(() if then is None else (then(rng, dim),))
+        tested = _formed(drawn, lambda *parts: _noncommuting(min_scaled_commutator, *parts))
+        kept = next((i for i, (_, _, clear) in enumerate(tested) if not clear), len(tested))
+        pairs += [(a, b, *extra) for (a, b, _), extra in zip(tested[:kept], after)]
+        if kept < len(tested):
+            failed = failed + 1 if kept == 0 else 1
+            rng.bit_generator.state = states[kept]
+            if failed == 64:
+                raise RuntimeError("could not draw a non-commuting PSD pair")
+    return pairs
+
+
+def _noncommuting(bound: float, a_gaussians, a_values, b_gaussians, b_values):
+    """The PSD pairs ``(A, B)`` of a stack of two ``_psd_parts`` each, from
+    one QR, each with whether ``[A, B]`` exceeds ``bound`` times the norms
+    of ``A`` and ``B``, from one ``core._norms`` pass."""
+    q = _unitary_factors(np.array((a_gaussians, b_gaussians)))
+    a, b = _hermitian_products(q, np.array((a_values, b_values)))[:, :, None]
+    commutator, a_norm, b_norm = _norms(np.concatenate([a @ b - b @ a, a, b])).reshape(3, -1)
+    return zip(a[:, 0], b[:, 0], commutator > bound * a_norm * b_norm)
 
 
 def random_spectrum_operator(
@@ -163,26 +271,21 @@ def random_spectrum_operators(
     max_sv: float = 1.0,
 ) -> list[np.ndarray]:
     """``random_spectrum_operator`` of each dimension of ``dims`` with the
-    rank at the same place of ``ranks``, as a list. The generator is read
-    in the order of those draws one after another, and the unitaries of
-    each dimension are factored in one stacked QR, so each operator is
-    bitwise its draw alone and the generator ends in the same state."""
-    spectra, gaussians = [], []
+    rank at the same place of ``ranks``, as a list."""
+    drawn = []
     for dim, rank in zip(dims, ranks, strict=True):
         if not 1 <= rank <= dim:
             raise ValueError(f"rank {rank} invalid for dimension {dim}")
         values = np.exp(rng.uniform(np.log(min_sv), np.log(max_sv), size=rank))
-        spectra.append(np.concatenate([values, np.zeros(dim - rank)]))
         # The real and imaginary parts of two random_operator draws.
         parts = rng.standard_normal((4, dim, dim))
-        gaussians.append(parts[0::2] + 1j * parts[1::2])
-    operators = {}
-    for dim in dict.fromkeys(dims):
-        members = [i for i, own in enumerate(dims) if own == dim]
-        q = _unitary_factors(np.concatenate([gaussians[i] for i in members]))
-        values = np.stack([spectra[i] for i in members])[:, None, :]
-        operators.update(zip(members, (q[0::2] * values) @ _adjoint(q[1::2])))
-    return [operators[i] for i in range(len(dims))]
+        drawn.append((np.concatenate([values, np.zeros(dim - rank)]), parts[0::2] + 1j * parts[1::2]))
+
+    def form(values: np.ndarray, gaussians: np.ndarray) -> np.ndarray:
+        q = _unitary_factors(gaussians)
+        return (q[:, 0] * values[:, None, :]) @ _adjoint(q[:, 1])
+
+    return _formed(drawn, form)
 
 
 def random_binormal(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -233,13 +336,27 @@ def random_commuting_moduli_pair(
     diagonal, and ``Q`` unitary; then ``S S* = X E^2 X*`` shares the
     eigenbasis of ``T* T``.
     """
-    t = random_operator(rng, dim)
-    x = _svd(t).right_vectors
-    values = rng.uniform(0.2, 2.0, size=dim)
-    if dim >= 2 and rng.uniform() < 0.3:
-        values[rng.permutation(dim)[: rng.integers(1, dim)]] = 0.0
-    s = (x * values) @ x.conj().T @ random_unitary(rng, dim)
-    return t, s
+    return random_commuting_moduli_pairs(rng, [dim])[0]
+
+
+def random_commuting_moduli_pairs(
+    rng: np.random.Generator, dims: list[int]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``random_commuting_moduli_pair`` of each dimension of ``dims``, as a
+    list: one SVD of the ``T`` and one QR of the unitaries per dimension."""
+    drawn = []
+    for dim in dims:
+        t = random_operator(rng, dim)
+        values = rng.uniform(0.2, 2.0, size=dim)
+        if dim >= 2 and rng.uniform() < 0.3:
+            values[rng.permutation(dim)[: rng.integers(1, dim)]] = 0.0
+        drawn.append((t, values, random_operator(rng, dim)))
+
+    def form(t: np.ndarray, values: np.ndarray, gaussians: np.ndarray):
+        x = _svd(t).right_vectors
+        return zip(t, (x * values[:, None, :]) @ _adjoint(x) @ _unitary_factors(gaussians))
+
+    return _formed(drawn, form)
 
 
 def structured_fixtures(

@@ -9,10 +9,12 @@ All suites are deterministic given (seed, dim, trials, cfg).
 The seven random suites (``polar-contract``, ``centered-oracle``,
 ``product-polar``, ``polar-transfer``, ``aluthge-binormal``, ``mp-inverse``
 and ``psd-pairs``) draw every trial's operators first, in the order of a
-per-trial loop (no evaluation consumes the generator; ``mp-inverse`` takes
-all its draws from one stacked draw, ``sampling.random_spectrum_operators``,
-which reads the generator in that order), evaluate each group of draws of
-one shape as one complex stack of operators (``_by_shape``), and fold the
+per-trial loop (no evaluation consumes the generator; ``centered-oracle``,
+the constructed pairs of ``product-polar``, ``mp-inverse`` and
+``psd-pairs`` take their draws from the stacked draws of ``sampling``,
+which read the generator in that order and factor each shape's draws in
+one stacked call), evaluate each group of draws of one shape as one
+complex stack of operators (``_by_shape``), and fold the
 per-trial verdicts and worst residuals back in trial order; each trial's
 values are bitwise those it gets alone. The suites' boundary is
 ``run_suite``: their draws are finite by construction, so each evaluation
@@ -23,7 +25,10 @@ again (``core._lapack`` still refuses a non-finite matrix), except
 the powers of a whole group at once (``centered_order`` on a stack of
 operators), and ``mp-inverse`` those of a group and of its inverses in one
 walk of the criterion (``classify.mp_centered_check`` on a stack of
-operators). ``shift-family`` and ``v-entries`` check fixed families.
+operators). ``psd-pairs`` tests the five commutators of a group of
+commuting pairs in one ``core._commutator_test`` and takes the residuals of
+each group in one ``core._residual``. ``shift-family`` and ``v-entries``
+check fixed families.
 """
 
 from __future__ import annotations
@@ -47,9 +52,9 @@ from .core import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
     _adjoint,
+    _commutator_test,
     _psd_powers,
     _residual,
-    commutes,
     is_hermitian_psd,
     range_projection,
     svd,
@@ -62,12 +67,13 @@ from .decomp import (
 )
 from .sampling import (
     random_binormal,
-    random_commuting_moduli_pair,
-    random_commuting_psd_pair,
+    random_commuting_moduli_pairs,
+    random_commuting_psd_pairs,
     random_mixed_rank,
+    random_mixed_ranks,
     random_nonbinormal,
     random_operator,
-    random_psd_pair,
+    random_psd_pairs,
     random_spectrum_operators,
     structured_fixtures,
 )
@@ -182,9 +188,7 @@ def suite_centered_oracle(
 ) -> SuiteResult:
     """Commutator criterion against the definitional check, order by order,
     on random draws plus every structured fixture."""
-    operators = [
-        random_mixed_rank(rng, d) for d in _dims_cycle(rng, 2, dim, trials)
-    ]
+    operators = random_mixed_ranks(rng, _dims_cycle(rng, 2, dim, trials))
     operators.extend(matrix for _, matrix in structured_fixtures(rng))
 
     reports = _by_shape([(t,) for t in operators], lambda t: centered_order(t, max_n, cfg))
@@ -226,10 +230,7 @@ def suite_product_polar(
         (random_operator(rng, d), random_operator(rng, d))
         for d in _dims_cycle(rng, 2, dim, trials)
     ]
-    draws += [
-        random_commuting_moduli_pair(rng, d)
-        for d in _dims_cycle(rng, 2, dim, constructed)
-    ]
+    draws += random_commuting_moduli_pairs(rng, _dims_cycle(rng, 2, dim, constructed))
     reports = _by_shape(draws, lambda t, s: product_polar.kernel(t, s, cfg))
     mismatches = sum(not report.agree() for report in reports)
     constructed_failures = sum(
@@ -491,29 +492,32 @@ def suite_psd_pairs(
     ``T T*`` and under positive powers."""
     half = _share(trials, 2)
     tol = cfg.equality_rel_tol
-    commuting = [
-        random_commuting_psd_pair(rng, d, deficient=index % 3 == 0)
-        for index, d in enumerate(_dims_cycle(rng, 2, dim, half))
-    ]
-    other = [
-        (*random_psd_pair(rng, d), random_operator(rng, d))
-        for d in _dims_cycle(rng, 2, dim, half)
-    ]
+    dims = _dims_cycle(rng, 2, dim, half)
+    commuting = random_commuting_psd_pairs(rng, dims, [i % 3 == 0 for i in range(half)])
+    # Each non-commuting pair is followed by the draw of T, as one trial.
+    other = random_psd_pairs(rng, _dims_cycle(rng, 2, dim, half), then=random_operator)
 
     def commuting_checks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         product = a @ b
         power = _psd_powers(a, cfg)
-        projections = range_projection.kernel(np.concatenate([a, b, power(0.5)]), cfg)
+        root = power(0.5)
+        projections = range_projection.kernel(np.concatenate([a, b, root]), cfg)
         proj_a, proj_b, proj_root = np.split(projections, 3)
-        checks = [is_hermitian_psd.kernel(product, cfg)]
-        checks += [
-            commutes.kernel(power(exponent), b, cfg) for exponent in (0.5, 1 / 3, 2.0)
-        ]
-        checks += [commutes.kernel(a, proj_b, cfg), commutes.kernel(proj_a, proj_b, cfg)]
-        checks.append(_residual(proj_root, proj_a) <= tol)
+        # [A^(1/2), B], [A^(1/3), B], [A^2, B], [A, P_B] and [P_A, P_B].
+        commute = _commutator_test(
+            np.concatenate([root, power(1 / 3), power(2.0), a, proj_a]),
+            np.concatenate([b, b, b, proj_b, proj_b]),
+            cfg,
+        )[1]
         reconstruction = proj_a @ proj_b @ abs_value.kernel(product, cfg)
-        checks.append(_residual(reconstruction, product) <= tol)
-        return np.logical_and.reduce(checks)
+        residuals = _residual(
+            np.concatenate([proj_root, reconstruction]), np.concatenate([proj_a, product])
+        )
+        return (
+            is_hermitian_psd.kernel(product, cfg)
+            & commute.reshape(5, -1).all(axis=0)
+            & (residuals.reshape(2, -1) <= tol).all(axis=0)
+        )
 
     def other_checks(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
         product = a @ b
@@ -521,12 +525,10 @@ def suite_psd_pairs(
         projections = range_projection.kernel(np.concatenate([a, b, t, gram]), cfg)
         proj_a, proj_b, proj_t, proj_gram = np.split(projections, 4)
         reconstruction = proj_a @ proj_b @ abs_value.kernel(product, cfg)
-        checks = [
-            ~is_hermitian_psd.kernel(product, cfg),
-            _residual(reconstruction, product) > tol,
-            _residual(proj_t, proj_gram) <= tol,
-        ]
-        return np.logical_and.reduce(checks)
+        unlike, like = _residual(
+            np.concatenate([reconstruction, proj_t]), np.concatenate([product, proj_gram])
+        ).reshape(2, -1)
+        return ~is_hermitian_psd.kernel(product, cfg) & (unlike > tol) & (like <= tol)
 
     passed = _by_shape(commuting, commuting_checks) + _by_shape(other, other_checks)
     failures = sum(not ok for ok in passed)

@@ -10,21 +10,23 @@ and no dense-file command factors the same matrix twice: ``T`` once for
 ``verify_polar`` factors only its modulus ``P``, by one ``eigh`` for both
 its spectrum and its range projection, and checks the ``|T*|`` identities
 by matmuls.
-The ``mp-inverse`` suite is also pinned to one stacked QR per dimension
-for the unitaries of its draws, and to no ``core._checked`` call below
+The random suites' draws are pinned to their QR calls, one stacked QR
+per dimension (or per shape of basis) where a suite takes a stacked draw,
+and ``mp-inverse`` and ``psd-pairs`` to no ``core._checked`` call below
 ``run_suite``.
 Single calls are pinned to their stacked calls and to one matrix per
 operator power, or per distinct window of a block shift's powers. Every
 route to the definitional check, ``centered_order``,
 ``is_n_centered_definitional`` and ``binormal_equivalents``, factors the
-powers ``T^k`` in one stacked SVD per group of powers, so grouping lowers
-the calls but, wherever the oracle agrees, not the matrices factored;
+powers ``T^k`` in one stacked SVD per group of powers, however many of
+them each operator checks, so grouping lowers the calls but, wherever the
+oracle agrees, not the matrices factored;
 where they take the SVD of ``T`` for ``U`` themselves (``binormal_equivalents``
 in one SVD of ``T`` and ``T*``), the oracle takes ``T`` itself from it and
 factors only ``T^k``, k >= 2. The
 equivalence tests keep the two-call definition of ``oracle_agrees`` and the
 two-SVD definitional loop as references for the single pass, and a test
-forces the oracle's fallback to one power at a time.
+forces the oracle's fallback to one operator and one power at a time.
 """
 
 from __future__ import annotations
@@ -36,12 +38,16 @@ import numpy as np
 import pytest
 
 from polarops import classify, core, decomp, suites
-from polarops.classify import centered_order, is_n_centered_definitional
+from polarops.classify import _oracle_residuals, _oracle_run, centered_order, is_n_centered_definitional
 from polarops.cli import main
-from polarops.core import DEFAULT_TOLERANCES, equality_residual, range_projection
+from polarops.core import DEFAULT_TOLERANCES, _svd, equality_residual, range_projection
 from polarops.decomp import abs_value, polar_decompose
 from polarops.matrixio import write_matrix
-from polarops.sampling import random_mixed_rank, random_operator, structured_fixtures
+from polarops.sampling import (
+    random_mixed_rank,
+    random_operator,
+    structured_fixtures,
+)
 from polarops.shifts import ShiftSpec, build_truncated, certify_blockwise
 from polarops.suites import run_suite
 
@@ -222,6 +228,92 @@ def test_oracle_falls_back_to_one_power_at_a_time(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError):
         is_n_centered_definitional(t, 2)
 
+    # Mixed counts: one pass over operators that check 6, 2 and 4 powers
+    # falls back to each operator in turn, on its own checked powers, one
+    # power at a time up to its first failing one.
+    monkeypatch.setattr(np.linalg, "svd", original)
+    operators, checked = _mixed_count_operators()
+    t_pows, u_pows = _powers_of(operators, 6)
+    expected = _oracle_run(t_pows, u_pows, DEFAULT_TOLERANCES, checked=checked)
+    factored.clear()
+    monkeypatch.setattr(np.linalg, "svd", single)
+    passed = _oracle_run(t_pows, u_pows, DEFAULT_TOLERANCES, checked=checked)
+    assert passed.tolist() == expected.tolist() == [1, 1, 4]
+    powers = [t_pows[k][i, 0] for i, run in enumerate(passed) for k in range(min(run + 1, checked[i]))]
+    assert len(factored) == len(powers) == 2 + 2 + 4
+    assert all(np.array_equal(a, b) for a, b in zip(factored, powers))
+
+
+def _mixed_count_operators() -> tuple[np.ndarray, np.ndarray]:
+    """A 5x5 stack of a tiny rank-4 draw (its oracle fails at power 2), a
+    generic draw (1-centered) and a normal operator (every power passes),
+    and the numbers of powers they check: 6, 2 and 4."""
+    tiny = 1e-12 * random_mixed_rank(np.random.default_rng(11), 5)
+    generic = random_mixed_rank(np.random.default_rng(5), 5)
+    normal = np.diag([1.0, 1j, -2.0, 0.5, 0.0]).astype(np.complex128)
+    return np.stack([tiny, generic, normal])[:, None], np.array([6, 2, 4])
+
+
+def _powers_of(t: np.ndarray, count: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The powers ``T^1..T^count`` and ``U^1..U^count`` of a stack of
+    operators, each power as the walk of ``centered_order`` forms it."""
+    u = polar_decompose(t).isometry
+    t_pows, u_pows = [t], [u]
+    for _ in range(count - 1):
+        t_pows.append(t_pows[-1] @ t)
+        u_pows.append(u_pows[-1] @ u)
+    return t_pows, u_pows
+
+
+def test_one_oracle_pass_factors_each_operator_on_its_own_powers(monkeypatch):
+    # Operators that check 1, 2 and 6 powers in one pass, with the SVD of T
+    # held: one stacked SVD factors exactly the powers T^2..T^c each one
+    # checks, and each operator's residuals over its checked powers, and
+    # its run, are bitwise those of the pass of that operator alone.
+    operators, _ = _mixed_count_operators()
+    checked = np.array([1, 2, 6])
+    t_pows, u_pows = _powers_of(operators, 6)
+    held = _svd(operators)
+    cfg = DEFAULT_TOLERANCES
+    alone = [
+        _oracle_residuals([x[[i]] for x in t_pows[:c]], [x[[i]] for x in u_pows[:c]], cfg, held=held[[i]])
+        for i, c in enumerate(checked)
+    ]
+    runs = [_oracle_run([x[[i]] for x in t_pows[:c]], [x[[i]] for x in u_pows[:c]], cfg, held=held[[i]])[0] for i, c in enumerate(checked)]
+    factored = []
+    original = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        factored.append(np.reshape(a, (-1, *np.shape(a)[-2:])))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    together = _oracle_residuals(t_pows, u_pows, cfg, held=held, checked=checked)
+    passed = _oracle_run(t_pows, u_pows, cfg, held=held, checked=checked)
+    assert passed.tolist() == runs == [1, 1, 6]
+    assert len(factored) == 2
+    powers = [t_pows[k][i, 0] for i, c in enumerate(checked) for k in range(1, c)]
+    assert len(factored[0]) == len(powers) == 0 + 1 + 5
+    assert all(np.array_equal(a, b) for a, b in zip(factored[0], powers))
+    for i, (c, own) in enumerate(zip(checked, alone)):
+        for residuals, own_residuals in zip(together, own):
+            assert residuals[i, :c].tobytes() == own_residuals[0].tobytes()
+
+
+def test_centered_order_checks_mixed_counts_in_one_svd(lapack_calls):
+    # At 15x15: a 1-centered draw checks T and T^2, the order-2 shift T to
+    # T^3, and a unitary T to T^6: one SVD of T for U and the check of T
+    # itself, one of the 1 + 2 + 5 later powers, and every report is
+    # bitwise that of its operator alone.
+    rng = np.random.default_rng(8)
+    operators = [random_mixed_rank(rng, 15), _shift(2)]
+    operators.append(np.roll(np.eye(15, dtype=np.complex128), 1, axis=0))
+    reports = centered_order(np.stack(operators)[:, None], 6)
+    assert [report.verified_order for report in reports] == [1, 2, 6]
+    assert lapack_calls.calls == Counter({("svd", 3): 2})
+    assert lapack_calls.matrices == Counter(svd=3 + 1 + 2 + 5)
+    assert reports == [centered_order(t, 6) for t in operators]
+
 
 def test_definitional_pass_in_centered_order_stops_at_first_failure(lapack_calls):
     # A generic draw is 1-centered and fails at power 2: one SVD of T for U
@@ -238,7 +330,7 @@ def test_run_suite_all_factorization_counts(lapack_calls):
     # Every random suite factors each shape group in a few stacked calls;
     # the matrices factored are those of the per-trial evaluation.
     run_suite("all", 0, 6, 100)
-    assert _totals(lapack_calls) == Counter(svd=145, eigh=41, eigvalsh=5)
+    assert _totals(lapack_calls) == Counter(svd=121, eigh=41, eigvalsh=5)
     assert lapack_calls.matrices == Counter(svd=3616, eigh=1087, eigvalsh=50)
 
 
@@ -274,14 +366,13 @@ def test_mp_inverse_calls_scale_with_shape_groups_not_trials(lapack_calls):
     ]
 
 
-def test_mp_inverse_draws_in_one_qr_per_dim_and_checks_no_operand(monkeypatch):
-    # Dims 2-6: the 20 draws take two unitaries each, from one stacked QR
-    # per dim (5 calls for 40 matrices; 40 calls before); the structured
-    # fixtures make 6 QR calls of one matrix each. Below run_suite every
-    # evaluation calls kernels on the stacks it builds, so no operand goes
-    # through core._checked (98 calls before).
+@pytest.fixture
+def draw_log(monkeypatch) -> Counter:
+    """Count numpy's QR calls, the matrices they factor, and the calls of
+    ``core._checked`` from any module, for the rest of the test."""
     log: Counter = Counter()
     qr = np.linalg.qr
+    checked = core._checked
 
     def counted_qr(a, *args, **kwargs):
         log["qr"] += 1
@@ -292,13 +383,44 @@ def test_mp_inverse_draws_in_one_qr_per_dim_and_checks_no_operand(monkeypatch):
         log["checked"] += 1
         return checked(*args, **kwargs)
 
-    checked = core._checked
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
     for module in (core, decomp, classify, suites):
         if hasattr(module, "_checked"):
             monkeypatch.setattr(module, "_checked", counted_checked)
+    return log
+
+
+def test_mp_inverse_draws_in_one_qr_per_dim_and_checks_no_operand(draw_log):
+    # Dims 2-6: the 20 draws take two unitaries each, from one stacked QR
+    # per dim (5 calls for 40 matrices; 40 calls before); the structured
+    # fixtures make 5 QR calls for 6 matrices, one for both bases of their
+    # rank-deficient draw (6 calls before). Below run_suite every
+    # evaluation calls kernels on the stacks it builds, so no operand goes
+    # through core._checked (98 calls before).
     run_suite("mp-inverse", 0, 6, 20)
-    assert log == Counter(qr=11, qr_matrices=46)
+    assert draw_log == Counter(qr=10, qr_matrices=46)
+
+
+@pytest.mark.parametrize(
+    "suite, counts",
+    [
+        # 10 commuting pairs, one eigenbasis each, and 10 other pairs, two
+        # each, with no redraw at this seed: one stacked QR per dim and half
+        # (30 calls before). The redraw test takes core._norms, not the
+        # public norms, so no operand is checked (20 calls before).
+        ("psd-pairs", Counter(qr=10, qr_matrices=30)),
+        # 6 of the 20 draws are rank-deficient, two bases each, in one QR
+        # per dim (12 calls before); the structured fixtures make 7 QR
+        # calls; centered_order checks each of its 7 shape groups.
+        ("centered-oracle", Counter(qr=8, qr_matrices=13, checked=7)),
+        # Every suite (95 calls before): the matrices are those of the
+        # draws one at a time.
+        ("all", Counter(qr=57, qr_matrices=130, checked=34)),
+    ],
+)
+def test_suite_draws_in_one_qr_per_shape(draw_log, suite, counts):
+    run_suite(suite, 0, 6, 20)
+    assert draw_log == counts
 
 
 @pytest.mark.parametrize(
@@ -307,10 +429,10 @@ def test_mp_inverse_draws_in_one_qr_per_dim_and_checks_no_operand(monkeypatch):
         # Each case pins the calls, then the matrices they factored.
         # 112 operators in seven shape groups. Per group: one SVD for U,
         # which also gives the oracle's check of T, then one stacked SVD of
-        # the powers k >= 2 the reports' oracles check per number of powers
-        # checked (T^2 for a 1-centered draw): 18 calls. Every report
-        # agrees, so no operator needs the full walk.
-        ("centered-oracle", (Counter(svd=18), Counter(svd=259))),
+        # the powers k >= 2 that each report's oracle checks (T^2 for a
+        # 1-centered draw), 14 calls (18 before, one per number of powers
+        # checked). Every report agrees, so no operator needs the full walk.
+        ("centered-oracle", (Counter(svd=14), Counter(svd=259))),
         # 100 operators in five shape groups. Per group: one SVD of T and
         # T*, which also gives the two-power oracle its check of T, one of
         # T^2 for that oracle, one of the transforms T_ab and their

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import sys
 from itertools import accumulate, islice, repeat, takewhile
 from unittest import mock
 
@@ -50,12 +51,16 @@ from polarops.decomp import (
 )
 from polarops.sampling import (
     random_binormal,
-    random_commuting_psd_pair,
-    random_mixed_rank,
     random_commuting_moduli_pair,
+    random_commuting_moduli_pairs,
+    random_commuting_psd_pair,
+    random_commuting_psd_pairs,
+    random_mixed_rank,
+    random_mixed_ranks,
     random_nonbinormal,
     random_operator,
     random_psd_pair,
+    random_psd_pairs,
     random_rank_deficient,
     random_spectrum_operator,
     random_spectrum_operators,
@@ -383,9 +388,9 @@ REFERENCES = {
 
 # The draw of each suite that evaluates its operators in shape groups
 # through the stacked centered-order walk, and the draw its reference makes
-# per trial: mp-inverse draws all its operators in one stacked draw.
+# per trial: each suite draws all its operators in one stacked draw.
 STACKED_WALK_DRAWS = {
-    "centered-oracle": ("random_mixed_rank", "random_mixed_rank"),
+    "centered-oracle": ("random_mixed_ranks", "random_mixed_rank"),
     "mp-inverse": ("random_spectrum_operators", "random_spectrum_operator"),
 }
 
@@ -441,20 +446,89 @@ def test_suite_matches_its_public_call_reference(monkeypatch, name, dim):
         monkeypatch.undo()
 
 
+# The samplers with a stacked form as first written, one draw at a time:
+# the references of the stacked draws.
+
+
+def _unitary_alone(rng, dim) -> np.ndarray:
+    """A unitary from the QR of a ``random_operator``, with the phases of
+    the diagonal of R."""
+    q, r = np.linalg.qr(random_operator(rng, dim))
+    phases = np.diag(r).copy()
+    return q * (phases / np.abs(phases))
+
+
 def _spectrum_operator_alone(rng, dim, min_sv=0.05, max_sv=1.0, rank=None):
-    """``random_spectrum_operator`` as first written, one draw at a time:
-    the spectrum, then two unitaries from the QR of a ``random_operator``
-    each, with the phases of the diagonal of R."""
-
-    def unitary() -> np.ndarray:
-        q, r = np.linalg.qr(random_operator(rng, dim))
-        phases = np.diag(r).copy()
-        return q * (phases / np.abs(phases))
-
+    """``random_spectrum_operator``: the spectrum, then two unitaries."""
     rank = dim if rank is None else rank
     values = np.exp(rng.uniform(np.log(min_sv), np.log(max_sv), size=rank))
     values = np.concatenate([values, np.zeros(dim - rank)])
-    return (unitary() * values) @ unitary().conj().T
+    return (_unitary_alone(rng, dim) * values) @ _unitary_alone(rng, dim).conj().T
+
+
+def _rank_deficient_alone(rng, rows, cols, rank):
+    """``random_rank_deficient`` of a rank from 1 to min(rows, cols)."""
+    left = random_operator(rng, rows, rank)
+    right = random_operator(rng, cols, rank)
+    ql = np.linalg.qr(left)[0]
+    qr = np.linalg.qr(right)[0]
+    values = rng.uniform(0.5, 2.0, size=rank)
+    return (ql * values) @ qr.conj().T
+
+
+def _mixed_rank_alone(rng, dim):
+    """``random_mixed_rank``."""
+    if dim >= 2 and rng.uniform() < 0.35:
+        rank = int(rng.integers(1, dim))
+        return _rank_deficient_alone(rng, dim, dim, rank)
+    return random_operator(rng, dim)
+
+
+def _psd_alone(rng, dim):
+    """``random_psd`` of full rank."""
+    q = _unitary_alone(rng, dim)
+    values = np.concatenate([rng.uniform(0.2, 3.0, size=dim), np.zeros(0)])
+    out = (q * values) @ q.conj().T
+    return 0.5 * (out + out.conj().T)
+
+
+def _commuting_psd_pair_alone(rng, dim, deficient=False):
+    """``random_commuting_psd_pair``."""
+    q = _unitary_alone(rng, dim)
+
+    def spectrum() -> np.ndarray:
+        values = rng.uniform(0.2, 3.0, size=dim)
+        if deficient and dim >= 2:
+            zeros = rng.integers(1, dim)
+            values[rng.permutation(dim)[:zeros]] = 0.0
+        return values
+
+    def build() -> np.ndarray:
+        out = (q * spectrum()) @ q.conj().T
+        return 0.5 * (out + out.conj().T)
+
+    return build(), build()
+
+
+def _psd_pair_alone(rng, dim, min_scaled_commutator=1e-3):
+    """``random_psd_pair``, its redraws tested by the public norms."""
+    for _ in range(64):
+        a = _psd_alone(rng, dim)
+        b = _psd_alone(rng, dim)
+        if commutator_norm(a, b) > min_scaled_commutator * fro_norm(a) * fro_norm(b):
+            return a, b
+    raise RuntimeError("could not draw a non-commuting PSD pair")
+
+
+def _commuting_moduli_pair_alone(rng, dim):
+    """``random_commuting_moduli_pair``."""
+    t = random_operator(rng, dim)
+    x = svd(t).right_vectors
+    values = rng.uniform(0.2, 2.0, size=dim)
+    if dim >= 2 and rng.uniform() < 0.3:
+        values[rng.permutation(dim)[: rng.integers(1, dim)]] = 0.0
+    s = (x * values) @ x.conj().T @ _unitary_alone(rng, dim)
+    return t, s
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 13, 20, 25])
@@ -486,6 +560,108 @@ def test_stacked_spectrum_draw_is_bitwise_the_draws_alone(count, interleaved):
         assert a.tobytes() == b.tobytes() == c.tobytes()
     assert stacked_rng.bit_generator.state == alone_rng.bit_generator.state
     assert single_rng.bit_generator.state == alone_rng.bit_generator.state
+
+
+# Per sampler: its stacked draw of (rng, dims, flags), its reference and its
+# one-element call, each of (rng, dim, flag). psd-pairs draws T after each
+# pair, in one stacked draw; the flags mark the deficient commuting pairs.
+STACKED_DRAWS = {
+    "mixed-rank": (
+        lambda rng, dims, flags: random_mixed_ranks(rng, dims),
+        lambda rng, d, flag: _mixed_rank_alone(rng, d),
+        lambda rng, d, flag: random_mixed_rank(rng, d),
+    ),
+    "commuting-psd-pair": (
+        random_commuting_psd_pairs,
+        _commuting_psd_pair_alone,
+        random_commuting_psd_pair,
+    ),
+    "psd-pair-then-operator": (
+        lambda rng, dims, flags: random_psd_pairs(rng, dims, then=random_operator),
+        lambda rng, d, flag: (*_psd_pair_alone(rng, d), random_operator(rng, d)),
+        lambda rng, d, flag: (*random_psd_pair(rng, d), random_operator(rng, d)),
+    ),
+    "commuting-moduli-pair": (
+        lambda rng, dims, flags: random_commuting_moduli_pairs(rng, dims),
+        lambda rng, d, flag: _commuting_moduli_pair_alone(rng, d),
+        lambda rng, d, flag: random_commuting_moduli_pair(rng, d),
+    ),
+}
+
+
+def _arrays(draws) -> list[np.ndarray]:
+    """The arrays of a list of draws, each an array or a tuple of arrays."""
+    return [x for draw in draws for x in (draw if type(draw) is tuple else (draw,))]
+
+
+def _assert_bitwise_equal(drawn, expected) -> None:
+    assert len(drawn) == len(expected)
+    for a, b in zip(_arrays(drawn), _arrays(expected), strict=True):
+        assert a.dtype == b.dtype == np.complex128
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("sampler", sorted(STACKED_DRAWS))
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 5, 8, 13, 20, 25])
+@pytest.mark.parametrize("interleaved", [False, True])
+def test_stacked_draws_are_bitwise_the_draws_alone(sampler, count, interleaved):
+    # Dims 2-12, random or repeated in turn, deficient and full draws, 0-25
+    # operators: the stacked draw reads the generator as the draws one at a
+    # time do, and each draw is bitwise its draw alone, by the first
+    # implementation and by the one-element call.
+    stacked, alone, single = STACKED_DRAWS[sampler]
+    choice = np.random.default_rng(100 + count)
+    if interleaved:
+        dims = [2 + (i * 5) % 11 for i in range(count)]
+    else:
+        dims = [int(d) for d in choice.integers(2, 13, size=count)]
+    flags = [bool(flag) for flag in choice.integers(0, 2, size=count)]
+    rngs = [np.random.default_rng(count + 7 * interleaved) for _ in range(3)]
+    drawn = stacked(rngs[0], dims, flags)
+    _assert_bitwise_equal(drawn, [alone(rngs[1], d, f) for d, f in zip(dims, flags)])
+    _assert_bitwise_equal(drawn, [single(rngs[2], d, f) for d, f in zip(dims, flags)])
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    assert rngs[2].bit_generator.state == rngs[1].bit_generator.state
+
+
+@pytest.mark.parametrize("bound", [0.05, 0.1, 0.2])
+def test_stacked_psd_pairs_redraw_as_the_draws_alone(monkeypatch, bound):
+    # A larger min_scaled_commutator makes more pairs commute too closely,
+    # so some are drawn again, at any place of the stack; the stream stays
+    # that of the draws one at a time.
+    drawn_alone = []
+    psd_alone = _psd_alone
+
+    def counted(rng, dim):
+        drawn_alone.append(dim)
+        return psd_alone(rng, dim)
+
+    monkeypatch.setattr(sys.modules[__name__], "_psd_alone", counted)
+    dims = [2, 3, 2, 2, 4, 3, 2, 5, 2, 2, 3, 2] * 2
+    rng, reference_rng = np.random.default_rng(1), np.random.default_rng(1)
+    drawn = random_psd_pairs(rng, dims, bound, then=random_operator)
+    expected = [
+        (*_psd_pair_alone(reference_rng, d, bound), random_operator(reference_rng, d))
+        for d in dims
+    ]
+    _assert_bitwise_equal(drawn, expected)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    # Redraws happened.
+    assert len(drawn_alone) > 2 * len(dims)
+
+
+def test_stacked_psd_pairs_give_up_after_64_draws():
+    # No pair can pass a bound of 2 (||[A, B]|| <= 2 ||A|| ||B||): the
+    # first pair is drawn 64 times, and the generator is left after its
+    # last draw, as the draws one at a time leave it.
+    for dims in ([3], [2, 4, 2]):
+        rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
+        with pytest.raises(RuntimeError, match="non-commuting PSD pair"):
+            random_psd_pairs(rng, dims, 2.0, then=random_operator)
+        with pytest.raises(RuntimeError, match="non-commuting PSD pair"):
+            _psd_pair_alone(reference_rng, dims[0], 2.0)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert random_psd_pairs(rng, []) == []
 
 
 def test_stacked_spectrum_draw_refuses_a_rank_out_of_range():
@@ -862,8 +1038,8 @@ def test_stacked_walk_falls_back_to_one_operator_at_a_time(monkeypatch):
     parts = polar_decompose(stack)
 
     # Alone, each operator's oracle checks T^1..T^c, c = min(verified + 1,
-    # max_n), and stops after its first failing power; the walk takes the
-    # operators by c, then in order.
+    # max_n), and stops after its first failing power; the one pass of the
+    # group falls back to the operators in order.
     tol = DEFAULT_TOLERANCES.equality_rel_tol
     factored_alone = []
     for t, report in zip(operators, expected):
@@ -873,10 +1049,8 @@ def test_stacked_walk_falls_back_to_one_operator_at_a_time(monkeypatch):
         checked = min(report.verified_order + 1, max_n)
         factored_alone.append((checked, t, min(run + 1, checked)))
     assert len({checked for checked, _, _ in factored_alone}) > 1
-    order = sorted(range(len(operators)), key=lambda i: factored_alone[i][0])
     powers = []
-    for i in order:
-        _, t, count = factored_alone[i]
+    for _, t, count in factored_alone:
         powers += islice(accumulate(repeat(t), lambda power, _: power @ t), count)
 
     factored = []
