@@ -266,20 +266,26 @@ def _powers_of(t: np.ndarray, count: int) -> tuple[list[np.ndarray], list[np.nda
 
 
 def test_one_oracle_pass_factors_each_operator_on_its_own_powers(monkeypatch):
-    # Operators that check 1, 2 and 6 powers in one pass, with the SVD of T
-    # held: one stacked SVD factors exactly the powers T^2..T^c each one
+    # Operators that check 6, 2, 1 and 1 powers in one pass, with the SVD of
+    # T held: one stacked SVD factors exactly the powers T^2..T^c each one
     # checks, and each operator's residuals over its checked powers, and
-    # its run, are bitwise those of the pass of that operator alone.
+    # its run, are bitwise those of the pass of that operator alone. The
+    # last operator, E_12 with E_12^2 = 0, passes the powers it does not
+    # check (zero, as their zero factors), so its run is cut at its count.
     operators, _ = _mixed_count_operators()
-    checked = np.array([1, 2, 6])
+    nilpotent = np.zeros((1, 1, 5, 5), dtype=np.complex128)
+    nilpotent[..., 0, 1] = 1.0
+    operators = np.concatenate([operators, nilpotent])
+    checked = np.array([6, 2, 1, 1])
     t_pows, u_pows = _powers_of(operators, 6)
     held = _svd(operators)
     cfg = DEFAULT_TOLERANCES
-    alone = [
-        _oracle_residuals([x[[i]] for x in t_pows[:c]], [x[[i]] for x in u_pows[:c]], cfg, held=held[[i]])
-        for i, c in enumerate(checked)
-    ]
-    runs = [_oracle_run([x[[i]] for x in t_pows[:c]], [x[[i]] for x in u_pows[:c]], cfg, held=held[[i]])[0] for i, c in enumerate(checked)]
+
+    def alone(i: int, c: int) -> tuple:
+        return [x[[i]] for x in t_pows[:c]], [x[[i]] for x in u_pows[:c]], cfg, None, held[[i]]
+
+    residuals_alone = [_oracle_residuals(*alone(i, c)) for i, c in enumerate(checked)]
+    runs = [_oracle_run(*alone(i, c))[0] for i, c in enumerate(checked)]
     factored = []
     original = np.linalg.svd
 
@@ -290,12 +296,13 @@ def test_one_oracle_pass_factors_each_operator_on_its_own_powers(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recorded)
     together = _oracle_residuals(t_pows, u_pows, cfg, held=held, checked=checked)
     passed = _oracle_run(t_pows, u_pows, cfg, held=held, checked=checked)
-    assert passed.tolist() == runs == [1, 1, 6]
-    assert len(factored) == 2
+    assert passed.tolist() == runs == [1, 1, 1, 1]
+    assert _oracle_run(t_pows, u_pows, cfg, held=held).tolist() == [1, 1, 6, 6]
+    assert len(factored) == 3
     powers = [t_pows[k][i, 0] for i, c in enumerate(checked) for k in range(1, c)]
-    assert len(factored[0]) == len(powers) == 0 + 1 + 5
+    assert len(factored[0]) == len(powers) == 5 + 1 + 0 + 0
     assert all(np.array_equal(a, b) for a, b in zip(factored[0], powers))
-    for i, (c, own) in enumerate(zip(checked, alone)):
+    for i, (c, own) in enumerate(zip(checked, residuals_alone)):
         for residuals, own_residuals in zip(together, own):
             assert residuals[i, :c].tobytes() == own_residuals[0].tobytes()
 
