@@ -12,16 +12,17 @@ at hand (the partial isometry vanishing on the null space), and every
 "commutes" decision uses the scaled threshold from
 :class:`polarops.core.ToleranceConfig`.
 
-Stack rule: every public function but ``is_n_centered_definitional`` takes
-a matrix, or a 4-D stack of operators ``(operators, 1, d, d)`` (a pair of
-such stacks for ``product_polar`` and ``polar_transfer``), validates it
-once, and gives each operator of a stack bitwise the result it gets alone:
-a list of reports, or for ``is_binormal`` of (verdict, norm) pairs, and
-for ``aluthge`` parts holding stacks; below them, everything runs on
-stacks of operators (``core._stacked``). Each function but
-``centered_order``, whose ``labels`` route takes a 3-D block stack,
-declares that entry with ``core._boundary`` and is its kernel under it;
-the functions here call the kernels of the others (``polar_decompose.kernel``,
+Stack rule: every public function but ``is_n_centered_definitional`` and
+``blockwise_centered_order`` takes a matrix, or a 4-D stack of operators
+``(operators, 1, d, d)`` (a pair of such stacks for ``product_polar`` and
+``polar_transfer``), validates it once, and gives each operator of a stack
+bitwise the result it gets alone: a list of reports, or for
+``is_binormal`` of (verdict, norm) pairs, and for ``aluthge`` parts
+holding stacks; ``blockwise_centered_order`` takes the 3-D stack of blocks
+of one operator on its first block subdiagonal. Below them, everything
+runs on stacks of operators (``core._stacked``). Each function declares
+its entry with ``core._boundary`` and is its kernel under it; the
+functions here call the kernels of the others (``polar_decompose.kernel``,
 ``verify_polar.kernel``, ...), never the others, so each operand is
 checked once per public call. The suites evaluate each group of draws of
 one shape with one call per factorization this way, calling the kernels
@@ -38,13 +39,15 @@ the oracle's ``k = 1`` residuals come from that SVD, and it factors only
 ``T^k``, ``k >= 2``. Everything else in one evaluation is
 factored once: ``centered_order`` and ``mp_centered_check`` take the polar
 parts or SVDs a caller already holds. The rule holds on every
-centered-order route: ``centered_order`` takes a matrix, a stack of
-operators (one report per operator), or, with ``labels`` of its equal
-blocks, the stack of 3x3 blocks of an operator on its first block
-subdiagonal (for :func:`polarops.shifts.certify_blockwise`; each power is
-formed, factored and checked once per distinct window of consecutive
-blocks, ``_Windows``), and walks the powers once, forward, for all
-operators, in groups of consecutive powers that fit a fixed number of
+centered-order route: one walk, ``_centered_walk``, serves
+``centered_order`` on a matrix or a stack of operators (one report per
+operator) and ``blockwise_centered_order`` on the stack of blocks of an
+operator on its first block subdiagonal (for
+:func:`polarops.shifts.certify_blockwise`), which labels its equal blocks
+(``_block_labels``) and takes the polar parts of its distinct blocks, so
+that each power is formed, factored and checked once per distinct window
+of consecutive blocks (``_Windows``). It walks the powers once, forward,
+for all operators, in groups of consecutive powers that fit a fixed number of
 entries per operator: of its matrices, or of a block stack's distinct
 windows (``_power_groups``). Each group is one stacked commutator
 expression, with one threshold per (operator, power), and one pass of the
@@ -69,7 +72,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate, islice, takewhile
 from typing import NamedTuple
 
@@ -81,7 +84,6 @@ from .core import (
     ToleranceConfig,
     _adjoint,
     _boundary,
-    _checked,
     _commutator_test,
     _floor_one,
     _isometry,
@@ -89,10 +91,8 @@ from .core import (
     _norms,
     _psd_powers,
     _residual,
-    _stacked,
     _svd,
     _threshold,
-    _unstacked,
     rank_margin,
 )
 from .decomp import (
@@ -114,6 +114,7 @@ __all__ = [
     "MpCenteredReport",
     "is_binormal",
     "centered_order",
+    "blockwise_centered_order",
     "is_n_centered_definitional",
     "product_polar",
     "polar_transfer",
@@ -693,13 +694,9 @@ def _oracle_run(
     return runs if checked is None else np.minimum(runs, checked)
 
 
+@_boundary((2, 4), square=True, held=("parts",))
 def centered_order(
-    t,
-    max_n: int,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    *,
-    parts: PolarParts | None = None,
-    labels: np.ndarray | None = None,
+    t, max_n: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES, *, parts: PolarParts | None = None
 ):
     """Largest verified centered order via the commutator criterion.
 
@@ -717,11 +714,75 @@ def centered_order(
 
     ``t`` is a matrix, or a stack of operators ``(operators, blocks, d,
     d)``, each the direct sum of its blocks (a list of reports, one per
-    operator); ``parts`` are its polar parts,
-    when the caller holds them. With ``labels``, ``t`` is the stack of
-    blocks of an operator on its first block subdiagonal (see ``_powers``),
-    ``labels`` label its blocks (see ``_Windows``), and ``parts`` are those
-    of the stack with the modulus padded as ``_commutators`` takes it.
+    operator); ``parts`` are its polar parts, when the caller holds them.
+    The walk of the powers is ``_centered_walk``, which
+    :func:`blockwise_centered_order` shares.
+    """
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
+    return _centered_walk(t, max_n, cfg, parts)
+
+
+@_boundary((3,), square=True)
+def blockwise_centered_order(
+    blocks, max_n: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES
+) -> CenteredReport:
+    """``centered_order`` of the operator on ``len(blocks) + 1`` block
+    positions that holds ``blocks`` on its first block subdiagonal,
+    ``blocks[j]`` mapping position j to j + 1 (see ``_powers``), for
+    1 <= max_n <= len(blocks), in block arithmetic.
+
+    ``T^k`` and ``U^k`` sit on the k-th block subdiagonal; ``|T|``,
+    ``U^k |T| (U^k)*`` and the commutators are block diagonal. So the dense
+    quantities are exactly their blocks: the same commutators, thresholds,
+    definitional oracle and report as the dense route. The polar parts are
+    those of the distinct blocks, from one stacked SVD with the rank cutoff
+    of their direct sum, placed at every position; ``|T|`` is zero at the
+    last position, which no block leaves. The blocks are labelled by their
+    exact bytes (``_block_labels``), so that a ``-0.0`` entry differs from
+    ``0.0``, and each power is formed, factored and checked once per
+    distinct window of consecutive labels (``_Windows``): identical blocks
+    give identical products. Each norm of a power adds the sums of squares
+    of its blocks at every position in position order, each sum taken once
+    per window, so the report is bitwise that of the walk of every block
+    position that sums its norms so; ``fro_norm`` of the whole span sums
+    the same squares in another order, which moves a norm by rounding only
+    (``_power_norms``).
+    """
+    if not 1 <= max_n <= blocks.shape[1]:
+        raise ValueError(f"max_n must lie in 1..{blocks.shape[1]}, got {max_n}")
+    labels = _block_labels(blocks[0])
+    _, heads = np.unique(labels, return_index=True)
+    distinct = polar_decompose.kernel(blocks[:, heads], cfg)
+    padded = np.concatenate([distinct.modulus, np.zeros_like(distinct.modulus[:, :1])], 1)
+    parts = replace(distinct[:, labels], modulus=padded[:, np.append(labels, len(heads))])
+    return _centered_walk(blocks, max_n, cfg, parts, _Windows(labels))
+
+
+def _block_labels(stack: np.ndarray) -> np.ndarray:
+    """Labels of the blocks of a stack, equal exactly for blocks of equal
+    bytes (so a ``-0.0`` entry differs from ``0.0``), numbered in order of
+    first occurrence."""
+    data, size = stack.tobytes(), stack[0].nbytes
+    table: dict[bytes, int] = {}
+    return np.array(
+        [
+            table.setdefault(data[i : i + size], len(table))
+            for i in range(0, len(data), size)
+        ]
+    )
+
+
+def _centered_walk(
+    t: np.ndarray, max_n: int, cfg: ToleranceConfig, parts: PolarParts | None, windows=None
+) -> list[CenteredReport]:
+    """The reports of ``centered_order`` of each operator of a stack of
+    operators ``t``, with its polar parts ``parts`` (None: from the SVD of
+    ``t`` taken here, which also serves the oracle's check of ``t``); with
+    ``windows`` (see ``_Windows``), ``t`` holds the blocks of an operator on
+    its first block subdiagonal, and ``parts`` those blocks' parts, with the
+    modulus padded as ``_commutators`` takes it
+    (``blockwise_centered_order``).
 
     One forward walk forms each ``U^k`` once for all operators, in groups
     of consecutive powers (``_power_groups``), as far as the operator that
@@ -738,19 +799,11 @@ def centered_order(
     depend on how the powers are grouped, on the windows, or on how many
     powers the other operators of the stack check.
     """
-    t = _checked(t, (2, 4) if labels is None else (3,), square=True)
-    if max_n < 1:
-        raise ValueError(f"max_n must be at least 1, got {max_n}")
-    if parts is None and labels is not None:
-        raise ValueError("a block stack needs the parts of its blocks")
-    t, lead, parts = _stacked(t, parts)
-    # The SVD of T taken here for U also serves the oracle's check of T.
     held = None
     if parts is None:
         held = _svd(t)
         parts = polar_decompose.kernel(t, cfg, decomp=held)
     u, p = parts.isometry, parts.modulus
-    windows = None if labels is None else _Windows(labels)
     operators = len(p)
     count = max(max_n - 1, 1)
     norm_parts: list[np.ndarray] = []
@@ -832,7 +885,7 @@ def centered_order(
             [runs == order for runs, order in zip(passing, verified)],
         )
     ]
-    return _unstacked(reports, lead)
+    return reports
 
 
 @_boundary((2,), square=True)

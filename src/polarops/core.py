@@ -24,9 +24,12 @@ and each exposes its kernel as ``.kernel``. Inside those modules a public
 function calls ``other.kernel`` or a private kernel of ``core``, never
 another public function, so each array operand is checked once per public
 call; below ``suites.run_suite``, whose draws are finite by construction,
-the suites call kernels too. Arrays formed inside a call (products,
-powers, transforms) are not checked again: an entry that overflowed
-reaches a factorization, and ``_lapack`` refuses it.
+the suites call kernels too, and so do ``shifts.certify_blockwise`` and
+``shifts.verify_predicted_structure``, below their check of the shift they
+take. Arrays formed inside a call (products, powers, transforms) are not
+checked again: an entry that overflowed reaches a factorization, and
+``_lapack`` refuses it. ``_grouped`` evaluates items in groups of one
+shape, for the stacked draws of ``sampling`` and the suites alike.
 """
 
 from __future__ import annotations
@@ -191,6 +194,21 @@ def _unstacked(value, lead: int):
     if lead and hasattr(value, "__dataclass_fields__"):
         return type(value)(*(_unstacked(x, lead) for x in vars(value).values()))
     return value
+
+
+def _grouped(items: list[tuple], evaluate) -> list:
+    """``evaluate(*stacks)`` once per group of ``items`` whose parts have
+    one shape, each part stacked over the group (``numpy.stack``); its
+    results, one per item, in item order."""
+    groups: dict[tuple, list[int]] = {}
+    for index, parts in enumerate(items):
+        groups.setdefault(tuple(x.shape for x in parts), []).append(index)
+    results: list = [None] * len(items)
+    for members in groups.values():
+        stacks = map(np.stack, zip(*(items[i] for i in members)))
+        for index, result in zip(members, evaluate(*stacks)):
+            results[index] = result
+    return results
 
 
 def fro_norm(a):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _adjoint, _norms, _svd, commutator_norm, fro_norm
+from .core import _adjoint, _grouped, _norms, _svd
 from .shifts import ShiftSpec, build_truncated
 
 __all__ = [
@@ -71,20 +71,6 @@ def _unitary_factors(a: np.ndarray) -> np.ndarray:
     return q * (phases / np.abs(phases))[..., None, :]
 
 
-def _formed(drawn: list[tuple], form) -> list:
-    """``form(*stacks)`` once per group of the draws ``drawn`` whose parts
-    have one shape, each part stacked over the group; its results, one per
-    draw, in draw order. Each draw is its random numbers, read from the
-    generator before any is formed."""
-    groups: dict = {}
-    for index, parts in enumerate(drawn):
-        groups.setdefault(tuple(x.shape for x in parts), []).append(index)
-    formed = {}
-    for members in groups.values():
-        formed.update(zip(members, form(*map(np.array, zip(*(drawn[i] for i in members))))))
-    return [formed[i] for i in range(len(drawn))]
-
-
 def random_rank_deficient(
     rng: np.random.Generator, rows: int, cols: int, rank: int
 ) -> np.ndarray:
@@ -93,7 +79,7 @@ def random_rank_deficient(
         raise ValueError(f"rank {rank} invalid for shape ({rows}, {cols})")
     if rank == 0:
         return np.zeros((rows, cols), dtype=np.complex128)
-    return _formed([_deficient_parts(rng, rows, cols, rank)], _deficient_products)[0]
+    return _grouped([_deficient_parts(rng, rows, cols, rank)], _deficient_products)[0]
 
 
 def _deficient_parts(rng: np.random.Generator, rows: int, cols: int, rank: int):
@@ -130,7 +116,7 @@ def random_mixed_ranks(rng: np.random.Generator, dims: list[int]) -> list[np.nda
             deficient[index] = _deficient_parts(rng, dim, dim, int(rng.integers(1, dim)))
         else:
             operators[index] = random_operator(rng, dim)
-    operators.update(zip(deficient, _formed(list(deficient.values()), _deficient_products)))
+    operators.update(zip(deficient, _grouped(list(deficient.values()), _deficient_products)))
     return [operators[i] for i in range(len(dims))]
 
 
@@ -184,7 +170,7 @@ def random_commuting_psd_pairs(
         (random_operator(rng, dim), _spectrum(rng, dim, own), _spectrum(rng, dim, own))
         for dim, own in zip(dims, deficient, strict=True)
     ]
-    return _formed(
+    return _grouped(
         drawn, lambda g, a, b: zip(*_hermitian_products(_unitary_factors(g), np.array((a, b))))
     )
 
@@ -228,7 +214,7 @@ def random_psd_pairs(
             drawn.append(_psd_parts(rng, dim, dim) + _psd_parts(rng, dim, dim))
             states.append(rng.bit_generator.state)
             after.append(() if then is None else (then(rng, dim),))
-        tested = _formed(drawn, lambda *parts: _noncommuting(min_scaled_commutator, *parts))
+        tested = _grouped(drawn, lambda *parts: _noncommuting(min_scaled_commutator, *parts))
         kept = next((i for i, (_, _, clear) in enumerate(tested) if not clear), len(tested))
         pairs += [(a, b, *extra) for (a, b, _), extra in zip(tested[:kept], after)]
         if kept < len(tested):
@@ -285,7 +271,7 @@ def random_spectrum_operators(
         q = _unitary_factors(gaussians)
         return (q[:, 0] * values[:, None, :]) @ _adjoint(q[:, 1])
 
-    return _formed(drawn, form)
+    return _grouped(drawn, form)
 
 
 def random_binormal(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -313,16 +299,16 @@ def random_nonbinormal(
     rng: np.random.Generator, dim: int, min_scaled_commutator: float = 1e-2
 ) -> np.ndarray:
     """Dense random operator redrawn until ``[T* T, T T*]`` is far from zero
-    relative to the product of norms."""
+    relative to the product of norms, the three norms of each draw from one
+    ``core._norms`` pass."""
     if dim < 2:
         raise ValueError("non-binormal operators need dimension >= 2")
     for _ in range(64):
         t = random_operator(rng, dim)
-        left = t.conj().T @ t
-        right = t @ t.conj().T
-        if commutator_norm(left, right) > min_scaled_commutator * fro_norm(
-            left
-        ) * fro_norm(right):
+        left, right = t.conj().T @ t, t @ t.conj().T
+        stack = np.array([left @ right - right @ left, left, right])[:, None]
+        commutator, left_norm, right_norm = _norms(stack)
+        if commutator > min_scaled_commutator * left_norm * right_norm:
             return t
     raise RuntimeError("could not draw a non-binormal operator")
 
@@ -356,7 +342,7 @@ def random_commuting_moduli_pairs(
         x = _svd(t).right_vectors
         return zip(t, (x * values[:, None, :]) @ _adjoint(x) @ _unitary_factors(gaussians))
 
-    return _formed(drawn, form)
+    return _grouped(drawn, form)
 
 
 def structured_fixtures(

@@ -22,9 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .classify import CenteredReport, centered_order
+from .classify import CenteredReport, blockwise_centered_order
 from .core import DEFAULT_TOLERANCES, ToleranceConfig, as_operator
-from .decomp import PolarCheck, PolarParts, polar_decompose, verify_polar
+from .decomp import PolarCheck, PolarParts, verify_polar
 
 __all__ = [
     "AngleConstants",
@@ -231,20 +231,6 @@ def _subdiagonal_blocks(t: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _block_labels(stack: np.ndarray) -> np.ndarray:
-    """Labels of the blocks of a stack, equal exactly for blocks of equal
-    bytes (so a ``-0.0`` entry differs from ``0.0``), numbered in order of
-    first occurrence."""
-    data, size = stack.tobytes(), stack[0].nbytes
-    table: dict[bytes, int] = {}
-    return np.array(
-        [
-            table.setdefault(data[i : i + size], len(table))
-            for i in range(0, len(data), size)
-        ]
-    )
-
-
 def build_truncated(spec: ShiftSpec) -> np.ndarray:
     """Assemble the truncated block shift: blocks T_1..T_{blocks-1} sit on
     the first block subdiagonal of a (3*blocks) x (3*blocks) matrix.
@@ -304,8 +290,8 @@ def verify_predicted_structure(
     if t.shape != (spec.dimension,) * 2:
         raise ValueError(f"shape {t.shape} does not match dimension {spec.dimension}")
     isometries, moduli = _predicted_blocks(spec)
-    predicted = PolarParts(isometries, moduli, BLOCK * (spec.blocks - 1))
-    return verify_polar(_subdiagonal_blocks(t), predicted, cfg)
+    blocks = _subdiagonal_blocks(t)
+    return verify_polar.kernel(blocks[None], isometries[None], moduli[None], cfg)[0]
 
 
 def expected_commutator_pattern(spec: ShiftSpec, k: int) -> bool:
@@ -359,23 +345,10 @@ def certify_blockwise(
     t, max_n: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> CenteredReport:
     """``classify.centered_order(t, max_n)`` in 3x3 block arithmetic, for
-    ``t`` on its first block subdiagonal and 1 <= max_n < blocks.
-
-    ``T^k`` and ``U^k`` sit on the k-th block subdiagonal; ``|T|``,
-    ``U^k |T| (U^k)*`` and the commutators are block diagonal. So the dense
-    quantities are exactly their blocks, and ``classify.centered_order``
-    runs on the block stack, with the labels of its blocks: the same
-    commutators, thresholds, definitional oracle and report as the dense
-    route, each power formed as a stack of 3x3 blocks. The blocks are
-    labelled by their exact bytes, so that a ``-0.0`` entry differs from
-    ``0.0``, and each power is formed, factored and checked once per
-    distinct window of consecutive labels: identical blocks give identical
-    products. Each norm of a power adds the sums of squares of its blocks
-    at every position in position order, each sum taken once per window,
-    so the report is bitwise that of the walk of every block position that
-    sums its norms so; ``fro_norm`` of the whole span sums the same squares
-    in another order, which moves a norm by rounding only
-    (``classify._power_norms``). The written shift has 4 distinct blocks
+    ``t`` on its first block subdiagonal and 1 <= max_n < blocks: the
+    report of ``classify.blockwise_centered_order`` on the stack of its
+    blocks, which forms, factors and checks each power once per distinct
+    window of consecutive blocks. The written shift has 4 distinct blocks
     and a few distinct windows per power, so the work grows linearly in n.
     The walk groups consecutive powers up to a fixed number of entries of
     their distinct windows, so the commutators of many powers are one
@@ -388,17 +361,4 @@ def certify_blockwise(
     blocks = t.shape[0] // BLOCK
     if t.shape != (BLOCK * blocks,) * 2 or not 1 <= max_n < blocks:
         raise ValueError(f"need 3x3 blocks and max_n < blocks: {t.shape}, {max_n}")
-    stack = _subdiagonal_blocks(t)
-    labels = _block_labels(stack)
-    _, heads = np.unique(labels, return_index=True)
-    # The polar parts of each distinct block, at every block position; |T|
-    # is zero at the last block position, which no block leaves.
-    distinct = polar_decompose(stack[heads], cfg)
-    padded = np.concatenate([distinct.modulus, np.zeros_like(distinct.modulus[:1])])
-    parts = PolarParts(
-        distinct.isometry[labels],
-        padded[np.append(labels, len(heads))],
-        distinct.rank[labels],
-        distinct.singular_values[labels],
-    )
-    return centered_order(stack, max_n, cfg, parts=parts, labels=labels)
+    return blockwise_centered_order(_subdiagonal_blocks(t), max_n, cfg)

@@ -14,21 +14,22 @@ the constructed pairs of ``product-polar``, ``mp-inverse`` and
 ``psd-pairs`` take their draws from the stacked draws of ``sampling``,
 which read the generator in that order and factor each shape's draws in
 one stacked call), evaluate each group of draws of one shape as one
-complex stack of operators (``_by_shape``), and fold the
-per-trial verdicts and worst residuals back in trial order; each trial's
-values are bitwise those it gets alone. The suites' boundary is
+complex stack of operators (``_by_shape``, over ``core._grouped``), and
+fold the per-trial verdicts and worst residuals back in trial order; each
+trial's values are bitwise those it gets alone. The suites' boundary is
 ``run_suite``: their draws are finite by construction, so each evaluation
 calls the kernels of the public functions (``polar_decompose.kernel``,
-``verify_polar.kernel``, ...) on the stacks it builds and checks no operand
-again (``core._lapack`` still refuses a non-finite matrix), except
-``classify.centered_order``, which has no kernel. ``centered-oracle`` walks
-the powers of a whole group at once (``centered_order`` on a stack of
-operators), and ``mp-inverse`` those of a group and of its inverses in one
-walk of the criterion (``classify.mp_centered_check`` on a stack of
-operators). ``psd-pairs`` tests the five commutators of a group of
-commuting pairs in one ``core._commutator_test`` and takes the residuals of
-each group in one ``core._residual``. ``shift-family`` and ``v-entries``
-check fixed families.
+``verify_polar.kernel``, ``centered_order.kernel``, ...) on the stacks it
+builds and checks no operand again (``core._lapack`` still refuses a
+non-finite matrix); so does ``shift-family``, on each shift as a stack of
+one operator. ``centered-oracle`` walks the powers of a whole group at
+once (``centered_order`` on a stack of operators), and ``mp-inverse``
+those of a group and of its inverses in one walk of the criterion
+(``classify.mp_centered_check`` on a stack of operators). ``psd-pairs``
+tests the five commutators of a group of commuting pairs in one
+``core._commutator_test`` and takes the residuals of each group in one
+``core._residual``. ``shift-family`` and ``v-entries`` check fixed
+families.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .core import (
     ToleranceConfig,
     _adjoint,
     _commutator_test,
+    _grouped,
     _psd_powers,
     _residual,
     is_hermitian_psd,
@@ -135,18 +137,9 @@ def _share(trials: int, parts: int) -> int:
 
 
 def _by_shape(draws: list[tuple[np.ndarray, ...]], evaluate) -> list:
-    """``evaluate(*stacks)`` once per group of draws of one shape, each
-    operand stacked as operators of one matrix, ``(draws, 1, m, n)``; the
-    results, one per draw, in draw order."""
-    groups: dict[tuple, list[int]] = {}
-    for index, operands in enumerate(draws):
-        groups.setdefault(tuple(x.shape for x in operands), []).append(index)
-    results: list = [None] * len(draws)
-    for members in groups.values():
-        stacks = [np.stack(column)[:, None] for column in zip(*(draws[i] for i in members))]
-        for index, result in zip(members, evaluate(*stacks)):
-            results[index] = result
-    return results
+    """``core._grouped`` of the draws, each operand stacked as operators of
+    one matrix, ``(draws, 1, m, n)``."""
+    return _grouped(draws, lambda *stacks: evaluate(*(x[:, None] for x in stacks)))
 
 
 def suite_polar_contract(
@@ -191,7 +184,7 @@ def suite_centered_oracle(
     operators = random_mixed_ranks(rng, _dims_cycle(rng, 2, dim, trials))
     operators.extend(matrix for _, matrix in structured_fixtures(rng))
 
-    reports = _by_shape([(t,) for t in operators], lambda t: centered_order(t, max_n, cfg))
+    reports = _by_shape([(t,) for t in operators], lambda t: centered_order.kernel(t, max_n, cfg))
     disagreements = 0
     report_flags = 0
     tol = cfg.equality_rel_tol
@@ -202,7 +195,7 @@ def suite_centered_oracle(
         # disagree at the orders between the two.
         if not report.oracle_agrees:
             report_flags += 1
-            check = is_n_centered_definitional(t, max_n, cfg)
+            check = is_n_centered_definitional.kernel(t[None, None], max_n, cfg)
             pairs = zip(check.equation_residuals, check.range_residuals)
             holds = (a <= tol and b <= tol for a, b in pairs)
             passing = len(list(takewhile(bool, holds)))
@@ -429,7 +422,7 @@ def suite_shift_family(
         spec = ShiftSpec.from_recipe(n)
         t = build_truncated(spec)
         # Every power present after truncation: k = 1..blocks-2.
-        report = centered_order(t, spec.blocks - 1, cfg)
+        report = centered_order.kernel(t[None, None], spec.blocks - 1, cfg)[0]
         if report.verified_order != n:
             wrong_orders += 1
         if not (report.oracle_agrees and report.verified_order == n):

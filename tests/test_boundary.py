@@ -30,6 +30,7 @@ MODULES = (core, decomp, classify)
 DIRECT_SUM = (2, 3, 4)
 OPERATORS = (2, 4)
 MATRIX = (2,)
+BLOCKS = (3,)
 
 # name: (axes of each array operand, square, call of the operands). The
 # second statement of each declaration; the test below checks that it
@@ -55,6 +56,12 @@ DECLARED = {
     "moore_penrose": ((DIRECT_SUM,), False, decomp.moore_penrose),
     "mp_polar_parts": ((DIRECT_SUM,), True, decomp.mp_polar_parts),
     "is_binormal": ((OPERATORS,), True, classify.is_binormal),
+    "centered_order": ((OPERATORS,), True, lambda a: classify.centered_order(a, 4)),
+    "blockwise_centered_order": (
+        (BLOCKS,),
+        True,
+        lambda a: classify.blockwise_centered_order(a, 1),
+    ),
     "is_n_centered_definitional": (
         (MATRIX,),
         True,
@@ -120,17 +127,24 @@ def _defective(a: np.ndarray, defect: str, ndim: int) -> np.ndarray:
         return a[..., :0, :]
     if defect == "non-square":
         return a[..., :2]
-    return a.reshape((1,) * (ndim - 2) + a.shape[-2:]) if ndim > 2 else a[0]
+    return a.reshape((1,) * (ndim - 2) + a.shape[-2:]) if ndim > 1 else a.reshape(-1)
+
+
+def _forms(axes: tuple) -> tuple:
+    """The numbers of axes of the operands a declaration ``axes`` is called
+    with: a matrix and a 4-D stack where it takes them, else its 3-D block
+    stack."""
+    return tuple(ndim for ndim in (2, 4) if ndim in axes) or axes
 
 
 def _defects(axes: tuple, square: bool):
     """(defect, form ndim, ndim of the defect) of every case that the
     declaration ``axes``, ``square`` refuses."""
-    forms = [ndim for ndim in (2, 4) if ndim in axes]
+    forms = _forms(axes)
     cases = [(defect, ndim, ndim) for defect in ("non-finite", "empty") for ndim in forms]
     if square:
         cases += [("non-square", ndim, ndim) for ndim in forms]
-    cases += [("axes", 2, ndim) for ndim in (1, 3, 4, 5) if ndim not in axes]
+    cases += [("axes", forms[0], ndim) for ndim in (1, 2, 3, 4, 5) if ndim not in axes]
     return cases
 
 
@@ -166,8 +180,6 @@ def _prepared(name: str, operands: list[np.ndarray]):
     if name == "penrose_check":
         x = decomp.moore_penrose(t)
         return lambda: decomp.penrose_check(t, x)
-    if name == "centered_order":
-        return lambda: classify.centered_order(t, 4)
     if name == "commutator_threshold":
         return lambda: core.commutator_threshold(t, s)
     return lambda: getattr(core, name)(t)
@@ -177,18 +189,14 @@ def _prepared(name: str, operands: list[np.ndarray]):
 # ``core._checked`` calls it makes (one per array operand, but three for
 # ``verify_polar``, which checks ``t`` and its two parts, and none for the
 # functions that take unchecked numeric input), and the forms it takes: a
-# matrix and, where it takes one, a 4-D stack.
+# matrix and, where it takes one, a 4-D stack, or a 3-D block stack.
 CHECKS = [
-    *[
-        (name, len(axes), (2, 4) if 4 in axes[0] else (2,))
-        for name, (axes, _, _) in DECLARED.items()
-    ],
+    *[(name, len(axes), _forms(axes[0])) for name, (axes, _, _) in DECLARED.items()],
     ("as_operator", 1, (2,)),
     ("fro_norm", 0, (2, 4)),
     ("commutator_threshold", 0, (2, 4)),
     ("verify_polar", 3, (2, 4)),
     ("penrose_check", 2, (2,)),
-    ("centered_order", 1, (2, 4)),
 ]
 
 
@@ -211,8 +219,10 @@ def test_each_array_operand_is_checked_once(monkeypatch, name, count, ndim):
         calls.append(args)
         return checked(*args, **kwargs)
 
+    # classify imports no _checked: its entries are all declared.
     for module in MODULES:
-        monkeypatch.setattr(module, "_checked", counted)
+        if hasattr(module, "_checked"):
+            monkeypatch.setattr(module, "_checked", counted)
     call()
     assert len(calls) == count
 

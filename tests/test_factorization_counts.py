@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import pytest
 
-from polarops import classify, core, decomp, suites
+from polarops import classify, core, decomp, matrixio, suites
 from polarops.classify import _oracle_residuals, _oracle_run, centered_order, is_n_centered_definitional
 from polarops.cli import main
 from polarops.core import DEFAULT_TOLERANCES, _svd, equality_residual, range_projection
@@ -391,7 +391,7 @@ def draw_log(monkeypatch) -> Counter:
         return checked(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
-    for module in (core, decomp, classify, suites):
+    for module in (core, decomp, classify, suites, matrixio):
         if hasattr(module, "_checked"):
             monkeypatch.setattr(module, "_checked", counted_checked)
     return log
@@ -418,11 +418,27 @@ def test_mp_inverse_draws_in_one_qr_per_dim_and_checks_no_operand(draw_log):
         ("psd-pairs", Counter(qr=10, qr_matrices=30)),
         # 6 of the 20 draws are rank-deficient, two bases each, in one QR
         # per dim (12 calls before); the structured fixtures make 7 QR
-        # calls; centered_order checks each of its 7 shape groups.
-        ("centered-oracle", Counter(qr=8, qr_matrices=13, checked=7)),
+        # calls. Its 7 shape groups go to centered_order.kernel, so no
+        # operand is checked (7 calls before).
+        ("centered-oracle", Counter(qr=8, qr_matrices=13)),
         # Every suite (95 calls before): the matrices are those of the
-        # draws one at a time.
-        ("all", Counter(qr=57, qr_matrices=130, checked=34)),
+        # draws one at a time. No suite checks an operand (34 calls before:
+        # the 7 of centered-oracle, 7 of shift-family and 20 of the public
+        # commutator_norm in random_nonbinormal).
+        ("all", Counter(qr=57, qr_matrices=130)),
+        # The other suites, each with no core._checked call below run_suite
+        # (mp-inverse is pinned above). The rank-deficient draws of
+        # polar-contract and polar-transfer take both bases in one QR.
+        ("polar-contract", Counter(qr=3, qr_matrices=6)),
+        ("product-polar", Counter(qr=3, qr_matrices=5)),
+        ("polar-transfer", Counter(qr=2, qr_matrices=4)),
+        # One QR per unitary of random_binormal; random_nonbinormal takes
+        # its norms from one core._norms pass (20 checks before).
+        ("aluthge-binormal", Counter(qr=18, qr_matrices=18)),
+        # The shifts draw nothing and go to centered_order.kernel (7 checks
+        # before); v-entries forms the powers of V alone.
+        ("shift-family", Counter()),
+        ("v-entries", Counter()),
     ],
 )
 def test_suite_draws_in_one_qr_per_shape(draw_log, suite, counts):
@@ -492,6 +508,21 @@ def test_counterexample_n60_factors_blocks_not_the_dense_operator(
     assert code == 0 and "verdict: pass" in capsys.readouterr().out
     assert lapack_calls.calls == Counter({("svd", 3): 2, ("eigh", 3): 1})
     assert lapack_calls.matrices == Counter(svd=4 + 241, eigh=62)
+
+
+def test_counterexample_checks_each_input_once(draw_log, tmp_path, capsys):
+    # write_matrix checks the shift it writes; certify_blockwise checks the
+    # shift, and blockwise_centered_order the stack of its blocks;
+    # verify_predicted_structure checks the shift and calls
+    # verify_polar.kernel on its blocks. 8 calls before: the polar parts of
+    # the distinct blocks and the three operands of verify_polar were
+    # checked again.
+    code = main(["counterexample", "--n", "12", "--out", str(tmp_path / "s.json")])
+    assert code == 0 and "verdict: pass" in capsys.readouterr().out
+    assert draw_log["checked"] == 4
+    draw_log.clear()
+    assert certify_blockwise(_shift(12), 14).verified_order == 12
+    assert draw_log["checked"] == 2
 
 
 def test_certify_blockwise_oracle_factors_linearly_many_matrices(lapack_calls):

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from polarops.classify import (
     CenteredReport,
+    _block_labels,
     _powers,
     _Windows,
+    blockwise_centered_order,
     centered_order,
     is_n_centered_definitional,
 )
@@ -34,7 +36,6 @@ from polarops.sampling import random_operator
 from polarops.shifts import (
     BLOCK,
     ShiftSpec,
-    _block_labels,
     _dense,
     _predicted_pattern,
     _subdiagonal_blocks,
@@ -359,6 +360,17 @@ class TestCertifyBlockwise:
         for shape_or_order in ((t[:-1, :-1], 5), (t[:-3], 5), (t, 0), (t, 7)):
             with pytest.raises(ValueError, match="3x3 blocks"):
                 certify_blockwise(*shape_or_order)
+
+    def test_block_entry_walks_at_most_one_power_per_block(self):
+        # The stack of 6 blocks of the order-4 shift has powers T^1..T^6:
+        # the block entry checks up to max_n = 6, the last order
+        # certify_blockwise takes, and refuses 0 and 7.
+        t = build_truncated(ShiftSpec.from_recipe(4))
+        stack = _subdiagonal_blocks(t)
+        assert blockwise_centered_order(stack, 6) == certify_blockwise(t, 6)
+        for max_n in (0, 7):
+            with pytest.raises(ValueError, match=f"max_n must lie in 1..6, got {max_n}"):
+                blockwise_centered_order(stack, max_n)
 
 
 _POOL_KINDS = ("zero", "sparse", "dense", "rank-one", "negative-zeros", "conjugate")

@@ -664,6 +664,56 @@ def test_stacked_psd_pairs_give_up_after_64_draws():
     assert random_psd_pairs(rng, []) == []
 
 
+def _nonbinormal_alone(rng, dim, min_scaled_commutator=1e-2):
+    """``random_nonbinormal`` as first written, its redraws tested by the
+    public norms."""
+    if dim < 2:
+        raise ValueError("non-binormal operators need dimension >= 2")
+    for _ in range(64):
+        t = random_operator(rng, dim)
+        left = t.conj().T @ t
+        right = t @ t.conj().T
+        if commutator_norm(left, right) > min_scaled_commutator * fro_norm(
+            left
+        ) * fro_norm(right):
+            return t
+    raise RuntimeError("could not draw a non-binormal operator")
+
+
+@pytest.mark.parametrize("bound", [1e-2, 0.2])
+def test_nonbinormal_draw_is_bitwise_its_reference(monkeypatch, bound):
+    # Dims 2-12, 20 draws each: the one core._norms pass decides as the
+    # public norms do, so each draw and the generator's state are bitwise
+    # the reference's. At a bound of 0.2 about half the dim-12 draws
+    # commute too closely and are drawn again.
+    attempts = []
+    draw = random_operator
+
+    def counted(rng, dim):
+        attempts.append(dim)
+        return draw(rng, dim)
+
+    monkeypatch.setattr(sys.modules[__name__], "random_operator", counted)
+    rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
+    dims = [dim for dim in range(2, 13) for _ in range(20)]
+    for dim in dims:
+        t = random_nonbinormal(rng, dim, bound)
+        assert t.tobytes() == _nonbinormal_alone(reference_rng, dim, bound).tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert (len(attempts) > len(dims)) == (bound == 0.2)
+
+
+def test_nonbinormal_draw_gives_up_after_64_draws():
+    # No draw can pass a bound of 2 (||[A, B]|| <= 2 ||A|| ||B||): the
+    # generator is left after the 64th draw, as the reference leaves it.
+    rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
+    with pytest.raises(RuntimeError, match="non-binormal operator"):
+        random_nonbinormal(rng, 4, 2.0)
+    with pytest.raises(RuntimeError, match="non-binormal operator"):
+        _nonbinormal_alone(reference_rng, 4, 2.0)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
 def test_stacked_spectrum_draw_refuses_a_rank_out_of_range():
     rng = np.random.default_rng(0)
     for rank in (0, 4):
