@@ -87,6 +87,7 @@ from .core import (
     _commutator_test,
     _floor_one,
     _isometry,
+    _joint_norms,
     _modulus,
     _norms,
     _psd_powers,
@@ -483,31 +484,35 @@ def _offsets(counts: list[int], sizes: list[int]) -> np.ndarray:
     return np.repeat(np.cumsum(counts) - counts, sizes)
 
 
-def _power_norms(
-    x: np.ndarray, lengths: list[int], index: np.ndarray | None
-) -> np.ndarray:
-    """The norm of the span of each power in ``x``, a stack of operators
-    whose axis 1 holds consecutive powers of ``lengths`` blocks each, as an
-    array ``(operators, powers)``.
+def _power_norms(lengths: list[int], *spans: tuple[np.ndarray, np.ndarray | None]):
+    """The norm of the span of each power in each ``x`` of the pairs
+    ``(x, index)`` of ``spans``, one array ``(operators, powers)`` per pair:
+    ``x`` is a stack of operators whose axis 1 holds consecutive powers of
+    ``lengths`` blocks each.
 
-    Powers of matrices (no ``index``) take one ``core._norms`` of a stack
-    with one operator per (operator, power) pair, each norm bitwise
-    ``numpy.linalg.norm`` of its power alone. The powers of a block stack
-    hold one block per window (or per (window, image) pair), and ``index``
-    names the block at each of their block positions: each block's entries
-    give one sum of squares, placed at every position of the block, and
-    each power adds up the sums of its positions in position order
-    (``numpy.add.reduceat``), so each norm is bitwise that of its span
-    alone, whatever the powers around it. This sums the squares of
-    ``fro_norm`` in another order, which moves a norm by at most ``γ_k``
-    relative for ``k`` squares (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 3), and gathers no block to its positions."""
-    if index is None:
-        return _norms(x.reshape(len(x), len(lengths), lengths[0], *x.shape[-2:]))
-    rows = x.reshape(*x.shape[:2], -1)
-    squares = (np.square(rows.real) + np.square(rows.imag)).sum(axis=-1)
+    Powers of matrices (every ``index`` None) take the norms of all pairs
+    from one ``core._joint_norms`` of stacks with one operator per
+    (operator, power) pair, each norm bitwise ``numpy.linalg.norm`` of its
+    power alone. The powers of a block stack hold one block per window (or
+    per (window, image) pair), and ``index`` names the block at each of
+    their block positions: each block's entries give one sum of squares,
+    placed at every position of the block, and each power adds up the sums
+    of its positions in position order (``numpy.add.reduceat``), so each
+    norm is bitwise that of its span alone, whatever the powers around it.
+    This sums the squares of ``fro_norm`` in another order, which moves a
+    norm by at most ``γ_k`` relative for ``k`` squares (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, ch. 3), and gathers no block to
+    its positions."""
+    if all(index is None for _, index in spans):
+        shape = (len(lengths), lengths[0])
+        return _joint_norms(*(x.reshape(len(x), *shape, *x.shape[-2:]) for x, _ in spans))
     starts = list(accumulate(lengths[:-1], initial=0))
-    return np.sqrt(np.add.reduceat(squares[:, index], starts, axis=1))
+    norms = []
+    for x, index in spans:
+        rows = x.reshape(*x.shape[:2], -1)
+        squares = (np.square(rows.real) + np.square(rows.imag)).sum(axis=-1)
+        norms.append(np.sqrt(np.add.reduceat(squares[:, index], starts, axis=1)))
+    return norms
 
 
 def _power_residuals(
@@ -516,7 +521,7 @@ def _power_residuals(
     """``core._residual`` of the span of each power in ``a`` and ``b``, its
     norms taken as ``_power_norms`` takes them on the blocks at ``index``;
     ``a - b`` is formed once for all spans, on the windows."""
-    difference, *norms = (_power_norms(x, lengths, index) for x in (a - b, a, b))
+    difference, *norms = _power_norms(lengths, *((x, index) for x in (a - b, a, b)))
     return difference / _floor_one(*norms)
 
 
@@ -554,10 +559,8 @@ def _commutators(
         conjugated = u @ p[:, sources] @ _adjoint(u)
         paired, images = conjugated[:, prefix], p[:, images]
     commutator = paired @ images - images @ paired
-    return (
-        _power_norms(commutator, lengths, pairs),
-        _threshold(_power_norms(conjugated, lengths, index), _norms(p)[:, None], cfg),
-    )
+    norms, conjugated_norms = _power_norms(lengths, (commutator, pairs), (conjugated, index))
+    return norms, _threshold(conjugated_norms, _norms(p)[:, None], cfg)
 
 
 def _oracle_residuals(
@@ -1117,7 +1120,9 @@ def binormal_equivalents(
 
 
 @_boundary(
-    (2, 4), square=True, held=("decomp", "parts", "adjoint_parts", "inverse_parts")
+    (2, 4),
+    square=True,
+    held=("decomp", "parts", "adjoint_parts", "inverse_parts", "pinv"),
 )
 def mp_centered_check(
     t,
@@ -1128,6 +1133,7 @@ def mp_centered_check(
     parts: PolarParts | None = None,
     adjoint_parts: PolarParts | None = None,
     inverse_parts: PolarParts | None = None,
+    pinv: np.ndarray | None = None,
 ):
     """Verify that the Moore-Penrose inverse respects the centered structure.
 
@@ -1142,23 +1148,26 @@ def mp_centered_check(
 
     For a stack of operators, the result is a list of reports, each bitwise
     that of its operator alone; an operator of several blocks is their
-    direct sum, each commutator taken block by block. A caller may pass what it holds: ``decomp``,
-    the SVD of ``t`` (for the inverse, and for ``U`` and ``|T|``); ``parts``,
-    the polar parts of ``t``; ``adjoint_parts``, those of ``t*``; and
-    ``inverse_parts``, those of ``moore_penrose(t)``. The orders of ``t``
-    and of its inverse come from one walk of the powers of their polar
-    factors, whose commutators take one stacked expression, and the inverses
-    of the powers ``T^k``, k >= 2, of every operator take one stacked SVD.
-    The modulus commutators of all (n+1)-centered operators at all powers
-    take one stacked ``core._commutator_test`` per side, with one operator
-    per (operator, power) pair, so each norm is that of its power alone.
+    direct sum, each commutator taken block by block. A caller may pass
+    what it holds: ``decomp``, the SVD of ``t`` (for the inverse, and for
+    ``U`` and ``|T|``); ``parts``, the polar parts of ``t``;
+    ``adjoint_parts``, those of ``t*``; ``inverse_parts``, those of
+    ``moore_penrose(t)``; and ``pinv``, ``moore_penrose(t)`` itself. The
+    orders of ``t`` and of its inverse come from one walk of the powers of
+    their polar factors, whose commutators take one stacked expression, and
+    the inverses of the powers ``T^k``, k >= 2, of every operator take one
+    stacked SVD. The modulus commutators of all (n+1)-centered operators at
+    all powers take one stacked ``core._commutator_test`` per side, with one
+    operator per (operator, power) pair, so each norm is that of its power
+    alone.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
     decomp = _svd(t) if decomp is None else decomp
     if parts is None:
         parts = polar_decompose.kernel(t, cfg, decomp=decomp)
-    pinv = moore_penrose.kernel(t, cfg, decomp=decomp)
+    if pinv is None:
+        pinv = moore_penrose.kernel(t, cfg, decomp=decomp)
     if adjoint_parts is None:
         adjoint_parts = polar_decompose.kernel(_adjoint(t), cfg)
     if inverse_parts is None:
@@ -1201,8 +1210,11 @@ def mp_centered_check(
     modulus = {}
     if plus:
         u_k = np.stack(u_pows, axis=1)[plus]
-        final = _commutator_test(u_k @ _adjoint(u_k), p[plus][:, None], cfg)
-        initial = _commutator_test(_adjoint(u_k) @ u_k, adjoint_modulus[plus][:, None], cfg)
+        # Each modulus at every power, so that each side's three stacks
+        # share one shape, and one norm pass.
+        mod, adj = (np.broadcast_to(x[plus][:, None], u_k.shape) for x in (p, adjoint_modulus))
+        final = _commutator_test(u_k @ _adjoint(u_k), mod, cfg)
+        initial = _commutator_test(_adjoint(u_k) @ u_k, adj, cfg)
         commute = (final[1] & initial[1]).all(axis=1).tolist()
         modulus = dict(zip(plus, zip(final[0].tolist(), initial[0].tolist(), commute)))
 

@@ -39,14 +39,16 @@ from .core import (
     _boundary,
     _checked,
     _floor_one,
+    _hermitian_defect,
     _hermitian_range_projection,
     _isometry,
+    _joint_norms,
     _lapack,
     _leading_product,
     _modulus,
     _norms,
     _rank,
-    _residual,
+    _residuals,
     _stacked,
     _svd,
     _unstacked,
@@ -207,14 +209,24 @@ def _polar_checks(x, u, p, cfg: ToleranceConfig) -> list[PolarCheck]:
     _, e = np.frexp(np.abs(x).max(axis=(1, 2, 3)))
     scale = np.ldexp(1.0, np.minimum(-e, 1023))[:, None, None, None]
     xs, qs = x * scale, q * scale
+
+    def pairs():
+        yield x, up
+        yield u @ uh @ u, u
+        yield uh @ u, projection
+        yield qs @ qs, xs @ _adjoint(xs)
+        yield up, q @ u
+
+    reconstruction, isometry, ranges, adjoint, intertwine = _residuals(pairs())
+    defect, norm = _joint_norms(p, form=_hermitian_defect)
     residuals = {
-        "reconstruction": _residual(x, up),
-        "modulus_hermitian": _norms(p - _adjoint(p)) / _floor_one(_norms(p)),
+        "reconstruction": reconstruction,
+        "modulus_hermitian": defect / _floor_one(norm),
         "modulus_psd": psd,
-        "partial_isometry": _residual(u @ uh @ u, u),
-        "range_condition": _residual(uh @ u, projection),
-        "adjoint_modulus": _residual(qs @ qs, xs @ _adjoint(xs)),
-        "intertwine": _residual(up, q @ u),
+        "partial_isometry": isometry,
+        "range_condition": ranges,
+        "adjoint_modulus": adjoint,
+        "intertwine": intertwine,
     }
     tolerances = [polar_tolerance(name, cfg) for name in residuals]
     checks = [

@@ -6,20 +6,24 @@ standard-normal real and imaginary parts; rank-deficient variants zero out
 trailing singular values to exercise the rank-cutoff paths.
 
 A stacked draw (``random_spectrum_operators``, ``random_mixed_ranks``,
-``random_commuting_psd_pairs``, ``random_psd_pairs`` and
-``random_commuting_moduli_pairs``) takes the random numbers of its
-operators from the generator in the order of one draw after another, and
-only then factors them, in one QR (and, for moduli pairs, one SVD) of a
-stack per shape, and forms the products of each shape as one stacked
-expression: the stream stays the same, and each operator is bitwise the
-one drawn alone. The single draw is a one-element call of its stacked
-form. ``random_psd_pairs`` redraws a pair that commutes: it tests all its
-pairs at once, then restores the generator to its state after the first
-failing pair (saved after each pair's draw) and draws again from there, so
-the stream is the one of the draws one at a time.
+``random_commuting_psd_pairs``, ``random_psd_pairs``,
+``random_commuting_moduli_pairs`` and ``random_binormals``) takes the
+random numbers of its operators from the generator in the order of one
+draw after another, and only then factors them, in one QR (and, for
+moduli pairs, one SVD) of a stack per shape, and forms the products of
+each shape as one stacked expression (``random_binormals``, whose families
+differ from draw to draw, one draw at a time): the stream stays the same,
+and each operator is bitwise the one drawn alone. The single draw is a
+one-element call of its stacked form. ``random_psd_pairs`` redraws a pair
+that commutes: it tests all its pairs at once, then restores the generator
+to its state after the first failing pair (saved after each pair's draw)
+and draws again from there, so the stream is the one of the draws one at a
+time.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -41,6 +45,7 @@ __all__ = [
     "random_spectrum_operator",
     "random_spectrum_operators",
     "random_binormal",
+    "random_binormals",
     "random_nonbinormal",
     "random_commuting_moduli_pair",
     "random_commuting_moduli_pairs",
@@ -281,18 +286,40 @@ def random_binormal(rng: np.random.Generator, dim: int) -> np.ndarray:
     matrices, and unitaries; each conjugated by a random unitary, which
     preserves the property.
     """
-    family = int(rng.integers(0, 3))
-    if family == 0:
-        perm = rng.permutation(dim)
-        weights = rng.uniform(0.2, 2.0, size=dim)
-        base = np.zeros((dim, dim), dtype=np.complex128)
-        base[perm, np.arange(dim)] = weights
-    elif family == 1:
-        base = random_normal_operator(rng, dim)
-    else:
-        base = random_unitary(rng, dim)
-    q = random_unitary(rng, dim)
-    return q @ base @ q.conj().T
+    return random_binormals(rng, [dim])[0]
+
+
+def random_binormals(rng: np.random.Generator, dims: list[int]) -> list[np.ndarray]:
+    """``random_binormal`` of each dimension of ``dims``, as a list: one QR
+    of all the unitaries of each dimension. A normal base is
+    ``random_normal_operator``'s, a unitary one ``random_unitary``'s."""
+    # Per draw: its base, or None for one formed from a unitary, and the
+    # eigenvalues of a normal base.
+    drawn, gaussians = [], []
+    for dim in dims:
+        family = int(rng.integers(0, 3))
+        base = eigenvalues = None
+        if family == 0:
+            perm = rng.permutation(dim)
+            weights = rng.uniform(0.2, 2.0, size=dim)
+            base = np.zeros((dim, dim), dtype=np.complex128)
+            base[perm, np.arange(dim)] = weights
+        else:
+            gaussians.append((random_operator(rng, dim),))
+            if family == 1:
+                eigenvalues = random_operator(rng, dim, 1).reshape(-1)
+        drawn.append((base, eigenvalues))
+        gaussians.append((random_operator(rng, dim),))
+    unitaries = iter(_grouped(gaussians, _unitary_factors))
+    operators = []
+    for base, eigenvalues in drawn:
+        if base is None:
+            base = next(unitaries)
+            if eigenvalues is not None:
+                base = (base * eigenvalues) @ base.conj().T
+        q = next(unitaries)
+        operators.append(q @ base @ q.conj().T)
+    return operators
 
 
 def random_nonbinormal(
@@ -350,7 +377,8 @@ def structured_fixtures(
 ) -> list[tuple[str, np.ndarray]]:
     """Named square fixtures exercising the structural corner cases: zero and
     identity, nilpotent shifts, normal/unitary/Hermitian examples, a
-    rank-deficient draw, and exactly-n-centered truncated shifts."""
+    rank-deficient draw, and exactly-n-centered truncated shifts (the same
+    read-only arrays on every call)."""
     if rng is None:
         rng = np.random.default_rng(20240819)
     jordan = np.zeros((3, 3), dtype=np.complex128)
@@ -366,7 +394,19 @@ def structured_fixtures(
         ("psd-rank2", random_psd(rng, 4, rank=2)),
         ("rank-deficient-5", random_rank_deficient(rng, 5, 5, 3)),
         ("binormal-5", random_binormal(rng, 5)),
-        ("shift-order-2", build_truncated(ShiftSpec.from_recipe(2))),
-        ("shift-order-3", build_truncated(ShiftSpec.from_recipe(3))),
+        *_fixture_shifts(),
     ]
     return fixtures
+
+
+@functools.cache
+def _fixture_shifts() -> tuple[tuple[str, np.ndarray], ...]:
+    """The exactly-n-centered shifts of ``structured_fixtures``, which draw
+    nothing: built on the first call of a process, and read-only, since
+    every later call hands out the same arrays."""
+    shifts = []
+    for n in (2, 3):
+        shift = build_truncated(ShiftSpec.from_recipe(n))
+        shift.flags.writeable = False
+        shifts.append((f"shift-order-{n}", shift))
+    return tuple(shifts)

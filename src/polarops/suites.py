@@ -68,7 +68,7 @@ from .decomp import (
     verify_polar,
 )
 from .sampling import (
-    random_binormal,
+    random_binormals,
     random_commuting_moduli_pairs,
     random_commuting_psd_pairs,
     random_mixed_rank,
@@ -287,7 +287,7 @@ def suite_aluthge_binormal(
     """Binormal draws must satisfy all five equivalent statements (closed
     forms included); non-binormal draws must falsify all five at once."""
     half = _share(trials, 2)
-    draws = [(random_binormal(rng, d),) for d in _dims_cycle(rng, 2, dim, half)]
+    draws = [(t,) for t in random_binormals(rng, _dims_cycle(rng, 2, dim, half))]
     draws += [(random_nonbinormal(rng, d),) for d in _dims_cycle(rng, 2, dim, half)]
     pairs = list(ALUTHGE_EXPONENTS)
     reports = _by_shape(draws, lambda t: binormal_equivalents.kernel(t, pairs, cfg))
@@ -371,6 +371,7 @@ def suite_mp_inverse(
             parts=factors[:count],
             adjoint_parts=factors[count:],
             inverse_parts=inverse_parts,
+            pinv=pinv,
         )
         results = []
         for i, mp_report in enumerate(mp_reports):

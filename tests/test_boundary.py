@@ -227,6 +227,29 @@ def test_each_array_operand_is_checked_once(monkeypatch, name, count, ndim):
     assert len(calls) == count
 
 
+@pytest.mark.parametrize("ndim", [2, 4])
+def test_a_held_inverse_is_lifted_with_its_operand(monkeypatch, ndim):
+    # mp_centered_check's pinv= is lifted as its other held parts are: a
+    # matrix's inverse and a stack's give the reports of the call that
+    # forms the inverse itself, and the held inverse is not checked. The
+    # operand is normal, so its reports check pinv(T^k) = pinv^k up to
+    # k = 3, and another held inverse gives other reports.
+    (t,) = _operands((OPERATORS,), ndim, np.random.default_rng(8))
+    expected = classify.mp_centered_check(t, 3)
+    pinv = decomp.moore_penrose(t)
+    calls = []
+    checked = core._checked
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return checked(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_checked", counted)
+    assert classify.mp_centered_check(t, 3, pinv=pinv) == expected
+    assert len(calls) == 1
+    assert classify.mp_centered_check(t, 3, pinv=2 * pinv) != expected
+
+
 def test_no_declared_function_is_called_by_name_inside_the_three_modules():
     # The public functions that carry a kernel: the declared ones and
     # verify_polar.

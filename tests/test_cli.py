@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import subprocess
 import sys
 
@@ -301,6 +302,45 @@ class TestVerifyTheoremsCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["verify-theorems", "--suite", "no-such"])
         assert excinfo.value.code == 2
+
+
+# sha256 of the whole ``verify-theorems --suite all`` report at each
+# (seed, dim, trials): any moved digit of any record fails.
+SUITE_REPORT_SHA256 = [
+    ((0, 6, 20), "84884ff2149dc1f54f8cdfc11c436458f1b566d7b326b487c75e434acbe887f7"),
+    ((0, 12, 40), "b413227ee4923ea9ec428ca735f3be4ff5350c7adca7d6aa3de19d8976af881e"),
+    ((0, 2, 1), "29d53bacce63dfae0c611ef96f7f13ab9412b2adcfbcf754ca9c12b5d3a7afaa"),
+    ((0, 8, 60), "cf0602f799078205f0549a9dac94ccccfe7516616d505d27ca1dafb83a70be8f"),
+    ((1, 6, 20), "cdf1533a8d1f364372ec01881f8b8a74a9fae005f7cb803ecd7d4d3496891c0d"),
+    ((1, 12, 40), "43afbe51f11fd47784e6ae572bad5462ecb4ee11325aba4ec86d4c02104a0a12"),
+    ((1, 2, 1), "79e79a9deea65b41e4a983dc2f3f9cdcfb663301938e74d4d77374272f310c5e"),
+    ((1, 8, 60), "2ba210570dade0f4d53de6a8efe26df9deb8220da3898079749eb64b8ef68021"),
+    ((2, 6, 20), "bdb2c4a53483e9d1cac251f80a47f016aa0ab3e5d0f6feb4aad096f8e7df0ba5"),
+    ((2, 12, 40), "bbeb381a07b27062510d298ee77693e4db2f3fbae5b4f3a8863b3ea91160e26e"),
+    ((2, 2, 1), "cef5890d0e16e166f84c42dcbd23ac6133ba85724864113e1bced5c22014b030"),
+    ((2, 8, 60), "b2c5e51887f5d6e50fff63fac7a29a3538560649857ddbaa7787a30f0dedcf0c"),
+    ((3, 6, 20), "b2b373a325ff800a64f4e8be77bb1561a2426dc8d01b9c19472e181eb4715e0b"),
+    ((3, 12, 40), "afabdf5bba62b49d1484d55acd1626a09f2f5499be9b8fdef6d361b733261dc0"),
+    ((3, 2, 1), "5ce041901c7a0f0668256e17b601a680ead49a5cb64e1f3a8d19eaa828861a6b"),
+    ((3, 8, 60), "5a92e968034565c67c16a1d9cb9845a8586341116980f72778e155b0e4c98d67"),
+    ((47, 6, 20), "3091e24549dbc56f9cf796a7807c346d4639ef78c71a90738c1b8755c6d4b520"),
+    ((47, 12, 40), "5c368b5c77432d548bda46fa1a557bdf35cb5ba72dc9eefe71db18b300557e7d"),
+    ((47, 2, 1), "bee7b13cf0160bccf6bcba0019bd0ccafa6fcb9ec2f34819c21c7fcdc5f73ca1"),
+    ((47, 8, 60), "9c0592c5c5fdd6de2601f2a3fd3d4bf5220963742813363d35806727385f0997"),
+]
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    SUITE_REPORT_SHA256,
+    ids=["-".join(map(str, case)) for case, _ in SUITE_REPORT_SHA256],
+)
+def test_suite_reports_are_pinned_byte_for_byte(capsys, case, digest):
+    seed, dim, trials = map(str, case)
+    argv = ["verify-theorems", "--suite", "all", "--seed", seed, "--dim", dim, "--trials", trials]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestErrorPaths:

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from polarops.core import (
     COMMUTATOR_FLOOR,
     DEFAULT_TOLERANCES,
+    _JOINT_ENTRIES,
     ToleranceConfig,
+    _joint_norms,
     _lapack,
+    _norms,
     _psd_powers,
     approx_equal,
     as_operator,
@@ -134,6 +137,67 @@ def test_fro_norm_of_a_stack_is_bitwise_each_operators_norm(stack):
         expected = np.float64(np.linalg.norm(operator)).tobytes()
         assert np.float64(norm).tobytes() == expected
         assert np.float64(fro_norm(operator)).tobytes() == expected
+
+
+def _layout(x: np.ndarray, kind: int) -> np.ndarray:
+    """``x`` as a stack of its shape in one of five memory layouts:
+    C-ordered, the conjugate transpose of a C-ordered stack, every other
+    row and column of a larger stack, its operator axis reversed, and one
+    operator broadcast to every place of the stack."""
+    if kind == 1:
+        return np.ascontiguousarray(x.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
+    if kind == 2:
+        wide = np.zeros(x.shape[:-2] + (2 * x.shape[-2], 2 * x.shape[-1]), dtype=x.dtype)
+        wide[..., ::2, ::2] = x
+        return wide[..., ::2, ::2]
+    if kind == 3:
+        return np.ascontiguousarray(x[::-1])[::-1]
+    if kind == 4:
+        return np.broadcast_to(x[:1], x.shape)
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(
+        st.integers(1, 5), st.integers(1, 3), st.integers(1, 40), st.integers(1, 40)
+    ),
+    kinds=st.lists(st.integers(0, 4), min_size=1, max_size=6),
+)
+def test_joint_norms_are_bitwise_the_norms_of_each_stack(seed, shape, kinds):
+    # Small and large stacks, square and rectangular: the joint pass of
+    # the stacks at or below _JOINT_ENTRIES entries, and one pass each
+    # above, give each operator bitwise its own norm; so does a stack
+    # formed from them (form=, as for a residual's difference).
+    rng = rng_for(seed)
+    stacks = [
+        _layout(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), kind)
+        for kind in kinds
+    ]
+    cases = [(_joint_norms(*stacks), stacks)]
+    if len(stacks) > 1:
+        formed = _joint_norms(*stacks[:2], form=np.subtract)
+        cases.append((formed, [stacks[0] - stacks[1], *stacks[:2]]))
+    for joint, normed in cases:
+        assert len(joint) == len(normed)
+        for norms, x in zip(joint, normed):
+            assert norms.shape == shape[:1]
+            assert norms.tobytes() == _norms(x).tobytes()
+            expected = np.array([np.linalg.norm(operator) for operator in x])
+            assert norms.tobytes() == expected.tobytes()
+
+
+def test_joint_norms_cover_both_sides_of_the_size_rule():
+    rng = rng_for(3)
+    for size in (_JOINT_ENTRIES, _JOINT_ENTRIES + 1):
+        x = rng.standard_normal((1, 1, 1, size)) + 1j * rng.standard_normal((1, 1, 1, size))
+        joint = _joint_norms(x, x.conj(), 2 * x)
+        # A joint pass returns one array of all the stacks' norms.
+        assert isinstance(joint, np.ndarray) == (size <= _JOINT_ENTRIES)
+        assert [norms.tobytes() for norms in joint] == [
+            _norms(y).tobytes() for y in (x, x.conj(), 2 * x)
+        ]
 
 
 class TestCommutator:

@@ -400,12 +400,13 @@ def draw_log(monkeypatch) -> Counter:
 def test_mp_inverse_draws_in_one_qr_per_dim_and_checks_no_operand(draw_log):
     # Dims 2-6: the 20 draws take two unitaries each, from one stacked QR
     # per dim (5 calls for 40 matrices; 40 calls before); the structured
-    # fixtures make 5 QR calls for 6 matrices, one for both bases of their
-    # rank-deficient draw (6 calls before). Below run_suite every
-    # evaluation calls kernels on the stacks it builds, so no operand goes
-    # through core._checked (98 calls before).
+    # fixtures make 4 QR calls for 6 matrices, one for both bases of their
+    # rank-deficient draw and one for both unitaries of their binormal
+    # draw (6 calls before). Below run_suite every evaluation calls kernels
+    # on the stacks it builds, so no operand goes through core._checked
+    # (98 calls before).
     run_suite("mp-inverse", 0, 6, 20)
-    assert draw_log == Counter(qr=10, qr_matrices=46)
+    assert draw_log == Counter(qr=9, qr_matrices=46)
 
 
 @pytest.mark.parametrize(
@@ -421,20 +422,22 @@ def test_mp_inverse_draws_in_one_qr_per_dim_and_checks_no_operand(draw_log):
         # calls. Its 7 shape groups go to centered_order.kernel, so no
         # operand is checked (7 calls before).
         ("centered-oracle", Counter(qr=8, qr_matrices=13)),
-        # Every suite (95 calls before): the matrices are those of the
-        # draws one at a time. No suite checks an operand (34 calls before:
-        # the 7 of centered-oracle, 7 of shift-family and 20 of the public
+        # Every suite (95 calls before, 57 before aluthge-binormal drew
+        # stacked): the matrices are those of the draws one at a time. No
+        # suite checks an operand (34 calls before: the 7 of
+        # centered-oracle, 7 of shift-family and 20 of the public
         # commutator_norm in random_nonbinormal).
-        ("all", Counter(qr=57, qr_matrices=130)),
+        ("all", Counter(qr=46, qr_matrices=130)),
         # The other suites, each with no core._checked call below run_suite
         # (mp-inverse is pinned above). The rank-deficient draws of
         # polar-contract and polar-transfer take both bases in one QR.
         ("polar-contract", Counter(qr=3, qr_matrices=6)),
         ("product-polar", Counter(qr=3, qr_matrices=5)),
         ("polar-transfer", Counter(qr=2, qr_matrices=4)),
-        # One QR per unitary of random_binormal; random_nonbinormal takes
-        # its norms from one core._norms pass (20 checks before).
-        ("aluthge-binormal", Counter(qr=18, qr_matrices=18)),
+        # The unitaries of the 10 binormal draws, one or two each, in one
+        # QR per dim (18 calls before, one per unitary); random_nonbinormal
+        # takes its norms from one core._norms pass (20 checks before).
+        ("aluthge-binormal", Counter(qr=5, qr_matrices=18)),
         # The shifts draw nothing and go to centered_order.kernel (7 checks
         # before); v-entries forms the powers of V alone.
         ("shift-family", Counter()),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import subprocess
 import sys
 from itertools import accumulate, islice, repeat, takewhile
 from unittest import mock
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import polarops.sampling as sampling
 import polarops.suites as suites
 from polarops.classify import (
     AluthgePairCheck,
@@ -51,6 +53,7 @@ from polarops.decomp import (
 )
 from polarops.sampling import (
     random_binormal,
+    random_binormals,
     random_commuting_moduli_pair,
     random_commuting_moduli_pairs,
     random_commuting_psd_pair,
@@ -66,6 +69,7 @@ from polarops.sampling import (
     random_spectrum_operators,
     structured_fixtures,
 )
+from polarops.shifts import ShiftSpec
 from polarops.suites import (
     ALUTHGE_EXPONENTS,
     SUITES,
@@ -531,6 +535,25 @@ def _commuting_moduli_pair_alone(rng, dim):
     return t, s
 
 
+def _binormal_alone(rng, dim):
+    """``random_binormal``: a permutation-times-diagonal, normal or unitary
+    base, conjugated by a unitary."""
+    family = int(rng.integers(0, 3))
+    if family == 0:
+        perm = rng.permutation(dim)
+        weights = rng.uniform(0.2, 2.0, size=dim)
+        base = np.zeros((dim, dim), dtype=np.complex128)
+        base[perm, np.arange(dim)] = weights
+    elif family == 1:
+        q = _unitary_alone(rng, dim)
+        eigenvalues = random_operator(rng, dim, 1).reshape(-1)
+        base = (q * eigenvalues) @ q.conj().T
+    else:
+        base = _unitary_alone(rng, dim)
+    q = _unitary_alone(rng, dim)
+    return q @ base @ q.conj().T
+
+
 @pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 13, 20, 25])
 @pytest.mark.parametrize("interleaved", [False, True])
 def test_stacked_spectrum_draw_is_bitwise_the_draws_alone(count, interleaved):
@@ -585,6 +608,11 @@ STACKED_DRAWS = {
         lambda rng, dims, flags: random_commuting_moduli_pairs(rng, dims),
         lambda rng, d, flag: _commuting_moduli_pair_alone(rng, d),
         lambda rng, d, flag: random_commuting_moduli_pair(rng, d),
+    ),
+    "binormal": (
+        lambda rng, dims, flags: random_binormals(rng, dims),
+        lambda rng, d, flag: _binormal_alone(rng, d),
+        lambda rng, d, flag: random_binormal(rng, d),
     ),
 }
 
@@ -722,6 +750,33 @@ def test_stacked_spectrum_draw_refuses_a_rank_out_of_range():
     assert random_spectrum_operators(rng, [], []) == []
 
 
+def test_fixture_shifts_are_built_once_and_read_only(monkeypatch):
+    # The two shifts of structured_fixtures draw nothing: they are built on
+    # the first call of a process, not at import, and every call hands out
+    # the same read-only arrays, bitwise the shifts built anew.
+    code = "import polarops.suites, polarops.sampling as s; print(s._fixture_shifts.cache_info())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert "currsize=0" in proc.stdout, proc.stderr
+    built = []
+    build = sampling.build_truncated
+
+    def counted(spec):
+        built.append(spec.n)
+        return build(spec)
+
+    monkeypatch.setattr(sampling, "build_truncated", counted)
+    sampling._fixture_shifts.cache_clear()
+    first, second = (dict(structured_fixtures(np.random.default_rng(seed))) for seed in (0, 1))
+    assert built == [2, 3]
+    for n in (2, 3):
+        shift = first[f"shift-order-{n}"]
+        assert second[f"shift-order-{n}"] is shift
+        assert not shift.flags.writeable
+        assert shift.tobytes() == build(ShiftSpec.from_recipe(n)).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            shift[0, 0] = 1.0
+
+
 def _equivalence_operators() -> list[np.ndarray]:
     rng = np.random.default_rng(31)
     operators = [matrix for _, matrix in structured_fixtures(rng)]
@@ -750,6 +805,7 @@ def test_mp_centered_check_matches_its_reference_at_every_order():
             "decomp": svd(t),
             "adjoint_parts": polar_decompose(t.conj().T),
             "inverse_parts": polar_decompose(moore_penrose(t)),
+            "pinv": moore_penrose(t),
         }
         for max_n in range(1, 8):
             expected = _reference_mp_centered_check(t, max_n)
