@@ -33,28 +33,29 @@ Sharing rule: one function, ``_oracle_residuals``, factors the powers
 its powers ``U^k`` with the commutator criterion. ``centered_order``,
 ``is_n_centered_definitional`` and ``binormal_equivalents`` all reach it.
 ``T`` itself is factored once: where ``centered_order`` and
-``is_n_centered_definitional`` take an SVD of ``T`` for ``U`` (no
-``parts`` passed), and ``binormal_equivalents`` one of ``T`` and ``T*``,
-the oracle's ``k = 1`` residuals come from that SVD, and it factors only
-``T^k``, ``k >= 2``. Everything else in one evaluation is
-factored once: ``centered_order`` and ``mp_centered_check`` take the polar
-parts or SVDs a caller already holds. The rule holds on every
-centered-order route: one walk, ``_centered_walk``, serves
-``centered_order`` on a matrix or a stack of operators (one report per
-operator) and ``blockwise_centered_order`` on the stack of blocks of an
-operator on its first block subdiagonal (for
-:func:`polarops.shifts.certify_blockwise`), which labels its equal blocks
-(``_block_labels``) and takes the polar parts of its distinct blocks, so
-that each power is formed, factored and checked once per distinct window
-of consecutive blocks (``_Windows``). It walks the powers once, forward,
-for all operators, in groups of consecutive powers that fit a fixed number of
-entries per operator: of its matrices, or of a block stack's distinct
-windows (``_power_groups``). Each group is one stacked commutator
-expression, with one threshold per (operator, power), and one pass of the
-oracles: one stacked SVD of the powers that each operator's oracle checks,
-however many that is for each, with its own rank cutoffs, so a shift's
-block stacks and a group of small matrices take a few LAPACK calls for all
-their powers, while a matrix above 64x64 still walks one power at a time.
+``is_n_centered_definitional`` take an SVD of ``T`` for ``U``, and
+``binormal_equivalents`` one of ``T`` and ``T*``, the oracle's ``k = 1``
+residuals come from that SVD, and it factors only ``T^k``, ``k >= 2``.
+Everything else in one evaluation is factored once: ``mp_centered_check``
+takes the polar parts and the inverse a caller already holds, and factors
+``T`` only for what it does not. The rule holds on every centered-order
+route: one walk, ``_centered_walk``, serves ``centered_order`` on a matrix
+or a stack of operators (one report per operator) and
+``blockwise_centered_order`` on the stack of blocks of an operator on its
+first block subdiagonal (for :func:`polarops.shifts.certify_blockwise`),
+which labels its equal blocks (``_block_labels``) and takes the polar
+parts of its distinct blocks, so that each power is formed, factored and
+checked once per distinct window of consecutive blocks (``_Windows``,
+which also numbers the distinct blocks). It walks the powers once,
+forward, for all operators, up to ``U^max_n``, in groups of consecutive
+powers that fit a fixed number of entries per operator: of its matrices,
+or of a block stack's distinct windows (``_power_groups``). Each group is
+one stacked commutator expression, with one threshold per (operator,
+power), and one pass of the oracles: one stacked SVD of the powers that
+each operator's oracle checks, however many that is for each, with its own
+rank cutoffs, so a shift's block stacks and a group of small matrices take
+a few LAPACK calls for all their powers, while a matrix above 64x64 still
+walks one power at a time.
 A norm of a matrix power is bitwise ``numpy.linalg.norm``; a norm of a
 block stack's power adds one sum of squares per block position, taken once
 per window (``_power_norms``).
@@ -416,21 +417,19 @@ def _powers(a: np.ndarray, windows: _Windows | None = None, rescale: bool = Fals
 _GROUP_ENTRIES = 2**12
 
 
-def _power_groups(a: np.ndarray, windows: _Windows | None, last):
-    """The powers ``a, a^2, ...`` of ``_powers`` of a stack of operators
-    ``(operators, blocks, m, m)``, in lists of consecutive powers holding at
-    most ``_GROUP_ENTRIES`` complex entries per operator, and at least one
-    power each. A power of a block stack counts the entries of its distinct
-    windows, which the group forms, factors and checks, and not its block
-    positions, where only one sum of squares per position is placed (see
-    ``_power_norms``): a shift's few windows per power put dozens of powers
-    in one group at any order. The walk stops after power ``last()``, read
-    again before each power, so that a caller may shorten or extend it
-    between groups."""
+def _power_groups(a: np.ndarray, windows: _Windows | None, last: int):
+    """The powers ``a, a^2, ..., a^last`` of ``_powers`` of a stack of
+    operators ``(operators, blocks, m, m)``, in lists of consecutive powers
+    holding at most ``_GROUP_ENTRIES`` complex entries per operator, and at
+    least one power each. A power of a block stack counts the entries of its
+    distinct windows, which the group forms, factors and checks, and not its
+    block positions, where only one sum of squares per position is placed
+    (see ``_power_norms``): a shift's few windows per power put dozens of
+    powers in one group at any order."""
     powers = _powers(a, windows)
     group: list[np.ndarray] = []
     entries = k = 0
-    while k < last():
+    while k < last:
         # The entries of power k + 1 per operator: one matrix, or one block
         # per window.
         blocks = len(windows.step(k + 1)[1]) if windows else a.shape[1]
@@ -463,8 +462,6 @@ def _spans(powers: list[np.ndarray], layouts: list | None):
         return [power.shape[1] for power in powers], None
     layouts = layouts[: len(powers)]
     lengths = [len(own.index) for own in layouts]
-    if len(layouts) == 1:
-        return lengths, layouts[0]
     index, sources, pairs, prefix, images = map(np.concatenate, zip(*layouts))
     windows = [len(own.sources) for own in layouts]
     counts = [len(own.prefix) for own in layouts]
@@ -697,10 +694,8 @@ def _oracle_run(
     return runs if checked is None else np.minimum(runs, checked)
 
 
-@_boundary((2, 4), square=True, held=("parts",))
-def centered_order(
-    t, max_n: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES, *, parts: PolarParts | None = None
-):
+@_boundary((2, 4), square=True)
+def centered_order(t, max_n: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     """Largest verified centered order via the commutator criterion.
 
     The operator is (k+1)-centered exactly when ``[U^j |T| (U^j)*, |T|]``
@@ -711,19 +706,18 @@ def centered_order(
     decided for max_n = 1 too, whose report lists no commutator.
     ``oracle_agrees`` comes from one pass of the definitional route with the
     same ``U``, which checks ``T^k`` for k = 1..min(verified + 1, max_n) and
-    stops at the first failing power. Without ``parts``, the SVD of ``T``
-    taken here for ``U`` also gives the k = 1 residuals, so the oracle
-    factors only the powers k >= 2.
+    stops at the first failing power. The SVD of ``T`` taken here for ``U``
+    also gives the k = 1 residuals, so the oracle factors only the powers
+    k >= 2.
 
     ``t`` is a matrix, or a stack of operators ``(operators, blocks, d,
     d)``, each the direct sum of its blocks (a list of reports, one per
-    operator); ``parts`` are its polar parts, when the caller holds them.
-    The walk of the powers is ``_centered_walk``, which
+    operator). The walk of the powers is ``_centered_walk``, which
     :func:`blockwise_centered_order` shares.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
-    return _centered_walk(t, max_n, cfg, parts)
+    return _centered_walk(t, max_n, cfg, None)
 
 
 @_boundary((3,), square=True)
@@ -754,12 +748,12 @@ def blockwise_centered_order(
     """
     if not 1 <= max_n <= blocks.shape[1]:
         raise ValueError(f"max_n must lie in 1..{blocks.shape[1]}, got {max_n}")
-    labels = _block_labels(blocks[0])
-    _, heads = np.unique(labels, return_index=True)
+    windows = _Windows(_block_labels(blocks[0]))
+    heads = windows.step(1)[1]
     distinct = polar_decompose.kernel(blocks[:, heads], cfg)
     padded = np.concatenate([distinct.modulus, np.zeros_like(distinct.modulus[:, :1])], 1)
-    parts = replace(distinct[:, labels], modulus=padded[:, np.append(labels, len(heads))])
-    return _centered_walk(blocks, max_n, cfg, parts, _Windows(labels))
+    parts = replace(distinct[:, windows.labels[:-1]], modulus=padded[:, windows.labels])
+    return _centered_walk(blocks, max_n, cfg, parts, windows)
 
 
 def _block_labels(stack: np.ndarray) -> np.ndarray:
@@ -788,11 +782,11 @@ def _centered_walk(
     (``blockwise_centered_order``).
 
     One forward walk forms each ``U^k`` once for all operators, in groups
-    of consecutive powers (``_power_groups``), as far as the operator that
-    needs most; a block stack's powers are formed, factored and checked once
-    per distinct window of its labels, its groups sized by those windows,
-    and each of their norms adds one sum of squares per block position
-    (``_power_norms``). Each group gets one stacked commutator expression
+    of consecutive powers (``_power_groups``), up to ``U^max_n``, the last
+    power an oracle may check; a block stack's powers are formed, factored
+    and checked once per distinct window of its labels, its groups sized by
+    those windows, and each of their norms adds one sum of squares per
+    block position (``_power_norms``). Each group gets one stacked commutator expression
     and one call of ``_oracle_run`` for the powers each operator's oracle
     still checks (k up to min(verified + 1, max_n), none after a group that
     holds a failing power): one pass that factors only those powers, each
@@ -817,12 +811,8 @@ def _centered_walk(
     # The entries of a shift's T^k grow like 2^k, and the oracle's check
     # T^k = U^k |T^k| is homogeneous in T^k.
     t_powers = _powers(t, windows, rescale=windows is not None)
-    # The oracle may need T^max_n, one power past the commutators, unless,
-    # for every operator, it has stopped or the run of vanishing
-    # commutators ended below max_n - 1. That changes only between groups.
-    reach = max_n
     first = 1
-    for group in _power_groups(u, windows, lambda: reach):
+    for group in _power_groups(u, windows, max_n):
         layouts = None if windows is None else windows.layouts(first, len(group))
         if first <= count:
             listed = group[: count - first + 1]
@@ -860,9 +850,6 @@ def _centered_walk(
                 checking[i] = run == own
         first += len(group)
         held = None
-        stop = min(first, max_n - 1)
-        if all(not on or v < stop for v, on in zip(verified, checking)):
-            reach = count
     norms, thresholds = (
         _join(chunks)[:, : max_n - 1] for chunks in (norm_parts, threshold_parts)
     )
@@ -909,7 +896,7 @@ def is_n_centered_definitional(
     t_powers = _powers(t)
     equation: list[float] = []
     ranges: list[float] = []
-    for group in _power_groups(u, None, lambda: n):
+    for group in _power_groups(u, None, n):
         t_pows = list(islice(t_powers, len(group)))
         more = _oracle_residuals(t_pows, group, cfg, held=held)
         held = None
@@ -1122,14 +1109,13 @@ def binormal_equivalents(
 @_boundary(
     (2, 4),
     square=True,
-    held=("decomp", "parts", "adjoint_parts", "inverse_parts", "pinv"),
+    held=("parts", "adjoint_parts", "inverse_parts", "pinv"),
 )
 def mp_centered_check(
     t,
     max_n: int,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     *,
-    decomp: SvdResult | None = None,
     parts: PolarParts | None = None,
     adjoint_parts: PolarParts | None = None,
     inverse_parts: PolarParts | None = None,
@@ -1149,21 +1135,21 @@ def mp_centered_check(
     For a stack of operators, the result is a list of reports, each bitwise
     that of its operator alone; an operator of several blocks is their
     direct sum, each commutator taken block by block. A caller may pass
-    what it holds: ``decomp``, the SVD of ``t`` (for the inverse, and for
-    ``U`` and ``|T|``); ``parts``, the polar parts of ``t``;
-    ``adjoint_parts``, those of ``t*``; ``inverse_parts``, those of
-    ``moore_penrose(t)``; and ``pinv``, ``moore_penrose(t)`` itself. The
-    orders of ``t`` and of its inverse come from one walk of the powers of
-    their polar factors, whose commutators take one stacked expression, and
-    the inverses of the powers ``T^k``, k >= 2, of every operator take one
-    stacked SVD. The modulus commutators of all (n+1)-centered operators at
+    what it holds: ``parts``, the polar parts of ``t``; ``adjoint_parts``,
+    those of ``t*``; ``inverse_parts``, those of ``moore_penrose(t)``; and
+    ``pinv``, ``moore_penrose(t)`` itself. One SVD of ``t`` gives whichever
+    of ``parts`` and ``pinv`` the caller does not hold, and none is taken
+    when it holds both. The orders of ``t`` and of its inverse come from
+    one walk of the powers of their polar factors, whose commutators take
+    one stacked expression, and the inverses of the powers ``T^k``, k >= 2,
+    of every operator take one stacked SVD. The modulus commutators of all (n+1)-centered operators at
     all powers take one stacked ``core._commutator_test`` per side, with one
     operator per (operator, power) pair, so each norm is that of its power
     alone.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
-    decomp = _svd(t) if decomp is None else decomp
+    decomp = _svd(t) if parts is None or pinv is None else None
     if parts is None:
         parts = polar_decompose.kernel(t, cfg, decomp=decomp)
     if pinv is None:
@@ -1190,12 +1176,11 @@ def mp_centered_check(
     members = [[i for i, k in enumerate(orders) if k > j] for j in range(top)]
     t_pows = islice(_powers(t), top)
     higher = [t_pow[own] for t_pow, own in zip(t_pows, members)][1:]
-    inverses = [pinv]
+    inverses = pinv
     if higher:
-        stack = moore_penrose.kernel(np.concatenate(higher), cfg)
-        inverses += np.split(stack, list(accumulate(map(len, higher[:-1]))))
+        inverses = np.concatenate([pinv, moore_penrose.kernel(np.concatenate(higher), cfg)])
     pinv_pows = [pinv_pow[own] for pinv_pow, own in zip(_powers(pinv), members)]
-    values = iter(_residual(np.concatenate(inverses), np.concatenate(pinv_pows)).tolist())
+    values = iter(_residual(inverses, np.concatenate(pinv_pows)).tolist())
     residuals: list[list[float]] = [[] for _ in orders]
     for own in members:
         for i in own:

@@ -178,8 +178,7 @@ def cmd_classify(args: argparse.Namespace) -> RunReport:
 
 def cmd_counterexample(args: argparse.Namespace) -> RunReport:
     cfg = _tolerances(args)
-    blocks = args.blocks if args.blocks is not None else args.n + 3
-    spec = ShiftSpec.from_recipe(args.n, blocks)
+    spec = ShiftSpec.from_recipe(args.n, args.blocks)
     t = build_truncated(spec)
     out = args.out if args.out else f"shift-n{spec.n}.json"
     write_matrix(out, t)

@@ -21,8 +21,9 @@ validated once and taken into a stack of operators (``core._boundary``;
 operator runs the one stacked path and gets bitwise what it gets alone,
 with its own rank cutoff, norms and residuals. ``polar_decompose``,
 ``moore_penrose`` and ``mp_polar_parts`` take the SVD of ``t`` that a
-caller already holds (``decomp``), and ``mp_polar_parts`` its polar parts
-(``parts``), so that one factorization serves several of them.
+caller already holds (``decomp``), and ``mp_polar_parts`` that of its
+inverse (``inverse_decomp``), so that one factorization serves several of
+them.
 """
 
 from __future__ import annotations
@@ -280,33 +281,30 @@ def penrose_check(
     return PenroseCheck(residuals=residuals, ok=ok)
 
 
-@_boundary((2, 3, 4), square=True, held=("decomp", "inverse_decomp", "parts"))
+@_boundary((2, 3, 4), square=True, held=("decomp", "inverse_decomp"))
 def mp_polar_parts(
     t,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     *,
     decomp: SvdResult | None = None,
     inverse_decomp: SvdResult | None = None,
-    parts: PolarParts | None = None,
 ) -> PolarParts:
     """Polar decomposition of the Moore-Penrose inverse of a square ``t``,
     or of each operator of a stack.
 
     If ``t = U |t|`` then the inverse decomposes as ``U* |pinv(t)|``; the
     returned parts pass ``verify_polar`` against ``moore_penrose(t)``.
-    ``decomp`` is the SVD of ``t``, ``parts`` its polar parts and
-    ``inverse_decomp`` the SVD of ``moore_penrose(t)``, when the caller
-    holds them; ``U`` and its rank are taken from ``parts``.
+    ``decomp`` is the SVD of ``t`` and ``inverse_decomp`` the SVD of
+    ``moore_penrose(t)``, when the caller holds them; ``U`` and its rank
+    are those of ``polar_decompose(t)``, from ``decomp``.
     """
-    if decomp is None and (parts is None or inverse_decomp is None):
-        decomp = _svd(t)
+    decomp = _svd(t) if decomp is None else decomp
     if inverse_decomp is None:
         inverse_decomp = _svd(moore_penrose.kernel(t, cfg, decomp=decomp))
-    if parts is None:
-        parts = polar_decompose.kernel(t, cfg, decomp=decomp)
+    r = _rank(decomp.singular_values, cfg)
     return PolarParts(
-        _adjoint(parts.isometry),
+        _adjoint(_isometry(decomp, r)),
         _modulus(inverse_decomp),
-        parts.rank,
+        r,
         inverse_decomp.singular_values,
     )

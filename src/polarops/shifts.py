@@ -348,17 +348,18 @@ def certify_blockwise(
     ``t`` on its first block subdiagonal and 1 <= max_n < blocks: the
     report of ``classify.blockwise_centered_order`` on the stack of its
     blocks, which forms, factors and checks each power once per distinct
-    window of consecutive blocks. The written shift has 4 distinct blocks
-    and a few distinct windows per power, so the work grows linearly in n.
-    The walk groups consecutive powers up to a fixed number of entries of
-    their distinct windows, so the commutators of many powers are one
-    stacked expression and the oracle factors them in one stacked SVD: two
-    SVD calls for a shift on its default n + 3 blocks up to n = 60, and
-    about one more per hundred powers beyond. Raises ValueError if ``t``
-    has a nonzero entry off its first block subdiagonal.
+    window of consecutive blocks. ``t`` is checked here, once: the stack
+    cut from it goes to the walk's kernel unchecked. The written shift has
+    4 distinct blocks and a few distinct windows per power, so the work
+    grows linearly in n. The walk groups consecutive powers up to a fixed
+    number of entries of their distinct windows, so the commutators of many
+    powers are one stacked expression and the oracle factors them in one
+    stacked SVD: two SVD calls for a shift on its default n + 3 blocks up to
+    n = 60, and about one more per hundred powers beyond. Raises ValueError
+    if ``t`` has a nonzero entry off its first block subdiagonal.
     """
     t = as_operator(t)
     blocks = t.shape[0] // BLOCK
     if t.shape != (BLOCK * blocks,) * 2 or not 1 <= max_n < blocks:
         raise ValueError(f"need 3x3 blocks and max_n < blocks: {t.shape}, {max_n}")
-    return blockwise_centered_order(_subdiagonal_blocks(t), max_n, cfg)
+    return blockwise_centered_order.kernel(_subdiagonal_blocks(t)[None], max_n, cfg)[0]

@@ -367,7 +367,6 @@ def suite_mp_inverse(
             t,
             max_n,
             cfg,
-            decomp=decomp[:count],
             parts=factors[:count],
             adjoint_parts=factors[count:],
             inverse_parts=inverse_parts,

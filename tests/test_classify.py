@@ -458,13 +458,38 @@ class TestMpCenteredCheck:
         first = np.concatenate([t, t.conj().swapaxes(-1, -2)])
         decomp = svd(first)
         held = polar_decompose(first, decomp=decomp)[: len(t)]
-        expected = mp_centered_check(t, 3, decomp=decomp[: len(t)])
-        reports = mp_centered_check(t, 3, decomp=decomp[: len(t)], parts=held)
+        pinv = moore_penrose(t, decomp=decomp[: len(t)])
+        expected = mp_centered_check(t, 3)
         assert any(report.checked_modulus_commutators for report in expected)
         # repr tells every two doubles apart, the signs of zeros included.
-        assert repr(reports) == repr(expected)
+        assert repr(mp_centered_check(t, 3, parts=held)) == repr(expected)
+        assert repr(mp_centered_check(t, 3, parts=held, pinv=pinv)) == repr(expected)
         alone = mp_centered_check(t[2, 0], 3, parts=polar_decompose(t[2, 0]))
         assert repr(alone) == repr(mp_centered_check(t[2, 0], 3))
+
+    def test_every_part_held_takes_no_svd_of_t(self, monkeypatch):
+        # With U, |T| and pinv held, nothing is left for an SVD of T: at
+        # max_n = 1 no power T^k, k >= 2, is inverted either.
+        t = random_mixed_rank(rng_for(27), 5)
+        pinv = moore_penrose(t)
+        held = {
+            "parts": polar_decompose(t),
+            "adjoint_parts": polar_decompose(t.conj().T),
+            "inverse_parts": polar_decompose(pinv),
+            "pinv": pinv,
+        }
+        expected = mp_centered_check(t, 1)
+        calls = []
+        original = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        report = mp_centered_check(t, 1, **held)
+        assert calls == []
+        assert repr(report) == repr(expected)
 
     def test_a_failing_adjoint_modulus_commutator_fails_the_check(self):
         # Held polar parts of another operator stand in for those of T*:

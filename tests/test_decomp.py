@@ -514,21 +514,22 @@ class TestMpPolarParts:
             assert parts.rank == direct.rank
             assert np.array_equal(parts.singular_values, svd(pinv).singular_values)
 
-    def test_held_polar_parts_give_the_same_bits(self):
-        # The polar parts of T, sliced from those of a stack of T and T* as
-        # the mp-inverse suite holds them, stand in for U and its rank.
+    def test_held_factorizations_give_the_same_bits(self):
+        # The SVDs of T and of pinv(T), as cmd_mp holds them, stand in for
+        # those taken here.
         rng = rng_for(10)
         t = np.stack([random_mixed_rank(rng, 5) for _ in range(4)])[:, None]
         t[1] *= 1e-3
-        first = np.concatenate([t, t.conj().swapaxes(-1, -2)])
-        held = polar_decompose(first)[: len(t)]
+        decomp = svd(t)
         inverse_decomp = svd(moore_penrose(t))
-        expected = mp_polar_parts(t, inverse_decomp=inverse_decomp)
-        parts = mp_polar_parts(t, inverse_decomp=inverse_decomp, parts=held)
-        for name, value in vars(expected).items():
-            assert np.array_equal(getattr(parts, name), value), name
+        expected = mp_polar_parts(t)
+        for held in ({"inverse_decomp": inverse_decomp}, {"decomp": decomp}):
+            parts = mp_polar_parts(t, **held)
+            for name, value in vars(expected).items():
+                assert np.array_equal(getattr(parts, name), value), name
         matrix = t[2, 0]
-        alone = mp_polar_parts(matrix, parts=polar_decompose(matrix))
+        inverse_decomp = svd(moore_penrose(matrix))
+        alone = mp_polar_parts(matrix, decomp=svd(matrix), inverse_decomp=inverse_decomp)
         for name, value in vars(mp_polar_parts(matrix)).items():
             assert np.array_equal(getattr(alone, name), value), name
 
