@@ -113,8 +113,9 @@ class PenroseCheck:
 
 
 @_boundary((2, 3, 4))
-def abs_value(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Hermitian PSD square root of ``t* t``, computed from the SVD of ``t``."""
+def abs_value(t) -> np.ndarray:
+    """Hermitian PSD square root of ``t* t``, computed from the SVD of ``t``.
+    It takes no tolerances: the modulus involves no rank decision."""
     return _modulus(_svd(t))
 
 

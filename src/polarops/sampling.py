@@ -18,7 +18,9 @@ one-element call of its stacked form. ``random_psd_pairs`` redraws a pair
 that commutes: it tests all its pairs at once, then restores the generator
 to its state after the first failing pair (saved after each pair's draw)
 and draws again from there, so the stream is the one of the draws one at a
-time.
+time. The bounds of the draws (how far from commuting a redrawn pair or
+non-binormal operator must be, the range of the singular values of
+``random_spectrum_operator``) are fixed: module constants, not arguments.
 """
 
 from __future__ import annotations
@@ -51,6 +53,17 @@ __all__ = [
     "random_commuting_moduli_pairs",
     "structured_fixtures",
 ]
+
+# A PSD pair (A, B) is redrawn until ||[A, B]|| exceeds this times
+# ||A|| ||B|| (Frobenius norms), so that it clearly fails to commute.
+_PSD_PAIR_COMMUTATOR = 1e-3
+# A non-binormal draw T is redrawn until ||[T* T, T T*]|| exceeds this
+# times ||T* T|| ||T T*||.
+_NONBINORMAL_COMMUTATOR = 1e-2
+# The range of the nonzero singular values of random_spectrum_operator,
+# drawn log-uniform: bounded away from zero, so that the pseudo-inverse
+# stays well-conditioned.
+_MIN_SV, _MAX_SV = 0.05, 1.0
 
 
 def random_operator(rng: np.random.Generator, rows: int, cols: int | None = None):
@@ -190,15 +203,15 @@ def _spectrum(rng: np.random.Generator, dim: int, deficient: bool) -> np.ndarray
     return values
 
 
-def random_psd_pair(
-    rng: np.random.Generator, dim: int, min_scaled_commutator: float = 1e-3
-) -> tuple[np.ndarray, np.ndarray]:
-    """Independent PSD pair, redrawn until it clearly fails to commute."""
-    return random_psd_pairs(rng, [dim], min_scaled_commutator)[0]
+def random_psd_pair(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Independent PSD pair, redrawn until it clearly fails to commute:
+    until ``[A, B]`` exceeds ``_PSD_PAIR_COMMUTATOR`` times the norms of
+    ``A`` and ``B``."""
+    return random_psd_pairs(rng, [dim])[0]
 
 
 def random_psd_pairs(
-    rng: np.random.Generator, dims: list[int], min_scaled_commutator: float = 1e-3, then=None
+    rng: np.random.Generator, dims: list[int], then=None
 ) -> list[tuple[np.ndarray, ...]]:
     """``random_psd_pair`` of each dimension of ``dims``, as a list; with
     ``then``, each pair is followed by the draw ``then(rng, dim)``, third in
@@ -219,7 +232,7 @@ def random_psd_pairs(
             drawn.append(_psd_parts(rng, dim, dim) + _psd_parts(rng, dim, dim))
             states.append(rng.bit_generator.state)
             after.append(() if then is None else (then(rng, dim),))
-        tested = _grouped(drawn, lambda *parts: _noncommuting(min_scaled_commutator, *parts))
+        tested = _grouped(drawn, _noncommuting)
         kept = next((i for i, (_, _, clear) in enumerate(tested) if not clear), len(tested))
         pairs += [(a, b, *extra) for (a, b, _), extra in zip(tested[:kept], after)]
         if kept < len(tested):
@@ -230,36 +243,28 @@ def random_psd_pairs(
     return pairs
 
 
-def _noncommuting(bound: float, a_gaussians, a_values, b_gaussians, b_values):
+def _noncommuting(a_gaussians, a_values, b_gaussians, b_values):
     """The PSD pairs ``(A, B)`` of a stack of two ``_psd_parts`` each, from
-    one QR, each with whether ``[A, B]`` exceeds ``bound`` times the norms
-    of ``A`` and ``B``, from one ``core._norms`` pass."""
+    one QR, each with whether ``[A, B]`` exceeds ``_PSD_PAIR_COMMUTATOR``
+    times the norms of ``A`` and ``B``, from one ``core._norms`` pass."""
     q = _unitary_factors(np.array((a_gaussians, b_gaussians)))
     a, b = _hermitian_products(q, np.array((a_values, b_values)))[:, :, None]
     commutator, a_norm, b_norm = _norms(np.concatenate([a @ b - b @ a, a, b])).reshape(3, -1)
-    return zip(a[:, 0], b[:, 0], commutator > bound * a_norm * b_norm)
+    return zip(a[:, 0], b[:, 0], commutator > _PSD_PAIR_COMMUTATOR * a_norm * b_norm)
 
 
 def random_spectrum_operator(
-    rng: np.random.Generator,
-    dim: int,
-    min_sv: float = 0.05,
-    max_sv: float = 1.0,
-    rank: int | None = None,
+    rng: np.random.Generator, dim: int, rank: int | None = None
 ) -> np.ndarray:
-    """Random operator with singular values controlled inside [min_sv, max_sv]
-    (log-uniform), optionally rank-deficient; keeps pseudo-inverse paths
-    well-conditioned."""
+    """Random operator whose ``rank`` (``dim`` by default) nonzero singular
+    values lie in [0.05, 1] (``_MIN_SV``, ``_MAX_SV``), log-uniform; keeps
+    pseudo-inverse paths well-conditioned."""
     rank = dim if rank is None else rank
-    return random_spectrum_operators(rng, [dim], [rank], min_sv, max_sv)[0]
+    return random_spectrum_operators(rng, [dim], [rank])[0]
 
 
 def random_spectrum_operators(
-    rng: np.random.Generator,
-    dims: list[int],
-    ranks: list[int],
-    min_sv: float = 0.05,
-    max_sv: float = 1.0,
+    rng: np.random.Generator, dims: list[int], ranks: list[int]
 ) -> list[np.ndarray]:
     """``random_spectrum_operator`` of each dimension of ``dims`` with the
     rank at the same place of ``ranks``, as a list."""
@@ -267,7 +272,7 @@ def random_spectrum_operators(
     for dim, rank in zip(dims, ranks, strict=True):
         if not 1 <= rank <= dim:
             raise ValueError(f"rank {rank} invalid for dimension {dim}")
-        values = np.exp(rng.uniform(np.log(min_sv), np.log(max_sv), size=rank))
+        values = np.exp(rng.uniform(np.log(_MIN_SV), np.log(_MAX_SV), size=rank))
         # The real and imaginary parts of two random_operator draws.
         parts = rng.standard_normal((4, dim, dim))
         drawn.append((np.concatenate([values, np.zeros(dim - rank)]), parts[0::2] + 1j * parts[1::2]))
@@ -322,12 +327,11 @@ def random_binormals(rng: np.random.Generator, dims: list[int]) -> list[np.ndarr
     return operators
 
 
-def random_nonbinormal(
-    rng: np.random.Generator, dim: int, min_scaled_commutator: float = 1e-2
-) -> np.ndarray:
-    """Dense random operator redrawn until ``[T* T, T T*]`` is far from zero
-    relative to the product of norms, the three norms of each draw from one
-    ``core._norms`` pass."""
+def random_nonbinormal(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Dense random operator redrawn until ``[T* T, T T*]`` exceeds
+    ``_NONBINORMAL_COMMUTATOR`` times the product of the norms of ``T* T``
+    and ``T T*``, the three norms of each draw from one ``core._norms``
+    pass."""
     if dim < 2:
         raise ValueError("non-binormal operators need dimension >= 2")
     for _ in range(64):
@@ -335,7 +339,7 @@ def random_nonbinormal(
         left, right = t.conj().T @ t, t @ t.conj().T
         stack = np.array([left @ right - right @ left, left, right])[:, None]
         commutator, left_norm, right_norm = _norms(stack)
-        if commutator > min_scaled_commutator * left_norm * right_norm:
+        if commutator > _NONBINORMAL_COMMUTATOR * left_norm * right_norm:
             return t
     raise RuntimeError("could not draw a non-binormal operator")
 
@@ -372,15 +376,11 @@ def random_commuting_moduli_pairs(
     return _grouped(drawn, form)
 
 
-def structured_fixtures(
-    rng: np.random.Generator | None = None,
-) -> list[tuple[str, np.ndarray]]:
+def structured_fixtures(rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
     """Named square fixtures exercising the structural corner cases: zero and
     identity, nilpotent shifts, normal/unitary/Hermitian examples, a
     rank-deficient draw, and exactly-n-centered truncated shifts (the same
-    read-only arrays on every call)."""
-    if rng is None:
-        rng = np.random.default_rng(20240819)
+    read-only arrays on every call). The random fixtures draw from ``rng``."""
     jordan = np.zeros((3, 3), dtype=np.complex128)
     jordan[0, 1] = jordan[1, 2] = 1.0
     fixtures: list[tuple[str, np.ndarray]] = [

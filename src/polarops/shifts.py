@@ -253,13 +253,12 @@ def _predicted_blocks(spec: ShiftSpec) -> tuple[np.ndarray, np.ndarray]:
     return isometries, moduli[..., None] * np.eye(BLOCK, dtype=np.complex128)
 
 
-def predicted_polar_parts(
-    spec: ShiftSpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> PolarParts:
+def predicted_polar_parts(spec: ShiftSpec) -> PolarParts:
     """The block-structured polar factors the construction promises: the
     isometry is the same shift with every block replaced by ``V``, and the
     modulus is block diagonal with diag(sec(alpha)*g(m), sec(alpha)*g(m),
-    sec(alpha)*g(m+1)) at position m and a zero block at the end."""
+    sec(alpha)*g(m+1)) at position m and a zero block at the end. They are
+    formed from the weights alone, so no tolerance enters."""
     isometries, moduli = _predicted_blocks(spec)
     return PolarParts(
         isometry=_dense(isometries),
@@ -304,15 +303,13 @@ def expected_commutator_pattern(spec: ShiftSpec, k: int) -> bool:
     fell off the end impose no condition. k = 1 always commutes: the third
     column of ``V`` is the first basis vector, which conjugates the (3,3)
     perturbation of each modulus block into a (1,1) perturbation that
-    commutes with every diagonal block.
+    commutes with every diagonal block. The verdict at k <= blocks-2 is
+    that of ``_predicted_pattern``; a larger k leaves no position with a
+    partner, so the commutator vanishes.
     """
     if k < 2:
         raise ValueError(f"pattern is defined for k >= 2, got {k}")
-    g = spec.g
-    for m in range(1, spec.blocks - k):
-        if (g[m] - g[m - 1]) * (g[m + k] - g[m + k - 1]) != 0.0:
-            return False
-    return True
+    return k > spec.blocks - 2 or _predicted_pattern(spec)[k - 1]
 
 
 def _predicted_pattern(spec: ShiftSpec) -> list[bool]:

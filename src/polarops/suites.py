@@ -4,7 +4,10 @@ Each suite draws its operators from a caller-supplied generator, evaluates
 one family of identities, and returns a :class:`SuiteResult` holding named
 check records. The CLI runner renders these as report lines; the acceptance
 tests call them directly with pinned seeds, trial counts, and tolerances.
-All suites are deterministic given (seed, dim, trials, cfg).
+Every suite takes the runner's four arguments ``(rng, dim, trials, cfg)``
+and nothing else, and is deterministic given (seed, dim, trials, cfg); its
+fixed settings are the module constants ``MAX_ORDER``, ``SHIFT_ORDERS``,
+``V_POWERS`` and ``ALUTHGE_EXPONENTS``, which the acceptance tests pin.
 
 The seven random suites (``polar-contract``, ``centered-oracle``,
 ``product-polar``, ``polar-transfer``, ``aluthge-binormal``, ``mp-inverse``
@@ -104,6 +107,13 @@ __all__ = [
 ]
 
 ALUTHGE_EXPONENTS = ((0.5, 0.5), (1.0, 2.0), (math.sqrt(2.0) / 2.0, 3.0))
+# The highest order n at which centered-oracle and mp-inverse decide
+# n-centeredness: they walk the powers U^1..U^MAX_ORDER.
+MAX_ORDER = 6
+# The orders n of the recipe shifts that shift-family certifies.
+SHIFT_ORDERS = (2, 3, 4, 5, 6, 7, 8)
+# The powers V^1..V^V_POWERS whose entries v-entries checks.
+V_POWERS = 30
 
 
 @dataclass(frozen=True)
@@ -177,25 +187,24 @@ def suite_centered_oracle(
     dim: int,
     trials: int,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    max_n: int = 6,
 ) -> SuiteResult:
     """Commutator criterion against the definitional check, order by order,
-    on random draws plus every structured fixture."""
+    on random draws plus every structured fixture, up to ``MAX_ORDER``."""
     operators = random_mixed_ranks(rng, _dims_cycle(rng, 2, dim, trials))
     operators.extend(matrix for _, matrix in structured_fixtures(rng))
 
-    reports = _by_shape([(t,) for t in operators], lambda t: centered_order.kernel(t, max_n, cfg))
+    reports = _by_shape([(t,) for t in operators], lambda t: centered_order.kernel(t, MAX_ORDER, cfg))
     disagreements = 0
     report_flags = 0
     tol = cfg.equality_rel_tol
     for t, report in zip(operators, reports):
         # The report's oracle agrees exactly when the definitional check
         # passes up to the verified order and no further; only a flagged
-        # operator needs the check over all max_n powers. The routes then
+        # operator needs the check over all MAX_ORDER powers. The routes then
         # disagree at the orders between the two.
         if not report.oracle_agrees:
             report_flags += 1
-            check = is_n_centered_definitional.kernel(t[None, None], max_n, cfg)
+            check = is_n_centered_definitional.kernel(t[None, None], MAX_ORDER, cfg)
             pairs = zip(check.equation_residuals, check.range_residuals)
             holds = (a <= tol and b <= tol for a, b in pairs)
             passing = len(list(takewhile(bool, holds)))
@@ -212,13 +221,12 @@ def suite_product_polar(
     dim: int,
     trials: int,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    constructed: int | None = None,
 ) -> SuiteResult:
-    """Three-way product equivalence on independent pairs, plus constructed
-    commuting-moduli pairs that must land on the polar side; the transfer
-    factor must reproduce the product's polar factor on every pair."""
-    if constructed is None:
-        constructed = _share(trials, 4)
+    """Three-way product equivalence on independent pairs, plus a quarter as
+    many constructed commuting-moduli pairs that must land on the polar
+    side; the transfer factor must reproduce the product's polar factor on
+    every pair."""
+    constructed = _share(trials, 4)
     draws = [
         (random_operator(rng, d), random_operator(rng, d))
         for d in _dims_cycle(rng, 2, dim, trials)
@@ -330,12 +338,11 @@ def suite_mp_inverse(
     dim: int,
     trials: int,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    max_n: int = 6,
 ) -> SuiteResult:
     """Moore-Penrose interplay: modulus identities, the inverse polar
     decomposition through the adjoint factor, power compatibility up to the
     verified order, preservation of the centered order, and preservation of
-    binormality."""
+    binormality, each up to ``MAX_ORDER``."""
     dims = _dims_cycle(rng, 2, dim, trials)
     ranks = [d if i % 3 else max(1, d - 1) for i, d in enumerate(dims)]
     operators = random_spectrum_operators(rng, dims, ranks)
@@ -365,7 +372,7 @@ def suite_mp_inverse(
         binormal = [flag for flag, _ in is_binormal.kernel(np.concatenate([t, pinv]), cfg)]
         mp_reports = mp_centered_check.kernel(
             t,
-            max_n,
+            MAX_ORDER,
             cfg,
             parts=factors[:count],
             adjoint_parts=factors[count:],
@@ -408,17 +415,17 @@ def suite_shift_family(
     dim: int,
     trials: int,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    orders: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
 ) -> SuiteResult:
-    """Exactness of the generated shifts: verified order n by both routes and
-    weight-pattern agreement with the numeric commutators for every power
-    still present after truncation. ``dim`` and ``trials`` are ignored (the
-    family is fixed); they are accepted for runner uniformity."""
+    """Exactness of the generated shifts of orders ``SHIFT_ORDERS``: verified
+    order n by both routes and weight-pattern agreement with the numeric
+    commutators for every power still present after truncation. ``rng``,
+    ``dim`` and ``trials`` are ignored (the family is fixed); they are
+    accepted for runner uniformity."""
     del rng, dim, trials
     wrong_orders = 0
     oracle_failures = 0
     mismatches = 0
-    for n in orders:
+    for n in SHIFT_ORDERS:
         spec = ShiftSpec.from_recipe(n)
         t = build_truncated(spec)
         # Every power present after truncation: k = 1..blocks-2.
@@ -433,26 +440,28 @@ def suite_shift_family(
         CheckRecord("oracle_failures", float(oracle_failures), oracle_failures == 0),
         CheckRecord("pattern_mismatches", float(mismatches), mismatches == 0),
     )
-    return SuiteResult("shift-family", len(orders), records)
+    return SuiteResult("shift-family", len(SHIFT_ORDERS), records)
 
 
 def suite_v_entries(
-    rng: np.random.Generator | None = None,
-    dim: int = 0,
-    trials: int = 0,
+    rng: np.random.Generator,
+    dim: int,
+    trials: int,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    max_k: int = 30,
 ) -> SuiteResult:
     """Closed-form power entries of the driving matrix against numerically
-    computed powers, the vanishing (3,3) entry at k = 1, its non-vanishing
-    for k >= 2, and the shift identity v33(k) = v13(k+1)."""
+    computed powers k = 1..``V_POWERS``, the vanishing (3,3) entry at
+    k = 1, its non-vanishing for k >= 2, and the shift identity
+    v33(k) = v13(k+1). ``rng``, ``dim``, ``trials`` and ``cfg`` are ignored
+    (the family and its bounds are fixed); they are accepted for runner
+    uniformity."""
     del rng, dim, trials
     v = v_matrix()
     power = np.eye(3, dtype=np.complex128)
     worst_match = 0.0
     min_v33 = float("inf")
     worst_identity = 0.0
-    for k in range(1, max_k + 1):
+    for k in range(1, V_POWERS + 1):
         power = power @ v
         v13, v33 = v_power_entries(k)
         worst_match = max(
@@ -469,7 +478,7 @@ def suite_v_entries(
         CheckRecord("min_v33_from_2", min_v33, min_v33 > 1e-8),
         CheckRecord("worst_shift_identity", worst_identity, worst_identity <= 1e-12),
     )
-    return SuiteResult("v-entries", max_k, records)
+    return SuiteResult("v-entries", V_POWERS, records)
 
 
 def suite_psd_pairs(
@@ -502,7 +511,7 @@ def suite_psd_pairs(
             np.concatenate([b, b, b, proj_b, proj_b]),
             cfg,
         )[1]
-        reconstruction = proj_a @ proj_b @ abs_value.kernel(product, cfg)
+        reconstruction = proj_a @ proj_b @ abs_value.kernel(product)
         residuals = _residual(
             np.concatenate([proj_root, reconstruction]), np.concatenate([proj_a, product])
         )
@@ -517,7 +526,7 @@ def suite_psd_pairs(
         gram = t @ _adjoint(t)
         projections = range_projection.kernel(np.concatenate([a, b, t, gram]), cfg)
         proj_a, proj_b, proj_t, proj_gram = np.split(projections, 4)
-        reconstruction = proj_a @ proj_b @ abs_value.kernel(product, cfg)
+        reconstruction = proj_a @ proj_b @ abs_value.kernel(product)
         unlike, like = _residual(
             np.concatenate([reconstruction, proj_t]), np.concatenate([product, proj_gram])
         ).reshape(2, -1)

@@ -13,6 +13,9 @@ import numpy as np
 from polarops.core import ToleranceConfig
 from polarops.suites import (
     ALUTHGE_EXPONENTS,
+    MAX_ORDER,
+    SHIFT_ORDERS,
+    V_POWERS,
     SuiteResult,
     suite_aluthge_binormal,
     suite_centered_oracle,
@@ -55,7 +58,8 @@ def test_polar_contract_on_500_seeded_operators():
 def test_centered_order_criterion_matches_definitional_oracle():
     # Orders 1..6 on 200 random operators plus all structured fixtures:
     # the commutator criterion and the brute-force check never disagree.
-    result = suite_centered_oracle(rng_for(2), dim=6, trials=200, max_n=6)
+    assert MAX_ORDER == 6
+    result = suite_centered_oracle(rng_for(2), dim=6, trials=200)
     assert_clean(result)
     assert result.trials >= 200
 
@@ -64,7 +68,7 @@ def test_product_three_way_equivalence():
     # 200 independent random pairs plus 50 constructed commuting-moduli
     # pairs: the three booleans coincide on every pair, and every
     # constructed pair reports a valid polar decomposition.
-    result = suite_product_polar(rng_for(3), dim=6, trials=200, constructed=50)
+    result = suite_product_polar(rng_for(3), dim=6, trials=200)
     assert_clean(result)
     assert result.trials == 250
 
@@ -92,6 +96,7 @@ def test_moore_penrose_interplay():
     # included): modulus identities, the inverse polar decomposition,
     # power compatibility up to the verified order, preservation of the
     # centered order and of binormality, residuals within 1e-8.
+    assert MAX_ORDER == 6
     result = suite_mp_inverse(rng_for(6), dim=6, trials=200, cfg=RELAXED)
     assert_clean(result)
     assert result.trials >= 200
@@ -101,8 +106,9 @@ def test_shift_family_has_exact_centered_orders():
     # For each target n in 2..8 at the default truncation depth n+3: the
     # generated operator is n-centered and not (n+1)-centered by both
     # routes, and the weight pattern predicts every numeric commutator.
+    assert SHIFT_ORDERS == (2, 3, 4, 5, 6, 7, 8)
     start = time.perf_counter()
-    result = suite_shift_family(rng_for(7), dim=0, trials=0, orders=(2, 3, 4, 5, 6, 7, 8))
+    result = suite_shift_family(rng_for(7), dim=0, trials=0)
     elapsed = time.perf_counter() - start
     assert_clean(result)
     assert result.trials == 7
@@ -113,8 +119,10 @@ def test_driving_matrix_power_entries_closed_form():
     # Closed-form (1,3)/(3,3) entries match numeric powers within 1e-9 for
     # k <= 30; the (3,3) entry vanishes at k = 1, stays above 1e-8 for
     # k >= 2, and the shift identity holds within 1e-12.
-    result = suite_v_entries(max_k=30)
+    assert V_POWERS == 30
+    result = suite_v_entries(rng_for(8), dim=0, trials=0)
     assert_clean(result)
+    assert result.trials == 30
 
 
 def test_psd_pair_functional_calculus_properties():

@@ -672,12 +672,19 @@ class TestVerifyPredictedStructure:
             verify_predicted_structure(build_truncated(ShiftSpec.from_recipe(3)), spec)
 
 
+def _reference_commutes(spec: ShiftSpec, k: int) -> bool:
+    """The weight pattern at one power k >= 2 as first written: one pass
+    over the block positions m = 1..blocks-1-k."""
+    g = spec.g
+    for m in range(1, spec.blocks - k):
+        if (g[m] - g[m - 1]) * (g[m + k] - g[m + k - 1]) != 0.0:
+            return False
+    return True
+
+
 def _reference_pattern(spec: ShiftSpec) -> list[bool]:
-    """The weight pattern for k = 1..blocks-2 as first written: one pass
-    over the block positions per power."""
-    return [True] + [
-        expected_commutator_pattern(spec, k) for k in range(2, spec.blocks - 1)
-    ]
+    """The weight pattern for k = 1..blocks-2 as first written."""
+    return [True] + [_reference_commutes(spec, k) for k in range(2, spec.blocks - 1)]
 
 
 # Weights with exact repeats, neighbours one ulp apart, and subnormal and
@@ -691,6 +698,17 @@ class TestPatternMismatches:
     def test_pairs_of_changes_give_the_pattern_of_every_position(self, g):
         spec = ShiftSpec(n=2, blocks=len(g), g=tuple(g))
         assert _predicted_pattern(spec) == _reference_pattern(spec)
+        # The public form at every power, past the truncation included.
+        for k in range(2, spec.blocks + 2):
+            assert expected_commutator_pattern(spec, k) == _reference_commutes(spec, k)
+
+    def test_expected_pattern_is_the_reference_on_recipe_shifts(self):
+        for n in range(2, 40):
+            for blocks in (None, n + 10):
+                spec = ShiftSpec.from_recipe(n, blocks=blocks)
+                for k in range(2, spec.blocks + 2):
+                    expected = _reference_commutes(spec, k)
+                    assert expected_commutator_pattern(spec, k) == expected, (n, k)
 
     def test_an_underflowing_product_keeps_its_verdict(self):
         # Both differences are about 1e-300, and their product is 0.0: the

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import inspect
 import subprocess
 import sys
 from itertools import accumulate, islice, repeat, takewhile
@@ -133,12 +134,25 @@ def test_unknown_suite_rejected():
 
 def test_fixed_family_suites_ignore_runner_knobs():
     rng = np.random.default_rng(0)
-    small = suite_shift_family(rng, dim=2, trials=1, orders=(2, 3))
-    assert small.trials == 2
+    small = suite_shift_family(rng, dim=2, trials=1)
+    assert small.trials == 7
     assert small.ok
-    entries = suite_v_entries(max_k=10)
-    assert entries.trials == 10
+    entries = suite_v_entries(rng, dim=2, trials=1)
+    assert entries.trials == 30
     assert entries.ok
+
+
+def test_every_suite_takes_the_runners_four_arguments():
+    # run_suite passes (rng, dim, trials, cfg) and nothing else, so a suite
+    # has no other setting: its fixed ones are module constants.
+    for name, suite in SUITES.items():
+        parameters = inspect.signature(suite).parameters.values()
+        assert [(p.name, p.default) for p in parameters] == [
+            ("rng", inspect.Parameter.empty),
+            ("dim", inspect.Parameter.empty),
+            ("trials", inspect.Parameter.empty),
+            ("cfg", DEFAULT_TOLERANCES),
+        ], name
 
 
 # The four suites that share factorizations within a trial, as they were
@@ -152,7 +166,7 @@ def _reference_binormal_equivalents(t, pairs, cfg=DEFAULT_TOLERANCES):
     two_centered = is_n_centered_definitional(t, 2, cfg).ok
     parts = polar_decompose(t, cfg)
     u, p = parts.isometry, parts.modulus
-    mod_adj = abs_value(t.conj().T, cfg)
+    mod_adj = abs_value(t.conj().T)
     checks = []
     for alpha, beta in pairs:
         al = aluthge(t, alpha, beta, cfg)
@@ -169,7 +183,7 @@ def _reference_binormal_equivalents(t, pairs, cfg=DEFAULT_TOLERANCES):
         modulus_form = u.conj().T @ p_alpha @ u @ p_beta
         adjoint_form = p_alpha @ fractional_power_psd(mod_adj, beta, cfg)
         mod_res = equality_residual(transform_mod, modulus_form)
-        adj_res = equality_residual(abs_value(al.transform.conj().T, cfg), adjoint_form)
+        adj_res = equality_residual(abs_value(al.transform.conj().T), adjoint_form)
         tol = cfg.equality_rel_tol
         checks.append(
             AluthgePairCheck(
@@ -213,7 +227,7 @@ def _reference_mp_centered_check(t, max_n, cfg=DEFAULT_TOLERANCES, pinv=None):
     if plus_one:
         parts = polar_decompose(t, cfg)
         u, p = parts.isometry, parts.modulus
-        p_adj = abs_value(t.conj().T, cfg)
+        p_adj = abs_value(t.conj().T)
         u_pow = u
         for _ in range(n):
             p_final = u_pow @ u_pow.conj().T
@@ -302,10 +316,10 @@ def _reference_mp_operator(t, cfg, max_n, seen):
     inverse_parts = mp_polar_parts(t, cfg)
     residuals = [
         equality_residual(
-            moore_penrose(abs_value(t, cfg), cfg), abs_value(pinv.conj().T, cfg)
+            moore_penrose(abs_value(t), cfg), abs_value(pinv.conj().T)
         ),
         equality_residual(
-            moore_penrose(abs_value(t.conj().T, cfg), cfg), inverse_parts.modulus
+            moore_penrose(abs_value(t.conj().T), cfg), inverse_parts.modulus
         ),
     ]
     inverse_polar = verify_polar(pinv, inverse_parts, cfg)
@@ -359,7 +373,7 @@ def _reference_psd_pairs(rng, dim, trials, cfg=DEFAULT_TOLERANCES):
         checks.append(equality_residual(range_projection(root, cfg), proj_a) <= tol)
         product = a @ b
         checks.append(
-            equality_residual(proj_a @ proj_b @ abs_value(product, cfg), product) <= tol
+            equality_residual(proj_a @ proj_b @ abs_value(product), product) <= tol
         )
         failures += not all(checks)
     for d in _dims_cycle(rng, 2, dim, half):
@@ -368,7 +382,7 @@ def _reference_psd_pairs(rng, dim, trials, cfg=DEFAULT_TOLERANCES):
         checks = [not is_hermitian_psd(product, cfg)]
         projections = range_projection(a, cfg) @ range_projection(b, cfg)
         reconstruction = equality_residual(
-            projections @ abs_value(product, cfg), product
+            projections @ abs_value(product), product
         )
         checks.append(reconstruction > tol)
         t = random_operator(rng, d)
@@ -463,10 +477,11 @@ def _unitary_alone(rng, dim) -> np.ndarray:
     return q * (phases / np.abs(phases))
 
 
-def _spectrum_operator_alone(rng, dim, min_sv=0.05, max_sv=1.0, rank=None):
-    """``random_spectrum_operator``: the spectrum, then two unitaries."""
+def _spectrum_operator_alone(rng, dim, rank=None):
+    """``random_spectrum_operator``: the spectrum in [0.05, 1], then two
+    unitaries."""
     rank = dim if rank is None else rank
-    values = np.exp(rng.uniform(np.log(min_sv), np.log(max_sv), size=rank))
+    values = np.exp(rng.uniform(np.log(0.05), np.log(1.0), size=rank))
     values = np.concatenate([values, np.zeros(dim - rank)])
     return (_unitary_alone(rng, dim) * values) @ _unitary_alone(rng, dim).conj().T
 
@@ -568,14 +583,11 @@ def test_stacked_spectrum_draw_is_bitwise_the_draws_alone(count, interleaved):
     else:
         dims = [int(d) for d in choice.integers(2, 13, size=count)]
     ranks = [d if i % 2 else int(choice.integers(1, d + 1)) for i, d in enumerate(dims)]
-    kwargs = {"min_sv": 0.01, "max_sv": 3.0} if count % 2 else {}
     stacked_rng, alone_rng, single_rng = (np.random.default_rng(count) for _ in range(3))
-    stacked = random_spectrum_operators(stacked_rng, dims, ranks, **kwargs)
-    alone = [
-        _spectrum_operator_alone(alone_rng, d, rank=r, **kwargs) for d, r in zip(dims, ranks)
-    ]
+    stacked = random_spectrum_operators(stacked_rng, dims, ranks)
+    alone = [_spectrum_operator_alone(alone_rng, d, rank=r) for d, r in zip(dims, ranks)]
     single = [
-        random_spectrum_operator(single_rng, d, rank=None if r == d else r, **kwargs)
+        random_spectrum_operator(single_rng, d, rank=None if r == d else r)
         for d, r in zip(dims, ranks)
     ]
     assert [t.shape for t in stacked] == [(d, d) for d in dims]
@@ -655,9 +667,9 @@ def test_stacked_draws_are_bitwise_the_draws_alone(sampler, count, interleaved):
 
 @pytest.mark.parametrize("bound", [0.05, 0.1, 0.2])
 def test_stacked_psd_pairs_redraw_as_the_draws_alone(monkeypatch, bound):
-    # A larger min_scaled_commutator makes more pairs commute too closely,
-    # so some are drawn again, at any place of the stack; the stream stays
-    # that of the draws one at a time.
+    # A larger bound than the sampler's 1e-3 makes more pairs commute too
+    # closely, so some are drawn again, at any place of the stack; the
+    # stream stays that of the draws one at a time.
     drawn_alone = []
     psd_alone = _psd_alone
 
@@ -666,9 +678,10 @@ def test_stacked_psd_pairs_redraw_as_the_draws_alone(monkeypatch, bound):
         return psd_alone(rng, dim)
 
     monkeypatch.setattr(sys.modules[__name__], "_psd_alone", counted)
+    monkeypatch.setattr(sampling, "_PSD_PAIR_COMMUTATOR", bound)
     dims = [2, 3, 2, 2, 4, 3, 2, 5, 2, 2, 3, 2] * 2
     rng, reference_rng = np.random.default_rng(1), np.random.default_rng(1)
-    drawn = random_psd_pairs(rng, dims, bound, then=random_operator)
+    drawn = random_psd_pairs(rng, dims, then=random_operator)
     expected = [
         (*_psd_pair_alone(reference_rng, d, bound), random_operator(reference_rng, d))
         for d in dims
@@ -679,14 +692,15 @@ def test_stacked_psd_pairs_redraw_as_the_draws_alone(monkeypatch, bound):
     assert len(drawn_alone) > 2 * len(dims)
 
 
-def test_stacked_psd_pairs_give_up_after_64_draws():
+def test_stacked_psd_pairs_give_up_after_64_draws(monkeypatch):
     # No pair can pass a bound of 2 (||[A, B]|| <= 2 ||A|| ||B||): the
     # first pair is drawn 64 times, and the generator is left after its
     # last draw, as the draws one at a time leave it.
+    monkeypatch.setattr(sampling, "_PSD_PAIR_COMMUTATOR", 2.0)
     for dims in ([3], [2, 4, 2]):
         rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
         with pytest.raises(RuntimeError, match="non-commuting PSD pair"):
-            random_psd_pairs(rng, dims, 2.0, then=random_operator)
+            random_psd_pairs(rng, dims, then=random_operator)
         with pytest.raises(RuntimeError, match="non-commuting PSD pair"):
             _psd_pair_alone(reference_rng, dims[0], 2.0)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
@@ -723,21 +737,23 @@ def test_nonbinormal_draw_is_bitwise_its_reference(monkeypatch, bound):
         return draw(rng, dim)
 
     monkeypatch.setattr(sys.modules[__name__], "random_operator", counted)
+    monkeypatch.setattr(sampling, "_NONBINORMAL_COMMUTATOR", bound)
     rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
     dims = [dim for dim in range(2, 13) for _ in range(20)]
     for dim in dims:
-        t = random_nonbinormal(rng, dim, bound)
+        t = random_nonbinormal(rng, dim)
         assert t.tobytes() == _nonbinormal_alone(reference_rng, dim, bound).tobytes()
         assert rng.bit_generator.state == reference_rng.bit_generator.state
     assert (len(attempts) > len(dims)) == (bound == 0.2)
 
 
-def test_nonbinormal_draw_gives_up_after_64_draws():
+def test_nonbinormal_draw_gives_up_after_64_draws(monkeypatch):
     # No draw can pass a bound of 2 (||[A, B]|| <= 2 ||A|| ||B||): the
     # generator is left after the 64th draw, as the reference leaves it.
+    monkeypatch.setattr(sampling, "_NONBINORMAL_COMMUTATOR", 2.0)
     rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
     with pytest.raises(RuntimeError, match="non-binormal operator"):
-        random_nonbinormal(rng, 4, 2.0)
+        random_nonbinormal(rng, 4)
     with pytest.raises(RuntimeError, match="non-binormal operator"):
         _nonbinormal_alone(reference_rng, 4, 2.0)
     assert rng.bit_generator.state == reference_rng.bit_generator.state
@@ -832,7 +848,7 @@ def _reference_product_polar(t, s, cfg=DEFAULT_TOLERANCES):
     t_parts = polar_decompose(t, cfg)
     s_parts = polar_decompose(s, cfg)
     mod_t = t_parts.modulus
-    mod_s_adj = abs_value(s.conj().T, cfg)
+    mod_s_adj = abs_value(s.conj().T)
     product = t @ s
     product_parts = polar_decompose(product, cfg)
     candidate = t_parts.isometry @ s_parts.isometry
@@ -859,7 +875,7 @@ def _reference_polar_transfer(t, s, cfg=DEFAULT_TOLERANCES):
     u = t_parts.isometry
     v = polar_decompose(s, cfg).isometry
     product = t @ s
-    moduli = t_parts.modulus @ abs_value(s.conj().T, cfg)
+    moduli = t_parts.modulus @ abs_value(s.conj().T)
     product_parts = polar_decompose(product, cfg)
     moduli_parts = polar_decompose(moduli, cfg)
     product_check = verify_polar(
@@ -1049,7 +1065,7 @@ def test_operator_stacks_match_per_operator_calls(seed, dims, specs):
         assert flag_and_norm == is_binormal(t, cfg)
         assert report == _reference_binormal_equivalents(t, exponents, cfg)
         assert report == binormal_equivalents(t, exponents, cfg)
-        modulus = abs_value(t, cfg)
+        modulus = abs_value(t)
         assert np.array_equal(root[0], fractional_power_psd(modulus, 0.5, cfg))
         assert np.array_equal(cube[0], fractional_power_psd(modulus, 3.0, cfg))
 
