@@ -5,132 +5,25 @@ space), Moore-Penrose inverses, and Aluthge-type transforms; classifies
 operators as binormal or n-centered through commutator criteria with a
 definitional cross-check; and generates truncated block weighted shifts
 whose centered order is exactly n.
+
+The package exports every name of the ``__all__`` of ``core``, ``decomp``,
+``classify``, ``shifts`` and ``matrixio``, which are the one list of them.
 """
 
-from .classify import (
-    AluthgePairCheck,
-    AluthgeParts,
-    BinormalEquivalents,
-    CenteredReport,
-    DefinitionalCheck,
-    MpCenteredReport,
-    ProductPolarReport,
-    TransferReport,
-    aluthge,
-    binormal_equivalents,
-    centered_order,
-    is_binormal,
-    is_n_centered_definitional,
-    mp_centered_check,
-    polar_transfer,
-    product_polar,
-)
-from .core import (
-    DEFAULT_TOLERANCES,
-    HermEigResult,
-    SvdResult,
-    ToleranceConfig,
-    approx_equal,
-    as_operator,
-    commutator,
-    commutator_norm,
-    commutes,
-    equality_residual,
-    fractional_power_psd,
-    fro_norm,
-    herm_eig,
-    is_hermitian,
-    is_hermitian_psd,
-    numerical_rank,
-    range_projection,
-    rank_margin,
-    svd,
-)
-from .decomp import (
-    PenroseCheck,
-    PolarCheck,
-    PolarParts,
-    abs_value,
-    moore_penrose,
-    mp_polar_parts,
-    penrose_check,
-    polar_decompose,
-    verify_polar,
-)
-from .matrixio import doc_to_matrix, matrix_to_doc, read_matrix, write_matrix
-from .shifts import (
-    AngleConstants,
-    ShiftSpec,
-    angle_constants,
-    block_t,
-    build_truncated,
-    expected_commutator_pattern,
-    g_sequence,
-    predicted_polar_parts,
-    v_matrix,
-    v_power_entries,
-)
+from . import classify, core, decomp, matrixio, shifts
+from .classify import *
+from .core import *
+from .decomp import *
+from .matrixio import *
+from .shifts import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "DEFAULT_TOLERANCES",
-    "ToleranceConfig",
-    "SvdResult",
-    "HermEigResult",
-    "as_operator",
-    "fro_norm",
-    "commutator",
-    "commutator_norm",
-    "commutes",
-    "svd",
-    "herm_eig",
-    "numerical_rank",
-    "rank_margin",
-    "is_hermitian",
-    "is_hermitian_psd",
-    "fractional_power_psd",
-    "range_projection",
-    "equality_residual",
-    "approx_equal",
-    "PolarParts",
-    "PolarCheck",
-    "PenroseCheck",
-    "abs_value",
-    "polar_decompose",
-    "verify_polar",
-    "moore_penrose",
-    "penrose_check",
-    "mp_polar_parts",
-    "CenteredReport",
-    "DefinitionalCheck",
-    "ProductPolarReport",
-    "TransferReport",
-    "AluthgeParts",
-    "AluthgePairCheck",
-    "BinormalEquivalents",
-    "MpCenteredReport",
-    "is_binormal",
-    "centered_order",
-    "is_n_centered_definitional",
-    "product_polar",
-    "polar_transfer",
-    "aluthge",
-    "binormal_equivalents",
-    "mp_centered_check",
-    "AngleConstants",
-    "ShiftSpec",
-    "angle_constants",
-    "v_matrix",
-    "v_power_entries",
-    "g_sequence",
-    "block_t",
-    "build_truncated",
-    "predicted_polar_parts",
-    "expected_commutator_pattern",
-    "matrix_to_doc",
-    "doc_to_matrix",
-    "read_matrix",
-    "write_matrix",
+    *core.__all__,
+    *decomp.__all__,
+    *classify.__all__,
+    *shifts.__all__,
+    *matrixio.__all__,
 ]

@@ -758,16 +758,11 @@ def blockwise_centered_order(
 
 def _block_labels(stack: np.ndarray) -> np.ndarray:
     """Labels of the blocks of a stack, equal exactly for blocks of equal
-    bytes (so a ``-0.0`` entry differs from ``0.0``), numbered in order of
-    first occurrence."""
-    data, size = stack.tobytes(), stack[0].nbytes
-    table: dict[bytes, int] = {}
-    return np.array(
-        [
-            table.setdefault(data[i : i + size], len(table))
-            for i in range(0, len(data), size)
-        ]
-    )
+    bytes (so a ``-0.0`` entry differs from ``0.0``), numbered by
+    ``np.unique`` over those bytes, as ``_Windows`` numbers the windows:
+    in byte order, which no result depends on."""
+    rows = np.ascontiguousarray(stack).reshape(len(stack), -1)
+    return np.unique(rows.view(np.dtype((np.void, rows[0].nbytes)))[:, 0], return_inverse=True)[1]
 
 
 def _centered_walk(

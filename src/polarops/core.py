@@ -394,11 +394,18 @@ def svd(a) -> SvdResult:
     return _svd(a)
 
 
+def _hermitian_products(q: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``Q diag(values) Q*`` of each matrix of a stack, made exactly Hermitian:
+    the exact product is Hermitian, and the mean with its adjoint removes
+    the round-off. Moduli, PSD powers and ``sampling``'s PSD draws are
+    formed by it."""
+    out = (q * values[..., None, :]) @ _adjoint(q)
+    return 0.5 * (out + _adjoint(out))
+
+
 def _modulus(decomp: SvdResult) -> np.ndarray:
     """``X diag(s) X*`` from the SVD ``t = W diag(s) X*``: the modulus ``|t|``."""
-    x = decomp.right_vectors
-    result = (x * decomp.singular_values[..., None, :]) @ _adjoint(x)
-    return 0.5 * (result + _adjoint(result))
+    return _hermitian_products(decomp.right_vectors, decomp.singular_values)
 
 
 def _isometry(decomp: SvdResult, r: np.ndarray) -> np.ndarray:
@@ -550,10 +557,7 @@ def _psd_powers(x: np.ndarray, cfg: ToleranceConfig):
 
     def power(alpha: float) -> np.ndarray:
         _require_positive(alpha)
-        powered = np.where(values > 0.0, values**alpha, 0.0)
-        result = (vectors * powered[..., None, :]) @ _adjoint(vectors)
-        # The exact result is Hermitian; re-symmetrize to kill round-off drift.
-        return 0.5 * (result + _adjoint(result))
+        return _hermitian_products(vectors, np.where(values > 0.0, values**alpha, 0.0))
 
     return power
 
@@ -568,9 +572,7 @@ def _hermitian_range_projection(
     magnitudes = np.abs(values)
     order = np.argsort(-magnitudes, axis=-1, kind="stable")
     s = np.take_along_axis(magnitudes, order, axis=-1)
-    leading = np.take_along_axis(vectors, order[..., None, :], axis=-1)
-    p = _leading_product(leading, None, _rank(s, cfg))
-    return 0.5 * (p + _adjoint(p))
+    return _projection(np.take_along_axis(vectors, order[..., None, :], axis=-1), s, cfg)
 
 
 @_boundary((2, 3, 4))
@@ -579,7 +581,15 @@ def range_projection(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray
     ``t``; for a stack, that of each matrix, with the rank cutoffs of
     ``_rank``."""
     decomp = _svd(t)
-    p = _leading_product(decomp.left_vectors, None, _rank(decomp.singular_values, cfg))
+    return _projection(decomp.left_vectors, decomp.singular_values, cfg)
+
+
+def _projection(vectors: np.ndarray, s: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """``V_r V_r*`` of each matrix of a stack, made exactly Hermitian, from
+    its orthonormal ``vectors`` ordered by the nonincreasing singular
+    values ``s``, with ``_rank``'s count of them: the projection onto the
+    range of the matrix they come from."""
+    p = _leading_product(vectors, None, _rank(s, cfg))
     return 0.5 * (p + _adjoint(p))
 
 

@@ -29,7 +29,7 @@ import functools
 
 import numpy as np
 
-from .core import _adjoint, _grouped, _norms, _svd
+from .core import _adjoint, _grouped, _hermitian_products, _norms, _svd
 from .shifts import ShiftSpec, build_truncated
 
 __all__ = [
@@ -164,12 +164,6 @@ def _psd_parts(rng: np.random.Generator, dim: int, rank: int):
     Gaussian of its eigenbasis, then its eigenvalues, zero past ``rank``."""
     gaussian = random_operator(rng, dim)
     return gaussian, np.concatenate([rng.uniform(0.2, 3.0, size=rank), np.zeros(dim - rank)])
-
-
-def _hermitian_products(q: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``Q diag(values) Q*`` of each matrix of a stack, made exactly Hermitian."""
-    out = (q * values[..., None, :]) @ _adjoint(q)
-    return 0.5 * (out + _adjoint(out))
 
 
 def random_commuting_psd_pair(

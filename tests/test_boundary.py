@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polarops import classify, core, decomp
+import polarops
+from polarops import classify, core, decomp, matrixio, shifts
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "polarops"
 MODULES = (core, decomp, classify)
@@ -91,6 +92,17 @@ def _public_functions():
             value = getattr(module, name)
             if callable(value) and not isinstance(value, type):
                 yield module, name, value
+
+
+def test_the_package_exports_the_module_lists():
+    """``polarops`` exports the ``__all__`` of its five modules, in order,
+    each name as the module's own object: the module lists are the one list
+    of public names."""
+    modules = (core, decomp, classify, shifts, matrixio)
+    assert polarops.__all__ == ["__version__", *(n for m in modules for n in m.__all__)]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(polarops, name) is getattr(module, name), name
 
 
 def test_the_table_names_every_declared_function():

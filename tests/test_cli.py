@@ -269,6 +269,15 @@ class TestVerifyTheoremsCommand:
         assert "polar-contract:contract_failures" in out
         assert "v-entries:v33_at_1" in out
 
+    def test_v_entries_fails_at_the_printed_equality_tolerance(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["verify-theorems", "--suite", "v-entries", "--eq-tol", "1e-30"]
+        )
+        assert code == 1
+        assert "equality_rel_tol=1e-30" in out
+        assert check_lines(out)["v-entries:worst_power_match"] == "fail"
+        assert "verdict: fail" in out
+
     def test_deterministic_output(self, capsys):
         argv = ["verify-theorems", "--suite", "centered-oracle", "--trials", "6", "--seed", "7"]
         code_a, out_a, _ = run_cli(capsys, argv)

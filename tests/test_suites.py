@@ -42,6 +42,7 @@ from polarops.core import (
     fractional_power_psd,
     fro_norm,
     is_hermitian_psd,
+    ToleranceConfig,
     range_projection,
     svd,
 )
@@ -140,6 +141,20 @@ def test_fixed_family_suites_ignore_runner_knobs():
     entries = suite_v_entries(rng, dim=2, trials=1)
     assert entries.trials == 30
     assert entries.ok
+
+
+def test_v_entries_matches_the_powers_within_the_equality_tolerance():
+    # The report prints equality_rel_tol, so worst_power_match is decided by
+    # it; the other three bounds are properties of V and stay fixed.
+    result = suite_v_entries(
+        np.random.default_rng(0), 0, 0, ToleranceConfig(equality_rel_tol=1e-30)
+    )
+    assert [(r.name, bool(r.passed)) for r in result.records] == [
+        ("worst_power_match", False),
+        ("v33_at_1", True),
+        ("min_v33_from_2", True),
+        ("worst_shift_identity", True),
+    ]
 
 
 def test_every_suite_takes_the_runners_four_arguments():
