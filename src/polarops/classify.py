@@ -45,8 +45,9 @@ or a stack of operators (one report per operator) and
 first block subdiagonal (for :func:`polarops.shifts.certify_blockwise`),
 which labels its equal blocks (``_block_labels``) and takes the polar
 parts of its distinct blocks, so that each power is formed, factored and
-checked once per distinct window of consecutive blocks (``_Windows``,
-which also numbers the distinct blocks). It walks the powers once,
+checked once per distinct window of consecutive blocks (``Windows``,
+which numbers the windows from the runs of equal labels, one group of
+powers at a time). It walks the powers once,
 forward, for all operators, up to ``U^max_n``, in groups of consecutive
 powers that fit a fixed number of entries per operator: of its matrices,
 or of a block stack's distinct windows (``_power_groups``). Each group is
@@ -75,7 +76,6 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import accumulate, islice, takewhile
-from typing import NamedTuple
 
 import numpy as np
 
@@ -104,6 +104,7 @@ from .decomp import (
     polar_decompose,
     verify_polar,
 )
+from .windows import Layout, Windows
 
 __all__ = [
     "CenteredReport",
@@ -296,81 +297,7 @@ def is_binormal(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
 _POWER_LIMIT = 2.0**64
 
 
-class _Layout(NamedTuple):
-    """Where the distinct windows of one power ``T^k``, ``U^k`` of a block
-    stack (see ``_Windows``) sit among its block positions: ``index[j]`` is
-    the window at position j, and ``sources[w]`` the first position of
-    window w. The commutator ``[U^k |T| (U^k)*, |T|]`` at position j takes
-    ``|T|`` at j and at its image j + k, so it is a function of the pair
-    (window at j, block at j + k): ``pairs[j]`` is the pair at position j,
-    and pair i is window ``prefix[i]`` with its image at position
-    ``images[i]``."""
-
-    index: np.ndarray
-    sources: np.ndarray
-    pairs: np.ndarray
-    prefix: np.ndarray
-    images: np.ndarray
-
-
-class _Windows:
-    """The distinct windows of consecutive blocks of a block stack (see
-    ``_powers``), from labels of its blocks: ``labels[j]`` for the block at
-    position j, equal for equal blocks. ``T^k`` at position j, ``a[j+k-1]
-    @ ... @ a[j]``, is a function of the window of labels j..j+k-1, and so
-    is ``U^k``, so each power is formed, factored and checked once per
-    distinct window. The windows of each length are numbered once, when a
-    walk first needs them, and shared by all walks: the window of k + 1
-    labels at position j is the window of k labels at j followed by the
-    label at j + k.
-
-    The labels go on with one of their own at the last position, where
-    ``|T|`` holds the zero block that no block leaves. A window over it is
-    no window of a power; it is the (window, image) pair of the commutator
-    at the last position, and it sorts last among the windows of its
-    length."""
-
-    def __init__(self, labels: np.ndarray):
-        self.labels = np.append(labels, labels.max() + 1)
-        _, starts = np.unique(self.labels, return_index=True)
-        # Per length k, from k = 1: the window at each position, the first
-        # position of each window, and the step to the windows of power k.
-        self._lengths = [(self.labels, starts, (None, starts[:-1]))]
-        self._kept = 1
-
-    def _length(self, k: int):
-        """The window of k labels at each position, the first position of
-        each window, and the ``step`` of power k."""
-        while len(self._lengths) < k:
-            ids, starts, _ = self._lengths[-1]
-            keys = self.labels[len(self._lengths) :] * len(starts) + ids[:-1]
-            _, starts, longer = np.unique(keys, return_index=True, return_inverse=True)
-            self._lengths.append((longer, starts, (ids[starts[:-1] + 1], starts[:-1])))
-        return self._lengths[k - 1]
-
-    def step(self, k: int) -> tuple[np.ndarray | None, np.ndarray]:
-        """For each window of power k: the window of power k - 1 at the
-        position after its first (None for k = 1), and its first position."""
-        return self._length(k)[2]
-
-    def layouts(self, first: int, count: int) -> list[_Layout]:
-        """The layouts of the powers first, ..., first + count - 1, a group
-        of ``_power_groups``. The walks of ``T^k`` and ``U^k`` go through
-        the groups in order, neither behind the first power of the group,
-        so the windows of fewer labels are dropped: what is kept spans one
-        group."""
-        while self._kept < first:
-            self._lengths[self._kept - 1] = None
-            self._kept += 1
-        layouts = []
-        for k in range(first, first + count):
-            ids, starts, _ = self._length(k)
-            pairs, ends, _ = self._length(k + 1)
-            layouts.append(_Layout(ids[:-1], starts[:-1], pairs, ids[ends], ends + k))
-        return layouts
-
-
-def _powers(a: np.ndarray, windows: _Windows | None = None, rescale: bool = False):
+def _powers(a: np.ndarray, windows: Windows | None = None, rescale: bool = False):
     """Yield ``a, a^2, ...``, each power the previous one times ``a``.
     Without ``windows``, ``a`` is a matrix, or a stack of matrices each
     walked on its own, and each step is ``power @ a``. With ``windows``,
@@ -380,7 +307,7 @@ def _powers(a: np.ndarray, windows: _Windows | None = None, rescale: bool = Fals
     subdiagonal, ``a[j+k-1] @ ... @ a[j]`` at position j, one block shorter
     each time, and the walk ends when no block is left. It is held as one
     block per distinct window of ``windows``, ``T^k`` at position j being
-    the block of window ``index[j]`` of the layout of power k (``_Layout``),
+    the block of window ``index[j]`` of the layout of power k (``Layout``),
     and each step is the window of power k at the next position times the
     first block, ``T^k[j+1] @ a[j]``, once per window.
 
@@ -412,37 +339,30 @@ def _powers(a: np.ndarray, windows: _Windows | None = None, rescale: bool = Fals
 # operator at this budget; twice the budget doubles that and saves no
 # measurable time on the shifts. The powers of a block stack count their
 # distinct windows only (see _power_groups); at their block positions they
-# hold one index and one sum of squares each, about 113 powers of a shift
-# per group, so under 1 MB per array at n = 1000.
+# hold one sum of squares each, and the group's layout (Windows) a few
+# indices each, built for the group at once: about 113 powers of a shift per
+# group, so under 1 MB per array at n = 1000.
 _GROUP_ENTRIES = 2**12
 
 
-def _power_groups(a: np.ndarray, windows: _Windows | None, last: int):
+def _power_groups(a: np.ndarray, windows: Windows | None, last: int):
     """The powers ``a, a^2, ..., a^last`` of ``_powers`` of a stack of
     operators ``(operators, blocks, m, m)``, in lists of consecutive powers
     holding at most ``_GROUP_ENTRIES`` complex entries per operator, and at
-    least one power each. A power of a block stack counts the entries of its
-    distinct windows, which the group forms, factors and checks, and not its
-    block positions, where only one sum of squares per position is placed
-    (see ``_power_norms``): a shift's few windows per power put dozens of
-    powers in one group at any order."""
+    least one power each, each list with its layout (None for matrices). A
+    power of a block stack counts the entries of its distinct windows, which
+    the group forms, factors and checks, and not its block positions, where
+    only one sum of squares per position is placed (see ``_power_norms``):
+    ``windows`` cuts its groups so (see ``Windows``), and a shift's few
+    windows per power put dozens of powers in one group at any order."""
     powers = _powers(a, windows)
-    group: list[np.ndarray] = []
-    entries = k = 0
-    while k < last:
-        # The entries of power k + 1 per operator: one matrix, or one block
-        # per window.
-        blocks = len(windows.step(k + 1)[1]) if windows else a.shape[1]
-        size = a[0, 0].size * blocks
-        if group and entries + size > _GROUP_ENTRIES:
-            yield group
-            group, entries = [], 0
-            continue
-        group.append(next(powers))
-        entries += size
-        k += 1
-    if group:
-        yield group
+    step = max(1, _GROUP_ENTRIES // a[0, 0].size // a.shape[1])
+    first = 1
+    while first <= last:
+        layout = None if windows is None else windows.layout(first)
+        count = min(step if layout is None else len(layout.lengths), last - first + 1)
+        yield list(islice(powers, count)), layout
+        first += count
 
 
 def _join(parts: list[np.ndarray]) -> np.ndarray:
@@ -451,34 +371,16 @@ def _join(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
-def _spans(powers: list[np.ndarray], layouts: list | None):
+def _spans(powers: list[np.ndarray], layout: Layout | None):
     """The block positions of each of the consecutive powers ``powers``, and
-    the layouts (see ``_Windows``) of as many powers from the start of
-    ``layouts`` as one, for their windows joined by ``_join``: the windows
-    and pairs of each power numbered on from those of the powers before it.
-    Powers of matrices, one block per operator, have no layouts, and None
-    for their joined layout."""
-    if layouts is None:
+    the layout (see ``Layout``) of as many powers from the start of the
+    group of ``layout``, for their windows joined by ``_join``. Powers of
+    matrices, one block per operator, have no layout, and None for it."""
+    if layout is None:
         return [power.shape[1] for power in powers], None
-    layouts = layouts[: len(powers)]
-    lengths = [len(own.index) for own in layouts]
-    index, sources, pairs, prefix, images = map(np.concatenate, zip(*layouts))
-    windows = [len(own.sources) for own in layouts]
-    counts = [len(own.prefix) for own in layouts]
-    joined = _Layout(
-        index + _offsets(windows, lengths),
-        sources,
-        pairs + _offsets(counts, lengths),
-        prefix + _offsets(windows, counts),
-        images,
-    )
-    return lengths, joined
-
-
-def _offsets(counts: list[int], sizes: list[int]) -> np.ndarray:
-    """For runs of ``sizes`` entries, one run per power, the sum of
-    ``counts`` over the powers before each entry's."""
-    return np.repeat(np.cumsum(counts) - counts, sizes)
+    if len(powers) < len(layout.lengths):
+        layout = layout.cut(0, len(powers))
+    return layout.lengths, layout
 
 
 def _power_norms(lengths: list[int], *spans: tuple[np.ndarray, np.ndarray | None]):
@@ -526,7 +428,7 @@ def _commutators(
     u_pows: list[np.ndarray],
     p: np.ndarray,
     cfg: ToleranceConfig,
-    layouts: list | None = None,
+    layout: Layout | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Norms of ``[U^k |T| (U^k)*, |T|]`` and their thresholds, each an
     array ``(operators, powers)``, for the consecutive powers ``u_pows`` of
@@ -534,7 +436,7 @@ def _commutators(
     m, m)``, with ``p`` holding ``|T|`` of each operator on every block
     position, the trailing zero block of a shift included. A power of a
     block stack holds its distinct windows, placed by its layout in
-    ``layouts`` (see ``_spans``); its blocks map each position j to j + k, so
+    ``layout`` (see ``_spans``); its blocks map each position j to j + k, so
     the commutator is block diagonal, with ``|T|`` at j as the source and
     at j + k as the image. The conjugated blocks are formed once per
     window, and the commutators once per (window, image) pair. All powers
@@ -543,18 +445,18 @@ def _commutators(
     from the sums of squares of the windows and pairs placed at the block
     positions, which keeps it bitwise equal to that of the power of that
     operator alone."""
-    lengths, spans = _spans(u_pows, layouts)
+    lengths, layout = _spans(u_pows, layout)
     u = _join(u_pows)
-    if spans is None:
+    if layout is None:
         # Each power of a direct sum maps each block position to itself,
         # with the block of |T| there as source and image.
         index = pairs = None
         u, images = u.reshape(len(u), len(lengths), *p.shape[1:]), p[:, None]
         paired = conjugated = u @ images @ _adjoint(u)
     else:
-        index, sources, pairs, prefix, images = spans
-        conjugated = u @ p[:, sources] @ _adjoint(u)
-        paired, images = conjugated[:, prefix], p[:, images]
+        index, pairs = layout.index, layout.pairs
+        conjugated = u @ p[:, layout.sources] @ _adjoint(u)
+        paired, images = conjugated[:, layout.prefix], p[:, layout.images]
     commutator = paired @ images - images @ paired
     norms, conjugated_norms = _power_norms(lengths, (commutator, pairs), (conjugated, index))
     return norms, _threshold(conjugated_norms, _norms(p)[:, None], cfg)
@@ -564,7 +466,7 @@ def _oracle_residuals(
     t_pows: list[np.ndarray],
     u_pows: list[np.ndarray],
     cfg: ToleranceConfig,
-    layouts: list | None = None,
+    layout: Layout | None = None,
     held: SvdResult | None = None,
     checked: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -574,7 +476,7 @@ def _oracle_residuals(
     ``(U^k)* U^k`` against the range projection of ``(T^k)*``, as two arrays
     ``(operators, powers)``. Both vanish exactly when ``U^k |T^k|`` is the
     polar decomposition of ``T^k``. The powers of a block stack hold their
-    distinct windows, placed by ``layouts`` (see ``_commutators``).
+    distinct windows, placed by ``layout`` (see ``_commutators``).
 
     One stacked SVD of every matrix (or window) of every power gives each
     power of each operator its own polar decomposition ``U_k |T^k|``, with
@@ -592,8 +494,8 @@ def _oracle_residuals(
     only those are factored (``_oracle_svd``), so its ``U_k`` take the
     width of its largest rank over them, and its residuals past them are
     formed but mean nothing."""
-    lengths, spans = _spans(t_pows, layouts)
-    index = None if spans is None else spans.index
+    lengths, layout = _spans(t_pows, layout)
+    index = None if layout is None else layout.index
     counts = [t_pow.shape[1] for t_pow in t_pows]
     t, u = _join(t_pows), _join(u_pows)
     decomp = _oracle_svd(t, counts, held, checked)
@@ -644,7 +546,7 @@ def _oracle_run(
     t_pows: list[np.ndarray],
     u_pows: list[np.ndarray],
     cfg: ToleranceConfig,
-    layouts: list | None = None,
+    layout: Layout | None = None,
     held: SvdResult | None = None,
     checked: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -660,7 +562,7 @@ def _oracle_run(
     overflowed) is never factored. A single power that cannot be factored
     raises."""
     try:
-        equation, ranges = _oracle_residuals(t_pows, u_pows, cfg, layouts, held, checked)
+        equation, ranges = _oracle_residuals(t_pows, u_pows, cfg, layout, held, checked)
     except np.linalg.LinAlgError:
         if len(t_pows[0]) > 1:
             counts = [len(t_pows)] * len(t_pows[0]) if checked is None else checked.tolist()
@@ -670,7 +572,7 @@ def _oracle_run(
                         [x[[i]] for x in t_pows[:c]],
                         [x[[i]] for x in u_pows[:c]],
                         cfg,
-                        layouts,
+                        layout,
                         None if held is None else held[[i]],
                     )
                     for i, c in enumerate(counts)
@@ -683,7 +585,7 @@ def _oracle_run(
                 [t_pows[k]],
                 [u_pows[k]],
                 cfg,
-                layouts and layouts[k:],
+                None if layout is None else layout.cut(k, k + 1),
                 None if k else held,
             )[0]
             for k in range(len(t_pows))
@@ -738,7 +640,7 @@ def blockwise_centered_order(
     last position, which no block leaves. The blocks are labelled by their
     exact bytes (``_block_labels``), so that a ``-0.0`` entry differs from
     ``0.0``, and each power is formed, factored and checked once per
-    distinct window of consecutive labels (``_Windows``): identical blocks
+    distinct window of consecutive labels (``Windows``): identical blocks
     give identical products. Each norm of a power adds the sums of squares
     of its blocks at every position in position order, each sum taken once
     per window, so the report is bitwise that of the walk of every block
@@ -748,7 +650,7 @@ def blockwise_centered_order(
     """
     if not 1 <= max_n <= blocks.shape[1]:
         raise ValueError(f"max_n must lie in 1..{blocks.shape[1]}, got {max_n}")
-    windows = _Windows(_block_labels(blocks[0]))
+    windows = Windows(_block_labels(blocks[0]), _GROUP_ENTRIES // blocks[0, 0].size)
     heads = windows.step(1)[1]
     distinct = polar_decompose.kernel(blocks[:, heads], cfg)
     padded = np.concatenate([distinct.modulus, np.zeros_like(distinct.modulus[:, :1])], 1)
@@ -758,9 +660,9 @@ def blockwise_centered_order(
 
 def _block_labels(stack: np.ndarray) -> np.ndarray:
     """Labels of the blocks of a stack, equal exactly for blocks of equal
-    bytes (so a ``-0.0`` entry differs from ``0.0``), numbered by
-    ``np.unique`` over those bytes, as ``_Windows`` numbers the windows:
-    in byte order, which no result depends on."""
+    bytes (so a ``-0.0`` entry differs from ``0.0``), numbered 0, 1, ... by
+    ``np.unique`` over those bytes: in byte order, which no result depends
+    on. ``Windows`` numbers the windows from the runs of these labels."""
     rows = np.ascontiguousarray(stack).reshape(len(stack), -1)
     return np.unique(rows.view(np.dtype((np.void, rows[0].nbytes)))[:, 0], return_inverse=True)[1]
 
@@ -771,7 +673,7 @@ def _centered_walk(
     """The reports of ``centered_order`` of each operator of a stack of
     operators ``t``, with its polar parts ``parts`` (None: from the SVD of
     ``t`` taken here, which also serves the oracle's check of ``t``); with
-    ``windows`` (see ``_Windows``), ``t`` holds the blocks of an operator on
+    ``windows`` (see ``Windows``), ``t`` holds the blocks of an operator on
     its first block subdiagonal, and ``parts`` those blocks' parts, with the
     modulus padded as ``_commutators`` takes it
     (``blockwise_centered_order``).
@@ -807,11 +709,10 @@ def _centered_walk(
     # T^k = U^k |T^k| is homogeneous in T^k.
     t_powers = _powers(t, windows, rescale=windows is not None)
     first = 1
-    for group in _power_groups(u, windows, max_n):
-        layouts = None if windows is None else windows.layouts(first, len(group))
+    for group, layout in _power_groups(u, windows, max_n):
         if first <= count:
             listed = group[: count - first + 1]
-            norms, thresholds = _commutators(listed, p, cfg, layouts)
+            norms, thresholds = _commutators(listed, p, cfg, layout)
             norm_parts.append(norms)
             threshold_parts.append(thresholds)
             # Extend the runs still unbroken, by the decisions k < max_n.
@@ -836,7 +737,7 @@ def _centered_walk(
                 [x[pick] for x in t_pows],
                 [x[pick] for x in group[: len(t_pows)]],
                 cfg,
-                layouts,
+                layout,
                 None if held is None else held[pick],
                 checked[members],
             )
@@ -891,7 +792,7 @@ def is_n_centered_definitional(
     t_powers = _powers(t)
     equation: list[float] = []
     ranges: list[float] = []
-    for group in _power_groups(u, None, n):
+    for group, _ in _power_groups(u, None, n):
         t_pows = list(islice(t_powers, len(group)))
         more = _oracle_residuals(t_pows, group, cfg, held=held)
         held = None

@@ -28,7 +28,14 @@ from functools import cache
 from pathlib import Path
 
 from .classify import centered_order, is_binormal
-from .core import DEFAULT_TOLERANCES, ToleranceConfig, rank_margin, svd
+from .core import (
+    DEFAULT_TOLERANCES,
+    ToleranceConfig,
+    _inverse_svd,
+    numerical_rank,
+    rank_margin,
+    svd,
+)
 from .decomp import (
     moore_penrose,
     mp_polar_parts,
@@ -43,6 +50,7 @@ from .shifts import (
     build_truncated,
     certify_blockwise,
     pattern_mismatches,
+    subdiagonal_blocks,
     verify_predicted_structure,
 )
 from .suites import SUITES, CheckRecord, run_suite
@@ -140,7 +148,12 @@ def cmd_mp(args: argparse.Namespace) -> RunReport:
     ):
         report.add_check(name, residual, residual <= cfg.equality_rel_tol)
     if t.shape[0] == t.shape[1]:
-        inverse_parts = mp_polar_parts(t, cfg, decomp=decomp, inverse_decomp=svd(pinv))
+        # The SVD of pinv, read off that of T at the rank of pinv, and
+        # dropped once its modulus is formed.
+        rank = numerical_rank(decomp.singular_values, cfg)
+        inverse_parts = mp_polar_parts(
+            t, cfg, decomp=decomp, inverse_decomp=_inverse_svd(decomp, rank)
+        )
         inverse_check = verify_polar(pinv, inverse_parts, cfg)
         for name, residual in inverse_check.residuals.items():
             passed = residual <= polar_tolerance(name, cfg)
@@ -181,10 +194,16 @@ def cmd_counterexample(args: argparse.Namespace) -> RunReport:
     spec = ShiftSpec.from_recipe(args.n, args.blocks)
     t = build_truncated(spec)
     out = args.out if args.out else f"shift-n{spec.n}.json"
+    # The matrix written is checked as each certifier's public entry would
+    # check it, in two scans: write_matrix's check stands for their
+    # as_operator (finite entries), and the cut's count of its nonzero
+    # entries for their check that nothing lies off the first block
+    # subdiagonal. Both certificates are of the blocks cut once.
     write_matrix(out, t)
+    blocks = subdiagonal_blocks.kernel(t)
 
-    result = certify_blockwise(t, spec.blocks - 1, cfg)
-    structure = verify_predicted_structure(t, spec, cfg)
+    result = certify_blockwise.kernel(blocks, spec.blocks - 1, cfg)
+    structure = verify_predicted_structure.kernel(blocks, spec, cfg)
     mismatches = pattern_mismatches(spec, result.commute_decisions())
 
     report = RunReport(command=args.echo, tolerances=cfg)

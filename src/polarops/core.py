@@ -414,6 +414,27 @@ def _isometry(decomp: SvdResult, r: np.ndarray) -> np.ndarray:
     return _leading_product(decomp.left_vectors, decomp.right_vectors, r)
 
 
+def _inverse_svd(decomp: SvdResult, r) -> SvdResult:
+    """The SVD of ``X_r diag(1/s_r) W_r*``, the Moore-Penrose inverse that
+    ``decomp.moore_penrose`` forms at rank ``r`` (one per matrix) from the
+    SVD ``t = W diag(s) X*``, read off that SVD with no factorization: the
+    leading ``r`` columns of ``X`` and ``W`` in reverse order, so that the
+    values ``1/s_r >= ... >= 1/s_1`` descend, then the other columns with
+    the value 0."""
+    s = decomp.singular_values
+    j = np.arange(s.shape[-1])
+    r = np.asarray(r)[..., None]
+    order = np.where(j < r, r - 1 - j, j)
+    kept = np.take_along_axis(s, order, axis=-1)
+    values = np.divide(1.0, kept, out=np.zeros_like(kept), where=j < r)
+    columns = order[..., None, :]
+    return SvdResult(
+        np.take_along_axis(decomp.right_vectors, columns, axis=-1),
+        values,
+        np.take_along_axis(decomp.left_vectors, columns, axis=-1),
+    )
+
+
 @dataclass(frozen=True)
 class HermEigResult:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""

@@ -35,6 +35,7 @@ __all__ = [
     "g_sequence",
     "block_t",
     "build_truncated",
+    "subdiagonal_blocks",
     "predicted_polar_parts",
     "expected_commutator_pattern",
     "pattern_mismatches",
@@ -219,16 +220,32 @@ def _dense(stack, offset: int = 1) -> np.ndarray:
     return dense
 
 
-def _subdiagonal_blocks(t: np.ndarray) -> np.ndarray:
+def subdiagonal_blocks(t) -> np.ndarray:
     """The blocks of a matrix of 3x3 blocks on its first block subdiagonal,
-    the inverse of ``_dense``. Raises ValueError if ``t`` has a nonzero entry
-    anywhere else, so that a caller certifies what ``t`` holds."""
+    where ``build_truncated`` places them, with ``t`` checked once
+    (``core.as_operator``). Raises ValueError if ``t`` is not a square
+    matrix of 3x3 blocks or has a nonzero entry anywhere else, so that a
+    caller certifies what ``t`` holds; the kernels of ``certify_blockwise``
+    and ``verify_predicted_structure`` take the blocks it returns. Its own
+    kernel takes a checked ``t``, and scans it once, to count its nonzero
+    entries."""
+    t = as_operator(t)
+    if t.shape[0] != t.shape[1] or t.shape[0] % BLOCK:
+        raise ValueError(f"need a square matrix of 3x3 blocks, got shape {t.shape}")
+    return _subdiagonal_blocks(t)
+
+
+def _subdiagonal_blocks(t: np.ndarray) -> np.ndarray:
+    """``subdiagonal_blocks`` of a checked square matrix of 3x3 blocks."""
     blocks = t.shape[0] // BLOCK
     grid = t.reshape(blocks, BLOCK, blocks, BLOCK).swapaxes(1, 2)
     stack = grid[np.arange(1, blocks), np.arange(blocks - 1)]
     if np.count_nonzero(stack) != np.count_nonzero(t):
         raise ValueError("operator has entries off its first block subdiagonal")
     return stack
+
+
+subdiagonal_blocks.kernel = _subdiagonal_blocks
 
 
 def build_truncated(spec: ShiftSpec) -> np.ndarray:
@@ -288,9 +305,17 @@ def verify_predicted_structure(
     t = as_operator(t)
     if t.shape != (spec.dimension,) * 2:
         raise ValueError(f"shape {t.shape} does not match dimension {spec.dimension}")
+    return _predicted_structure(_subdiagonal_blocks(t), spec, cfg)
+
+
+def _predicted_structure(blocks: np.ndarray, spec: ShiftSpec, cfg: ToleranceConfig) -> PolarCheck:
+    """``verify_predicted_structure`` of the shift whose blocks T_1..T_{blocks-1}
+    are ``blocks`` (``subdiagonal_blocks``), unchecked."""
     isometries, moduli = _predicted_blocks(spec)
-    blocks = _subdiagonal_blocks(t)
     return verify_polar.kernel(blocks[None], isometries[None], moduli[None], cfg)[0]
+
+
+verify_predicted_structure.kernel = _predicted_structure
 
 
 def expected_commutator_pattern(spec: ShiftSpec, k: int) -> bool:
@@ -359,4 +384,14 @@ def certify_blockwise(
     blocks = t.shape[0] // BLOCK
     if t.shape != (BLOCK * blocks,) * 2 or not 1 <= max_n < blocks:
         raise ValueError(f"need 3x3 blocks and max_n < blocks: {t.shape}, {max_n}")
-    return blockwise_centered_order.kernel(_subdiagonal_blocks(t)[None], max_n, cfg)[0]
+    return _certified(_subdiagonal_blocks(t), max_n, cfg)
+
+
+def _certified(blocks: np.ndarray, max_n: int, cfg: ToleranceConfig) -> CenteredReport:
+    """``certify_blockwise`` of the operator whose blocks on its first block
+    subdiagonal are ``blocks`` (``subdiagonal_blocks``), unchecked, for
+    1 <= max_n <= len(blocks)."""
+    return blockwise_centered_order.kernel(blocks[None], max_n, cfg)[0]
+
+
+certify_blockwise.kernel = _certified

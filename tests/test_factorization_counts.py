@@ -514,15 +514,16 @@ def test_counterexample_n60_factors_blocks_not_the_dense_operator(
 
 
 def test_counterexample_checks_each_input_once(draw_log, tmp_path, capsys):
-    # write_matrix checks the shift it writes; certify_blockwise checks the
-    # shift and calls blockwise_centered_order.kernel on the stack of its
-    # blocks; verify_predicted_structure checks the shift and calls
-    # verify_polar.kernel on its blocks. Nothing checks the stack of blocks,
-    # the polar parts of the distinct blocks or the operands of
-    # verify_polar again.
+    # write_matrix checks the shift it writes, and nothing checks it again:
+    # the command cuts its blocks once, by the kernel of
+    # subdiagonal_blocks, and hands them to the kernels of
+    # certify_blockwise and verify_predicted_structure, whose public entries
+    # would each check the shift (as_operator) once more. Nothing checks the
+    # stack of blocks, the polar parts of the distinct blocks or the
+    # operands of verify_polar again.
     code = main(["counterexample", "--n", "12", "--out", str(tmp_path / "s.json")])
     assert code == 0 and "verdict: pass" in capsys.readouterr().out
-    assert draw_log["checked"] == 3
+    assert draw_log["checked"] == 1
     draw_log.clear()
     assert certify_blockwise(_shift(12), 14).verified_order == 12
     assert draw_log["checked"] == 1
@@ -554,6 +555,25 @@ def test_certify_blockwise_at_n1000_groups_powers_by_their_windows(lapack_calls)
     assert lapack_calls.matrices == Counter(svd=4 + 4001)
 
 
+@pytest.mark.parametrize("n", [20, 1000])
+def test_certify_blockwise_numbers_windows_without_unique(monkeypatch, n):
+    # The blocks are labelled by one numpy.unique over their bytes; the
+    # windows of every power come from the runs of those labels, one group
+    # of powers at a time, with no unique of their own.
+    spec = ShiftSpec.from_recipe(n)
+    t = build_truncated(spec)
+    unique = np.unique
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    assert certify_blockwise(t, spec.blocks - 1).verified_order == n
+    assert calls == [(spec.blocks - 1,)]
+
+
 def _dense_file_argv(tmp_path, command: str, shape: tuple[int, int]) -> list[str]:
     """The command line of ``command`` on a seeded Gaussian file of
     ``shape``, written before the caller starts logging."""
@@ -572,9 +592,10 @@ def _dense_file_argv(tmp_path, command: str, shape: tuple[int, int]) -> list[str
         # by one eigh.
         ("polar", (6, 6), 1),
         ("polar", (7, 4), 1),
-        # T once for the inverse, the margin and U*; pinv once for its
-        # modulus; verify_polar factors only |pinv|, by one eigh.
-        ("mp", (6, 6), 2),
+        # T once for the inverse, the margin, U* and the modulus of pinv,
+        # whose SVD is read off that of T; verify_polar factors only
+        # |pinv|, by one eigh.
+        ("mp", (6, 6), 1),
         # T once; the inverse polar checks need a square T.
         ("mp", (7, 4), 1),
         # A generic draw is 1-centered: T once for U, the margin and the
@@ -599,7 +620,7 @@ def test_dense_file_commands_factor_t_once(
         # T^2 and T are walked in groups of their own at this size.
         ("classify", Counter(svd=2)),
         ("polar", Counter(svd=1, eigh=1)),
-        ("mp", Counter(svd=2, eigh=1)),
+        ("mp", Counter(svd=1, eigh=1)),
     ],
 )
 def test_dense_file_commands_factor_no_matrix_twice(

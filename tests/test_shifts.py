@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polarops import classify
 from polarops.classify import (
+    _GROUP_ENTRIES,
     CenteredReport,
     _block_labels,
+    _power_groups,
     _powers,
-    _Windows,
     blockwise_centered_order,
     centered_order,
     is_n_centered_definitional,
@@ -47,10 +49,12 @@ from polarops.shifts import (
     g_sequence,
     pattern_mismatches,
     predicted_polar_parts,
+    subdiagonal_blocks,
     v_matrix,
     v_power_entries,
     verify_predicted_structure,
 )
+from polarops.windows import Windows
 
 TIGHT = 1e-12
 
@@ -246,6 +250,31 @@ class TestBuildTruncated:
         spec = ShiftSpec(n=2, blocks=6, g=(1.0,) * 6)
         report = centered_order(build_truncated(spec), 8)
         assert report.verified_order == 8
+
+
+class TestSubdiagonalBlocks:
+    def test_cuts_the_blocks_build_truncated_placed(self):
+        spec = ShiftSpec.from_recipe(5)
+        stack = subdiagonal_blocks(build_truncated(spec))
+        expected = [block_t(m, spec.g) for m in range(1, spec.blocks)]
+        assert np.array_equal(stack, expected)
+        assert np.array_equal(_dense(stack), build_truncated(spec))
+
+    @pytest.mark.parametrize("row, col", [(0, 0), (0, 3), (7, 1), (14, 5)])
+    def test_refuses_entries_off_the_subdiagonal(self, row, col):
+        t = build_truncated(ShiftSpec.from_recipe(3))
+        t[row, col] = 1e-3
+        with pytest.raises(ValueError, match="off its first block subdiagonal"):
+            subdiagonal_blocks(t)
+
+    def test_refuses_other_shapes_and_non_finite_entries(self):
+        t = build_truncated(ShiftSpec.from_recipe(3))
+        for shape in (t[:-1, :-1], t[:-3]):
+            with pytest.raises(ValueError, match="square matrix of 3x3 blocks"):
+                subdiagonal_blocks(shape)
+        t[4, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            subdiagonal_blocks(t)
 
 
 class TestExpectedCommutatorPattern:
@@ -557,6 +586,131 @@ class TestWindowedWalk:
         assert _hex(certify_blockwise(t, max_n)) == _hex(expected)
 
 
+@st.composite
+def _run_labels(draw):
+    """Labels of 1-30 blocks that come in runs of equal labels, in one of
+    four forms: a pattern of runs repeated (periodic, labels like ABAB or
+    AABAAB), runs of a few labels in any order (a label comes back after
+    others), every label distinct, and a single run. The labels are
+    numbered 0, 1, ... with none left out, as ``Windows`` takes them."""
+    form = draw(st.sampled_from(["periodic", "separated", "distinct", "single"]), label="form")
+    run = st.tuples(st.integers(0, 3), st.integers(1, 5))
+    if form == "periodic":
+        runs = draw(st.lists(run, min_size=1, max_size=3)) * draw(st.integers(1, 8))
+    elif form == "separated":
+        runs = draw(st.lists(run, min_size=1, max_size=12))
+    elif form == "distinct":
+        runs = [(label, 1) for label in range(draw(st.integers(1, 30)))]
+    else:
+        runs = [(0, draw(st.integers(1, 30)))]
+    labels = np.repeat(*zip(*runs))[:30]
+    return np.unique(labels, return_inverse=True)[1]
+
+
+def _power_layouts(labels: np.ndarray, group: int) -> tuple[np.ndarray, list]:
+    """The labels with the pad (``Windows.labels``), and the layout of each
+    power of the walk over ``labels``, whose groups hold at most ``group``
+    windows, each power's layout cut from its group's."""
+    windows = Windows(labels, group)
+    layouts, first = [], 1
+    while first <= len(labels):
+        layout = windows.layout(first)
+        layouts += [layout.cut(i, i + 1) for i in range(len(layout.lengths))]
+        first += len(layout.lengths)
+    return windows.labels, layouts
+
+
+def _numbered_windows(padded: np.ndarray, ids: np.ndarray, k: int) -> dict:
+    """The window of ``k`` labels of ``padded`` at each position j of
+    ``ids``, by its number ``ids[j]``: each number must name one window."""
+    named: dict = {}
+    for j, number in enumerate(ids.tolist()):
+        named.setdefault(number, set()).add(tuple(padded[j : j + k].tolist()))
+    return named
+
+
+def _assert_windows_numbered(labels: np.ndarray, group: int) -> list[tuple[int, int]]:
+    """Check the numbering of every power's windows and pairs: two
+    positions share a number only when their windows of labels are equal,
+    the numbers run 0, 1, ... with none left out, each window's source and
+    each pair's image sit at a position that holds it, and the window over
+    the pad is the last pair of each power, and the only one. Returns the
+    numbers of windows and pairs of each power."""
+    padded, layouts = _power_layouts(labels, group)
+    assert [len(layout.index) for layout in layouts] == list(range(len(labels), 0, -1))
+    counts = []
+    for k, layout in enumerate(layouts, start=1):
+        for ids, length in ((layout.index, k), (layout.pairs, k + 1)):
+            named = _numbered_windows(padded, ids, length)
+            assert all(len(windows) == 1 for windows in named.values()), (k, named)
+            assert sorted(named) == list(range(len(named)))
+        assert np.array_equal(layout.index[layout.sources], np.arange(len(layout.sources)))
+        heads = layout.images - k
+        assert np.array_equal(layout.pairs[heads], np.arange(len(layout.images)))
+        assert np.array_equal(layout.prefix, layout.index[heads])
+        pad = layout.pairs[-1]
+        assert pad == layout.pairs.max() and np.count_nonzero(layout.pairs == pad) == 1
+        counts.append((len(layout.sources), len(layout.images)))
+    return counts
+
+
+def _distinct_windows(padded: np.ndarray, k: int, positions: int) -> int:
+    """``np.unique``'s count of the distinct windows of ``k`` labels of
+    ``padded`` at positions 0..positions-1."""
+    view = np.lib.stride_tricks.sliding_window_view(padded, k)[:positions]
+    return len(np.unique(view, axis=0))
+
+
+class TestRunWindows:
+    """``Windows`` numbers the windows of each power from the runs of the
+    labels: equal labels in one run give one window, any other window is
+    numbered by its position."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(labels=_run_labels(), group=st.integers(1, 40))
+    def test_numbers_name_equal_windows_and_the_pad_last(self, labels, group):
+        _assert_windows_numbered(labels, group)
+
+    @pytest.mark.parametrize("extra", [3, 10])
+    def test_recipe_shifts_number_each_distinct_window_once(self, extra):
+        # Each label of a recipe shift fills one run, so its windows are
+        # numbered as np.unique counts them: at most 5 per power on the
+        # default n + 3 blocks, and up to 11 on n + 10.
+        for n in range(2, 61):
+            stack = _subdiagonal_blocks(build_truncated(ShiftSpec.from_recipe(n, n + extra)))
+            labels = _block_labels(stack)
+            counts = _assert_windows_numbered(labels, _GROUP_ENTRIES // BLOCK**2)
+            padded = np.append(labels, labels.max() + 1)
+            expected = [
+                (_distinct_windows(padded, k, len(stack) + 1 - k),
+                 _distinct_windows(padded, k + 1, len(stack) + 1 - k))
+                for k in range(1, len(stack) + 1)
+            ]
+            assert counts == expected, n
+            if extra == 3:
+                assert max(windows for windows, _ in counts) <= 5
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        labels=_run_labels(),
+        seed=st.integers(0, 2**32 - 1),
+        budget=st.sampled_from([1, 20, 100, 2**12]),
+        data=st.data(),
+    )
+    def test_labelled_stacks_match_the_walk_of_every_position(self, labels, seed, budget, data):
+        # One random block per label, so the blocks' labels by their bytes
+        # run as the drawn labels do; small budgets cut the walk into many
+        # groups of powers.
+        rng = np.random.default_rng(seed)
+        pool = random_operator(rng, BLOCK * (labels.max() + 1), BLOCK).reshape(-1, BLOCK, BLOCK)
+        t = _dense(pool[labels])
+        max_n = data.draw(st.integers(1, len(labels)), label="max_n")
+        expected = _reference_certify_blockwise(t, max_n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classify, "_GROUP_ENTRIES", budget)
+            assert _hex(certify_blockwise(t, max_n)) == _hex(expected)
+
+
 class TestBlockRouteNorms:
     """The block route sums each norm's squares per block position, where
     ``fro_norm`` of the gathered span sums them entry by entry: the norms
@@ -587,11 +741,13 @@ class TestPowers:
     def _spans(stack, labels):
         """The walk of ``stack`` held by the windows of ``labels``, each power
         gathered back to its block positions, and the windows per power."""
-        windows = _Windows(labels)
-        powers = list(_powers(stack, windows))
-        layouts = windows.layouts(1, len(powers))
-        spans = [power[layout.index] for power, layout in zip(powers, layouts)]
-        return spans, [len(power) for power in powers]
+        windows = Windows(labels, _GROUP_ENTRIES // BLOCK**2)
+        spans, counts = [], []
+        for group, layout in _power_groups(stack, windows, len(stack)):
+            for i, power in enumerate(group):
+                spans.append(power[layout.cut(i, i + 1).index])
+                counts.append(len(power))
+        return spans, counts
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_block_stack_powers_sit_on_the_kth_subdiagonal(self, n):
