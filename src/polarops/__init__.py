@@ -3,8 +3,9 @@
 Computes canonical polar factors (partial isometries vanishing on the null
 space), Moore-Penrose inverses, and Aluthge-type transforms; classifies
 operators as binormal or n-centered through commutator criteria with a
-definitional cross-check; and generates truncated block weighted shifts
-whose centered order is exactly n.
+definitional cross-check; and generates the paper's truncated block
+weighted shifts of centered order n, whose matrices hold them rounded to
+doubles: binormal, and n-centered only to within the tolerance.
 
 The package exports every name of the ``__all__`` of ``core``, ``decomp``,
 ``classify``, ``shifts`` and ``matrixio``, which are the one list of them.

@@ -174,6 +174,10 @@ class DefinitionalCheck:
     equation_residuals: tuple[float, ...]
     range_residuals: tuple[float, ...]
 
+    def passing_powers(self, cfg: ToleranceConfig) -> int:
+        """The number of leading powers that pass (``_passing_powers``)."""
+        return int(_passing_powers(self.equation_residuals, self.range_residuals, cfg))
+
 
 @dataclass(frozen=True)
 class ProductPolarReport:
@@ -591,9 +595,17 @@ def _oracle_run(
             for k in range(len(t_pows))
         )
         return np.array([len(list(takewhile(bool, passes)))])
-    holds = np.maximum(equation, ranges) <= cfg.equality_rel_tol
-    runs = np.logical_and.accumulate(holds, axis=1).sum(axis=1)
+    runs = _passing_powers(equation, ranges, cfg)
     return runs if checked is None else np.minimum(runs, checked)
+
+
+def _passing_powers(equation, ranges, cfg: ToleranceConfig) -> np.ndarray:
+    """The number of leading powers that pass the definitional check, for
+    each row of the residuals of ``_oracle_residuals`` (or for one row of
+    them): power k passes when ``max(equation, range) <= equality_rel_tol``,
+    so a NaN residual fails it."""
+    holds = np.maximum(equation, ranges) <= cfg.equality_rel_tol
+    return np.logical_and.accumulate(holds, axis=-1).sum(axis=-1)
 
 
 @_boundary((2, 4), square=True)
@@ -798,9 +810,10 @@ def is_n_centered_definitional(
         held = None
         equation += more[0][0].tolist()
         ranges += more[1][0].tolist()
-    ok = all(r <= cfg.equality_rel_tol for r in equation + ranges)
     return DefinitionalCheck(
-        ok=ok, equation_residuals=tuple(equation), range_residuals=tuple(ranges)
+        ok=bool(_passing_powers(equation, ranges, cfg) == n),
+        equation_residuals=tuple(equation),
+        range_residuals=tuple(ranges),
     )
 
 
@@ -942,9 +955,9 @@ def binormal_equivalents(
     decomp = _svd(pair)
     factors = polar_decompose.kernel(pair, cfg, decomp=decomp)
     u = factors.isometry[:count]
-    tol = cfg.equality_rel_tol
     equation, ranges = _oracle_residuals([t, t @ t], [u, u @ u], cfg, held=decomp[:count])
-    two_centered = ((equation <= tol) & (ranges <= tol)).all(axis=1).tolist()
+    two_centered = (_passing_powers(equation, ranges, cfg) == 2).tolist()
+    tol = cfg.equality_rel_tol
     both = functools.cache(_psd_powers(factors.modulus, cfg))
 
     def power(alpha: float) -> np.ndarray:

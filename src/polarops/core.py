@@ -534,9 +534,17 @@ def is_hermitian_psd(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     if verdicts.any():
         h = a[verdicts]
         (values,) = _lapack("eigvalsh", 0.5 * (h + _adjoint(h)))
-        scale = _floor_one(values[..., -1].max(axis=-1))
-        verdicts[verdicts] = values[..., 0].min(axis=-1) >= -cfg.zero_rel_tol * scale
+        verdicts[verdicts] = _psd_verdicts(values, cfg)
     return verdicts
+
+
+def _psd_verdicts(values: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """Whether each operator of a stack is PSD within tolerance, from the
+    ascending eigenvalues ``(operators, blocks, m)`` of its Hermitian part:
+    its lowest eigenvalue is at least ``-zero_rel_tol * max(1, top)``, with
+    ``top`` its largest."""
+    top = values[..., -1].max(axis=-1)
+    return values[..., 0].min(axis=-1) >= -cfg.zero_rel_tol * _floor_one(top)
 
 
 @_boundary((2,))
@@ -569,10 +577,9 @@ def _psd_powers(x: np.ndarray, cfg: ToleranceConfig):
     if not is_hermitian.kernel(x, cfg).all():
         raise ValueError("fractional powers require a Hermitian input")
     values, vectors = _lapack("eigh", 0.5 * (x + _adjoint(x)))
-    lam_max = values[..., -1].max(axis=-1)[..., None, None]
-    neg_tol = cfg.zero_rel_tol * _floor_one(abs(lam_max))
-    if np.any(values[..., :1] < -neg_tol):
+    if not _psd_verdicts(values, cfg).all():
         raise ValueError(f"input is not PSD: smallest eigenvalue {values.min():.3e}")
+    lam_max = values[..., -1].max(axis=-1)[..., None, None]
     cutoff = cfg.rank_rel_tol * np.maximum(lam_max, 0.0)
     values[values <= cutoff] = 0.0
 

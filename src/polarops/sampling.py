@@ -6,19 +6,17 @@ standard-normal real and imaginary parts; rank-deficient variants zero out
 trailing singular values to exercise the rank-cutoff paths.
 
 A stacked draw (``random_spectrum_operators``, ``random_mixed_ranks``,
-``random_commuting_psd_pairs``, ``random_psd_pairs``,
-``random_commuting_moduli_pairs`` and ``random_binormals``) takes the
-random numbers of its operators from the generator in the order of one
-draw after another, and only then factors them, in one QR (and, for
-moduli pairs, one SVD) of a stack per shape, and forms the products of
-each shape as one stacked expression (``random_binormals``, whose families
-differ from draw to draw, one draw at a time): the stream stays the same,
-and each operator is bitwise the one drawn alone. The single draw is a
-one-element call of its stacked form. ``random_psd_pairs`` redraws a pair
-that commutes: it tests all its pairs at once, then restores the generator
-to its state after the first failing pair (saved after each pair's draw)
-and draws again from there, so the stream is the one of the draws one at a
-time. The bounds of the draws (how far from commuting a redrawn pair or
+``random_commuting_psd_pairs``, ``random_commuting_moduli_pairs`` and
+``random_binormals``) takes the random numbers of its operators from the
+generator in the order of one draw after another, and only then factors
+them, in one QR (and, for moduli pairs, one SVD) of a stack per shape, and
+forms the products of each shape as one stacked expression
+(``random_binormals``, whose families differ from draw to draw, one draw
+at a time): the stream stays the same, and each operator is bitwise the
+one drawn alone. The single draw is a one-element call of its stacked
+form. ``random_psd_pair``, which redraws a pair that commutes, has no
+stacked form: it draws and tests one pair at a time. The bounds of the
+draws (how far from commuting a redrawn pair or
 non-binormal operator must be, the range of the singular values of
 ``random_spectrum_operator``) are fixed: module constants, not arguments.
 """
@@ -43,7 +41,6 @@ __all__ = [
     "random_commuting_psd_pair",
     "random_commuting_psd_pairs",
     "random_psd_pair",
-    "random_psd_pairs",
     "random_spectrum_operator",
     "random_spectrum_operators",
     "random_binormal",
@@ -200,41 +197,15 @@ def _spectrum(rng: np.random.Generator, dim: int, deficient: bool) -> np.ndarray
 def random_psd_pair(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Independent PSD pair, redrawn until it clearly fails to commute:
     until ``[A, B]`` exceeds ``_PSD_PAIR_COMMUTATOR`` times the norms of
-    ``A`` and ``B``."""
-    return random_psd_pairs(rng, [dim])[0]
-
-
-def random_psd_pairs(
-    rng: np.random.Generator, dims: list[int], then=None
-) -> list[tuple[np.ndarray, ...]]:
-    """``random_psd_pair`` of each dimension of ``dims``, as a list; with
-    ``then``, each pair is followed by the draw ``then(rng, dim)``, third in
-    its tuple.
-
-    Each pass draws the pairs still wanted, saving the generator's state
-    after each pair, and tests them all (``_noncommuting``). The pairs
-    before the first that fails are kept; the generator goes back to the
-    state saved after that pair, and the next pass draws again from there,
-    so the stream is that of the draws one at a time. A pair that fails on
-    64 draws in a row raises ``RuntimeError``, with the generator after its
-    last draw."""
-    pairs: list[tuple[np.ndarray, ...]] = []
-    failed = 0
-    while len(pairs) < len(dims):
-        drawn, states, after = [], [], []
-        for dim in dims[len(pairs) :]:
-            drawn.append(_psd_parts(rng, dim, dim) + _psd_parts(rng, dim, dim))
-            states.append(rng.bit_generator.state)
-            after.append(() if then is None else (then(rng, dim),))
-        tested = _grouped(drawn, _noncommuting)
-        kept = next((i for i, (_, _, clear) in enumerate(tested) if not clear), len(tested))
-        pairs += [(a, b, *extra) for (a, b, _), extra in zip(tested[:kept], after)]
-        if kept < len(tested):
-            failed = failed + 1 if kept == 0 else 1
-            rng.bit_generator.state = states[kept]
-            if failed == 64:
-                raise RuntimeError("could not draw a non-commuting PSD pair")
-    return pairs
+    ``A`` and ``B``. Each draw is tested alone (``_noncommuting`` of a
+    stack of one pair); a pair that fails on 64 draws in a row raises
+    ``RuntimeError``, with the generator after its last draw."""
+    for _ in range(64):
+        drawn = _psd_parts(rng, dim, dim) + _psd_parts(rng, dim, dim)
+        ((a, b, clear),) = _noncommuting(*(x[None] for x in drawn))
+        if clear:
+            return a, b
+    raise RuntimeError("could not draw a non-commuting PSD pair")
 
 
 def _noncommuting(a_gaussians, a_values, b_gaussians, b_values):
@@ -373,7 +344,8 @@ def random_commuting_moduli_pairs(
 def structured_fixtures(rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
     """Named square fixtures exercising the structural corner cases: zero and
     identity, nilpotent shifts, normal/unitary/Hermitian examples, a
-    rank-deficient draw, and exactly-n-centered truncated shifts (the same
+    rank-deficient draw, and the truncated shifts of orders 2 and 3 (the
+    paper's operators rounded, n-centered to within the tolerance; the same
     read-only arrays on every call). The random fixtures draw from ``rng``."""
     jordan = np.zeros((3, 3), dtype=np.complex128)
     jordan[0, 1] = jordan[1, 2] = 1.0
@@ -395,7 +367,7 @@ def structured_fixtures(rng: np.random.Generator) -> list[tuple[str, np.ndarray]
 
 @functools.cache
 def _fixture_shifts() -> tuple[tuple[str, np.ndarray], ...]:
-    """The exactly-n-centered shifts of ``structured_fixtures``, which draw
+    """The recipe shifts of ``structured_fixtures``, which draw
     nothing: built on the first call of a process, and read-only, since
     every later call hands out the same arrays."""
     shifts = []

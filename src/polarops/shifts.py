@@ -2,8 +2,13 @@
 
 Builds finite truncations of a block weighted shift driven by a fixed real
 orthogonal 3x3 matrix ``V`` and a weight sequence ``g``. With the right
-weight recipe the resulting operator is exactly n-centered: the commutator
-``[U^k |T| (U^k)*, |T|]`` vanishes for k < n and fails at k = n. The angle
+weight recipe the resulting operator is n-centered and not
+(n+1)-centered: the commutator ``[U^k |T| (U^k)*, |T|]`` vanishes for
+k < n and fails at k = n. The matrix built holds that operator rounded:
+``tan(alpha)`` and ``sec(alpha)`` are irrational, and in the stored doubles
+``fl(sec)^2 - (1 + fl(tan)^2)`` is 2.29e-16, so no modulus block is
+exactly scalar. The matrix is binormal (k = 1), and its commutators for
+k >= 2 vanish only to within the tolerance. The angle
 behind ``V`` is chosen so that no power of ``V`` slips back into a
 commuting configuration: the (3,3) entry of ``V^k`` is nonzero for every
 k >= 2, which ``v_power_entries`` exposes in closed form.
@@ -125,7 +130,8 @@ def v_power_entries(k: int) -> tuple[complex, complex]:
 
 
 def g_sequence(n: int, m_count: int) -> tuple[float, ...]:
-    """Weight recipe that makes the truncated shift exactly n-centered.
+    """Weight recipe that makes the truncated shift n-centered and not
+    (n+1)-centered (its rounded matrix, to within the tolerance).
 
     For n = 2 the weights run 1, 2, 3, 4 and then stay at 1; for n >= 3 they
     are 1, then 2 repeated n times, then 1. Either way the consecutive
@@ -254,8 +260,10 @@ def build_truncated(spec: ShiftSpec) -> np.ndarray:
 
     The final diagonal position carries no outgoing block, so the modulus
     gains one trailing zero 3x3 block relative to the doubly infinite shift;
-    commutators against that zero block vanish identically and the centered
-    order is unaffected.
+    commutators against that zero block vanish identically, so the
+    truncation does not move the centered order. The blocks hold the
+    operator's irrational entries rounded, so the matrix is n-centered only
+    to within the tolerance (see the module docstring).
     """
     return _dense([block_t(m, spec.g) for m in range(1, spec.blocks)])
 

@@ -9,17 +9,26 @@ and nothing else, and is deterministic given (seed, dim, trials, cfg); its
 fixed settings are the module constants ``MAX_ORDER``, ``SHIFT_ORDERS``,
 ``V_POWERS`` and ``ALUTHGE_EXPONENTS``, which the acceptance tests pin.
 
+Each record is built by the constructor of its rule (``CheckRecord``): a
+count of failing trials passes at zero (``CheckRecord.count``); one value
+passes up to its bound (``CheckRecord.bounded``); a worst residual is
+``max([0.0, *values])`` of the trials' residuals and passes up to its
+bound (``CheckRecord.worst``). v-entries' ``min_v33_from_2``, the one
+lower bound, is the only record built by the dataclass itself.
+
 The seven random suites (``polar-contract``, ``centered-oracle``,
-``product-polar``, ``polar-transfer``, ``aluthge-binormal``, ``mp-inverse``
-and ``psd-pairs``) draw every trial's operators first, in the order of a
-per-trial loop (no evaluation consumes the generator; ``centered-oracle``,
-the constructed pairs of ``product-polar``, ``mp-inverse`` and
-``psd-pairs`` take their draws from the stacked draws of ``sampling``,
-which read the generator in that order and factor each shape's draws in
-one stacked call), evaluate each group of draws of one shape as one
-complex stack of operators (``_by_shape``, over ``core._grouped``), and
-fold the per-trial verdicts and worst residuals back in trial order; each
-trial's values are bitwise those it gets alone. The suites' boundary is
+``product-polar``, ``polar-transfer``, ``aluthge-binormal``,
+``mp-inverse`` and ``psd-pairs``) draw every trial's operators first, in
+the order of a per-trial loop (no evaluation consumes the generator;
+``centered-oracle``, the constructed pairs of ``product-polar``,
+``mp-inverse`` and the commuting pairs of ``psd-pairs`` take their draws
+from the stacked draws of ``sampling``, which read the generator in that
+order and factor each shape's draws in one stacked call; the non-commuting
+pairs of ``psd-pairs`` are drawn one at a time, since a pair may be
+redrawn), evaluate each group of draws of one shape as one complex stack
+of operators (``_by_shape``, over ``core._grouped``), and fold the
+per-trial verdicts and worst residuals back in trial order; each trial's
+values are bitwise those it gets alone. The suites' boundary is
 ``run_suite``: their draws are finite by construction, so each evaluation
 calls the kernels of the public functions (``polar_decompose.kernel``,
 ``verify_polar.kernel``, ``centered_order.kernel``, ...) on the stacks it
@@ -39,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import takewhile
 
 import numpy as np
 
@@ -78,7 +86,7 @@ from .sampling import (
     random_mixed_ranks,
     random_nonbinormal,
     random_operator,
-    random_psd_pairs,
+    random_psd_pair,
     random_spectrum_operators,
     structured_fixtures,
 )
@@ -125,11 +133,30 @@ _SHIFT_IDENTITY = 1e-12
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One named check: a residual (or count) and its verdict."""
+    """One named check: a residual (or count) and its verdict. A record is
+    built by the constructor of its rule: ``count``, ``bounded`` or
+    ``worst``."""
 
     name: str
     residual: float
     passed: bool
+
+    @classmethod
+    def count(cls, name: str, count) -> CheckRecord:
+        """A count of failures, which passes at zero."""
+        return cls(name, float(count), count == 0)
+
+    @classmethod
+    def bounded(cls, name: str, value: float, bound: float) -> CheckRecord:
+        """One value, which passes up to ``bound``; a NaN fails."""
+        return cls(name, float(value), value <= bound)
+
+    @classmethod
+    def worst(cls, name: str, values, bound: float) -> CheckRecord:
+        """The worst of ``values``, ``max([0.0, *values])`` (0 for none),
+        which passes up to ``bound``. Python's ``max`` keeps an item unless
+        a later one is greater, so a NaN is never picked: it is dropped."""
+        return cls.bounded(name, max([0.0, *values]), bound)
 
 
 @dataclass(frozen=True)
@@ -180,11 +207,11 @@ def suite_polar_contract(
         return verify_polar.kernel(t, parts.isometry, parts.modulus, cfg)
 
     checks = _by_shape(draws, evaluate)
-    failures = sum(not check.ok for check in checks)
-    worst = max([0.0, *(check.worst() for check in checks)])
     records = (
-        CheckRecord("contract_failures", float(failures), failures == 0),
-        CheckRecord("worst_residual", worst, worst <= cfg.equality_rel_tol),
+        CheckRecord.count("contract_failures", sum(not check.ok for check in checks)),
+        CheckRecord.worst(
+            "worst_residual", (check.worst() for check in checks), cfg.equality_rel_tol
+        ),
     )
     return SuiteResult("polar-contract", trials, records)
 
@@ -203,7 +230,6 @@ def suite_centered_oracle(
     reports = _by_shape([(t,) for t in operators], lambda t: centered_order.kernel(t, MAX_ORDER, cfg))
     disagreements = 0
     report_flags = 0
-    tol = cfg.equality_rel_tol
     for t, report in zip(operators, reports):
         # The report's oracle agrees exactly when the definitional check
         # passes up to the verified order and no further; only a flagged
@@ -212,13 +238,10 @@ def suite_centered_oracle(
         if not report.oracle_agrees:
             report_flags += 1
             check = is_n_centered_definitional.kernel(t[None, None], MAX_ORDER, cfg)
-            pairs = zip(check.equation_residuals, check.range_residuals)
-            holds = (a <= tol and b <= tol for a, b in pairs)
-            passing = len(list(takewhile(bool, holds)))
-            disagreements += abs(passing - report.verified_order)
+            disagreements += abs(check.passing_powers(cfg) - report.verified_order)
     records = (
-        CheckRecord("order_disagreements", float(disagreements), disagreements == 0),
-        CheckRecord("oracle_flag_failures", float(report_flags), report_flags == 0),
+        CheckRecord.count("order_disagreements", disagreements),
+        CheckRecord.count("oracle_flag_failures", report_flags),
     )
     return SuiteResult("centered-oracle", len(operators), records)
 
@@ -240,22 +263,16 @@ def suite_product_polar(
     ]
     draws += random_commuting_moduli_pairs(rng, _dims_cycle(rng, 2, dim, constructed))
     reports = _by_shape(draws, lambda t, s: product_polar.kernel(t, s, cfg))
-    mismatches = sum(not report.agree() for report in reports)
-    constructed_failures = sum(
-        not report.is_polar for report in reports[len(reports) - constructed :]
-    )
-    worst_transfer = max([0.0, *(report.transfer_residual for report in reports)])
+    constructed_reports = reports[len(reports) - constructed :]
     records = (
-        CheckRecord("three_way_mismatches", float(mismatches), mismatches == 0),
-        CheckRecord(
-            "constructed_not_polar",
-            float(constructed_failures),
-            constructed_failures == 0,
+        CheckRecord.count("three_way_mismatches", sum(not r.agree() for r in reports)),
+        CheckRecord.count(
+            "constructed_not_polar", sum(not r.is_polar for r in constructed_reports)
         ),
-        CheckRecord(
+        CheckRecord.worst(
             "worst_transfer_residual",
-            worst_transfer,
-            worst_transfer <= cfg.equality_rel_tol,
+            (report.transfer_residual for report in reports),
+            cfg.equality_rel_tol,
         ),
     )
     return SuiteResult("product-polar", trials + constructed, records)
@@ -276,19 +293,13 @@ def suite_polar_transfer(
         else:
             draws.append((random_operator(rng, d), random_operator(rng, d)))
     reports = _by_shape(draws, lambda t, s: polar_transfer.kernel(t, s, cfg))
-    failures = sum(not report.ok for report in reports)
-    worst = max(
-        [
-            0.0,
-            *(
-                max(report.product_check.worst(), report.moduli_check.worst())
-                for report in reports
-            ),
-        ]
-    )
     records = (
-        CheckRecord("transfer_failures", float(failures), failures == 0),
-        CheckRecord("worst_residual", worst, worst <= cfg.equality_rel_tol),
+        CheckRecord.count("transfer_failures", sum(not report.ok for report in reports)),
+        CheckRecord.worst(
+            "worst_residual",
+            (max(r.product_check.worst(), r.moduli_check.worst()) for r in reports),
+            cfg.equality_rel_tol,
+        ),
     )
     return SuiteResult("polar-transfer", trials, records)
 
@@ -306,35 +317,23 @@ def suite_aluthge_binormal(
     draws += [(random_nonbinormal(rng, d),) for d in _dims_cycle(rng, 2, dim, half)]
     pairs = list(ALUTHGE_EXPONENTS)
     reports = _by_shape(draws, lambda t: binormal_equivalents.kernel(t, pairs, cfg))
-    binormal_failures = sum(
-        not (all(report.statements) and report.agree()) for report in reports[:half]
-    )
-    nonbinormal_failures = sum(
-        any(report.statements) or not report.agree() for report in reports[half:]
-    )
-    worst_closed_form = max(
-        [
-            0.0,
-            *(
+    records = (
+        CheckRecord.count(
+            "binormal_violations",
+            sum(not (all(r.statements) and r.agree()) for r in reports[:half]),
+        ),
+        CheckRecord.count(
+            "nonbinormal_violations",
+            sum(any(r.statements) or not r.agree() for r in reports[half:]),
+        ),
+        CheckRecord.worst(
+            "worst_closed_form_residual",
+            (
                 max(check.modulus_form_residual, check.adjoint_form_residual)
                 for report in reports[:half]
                 for check in report.pair_checks
             ),
-        ]
-    )
-    records = (
-        CheckRecord(
-            "binormal_violations", float(binormal_failures), binormal_failures == 0
-        ),
-        CheckRecord(
-            "nonbinormal_violations",
-            float(nonbinormal_failures),
-            nonbinormal_failures == 0,
-        ),
-        CheckRecord(
-            "worst_closed_form_residual",
-            worst_closed_form,
-            worst_closed_form <= cfg.equality_rel_tol,
+            cfg.equality_rel_tol,
         ),
     )
     return SuiteResult("aluthge-binormal", 2 * half, records)
@@ -404,15 +403,12 @@ def suite_mp_inverse(
             results.append((ok, residuals))
         return results
 
-    failures = 0
-    worst = 0.0
-    for ok, residuals in _by_shape([(t,) for t in operators], evaluate):
-        worst = max(worst, max(residuals))
-        if not ok:
-            failures += 1
+    results = _by_shape([(t,) for t in operators], evaluate)
     records = (
-        CheckRecord("mp_failures", float(failures), failures == 0),
-        CheckRecord("worst_residual", worst, worst <= cfg.equality_rel_tol),
+        CheckRecord.count("mp_failures", sum(not ok for ok, _ in results)),
+        CheckRecord.worst(
+            "worst_residual", (max(residuals) for _, residuals in results), cfg.equality_rel_tol
+        ),
     )
     return SuiteResult("mp-inverse", len(operators), records)
 
@@ -443,9 +439,9 @@ def suite_shift_family(
             oracle_failures += 1
         mismatches += pattern_mismatches(spec, report.commute_decisions())
     records = (
-        CheckRecord("wrong_orders", float(wrong_orders), wrong_orders == 0),
-        CheckRecord("oracle_failures", float(oracle_failures), oracle_failures == 0),
-        CheckRecord("pattern_mismatches", float(mismatches), mismatches == 0),
+        CheckRecord.count("wrong_orders", wrong_orders),
+        CheckRecord.count("oracle_failures", oracle_failures),
+        CheckRecord.count("pattern_mismatches", mismatches),
     )
     return SuiteResult("shift-family", len(SHIFT_ORDERS), records)
 
@@ -467,25 +463,23 @@ def suite_v_entries(
     del rng, dim, trials
     v = v_matrix()
     power = np.eye(3, dtype=np.complex128)
-    worst_match = 0.0
-    min_v33 = float("inf")
-    worst_identity = 0.0
-    for k in range(1, V_POWERS + 1):
+    # (v13(k), v33(k)) for k = 1..V_POWERS + 1.
+    entries = [v_power_entries(k) for k in range(1, V_POWERS + 2)]
+    matches = []
+    for v13, v33 in entries[:V_POWERS]:
         power = power @ v
-        v13, v33 = v_power_entries(k)
-        worst_match = max(
-            worst_match, abs(power[0, 2] - v13), abs(power[2, 2] - v33)
-        )
-        if k >= 2:
-            min_v33 = min(min_v33, abs(v33))
-        next_v13 = v_power_entries(k + 1)[0]
-        worst_identity = max(worst_identity, abs(v33 - next_v13))
-    v33_first = abs(v_power_entries(1)[1])
+        matches += [abs(power[0, 2] - v13), abs(power[2, 2] - v33)]
+    min_v33 = min([float("inf"), *(abs(v33) for _, v33 in entries[1:V_POWERS])])
     records = (
-        CheckRecord("worst_power_match", worst_match, worst_match <= cfg.equality_rel_tol),
-        CheckRecord("v33_at_1", v33_first, v33_first <= _V33_AT_1),
+        CheckRecord.worst("worst_power_match", matches, cfg.equality_rel_tol),
+        CheckRecord.bounded("v33_at_1", abs(entries[0][1]), _V33_AT_1),
+        # The one lower bound, a rule of its own.
         CheckRecord("min_v33_from_2", min_v33, min_v33 > _MIN_V33_FROM_2),
-        CheckRecord("worst_shift_identity", worst_identity, worst_identity <= _SHIFT_IDENTITY),
+        CheckRecord.worst(
+            "worst_shift_identity",
+            (abs(v33 - next_v13) for (_, v33), (next_v13, _) in zip(entries, entries[1:])),
+            _SHIFT_IDENTITY,
+        ),
     )
     return SuiteResult("v-entries", V_POWERS, records)
 
@@ -506,7 +500,10 @@ def suite_psd_pairs(
     dims = _dims_cycle(rng, 2, dim, half)
     commuting = random_commuting_psd_pairs(rng, dims, [i % 3 == 0 for i in range(half)])
     # Each non-commuting pair is followed by the draw of T, as one trial.
-    other = random_psd_pairs(rng, _dims_cycle(rng, 2, dim, half), then=random_operator)
+    other = [
+        (*random_psd_pair(rng, d), random_operator(rng, d))
+        for d in _dims_cycle(rng, 2, dim, half)
+    ]
 
     def commuting_checks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         product = a @ b
@@ -542,10 +539,7 @@ def suite_psd_pairs(
         return ~is_hermitian_psd.kernel(product, cfg) & (unlike > tol) & (like <= tol)
 
     passed = _by_shape(commuting, commuting_checks) + _by_shape(other, other_checks)
-    failures = sum(not ok for ok in passed)
-    records = (
-        CheckRecord("psd_pair_failures", float(failures), failures == 0),
-    )
+    records = (CheckRecord.count("psd_pair_failures", sum(not ok for ok in passed)),)
     return SuiteResult("psd-pairs", 2 * half, records)
 
 

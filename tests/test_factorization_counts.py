@@ -412,11 +412,13 @@ def test_mp_inverse_draws_in_one_qr_per_dim_and_checks_no_operand(draw_log):
 @pytest.mark.parametrize(
     "suite, counts",
     [
-        # 10 commuting pairs, one eigenbasis each, and 10 other pairs, two
-        # each, with no redraw at this seed: one stacked QR per dim and half
-        # (30 calls before). The redraw test takes core._norms, not the
-        # public norms, so no operand is checked (20 calls before).
-        ("psd-pairs", Counter(qr=10, qr_matrices=30)),
+        # 10 commuting pairs, one eigenbasis each, in one stacked QR per
+        # dim, and 10 other pairs, two each, with no redraw at this seed: one
+        # QR per pair, since a pair is tested as it is drawn (10 calls for
+        # 30 matrices before, when the other pairs were stacked; 30 calls
+        # before that). The redraw test takes core._norms, not the public
+        # norms, so no operand is checked (20 calls before).
+        ("psd-pairs", Counter(qr=15, qr_matrices=30)),
         # 6 of the 20 draws are rank-deficient, two bases each, in one QR
         # per dim (12 calls before); the structured fixtures make 7 QR
         # calls. Its 7 shape groups go to centered_order.kernel, so no
@@ -426,8 +428,9 @@ def test_mp_inverse_draws_in_one_qr_per_dim_and_checks_no_operand(draw_log):
         # stacked): the matrices are those of the draws one at a time. No
         # suite checks an operand (34 calls before: the 7 of
         # centered-oracle, 7 of shift-family and 20 of the public
-        # commutator_norm in random_nonbinormal).
-        ("all", Counter(qr=46, qr_matrices=130)),
+        # commutator_norm in random_nonbinormal). psd-pairs' other pairs
+        # take one QR each (46 calls before).
+        ("all", Counter(qr=51, qr_matrices=130)),
         # The other suites, each with no core._checked call below run_suite
         # (mp-inverse is pinned above). The rank-deficient draws of
         # polar-contract and polar-transfer take both bases in one QR.

@@ -1,4 +1,4 @@
-"""Tests for the exactly-n-centered truncated block shifts."""
+"""Tests for the truncated block shifts of centered order n."""
 
 from __future__ import annotations
 

@@ -66,7 +66,6 @@ from polarops.sampling import (
     random_nonbinormal,
     random_operator,
     random_psd_pair,
-    random_psd_pairs,
     random_rank_deficient,
     random_spectrum_operator,
     random_spectrum_operators,
@@ -615,7 +614,9 @@ def test_stacked_spectrum_draw_is_bitwise_the_draws_alone(count, interleaved):
 
 # Per sampler: its stacked draw of (rng, dims, flags), its reference and its
 # one-element call, each of (rng, dim, flag). psd-pairs draws T after each
-# pair, in one stacked draw; the flags mark the deficient commuting pairs.
+# pair, as suite_psd_pairs does; the PSD pair has no stacked draw, so its
+# "stacked" entry draws the pairs one at a time. The flags mark the
+# deficient commuting pairs.
 STACKED_DRAWS = {
     "mixed-rank": (
         lambda rng, dims, flags: random_mixed_ranks(rng, dims),
@@ -628,7 +629,9 @@ STACKED_DRAWS = {
         random_commuting_psd_pair,
     ),
     "psd-pair-then-operator": (
-        lambda rng, dims, flags: random_psd_pairs(rng, dims, then=random_operator),
+        lambda rng, dims, flags: [
+            (*random_psd_pair(rng, d), random_operator(rng, d)) for d in dims
+        ],
         lambda rng, d, flag: (*_psd_pair_alone(rng, d), random_operator(rng, d)),
         lambda rng, d, flag: (*random_psd_pair(rng, d), random_operator(rng, d)),
     ),
@@ -683,8 +686,8 @@ def test_stacked_draws_are_bitwise_the_draws_alone(sampler, count, interleaved):
 @pytest.mark.parametrize("bound", [0.05, 0.1, 0.2])
 def test_stacked_psd_pairs_redraw_as_the_draws_alone(monkeypatch, bound):
     # A larger bound than the sampler's 1e-3 makes more pairs commute too
-    # closely, so some are drawn again, at any place of the stack; the
-    # stream stays that of the draws one at a time.
+    # closely, so some are drawn again, at any place of the sequence; the
+    # stream stays that of the reference draws.
     drawn_alone = []
     psd_alone = _psd_alone
 
@@ -696,7 +699,7 @@ def test_stacked_psd_pairs_redraw_as_the_draws_alone(monkeypatch, bound):
     monkeypatch.setattr(sampling, "_PSD_PAIR_COMMUTATOR", bound)
     dims = [2, 3, 2, 2, 4, 3, 2, 5, 2, 2, 3, 2] * 2
     rng, reference_rng = np.random.default_rng(1), np.random.default_rng(1)
-    drawn = random_psd_pairs(rng, dims, then=random_operator)
+    drawn = [(*random_psd_pair(rng, d), random_operator(rng, d)) for d in dims]
     expected = [
         (*_psd_pair_alone(reference_rng, d, bound), random_operator(reference_rng, d))
         for d in dims
@@ -709,17 +712,16 @@ def test_stacked_psd_pairs_redraw_as_the_draws_alone(monkeypatch, bound):
 
 def test_stacked_psd_pairs_give_up_after_64_draws(monkeypatch):
     # No pair can pass a bound of 2 (||[A, B]|| <= 2 ||A|| ||B||): the
-    # first pair is drawn 64 times, and the generator is left after its
-    # last draw, as the draws one at a time leave it.
+    # pair is drawn 64 times, and the generator is left after its last
+    # draw, as the reference leaves it.
     monkeypatch.setattr(sampling, "_PSD_PAIR_COMMUTATOR", 2.0)
-    for dims in ([3], [2, 4, 2]):
+    for dim in (3, 2):
         rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
         with pytest.raises(RuntimeError, match="non-commuting PSD pair"):
-            random_psd_pairs(rng, dims, then=random_operator)
+            random_psd_pair(rng, dim)
         with pytest.raises(RuntimeError, match="non-commuting PSD pair"):
-            _psd_pair_alone(reference_rng, dims[0], 2.0)
+            _psd_pair_alone(reference_rng, dim, 2.0)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
-    assert random_psd_pairs(rng, []) == []
 
 
 def _nonbinormal_alone(rng, dim, min_scaled_commutator=1e-2):
