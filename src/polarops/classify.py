@@ -604,7 +604,11 @@ def _passing_powers(equation, ranges, cfg: ToleranceConfig) -> np.ndarray:
     each row of the residuals of ``_oracle_residuals`` (or for one row of
     them): power k passes when ``max(equation, range) <= equality_rel_tol``,
     so a NaN residual fails it."""
-    holds = np.maximum(equation, ranges) <= cfg.equality_rel_tol
+    return _leading_run(np.maximum(equation, ranges) <= cfg.equality_rel_tol)
+
+
+def _leading_run(holds: np.ndarray) -> np.ndarray:
+    """The number of leading True entries of each row of ``holds``."""
     return np.logical_and.accumulate(holds, axis=-1).sum(axis=-1)
 
 
@@ -728,10 +732,10 @@ def _centered_walk(
             norm_parts.append(norms)
             threshold_parts.append(thresholds)
             # Extend the runs still unbroken, by the decisions k < max_n.
-            rows = (norms[:, : max_n - first] <= thresholds[:, : max_n - first]).tolist()
+            runs = _leading_run(norms[:, : max_n - first] <= thresholds[:, : max_n - first])
             verified = [
-                order + len(list(takewhile(bool, row))) if order == first else order
-                for order, row in zip(verified, rows)
+                order + run if order == first else order
+                for order, run in zip(verified, runs.tolist())
             ]
         limit = min(len(group), max_n - first + 1)
         # None past an operator's verified order + 1, which may lie behind
@@ -842,7 +846,8 @@ def product_polar(t, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     and the unconditional transfer factor ``U W V`` built from the polar
     decomposition of ``|T| |S*|``; for two stacks of operators, a list of
     one report per pair. ``T``, ``S`` and ``S*`` share one stacked SVD, and
-    so do ``T S`` and ``|T| |S*|``.
+    so do ``T S`` and ``|T| |S*|``. The equation's residual is the polar
+    check's ``reconstruction`` residual.
     """
     t_parts, s_parts, s_adj_parts, _, (product, product_parts), (_, moduli_parts) = (
         _product_parts(t, s, cfg)
@@ -850,7 +855,6 @@ def product_polar(t, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     mod_t, mod_s_adj = t_parts.modulus, s_adj_parts.modulus
     candidate = t_parts.isometry @ s_parts.isometry
 
-    residual = _residual(product, candidate @ product_parts.modulus)
     checks = verify_polar.kernel(product, candidate, product_parts.modulus, cfg)
 
     transfer = t_parts.isometry @ moduli_parts.isometry @ s_parts.isometry
@@ -860,7 +864,7 @@ def product_polar(t, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
         norm.tolist(),
         commute.tolist(),
         candidate[:, 0],
-        residual.tolist(),
+        [check.residuals["reconstruction"] for check in checks],
         checks,
         transfer[:, 0],
         transfer_residual.tolist(),
@@ -945,7 +949,8 @@ def binormal_equivalents(
     oracle (``_oracle_residuals``) takes the SVD of ``T`` from that one and
     factors only ``T^2`` of every operator, in one stacked SVD; the
     transforms of every exponent pair and their adjoints form one stack,
-    pair by pair.
+    pair by pair. Each transform equation's residual is its polar check's
+    ``reconstruction`` residual.
     """
     if not alphas_betas:
         raise ValueError("alphas_betas must contain at least one pair")
@@ -972,7 +977,6 @@ def binormal_equivalents(
     split = len(transform)
     transform_parts, adjoint_parts = parts[:split], parts[split:]
     transform_mod = transform_parts.modulus
-    eq_res = _residual(transform, tilde_u @ transform_mod)
     polar_checks = verify_polar.kernel(transform, tilde_u, transform_mod, cfg)
     modulus_form = np.concatenate(
         [_adjoint(u) @ power(a) @ u @ power(b) for a, b in alphas_betas]
@@ -995,7 +999,7 @@ def binormal_equivalents(
         )
         for (alpha, beta), eq, polar_check, mod, adj in zip(
             [pair for pair in alphas_betas for _ in range(count)],
-            eq_res.tolist(),
+            [check.residuals["reconstruction"] for check in polar_checks],
             polar_checks,
             mod_res.tolist(),
             adj_res.tolist(),
@@ -1075,7 +1079,7 @@ def mp_centered_check(
     # vanishing commutators of each operator.
     u_pows = list(islice(_powers(np.concatenate([u, inverse_u])), max_n))
     norms, thresholds = _commutators(u_pows, np.concatenate([p, inverse_p]), cfg)
-    runs = [len(list(takewhile(bool, row))) for row in (norms <= thresholds).tolist()]
+    runs = _leading_run(norms <= thresholds).tolist()
     found = [min(run + 1, max_n) for run in runs]
     orders, inverse_orders = found[: len(t)], found[len(t) :]
 

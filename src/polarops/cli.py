@@ -15,6 +15,11 @@ Commands:
   only to within the tolerance.
 * ``verify-theorems``: run seeded property suites.
 
+``main`` opens and renders every run: it builds the ``ToleranceConfig``
+from ``--rank-tol``/``--zero-tol``/``--eq-tol`` and the ``RunReport`` with
+the command echo, calls the command, which only fills that report, then
+prints it. A bad tolerance exits 2 before any file is read.
+
 Reports are plain text, one machine-readable record per check, no
 timestamps, so identical flags and seed give byte-identical output. Exit
 status: 0 when the overall verdict passes, 1 when any check fails, 2 for
@@ -100,14 +105,6 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _tolerances(args: argparse.Namespace) -> ToleranceConfig:
-    return ToleranceConfig(
-        rank_rel_tol=args.rank_tol,
-        zero_rel_tol=args.zero_tol,
-        equality_rel_tol=args.eq_tol,
-    )
-
-
 def _polar_records(check: PolarCheck, cfg: ToleranceConfig, prefix: str) -> list[CheckRecord]:
     """The residuals of a ``verify_polar`` check, each against its
     ``polar_tolerance``, named with ``prefix``."""
@@ -117,8 +114,8 @@ def _polar_records(check: PolarCheck, cfg: ToleranceConfig, prefix: str) -> list
     ]
 
 
-def cmd_polar(args: argparse.Namespace) -> RunReport:
-    cfg = _tolerances(args)
+def cmd_polar(args: argparse.Namespace, report: RunReport) -> None:
+    cfg = report.tolerances
     t = read_matrix(args.input)
     parts = polar_decompose(t, cfg)
     check = verify_polar(t, parts, cfg)
@@ -127,25 +124,22 @@ def cmd_polar(args: argparse.Namespace) -> RunReport:
     write_matrix(f"{prefix}.u.json", parts.isometry)
     write_matrix(f"{prefix}.p.json", parts.modulus)
 
-    report = RunReport(command=args.echo, tolerances=cfg)
     report.margin = rank_margin(parts.singular_values, cfg)
     report.add_value("shape", "x".join(str(n) for n in t.shape))
     report.add_value("rank", parts.rank)
     report.add_value("factor_file", f"{prefix}.u.json")
     report.add_value("modulus_file", f"{prefix}.p.json")
     report.checks += _polar_records(check, cfg, "")
-    return report
 
 
-def cmd_mp(args: argparse.Namespace) -> RunReport:
-    cfg = _tolerances(args)
+def cmd_mp(args: argparse.Namespace, report: RunReport) -> None:
+    cfg = report.tolerances
     t = read_matrix(args.input)
     decomp = svd(t)  # the one factorization of T: pinv, margin, inverse polar
     pinv = moore_penrose(t, cfg, decomp=decomp)
     out = args.out if args.out else str(Path(args.input).with_suffix("")) + ".pinv.json"
     write_matrix(out, pinv)
 
-    report = RunReport(command=args.echo, tolerances=cfg)
     report.margin = rank_margin(decomp.singular_values, cfg)
     report.add_value("shape", "x".join(str(n) for n in t.shape))
     report.add_value("inverse_file", out)
@@ -166,11 +160,10 @@ def cmd_mp(args: argparse.Namespace) -> RunReport:
         )
         inverse_check = verify_polar(pinv, inverse_parts, cfg)
         report.checks += _polar_records(inverse_check, cfg, "inverse_polar_")
-    return report
 
 
-def cmd_classify(args: argparse.Namespace) -> RunReport:
-    cfg = _tolerances(args)
+def cmd_classify(args: argparse.Namespace, report: RunReport) -> None:
+    cfg = report.tolerances
     if args.max_n < 2:
         # Binormality is centered order 2; a lower bound cannot decide it.
         raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
@@ -178,7 +171,6 @@ def cmd_classify(args: argparse.Namespace) -> RunReport:
     result = centered_order(t, args.max_n, cfg)
     binormal_flag, binormal_norm = is_binormal(t, cfg)
 
-    report = RunReport(command=args.echo, tolerances=cfg)
     report.margin = result.rank_margin
     report.add_value("dimension", result.dimension)
     report.add_value("max_order_checked", result.max_order_checked)
@@ -192,11 +184,10 @@ def cmd_classify(args: argparse.Namespace) -> RunReport:
             "binormal_consistency", float(binormal_norm), binormal_flag == result.binormal
         ),
     ]
-    return report
 
 
-def cmd_counterexample(args: argparse.Namespace) -> RunReport:
-    cfg = _tolerances(args)
+def cmd_counterexample(args: argparse.Namespace, report: RunReport) -> None:
+    cfg = report.tolerances
     spec = ShiftSpec.from_recipe(args.n, args.blocks)
     t = build_truncated(spec)
     out = args.out if args.out else f"shift-n{spec.n}.json"
@@ -212,7 +203,6 @@ def cmd_counterexample(args: argparse.Namespace) -> RunReport:
     structure = verify_predicted_structure.kernel(blocks, spec, cfg)
     mismatches = pattern_mismatches(spec, result.commute_decisions())
 
-    report = RunReport(command=args.echo, tolerances=cfg)
     report.margin = result.rank_margin
     report.add_value("target_order", spec.n)
     report.add_value("blocks", spec.blocks)
@@ -228,18 +218,15 @@ def cmd_counterexample(args: argparse.Namespace) -> RunReport:
         CheckRecord("predicted_structure", float(structure.worst()), structure.ok),
         CheckRecord.count("pattern_consistency", mismatches),
     ]
-    return report
 
 
-def cmd_verify_theorems(args: argparse.Namespace) -> RunReport:
-    cfg = _tolerances(args)
+def cmd_verify_theorems(args: argparse.Namespace, report: RunReport) -> None:
     if not 2 <= args.dim <= 12:
         raise ValueError(f"--dim must be in [2, 12], got {args.dim}")
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    results = run_suite(args.suite, args.seed, args.dim, args.trials, cfg)
+    results = run_suite(args.suite, args.seed, args.dim, args.trials, report.tolerances)
 
-    report = RunReport(command=args.echo, tolerances=cfg)
     report.add_value("seed", args.seed)
     report.add_value("dim", args.dim)
     report.add_value("trials", args.trials)
@@ -248,7 +235,6 @@ def cmd_verify_theorems(args: argparse.Namespace) -> RunReport:
         report.checks += [
             replace(record, name=f"{result.name}:{record.name}") for record in result.records
         ]
-    return report
 
 
 # The command functions by sub-command name, looked up on each call rather
@@ -366,9 +352,12 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(argv)
-    args.echo = "polarops " + " ".join(argv)
     try:
-        report = _COMMANDS[args.command](args)
+        tolerances = ToleranceConfig(
+            rank_rel_tol=args.rank_tol, zero_rel_tol=args.zero_tol, equality_rel_tol=args.eq_tol
+        )
+        report = RunReport("polarops " + " ".join(argv), tolerances)
+        _COMMANDS[args.command](args, report)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,7 +27,7 @@ import functools
 
 import numpy as np
 
-from .core import _adjoint, _grouped, _hermitian_products, _norms, _svd
+from .core import _adjoint, _grouped, _hermitian_products, _lapack, _norms, _svd
 from .shifts import ShiftSpec, build_truncated
 
 __all__ = [
@@ -81,7 +81,7 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def _unitary_factors(a: np.ndarray) -> np.ndarray:
     """The Q of the QR factorization of each matrix of a stack, its columns
     multiplied by the phases of the diagonal of R."""
-    q, r = np.linalg.qr(a)
+    q, r = _lapack("qr", a)
     phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     return q * (phases / np.abs(phases))[..., None, :]
 
@@ -111,10 +111,10 @@ def _deficient_products(left, right, values) -> np.ndarray:
     ``Q_l`` and ``Q_r`` the Q of the QR factorizations of its bases: one QR
     of both bases, two if their shapes differ."""
     if left.shape == right.shape:
-        q = np.linalg.qr(np.concatenate([left, right]))[0]
+        q = _lapack("qr", np.concatenate([left, right]))[0]
         left, right = q[: len(q) // 2], q[len(q) // 2 :]
     else:
-        left, right = np.linalg.qr(left)[0], np.linalg.qr(right)[0]
+        left, right = _lapack("qr", left)[0], _lapack("qr", right)[0]
     return (left * values[:, None, :]) @ _adjoint(right)
 
 

@@ -12,9 +12,10 @@ fixed settings are the module constants ``MAX_ORDER``, ``SHIFT_ORDERS``,
 Each record is built by the constructor of its rule (``CheckRecord``): a
 count of failing trials passes at zero (``CheckRecord.count``); one value
 passes up to its bound (``CheckRecord.bounded``); a worst residual is
-``max([0.0, *values])`` of the trials' residuals and passes up to its
-bound (``CheckRecord.worst``). v-entries' ``min_v33_from_2``, the one
-lower bound, is the only record built by the dataclass itself.
+``numpy.max([0.0, *values])`` of the trials' residuals, NaN if any is,
+and passes up to its bound (``CheckRecord.worst``); a NaN fails both.
+v-entries' ``min_v33_from_2``, the one lower bound, is the only record
+built by the dataclass itself.
 
 The seven random suites (``polar-contract``, ``centered-oracle``,
 ``product-polar``, ``polar-transfer``, ``aluthge-binormal``,
@@ -153,10 +154,10 @@ class CheckRecord:
 
     @classmethod
     def worst(cls, name: str, values, bound: float) -> CheckRecord:
-        """The worst of ``values``, ``max([0.0, *values])`` (0 for none),
-        which passes up to ``bound``. Python's ``max`` keeps an item unless
-        a later one is greater, so a NaN is never picked: it is dropped."""
-        return cls.bounded(name, max([0.0, *values]), bound)
+        """The worst of ``values``, ``numpy.max([0.0, *values])`` (0 for
+        none), which passes up to ``bound``; a NaN among them is the worst,
+        so it fails."""
+        return cls.bounded(name, float(np.max([0.0, *values])), bound)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from polarops.core import (
     rank_margin,
     svd,
 )
-from polarops.decomp import abs_value, moore_penrose, polar_decompose
+from polarops.decomp import PolarParts, abs_value, moore_penrose, polar_decompose, verify_polar
 from polarops.sampling import (
     random_binormal,
     random_commuting_moduli_pair,
@@ -244,6 +244,24 @@ class TestProductPolar:
             report = product_polar(random_operator(rng, 4), random_operator(rng, 4))
             assert report.transfer_residual < 1e-9
 
+    def test_equation_residual_is_that_of_the_public_polar_check(self):
+        # The residual of T S = U V |T S| is, bit for bit, the reconstruction
+        # residual of verify_polar(T S, (U V, |T S|)) from public calls.
+        rng = rng_for(8)
+        dims = [d for d in range(2, 7) for _ in range(3)]
+        pairs = [(random_mixed_rank(rng, d), random_mixed_rank(rng, d)) for d in dims]
+        pairs += [random_commuting_moduli_pair(rng, d) for d in dims]
+        assert min(np.linalg.matrix_rank(t) - len(t) for t, _ in pairs) < 0
+        for t, s in pairs:
+            product = t @ s
+            parts = polar_decompose(product)
+            candidate = polar_decompose(t).isometry @ polar_decompose(s).isometry
+            check = verify_polar(
+                product, PolarParts(candidate, parts.modulus, parts.rank, parts.singular_values)
+            )
+            report = product_polar(t, s)
+            assert report.equality_residual == check.residuals["reconstruction"]
+
     def test_rejects_mismatched_pairs(self):
         with pytest.raises(ValueError):
             product_polar(np.eye(2), np.eye(3))
@@ -334,6 +352,19 @@ class TestBinormalEquivalents:
         for _ in range(10):
             report = binormal_equivalents(random_nonbinormal(rng, 4), EXPONENT_PAIRS)
             assert report.statements == (False,) * 5
+
+    def test_equation_residual_is_the_polar_checks_reconstruction(self):
+        # Each transform equation T_ab = (U* U U) |T_ab| is measured by its
+        # polar check, as a matrix and in a stack of operators.
+        rng = rng_for(17)
+        draws = [draw(rng, d) for draw in (random_binormal, random_operator) for d in (2, 3, 4)]
+        draws += [draw(rng, 3) for draw in (random_binormal, random_nonbinormal) for _ in range(3)]
+        reports = [binormal_equivalents(t, EXPONENT_PAIRS) for t in draws]
+        reports += binormal_equivalents(np.stack(draws[-6:])[:, None], EXPONENT_PAIRS)
+        assert len(reports) == 18
+        for report in reports:
+            for check in report.pair_checks:
+                assert check.equality_residual == check.polar_check.residuals["reconstruction"]
 
     def test_rejects_empty_exponent_sample(self):
         with pytest.raises(ValueError):

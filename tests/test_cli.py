@@ -397,6 +397,47 @@ class TestErrorPaths:
         assert err == "error: rows and cols must be integers\n"
 
 
+class TestRunSkeleton:
+    """``main`` builds the tolerances and the report of every run; a
+    command only fills that report."""
+
+    def test_non_default_tolerances_are_echoed(self, capsys):
+        argv = ["verify-theorems", "--suite", "v-entries", "--rank-tol", "1e-8"]
+        code, out, err = run_cli(capsys, [*argv, "--zero-tol", "1e-6", "--eq-tol", "1e-13"])
+        assert code == 0 and err == ""
+        assert out.splitlines()[1] == (
+            "tolerances: rank_rel_tol=1e-08 zero_rel_tol=1e-06 equality_rel_tol=1e-13"
+        )
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--eq-tol", "2", "equality_rel_tol must lie in [0, 1), got 2.0"),
+            ("--rank-tol", "-1", "rank_rel_tol must lie in [0, 1), got -1.0"),
+        ],
+    )
+    def test_bad_tolerance_exits_before_any_file_is_read(
+        self, capsys, tmp_path, flag, value, message
+    ):
+        argv = ["classify", str(tmp_path / "absent.json"), flag, value]
+        assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
+
+    def test_a_command_fills_the_report_that_main_renders(self, capsys, monkeypatch):
+        def command(args, report):
+            assert report.tolerances.zero_rel_tol == 1e-6
+            report.add_value("input", args.input)
+
+        monkeypatch.setitem(cli._COMMANDS, "mp", command)
+        code, out, _ = run_cli(capsys, ["mp", "absent.json", "--zero-tol", "1e-6"])
+        assert code == 0
+        assert out == (
+            "command: polarops mp absent.json --zero-tol 1e-6\n"
+            "tolerances: rank_rel_tol=1e-12 zero_rel_tol=1e-06 equality_rel_tol=1e-09\n"
+            "value input absent.json\n"
+            "verdict: pass\n"
+        )
+
+
 class TestRepeatedCalls:
     """``main`` parses with one parser per process; no call may see
     another's options or state."""

@@ -156,6 +156,25 @@ def test_v_entries_matches_the_powers_within_the_equality_tolerance():
     ]
 
 
+def test_a_nan_residual_fails_a_worst_record():
+    # A NaN is the worst of the residuals wherever it lies among them.
+    for values in ([1e-16, np.nan, 2e-16], [np.nan, 1e-16], [1e-16, np.nan]):
+        record = CheckRecord.worst("worst_residual", values, 1e-9)
+        assert np.isnan(record.residual)
+        assert record.passed is False
+
+
+def test_all_nan_residuals_fail_a_worst_record():
+    record = CheckRecord.worst("worst_residual", [np.nan] * 3, 1e-9)
+    assert np.isnan(record.residual)
+    assert record.passed is False
+
+
+def test_finite_residuals_give_the_largest_as_the_worst():
+    assert CheckRecord.worst("w", [], 1e-9) == CheckRecord("w", 0.0, True)
+    assert CheckRecord.worst("w", [2e-16, 3e-9], 1e-9) == CheckRecord("w", 3e-9, False)
+
+
 def test_every_suite_takes_the_runners_four_arguments():
     # run_suite passes (rng, dim, trials, cfg) and nothing else, so a suite
     # has no other setting: its fixed ones are module constants.
